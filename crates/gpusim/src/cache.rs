@@ -15,76 +15,91 @@ use crate::device::DeviceSpec;
 const SAMPLE_CAP: usize = 1 << 16;
 
 /// A set-associative, LRU, write-allocate cache model.
+///
+/// Each set is one contiguous run of `ways` tags in recency order, most
+/// recent first. A tag is `line + 1` and `0` marks an empty way, so a new
+/// cache is an all-zero allocation that the OS backs lazily: a model of the
+/// A100's 40 MB L2 owns 2.6 MB of tags but only pays for the sets a stream
+/// reaches. Filling the vector with any other sentinel would touch all of
+/// it in every `GpuModel::new`.
 #[derive(Debug, Clone)]
 pub struct CacheSim {
-    sets: usize,
+    sets: u64,
     ways: usize,
     line_bytes: u64,
-    /// tags[set * ways + way]; recency tracked by per-way timestamps.
+    /// tags[set * ways..][..ways], MRU first; empty ways trail.
     tags: Vec<u64>,
-    valid: Vec<bool>,
-    /// Monotonic access stamps; the smallest stamp in a set is its LRU way.
-    stamps: Vec<u64>,
-    clock: u64,
     accesses: u64,
     hits: u64,
 }
 
+/// Moves `tag` to the front of an MRU-first set and reports whether it was
+/// already resident; on a miss the last (least recent or empty) way drops
+/// out. Inlined per call site so a fixed-width `set` unrolls.
+#[inline(always)]
+fn promote(set: &mut [u64], tag: u64) -> bool {
+    let found = set.iter().position(|&t| t == tag);
+    match found {
+        // A fixed-length move the compiler expands in registers.
+        None => set.copy_within(..set.len() - 1, 1),
+        Some(p) => {
+            for i in (0..p).rev() {
+                set[i + 1] = set[i];
+            }
+        }
+    }
+    set[0] = tag;
+    found.is_some()
+}
+
 impl CacheSim {
     /// Creates a cache of `capacity_bytes` with the given associativity.
+    /// A capacity below one set (`ways` lines) is rounded up to one set.
     ///
     /// # Panics
-    /// Panics if capacity is smaller than one way of lines.
+    /// Panics if `ways` or `line_bytes` is zero.
     pub fn new(capacity_bytes: u64, ways: usize, line_bytes: u64) -> Self {
+        assert!(ways > 0, "a cache needs at least one way");
+        assert!(line_bytes > 0, "a cache line cannot be zero bytes");
         let lines = (capacity_bytes / line_bytes) as usize;
         let sets = (lines / ways).max(1);
         CacheSim {
-            sets,
+            sets: sets as u64,
             ways,
             line_bytes,
             tags: vec![0; sets * ways],
-            valid: vec![false; sets * ways],
-            stamps: vec![0; sets * ways],
-            clock: 0,
             accesses: 0,
             hits: 0,
         }
     }
 
     /// Accesses a byte address; returns `true` on hit.
-    ///
-    /// True LRU per set, tracked with access stamps instead of reordering
-    /// the ways on every touch — the hit/miss sequence is identical to a
-    /// move-to-front implementation, but a hit costs one store.
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.line_bytes;
-        let set = (line as usize) % self.sets;
-        let base = set * self.ways;
+        self.access_line(addr / self.line_bytes)
+    }
+
+    /// Accesses line number `line` (a byte address divided by the line
+    /// size, below `u64::MAX`); returns `true` on hit. True LRU per set.
+    #[inline]
+    pub fn access_line(&mut self, line: u64) -> bool {
+        self.access_in(line % self.sets, line)
+    }
+
+    /// [`Self::access_line`] for a caller that already knows `line`'s set.
+    #[inline]
+    fn access_in(&mut self, set: u64, line: u64) -> bool {
+        debug_assert_eq!(set, line % self.sets);
+        let base = set as usize * self.ways;
+        let tag = line + 1;
+        // The two associativities `GpuModel` builds get fixed-width sets.
+        let hit = match self.ways {
+            4 => promote(&mut self.tags[base..base + 4], tag),
+            16 => promote(&mut self.tags[base..base + 16], tag),
+            ways => promote(&mut self.tags[base..base + ways], tag),
+        };
         self.accesses += 1;
-        self.clock += 1;
-        let mut victim = base;
-        let mut victim_stamp = u64::MAX;
-        for w in base..base + self.ways {
-            if self.valid[w] {
-                if self.tags[w] == line {
-                    self.stamps[w] = self.clock;
-                    self.hits += 1;
-                    return true;
-                }
-                if self.stamps[w] < victim_stamp {
-                    victim_stamp = self.stamps[w];
-                    victim = w;
-                }
-            } else if victim_stamp > 0 {
-                // An invalid way beats any valid one as the victim.
-                victim_stamp = 0;
-                victim = w;
-            }
-        }
-        self.tags[victim] = line;
-        self.valid[victim] = true;
-        self.stamps[victim] = self.clock;
-        false
+        self.hits += u64::from(hit);
+        hit
     }
 
     /// Lifetime accesses.
@@ -175,7 +190,9 @@ impl MemoryTrace {
 /// Simulates one kernel's access streams through the cache hierarchy.
 ///
 /// `region_base` addresses are assigned per descriptor so distinct tensors
-/// do not alias. Returns the rescaled memory trace.
+/// do not alias. Descriptors are in fp32 bytes; their footprints are scaled
+/// to `spec.elem_bytes` here. Both caches must have `spec.line_bytes` lines:
+/// they are driven by line number. Returns the rescaled memory trace.
 pub fn simulate_kernel(
     spec: &DeviceSpec,
     l1: &mut CacheSim,
@@ -183,6 +200,7 @@ pub fn simulate_kernel(
     reads: &[AccessDesc],
     writes: &[AccessDesc],
 ) -> MemoryTrace {
+    debug_assert!(l1.line_bytes == spec.line_bytes && l2.line_bytes == spec.line_bytes);
     let mut trace = MemoryTrace::default();
     // Distinct address spaces per descriptor; 256 MB apart.
     let mut region = 0x1000_0000u64;
@@ -194,39 +212,50 @@ pub fn simulate_kernel(
     trace
 }
 
-/// Streams one warp op (its distinct touched lines) through L1→L2,
-/// accumulating sampled counters. One warp op per `touch` call.
+/// Streams warp ops (their distinct touched lines) through L1→L2. The
+/// caches count the line accesses; this counts the ops.
 struct Driver<'a> {
     l1: &'a mut CacheSim,
     l2: &'a mut CacheSim,
-    line: u64,
-    sampled: MemoryTrace,
+    warp_ops: u64,
+    divergent_warp_ops: u64,
 }
 
 impl Driver<'_> {
+    /// One warp op touching `lines`.
     fn touch(&mut self, lines: &[u64]) {
-        self.sampled.warp_ops += 1;
+        self.warp_ops += 1;
         if lines.len() > 1 {
-            self.sampled.divergent_warp_ops += 1;
+            self.divergent_warp_ops += 1;
         }
         for &l in lines {
-            self.sampled.l1_accesses += 1;
-            if self.l1.access(l * self.line) {
-                self.sampled.l1_hits += 1;
-            } else {
-                self.sampled.l2_accesses += 1;
-                if self.l2.access(l * self.line) {
-                    self.sampled.l2_hits += 1;
-                } else {
-                    self.sampled.dram_bytes += self.line;
-                }
+            if !self.l1.access_line(l) {
+                self.l2.access_line(l);
             }
+        }
+    }
+
+    /// `count` fully coalesced warp ops, one line each, `step` lines apart.
+    /// Both set indices advance with the line, so the run divides once.
+    fn touch_run(&mut self, first: u64, step: u64, count: u64) {
+        self.warp_ops += count;
+        let (n1, n2) = (self.l1.sets, self.l2.sets);
+        let (mut s1, mut s2) = (first % n1, first % n2);
+        let (d1, d2) = (step % n1, step % n2);
+        let mut l = first;
+        for _ in 0..count {
+            if !self.l1.access_in(s1, l) {
+                self.l2.access_in(s2, l);
+            }
+            l += step;
+            s1 = if s1 + d1 >= n1 { s1 + d1 - n1 } else { s1 + d1 };
+            s2 = if s2 + d2 >= n2 { s2 + d2 - n2 } else { s2 + d2 };
         }
     }
 
     /// Warp ops emitted so far (the sampling budget).
     fn emitted(&self) -> usize {
-        self.sampled.warp_ops as usize
+        self.warp_ops as usize
     }
 }
 
@@ -242,27 +271,6 @@ fn dedup_lines(buf: &mut [u64]) -> usize {
     kept
 }
 
-/// Exact number of warp-level ops a descriptor implies (before sampling).
-fn total_warp_ops(spec: &DeviceSpec, desc: &AccessDesc) -> u64 {
-    let line = spec.line_bytes;
-    match desc {
-        AccessDesc::Sequential { bytes } => bytes.div_ceil(line),
-        AccessDesc::Strided { accesses, .. } => accesses.div_ceil(32).max(1),
-        AccessDesc::Indexed { indices, row_bytes, .. } => {
-            let lanes_per_row = (row_bytes / 4).clamp(1, 32);
-            let rows_per_warp = (32 / lanes_per_row).max(1);
-            // Wide rows need several warp ops per row.
-            let ops_per_row = row_bytes.div_ceil(line).max(1);
-            if *row_bytes >= 128 {
-                indices.len() as u64 * ops_per_row
-            } else {
-                (indices.len() as u64).div_ceil(rows_per_warp)
-            }
-        }
-        AccessDesc::Random { accesses, .. } => accesses.div_ceil(32).max(1),
-    }
-}
-
 /// Synthesizes a descriptor's (possibly sampled) warp ops and streams them
 /// straight through L1→L2, then rescales counters to the exact totals.
 ///
@@ -276,33 +284,43 @@ fn drive_desc(
     base: u64,
 ) -> MemoryTrace {
     let line = spec.line_bytes;
+    // Half-precision devices shrink every byte footprint (never to zero).
+    let byte_scale = spec.elem_bytes as f64 / 4.0;
+    let sized = |bytes: u64| {
+        if spec.elem_bytes == 4 {
+            bytes
+        } else {
+            ((bytes as f64 * byte_scale) as u64).max(1)
+        }
+    };
+    let (l1_accesses0, l1_hits0) = (l1.accesses, l1.hits);
+    let (l2_accesses0, l2_hits0) = (l2.accesses, l2.hits);
     let mut d = Driver {
         l1,
         l2,
-        line,
-        sampled: MemoryTrace::default(),
+        warp_ops: 0,
+        divergent_warp_ops: 0,
     };
     let mut buf = [0u64; 32];
-    match desc {
+    // Each arm streams its sampled ops and yields the exact op count.
+    let exact_warp_ops = match desc {
         AccessDesc::Sequential { bytes } => {
             // Fully coalesced: one line per warp op.
-            let total_lines = bytes.div_ceil(line);
+            let total_lines = sized(*bytes).div_ceil(line);
             let step = (total_lines as usize / SAMPLE_CAP).max(1) as u64;
-            let mut l = 0;
-            while l < total_lines && d.emitted() < SAMPLE_CAP {
-                d.touch(&[base / line + l]);
-                l += step;
-            }
+            let sampled = total_lines.div_ceil(step).min(SAMPLE_CAP as u64);
+            d.touch_run(base / line, step, sampled);
+            total_lines
         }
         AccessDesc::Strided {
             stride_bytes,
             accesses,
-            access_bytes,
+            ..
         } => {
+            let stride_bytes = sized(*stride_bytes);
             let per_warp = 32u64;
             let warps = accesses.div_ceil(per_warp).max(1);
             let step = (warps as usize / SAMPLE_CAP).max(1) as u64;
-            let _ = access_bytes;
             let mut w = 0;
             while w < warps && d.emitted() < SAMPLE_CAP {
                 let lanes = per_warp.min(accesses - w * per_warp).max(1) as usize;
@@ -313,14 +331,16 @@ fn drive_desc(
                 d.touch(&buf[..kept]);
                 w += step;
             }
+            warps
         }
         AccessDesc::Indexed {
             indices,
             row_bytes,
             table_bytes,
         } => {
-            let table_lines = table_bytes / line;
-            if *row_bytes >= 128 {
+            let row_bytes = sized(*row_bytes);
+            let table_lines = sized(*table_bytes) / line;
+            if row_bytes >= 128 {
                 // Each row is ≥1 full line; warps read within a row
                 // (coalesced), consecutive warps follow the index array.
                 let ops_per_row = row_bytes.div_ceil(line);
@@ -350,6 +370,7 @@ fn drive_desc(
                     }
                     i += row_step as usize;
                 }
+                total
             } else {
                 // Narrow rows: one warp covers several rows → divergence
                 // determined by the actual indices.
@@ -370,18 +391,18 @@ fn drive_desc(
                     d.touch(&buf[..kept]);
                     w += step;
                 }
+                warps as u64
             }
         }
         AccessDesc::Random {
             accesses,
-            access_bytes,
             region_bytes,
+            ..
         } => {
             let per_warp = 32u64;
             let warps = accesses.div_ceil(per_warp).max(1);
             let step = (warps as usize / SAMPLE_CAP).max(1) as u64;
-            let region_lines = (region_bytes / line).max(1);
-            let _ = access_bytes;
+            let region_lines = (sized(*region_bytes) / line).max(1);
             // Deterministic LCG so runs are reproducible.
             let mut state = 0x9e3779b97f4a7c15u64 ^ *accesses;
             let mut w = 0;
@@ -397,24 +418,25 @@ fn drive_desc(
                 d.touch(&buf[..kept]);
                 w += step;
             }
+            warps
         }
-    }
-    // Rescale to the exact op count.
-    let exact_warp_ops = total_warp_ops(spec, desc);
-    let sampled = d.sampled;
-    let scale = if sampled.warp_ops == 0 {
+    };
+    // Rescale the sampled counts to the exact op count.
+    let scale = if d.warp_ops == 0 {
         0.0
     } else {
-        exact_warp_ops as f64 / sampled.warp_ops as f64
+        exact_warp_ops as f64 / d.warp_ops as f64
     };
     let s = |v: u64| (v as f64 * scale).round() as u64;
+    let l2_accesses = d.l2.accesses - l2_accesses0;
+    let l2_hits = d.l2.hits - l2_hits0;
     MemoryTrace {
-        l1_accesses: s(sampled.l1_accesses),
-        l1_hits: s(sampled.l1_hits),
-        l2_accesses: s(sampled.l2_accesses),
-        l2_hits: s(sampled.l2_hits),
-        dram_bytes: s(sampled.dram_bytes),
-        divergent_warp_ops: s(sampled.divergent_warp_ops),
+        l1_accesses: s(d.l1.accesses - l1_accesses0),
+        l1_hits: s(d.l1.hits - l1_hits0),
+        l2_accesses: s(l2_accesses),
+        l2_hits: s(l2_hits),
+        dram_bytes: s((l2_accesses - l2_hits) * line),
+        divergent_warp_ops: s(d.divergent_warp_ops),
         warp_ops: exact_warp_ops,
     }
 }
@@ -455,6 +477,75 @@ mod tests {
         assert!(!c.access(4 * 128)); // evicts line 0
         assert!(!c.access(0)); // miss again
         assert!(c.access(4 * 128)); // still resident
+    }
+
+    #[test]
+    fn capacity_below_one_set_rounds_up_to_one_set() {
+        let mut c = CacheSim::new(100, 4, 128);
+        for l in 0..4 {
+            assert!(!c.access_line(l));
+        }
+        for l in 0..4 {
+            assert!(c.access_line(l), "one 4-way set holds four lines");
+        }
+        assert!(!c.access_line(4)); // evicts line 0, the least recent
+        assert!(!c.access_line(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one way")]
+    fn zero_ways_is_rejected() {
+        CacheSim::new(1024, 0, 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero bytes")]
+    fn zero_line_bytes_is_rejected() {
+        CacheSim::new(1024, 4, 0);
+    }
+
+    #[test]
+    fn run_entry_matches_line_by_line_touches() {
+        // Odd set counts, steps above and below them, runs that wrap; the
+        // second pass re-hits in L1 (first case) or L2 (third case).
+        for (l1_sets, l2_sets, first, step, count) in [
+            (3u64, 7u64, 5u64, 1u64, 10u64),
+            (3, 7, 5, 1, 200),
+            (8, 3144, 1 << 21, 5, 4000),
+            (3, 7, 0, 23, 300),
+        ] {
+            let fresh = || {
+                (
+                    CacheSim::new(l1_sets * 4 * 128, 4, 128),
+                    CacheSim::new(l2_sets * 16 * 128, 16, 128),
+                )
+            };
+            let (mut run_l1, mut run_l2) = fresh();
+            let (mut ref_l1, mut ref_l2) = fresh();
+            for _pass in 0..2 {
+                let mut run = Driver {
+                    l1: &mut run_l1,
+                    l2: &mut run_l2,
+                    warp_ops: 0,
+                    divergent_warp_ops: 0,
+                };
+                run.touch_run(first, step, count);
+                assert_eq!(run.warp_ops, count);
+                let mut by_line = Driver {
+                    l1: &mut ref_l1,
+                    l2: &mut ref_l2,
+                    warp_ops: 0,
+                    divergent_warp_ops: 0,
+                };
+                for i in 0..count {
+                    by_line.touch(&[first + i * step]);
+                }
+            }
+            assert_eq!(run_l1.tags, ref_l1.tags);
+            assert_eq!(run_l2.tags, ref_l2.tags);
+            assert_eq!((run_l1.hits, run_l2.hits), (ref_l1.hits, ref_l2.hits));
+            assert_eq!(run_l2.accesses, ref_l2.accesses);
+        }
     }
 
     #[test]

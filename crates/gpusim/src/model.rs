@@ -10,7 +10,7 @@
 //! skinny GNN shapes; (3) memory-boundedness measured by the cache
 //! simulator.
 
-use gnnmark_tensor::{AccessDesc, OpClass, OpEvent};
+use gnnmark_tensor::{OpClass, OpEvent};
 
 use crate::cache::{self, CacheSim};
 use crate::device::DeviceSpec;
@@ -109,10 +109,13 @@ impl GpuModel {
     pub fn execute(&mut self, event: &OpEvent) -> KernelMetrics {
         self.kernels_executed += 1;
         let byte_scale = self.spec.elem_bytes as f64 / 4.0;
-        let reads = scale_descs(&event.reads, byte_scale);
-        let writes = scale_descs(&event.writes, byte_scale);
-        let memory =
-            cache::simulate_kernel(&self.spec, &mut self.l1, &mut self.l2, &reads, &writes);
+        let memory = cache::simulate_kernel(
+            &self.spec,
+            &mut self.l1,
+            &mut self.l2,
+            &event.reads,
+            &event.writes,
+        );
 
         // --- instruction accounting (thread level) ---
         let fp_instrs = if is_mac_class(event.class) {
@@ -209,53 +212,6 @@ impl GpuModel {
     pub fn execute_all(&mut self, events: &[OpEvent]) -> Vec<KernelMetrics> {
         events.iter().map(|e| self.execute(e)).collect()
     }
-}
-
-/// Scales the byte footprint of descriptors (half-precision modeling).
-/// Borrows the originals in the common full-precision case.
-fn scale_descs(descs: &[AccessDesc], scale: f64) -> std::borrow::Cow<'_, [AccessDesc]> {
-    if (scale - 1.0).abs() < 1e-12 {
-        return std::borrow::Cow::Borrowed(descs);
-    }
-    std::borrow::Cow::Owned(scale_descs_owned(descs, scale))
-}
-
-fn scale_descs_owned(descs: &[AccessDesc], scale: f64) -> Vec<AccessDesc> {
-    descs
-        .iter()
-        .map(|d| match d {
-            AccessDesc::Sequential { bytes } => AccessDesc::Sequential {
-                bytes: ((*bytes as f64 * scale) as u64).max(1),
-            },
-            AccessDesc::Strided {
-                stride_bytes,
-                accesses,
-                access_bytes,
-            } => AccessDesc::Strided {
-                stride_bytes: ((*stride_bytes as f64 * scale) as u64).max(1),
-                accesses: *accesses,
-                access_bytes: ((*access_bytes as f64 * scale) as u64).max(1),
-            },
-            AccessDesc::Indexed {
-                indices,
-                row_bytes,
-                table_bytes,
-            } => AccessDesc::Indexed {
-                indices: indices.clone(),
-                row_bytes: ((*row_bytes as f64 * scale) as u64).max(1),
-                table_bytes: ((*table_bytes as f64 * scale) as u64).max(1),
-            },
-            AccessDesc::Random {
-                accesses,
-                access_bytes,
-                region_bytes,
-            } => AccessDesc::Random {
-                accesses: *accesses,
-                access_bytes: ((*access_bytes as f64 * scale) as u64).max(1),
-                region_bytes: ((*region_bytes as f64 * scale) as u64).max(1),
-            },
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -47,6 +47,80 @@ fn arb_event() -> impl Strategy<Value = OpEvent> {
         )
 }
 
+/// The stamp-LRU cache model `CacheSim` used before its sets became
+/// recency-ordered arrays, kept verbatim as the reference the new layout
+/// is differentially tested against.
+struct StampLru {
+    sets: usize,
+    ways: usize,
+    line_bytes: u64,
+    tags: Vec<u64>,
+    valid: Vec<bool>,
+    stamps: Vec<u64>,
+    clock: u64,
+    accesses: u64,
+    hits: u64,
+}
+
+impl StampLru {
+    fn new(capacity_bytes: u64, ways: usize, line_bytes: u64) -> Self {
+        let lines = (capacity_bytes / line_bytes) as usize;
+        let sets = (lines / ways).max(1);
+        StampLru {
+            sets,
+            ways,
+            line_bytes,
+            tags: vec![0; sets * ways],
+            valid: vec![false; sets * ways],
+            stamps: vec![0; sets * ways],
+            clock: 0,
+            accesses: 0,
+            hits: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        let line = addr / self.line_bytes;
+        let set = (line as usize) % self.sets;
+        let base = set * self.ways;
+        self.accesses += 1;
+        self.clock += 1;
+        let mut victim = base;
+        let mut victim_stamp = u64::MAX;
+        for w in base..base + self.ways {
+            if self.valid[w] {
+                if self.tags[w] == line {
+                    self.stamps[w] = self.clock;
+                    self.hits += 1;
+                    return true;
+                }
+                if self.stamps[w] < victim_stamp {
+                    victim_stamp = self.stamps[w];
+                    victim = w;
+                }
+            } else if victim_stamp > 0 {
+                // An invalid way beats any valid one as the victim.
+                victim_stamp = 0;
+                victim = w;
+            }
+        }
+        self.tags[victim] = line;
+        self.valid[victim] = true;
+        self.stamps[victim] = self.clock;
+        false
+    }
+}
+
+/// `(ways, sets, line_bytes)` — the associativities `GpuModel` builds plus
+/// the degenerate ones; power-of-two, odd and the V100 L2's 3144 sets.
+fn arb_geometry() -> impl Strategy<Value = (usize, u64, u64)> {
+    (
+        proptest::sample::select(vec![1usize, 2, 4, 16]),
+        proptest::sample::select(vec![1u64, 2, 7, 64, 3144]),
+        proptest::sample::select(vec![32u64, 128]),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -104,6 +178,31 @@ proptest! {
         prop_assert!(small.hits() <= small.accesses());
         prop_assert!(large.hits() >= small.hits(),
             "larger cache must not hit less: {} vs {}", large.hits(), small.hits());
+    }
+
+    #[test]
+    fn recency_ordered_sets_match_stamp_lru(
+        (ways, sets, line_bytes) in arb_geometry(),
+        ops in proptest::collection::vec((0u8..3, 0u64..1 << 20), 64..2048),
+    ) {
+        let capacity = sets * ways as u64 * line_bytes;
+        let mut new = CacheSim::new(capacity, ways, line_bytes);
+        let mut old = StampLru::new(capacity, ways, line_bytes);
+        for (i, &(shape, raw)) in ops.iter().enumerate() {
+            let i = i as u64;
+            let line = match shape {
+                // Reuse: twice a set's capacity of lines over two sets.
+                0 => (raw >> 8) % sets.min(2) + raw % (2 * ways as u64) * sets,
+                // Cold fill: every line new, consecutive sets.
+                1 => (1 << 24) + i,
+                // Conflict stride: cycle ways + 1 lines through set 0.
+                _ => i % (ways as u64 + 1) * sets,
+            };
+            let addr = line * line_bytes + raw % line_bytes;
+            prop_assert_eq!(new.access(addr), old.access(addr), "access {} (line {})", i, line);
+        }
+        prop_assert_eq!(new.accesses(), old.accesses);
+        prop_assert_eq!(new.hits(), old.hits);
     }
 
     #[test]
