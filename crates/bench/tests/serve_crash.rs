@@ -14,6 +14,8 @@ use std::time::{Duration, Instant};
 
 use std::io::{Read, Write};
 
+use gnnmark_serve::JobStore;
+
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gnnmark_crash_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -233,7 +235,16 @@ fn killed_daemon_recovers_without_retraining() {
     );
 
     // The recovered output is byte-identical to the uninterrupted control.
-    let recovered = snapshot(&store.join("jobs").join("job-0").join("crashdrill"));
+    // The daemon keeps a job's files as one bundle; `sweep --out` writes
+    // the same names as a tree.
+    let served = JobStore::open(&store).expect("store opens");
+    let job = served.job(0).expect("job 0 is in the store");
+    let mut recovered: Vec<(PathBuf, Vec<u8>)> = served
+        .artifacts(&job)
+        .into_iter()
+        .map(|(name, body)| (PathBuf::from(name), body.into_bytes()))
+        .collect();
+    recovered.sort();
     assert_eq!(
         reference, recovered,
         "recovered campaign output differs from the control run"

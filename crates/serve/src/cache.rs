@@ -245,17 +245,21 @@ mod tests {
             mode: TrainMode::FullGraph,
             phase: ExecPhase::Train,
         };
-        let t0 = gnnmark_telemetry::metrics::get("gnnmark_serve_trainings_total")
-            .map_or(0, |m| m.as_counter());
+        // What *this* cache did, not the process-wide training counter
+        // that sibling tests bump concurrently.
+        let entry = cache.path_for(&key);
+        assert!(!entry.exists(), "cold cache");
         let first = cache.get_or_train(&key).unwrap();
-        let t1 = gnnmark_telemetry::metrics::get("gnnmark_serve_trainings_total")
-            .map_or(0, |m| m.as_counter());
-        assert_eq!(t1, t0 + 1, "miss trains");
-        assert!(cache.path_for(&key).exists());
+        let written = std::fs::metadata(&entry).expect("miss trains and stores");
         let second = cache.get_or_train(&key).unwrap();
-        let t2 = gnnmark_telemetry::metrics::get("gnnmark_serve_trainings_total")
-            .map_or(0, |m| m.as_counter());
-        assert_eq!(t2, t1, "hit does not retrain");
+        // A retrain would have stored again: a new file renamed into place.
+        let after = std::fs::metadata(&entry).unwrap();
+        assert_eq!(after.modified().unwrap(), written.modified().unwrap(), "hit does not retrain");
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::MetadataExt;
+            assert_eq!(after.ino(), written.ino(), "hit does not retrain");
+        }
         assert_eq!(first.to_bytes(), second.to_bytes(), "hit is byte-identical");
         let _ = std::fs::remove_dir_all(cache.dir());
     }

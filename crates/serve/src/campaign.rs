@@ -165,9 +165,10 @@ impl CampaignOutcome {
     }
 }
 
-/// Runs `n_jobs` closures on `workers` threads, each writing into its own
-/// slot — results are position-stable regardless of which worker ran
-/// which job. Checks the process shutdown flag between jobs.
+/// Runs `n_jobs` closures on `workers` threads (inline when that is one),
+/// each writing into its own slot — results are position-stable regardless
+/// of which worker ran which job. Checks the process shutdown flag between
+/// jobs.
 fn run_jobs<T: Send>(
     n_jobs: usize,
     workers: usize,
@@ -176,21 +177,26 @@ fn run_jobs<T: Send>(
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n_jobs).map(|_| None).collect());
     let next = AtomicUsize::new(0);
     let workers = workers.clamp(1, n_jobs.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                if shutdown::requested() {
-                    return;
-                }
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= n_jobs {
-                    return;
-                }
-                let out = job(i);
-                slots.lock().unwrap()[i] = Some(out);
-            });
+    let work = || loop {
+        if shutdown::requested() {
+            return;
         }
-    });
+        let i = next.fetch_add(1, Ordering::SeqCst);
+        if i >= n_jobs {
+            return;
+        }
+        let out = job(i);
+        slots.lock().unwrap()[i] = Some(out);
+    };
+    if workers == 1 {
+        work(); // a served single job pays no spawn (and no arena) per phase
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(work);
+            }
+        });
+    }
     slots.into_inner().unwrap()
 }
 

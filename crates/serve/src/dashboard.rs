@@ -26,8 +26,9 @@ use crate::spec::CampaignSpec;
 use crate::store::{JobState, StoredJob};
 
 /// The fleet-view section body: queue depth by state, drain status, and
-/// a per-job table with report links.
-fn fleet_section(jobs: &[StoredJob], draining: bool, worker_id: &str) -> String {
+/// a per-job table with report links. `jobs` are the store's resident
+/// jobs; `archived` older terminal ones are counted, not listed.
+fn fleet_section(jobs: &[StoredJob], archived: usize, draining: bool, worker_id: &str) -> String {
     let count = |s: JobState| jobs.iter().filter(|j| j.state == s).count();
     let mut out = format!(
         "<p>Worker <code>{}</code> — {}</p>\n",
@@ -39,15 +40,23 @@ fn fleet_section(jobs: &[StoredJob], draining: bool, worker_id: &str) -> String 
         },
     );
     out.push_str(&html_table(
-        &["queued", "running", "done", "failed", "total"],
+        &["queued", "running", "done", "failed", "archived", "total"],
         &[vec![
             count(JobState::Queued).to_string(),
             count(JobState::Running).to_string(),
             count(JobState::Done).to_string(),
             count(JobState::Failed).to_string(),
-            jobs.len().to_string(),
+            archived.to_string(),
+            (jobs.len() + archived).to_string(),
         ]],
     ));
+    if archived > 0 {
+        out.push_str(
+            "<p class=\"note\">Archived jobs are finished jobs older than the ones listed; \
+             <code>/jobs/&lt;id&gt;</code> and <code>/jobs/&lt;id&gt;/report</code> still \
+             answer for them.</p>\n",
+        );
+    }
     if jobs.is_empty() {
         out.push_str("<p class=\"note\">No jobs submitted yet.</p>\n");
         return out;
@@ -86,12 +95,17 @@ fn fleet_section(jobs: &[StoredJob], draining: bool, worker_id: &str) -> String 
 /// Renders the auto-refreshing fleet dashboard. The metrics snapshot is
 /// taken live, so the SLO panel shows the per-route latency histograms
 /// accumulated by this process.
-pub(crate) fn dashboard_page(jobs: &[StoredJob], draining: bool, worker_id: &str) -> String {
+pub(crate) fn dashboard_page(
+    jobs: &[StoredJob],
+    archived: usize,
+    draining: bool,
+    worker_id: &str,
+) -> String {
     let mut report = Report::new("GNNMark fleet dashboard");
     report
         .subtitle(format!("serve daemon · worker {worker_id}"))
         .auto_refresh(5)
-        .add_section("fleet", "Fleet", fleet_section(jobs, draining, worker_id))
+        .add_section("fleet", "Fleet", fleet_section(jobs, archived, draining, worker_id))
         .set_metrics(metrics::snapshot());
     report.render()
 }
@@ -233,8 +247,9 @@ mod tests {
             j.id = 4;
             j
         }];
-        let html = dashboard_page(&jobs, true, "worker-test");
+        let html = dashboard_page(&jobs, 7, true, "worker-test");
         assert!(html.contains("id=\"sec-fleet\""));
+        assert!(html.contains("<td>7</td><td>9</td>"), "archived and total counts");
         assert!(html.contains("draining: submissions refused"));
         assert!(html.contains("worker-test"));
         assert!(html.contains("href=\"/jobs/3/report\""));

@@ -3,7 +3,12 @@
 //!
 //! A single-threaded accept loop on `std::net::TcpListener` plus one
 //! background worker that claims jobs out of the WAL-backed
-//! [`JobStore`] via lock-file [leases](crate::lease). Any number of
+//! [`JobStore`] via lock-file [leases](crate::lease). Nothing on the
+//! request, claim or completion path sleeps: the accept loop blocks in
+//! `poll(2)` on the listener, a submission signals the idle worker's
+//! condvar, and a finished job stops its heartbeat thread through a
+//! channel — the timeouts on those waits only bound how late a peer's
+//! submission or a shutdown request is noticed. Any number of
 //! `gnnmark serve --store <dir>` processes may share one store: job ids
 //! are allocated under the store's cross-process mutex, claims are
 //! arbitrated by lease files, and a worker that stops heartbeating loses
@@ -14,7 +19,7 @@
 //! | GET    | `/healthz`                  | liveness probe (`ok`)                    |
 //! | GET    | `/metrics`                  | Prometheus text exposition               |
 //! | GET    | `/dashboard`                | live HTML fleet dashboard                |
-//! | GET    | `/jobs`                     | all jobs, id-ordered JSON array          |
+//! | GET    | `/jobs`                     | resident jobs by id + archived count     |
 //! | POST   | `/jobs`                     | submit one replay job (JSON body)        |
 //! | POST   | `/campaigns`                | submit a campaign spec (JSON body)       |
 //! | GET    | `/jobs/<id>`                | job status JSON                          |
@@ -36,11 +41,13 @@
 //! drain hook compacts the WAL and a final metrics snapshot is written
 //! next to the results before the daemon returns.
 
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use gnnmark::shutdown;
@@ -55,6 +62,15 @@ use crate::store::{json_escape, JobStore, StoredJob};
 
 /// Times a worker-killed job may be re-queued before failing terminally.
 const MAX_REQUEUES: u64 = 3;
+/// In-flight connection threads above which the accept loop answers
+/// `503` itself instead of spawning another handler.
+const MAX_CONNECTIONS: usize = 64;
+/// How long an idle worker waits for a local submission before it looks
+/// at the store again for jobs a peer daemon submitted.
+const IDLE_WAIT: Duration = Duration::from_millis(25);
+/// How long the accept loop blocks on the listener before it re-checks
+/// the shutdown flag and the worker thread.
+const ACCEPT_WAIT: Duration = Duration::from_millis(50);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -99,6 +115,12 @@ struct Daemon {
     /// Set once shutdown is requested: submissions get `503 Retry-After`
     /// while reads keep flowing.
     draining: AtomicBool,
+    /// "A job was submitted through this daemon since the worker last
+    /// looked": set by the submit handlers, cleared by the idle worker.
+    submitted: Mutex<bool>,
+    wake: Condvar,
+    /// `handle_connection` threads currently alive.
+    connections: AtomicUsize,
 }
 
 impl Daemon {
@@ -110,20 +132,46 @@ impl Daemon {
     /// itself is what's persisted — recovery re-parses it.
     fn submit_campaign(&self, body: &str) -> Result<u64, String> {
         let spec = CampaignSpec::parse(body)?;
-        self.store
+        let id = self
+            .store
             .submit_with(|_id| (spec.name.clone(), body.to_string()))
-            .map_err(|e| format!("store append failed: {e}"))
+            .map_err(|e| format!("store append failed: {e}"))?;
+        self.wake_worker();
+        Ok(id)
     }
 
     /// Validates and durably submits a flat single-job body.
     fn submit_single(&self, v: &JsonValue) -> Result<u64, String> {
         single_job_spec(v, 0)?; // validate before allocating an id
-        self.store
+        let id = self
+            .store
             .submit_with(|id| {
                 let text = single_job_spec_json(v, id);
                 (format!("job-{id}"), text)
             })
-            .map_err(|e| format!("store append failed: {e}"))
+            .map_err(|e| format!("store append failed: {e}"))?;
+        self.wake_worker();
+        Ok(id)
+    }
+
+    fn wake_worker(&self) {
+        *self.submitted.lock().expect("submitted flag poisoned") = true;
+        self.wake.notify_one();
+    }
+
+    /// Blocks the worker until a local submission signals it or `timeout`
+    /// passes — the timed wait is what finds a peer daemon's submissions
+    /// to a shared store, and what bounds how late shutdown is noticed.
+    fn idle(&self, timeout: Duration) {
+        let mut submitted = self.submitted.lock().expect("submitted flag poisoned");
+        if !*submitted {
+            submitted = self
+                .wake
+                .wait_timeout(submitted, timeout)
+                .expect("submitted flag poisoned")
+                .0;
+        }
+        *submitted = false;
     }
 
     /// Worker loop: recover dead peers' jobs, claim the next queued job
@@ -139,7 +187,7 @@ impl Daemon {
                 .store
                 .recover_dead(MAX_REQUEUES, |id| self.leases.is_dead(id));
             let Some(job) = self.store.next_queued() else {
-                std::thread::sleep(Duration::from_millis(25));
+                self.idle(IDLE_WAIT);
                 continue;
             };
             match self.leases.try_claim(job.id) {
@@ -156,7 +204,7 @@ impl Daemon {
                 }
                 // Lost the claim race (or a transient fs error): another
                 // worker owns it; wait for the claim record to land.
-                _ => std::thread::sleep(Duration::from_millis(10)),
+                _ => self.idle(Duration::from_millis(10)),
             }
         }
     }
@@ -180,17 +228,15 @@ impl Daemon {
         };
 
         let lease = Arc::new(lease);
-        let stop_hb = Arc::new(AtomicBool::new(false));
+        // The heartbeat thread ticks on `recv_timeout`: dropping `stop_hb`
+        // ends it at once, so completion is recorded the moment the
+        // campaign returns instead of after the current tick.
+        let (stop_hb, stopped) = mpsc::channel::<()>();
         let hb = {
             let lease = Arc::clone(&lease);
-            let stop = Arc::clone(&stop_hb);
             let tick = (self.leases.ttl() / 3).max(Duration::from_millis(50));
             std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick);
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
+                while stopped.recv_timeout(tick) == Err(RecvTimeoutError::Timeout) {
                     if !lease.heartbeat().unwrap_or(false) {
                         return; // lease lost — the thief owns the job now
                     }
@@ -206,47 +252,48 @@ impl Daemon {
             }));
         }
         let result = run_campaign(&spec, &self.cache, &opts);
-        stop_hb.store(true, Ordering::SeqCst);
+        drop(stop_hb);
         let _ = hb.join();
 
         match result {
             Ok(out) => {
-                let rel = format!("jobs/job-{id}");
-                let result_dir = format!("{rel}/{}", spec.name);
-                let written = out.write_to(&self.store.dir().join(&rel));
-                let mut artifacts = vec!["merged.json".to_string()];
-                for (config, file, _) in out.figure_csvs() {
-                    artifacts.push(format!("{config}/{file}"));
+                // Named as `CampaignOutput::write_to` names the same
+                // bodies under `<out>/<campaign>/`.
+                let mut files = vec![("merged.json".to_string(), out.merged_json.clone())];
+                for (config, file, csv) in out.figure_csvs() {
+                    files.push((format!("{config}/{file}"), csv));
                 }
+                let written = self.store.write_artifacts(id, &files);
+                let artifacts: Vec<String> = files.into_iter().map(|(name, _)| name).collect();
                 if !lease.still_held() {
                     // Stolen mid-run: the thief records completion; ours
                     // would be dropped by first-done-wins anyway.
                     metrics::counter_add("gnnmark_serve_jobs_abandoned_total", 1);
-                } else if let Err(e) = written {
-                    let _ = self.store.record_failed(
-                        id,
-                        &worker,
-                        &format!("writing artifacts failed: {e}"),
-                        out.attempts,
-                        out.faults_injected,
-                    );
-                } else if out.complete() {
-                    let _ = self.store.record_done(
-                        id,
-                        &worker,
-                        &result_dir,
-                        &artifacts,
-                        out.attempts,
-                        out.faults_injected,
-                    );
                 } else {
-                    let _ = self.store.record_failed(
-                        id,
-                        &worker,
-                        &out.failures.join("; "),
-                        out.attempts,
-                        out.faults_injected,
-                    );
+                    let _ = match written {
+                        Ok(bundle) if out.complete() => self.store.record_done(
+                            id,
+                            &worker,
+                            &bundle,
+                            &artifacts,
+                            out.attempts,
+                            out.faults_injected,
+                        ),
+                        Ok(_) => self.store.record_failed(
+                            id,
+                            &worker,
+                            &out.failures.join("; "),
+                            out.attempts,
+                            out.faults_injected,
+                        ),
+                        Err(e) => self.store.record_failed(
+                            id,
+                            &worker,
+                            &format!("writing artifacts failed: {e}"),
+                            out.attempts,
+                            out.faults_injected,
+                        ),
+                    };
                 }
             }
             Err(e) => {
@@ -394,6 +441,7 @@ fn handle(daemon: &Daemon, method: &str, path: &str, body: &str) -> Response {
                 200,
                 crate::dashboard::dashboard_page(
                     &daemon.store.jobs(),
+                    daemon.store.archived_jobs(),
                     daemon.draining(),
                     daemon.leases.worker_id(),
                 ),
@@ -407,7 +455,14 @@ fn handle(daemon: &Daemon, method: &str, path: &str, body: &str) -> Response {
                 .iter()
                 .map(job_status_json)
                 .collect();
-            Response::json(200, format!("[{}]", rows.join(",")))
+            Response::json(
+                200,
+                format!(
+                    "{{\"archived\":{},\"jobs\":[{}]}}",
+                    daemon.store.archived_jobs(),
+                    rows.join(",")
+                ),
+            )
         }
         ("POST", "/jobs") => {
             if daemon.draining() {
@@ -463,14 +518,12 @@ fn handle(daemon: &Daemon, method: &str, path: &str, body: &str) -> Response {
                     // Only names the completing worker recorded are
                     // servable — the WAL record is the whitelist, so no
                     // request path ever escapes the store directory.
-                    let (Some(result_dir), true) =
-                        (&job.result_dir, job.artifacts.iter().any(|n| n == name))
-                    else {
+                    if !job.artifacts.iter().any(|n| n == name) {
                         return Response::error(404, "no such artifact");
-                    };
-                    let path = daemon.store.dir().join(result_dir).join(name);
-                    match std::fs::read_to_string(&path) {
-                        Ok(body) => Response {
+                    }
+                    let stored = daemon.store.artifacts(&job);
+                    match stored.into_iter().find(|(n, _)| n == name) {
+                        Some((_, body)) => Response {
                             status: 200,
                             content_type: if name.ends_with(".json") {
                                 "application/json"
@@ -480,7 +533,7 @@ fn handle(daemon: &Daemon, method: &str, path: &str, body: &str) -> Response {
                             body,
                             retry_after: None,
                         },
-                        Err(_) => Response::error(404, "artifact missing on disk"),
+                        None => Response::error(404, "artifact missing on disk"),
                     }
                 }
             }
@@ -614,6 +667,108 @@ fn handle_connection(daemon: &Daemon, stream: &mut TcpStream) {
     let _ = write_response(stream, &resp);
 }
 
+/// Over-capacity refusal written from the accept loop itself: no handler
+/// thread, no request read. The write deadline keeps a client that never
+/// reads from pinning the loop (the response fits any socket buffer).
+fn refuse_connection(stream: &mut TcpStream) {
+    metrics::counter_add("gnnmark_serve_connections_refused_total", 1);
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+    let mut resp = Response::error(503, "too many connections, retry later");
+    resp.retry_after = Some(1);
+    let _ = write_response(stream, &resp);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+}
+
+/// One unit of [`MAX_CONNECTIONS`], held by a connection thread and
+/// returned when it ends, however it ends.
+struct ConnectionSlot(Arc<Daemon>);
+
+impl ConnectionSlot {
+    fn take(daemon: &Arc<Daemon>) -> ConnectionSlot {
+        daemon.connections.fetch_add(1, Ordering::SeqCst);
+        ConnectionSlot(Arc::clone(daemon))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Blocks until the (non-blocking) listener has a connection to accept
+/// or `timeout` passes.
+#[cfg(unix)]
+fn wait_readable(listener: &TcpListener, timeout: Duration) {
+    use std::ffi::{c_int, c_short};
+    use std::os::fd::AsRawFd;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    #[cfg(target_os = "linux")]
+    type NfdsT = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NfdsT = std::ffi::c_uint;
+    // `std` already links libc; declaring the one call we need keeps the
+    // crate dependency-free (as `gnnmark::shutdown` does for `signal`).
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+    }
+    const POLLIN: c_short = 0x001;
+
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let millis = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `fd` is one valid, exclusively borrowed `pollfd` (the
+    // `repr(C)` layout POSIX specifies) and `nfds` is 1; the descriptor
+    // stays open for the call because `listener` is borrowed. Every
+    // outcome — ready, timeout, `EINTR` — just returns to the caller's
+    // `accept`, so the return value carries nothing we need.
+    unsafe {
+        poll(&mut fd, 1, millis);
+    }
+}
+
+#[cfg(not(unix))]
+fn wait_readable(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout.min(Duration::from_millis(20)));
+}
+
+/// Keeps large allocations `mmap`-backed for the life of the process.
+///
+/// Every replay builds a simulator whose L2 tag array is 0.4–2.6 MB,
+/// zeroed by `calloc` and freed microseconds later. glibc starts by
+/// `mmap`ing such blocks (never touched unless written, unmapped on
+/// free), but the first free raises its *dynamic* mmap threshold above
+/// them: from then on they are carved out of arena heaps, `calloc` has to
+/// memset (touch) all of it, and every thread's arena retains its copy —
+/// a daemon serving hundreds of jobs a second ends up with the tag arrays
+/// resident several times over. Setting the threshold explicitly (to its
+/// own default) turns the dynamic adjustment off.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn pin_mmap_threshold() {
+    use std::ffi::c_int;
+    extern "C" {
+        fn mallopt(param: c_int, value: c_int) -> c_int;
+    }
+    const M_MMAP_THRESHOLD: c_int = -3;
+    // SAFETY: `mallopt` only updates allocator tunables under the
+    // allocator's own lock; it is safe to call at any time from any thread.
+    unsafe {
+        mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn pin_mmap_threshold() {}
+
 /// Runs the daemon until SIGINT/SIGTERM (or [`shutdown::request`] from
 /// another thread, which is how tests stop it). On startup, replays the
 /// store's WAL and re-queues jobs whose workers died mid-flight.
@@ -623,6 +778,7 @@ fn handle_connection(daemon: &Daemon, stream: &mut TcpStream) {
 /// filesystem errors from opening the store.
 pub fn serve(cfg: &ServeConfig) -> std::io::Result<()> {
     shutdown::install();
+    pin_mmap_threshold();
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
@@ -668,6 +824,9 @@ pub fn serve(cfg: &ServeConfig) -> std::io::Result<()> {
             opts
         },
         draining: AtomicBool::new(false),
+        submitted: Mutex::new(false),
+        wake: Condvar::new(),
+        connections: AtomicUsize::new(0),
     });
     let worker = {
         let daemon = Arc::clone(&daemon);
@@ -679,9 +838,19 @@ pub fn serve(cfg: &ServeConfig) -> std::io::Result<()> {
         cfg.store_dir.display()
     );
 
+    // Refused connections stay open, write side shut, for one more
+    // `ACCEPT_WAIT`: closing with the request still unread (or still on
+    // its way) resets the connection, which can take the 503 with it.
+    let mut refused: VecDeque<(Instant, TcpStream)> = VecDeque::new();
+
     // Accept loop. Once shutdown is requested, reads keep being served
     // (and submissions 503) until the worker's in-flight job completes.
     loop {
+        while refused.len() > MAX_CONNECTIONS
+            || refused.front().is_some_and(|(at, _)| at.elapsed() >= ACCEPT_WAIT)
+        {
+            refused.pop_front();
+        }
         if shutdown::requested() {
             if !daemon.draining.swap(true, Ordering::SeqCst) {
                 eprintln!("gnnmark-serve: shutdown requested, draining");
@@ -692,13 +861,21 @@ pub fn serve(cfg: &ServeConfig) -> std::io::Result<()> {
         }
         match listener.accept() {
             Ok((mut stream, _)) => {
-                let daemon = Arc::clone(&daemon);
+                if daemon.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                    refuse_connection(&mut stream);
+                    refused.push_back((Instant::now(), stream));
+                    continue;
+                }
+                let slot = ConnectionSlot::take(&daemon);
                 // One thread per connection; requests are tiny and
                 // Connection: close keeps lifetimes bounded.
-                std::thread::spawn(move || handle_connection(&daemon, &mut stream));
+                std::thread::spawn(move || {
+                    handle_connection(&slot.0, &mut stream);
+                    drop(slot);
+                });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
+                wait_readable(&listener, ACCEPT_WAIT);
             }
             Err(e) => return Err(e),
         }
@@ -731,6 +908,9 @@ mod tests {
             cache: StreamCache::new(root.join("cache")),
             opts: CampaignOptions::default(),
             draining: AtomicBool::new(false),
+            submitted: Mutex::new(false),
+            wake: Condvar::new(),
+            connections: AtomicUsize::new(0),
         }
     }
 
@@ -760,7 +940,7 @@ mod tests {
         assert!(st.body.contains("\"state\":\"queued\""), "{}", st.body);
         let listing = handle(&daemon, "GET", "/jobs", "");
         assert_eq!(listing.status, 200);
-        assert!(listing.body.contains("\"id\":0"), "{}", listing.body);
+        assert!(listing.body.starts_with("{\"archived\":0,\"jobs\":[{\"id\":0,"), "{}", listing.body);
         let _ = std::fs::remove_dir_all(daemon.store.dir().parent().unwrap());
     }
 

@@ -16,7 +16,9 @@
 //!   byte-identical across runs and worker counts.
 //! * [`store`] — a dependency-free write-ahead-logged job store
 //!   (length-prefixed, FNV-1a-checksummed records, torn-tail truncation,
-//!   snapshot compaction). Every submission, claim, state transition and
+//!   snapshot compaction, finished jobs beyond the newest few moved to an
+//!   append-only archive file so a daemon's memory does not grow with the
+//!   jobs it has served). Every submission, claim, state transition and
 //!   result path is durable: a `kill -9`'d daemon restarts against the
 //!   same `--store` directory, replays the log, re-queues jobs that died
 //!   mid-flight, and — thanks to [`cache`] — finishes them without

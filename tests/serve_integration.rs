@@ -5,10 +5,16 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
 use gnnmark_serve::campaign::CampaignOptions;
 use gnnmark_serve::{run_campaign, serve, CampaignSpec, ServeConfig, StreamCache};
+
+/// The shutdown flag is process-wide and campaigns skip their remaining
+/// jobs once it is set: campaign tests hold this for reading, the daemon
+/// test — which requests shutdown to stop its daemon — for writing.
+static SHUTDOWN_FLAG: RwLock<()> = RwLock::new(());
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gnnmark_serveit_{tag}_{}", std::process::id()));
@@ -32,10 +38,11 @@ fn ablation_spec(name: &str) -> CampaignSpec {
     .unwrap()
 }
 
-/// A second identical submission is a pure cache hit: the training
-/// counter does not move and the merged output is unchanged.
+/// A second identical submission is a pure cache hit: no stream is
+/// stored again and the merged output is unchanged.
 #[test]
 fn resubmitted_campaign_never_retrains() {
+    let _flag = SHUTDOWN_FLAG.read().unwrap_or_else(|e| e.into_inner());
     let dir = tmp("resubmit");
     let cache = StreamCache::new(dir.join("cache"));
     let spec = ablation_spec("resubmit");
@@ -46,12 +53,24 @@ fn resubmitted_campaign_never_retrains() {
     assert_eq!(first.trainings, 2, "two workloads train on a cold cache");
     assert_eq!(first.results.len(), 12, "6 configs x 2 workloads");
 
-    let t_before = gnnmark_telemetry::metrics::get("gnnmark_serve_trainings_total")
-        .map_or(0, |m| m.as_counter());
+    // Judged by this cache's own entries: the process-wide training
+    // counter also moves when the daemon test next door trains.
+    let entries = || -> Vec<(PathBuf, std::time::SystemTime)> {
+        let mut files = Vec::new();
+        collect_files(cache.dir(), &mut files);
+        files.sort();
+        files
+            .into_iter()
+            .map(|p| {
+                let modified = std::fs::metadata(&p).unwrap().modified().unwrap();
+                (p, modified)
+            })
+            .collect()
+    };
+    let stored = entries();
+    assert_eq!(stored.len(), 2, "one stream per workload");
     let second = run_campaign(&spec, &cache, &opts).unwrap();
-    let t_after = gnnmark_telemetry::metrics::get("gnnmark_serve_trainings_total")
-        .map_or(0, |m| m.as_counter());
-    assert_eq!(t_after, t_before, "resubmission must not retrain");
+    assert_eq!(entries(), stored, "resubmission must not retrain");
     assert_eq!(second.trainings, 0);
     assert_eq!(second.cache_hits, 2);
     assert_eq!(
@@ -66,6 +85,7 @@ fn resubmitted_campaign_never_retrains() {
 /// merged JSON and figure CSVs on disk.
 #[test]
 fn campaign_output_is_worker_count_invariant() {
+    let _flag = SHUTDOWN_FLAG.read().unwrap_or_else(|e| e.into_inner());
     let dir = tmp("workers");
     let cache = StreamCache::new(dir.join("cache"));
     let spec = ablation_spec("workers");
@@ -150,6 +170,7 @@ fn post(addr: &str, path: &str, body: &str) -> (u16, String) {
 /// gracefully via the shutdown flag (the signal handler's code path).
 #[test]
 fn daemon_serves_jobs_and_drains_on_shutdown() {
+    let _flag = SHUTDOWN_FLAG.write().unwrap_or_else(|e| e.into_inner());
     let dir = tmp("daemon");
     // Port 0 would be ideal but the daemon prints, not returns, its bound
     // address — derive a port from the pid to avoid collisions instead.
