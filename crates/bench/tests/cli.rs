@@ -119,7 +119,15 @@ fn observability_flags_write_trace_metrics_and_manifest() {
     // Merged trace: valid JSON, host spans plus modeled device lanes.
     let trace_json = std::fs::read_to_string(&trace).expect("trace written");
     gnnmark_telemetry::export::validate_json(&trace_json).expect("trace is valid JSON");
-    for needle in ["\"host\"", "\"forward\"", "\"backward\"", "(modeled "] {
+    // `simulate` runs on the session's simulator thread, a lane of its own.
+    for needle in [
+        "\"host\"",
+        "\"forward\"",
+        "\"backward\"",
+        "\"simulate\"",
+        "\"gnnmark-sim\"",
+        "(modeled ",
+    ] {
         assert!(trace_json.contains(needle), "missing {needle} in trace");
     }
 
@@ -144,6 +152,26 @@ fn observability_flags_write_trace_metrics_and_manifest() {
         assert!(manifest.contains(needle), "missing {needle} in {manifest}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn parallel_tables_are_byte_identical_to_serial() {
+    let summary = |extra: &[&str]| {
+        let out = gnnmark()
+            .args(["summary", "--scale", "test", "--epochs", "1"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let serial = summary(&[]);
+    assert!(!serial.is_empty());
+    assert_eq!(serial, summary(&["--parallel"]));
 }
 
 #[test]

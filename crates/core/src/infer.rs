@@ -211,6 +211,8 @@ fn run_infer_inner(
     let setup = PrecisionSetup::install(&cfg.suite);
     let device = setup.device.clone();
     let _wl = gnnmark_telemetry::span!(format!("infer:{}", kind.label()));
+    // Make room for this workload's shapes (see `pool::clear`).
+    gnnmark_tensor::pool::clear();
     let mut w = {
         let _build = gnnmark_telemetry::span!("build");
         kind.build_mode(cfg.suite.scale, cfg.suite.seed, &cfg.suite.mode)?
@@ -223,23 +225,13 @@ fn run_infer_inner(
     // Everything below runs in inference mode: a single tape push anywhere
     // in the forward path is a panic, not a silent allocation.
     let _guard = NoGradGuard::new();
-    let mut batch1_latency_ns = Vec::with_capacity(cfg.batch1_steps);
-    let mut batched_step_ns = Vec::with_capacity(cfg.batched_steps);
     let mut losses = Vec::with_capacity(cfg.batch1_steps + cfg.batched_steps);
-    for _ in 0..cfg.batch1_steps {
-        let before = session.modeled_time_ns();
+    let batches = std::iter::repeat_n(InferBatch::Single, cfg.batch1_steps)
+        .chain(std::iter::repeat_n(InferBatch::Full, cfg.batched_steps));
+    for batch in batches {
         session.begin_step();
-        let loss = w.infer(InferBatch::Single)?;
+        let loss = w.infer(batch)?;
         session.end_step();
-        batch1_latency_ns.push(session.modeled_time_ns() - before);
-        losses.push(loss);
-    }
-    for _ in 0..cfg.batched_steps {
-        let before = session.modeled_time_ns();
-        session.begin_step();
-        let loss = w.infer(InferBatch::Full)?;
-        session.end_step();
-        batched_step_ns.push(session.modeled_time_ns() - before);
         losses.push(loss);
     }
     let tape_nodes = tape_nodes_recorded().saturating_sub(nodes_before);
@@ -250,6 +242,23 @@ fn run_infer_inner(
     } else {
         (session.finish(), None)
     };
+    // Per-step modeled time is read off the finished profile, not off the
+    // live session (a read there waits for the simulator). A step's time is
+    // the growth of the running sum over all kernels, which is what reading
+    // the session's clock before and after the step used to give, bit for
+    // bit; summing the step's slice alone rounds differently.
+    let mut clock_ns = 0.0f64;
+    let mut batch1_latency_ns: Vec<f64> = profile
+        .step_slices()
+        .map(|step| {
+            let before = clock_ns;
+            for k in step {
+                clock_ns += k.time_ns;
+            }
+            clock_ns - before
+        })
+        .collect();
+    let batched_step_ns = batch1_latency_ns.split_off(cfg.batch1_steps);
     Ok((
         InferArtifacts {
             profile,

@@ -867,6 +867,8 @@ fn train_guarded_inner(
     // attempt runs on its own worker thread, so it must set up (and tear
     // down) precision + loss scaling itself.
     let setup = crate::suite::PrecisionSetup::install(cfg);
+    // Make room for this workload's shapes (see `pool::clear`).
+    gnnmark_tensor::pool::clear();
     let mut w = {
         let _build = gnnmark_telemetry::span!("build");
         kind.build_mode(cfg.scale, cfg.seed, &cfg.mode)?
@@ -876,8 +878,7 @@ fn train_guarded_inner(
     let mut losses = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
         let _ep = gnnmark_telemetry::span!("epoch");
-        let t0 = gnnmark_telemetry::progress_enabled().then(Instant::now);
-        let modeled_before = session.modeled_time_ns();
+        let progress = crate::suite::EpochProgress::start(&mut session);
         let mut loss = w.run_epoch(&mut session)?;
         if let Some(Fault::NanLoss {
             epoch: at,
@@ -891,18 +892,8 @@ fn train_guarded_inner(
         guard.observe_loss(epoch, loss)?;
         guard.observe_grad_norm(epoch, w.params().grad_norm())?;
         losses.push(loss);
-        if let Some(t0) = t0 {
-            let pool = gnnmark_tensor::pool::global_stats();
-            eprintln!(
-                "[{}] epoch {}/{}: loss {:.4}  wall {:.1} ms  modeled {:.1} ms  pool hit {:.1}%",
-                kind.label(),
-                epoch + 1,
-                cfg.epochs,
-                loss,
-                t0.elapsed().as_secs_f64() * 1e3,
-                (session.modeled_time_ns() - modeled_before) / 1e6,
-                pool.hit_rate() * 100.0,
-            );
+        if let Some(p) = progress {
+            p.report(kind, epoch, cfg.epochs, loss, &mut session);
         }
     }
     let quality = w.quality()?;

@@ -232,6 +232,46 @@ impl PrecisionSetup {
     }
 }
 
+/// One epoch's `--progress` line: wall and modeled time since
+/// [`EpochProgress::start`]. Exists only while progress is on, because each
+/// modeled-time read waits for the session's simulator to catch up, which
+/// takes simulation off the thread it overlaps with (training math never
+/// observes the clocks either way).
+pub(crate) struct EpochProgress {
+    modeled_before_ns: f64,
+    started: std::time::Instant,
+}
+
+impl EpochProgress {
+    pub fn start(session: &mut ProfileSession) -> Option<Self> {
+        gnnmark_telemetry::progress_enabled().then(|| EpochProgress {
+            modeled_before_ns: session.modeled_time_ns(),
+            started: std::time::Instant::now(),
+        })
+    }
+
+    pub fn report(
+        self,
+        kind: WorkloadKind,
+        epoch: usize,
+        epochs: usize,
+        loss: f64,
+        session: &mut ProfileSession,
+    ) {
+        let pool = gnnmark_tensor::pool::global_stats();
+        eprintln!(
+            "[{}] epoch {}/{}: loss {:.4}  wall {:.1} ms  modeled {:.1} ms  pool hit {:.1}%",
+            kind.label(),
+            epoch + 1,
+            epochs,
+            loss,
+            self.started.elapsed().as_secs_f64() * 1e3,
+            (session.modeled_time_ns() - self.modeled_before_ns) / 1e6,
+            pool.hit_rate() * 100.0,
+        );
+    }
+}
+
 fn run_workload_full_inner(
     kind: WorkloadKind,
     cfg: &SuiteConfig,
@@ -246,6 +286,8 @@ fn run_workload_full_inner(
     let setup = PrecisionSetup::install(cfg);
     let device = setup.device.clone();
     let _wl = gnnmark_telemetry::span!(format!("workload:{}", kind.label()));
+    // Make room for this workload's shapes (see `pool::clear`).
+    gnnmark_tensor::pool::clear();
     let mut w = {
         let _build = gnnmark_telemetry::span!("build");
         kind.build_mode(cfg.scale, cfg.seed, &cfg.mode)?
@@ -257,24 +299,11 @@ fn run_workload_full_inner(
     let mut losses = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
         let _ep = gnnmark_telemetry::span!("epoch");
-        // Progress wants per-epoch wall/modeled deltas; only read clocks
-        // when it is on (training math never observes them either way).
-        let t0 = gnnmark_telemetry::progress_enabled().then(std::time::Instant::now);
-        let modeled_before = session.modeled_time_ns();
+        let progress = EpochProgress::start(&mut session);
         let loss = w.run_epoch(&mut session)?;
         losses.push(loss);
-        if let Some(t0) = t0 {
-            let pool = gnnmark_tensor::pool::global_stats();
-            eprintln!(
-                "[{}] epoch {}/{}: loss {:.4}  wall {:.1} ms  modeled {:.1} ms  pool hit {:.1}%",
-                kind.label(),
-                epoch + 1,
-                cfg.epochs,
-                loss,
-                t0.elapsed().as_secs_f64() * 1e3,
-                (session.modeled_time_ns() - modeled_before) / 1e6,
-                pool.hit_rate() * 100.0,
-            );
+        if let Some(p) = progress {
+            p.report(kind, epoch, cfg.epochs, loss, &mut session);
         }
     }
     let quality = w.quality()?;

@@ -224,7 +224,7 @@ impl WorkloadProfile {
         name: String,
         spec: DeviceSpec,
         kernels: Vec<KernelMetrics>,
-        transfers: TransferEngine,
+        transfers: &TransferEngine,
         steps: u64,
         step_kernels: Vec<u32>,
     ) -> Self {
@@ -253,18 +253,24 @@ impl WorkloadProfile {
         }
     }
 
-    /// Modeled kernel time of each training step, ns, in step order —
+    /// Each training step's kernels, in step order —
     /// [`WorkloadProfile::kernels`] sliced by [`WorkloadProfile::step_kernels`].
     /// Empty when per-step counts were not recorded.
-    pub fn step_times_ns(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.step_kernels.len());
+    pub fn step_slices(&self) -> impl Iterator<Item = &[KernelMetrics]> + '_ {
         let mut off = 0usize;
-        for &n in &self.step_kernels {
+        self.step_kernels.iter().map(move |&n| {
             let end = (off + n as usize).min(self.kernels.len());
-            out.push(self.kernels[off..end].iter().map(|k| k.time_ns).sum());
+            let step = &self.kernels[off..end];
             off = end;
-        }
-        out
+            step
+        })
+    }
+
+    /// Modeled kernel time of each training step, ns, in step order.
+    pub fn step_times_ns(&self) -> Vec<f64> {
+        self.step_slices()
+            .map(|step| step.iter().map(|k| k.time_ns).sum())
+            .collect()
     }
 
     /// Total modeled kernel time, ns.

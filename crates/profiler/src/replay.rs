@@ -39,7 +39,7 @@ pub fn replay_profile(
         name.into(),
         spec,
         kernels,
-        transfers,
+        &transfers,
         stream.steps(),
         stream.per_step.clone(),
     )

@@ -195,8 +195,14 @@ pub fn reset_stats() {
     });
 }
 
-/// Drops every retained buffer and zeroes the counters (tests, and
-/// long-lived processes between workloads).
+/// Drops every retained buffer and zeroes this thread's counters.
+///
+/// The suite calls this where a workload starts. The pool buckets by exact
+/// length and never evicts, so without it the first workload of a process
+/// fills [`MAX_RETAINED_ELEMS`] with its shapes and every later workload's
+/// buffers are refused at the cap: memory held for nothing, and misses on
+/// every acquisition. The gain is memory, not time (EXPERIMENTS.md,
+/// "Simulation overlap").
 pub fn clear() {
     POOL.with(|p| *p.borrow_mut() = PoolInner::default());
 }

@@ -70,4 +70,16 @@ fn telemetry_does_not_perturb_training() {
     ] {
         assert!(has(expected), "span `{expected}` missing from host trace");
     }
+
+    // `simulate` is the device side of an asynchronous launch: it runs on
+    // the session's own thread, on a lane of its own next to the trainer's.
+    let lane_name = |lane: usize| {
+        let info = trace.lanes.iter().find(|l| l.lane == lane);
+        info.map_or("", |l| l.thread.as_str())
+    };
+    let epoch_lanes: Vec<usize> = trace.named("epoch").iter().map(|e| e.lane).collect();
+    for sim in trace.named("simulate") {
+        assert_eq!(lane_name(sim.lane), "gnnmark-sim");
+        assert!(!epoch_lanes.contains(&sim.lane), "simulate shares the trainer's lane");
+    }
 }
