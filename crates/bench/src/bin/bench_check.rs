@@ -16,6 +16,10 @@
 //! fatal, so adding or retiring a bench doesn't require regenerating the
 //! baseline in the same commit.
 //!
+//! Within the *new* report alone, every `par_kernels/<kernel>_tN` median
+//! must also stay within 15 % of the same kernel's `_t1`: a parallel leg
+//! may not lose to inline execution, whatever the baseline says.
+//!
 //! Large *improvements* (ratio below `1/max_ratio`) are flagged as
 //! `IMPROVED` and summarized as a stale-baseline warning — never fatal,
 //! but a >2x win usually means the baseline predates an optimization
@@ -105,6 +109,35 @@ fn next_number_value(rest: &mut &str) -> Option<f64> {
     Some(v)
 }
 
+/// How far a `par_kernels/*_tN` median may exceed its own `_t1`.
+const MAX_PARALLEL_LOSS: f64 = 1.15;
+
+/// The `par_kernels` legs of `report` that lose to their own `_t1` leg by
+/// more than [`MAX_PARALLEL_LOSS`].
+fn parallel_losers(report: &[BenchEntry]) -> Vec<String> {
+    let mut losers = Vec::new();
+    for entry in report {
+        let Some((stem, threads)) = entry.name.rsplit_once("_t") else {
+            continue;
+        };
+        if !stem.starts_with("par_kernels/") || threads == "1" || threads.parse::<u32>().is_err() {
+            continue;
+        }
+        let inline = format!("{stem}_t1");
+        let Some(t1) = report.iter().find(|e| e.name == inline) else {
+            continue;
+        };
+        if t1.median_ns > 0.0 && entry.median_ns > t1.median_ns * MAX_PARALLEL_LOSS {
+            losers.push(format!(
+                "{} ({:.2}x its _t1)",
+                entry.name,
+                entry.median_ns / t1.median_ns
+            ));
+        }
+    }
+    losers
+}
+
 /// Compares the two reports; returns the offending benchmark names
 /// (empty = pass) and the stale-baseline suspects (improved past
 /// `1/max_ratio`; informational only).
@@ -156,6 +189,10 @@ fn run(
     }
     if compared == 0 {
         return Err("no benchmarks in common between the two reports".to_string());
+    }
+    for loser in parallel_losers(&fresh) {
+        println!("  LOSES    {loser}");
+        offenders.push(loser);
     }
     if !improved.is_empty() {
         println!(
@@ -322,6 +359,24 @@ mod tests {
             .0
             .is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_parallel_leg_may_not_lose_to_its_inline_leg() {
+        let entry = |name: &str, median_ns: f64| BenchEntry {
+            name: name.to_string(),
+            median_ns,
+        };
+        let report = [
+            entry("par_kernels/scatter_add_32k_t1", 454_121.0),
+            entry("par_kernels/scatter_add_32k_t2", 470_000.0),
+            entry("par_kernels/scatter_add_32k_t4", 550_937.0),
+            entry("par_kernels/relu_1m_t4", 9e9), // no `_t1` to compare with
+            entry("simd_lanes/gemm_256_t4", 9e9), // not a par_kernels leg
+        ];
+        let losers = parallel_losers(&report);
+        assert_eq!(losers.len(), 1, "{losers:?}");
+        assert!(losers[0].starts_with("par_kernels/scatter_add_32k_t4 (1.21x"));
     }
 
     #[test]

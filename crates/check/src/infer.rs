@@ -62,14 +62,17 @@ pub fn parity_reports(scale: Scale, seed: u64) -> Result<Vec<ParityReport>> {
 }
 
 /// Thread-count parity: the inference loss is bit-identical at 1 and 4
-/// tensor-kernel threads. Restores the entering thread count.
+/// tensor-kernel threads. Check-scale kernels are all below `par`'s grain,
+/// so the 4-thread leg runs under `par::force_split` and fails if no region
+/// went to the pool. Restores the entering thread count.
 ///
 /// # Errors
 /// Propagates workload construction or forward errors.
 pub fn thread_parity_reports(scale: Scale, seed: u64) -> Result<Vec<ParityReport>> {
-    let entering = gnnmark_tensor::par::threads();
+    use gnnmark_tensor::par;
+    let entering = par::threads();
     let run_at = |threads: usize, kind: WorkloadKind| -> Result<f64> {
-        gnnmark_tensor::par::set_threads(threads);
+        par::set_threads(threads);
         let mut w = build(kind, scale, seed)?;
         let _guard = NoGradGuard::new();
         w.infer(InferBatch::Full)
@@ -78,13 +81,17 @@ pub fn thread_parity_reports(scale: Scale, seed: u64) -> Result<Vec<ParityReport
         let mut out = Vec::with_capacity(WorkloadKind::ALL.len());
         for kind in WorkloadKind::ALL {
             let one = run_at(1, kind)?;
-            let four = run_at(4, kind)?;
-            let ok = one.to_bits() == four.to_bits();
+            let (pooled_before, _) = par::regions();
+            let four = par::force_split(|| run_at(4, kind))?;
+            let pooled = par::regions().0 > pooled_before;
+            let ok = pooled && one.to_bits() == four.to_bits();
             out.push(ParityReport {
                 name: format!("infer-threads/{}", kind.label()),
                 ok,
                 detail: if ok {
                     String::new()
+                } else if !pooled {
+                    "no kernel ran pooled at 4 threads".to_string()
                 } else {
                     format!("loss at 1 thread {one:?} != at 4 threads {four:?}")
                 },
@@ -93,7 +100,7 @@ pub fn thread_parity_reports(scale: Scale, seed: u64) -> Result<Vec<ParityReport
         Ok(out)
     };
     let out = inner();
-    gnnmark_tensor::par::set_threads(entering);
+    par::set_threads(entering);
     out
 }
 

@@ -76,6 +76,10 @@ pub fn collect_run_metrics(report: &SuiteReport) {
     let mean_ms = sum_ms / busy.len().max(1) as f64;
     let imbalance = if mean_ms > 0.0 { max_ms / mean_ms } else { 0.0 };
     metrics::gauge_set("gnnmark_par_load_imbalance", imbalance);
+    // How many kernels forked: regions handed to the pool vs run inline.
+    let (pooled, inline) = gnnmark_tensor::par::regions();
+    metrics::counter_set("gnnmark_par_regions_total{path=\"pooled\"}", pooled);
+    metrics::counter_set("gnnmark_par_regions_total{path=\"inline\"}", inline);
 
     metrics::counter_set(
         "gnnmark_autograd_tape_nodes_total",

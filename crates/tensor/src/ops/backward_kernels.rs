@@ -15,10 +15,6 @@ use crate::cost;
 use crate::instrument::{AccessDesc, OpClass};
 use crate::{par, pool, IntTensor, Result, Tensor, TensorError};
 
-/// Minimum modeled MACs per chunk before a conv gradient splits across
-/// threads (same budget as the forward convolution).
-const MIN_CONV_MACS_PER_CHUNK: usize = 16 * 1024;
-
 impl Tensor {
     /// Batched product with a transposed right operand:
     /// `self` (`[b, m, k]`) × `otherᵀ` where `other` is `[b, n, k]`,
@@ -296,14 +292,14 @@ impl Tensor {
             .saturating_mul(out_img)
             .saturating_mul(c_in)
             .saturating_mul(k_ic);
-        let chunks = par::chunk_count(macs_total, MIN_CONV_MACS_PER_CHUNK);
+        let chunks = par::chunks(macs_total, par::Cost::CONV_GRAD_MAC);
 
         // dgrad: one task row per (image, input channel). Every dx element
         // is summed by exactly one task, in (oc, ky, kx, oy, ox) tap order
         // regardless of thread count; the inner loop is a contiguous axpy
         // over input columns when the stride is 1.
         let mut dx = pool::zeroed(x.len());
-        let dx_ranges = par::even_ranges(n * c_in, chunks.min((n * c_in).max(1)));
+        let dx_ranges = par::even_ranges(n * c_in, chunks);
         par::for_row_ranges_mut(&mut dx, in_ch, &dx_ranges, |_, task_rows, chunk| {
             for (row, dx_img) in task_rows.zip(chunk.chunks_exact_mut(in_ch)) {
                 let (ni, ic) = (row / c_in, row % c_in);
@@ -343,7 +339,7 @@ impl Tensor {
         // fixed-order reduction over (image, oy, ox), so it too is
         // thread-count invariant.
         let mut dw = pool::zeroed(k.len());
-        let dw_ranges = par::even_ranges(c_out, chunks.min(c_out.max(1)));
+        let dw_ranges = par::even_ranges(c_out, chunks);
         par::for_row_ranges_mut(&mut dw, k_oc, &dw_ranges, |_, task_rows, chunk| {
             for (oc, dw_oc) in task_rows.zip(chunk.chunks_exact_mut(k_oc)) {
                 for ni in 0..n {

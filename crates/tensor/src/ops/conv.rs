@@ -9,9 +9,6 @@ use crate::cost;
 use crate::instrument::OpClass;
 use crate::{par, pool, Result, Tensor, TensorError};
 
-/// Minimum modeled MACs per chunk before a conv splits across threads.
-const MIN_MACS_PER_CHUNK: usize = 16 * 1024;
-
 /// Padding/stride configuration for [`Tensor::conv2d`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conv2dSpec {
@@ -122,11 +119,8 @@ impl Tensor {
         // padding per tap.
         let mut out = pool::zeroed(n * c_out * out_ch);
         let rows = n * c_out;
-        let macs_total = rows.saturating_mul(out_ch).saturating_mul(k_ic);
-        let ranges = par::even_ranges(
-            rows,
-            par::chunk_count(macs_total, MIN_MACS_PER_CHUNK).min(rows.max(1)),
-        );
+        let macs_total = rows.saturating_mul(out_ch).saturating_mul(k_oc);
+        let ranges = par::split(rows, macs_total, par::Cost::CONV_MAC);
         par::for_row_ranges_mut(&mut out, out_ch, &ranges, |_, task_rows, chunk| {
             for (row, out_row) in task_rows.zip(chunk.chunks_exact_mut(out_ch)) {
                 let (ni, oc) = (row / c_out, row % c_out);

@@ -24,7 +24,7 @@ impl Tensor {
         let b = other.as_slice();
         let lvl = simd::level();
         let mut data = pool::filled(a.len());
-        par::fill_chunks(&mut data, par::PAR_MIN_ELEMS, |r, chunk| {
+        par::fill_chunks(&mut data, par::Cost::ELEMENT, |r, chunk| {
             simd::binary(lvl, kop, &a[r.clone()], &b[r], chunk);
         });
         let out = Tensor::from_vec(self.dims(), data)?;
@@ -41,10 +41,16 @@ impl Tensor {
         Ok(out)
     }
 
-    fn unary(&self, op: &'static str, flops_per_elem: u64, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    fn unary(
+        &self,
+        op: &'static str,
+        flops_per_elem: u64,
+        cost: par::Cost,
+        f: impl Fn(f32) -> f32 + Sync,
+    ) -> Tensor {
         let src = self.as_slice();
         let mut data = pool::filled(src.len());
-        par::fill_chunks(&mut data, par::PAR_MIN_ELEMS, |r, chunk| {
+        par::fill_chunks(&mut data, cost, |r, chunk| {
             for (o, &x) in chunk.iter_mut().zip(&src[r]) {
                 *o = f(x);
             }
@@ -69,7 +75,7 @@ impl Tensor {
         let src = self.as_slice();
         let lvl = simd::level();
         let mut data = pool::filled(src.len());
-        par::fill_chunks(&mut data, par::PAR_MIN_ELEMS, |r, chunk| {
+        par::fill_chunks(&mut data, par::Cost::ELEMENT, |r, chunk| {
             simd::unary(lvl, kop, &src[r], chunk);
         });
         let out = Tensor::from_vec(self.dims(), data).expect("same shape");
@@ -143,22 +149,22 @@ impl Tensor {
 
     /// Element-wise exponential.
     pub fn exp(&self) -> Tensor {
-        self.unary("exp", SFU_FLOPS, f32::exp)
+        self.unary("exp", SFU_FLOPS, par::Cost::EXP_ELEM, f32::exp)
     }
 
     /// Element-wise natural logarithm.
     pub fn ln(&self) -> Tensor {
-        self.unary("log", SFU_FLOPS, f32::ln)
+        self.unary("log", SFU_FLOPS, par::Cost::EXP_ELEM, f32::ln)
     }
 
     /// Element-wise square root.
     pub fn sqrt(&self) -> Tensor {
-        self.unary("sqrt", SFU_FLOPS, f32::sqrt)
+        self.unary("sqrt", SFU_FLOPS, par::Cost::ELEMENT, f32::sqrt)
     }
 
     /// Element-wise absolute value.
     pub fn abs(&self) -> Tensor {
-        self.unary("abs", 1, f32::abs)
+        self.unary("abs", 1, par::Cost::ELEMENT, f32::abs)
     }
 
     /// Element-wise square.
@@ -168,7 +174,7 @@ impl Tensor {
 
     /// Element-wise reciprocal.
     pub fn recip(&self) -> Tensor {
-        self.unary("recip", 4, |a| 1.0 / a)
+        self.unary("recip", 4, par::Cost::ELEMENT, |a| 1.0 / a)
     }
 
     /// Rectified linear unit, `max(x, 0)`.
@@ -181,37 +187,37 @@ impl Tensor {
 
     /// Leaky ReLU with negative slope `alpha`.
     pub fn leaky_relu(&self, alpha: f32) -> Tensor {
-        self.unary("leaky_relu", 2, move |a| if a > 0.0 { a } else { alpha * a })
+        self.unary("leaky_relu", 2, par::Cost::ELEMENT, move |a| if a > 0.0 { a } else { alpha * a })
     }
 
     /// Parametric ReLU with a single learned slope `alpha` (used by ARGA).
     pub fn prelu(&self, alpha: f32) -> Tensor {
-        self.unary("prelu", 2, move |a| if a > 0.0 { a } else { alpha * a })
+        self.unary("prelu", 2, par::Cost::ELEMENT, move |a| if a > 0.0 { a } else { alpha * a })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Tensor {
-        self.unary("sigmoid", SFU_FLOPS + 2, |a| 1.0 / (1.0 + (-a).exp()))
+        self.unary("sigmoid", SFU_FLOPS + 2, par::Cost::EXP_ELEM, |a| 1.0 / (1.0 + (-a).exp()))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Tensor {
-        self.unary("tanh", SFU_FLOPS + 2, f32::tanh)
+        self.unary("tanh", SFU_FLOPS + 2, par::Cost::EXP_ELEM, f32::tanh)
     }
 
     /// Clamps all elements into `[lo, hi]`.
     pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
-        self.unary("clamp", 2, move |a| a.clamp(lo, hi))
+        self.unary("clamp", 2, par::Cost::ELEMENT, move |a| a.clamp(lo, hi))
     }
 
     /// Element-wise power.
     pub fn powf(&self, p: f32) -> Tensor {
-        self.unary("pow", SFU_FLOPS * 2, move |a| a.powf(p))
+        self.unary("pow", SFU_FLOPS * 2, par::Cost::EXP_ELEM, move |a| a.powf(p))
     }
 
     /// Mask of elements strictly greater than zero (1.0 / 0.0).
     pub fn gt_zero_mask(&self) -> Tensor {
-        self.unary("gt_zero_mask", 1, |a| if a > 0.0 { 1.0 } else { 0.0 })
+        self.unary("gt_zero_mask", 1, par::Cost::ELEMENT, |a| if a > 0.0 { 1.0 } else { 0.0 })
     }
 
     /// `self + alpha * other`, a fused AXPY-style update.
@@ -247,7 +253,7 @@ impl Tensor {
         let src = self.as_slice();
         let lvl = simd::level();
         let mut data = pool::filled(n * d);
-        let ranges = par::even_ranges(n, par::chunk_count(n * d, par::PAR_MIN_ELEMS).min(n.max(1)));
+        let ranges = par::split(n, n * d, par::Cost::ELEMENT);
         par::for_row_ranges_mut(&mut data, d, &ranges, |_, rows, chunk| {
             let rows_src = &src[rows.start * d..rows.end * d];
             for (row, out_row) in rows_src.chunks_exact(d).zip(chunk.chunks_exact_mut(d)) {
@@ -305,7 +311,7 @@ impl Tensor {
         let src = self.as_slice();
         let lvl = simd::level();
         let mut data = pool::filled(n * d);
-        let ranges = par::even_ranges(n, par::chunk_count(n * d, par::PAR_MIN_ELEMS).min(n.max(1)));
+        let ranges = par::split(n, n * d, par::Cost::ELEMENT);
         par::for_row_ranges_mut(&mut data, d, &ranges, |_, rows, chunk| {
             let rows_src = &src[rows.start * d..rows.end * d];
             for ((r, row), out_row) in rows
@@ -355,7 +361,7 @@ impl Tensor {
         let src = self.as_slice();
         let lvl = simd::level();
         let mut data = pool::filled(n * d);
-        let ranges = par::even_ranges(n, par::chunk_count(n * d, par::PAR_MIN_ELEMS).min(n.max(1)));
+        let ranges = par::split(n, n * d, par::Cost::ELEMENT);
         par::for_row_ranges_mut(&mut data, d, &ranges, |_, rows, chunk| {
             let rows_src = &src[rows.start * d..rows.end * d];
             for (row, out_row) in rows_src.chunks_exact(d).zip(chunk.chunks_exact_mut(d)) {

@@ -34,7 +34,7 @@ impl Tensor {
         let mut data = pool::filled(n * d);
         let src = self.as_slice();
         let idx_s = index.as_slice();
-        let out_ranges = par::even_ranges(n, par::chunk_count(n * d, par::PAR_MIN_ELEMS).min(n.max(1)));
+        let out_ranges = par::split(n, n * d, par::Cost::ELEMENT);
         par::for_row_ranges_mut(&mut data, d, &out_ranges, |_, out_rows, chunk| {
             for (&i, dst_row) in idx_s[out_rows].iter().zip(chunk.chunks_exact_mut(d)) {
                 let r = i as usize;

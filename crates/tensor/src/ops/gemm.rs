@@ -24,10 +24,6 @@ use crate::{par, pool, Result, Tensor, TensorError};
 /// `n` floats) stays L1/L2-resident while it is swept over a row block.
 const KC: usize = 256;
 
-/// Minimum multiply-accumulate count per parallel chunk; below this the
-/// fork/join handshake dominates and the kernel stays inline.
-const MIN_MACS_PER_CHUNK: usize = 16 * 1024;
-
 /// Validates a GEMM operand pair: both `rank`-dimensional, contracted
 /// dimensions equal, and (for rank 3) equal batch counts. One shared
 /// helper instead of the per-variant copies this file used to carry.
@@ -146,12 +142,10 @@ pub(crate) fn gemm_kernel(
     }
 }
 
-/// Row-range partition for an `m × k × n` GEMM, sized so each chunk carries
-/// at least [`MIN_MACS_PER_CHUNK`] multiply-accumulates.
-fn gemm_row_ranges(m: usize, k: usize, n: usize) -> Vec<Range<usize>> {
-    let per_row = k.saturating_mul(n).max(1);
-    let min_rows = (MIN_MACS_PER_CHUNK / per_row).max(1);
-    par::even_ranges(m, par::chunk_count(m, min_rows))
+/// Row-range partition for `rows` output rows of `k × n` MACs each.
+fn gemm_row_ranges(rows: usize, k: usize, n: usize) -> Vec<Range<usize>> {
+    let macs = rows.saturating_mul(k).saturating_mul(n);
+    par::split(rows, macs, par::Cost::GEMM_MAC)
 }
 
 /// `out = A·B` over the pool, row-block parallel. `out` must be zeroed.
@@ -169,7 +163,7 @@ pub(crate) fn transpose_pack(src: &[f32], rows: usize, cols: usize, dst: &mut [f
     debug_assert_eq!(src.len(), rows * cols);
     debug_assert_eq!(dst.len(), rows * cols);
     const T: usize = 32;
-    let ranges = par::even_ranges(cols, par::chunk_count(cols, (T * 4).max(1)));
+    let ranges = par::split(cols, rows * cols, par::Cost::ELEMENT);
     // Partition destination rows (= source columns): disjoint writes.
     par::for_row_ranges_mut(dst, rows, &ranges, |_, cr, chunk| {
         for c0 in (cr.start..cr.end).step_by(T) {
@@ -239,8 +233,7 @@ impl Tensor {
         let a = self.as_slice();
         let lvl = simd::level();
         let mut out = pool::filled(m);
-        let min_rows = (MIN_MACS_PER_CHUNK / k.max(1)).max(1);
-        let ranges = par::even_ranges(m, par::chunk_count(m, min_rows));
+        let ranges = par::split(m, m * k, par::Cost::ELEMENT);
         par::for_row_ranges_mut(&mut out, 1, &ranges, |_, r, chunk| {
             for (o, row) in chunk.iter_mut().zip(a[r.start * k..r.end * k].chunks_exact(k)) {
                 *o = simd::vdot(lvl, row, vv);
@@ -368,9 +361,7 @@ pub(crate) fn bmm_into(
     n: usize,
 ) {
     let lvl = simd::level();
-    let per_row = k.saturating_mul(n).max(1);
-    let min_rows = (MIN_MACS_PER_CHUNK / per_row).max(1);
-    let ranges = par::even_ranges(batches * m, par::chunk_count(batches * m, min_rows));
+    let ranges = gemm_row_ranges(batches * m, k, n);
     par::for_row_ranges_mut(out, n, &ranges, |_, r, chunk| {
         let mut row = r.start;
         while row < r.end {

@@ -84,7 +84,7 @@ impl Tensor {
         let (n, d) = (self.dim(0), self.dim(1));
         let src = self.as_slice();
         let mut out = pool::filled(n);
-        let ranges = par::even_ranges(n, par::chunk_count(n * d, par::PAR_MIN_ELEMS).min(n.max(1)));
+        let ranges = par::split(n, n * d, par::Cost::ELEMENT);
         par::for_row_ranges_mut(&mut out, 1, &ranges, |_, rows, chunk| {
             let rows_src = &src[rows.start * d..rows.end * d];
             for (row, o) in rows_src.chunks_exact(d).zip(chunk.iter_mut()) {
@@ -115,7 +115,7 @@ impl Tensor {
         let mut out = pool::zeroed(d);
         // Partition *output columns*; every task walks all rows in order, so
         // each column accumulates exactly as in the sequential loop.
-        let col_ranges = par::even_ranges(d, par::chunk_count(n * d, par::PAR_MIN_ELEMS).min(d.max(1)));
+        let col_ranges = par::split(d, n * d, par::Cost::ELEMENT);
         par::for_row_ranges_mut(&mut out, 1, &col_ranges, |_, cols, chunk| {
             for row in src.chunks_exact(d) {
                 simd::accumulate(lvl, chunk, &row[cols.clone()]);
@@ -140,7 +140,7 @@ impl Tensor {
         let (n, d) = (self.dim(0), self.dim(1));
         let src = self.as_slice();
         let mut out = vec![0i64; n];
-        let ranges = par::even_ranges(n, par::chunk_count(n * d, par::PAR_MIN_ELEMS).min(n.max(1)));
+        let ranges = par::split(n, n * d, par::Cost::ELEMENT);
         par::for_row_ranges_mut(&mut out, 1, &ranges, |_, rows, chunk| {
             let rows_src = &src[rows.start * d..rows.end * d];
             for (row, o) in rows_src.chunks_exact(d).zip(chunk.iter_mut()) {

@@ -12,16 +12,12 @@ use crate::cost::INT_PER_GATHER_ELEM;
 use crate::instrument::{AccessDesc, OpClass};
 use crate::{par, pool, IntTensor, Result, Tensor, TensorError};
 
-/// Minimum scattered elements per parallel chunk.
-const MIN_ELEMS_PER_CHUNK: usize = 16 * 1024;
-
 /// Output-row partition for scatter kernels. Each task owns a disjoint
 /// range of *output* rows and scans the whole index array in order, so
 /// every output element accumulates in exactly the sequential order —
 /// the deterministic alternative to GPU-style atomics.
 fn scatter_ranges(n: usize, d: usize, out_rows: usize) -> Vec<std::ops::Range<usize>> {
-    let chunks = par::chunk_count(n * d, MIN_ELEMS_PER_CHUNK).min(out_rows.max(1));
-    par::even_ranges(out_rows, chunks)
+    par::split(out_rows, n * d, par::Cost::SCATTER_ELEM)
 }
 
 impl Tensor {

@@ -23,7 +23,7 @@ impl Tensor {
         let src = self.as_slice();
         let lvl = simd::level();
         let mut out = pool::filled(n * d);
-        let ranges = par::even_ranges(n, par::chunk_count(n * d, par::PAR_MIN_ELEMS).min(n.max(1)));
+        let ranges = par::split(n, n * d, par::Cost::EXP_ELEM);
         par::for_row_ranges_mut(&mut out, d, &ranges, |_, rows, chunk| {
             let rows_src = &src[rows.start * d..rows.end * d];
             for (row, out_row) in rows_src.chunks_exact(d).zip(chunk.chunks_exact_mut(d)) {

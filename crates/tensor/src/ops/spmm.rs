@@ -14,15 +14,12 @@ use crate::instrument::{AccessDesc, OpClass};
 use crate::simd;
 use crate::{par, pool, CsrMatrix, Result, Tensor, TensorError};
 
-/// Minimum nnz·n work per parallel chunk (see [`par::PAR_MIN_ELEMS`]).
-const MIN_WORK_PER_CHUNK: usize = 16 * 1024;
-
 /// Row-range partition of a CSR matrix balanced by per-row nnz, so one
 /// hub row doesn't serialize a whole chunk on power-law graphs.
 fn nnz_balanced_ranges(csr: &CsrMatrix, n: usize) -> Vec<std::ops::Range<usize>> {
     let m = csr.rows();
     let work = csr.nnz().saturating_mul(n.max(1));
-    let chunks = par::chunk_count(work, MIN_WORK_PER_CHUNK).min(m.max(1));
+    let chunks = par::chunks(work, par::Cost::SPMM_MAC).min(m.max(1));
     if chunks <= 1 {
         return par::even_ranges(m, 1);
     }

@@ -19,6 +19,38 @@
 //! always emitted by the *calling* thread after the parallel region joins,
 //! so the thread-local op recorder (see [`crate::record`]) observes exactly
 //! the same event stream at every thread count.
+//!
+//! # The grain: does this kernel fork?
+//!
+//! GNN training is a stream of many small kernels, and one condvar
+//! fork/join on the baseline box costs 20–60 µs (more when the helper it
+//! wakes shares a core with the `gnnmark-sim` thread) — an order of
+//! magnitude above the typical kernel. The decision is therefore made
+//! once, here, in units of *time*: a kernel hands `chunks` (or `split` /
+//! `fill_chunks`) its work in units and its family's `Cost` per unit, and
+//! gets back how many chunks to cut, each worth at least `GRAIN_NS`
+//! (100 µs) of estimated single-thread work. Anything under two grains
+//! runs inline on the caller with zero hand-offs. `--threads` /
+//! `GNNMARK_THREADS` only *cap* the chunk count, so more threads help
+//! exactly the kernels that are above the grain.
+//!
+//! The per-family `Cost`s are the single-thread (`_t1`) medians of
+//! `BENCH_kernels.json` divided by the kernel's unit count on the baseline
+//! box, rounded up; the families that bench has no leg for (convolution
+//! and its gradients, the libm element-wise ops, how badly a scatter
+//! splits) were timed once on the same box at forced one- and two-chunk
+//! plans. They are estimates, and only their order of magnitude matters:
+//! end-to-end wall-clock is flat for grains from 100 µs to 800 µs
+//! (EXPERIMENTS.md, "Fork/join grain"), because the grain sits a few
+//! hand-offs above the fork/join cost, not at it. Because every kernel
+//! fixes each output element's accumulation order independently of the
+//! partition, moving the grain moves wall-clock only.
+//!
+//! Tests of thread parity use shapes far below the grain, which would all
+//! plan one chunk and compare the inline path with itself. [`force_split`]
+//! is the scoped, thread-local seam that makes every region on the calling
+//! thread split into [`threads`] chunks, and [`regions`] counts how many
+//! regions really went to the pool, so those tests can assert they did.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,9 +61,48 @@ use std::time::Instant;
 /// Hard upper bound on the configurable thread count.
 pub const MAX_THREADS: usize = 64;
 
-/// Minimum per-task element count before a kernel bothers going parallel.
-/// Small ops stay inline: the fork/join handshake costs more than the work.
-pub const PAR_MIN_ELEMS: usize = 4096;
+/// The minimum worthwhile chunk, in estimated single-thread nanoseconds: a
+/// few fork/join hand-offs. The one threshold every kernel's fork decision
+/// goes through (see the module docs and [`chunks`]).
+const GRAIN_NS: u64 = 100_000;
+
+/// Estimated single-thread cost of one unit of a kernel family's work, in
+/// picoseconds: the `_t1` medians of `BENCH_kernels.json` (and, for the
+/// families it has no `_t1` leg for, a one-off measurement on the same box)
+/// divided by the kernel's unit count and rounded up to a round number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cost(u64);
+
+impl Cost {
+    /// One multiply-accumulate of the blocked GEMM micro-kernel
+    /// (`gemm_384_t1`: 0.035 ns; 0.045 ns for thin 32-wide operands).
+    pub(crate) const GEMM_MAC: Cost = Cost(50);
+    /// One nnz × dense-column update of SpMM (`spmm_4k_32knnz_t1`:
+    /// 0.047 ns).
+    pub(crate) const SPMM_MAC: Cost = Cost(50);
+    /// One multiply-accumulate of the direct forward convolution (STGCN's
+    /// `Scale::Small` shapes and `conv2d_temporal`: 0.16–0.22 ns).
+    pub(crate) const CONV_MAC: Cost = Cost(200);
+    /// One forward multiply-accumulate's worth of *each* convolution
+    /// gradient (dgrad, wgrad): wgrad reduces into a scalar and does not
+    /// vectorize (0.67 ns on the same shapes).
+    pub(crate) const CONV_GRAD_MAC: Cost = Cost(700);
+    /// One element streamed by an element-wise, gather, reduce or
+    /// transpose kernel (`relu_1m_t1`: 0.40 ns; from 0.12 ns for the SIMD
+    /// reductions to 1 ns for a strided transpose).
+    pub(crate) const ELEMENT: Cost = Cost(500);
+    /// One element through a scalar libm call: row softmax, `exp`, `log`,
+    /// `sigmoid`, `tanh`, `pow` (`softmax_32kx32_t1`: 4.1 ns; `sigmoid`
+    /// 3.5 ns, `tanh` 14 ns).
+    pub(crate) const EXP_ELEM: Cost = Cost(4000);
+    /// The part of a scattered element's cost that a split divides. A
+    /// scatter task owns output rows and scans the *whole* index array
+    /// behind an unpredictable ownership branch, so a split replicates the
+    /// scan and divides only the adds: `scatter_add_32k` (1 Mi elements,
+    /// 0.3–0.5 ms inline) cut in two is 1.6× slower, and 4 Mi elements is
+    /// where two chunks win (0.6–0.8×).
+    pub(crate) const SCATTER_ELEM: Cost = Cost(100);
+}
 
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
@@ -129,6 +200,44 @@ fn busy_end(t0: Option<Instant>) {
         let slot = SLOT.with(std::cell::Cell::get);
         BUSY_NS[slot].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The fork decision: counted, and forceable from tests.
+// ---------------------------------------------------------------------------
+
+static REGIONS_POOLED: AtomicU64 = AtomicU64::new(0);
+static REGIONS_INLINE: AtomicU64 = AtomicU64::new(0);
+
+/// Parallel regions entered so far in this process, as `(pooled, inline)`:
+/// a region is *pooled* when its tasks were handed to the pool and
+/// *inline* when the caller ran it alone (planned as one chunk, one
+/// thread configured, nested, or the pool was busy).
+pub fn regions() -> (u64, u64) {
+    (
+        REGIONS_POOLED.load(Ordering::Relaxed),
+        REGIONS_INLINE.load(Ordering::Relaxed),
+    )
+}
+
+thread_local! {
+    static FORCE_SPLIT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Test seam: while `f` runs, every region planned on this thread splits
+/// into [`threads`] chunks (still capped by its row count) whatever its
+/// estimated work, so thread-parity tests on tiny shapes really exercise
+/// the pooled path. Results are unaffected, as with any partition.
+#[doc(hidden)]
+pub fn force_split<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FORCE_SPLIT.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(FORCE_SPLIT.with(|c| c.replace(true)));
+    f()
 }
 
 // ---------------------------------------------------------------------------
@@ -275,26 +384,22 @@ pub fn run(total: usize, f: &(dyn Fn(usize) + Sync)) {
         return;
     }
     let t = threads().min(total);
-    if t <= 1 || total == 1 || IN_POOL.with(|g| g.get()) {
-        // Nested calls (IN_POOL) skip busy accounting: the enclosing
-        // `drain` is already timing this thread.
-        let t0 = if IN_POOL.with(|g| g.get()) { None } else { busy_start() };
-        for i in 0..total {
-            f(i);
-        }
-        busy_end(t0);
-        return;
-    }
+    let nested = IN_POOL.with(|g| g.get());
     // One fork/join at a time; a busy pool means another workload thread is
     // mid-kernel — run inline rather than wait (results are identical).
-    let Ok(_submit) = SUBMIT.try_lock() else {
-        let t0 = busy_start();
+    let submit = if t <= 1 || nested { None } else { SUBMIT.try_lock().ok() };
+    let Some(submit) = submit else {
+        REGIONS_INLINE.fetch_add(1, Ordering::Relaxed);
+        // Nested calls skip busy accounting: the enclosing `drain` is
+        // already timing this thread.
+        let t0 = if nested { None } else { busy_start() };
         for i in 0..total {
             f(i);
         }
         busy_end(t0);
         return;
     };
+    REGIONS_POOLED.fetch_add(1, Ordering::Relaxed);
     let shared = pool();
     // SAFETY: lifetime erasure only; `run` does not return until every task
     // completed, so the closure outlives all uses.
@@ -323,6 +428,9 @@ pub fn run(total: usize, f: &(dyn Fn(usize) + Sync)) {
         st = shared.done_cv.wait(st).unwrap();
     }
     drop(st);
+    // Unlock before re-raising: a panic that unwinds through the guard
+    // poisons `SUBMIT`, and every later `try_lock` would read as "busy".
+    drop(submit);
     if job.panicked.load(Ordering::SeqCst) {
         panic!("parallel kernel task panicked");
     }
@@ -375,14 +483,21 @@ pub fn weighted_ranges(weights: &[usize], chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// How many chunks to cut `items` units of work into, given a minimum
-/// sensible chunk size. Returns 1 (inline) for small inputs.
-pub fn chunk_count(items: usize, min_per_chunk: usize) -> usize {
+/// How many chunks to cut a kernel of `units` units at `cost` each into:
+/// as many whole [`GRAIN_NS`] grains as its estimated single-thread time
+/// holds, at most [`threads`], and 1 (inline) below two grains.
+pub(crate) fn chunks(units: usize, cost: Cost) -> usize {
     let t = threads();
-    if t <= 1 || items < 2 * min_per_chunk.max(1) {
-        return 1;
+    if FORCE_SPLIT.with(std::cell::Cell::get) {
+        return t;
     }
-    t.min(items / min_per_chunk.max(1)).max(1)
+    let est_ns = (units as u64).saturating_mul(cost.0) / 1000;
+    (est_ns / GRAIN_NS).clamp(1, t as u64) as usize
+}
+
+/// [`even_ranges`] over `rows`, cut into [`chunks`]`(units, cost)` chunks.
+pub(crate) fn split(rows: usize, units: usize, cost: Cost) -> Vec<Range<usize>> {
+    even_ranges(rows, chunks(units, cost))
 }
 
 /// Wrapper making a raw pointer `Send + Sync` for disjoint-range writes.
@@ -415,6 +530,7 @@ pub fn for_row_ranges_mut<T: Send>(
         "row ranges exceed the output buffer"
     );
     if ranges.len() == 1 {
+        REGIONS_INLINE.fetch_add(1, Ordering::Relaxed);
         let r = ranges[0].clone();
         let chunk = &mut out[r.start * row_len..r.end * row_len];
         f(0, r, chunk);
@@ -437,14 +553,14 @@ pub fn for_row_ranges_mut<T: Send>(
 }
 
 /// Element-chunked parallel fill of `out`: `f(range, chunk)` writes every
-/// element of its chunk. Inline when the buffer is small.
-pub fn fill_chunks<T: Send>(
+/// element of its chunk, at `cost` per element. Inline below the grain.
+pub(crate) fn fill_chunks<T: Send>(
     out: &mut [T],
-    min_per_chunk: usize,
+    cost: Cost,
     f: impl Fn(Range<usize>, &mut [T]) + Sync,
 ) {
     let n = out.len();
-    let ranges = even_ranges(n, chunk_count(n, min_per_chunk));
+    let ranges = split(n, n, cost);
     for_row_ranges_mut(out, 1, &ranges, |_, r, chunk| f(r, chunk));
 }
 
@@ -489,10 +605,13 @@ mod tests {
         let prev = threads();
         set_threads(3);
         let mut out = vec![0u32; 10_000];
-        fill_chunks(&mut out, 8, |r, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = (r.start + k) as u32;
-            }
+        force_split(|| {
+            fill_chunks(&mut out, Cost::ELEMENT, |r, chunk| {
+                assert!(r.len() < 10_000, "three chunks, not one");
+                for (k, v) in chunk.iter_mut().enumerate() {
+                    *v = (r.start + k) as u32;
+                }
+            })
         });
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32));
         set_threads(prev);

@@ -4,8 +4,9 @@
 //! The parallel kernels partition *output* regions and keep each output
 //! element's floating-point accumulation order fixed, so the thread count
 //! may only change wall-clock, never a single bit of any result. The sizes
-//! below straddle the `PAR_MIN_ELEMS`-style thresholds, covering both the
-//! inline and the pooled execution paths.
+//! below are far under `par`'s grain and would all plan one chunk, so the
+//! multi-thread legs run under `par::force_split` — every region with two
+//! or more rows really goes to the pool, and each leg asserts that one did.
 
 use std::sync::Mutex;
 
@@ -17,15 +18,26 @@ use rand::{Rng, SeedableRng};
 /// thread-count-invariant, but the 1-thread leg should really run inline).
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` at 1, 2, 4 and 8 threads and returns the raw outputs.
+/// Runs `f` inline at 1 thread, then force-split at 2, 4 and 8 threads,
+/// and returns the raw outputs. `f` must contain a kernel with at least two
+/// partitionable rows: every multi-thread leg asserts a region ran pooled.
 fn at_thread_counts(f: impl Fn() -> Vec<f32>) -> Vec<Vec<f32>> {
-    let _guard = THREADS_LOCK.lock().unwrap();
+    let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let prev = par::threads();
     let outs = [1usize, 2, 4, 8]
         .iter()
         .map(|&t| {
             par::set_threads(t);
-            f()
+            if t == 1 {
+                return f();
+            }
+            let (pooled_before, _) = par::regions();
+            let out = par::force_split(&f);
+            assert!(
+                par::regions().0 > pooled_before,
+                "no region ran pooled at {t} threads: the parity check is vacuous"
+            );
+            out
         })
         .collect();
     par::set_threads(prev);
@@ -50,7 +62,7 @@ proptest! {
 
     #[test]
     fn gemm_bit_identical_across_thread_counts(
-        m in 1usize..96,
+        m in 2usize..96,
         k in 1usize..48,
         n in 1usize..64,
         seed in any::<u64>(),
@@ -64,7 +76,7 @@ proptest! {
 
     #[test]
     fn gemm_nt_and_tn_match_explicit_transpose_at_any_thread_count(
-        m in 1usize..48,
+        m in 2usize..48,
         k in 1usize..32,
         n in 1usize..48,
         seed in any::<u64>(),
@@ -89,7 +101,7 @@ proptest! {
 
     #[test]
     fn spmm_bit_identical_across_thread_counts(
-        rows in 1usize..200,
+        rows in 2usize..200,
         cols in 1usize..40,
         n in 1usize..48,
         entries in proptest::collection::vec(
@@ -109,9 +121,9 @@ proptest! {
 
     #[test]
     fn scatter_bit_identical_across_thread_counts(
-        n in 1usize..2048,
+        n in 2usize..2048,
         d in 1usize..48,
-        out_rows in 1usize..96,
+        out_rows in 2usize..96,
         seed in any::<u64>(),
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -134,7 +146,7 @@ proptest! {
 
     #[test]
     fn conv2d_forward_and_backward_bit_identical(
-        n in 1usize..4,
+        n in 2usize..4,
         c_in in 1usize..5,
         c_out in 1usize..5,
         h in 3usize..12,
@@ -162,7 +174,7 @@ proptest! {
 
     #[test]
     fn elementwise_softmax_and_reductions_bit_identical(
-        rows in 1usize..400,
+        rows in 2usize..400,
         d in 1usize..64,
         seed in any::<u64>(),
     ) {

@@ -6,7 +6,9 @@
 //! 2-epoch KGNN (low-feature) run must produce identical loss curves AND an
 //! identical profiler op stream (same kernels, in the same order, with the
 //! same modeled work) at every thread count. The 8-thread leg oversubscribes
-//! the tiny test tensors (most kernels have fewer rows than workers).
+//! the tiny test tensors (most kernels have fewer rows than workers). Every
+//! kernel at this scale is below `par`'s grain, so the multi-thread legs run
+//! under `par::force_split` and assert that regions really went to the pool.
 
 use gnnmark::suite::{run_workload_full, SuiteConfig};
 use gnnmark::WorkloadKind;
@@ -33,8 +35,15 @@ fn kgnn_low_is_bit_identical_across_thread_counts() {
     let one = run_workload_full(WorkloadKind::KgnnL, &base.clone().with_threads(1))
         .expect("kgnn_low trains at 1 thread");
     for threads in [4usize, 8] {
-        let multi = run_workload_full(WorkloadKind::KgnnL, &base.clone().with_threads(threads))
-            .unwrap_or_else(|e| panic!("kgnn_low trains at {threads} threads: {e}"));
+        let (pooled_before, _) = gnnmark_tensor::par::regions();
+        let multi = gnnmark_tensor::par::force_split(|| {
+            run_workload_full(WorkloadKind::KgnnL, &base.clone().with_threads(threads))
+        })
+        .unwrap_or_else(|e| panic!("kgnn_low trains at {threads} threads: {e}"));
+        assert!(
+            gnnmark_tensor::par::regions().0 > pooled_before,
+            "no kernel ran pooled at {threads} threads: the comparison is vacuous"
+        );
 
         // Loss curves: bit-identical, not merely close.
         assert_eq!(one.losses.len(), 2);
