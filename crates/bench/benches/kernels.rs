@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gnnmark_gpusim::{DeviceSpec, GpuModel};
-use gnnmark_tensor::{par, record, CsrMatrix, IntTensor, Tensor};
+use gnnmark_tensor::{par, record, AccessDesc, CsrMatrix, IntTensor, OpClass, OpEvent, Tensor};
 
 fn bench_tensor_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("tensor_ops");
@@ -174,6 +174,25 @@ fn bench_gpu_model(c: &mut Criterion) {
             })
         });
     }
+    // 32 768 lines per descriptor: past `2 · warm` of every L1 geometry the
+    // sweep uses, so the middle of each run takes the cache walker's run
+    // rule. The model is warm, as in the middle of a training step.
+    let ev = OpEvent {
+        class: OpClass::ElementWise,
+        kernel: "sequential_4mb",
+        flops: 1 << 20,
+        iops: 0,
+        bytes_read: 4 << 20,
+        bytes_written: 4 << 20,
+        threads: 1 << 20,
+        reads: vec![AccessDesc::Sequential { bytes: 4 << 20 }],
+        writes: vec![AccessDesc::Sequential { bytes: 4 << 20 }],
+    };
+    let mut gpu = GpuModel::new(DeviceSpec::v100());
+    gpu.execute(&ev);
+    group.bench_function("simulate_sequential_4mb", |bch| {
+        bch.iter(|| std::hint::black_box(gpu.execute(&ev)))
+    });
     group.finish();
 }
 

@@ -5,6 +5,40 @@
 //! and sorts — coalesced into per-warp line accesses, then driven through
 //! an L1 → L2 hierarchy. Long streams are sampled with a recorded scale
 //! factor.
+//!
+//! # The walk
+//!
+//! [`simulate_kernel`] picks one instantiation of the walker per kernel:
+//! `<L1_WAYS, L2_WAYS>` for the hierarchy `GpuModel::new` builds, `<0, 0>`
+//! ("ways known only at run time") for any other geometry. For the length
+//! of a descriptor the walker holds each level's tag slice, set count and
+//! access / hit counts in locals, probes every simulated line through the
+//! one inlined routine `promote` — the same routine
+//! [`CacheSim::access_line`] calls — and writes the counts back once.
+//! There is no per-line call and no per-line access to a `CacheSim` field.
+//!
+//! # The run rule
+//!
+//! A `Sequential` descriptor is a run: `count` lines `first + i · step`.
+//! `touch_run` needs `step ≥ 1` from its caller, and then:
+//!
+//! 1. the run's lines are distinct;
+//! 2. their L1 set index is periodic in `i` with period
+//!    `p = sets / gcd(step mod sets, sets)`, visiting `p` distinct sets once
+//!    per period;
+//! 3. so after `warm = ways · p` accesses every set the run touches has
+//!    taken `ways` newer lines, which evicts everything older: from there on
+//!    each run line misses L1 whatever the cache held before, and the last
+//!    `ways` lines per touched set — the last `warm` accesses — alone decide
+//!    the final L1 state.
+//!
+//! When `count > 2 · warm` the first `warm` lines are probed normally, the
+//! middle `count − 2 · warm` go straight to L2 in order (counted as L1
+//! accesses, no L1 probe, no L1 state change), and the last `warm` are
+//! probed normally again; they find only first-`warm` lines in their sets,
+//! miss as they would have, and leave each touched set holding its last
+//! `ways` run lines in MRU order. Counts, L2 traffic and both tag arrays
+//! equal the line-by-line walk's.
 
 use gnnmark_tensor::AccessDesc;
 
@@ -14,6 +48,11 @@ use crate::device::DeviceSpec;
 /// stride-sampled; counts are rescaled).
 const SAMPLE_CAP: usize = 1 << 16;
 
+/// Associativity of the L1 `GpuModel::new` builds and the walker fixes.
+pub(crate) const L1_WAYS: usize = 4;
+/// Associativity of the L2 `GpuModel::new` builds and the walker fixes.
+pub(crate) const L2_WAYS: usize = 16;
+
 /// A set-associative, LRU, write-allocate cache model.
 ///
 /// Each set is one contiguous run of `ways` tags in recency order, most
@@ -21,7 +60,9 @@ const SAMPLE_CAP: usize = 1 << 16;
 /// cache is an all-zero allocation that the OS backs lazily: a model of the
 /// A100's 40 MB L2 owns 2.6 MB of tags but only pays for the sets a stream
 /// reaches. Filling the vector with any other sentinel would touch all of
-/// it in every `GpuModel::new`.
+/// it in every `GpuModel::new`. Tags are as wide as line numbers: a
+/// `Strided` descriptor's addresses are not wrapped, and a paper-scale
+/// transpose walks lines far above `u32::MAX`.
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     sets: u64,
@@ -33,15 +74,21 @@ pub struct CacheSim {
     hits: u64,
 }
 
-/// Moves `tag` to the front of an MRU-first set and reports whether it was
-/// already resident; on a miss the last (least recent or empty) way drops
-/// out. Inlined per call site so a fixed-width `set` unrolls.
+/// The one probe routine: moves `tag` to the front of MRU-first set `set` of
+/// `tags` and reports whether it was already resident; on a miss the last
+/// (least recent or empty) way drops out. `W` is the associativity when it
+/// is known at compile time (the set then unrolls in registers) and `0`
+/// when only `ways` knows it. Inlined into every walk so the slice, the
+/// geometry and the caller's counters stay in registers across lines.
 #[inline(always)]
-fn promote(set: &mut [u64], tag: u64) -> bool {
+fn promote<const W: usize>(tags: &mut [u64], ways: usize, set: u64, tag: u64) -> bool {
+    let ways = if W == 0 { ways } else { W };
+    let base = set as usize * ways;
+    let set = &mut tags[base..base + ways];
     let found = set.iter().position(|&t| t == tag);
     match found {
         // A fixed-length move the compiler expands in registers.
-        None => set.copy_within(..set.len() - 1, 1),
+        None => set.copy_within(..ways - 1, 1),
         Some(p) => {
             for i in (0..p).rev() {
                 set[i + 1] = set[i];
@@ -80,22 +127,12 @@ impl CacheSim {
 
     /// Accesses line number `line` (a byte address divided by the line
     /// size, below `u64::MAX`); returns `true` on hit. True LRU per set.
-    #[inline]
     pub fn access_line(&mut self, line: u64) -> bool {
-        self.access_in(line % self.sets, line)
-    }
-
-    /// [`Self::access_line`] for a caller that already knows `line`'s set.
-    #[inline]
-    fn access_in(&mut self, set: u64, line: u64) -> bool {
-        debug_assert_eq!(set, line % self.sets);
-        let base = set as usize * self.ways;
-        let tag = line + 1;
-        // The two associativities `GpuModel` builds get fixed-width sets.
-        let hit = match self.ways {
-            4 => promote(&mut self.tags[base..base + 4], tag),
-            16 => promote(&mut self.tags[base..base + 16], tag),
-            ways => promote(&mut self.tags[base..base + ways], tag),
+        let (ways, set, tag) = (self.ways, line % self.sets, line + 1);
+        let hit = match ways {
+            L1_WAYS => promote::<L1_WAYS>(&mut self.tags, ways, set, tag),
+            L2_WAYS => promote::<L2_WAYS>(&mut self.tags, ways, set, tag),
+            _ => promote::<0>(&mut self.tags, ways, set, tag),
         };
         self.accesses += 1;
         self.hits += u64::from(hit);
@@ -201,55 +238,152 @@ pub fn simulate_kernel(
     writes: &[AccessDesc],
 ) -> MemoryTrace {
     debug_assert!(l1.line_bytes == spec.line_bytes && l2.line_bytes == spec.line_bytes);
+    // One choice per kernel; every line below it runs monomorphic code.
+    let drive = if walks_fixed_width(l1, l2) {
+        drive_desc::<L1_WAYS, L2_WAYS>
+    } else {
+        drive_desc::<0, 0>
+    };
     let mut trace = MemoryTrace::default();
     // Distinct address spaces per descriptor; 256 MB apart.
     let mut region = 0x1000_0000u64;
     for desc in reads.iter().chain(writes) {
-        let t = drive_desc(spec, l1, l2, desc, region);
+        let t = drive(spec, l1, l2, desc, region);
         region += 0x1000_0000;
         trace.merge(&t);
     }
     trace
 }
 
-/// Streams warp ops (their distinct touched lines) through L1→L2. The
-/// caches count the line accesses; this counts the ops.
-struct Driver<'a> {
-    l1: &'a mut CacheSim,
-    l2: &'a mut CacheSim,
+/// Whether [`simulate_kernel`] walks this hierarchy with both set widths
+/// fixed at compile time. Any other geometry is walked exactly, by the same
+/// code with run-time widths, only slower.
+pub(crate) fn walks_fixed_width(l1: &CacheSim, l2: &CacheSim) -> bool {
+    l1.ways == L1_WAYS && l2.ways == L2_WAYS
+}
+
+/// One cache level for the length of a walk: the tag array borrowed, the
+/// geometry and the walk's own access / hit counts held by value, so the
+/// per-line code touches no `CacheSim` field. Dropping it ends the walk and
+/// adds the counts to the cache's lifetime counters, once.
+struct Level<'a, const W: usize> {
+    tags: &'a mut [u64],
+    sets: u64,
+    ways: usize,
+    accesses: u64,
+    hits: u64,
+    lifetime: (&'a mut u64, &'a mut u64),
+}
+
+impl<'a, const W: usize> Level<'a, W> {
+    fn of(cache: &'a mut CacheSim) -> Self {
+        assert!(W == 0 || W == cache.ways, "walker width must match the cache");
+        Level {
+            tags: &mut cache.tags,
+            sets: cache.sets,
+            ways: cache.ways,
+            accesses: 0,
+            hits: 0,
+            lifetime: (&mut cache.accesses, &mut cache.hits),
+        }
+    }
+
+    #[inline(always)]
+    fn probe(&mut self, set: u64, tag: u64) -> bool {
+        let hit = promote::<W>(self.tags, self.ways, set, tag);
+        self.accesses += 1;
+        self.hits += u64::from(hit);
+        hit
+    }
+}
+
+impl<const W: usize> Drop for Level<'_, W> {
+    fn drop(&mut self) {
+        *self.lifetime.0 += self.accesses;
+        *self.lifetime.1 += self.hits;
+    }
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Streams warp ops (their distinct touched lines) through L1→L2, counting
+/// the ops and, per level, the line accesses and hits of this walk. `W1` /
+/// `W2` are the two associativities, `0` for "known only at run time".
+struct Walker<'a, const W1: usize, const W2: usize> {
+    l1: Level<'a, W1>,
+    l2: Level<'a, W2>,
     warp_ops: u64,
     divergent_warp_ops: u64,
 }
 
-impl Driver<'_> {
+impl<'a, const W1: usize, const W2: usize> Walker<'a, W1, W2> {
+    fn over(l1: &'a mut CacheSim, l2: &'a mut CacheSim) -> Self {
+        Walker {
+            l1: Level::of(l1),
+            l2: Level::of(l2),
+            warp_ops: 0,
+            divergent_warp_ops: 0,
+        }
+    }
+
     /// One warp op touching `lines`.
+    #[inline(always)]
     fn touch(&mut self, lines: &[u64]) {
         self.warp_ops += 1;
         if lines.len() > 1 {
             self.divergent_warp_ops += 1;
         }
         for &l in lines {
-            if !self.l1.access_line(l) {
-                self.l2.access_line(l);
+            let tag = l + 1;
+            if !self.l1.probe(l % self.l1.sets, tag) {
+                self.l2.probe(l % self.l2.sets, tag);
             }
         }
     }
 
-    /// `count` fully coalesced warp ops, one line each, `step` lines apart.
-    /// Both set indices advance with the line, so the run divides once.
+    /// `count` fully coalesced warp ops, one line each, `step ≥ 1` lines
+    /// apart. Both set indices advance with the line, so the run divides
+    /// once; the middle of a long run skips L1 (module docs, "the run rule").
+    #[inline(always)]
     fn touch_run(&mut self, first: u64, step: u64, count: u64) {
+        assert!(step >= 1, "a run's lines must be distinct");
         self.warp_ops += count;
         let (n1, n2) = (self.l1.sets, self.l2.sets);
-        let (mut s1, mut s2) = (first % n1, first % n2);
         let (d1, d2) = (step % n1, step % n2);
-        let mut l = first;
-        for _ in 0..count {
-            if !self.l1.access_in(s1, l) {
-                self.l2.access_in(s2, l);
+        // gcd(0, n1) = n1: a step that is a multiple of n1 stays in one set.
+        let warm = self.l1.ways as u64 * (n1 / gcd(n1, d1));
+        let (edge, middle) = if count > 2 * warm {
+            (warm, count - 2 * warm)
+        } else {
+            (count, 0)
+        };
+        let next = |s: u64, d: u64, n: u64| if s + d >= n { s + d - n } else { s + d };
+        let (mut l, mut s1, mut s2) = (first, first % n1, first % n2);
+        for (n, through_l1) in [(edge, true), (middle, false), (count - edge - middle, true)] {
+            if through_l1 {
+                for _ in 0..n {
+                    let tag = l + 1;
+                    if !self.l1.probe(s1, tag) {
+                        self.l2.probe(s2, tag);
+                    }
+                    l += step;
+                    (s1, s2) = (next(s1, d1, n1), next(s2, d2, n2));
+                }
+            } else {
+                // Known L1 misses that leave no L1 state behind.
+                self.l1.accesses += n;
+                for _ in 0..n {
+                    self.l2.probe(s2, l + 1);
+                    l += step;
+                    s2 = next(s2, d2, n2);
+                }
+                s1 = l % n1;
             }
-            l += step;
-            s1 = if s1 + d1 >= n1 { s1 + d1 - n1 } else { s1 + d1 };
-            s2 = if s2 + d2 >= n2 { s2 + d2 - n2 } else { s2 + d2 };
         }
     }
 
@@ -276,7 +410,7 @@ fn dedup_lines(buf: &mut [u64]) -> usize {
 ///
 /// Each warp op's distinct lines are built in a 32-entry stack buffer, so
 /// simulation allocates nothing per op regardless of divergence.
-fn drive_desc(
+fn drive_desc<const W1: usize, const W2: usize>(
     spec: &DeviceSpec,
     l1: &mut CacheSim,
     l2: &mut CacheSim,
@@ -293,14 +427,7 @@ fn drive_desc(
             ((bytes as f64 * byte_scale) as u64).max(1)
         }
     };
-    let (l1_accesses0, l1_hits0) = (l1.accesses, l1.hits);
-    let (l2_accesses0, l2_hits0) = (l2.accesses, l2.hits);
-    let mut d = Driver {
-        l1,
-        l2,
-        warp_ops: 0,
-        divergent_warp_ops: 0,
-    };
+    let mut d = Walker::<W1, W2>::over(l1, l2);
     let mut buf = [0u64; 32];
     // Each arm streams its sampled ops and yields the exact op count.
     let exact_warp_ops = match desc {
@@ -428,14 +555,12 @@ fn drive_desc(
         exact_warp_ops as f64 / d.warp_ops as f64
     };
     let s = |v: u64| (v as f64 * scale).round() as u64;
-    let l2_accesses = d.l2.accesses - l2_accesses0;
-    let l2_hits = d.l2.hits - l2_hits0;
     MemoryTrace {
-        l1_accesses: s(d.l1.accesses - l1_accesses0),
-        l1_hits: s(d.l1.hits - l1_hits0),
-        l2_accesses: s(l2_accesses),
-        l2_hits: s(l2_hits),
-        dram_bytes: s((l2_accesses - l2_hits) * line),
+        l1_accesses: s(d.l1.accesses),
+        l1_hits: s(d.l1.hits),
+        l2_accesses: s(d.l2.accesses),
+        l2_hits: s(d.l2.hits),
+        dram_bytes: s((d.l2.accesses - d.l2.hits) * line),
         divergent_warp_ops: s(d.divergent_warp_ops),
         warp_ops: exact_warp_ops,
     }
@@ -504,6 +629,39 @@ mod tests {
         CacheSim::new(1024, 4, 0);
     }
 
+    /// `touch_run` through a `<W1, W2>` walker.
+    fn walk_run<const W1: usize, const W2: usize>(
+        l1: &mut CacheSim,
+        l2: &mut CacheSim,
+        (first, step, count): (u64, u64, u64),
+    ) {
+        let mut run = Walker::<W1, W2>::over(l1, l2);
+        run.touch_run(first, step, count);
+        assert_eq!(run.warp_ops, count);
+    }
+
+    /// The reference: the same lines one `access_line` at a time.
+    fn walk_lines(l1: &mut CacheSim, l2: &mut CacheSim, (first, step, count): (u64, u64, u64)) {
+        for i in 0..count {
+            let l = first + i * step;
+            if !l1.access_line(l) {
+                l2.access_line(l);
+            }
+        }
+    }
+
+    fn assert_same(run: &(CacheSim, CacheSim), by_line: &(CacheSim, CacheSim), case: &str) {
+        for (level, (a, b)) in [(&run.0, &by_line.0), (&run.1, &by_line.1)].iter().enumerate() {
+            assert_eq!(a.tags, b.tags, "L{} tags, {case}", level + 1);
+            assert_eq!(
+                (a.accesses, a.hits),
+                (b.accesses, b.hits),
+                "L{} (accesses, hits), {case}",
+                level + 1
+            );
+        }
+    }
+
     #[test]
     fn run_entry_matches_line_by_line_touches() {
         // Odd set counts, steps above and below them, runs that wrap; the
@@ -520,32 +678,112 @@ mod tests {
                     CacheSim::new(l2_sets * 16 * 128, 16, 128),
                 )
             };
-            let (mut run_l1, mut run_l2) = fresh();
-            let (mut ref_l1, mut ref_l2) = fresh();
+            let (mut run, mut by_line) = (fresh(), fresh());
             for _pass in 0..2 {
-                let mut run = Driver {
-                    l1: &mut run_l1,
-                    l2: &mut run_l2,
-                    warp_ops: 0,
-                    divergent_warp_ops: 0,
+                walk_run::<L1_WAYS, L2_WAYS>(&mut run.0, &mut run.1, (first, step, count));
+                walk_lines(&mut by_line.0, &mut by_line.1, (first, step, count));
+            }
+            let case = format!("{l1_sets}/{l2_sets} sets, run {first}+{step}x{count}");
+            assert_same(&run, &by_line, &case);
+        }
+    }
+
+    #[test]
+    fn randomized_runs_match_line_by_line_touches() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // `Scale::Small` never samples, so captured runs all have step 1 and
+        // this is the only cover for strides: gcd(step, sets) > 1, steps that
+        // are multiples of the set count, and counts on both sides of
+        // 2 · warm, over caches that already hold lines of the run.
+        let mut rng = StdRng::seed_from_u64(0x6e6e_6d61_726b);
+        let mut skipped_l1 = 0;
+        for case in 0..4000 {
+            let fixed = case % 2 == 0;
+            let (w1, w2) = if fixed {
+                (L1_WAYS, L2_WAYS)
+            } else {
+                (rng.gen_range(1..10usize), rng.gen_range(1..10usize))
+            };
+            let (n1, n2) = (rng.gen_range(1..13u64), rng.gen_range(1..41u64));
+            let run = (
+                rng.gen_range(0..1u64 << 22),
+                rng.gen_range(1..31u64),
+                rng.gen_range(0..401u64),
+            );
+            let (first, step, count) = run;
+            let fresh = || {
+                (
+                    CacheSim::new(n1 * w1 as u64 * 128, w1, 128),
+                    CacheSim::new(n2 * w2 as u64 * 128, w2, 128),
+                )
+            };
+            let (mut walked, mut by_line) = (fresh(), fresh());
+            // Residents from inside the run, its tail, and beyond its end.
+            for _ in 0..rng.gen_range(0..64u32) {
+                let i = match rng.gen_range(0..3u32) {
+                    0 => rng.gen_range(0..count.max(1)),
+                    1 => count.saturating_sub(rng.gen_range(0..8u64)),
+                    _ => count + rng.gen_range(0..64u64),
                 };
-                run.touch_run(first, step, count);
-                assert_eq!(run.warp_ops, count);
-                let mut by_line = Driver {
-                    l1: &mut ref_l1,
-                    l2: &mut ref_l2,
-                    warp_ops: 0,
-                    divergent_warp_ops: 0,
-                };
-                for i in 0..count {
-                    by_line.touch(&[first + i * step]);
+                for side in [&mut walked, &mut by_line] {
+                    walk_lines(&mut side.0, &mut side.1, (first + i * step, 1, 1));
                 }
             }
-            assert_eq!(run_l1.tags, ref_l1.tags);
-            assert_eq!(run_l2.tags, ref_l2.tags);
-            assert_eq!((run_l1.hits, run_l2.hits), (ref_l1.hits, ref_l2.hits));
-            assert_eq!(run_l2.accesses, ref_l2.accesses);
+            let warm = w1 as u64 * (n1 / gcd(n1, step % n1));
+            skipped_l1 += u32::from(count > 2 * warm);
+            for _pass in 0..2 {
+                if fixed {
+                    walk_run::<L1_WAYS, L2_WAYS>(&mut walked.0, &mut walked.1, run);
+                } else {
+                    walk_run::<0, 0>(&mut walked.0, &mut walked.1, run);
+                }
+                walk_lines(&mut by_line.0, &mut by_line.1, run);
+            }
+            let case =
+                format!("case {case}: ways {w1}/{w2}, sets {n1}/{n2}, run {first}+{step}x{count}");
+            assert_same(&walked, &by_line, &case);
         }
+        assert!(skipped_l1 > 1000, "only {skipped_l1} cases took the run rule");
+    }
+
+    #[test]
+    fn lines_that_differ_only_above_bit_32_do_not_alias() {
+        // 4 sets × 2 ways: both lines map to set 1 and fit side by side.
+        let mut c = CacheSim::new(1024, 2, 128);
+        let (low, high) = (5u64, 5 + (1u64 << 32));
+        assert!(!c.access_line(low));
+        assert!(!c.access_line(high), "a tag narrowed to 32 bits would hit here");
+        assert!(c.access_line(low));
+        assert!(c.access_line(high));
+    }
+
+    #[test]
+    fn paper_scale_transpose_walks_lines_above_u32() {
+        // STGCN's `SpatialGcn::forward` at `Scale::Paper` with batch 64
+        // transposes [64·64·10, 207]: column-major writes `m · 4` bytes
+        // apart, unwrapped, so the last sampled warp op is at line ≈ 1.08e10.
+        let (m, n) = (64 * 64 * 10u64, 207u64);
+        let s = spec();
+        assert!(m * n * m * 4 / s.line_bytes > u64::from(u32::MAX));
+        let (mut l1, mut l2) = caches(&s);
+        let t = simulate_kernel(
+            &s,
+            &mut l1,
+            &mut l2,
+            &[],
+            &[AccessDesc::Strided {
+                stride_bytes: m * 4,
+                accesses: m * n,
+                access_bytes: 4,
+            }],
+        );
+        assert_eq!(t.warp_ops, (m * n).div_ceil(32));
+        // Every lane its own line, none of them seen before.
+        assert_eq!(t.divergent_warp_ops, t.warp_ops);
+        assert_eq!(t.l1_accesses, t.warp_ops * 32);
+        assert_eq!((t.l1_hits, t.l2_hits), (0, 0));
     }
 
     #[test]

@@ -85,8 +85,8 @@ pub struct GpuModel {
 impl GpuModel {
     /// Creates a model for a device.
     pub fn new(spec: DeviceSpec) -> Self {
-        let l1 = CacheSim::new(spec.l1_bytes, 4, spec.line_bytes);
-        let l2 = CacheSim::new(spec.l2_bytes, 16, spec.line_bytes);
+        let l1 = CacheSim::new(spec.l1_bytes, cache::L1_WAYS, spec.line_bytes);
+        let l2 = CacheSim::new(spec.l2_bytes, cache::L2_WAYS, spec.line_bytes);
         GpuModel {
             spec,
             l1,
@@ -334,6 +334,25 @@ mod tests {
         let t32 = fp32.execute(&events[0]).time_ns;
         let t16 = fp16.execute(&events[0]).time_ns;
         assert!(t16 < t32, "fp16 {t16} vs fp32 {t32}");
+    }
+
+    #[test]
+    fn every_device_is_walked_at_fixed_width() {
+        // The run-time-width walk is exact too, so nothing else would fail
+        // if `GpuModel::new` and `simulate_kernel` disagreed on the ways.
+        for spec in [
+            DeviceSpec::v100(),
+            DeviceSpec::a100(),
+            DeviceSpec::v100().with_l1_bytes(64 * 1024),
+            DeviceSpec::v100().with_half_precision(),
+        ] {
+            let gpu = GpuModel::new(spec);
+            assert!(
+                cache::walks_fixed_width(&gpu.l1, &gpu.l2),
+                "{} fell off the fixed-width walk",
+                gpu.spec.name
+            );
+        }
     }
 
     #[test]

@@ -167,15 +167,16 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.i + n > self.b.len() {
+        let end = self.i.checked_add(n).filter(|&end| end <= self.b.len());
+        let Some(end) = end else {
             return Err(format!(
                 "truncated stream: need {n} bytes at offset {}, have {}",
                 self.i,
                 self.b.len() - self.i
             ));
-        }
-        let s = &self.b[self.i..self.i + n];
-        self.i += n;
+        };
+        let s = &self.b[self.i..end];
+        self.i = end;
         Ok(s)
     }
     fn u8(&mut self) -> Result<u8, String> {
@@ -190,12 +191,46 @@ impl<'a> Reader<'a> {
     fn f64(&mut self) -> Result<f64, String> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn str(&mut self) -> Result<String, String> {
+    fn str(&mut self) -> Result<&'a str, String> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "invalid UTF-8 in stream string".to_string())
+        std::str::from_utf8(self.take(len)?)
+            .map_err(|_| "invalid UTF-8 in stream string".to_string())
+    }
+    /// Admits a stored element count: each element encodes to at least
+    /// `min_bytes`, so a count the remaining bytes cannot hold is rejected
+    /// here, before anything is allocated for it.
+    fn count(&self, n: u64, min_bytes: usize, what: &str) -> Result<usize, String> {
+        let fit = (self.b.len() - self.i) / min_bytes;
+        match usize::try_from(n) {
+            Ok(n) if n <= fit => Ok(n),
+            _ => Err(format!(
+                "truncated stream: {n} {what} at offset {}, room for {fit}",
+                self.i
+            )),
+        }
+    }
+    /// Reads `n` elements of at least `min_bytes` each with `read`.
+    fn vec<T>(
+        &mut self,
+        n: u64,
+        min_bytes: usize,
+        what: &str,
+        mut read: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let n = self.count(n, min_bytes, what)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(read(self)?);
+        }
+        Ok(out)
     }
 }
+
+/// Smallest encodings, for [`Reader::vec`]: a `Sequential` descriptor; an
+/// event with an empty name and no descriptors; one transfer.
+const MIN_ACCESS_BYTES: usize = 1 + 8;
+const MIN_EVENT_BYTES: usize = 1 + 4 + 5 * 8 + 4 + 4;
+const TRANSFER_BYTES: usize = 1 + 3 * 8;
 
 fn write_access(w: &mut Writer, d: &AccessDesc) {
     match d {
@@ -248,11 +283,13 @@ fn read_access(r: &mut Reader<'_>) -> Result<AccessDesc, String> {
             access_bytes: r.u64()?,
         }),
         2 => {
-            let n = r.u32()? as usize;
-            let mut indices = Vec::with_capacity(n);
-            for _ in 0..n {
-                indices.push(r.u32()?);
-            }
+            let n = r.u32()?;
+            let n = r.count(n.into(), 4, "indices")?;
+            let indices = r
+                .take(4 * n)?
+                .chunks_exact(4)
+                .map(|ix| u32::from_le_bytes(ix.try_into().unwrap()))
+                .collect();
             Ok(AccessDesc::Indexed {
                 indices: Arc::new(indices),
                 row_bytes: r.u64()?,
@@ -290,27 +327,24 @@ fn write_event(w: &mut Writer, e: &OpEvent) {
     }
 }
 
+fn read_accesses(r: &mut Reader<'_>) -> Result<Vec<AccessDesc>, String> {
+    let n = r.u32()?;
+    r.vec(n.into(), MIN_ACCESS_BYTES, "access descriptors", read_access)
+}
+
 fn read_event(r: &mut Reader<'_>) -> Result<OpEvent, String> {
     let class_ix = r.u8()? as usize;
     let class = *OpClass::ALL
         .get(class_ix)
         .ok_or_else(|| format!("unknown op-class index {class_ix}"))?;
-    let kernel = intern_static(&r.str()?);
+    let kernel = intern_static(r.str()?);
     let flops = r.u64()?;
     let iops = r.u64()?;
     let bytes_read = r.u64()?;
     let bytes_written = r.u64()?;
     let threads = r.u64()?;
-    let n_reads = r.u32()? as usize;
-    let mut reads = Vec::with_capacity(n_reads);
-    for _ in 0..n_reads {
-        reads.push(read_access(r)?);
-    }
-    let n_writes = r.u32()? as usize;
-    let mut writes = Vec::with_capacity(n_writes);
-    for _ in 0..n_writes {
-        writes.push(read_access(r)?);
-    }
+    let reads = read_accesses(r)?;
+    let writes = read_accesses(r)?;
     Ok(OpEvent {
         class,
         kernel,
@@ -410,19 +444,16 @@ impl CapturedRun {
             ));
         }
 
-        let workload = r.str()?;
-        let scale = r.str()?;
-        let mode = r.str()?;
-        let phase = r.str()?;
+        let workload = r.str()?.to_string();
+        let scale = r.str()?.to_string();
+        let mode = r.str()?.to_string();
+        let phase = r.str()?.to_string();
         let seed = r.u64()?;
         let epochs = r.u32()?;
         let steps_per_epoch = r.u64()?;
         let grad_bytes = r.u64()?;
-        let n_losses = r.u32()? as usize;
-        let mut losses = Vec::with_capacity(n_losses);
-        for _ in 0..n_losses {
-            losses.push(r.f64()?);
-        }
+        let n_losses = r.u32()?;
+        let losses = r.vec(n_losses.into(), 8, "losses", Reader::f64)?;
         let scaling = match r.u8()? {
             0 => None,
             1 => Some(ScalingBehavior::DataParallel),
@@ -437,32 +468,25 @@ impl CapturedRun {
         let quality = match r.u8()? {
             0 => None,
             1 => {
-                let name = intern_static(&r.str()?);
+                let name = intern_static(r.str()?);
                 Some((name, r.f64()?))
             }
             t => return Err(format!("unknown quality tag {t}")),
         };
 
-        let n_steps = r.u32()? as usize;
-        let mut per_step = Vec::with_capacity(n_steps);
-        for _ in 0..n_steps {
-            per_step.push(r.u32()?);
-        }
-        let n_events = r.u64()? as usize;
-        let mut events = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            events.push(read_event(&mut r)?);
-        }
-        let n_transfers = r.u32()? as usize;
-        let mut transfers = Vec::with_capacity(n_transfers);
-        for _ in 0..n_transfers {
-            transfers.push(TransferRecord {
+        let n_steps = r.u32()?;
+        let per_step = r.vec(n_steps.into(), 4, "steps", Reader::u32)?;
+        let n_events = r.u64()?;
+        let events = r.vec(n_events, MIN_EVENT_BYTES, "events", read_event)?;
+        let n_transfers = r.u32()?;
+        let transfers = r.vec(n_transfers.into(), TRANSFER_BYTES, "transfers", |r| {
+            Ok(TransferRecord {
                 h2d: r.u8()? != 0,
                 bytes: r.u64()?,
                 zeros: r.u64()?,
                 elements: r.u64()?,
-            });
-        }
+            })
+        })?;
         if r.i != body.len() {
             return Err(format!(
                 "trailing bytes in stream: {} unread",
@@ -610,17 +634,111 @@ mod tests {
         assert!(CapturedRun::from_bytes(&bytes[..4]).is_err());
     }
 
+    /// Recomputes the trailer over an edited body, so the edit reaches the
+    /// decoder instead of the checksum test.
+    fn resealed(body: &[u8]) -> Vec<u8> {
+        let mut bytes = body.to_vec();
+        bytes.extend_from_slice(&fnv1a_64(body).to_le_bytes());
+        bytes
+    }
+
+    fn body(run: &CapturedRun) -> Vec<u8> {
+        let mut bytes = run.to_bytes();
+        bytes.truncate(bytes.len() - 8);
+        bytes
+    }
+
     #[test]
     fn version_mismatch_is_rejected() {
-        let run = sample_run();
-        let mut bytes = run.to_bytes();
-        bytes[8] = 99; // version field follows the 8-byte magic
-        // Fix up the checksum so only the version check fires.
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a_64(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-        let err = CapturedRun::from_bytes(&bytes).unwrap_err();
+        let mut body = body(&sample_run());
+        body[8] = 99; // version field follows the 8-byte magic
+        let err = CapturedRun::from_bytes(&resealed(&body)).unwrap_err();
         assert!(err.contains("version"), "got: {err}");
+    }
+
+    #[test]
+    fn every_resealed_prefix_is_an_error() {
+        let body = body(&sample_run());
+        let err = CapturedRun::from_bytes(&resealed(&body[..body.len() - 1])).unwrap_err();
+        assert!(err.contains("truncated"), "got: {err}");
+        for cut in 0..body.len() {
+            assert!(CapturedRun::from_bytes(&resealed(&body[..cut])).is_err(), "cut at {cut}");
+        }
+    }
+
+    /// One event whose only descriptor is an index array.
+    fn indexed_run(indices: Vec<u32>) -> CapturedRun {
+        let mut run = sample_run();
+        run.meta.losses.clear();
+        run.meta.scaling = None;
+        run.meta.quality = None;
+        run.stream = CapturedStream::default();
+        run.stream.events.push(OpEvent {
+            class: OpClass::Gather,
+            kernel: "gather_rows",
+            flops: 0,
+            iops: 0,
+            bytes_read: 0,
+            bytes_written: 0,
+            threads: 1,
+            reads: vec![AccessDesc::Indexed {
+                indices: Arc::new(indices),
+                row_bytes: 64,
+                table_bytes: 8192,
+            }],
+            writes: vec![],
+        });
+        run
+    }
+
+    #[test]
+    fn counts_the_body_cannot_hold_are_rejected_before_allocating() {
+        // A body that ends ... [n_losses u32][scaling u8][quality u8]
+        // [n_steps u32][n_events u64][n_transfers u32]: every list empty.
+        let mut empty = indexed_run(vec![]);
+        empty.stream.events.clear();
+        let body_of_empty = body(&empty);
+        let end = body_of_empty.len();
+        for (what, at, width) in [
+            ("transfers", end - 4, 4),
+            ("events", end - 12, 8),
+            ("steps", end - 16, 4),
+            ("losses", end - 22, 4),
+        ] {
+            let mut body = body_of_empty.clone();
+            body[at..at + width].fill(0xff);
+            let err = CapturedRun::from_bytes(&resealed(&body)).unwrap_err();
+            assert!(err.contains("truncated") && err.contains(what), "{what}: {err}");
+        }
+        // ... [n_reads u32][tag u8][n_indices u32][row u64][table u64]
+        // [n_writes u32][n_transfers u32].
+        let body_of_indexed = body(&indexed_run(vec![]));
+        let end = body_of_indexed.len();
+        for (what, at) in [
+            ("access descriptors", end - 8),
+            ("indices", end - 28),
+            ("access descriptors", end - 33),
+        ] {
+            let mut body = body_of_indexed.clone();
+            body[at..at + 4].fill(0xff);
+            let err = CapturedRun::from_bytes(&resealed(&body)).unwrap_err();
+            assert!(err.contains("truncated") && err.contains(what), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn empty_and_million_entry_index_arrays_roundtrip() {
+        let million = (0..1_000_000u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        for indices in [vec![], million] {
+            let run = indexed_run(indices.clone());
+            let back = CapturedRun::from_bytes(&run.to_bytes()).expect("roundtrip");
+            match &back.stream.events[0].reads[..] {
+                [AccessDesc::Indexed { indices: got, row_bytes: 64, table_bytes: 8192 }] => {
+                    assert_eq!(**got, indices)
+                }
+                other => panic!("decoded {other:?}"),
+            }
+        }
     }
 
     #[test]

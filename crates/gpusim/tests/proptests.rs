@@ -48,8 +48,10 @@ fn arb_event() -> impl Strategy<Value = OpEvent> {
 }
 
 /// The stamp-LRU cache model `CacheSim` used before its sets became
-/// recency-ordered arrays, kept verbatim as the reference the new layout
-/// is differentially tested against.
+/// recency-ordered arrays, kept verbatim as the reference the probe routine
+/// is differentially tested against. `CacheSim::access` reaches the same
+/// `promote` the kernel walker inlines: ways 4 and 16 its fixed-width
+/// instantiations, every other associativity the run-time-width one.
 struct StampLru {
     sets: usize,
     ways: usize,
@@ -112,10 +114,10 @@ impl StampLru {
 }
 
 /// `(ways, sets, line_bytes)` — the associativities `GpuModel` builds plus
-/// the degenerate ones; power-of-two, odd and the V100 L2's 3144 sets.
+/// degenerate and odd ones; power-of-two, odd and the V100 L2's 3144 sets.
 fn arb_geometry() -> impl Strategy<Value = (usize, u64, u64)> {
     (
-        proptest::sample::select(vec![1usize, 2, 4, 16]),
+        proptest::sample::select(vec![1usize, 2, 3, 4, 9, 16]),
         proptest::sample::select(vec![1u64, 2, 7, 64, 3144]),
         proptest::sample::select(vec![32u64, 128]),
     )
