@@ -360,6 +360,32 @@ mod tests {
     }
 
     #[test]
+    fn rounding_into_half_storage_writes_a_private_copy() {
+        // `HalfStore::store` rounds the tensor it is handed in place; a
+        // caller that kept a handle to the same buffer must not see that.
+        let _g = half::PrecisionGuard::new(Precision::Fp16);
+        let raw = Tensor::from_vec(&[2], vec![0.3333333, 100.1]).unwrap();
+        let p = Param::new("w", raw.clone());
+        assert_eq!(raw.as_slice(), &[0.3333333, 100.1], "Param::new");
+        assert_ne!(p.value().as_slice(), raw.as_slice());
+        let update = Tensor::from_vec(&[2], vec![0.1, 0.7]).unwrap();
+        p.set_value(update.clone());
+        assert_eq!(update.as_slice(), &[0.1, 0.7], "Param::set_value");
+        assert_eq!(p.value().get(&[0]), Precision::Fp16.quantize(0.1));
+    }
+
+    #[test]
+    fn grad_handles_share_the_accumulated_buffer() {
+        let p = Param::new("w", Tensor::zeros(&[2]));
+        let g = Tensor::ones(&[2]);
+        p.accumulate_grad(g.clone()).unwrap();
+        assert!(p.grad().unwrap().shares_storage(&g), "first gradient is kept, not copied");
+        p.accumulate_grad(g.clone()).unwrap();
+        assert_eq!(g.as_slice(), &[1.0, 1.0], "summing leaves the contribution alone");
+        assert_eq!(p.grad().unwrap().as_slice(), &[2.0, 2.0]);
+    }
+
+    #[test]
     fn fp32_param_storage_unchanged() {
         let p = Param::new("w", Tensor::from_vec(&[2], vec![0.1, 0.2]).unwrap());
         assert_eq!(p.storage_precision(), Precision::Fp32);

@@ -19,6 +19,16 @@ static NODES_RECORDED: AtomicU64 = AtomicU64::new(0);
 /// adds its footprint; dropping a tape subtracts it — so the peak tracks the
 /// largest set of simultaneously live activations, the quantity that halves
 /// under f16/bf16 storage.
+///
+/// The footprint is *logical*: `numel × element size` of every node, also
+/// of a node whose value shares its buffer with another holder — a
+/// parameter read onto the tape ([`Tape::read`]), a reshape, a gradient
+/// passed through. Tensor storage is shared, so those nodes occupy no
+/// memory of their own and the counter over-reads resident bytes by their
+/// sum (under fp32; quantize-on-push gives each node a private, rounded
+/// copy). It is kept logical on purpose: it is a property of the model and
+/// the batch, comparable across commits, where resident memory is
+/// `peak_rss_mb`'s job.
 static ACTIVATION_BYTES: AtomicU64 = AtomicU64::new(0);
 static ACTIVATION_PEAK: AtomicU64 = AtomicU64::new(0);
 
@@ -157,7 +167,9 @@ impl Tape {
     }
 
     /// Reads a [`Param`] onto the tape; after [`Tape::backward`] its
-    /// gradient is accumulated into the parameter.
+    /// gradient is accumulated into the parameter. The node shares the
+    /// parameter's buffer (no copy) unless a reduced thread precision
+    /// rounds it on push, which writes to a private copy.
     pub fn read(&self, param: &Param) -> Var {
         let value = param.value().clone();
         self.push(value, Vec::new(), None, Some(param.clone()))
@@ -272,7 +284,7 @@ pub struct Var {
 }
 
 impl Var {
-    /// A deep copy of the current value.
+    /// The current value: a handle sharing the node's buffer, not a copy.
     pub fn value(&self) -> Tensor {
         self.tape.borrow().nodes[self.id].value.clone()
     }
@@ -287,8 +299,8 @@ impl Var {
         self.with_value(|t| t.dims().to_vec())
     }
 
-    /// A deep copy of the accumulated gradient (populated by
-    /// [`Tape::backward`]).
+    /// The accumulated gradient (populated by [`Tape::backward`]), sharing
+    /// the node's buffer.
     pub fn grad(&self) -> Option<Tensor> {
         self.tape.borrow().nodes[self.id].grad.clone()
     }
@@ -367,6 +379,46 @@ mod tests {
         tape.backward(&loss).unwrap();
         // d/dx sum(x²) = 2x
         assert_eq!(p.grad().unwrap().as_slice(), &[4.0, 6.0]);
+    }
+
+    #[test]
+    fn reading_a_param_shares_its_buffer_and_never_writes_it() {
+        let p = Param::new("p", Tensor::from_vec(&[2], vec![0.3333333, 3.0]).unwrap());
+        let tape = Tape::new();
+        let v = tape.read(&p);
+        assert!(v.value().shares_storage(&p.value()), "fp32: a reference bump");
+        assert!(v.detach().value().shares_storage(&p.value()));
+        let r = v.reshape(&[1, 2]).unwrap();
+        assert!(r.value().shares_storage(&p.value()));
+        // A caller writing its handle gets a private copy.
+        let mut mine = v.value();
+        mine.set(&[0], 9.0);
+        assert_eq!(p.value().as_slice(), &[0.3333333, 3.0]);
+        assert_eq!(v.value().as_slice(), &[0.3333333, 3.0]);
+        // The optimizer replaces the parameter; the tape keeps what it read.
+        p.set_value(Tensor::zeros(&[2]));
+        assert_eq!(v.value().as_slice(), &[0.3333333, 3.0]);
+    }
+
+    #[test]
+    fn quantize_on_push_rounds_the_node_not_the_param() {
+        for precision in [Precision::Fp16, Precision::Bf16] {
+            // An fp32 parameter read under a reduced thread precision: the
+            // push rounds the node's value in place, which must not reach
+            // the parameter's buffer.
+            let p = Param::new("p", Tensor::from_vec(&[2], vec![0.3333333, 100.1]).unwrap());
+            let _g = half::PrecisionGuard::new(precision);
+            let tape = Tape::new();
+            let v = tape.read(&p);
+            assert_eq!(p.value().as_slice(), &[0.3333333, 100.1], "{precision:?}");
+            assert_eq!(v.value().get(&[0]), precision.quantize(0.3333333));
+            assert!(!v.value().shares_storage(&p.value()));
+            // Same for a constant the caller keeps a handle to.
+            let mine = Tensor::from_vec(&[1], vec![0.3333333]).unwrap();
+            let c = tape.constant(mine.clone());
+            assert_eq!(mine.as_slice(), &[0.3333333]);
+            assert_eq!(c.value().get(&[0]), precision.quantize(0.3333333));
+        }
     }
 
     #[test]

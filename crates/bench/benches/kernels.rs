@@ -39,21 +39,40 @@ fn bench_tensor_ops(c: &mut Criterion) {
         bch.iter(|| std::hint::black_box(keys.argsort().unwrap()))
     });
 
+    // GW's LSTM backward, `d_gates [24, 512] x W_hhᵀ` with `W_hh` stored
+    // `[256, 512]`: transposing the right operand moves as many elements as
+    // the product has MACs / 24, so this is the shape a slow pack hurts most.
+    let d_gates = Tensor::from_fn(&[24, 512], |i| (i % 17) as f32 * 0.1 - 0.5);
+    let w_hh = Tensor::from_fn(&[256, 512], |i| (i % 13) as f32 * 0.1 - 0.4);
+    group.bench_function("gemm_nt_24x512x256", |bch| {
+        bch.iter(|| std::hint::black_box(d_gates.matmul_nt(&w_hh).unwrap()))
+    });
+
     let img = Tensor::ones(&[4, 16, 12, 64]);
     let filt = Tensor::ones(&[16, 16, 3, 1]);
+    let spec = gnnmark_tensor::ops::conv::Conv2dSpec::default();
     group.bench_function("conv2d_temporal", |bch| {
+        bch.iter(|| std::hint::black_box(img.conv2d(&filt, spec).unwrap()))
+    });
+    let dout = Tensor::ones(&[4, 16, 10, 64]);
+    group.bench_function("conv2d_backward_temporal", |bch| {
+        bch.iter(|| std::hint::black_box(img.conv2d_backward(&filt, spec, &dout).unwrap()))
+    });
+
+    // What one parameter read costs the training thread: GW reads a weight
+    // of this size onto the tape before every LSTM-step GEMM.
+    let weight = gnnmark_autograd::Param::new("w", Tensor::ones(&[256, 512]));
+    group.bench_function("tape_read_512k", |bch| {
         bch.iter(|| {
-            std::hint::black_box(
-                img.conv2d(&filt, gnnmark_tensor::ops::conv::Conv2dSpec::default())
-                    .unwrap(),
-            )
+            let tape = gnnmark_autograd::Tape::new();
+            std::hint::black_box(tape.read(&weight));
         })
     });
     group.finish();
 }
 
 /// The same hot kernels at 1, 2 (the repo benchmark's thread count) and 4
-/// threads: six large shapes that `par` splits and two GNN-sized ones
+/// threads: seven large shapes that `par` splits and two GNN-sized ones
 /// (`gemm_64x128x128`, `add_8k_x32`) that its grain keeps inline. Outputs are
 /// bit-identical at every thread count; only wall-clock may change. The
 /// `_t1` medians are where `par::Cost`'s per-unit estimates come from, and
@@ -81,9 +100,10 @@ fn bench_parallel_kernels(c: &mut Criterion) {
 
     // Kernel-major order: the legs `bench-check` compares with each other
     // run back to back, so drift on the box lands on all of them alike.
-    let kernels: [(&str, &dyn Fn()); 8] = [
+    let kernels: [(&str, &dyn Fn()); 9] = [
         ("gemm_384", &|| drop(std::hint::black_box(a.matmul(&b).unwrap()))),
         ("gemm_nt_384", &|| drop(std::hint::black_box(a.matmul_nt(&b).unwrap()))),
+        ("gemm_tn_384", &|| drop(std::hint::black_box(a.matmul_tn(&b).unwrap()))),
         ("spmm_4k_32knnz", &|| drop(std::hint::black_box(sp.spmm(&x).unwrap()))),
         ("scatter_add_32k", &|| {
             drop(std::hint::black_box(src.scatter_add_rows(&idx, 2048).unwrap()))

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -12,6 +13,15 @@ use crate::{Result, Shape, TensorError};
 /// executes on CPU and emits an instrumentation event when recording is
 /// enabled (see [`crate::record`]).
 ///
+/// # Storage: shared, copy-on-write
+///
+/// The data buffer is reference-counted. [`Clone`] and
+/// [`Tensor::reshape`] hand out another handle to the *same* buffer in
+/// O(1); no handle can observe a write made through another, because the
+/// two writers — [`Tensor::as_mut_slice`] and [`Tensor::set`] — first give
+/// the written handle a private copy when (and only when) the buffer is
+/// shared. A tensor that was never cloned therefore never copies.
+///
 /// # Example
 ///
 /// ```
@@ -24,18 +34,22 @@ use crate::{Result, Shape, TensorError};
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
     shape: Shape,
 }
 
 impl Tensor {
+    fn from_parts(data: Vec<f32>, shape: Shape) -> Self {
+        Tensor {
+            data: Arc::new(data),
+            shape,
+        }
+    }
+
     /// Creates a tensor of zeros.
     pub fn zeros(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
-        Tensor {
-            data: vec![0.0; shape.numel()],
-            shape,
-        }
+        Tensor::from_parts(vec![0.0; shape.numel()], shape)
     }
 
     /// Creates a tensor of ones.
@@ -46,18 +60,12 @@ impl Tensor {
     /// Creates a tensor filled with `value`.
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
-        Tensor {
-            data: vec![value; shape.numel()],
-            shape,
-        }
+        Tensor::from_parts(vec![value; shape.numel()], shape)
     }
 
     /// Creates a rank-0 scalar tensor.
     pub fn scalar(value: f32) -> Self {
-        Tensor {
-            data: vec![value],
-            shape: Shape::new(&[]),
-        }
+        Tensor::from_parts(vec![value], Shape::new(&[]))
     }
 
     /// Creates a tensor from existing data.
@@ -77,14 +85,14 @@ impl Tensor {
                 ),
             });
         }
-        Ok(Tensor { data, shape })
+        Ok(Tensor::from_parts(data, shape))
     }
 
     /// Creates a tensor whose elements are produced by `f(flat_index)`.
     pub fn from_fn(dims: &[usize], mut f: impl FnMut(usize) -> f32) -> Self {
         let shape = Shape::new(dims);
         let data = (0..shape.numel()).map(&mut f).collect();
-        Tensor { data, shape }
+        Tensor::from_parts(data, shape)
     }
 
     /// Creates a tensor of i.i.d. normal samples with the given std-dev.
@@ -103,14 +111,14 @@ impl Tensor {
                 data.push(r * theta.sin() * std);
             }
         }
-        Tensor { data, shape }
+        Tensor::from_parts(data, shape)
     }
 
     /// Creates a tensor of i.i.d. uniform samples in `[lo, hi)`.
     pub fn uniform<R: Rng + ?Sized>(dims: &[usize], lo: f32, hi: f32, rng: &mut R) -> Self {
         let shape = Shape::new(dims);
         let data = (0..shape.numel()).map(|_| rng.gen_range(lo..hi)).collect();
-        Tensor { data, shape }
+        Tensor::from_parts(data, shape)
     }
 
     /// The tensor's shape.
@@ -146,14 +154,28 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the underlying row-major data.
+    /// Mutable view of the underlying row-major data. Copies the buffer
+    /// first if another handle shares it (see the type docs), so the write
+    /// stays private to `self`.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor, returning its data buffer.
+    /// Consumes the tensor, returning its data buffer: the buffer itself
+    /// when this was the only handle to it, a copy when it is shared.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::unwrap_or_clone(self.data)
+    }
+
+    /// The data buffer if this is the only handle to it; a shared buffer
+    /// is left to its other holders ([`crate::pool::recycle`]).
+    pub(crate) fn into_unique_vec(self) -> Option<Vec<f32>> {
+        Arc::try_unwrap(self.data).ok()
+    }
+
+    /// `true` when `self` and `other` are handles to one data buffer.
+    pub fn shares_storage(&self, other: &Tensor) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// Element at a multi-dimensional index.
@@ -172,7 +194,7 @@ impl Tensor {
     /// Panics if the index is out of bounds.
     pub fn set(&mut self, index: &[usize], value: f32) {
         let off = self.shape.offset(index).expect("index out of bounds");
-        self.data[off] = value;
+        self.as_mut_slice()[off] = value;
     }
 
     /// The single element of a one-element tensor.
@@ -190,7 +212,8 @@ impl Tensor {
         Ok(self.data[0])
     }
 
-    /// Returns a tensor with the same data viewed under a new shape.
+    /// Returns a tensor with the same data viewed under a new shape. The
+    /// result shares `self`'s buffer (O(1), see the type docs).
     ///
     /// # Errors
     /// Returns [`TensorError::ShapeMismatch`] if the element counts differ.
@@ -204,7 +227,7 @@ impl Tensor {
             });
         }
         Ok(Tensor {
-            data: self.data.clone(),
+            data: Arc::clone(&self.data),
             shape: new_shape,
         })
     }
@@ -284,6 +307,59 @@ mod tests {
         let r = t.reshape(&[3, 4]).unwrap();
         assert_eq!(r.as_slice(), t.as_slice());
         assert!(t.reshape(&[5, 5]).is_err());
+    }
+
+    #[test]
+    fn clone_and_reshape_share_one_buffer() {
+        let t = Tensor::from_fn(&[2, 6], |i| i as f32);
+        let c = t.clone();
+        let r = t.reshape(&[3, 4]).unwrap();
+        assert!(t.shares_storage(&c) && t.shares_storage(&r));
+        assert_eq!(t.as_slice().as_ptr(), r.as_slice().as_ptr());
+        assert!(!t.shares_storage(&Tensor::from_fn(&[2, 6], |i| i as f32)));
+    }
+
+    #[test]
+    fn a_write_through_one_handle_is_invisible_through_the_others() {
+        let original = Tensor::from_fn(&[2, 3], |i| i as f32);
+        let mut by_slice = original.clone();
+        let mut by_set = original.reshape(&[3, 2]).unwrap();
+        by_slice.as_mut_slice()[0] = 10.0;
+        by_set.set(&[2, 1], 20.0);
+        assert_eq!(original.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(by_slice.as_slice(), &[10.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(by_set.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 20.0]);
+        assert!(!original.shares_storage(&by_slice) && !original.shares_storage(&by_set));
+        // And the other way round: writing the original leaves a clone alone.
+        let mut original = original;
+        let kept = original.clone();
+        original.set(&[0, 0], -1.0);
+        assert_eq!(kept.get(&[0, 0]), 0.0);
+    }
+
+    #[test]
+    fn an_unshared_tensor_is_written_in_place() {
+        let mut t = Tensor::zeros(&[4]);
+        let buf = t.as_slice().as_ptr();
+        t.as_mut_slice()[1] = 1.0;
+        t.set(&[2], 2.0);
+        assert_eq!(t.as_slice().as_ptr(), buf);
+        // A handle that has come and gone leaves the buffer unshared again.
+        drop(t.clone());
+        t.set(&[3], 3.0);
+        assert_eq!(t.as_slice().as_ptr(), buf);
+    }
+
+    #[test]
+    fn into_vec_copies_only_when_shared() {
+        let t = Tensor::ones(&[8]);
+        let buf = t.as_slice().as_ptr();
+        let shared = t.clone();
+        let copy = shared.into_vec();
+        assert_ne!(copy.as_ptr(), buf, "`t` still reads the buffer");
+        assert_eq!(copy, vec![1.0; 8]);
+        let taken = t.into_vec();
+        assert_eq!(taken.as_ptr(), buf, "the last handle takes it");
     }
 
     #[test]

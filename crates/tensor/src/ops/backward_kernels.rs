@@ -13,7 +13,58 @@ use super::gemm::{bmm_into, transpose_pack};
 use super::{emit_op, emit_sequential};
 use crate::cost;
 use crate::instrument::{AccessDesc, OpClass};
-use crate::{par, pool, IntTensor, Result, Tensor, TensorError};
+use crate::{par, pool, simd, IntTensor, Result, Tensor, TensorError};
+
+/// Input channels whose wgrad reductions run side by side: enough
+/// independent add chains to cover the add latency at any vector width,
+/// few enough to stay in registers.
+const WGRAD_CHAINS: usize = 16;
+
+/// The loop bounds one image's wgrad taps share.
+#[derive(Clone, Copy)]
+struct WgradGeometry {
+    spec: Conv2dSpec,
+    c_in: usize,
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    kh: usize,
+    kw: usize,
+}
+
+/// Adds one image's contribution to the filter gradient of `C` adjacent
+/// input channels: `dw[c][ky][kx] += Σ_(oy, ox) g[oy][ox] · x_c[sy][sx]`.
+/// `xt` is the image channels-last (`[h * w, c_in]`) starting at the first
+/// of the `C` channels, `dw` starts at its taps. Each of the `C` sums is
+/// accumulated on its own, from `0.0`, in (oy, ox) order with a separate
+/// multiply and add — exactly as if `C` were 1 — so the block size changes
+/// the time and nothing else.
+#[inline(always)]
+fn wgrad_taps<const C: usize>(geo: WgradGeometry, g_img: &[f32], xt: &[f32], dw: &mut [f32]) {
+    let WgradGeometry { spec, c_in, h, w, oh, ow, kh, kw } = geo;
+    for ky in 0..kh {
+        let oys = valid_taps(spec.stride_h, spec.pad_h, ky, h, oh);
+        for kx in 0..kw {
+            let oxs = valid_taps(spec.stride_w, spec.pad_w, kx, w, ow);
+            let mut acc = [0.0f32; C];
+            for oy in oys.clone() {
+                let sy = oy * spec.stride_h + ky - spec.pad_h;
+                for ox in oxs.clone() {
+                    let gv = g_img[oy * ow + ox];
+                    let sx = ox * spec.stride_w + kx - spec.pad_w;
+                    let xs: &[f32; C] = xt[(sy * w + sx) * c_in..][..C].try_into().unwrap();
+                    for (a, &xv) in acc.iter_mut().zip(xs) {
+                        *a += gv * xv;
+                    }
+                }
+            }
+            for (c, a) in acc.iter().enumerate() {
+                dw[c * kh * kw + ky * kw + kx] += a;
+            }
+        }
+    }
+}
 
 impl Tensor {
     /// Batched product with a transposed right operand:
@@ -42,8 +93,8 @@ impl Tensor {
         let n = other.dim(1);
         let a = self.as_slice();
         let bt = other.as_slice();
-        // Pack each batch of `other` ([n, k] → [k, n]), then reuse the
-        // shared blocked kernel — same path as the forward bmm.
+        // Transpose each batch of `other` ([n, k] → [k, n]), then reuse
+        // the shared blocked kernel — same path as the forward bmm.
         let mut packed = pool::filled(b * n * k);
         for bi in 0..b {
             transpose_pack(
@@ -54,7 +105,7 @@ impl Tensor {
             );
         }
         let mut out = pool::zeroed(b * m * n);
-        bmm_into(a, &packed, &mut out, b, m, k, n);
+        bmm_into(a, false, &packed, &mut out, b, m, k, n);
         pool::recycle_vec(packed);
         let result = Tensor::from_vec(&[b, m, n], out)?;
         let macs = (b * m * k * n) as u64;
@@ -94,22 +145,10 @@ impl Tensor {
         }
         let (b, k, m) = (self.dim(0), self.dim(1), self.dim(2));
         let n = other.dim(2);
-        let at = self.as_slice();
-        let bb = other.as_slice();
-        // Pack each batch of `self` ([k, m] → [m, k]), then reuse the
-        // shared blocked kernel.
-        let mut packed = pool::filled(b * k * m);
-        for bi in 0..b {
-            transpose_pack(
-                &at[bi * k * m..(bi + 1) * k * m],
-                k,
-                m,
-                &mut packed[bi * m * k..(bi + 1) * m * k],
-            );
-        }
+        // The shared blocked kernel reads each `[k, m]` batch of `self`
+        // through transposed strides; nothing is packed.
         let mut out = pool::zeroed(b * m * n);
-        bmm_into(&packed, bb, &mut out, b, m, k, n);
-        pool::recycle_vec(packed);
+        bmm_into(self.as_slice(), true, other.as_slice(), &mut out, b, m, k, n);
         let result = Tensor::from_vec(&[b, m, n], out)?;
         let macs = (b * m * k * n) as u64;
         emit_sequential(
@@ -337,46 +376,39 @@ impl Tensor {
 
         // wgrad: one task row per output channel; every dw element is a
         // fixed-order reduction over (image, oy, ox), so it too is
-        // thread-count invariant.
+        // thread-count invariant. Each reduction is one dependent chain of
+        // adds, so `WGRAD_CHAINS` input channels' chains run side by side —
+        // over a channels-last copy of the input, where their operands are
+        // adjacent (a transpose of `x.len()` elements against `c_out * kh *
+        // kw` MACs on each).
+        let geo = WgradGeometry { spec, c_in, h, w, oh, ow, kh, kw };
+        let lvl = simd::level();
+        let mut xt = pool::filled(x.len());
+        for ni in 0..n {
+            let img = ni * in_img..(ni + 1) * in_img;
+            simd::transpose(lvl, &x[img.clone()], c_in, in_ch, 0..in_ch, &mut xt[img]);
+        }
         let mut dw = pool::zeroed(k.len());
         let dw_ranges = par::even_ranges(c_out, chunks);
         par::for_row_ranges_mut(&mut dw, k_oc, &dw_ranges, |_, task_rows, chunk| {
             for (oc, dw_oc) in task_rows.zip(chunk.chunks_exact_mut(k_oc)) {
                 for ni in 0..n {
                     let g_img = &g[ni * out_img + oc * out_ch..][..out_ch];
-                    for ic in 0..c_in {
-                        let x_ch = &x[ni * in_img + ic * in_ch..][..in_ch];
-                        let dw_ch = &mut dw_oc[ic * k_ic..][..k_ic];
-                        for ky in 0..kh {
-                            let oys = valid_taps(spec.stride_h, spec.pad_h, ky, h, oh);
-                            for kx in 0..kw {
-                                let oxs = valid_taps(spec.stride_w, spec.pad_w, kx, w, ow);
-                                let mut acc = 0.0f32;
-                                for oy in oys.clone() {
-                                    let sy = oy * spec.stride_h + ky - spec.pad_h;
-                                    let x_row = &x_ch[sy * w..][..w];
-                                    let g_row = &g_img[oy * ow..][..ow];
-                                    if spec.stride_w == 1 {
-                                        let sx0 = oxs.start + kx - spec.pad_w;
-                                        for (&gv, &xv) in
-                                            g_row[oxs.clone()].iter().zip(&x_row[sx0..])
-                                        {
-                                            acc += gv * xv;
-                                        }
-                                    } else {
-                                        for ox in oxs.clone() {
-                                            acc += g_row[ox]
-                                                * x_row[ox * spec.stride_w + kx - spec.pad_w];
-                                        }
-                                    }
-                                }
-                                dw_ch[ky * kw + kx] += acc;
-                            }
-                        }
+                    let xt_img = &xt[ni * in_img..][..in_img];
+                    let mut blocks = dw_oc.chunks_exact_mut(WGRAD_CHAINS * k_ic);
+                    let mut ic = 0;
+                    for dw_block in &mut blocks {
+                        wgrad_taps::<WGRAD_CHAINS>(geo, g_img, &xt_img[ic..], dw_block);
+                        ic += WGRAD_CHAINS;
+                    }
+                    for dw_ch in blocks.into_remainder().chunks_exact_mut(k_ic) {
+                        wgrad_taps::<1>(geo, g_img, &xt_img[ic..], dw_ch);
+                        ic += 1;
                     }
                 }
             }
         });
+        pool::recycle_vec(xt);
         let macs = (n * c_out * oh * ow * c_in * kh * kw) as u64;
         // dgrad and wgrad each redo the MAC volume of the forward pass.
         emit_sequential(
@@ -574,6 +606,46 @@ mod tests {
                 "dw[{flat}] {} vs fd {fd}",
                 dw.as_slice()[flat]
             );
+        }
+    }
+
+    #[test]
+    fn wgrad_blocks_equal_one_chain_per_tap_bit_for_bit() {
+        // 19 input channels: one block of `WGRAD_CHAINS` and three singles.
+        // The reference is the definition — per (oc, ic, ky, kx) and image,
+        // one chain from 0.0 over (oy, ox), then added to the running dw.
+        let pad = Conv2dSpec { stride_h: 2, stride_w: 1, pad_h: 1, pad_w: 2 };
+        for spec in [Conv2dSpec::default(), pad] {
+            let (n, c_in, h, w, c_out, kh, kw) = (2, WGRAD_CHAINS + 3, 6, 11, 3, 3, 2);
+            let x = Tensor::from_fn(&[n, c_in, h, w], |i| ((i * 7919) % 101) as f32 * 0.03 - 1.5);
+            let k = Tensor::zeros(&[c_out, c_in, kh, kw]);
+            let (oh, ow) = spec.output_size(h, w, kh, kw).unwrap();
+            let g = Tensor::from_fn(&[n, c_out, oh, ow], |i| ((i * 104729) % 37) as f32 * 0.05 - 0.9);
+            let (_, dw) = x.conv2d_backward(&k, spec, &g).unwrap();
+            for oc in 0..c_out {
+                for ic in 0..c_in {
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            let mut want = 0.0f32;
+                            for ni in 0..n {
+                                let mut acc = 0.0f32;
+                                for oy in 0..oh {
+                                    for ox in 0..ow {
+                                        let sy = (oy * spec.stride_h + ky).wrapping_sub(spec.pad_h);
+                                        let sx = (ox * spec.stride_w + kx).wrapping_sub(spec.pad_w);
+                                        if sy < h && sx < w {
+                                            acc += g.get(&[ni, oc, oy, ox]) * x.get(&[ni, ic, sy, sx]);
+                                        }
+                                    }
+                                }
+                                want += acc;
+                            }
+                            let got = dw.get(&[oc, ic, ky, kx]);
+                            assert_eq!(got.to_bits(), want.to_bits(), "dw[{oc},{ic},{ky},{kx}] {spec:?}");
+                        }
+                    }
+                }
+            }
         }
     }
 

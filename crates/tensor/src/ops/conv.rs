@@ -7,7 +7,7 @@
 use super::emit_sequential;
 use crate::cost;
 use crate::instrument::OpClass;
-use crate::{par, pool, Result, Tensor, TensorError};
+use crate::{par, pool, simd, Result, Tensor, TensorError};
 
 /// Padding/stride configuration for [`Tensor::conv2d`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,47 +114,76 @@ impl Tensor {
         let k_ic = kh * kw;
         // One task row per (image, output channel). Within a row, taps fold
         // into each output element in (ic, ky, kw) order — the same order at
-        // every thread count — while the innermost loop runs contiguously
-        // over output columns so it vectorizes instead of branching on
-        // padding per tap.
-        let mut out = pool::zeroed(n * c_out * out_ch);
+        // every thread count and on both paths below.
         let rows = n * c_out;
         let macs_total = rows.saturating_mul(out_ch).saturating_mul(k_oc);
-        let ranges = par::split(rows, macs_total, par::Cost::CONV_MAC);
-        par::for_row_ranges_mut(&mut out, out_ch, &ranges, |_, task_rows, chunk| {
-            for (row, out_row) in task_rows.zip(chunk.chunks_exact_mut(out_ch)) {
-                let (ni, oc) = (row / c_out, row % c_out);
-                for ic in 0..c_in {
-                    let x_ch = &x[ni * in_img + ic * in_ch..][..in_ch];
-                    let k_ch = &k[oc * k_oc + ic * k_ic..][..k_ic];
-                    for ky in 0..kh {
-                        let oys = valid_taps(spec.stride_h, spec.pad_h, ky, h, oh);
-                        for kx in 0..kw {
-                            let kval = k_ch[ky * kw + kx];
-                            let oxs = valid_taps(spec.stride_w, spec.pad_w, kx, w, ow);
-                            for oy in oys.clone() {
-                                let sy = oy * spec.stride_h + ky - spec.pad_h;
-                                let x_row = &x_ch[sy * w..][..w];
-                                let o_row = &mut out_row[oy * ow..][..ow];
-                                if spec.stride_w == 1 {
-                                    let sx0 = oxs.start + kx - spec.pad_w;
-                                    for (o, &xv) in
-                                        o_row[oxs.clone()].iter_mut().zip(&x_row[sx0..])
-                                    {
-                                        *o += kval * xv;
-                                    }
-                                } else {
-                                    for ox in oxs.clone() {
-                                        o_row[ox] +=
-                                            kval * x_row[ox * spec.stride_w + kx - spec.pad_w];
+        let unit = spec == Conv2dSpec::default();
+        // The unit path writes every output once; the general one adds into it.
+        let (cost, mut out) = if unit {
+            (par::Cost::CONV_MAC, pool::filled(rows * out_ch))
+        } else {
+            (par::Cost::CONV_STRIDED_MAC, pool::zeroed(rows * out_ch))
+        };
+        let ranges = par::split(rows, macs_total, cost);
+        if unit {
+            // Stride 1, no padding (every STGCN convolution): each output
+            // element is one tap sum over a window that is contiguous along
+            // the row, so `simd::tap_sum` keeps a strip of outputs in
+            // registers across all `c_in * kh * kw` taps instead of sweeping
+            // the plane once per tap. A one-column kernel (`ow == w`) makes
+            // the whole plane one such row.
+            let lvl = simd::level();
+            let offsets: Vec<usize> = (0..k_oc)
+                .map(|t| (t / k_ic) * in_ch + (t % k_ic / kw) * w + t % kw)
+                .collect();
+            let strip_len = if kw == 1 { out_ch } else { ow };
+            par::for_row_ranges_mut(&mut out, out_ch, &ranges, |_, task_rows, chunk| {
+                for (row, out_row) in task_rows.zip(chunk.chunks_exact_mut(out_ch)) {
+                    let (ni, oc) = (row / c_out, row % c_out);
+                    let taps = &k[oc * k_oc..][..k_oc];
+                    for (oy, strip) in out_row.chunks_exact_mut(strip_len).enumerate() {
+                        simd::tap_sum(lvl, strip, taps, &offsets, &x[ni * in_img + oy * w..]);
+                    }
+                }
+            });
+        } else {
+            // The innermost loop runs contiguously over output columns so
+            // it vectorizes instead of branching on padding per tap.
+            par::for_row_ranges_mut(&mut out, out_ch, &ranges, |_, task_rows, chunk| {
+                for (row, out_row) in task_rows.zip(chunk.chunks_exact_mut(out_ch)) {
+                    let (ni, oc) = (row / c_out, row % c_out);
+                    for ic in 0..c_in {
+                        let x_ch = &x[ni * in_img + ic * in_ch..][..in_ch];
+                        let k_ch = &k[oc * k_oc + ic * k_ic..][..k_ic];
+                        for ky in 0..kh {
+                            let oys = valid_taps(spec.stride_h, spec.pad_h, ky, h, oh);
+                            for kx in 0..kw {
+                                let kval = k_ch[ky * kw + kx];
+                                let oxs = valid_taps(spec.stride_w, spec.pad_w, kx, w, ow);
+                                for oy in oys.clone() {
+                                    let sy = oy * spec.stride_h + ky - spec.pad_h;
+                                    let x_row = &x_ch[sy * w..][..w];
+                                    let o_row = &mut out_row[oy * ow..][..ow];
+                                    if spec.stride_w == 1 {
+                                        let sx0 = oxs.start + kx - spec.pad_w;
+                                        for (o, &xv) in
+                                            o_row[oxs.clone()].iter_mut().zip(&x_row[sx0..])
+                                        {
+                                            *o += kval * xv;
+                                        }
+                                    } else {
+                                        for ox in oxs.clone() {
+                                            o_row[ox] += kval
+                                                * x_row[ox * spec.stride_w + kx - spec.pad_w];
+                                        }
                                     }
                                 }
                             }
                         }
                     }
                 }
-            }
-        });
+            });
+        }
         let result = Tensor::from_vec(&[n, c_out, oh, ow], out)?;
         let macs = (n * c_out * oh * ow * c_in * kh * kw) as u64;
         emit_sequential(
@@ -266,6 +295,63 @@ mod tests {
         let y = x.conv2d(&k, Conv2dSpec::default()).unwrap();
         assert_eq!(y.dims(), &[1, 1, 2, 2]);
         assert!(y.as_slice().iter().all(|&v| v == 4.0));
+    }
+
+    /// The definition, one output element at a time: taps folded in
+    /// (ic, ky, kx) order from `0.0`, a multiply then an add per tap.
+    fn conv2d_by_definition(x: &Tensor, k: &Tensor, spec: Conv2dSpec) -> Tensor {
+        let (n, c_in, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
+        let (c_out, kh, kw) = (k.dim(0), k.dim(2), k.dim(3));
+        let (oh, ow) = spec.output_size(h, w, kh, kw).unwrap();
+        let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
+        for ni in 0..n {
+            for oc in 0..c_out {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = 0.0f32;
+                        for ic in 0..c_in {
+                            for ky in 0..kh {
+                                for kx in 0..kw {
+                                    let sy = (oy * spec.stride_h + ky).wrapping_sub(spec.pad_h);
+                                    let sx = (ox * spec.stride_w + kx).wrapping_sub(spec.pad_w);
+                                    if sy < h && sx < w {
+                                        acc += k.get(&[oc, ic, ky, kx]) * x.get(&[ni, ic, sy, sx]);
+                                    }
+                                }
+                            }
+                        }
+                        out.set(&[ni, oc, oy, ox], acc);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn both_paths_equal_the_definition_bit_for_bit_in_every_lane() {
+        use crate::simd::{self, SimdLevel};
+        let pad = Conv2dSpec { stride_h: 1, stride_w: 2, pad_h: 1, pad_w: 1 };
+        // Unit spec with a one-column kernel (the plane is one strip: 3 x 23
+        // = 69 outputs, two full strips and a tail), unit spec with a wide
+        // kernel (one strip per output row: 35 = a strip and a tail), and
+        // the general path.
+        for (xd, kd, spec) in [
+            ([2, 3, 5, 23], [4, 3, 3, 1], Conv2dSpec::default()),
+            ([1, 2, 4, 37], [3, 2, 2, 3], Conv2dSpec::default()),
+            ([1, 2, 5, 9], [3, 2, 3, 3], pad),
+        ] {
+            let x = Tensor::from_fn(&xd, |i| ((i * 7919) % 101) as f32 * 0.03 - 1.5);
+            let k = Tensor::from_fn(&kd, |i| ((i * 104729) % 37) as f32 * 0.05 - 0.9);
+            let want = conv2d_by_definition(&x, &k, spec);
+            for lvl in [SimdLevel::Scalar, simd::detect()] {
+                let got = simd::with_level(lvl, || x.conv2d(&k, spec).unwrap());
+                assert_eq!(got.dims(), want.dims());
+                for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{xd:?} {} [{i}]", lvl.as_str());
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,11 +6,14 @@
 //! per-kernel GFLOPS (mid-300s on the V100).
 //!
 //! All variants (NN, NT, TN, batched) execute through one cache-blocked,
-//! unroll-by-8 micro-kernel ([`gemm_kernel`]); the transposed layouts pack
-//! their transposed operand into a row-major panel first, exactly like a
-//! BLAS `?gemm` pack step. Row blocks run on the [`crate::par`] pool; each
-//! output row is accumulated in a fixed k-order by exactly one task, so
-//! results are bit-identical at every thread count.
+//! unroll-by-8 micro-kernel ([`gemm_kernel`]). It reads its left operand
+//! through row/k strides, so a transposed left operand (TN) is read where
+//! it lies: the kernel only ever wants eight `a` scalars per panel. The right operand it streams in rows, so a transposed right
+//! operand (NT) is transposed once first ([`transpose_pack`]). Row blocks
+//! run on the [`crate::par`] pool; each output row is accumulated in a
+//! fixed k-order by exactly one task, so results are bit-identical at every
+//! thread count, and identical between a layout flag and an explicit
+//! transpose.
 
 use std::ops::Range;
 
@@ -53,44 +56,84 @@ fn check_pair(
     Ok(())
 }
 
-/// The shared micro-kernel: `C += A·B` for a block of `rows` rows.
+/// The shared micro-kernel: `C += A·B` for the block `rows` of A's rows.
 ///
-/// `a` is the row block (`rows × k`), `b` the full right operand
-/// (`k × n`), `c` the matching output block (`rows × n`), all row-major.
-/// k advances through fixed `KC` panels with an 8-deep unrolled update, so
-/// the accumulation order of every output element depends only on `k` —
-/// never on how rows were partitioned across threads. The 8-deep panel
-/// update and the scalar k-tail both dispatch through [`crate::simd`] at
-/// `lvl` — the caller resolves the level once on the requesting thread so
-/// pool workers inherit it.
+/// `a` is the whole left operand — `[m, k]` row-major, or `[k, m]` when
+/// `a_transposed` (the TN layouts), read where it lies either way — `b` the
+/// full right operand (`k × n`, row-major) and `c` the output block matching
+/// `rows` (`rows.len() × n`, row-major). k advances through fixed `KC` panels
+/// with an 8-deep unrolled update, so the accumulation order of every
+/// output element depends only on `k` — never on how rows were partitioned
+/// across threads, nor on A's layout. The 8-deep panel update and the
+/// scalar k-tail both dispatch through [`crate::simd`] at `lvl` — the
+/// caller resolves the level once on the requesting thread so pool workers
+/// inherit it.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_kernel(
     lvl: SimdLevel,
     a: &[f32],
+    a_transposed: bool,
+    rows: Range<usize>,
     b: &[f32],
     c: &mut [f32],
-    rows: usize,
+    m: usize,
     k: usize,
     n: usize,
 ) {
-    debug_assert_eq!(a.len(), rows * k);
+    // One body, compiled once per layout: element `(i, kk)` of A sits at
+    // `i * row + kk * col`, and the row-major instance borrows its
+    // eight-scalar panels where the transposed one gathers them.
+    if a_transposed {
+        gemm_body::<true>(lvl, a, 1, m, rows, b, c, k, n);
+    } else {
+        gemm_body::<false>(lvl, a, k, 1, rows, b, c, k, n);
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn gemm_body<const GATHER: bool>(
+    lvl: SimdLevel,
+    a: &[f32],
+    row: usize,
+    col: usize,
+    rows: Range<usize>,
+    b: &[f32],
+    c: &mut [f32],
+    k: usize,
+    n: usize,
+) {
     debug_assert!(b.len() >= k * n);
-    debug_assert_eq!(c.len(), rows * n);
+    debug_assert_eq!(c.len(), rows.len() * n);
+    if n == 0 {
+        return;
+    }
+    // The eight scalars `(i, kk..kk + 8)` of one panel update.
+    macro_rules! panel {
+        ($buf:ident, $i:expr, $kk:expr) => {{
+            let base = $i * row + $kk * col;
+            if GATHER {
+                $buf = std::array::from_fn(|r| a[base + r * col]);
+                &$buf
+            } else {
+                <&[f32; 8]>::try_from(&a[base..base + 8]).unwrap()
+            }
+        }};
+    }
     for k0 in (0..k).step_by(KC) {
         let k1 = (k0 + KC).min(k);
         // Pair output rows so the AVX2 lane reuses each loaded B lane for
         // two C rows; rows never mix, so every output element still
         // accumulates in pure k-order.
-        let mut i = 0;
-        while i + 2 <= rows {
-            let (head, tail) = c.split_at_mut((i + 1) * n);
-            let c_row0 = &mut head[i * n..];
-            let c_row1 = &mut tail[..n];
-            let a_row0 = &a[i * k..(i + 1) * k];
-            let a_row1 = &a[(i + 1) * k..(i + 2) * k];
+        let mut pairs = c.chunks_exact_mut(2 * n);
+        let mut i = rows.start;
+        for pair in &mut pairs {
+            let (c_row0, c_row1) = pair.split_at_mut(n);
             let mut kk = k0;
             while kk + 8 <= k1 {
-                let al0: &[f32; 8] = a_row0[kk..kk + 8].try_into().unwrap();
-                let al1: &[f32; 8] = a_row1[kk..kk + 8].try_into().unwrap();
+                let (buf0, buf1): ([f32; 8], [f32; 8]);
+                let al0 = panel!(buf0, i, kk);
+                let al1 = panel!(buf1, i + 1, kk);
                 // Skip fully-zero a-panels (ReLU activations are sparse);
                 // data-dependent, so identical at every thread count.
                 let z0 = al0 == &[0.0; 8];
@@ -106,11 +149,11 @@ pub(crate) fn gemm_kernel(
             }
             while kk < k1 {
                 let b_row = &b[kk * n..][..n];
-                let a0 = a_row0[kk];
+                let a0 = a[i * row + kk * col];
                 if a0 != 0.0 {
                     simd::axpy(lvl, c_row0, a0, b_row);
                 }
-                let a1 = a_row1[kk];
+                let a1 = a[(i + 1) * row + kk * col];
                 if a1 != 0.0 {
                     simd::axpy(lvl, c_row1, a1, b_row);
                 }
@@ -118,21 +161,19 @@ pub(crate) fn gemm_kernel(
             }
             i += 2;
         }
-        if i < rows {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..i * n + n];
+        let c_row = pairs.into_remainder();
+        if !c_row.is_empty() {
             let mut kk = k0;
             while kk + 8 <= k1 {
-                let al: &[f32; 8] = a_row[kk..kk + 8].try_into().unwrap();
-                if al == &[0.0; 8] {
-                    kk += 8;
-                    continue;
+                let buf: [f32; 8];
+                let al = panel!(buf, i, kk);
+                if al != &[0.0; 8] {
+                    simd::axpy8(lvl, c_row, al, &b[kk * n..(kk + 8) * n], n);
                 }
-                simd::axpy8(lvl, c_row, al, &b[kk * n..(kk + 8) * n], n);
                 kk += 8;
             }
             while kk < k1 {
-                let aik = a_row[kk];
+                let aik = a[i * row + kk * col];
                 if aik != 0.0 {
                     simd::axpy(lvl, c_row, aik, &b[kk * n..][..n]);
                 }
@@ -149,35 +190,33 @@ fn gemm_row_ranges(rows: usize, k: usize, n: usize) -> Vec<Range<usize>> {
 }
 
 /// `out = A·B` over the pool, row-block parallel. `out` must be zeroed.
-pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+fn matmul_into(
+    a: &[f32],
+    a_transposed: bool,
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let lvl = simd::level();
     let ranges = gemm_row_ranges(m, k, n);
     par::for_row_ranges_mut(out, n, &ranges, |_, r, chunk| {
-        gemm_kernel(lvl, &a[r.start * k..r.end * k], b, chunk, r.len(), k, n);
+        gemm_kernel(lvl, a, a_transposed, r, b, chunk, m, k, n);
     });
 }
 
-/// Cache-blocked transpose of a row-major `rows × cols` slice into `dst`
-/// (`cols × rows`): the pack step for the NT/TN layouts.
+/// Transpose of a row-major `rows × cols` slice into `dst` (`cols × rows`):
+/// the pack step of the NT layouts, and `transpose2d`. Destination rows
+/// (= source columns) are partitioned across the pool; each block goes
+/// through [`simd::transpose`].
 pub(crate) fn transpose_pack(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     debug_assert_eq!(src.len(), rows * cols);
     debug_assert_eq!(dst.len(), rows * cols);
-    const T: usize = 32;
+    let lvl = simd::level();
     let ranges = par::split(cols, rows * cols, par::Cost::ELEMENT);
-    // Partition destination rows (= source columns): disjoint writes.
     par::for_row_ranges_mut(dst, rows, &ranges, |_, cr, chunk| {
-        for c0 in (cr.start..cr.end).step_by(T) {
-            let c1 = (c0 + T).min(cr.end);
-            for r0 in (0..rows).step_by(T) {
-                let r1 = (r0 + T).min(rows);
-                for c in c0..c1 {
-                    let drow = &mut chunk[(c - cr.start) * rows..(c - cr.start) * rows + rows];
-                    for r in r0..r1 {
-                        drow[r] = src[r * cols + c];
-                    }
-                }
-            }
-        }
+        simd::transpose(lvl, src, rows, cols, cr, chunk);
     });
 }
 
@@ -192,7 +231,7 @@ impl Tensor {
         let (m, k) = (self.dim(0), self.dim(1));
         let n = other.dim(1);
         let mut out = pool::zeroed(m * n);
-        matmul_into(self.as_slice(), other.as_slice(), &mut out, m, k, n);
+        matmul_into(self.as_slice(), false, other.as_slice(), &mut out, m, k, n);
         let result = Tensor::from_vec(&[m, n], out)?;
 
         let macs = (m * k * n) as u64;
@@ -256,8 +295,8 @@ impl Tensor {
     /// `self` (`[m, k]`) × `otherᵀ` where `other` is `[n, k]`.
     ///
     /// Real BLAS libraries provide this as a layout flag (`gemm_nt`), so no
-    /// transpose kernel runs — backward passes and attention use it. Here
-    /// `other` is packed (transposed) once and the product runs through the
+    /// transpose kernel is *profiled* — backward passes and attention use
+    /// it. Here `other` is transposed once and the product runs through the
     /// same blocked micro-kernel as [`Tensor::matmul`], so NT results are
     /// bit-identical to `matmul` against an explicitly transposed operand.
     ///
@@ -271,7 +310,7 @@ impl Tensor {
         let mut packed = pool::filled(n * k);
         transpose_pack(other.as_slice(), n, k, &mut packed); // [n,k] → [k,n]
         let mut out = pool::zeroed(m * n);
-        matmul_into(self.as_slice(), &packed, &mut out, m, k, n);
+        matmul_into(self.as_slice(), false, &packed, &mut out, m, k, n);
         pool::recycle_vec(packed);
         let result = Tensor::from_vec(&[m, n], out)?;
         let macs = (m * k * n) as u64;
@@ -290,8 +329,9 @@ impl Tensor {
     /// Matrix product with a transposed left operand:
     /// `selfᵀ` (`self` is `[k, m]`) × `other` (`[k, n]`).
     ///
-    /// Packs `self` and runs the shared blocked micro-kernel (see
-    /// [`Tensor::matmul_nt`]).
+    /// No pack: the shared micro-kernel reads `self` through transposed
+    /// strides, in the same k-order as [`Tensor::matmul`] reads an
+    /// explicitly transposed copy, so the two are bit-identical.
     ///
     /// # Errors
     /// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`]
@@ -300,11 +340,8 @@ impl Tensor {
         check_pair("matmul_tn", self, other, 2, 0, 0)?;
         let (k, m) = (self.dim(0), self.dim(1));
         let n = other.dim(1);
-        let mut packed = pool::filled(k * m);
-        transpose_pack(self.as_slice(), k, m, &mut packed); // [k,m] → [m,k]
         let mut out = pool::zeroed(m * n);
-        matmul_into(&packed, other.as_slice(), &mut out, m, k, n);
-        pool::recycle_vec(packed);
+        matmul_into(self.as_slice(), true, other.as_slice(), &mut out, m, k, n);
         let result = Tensor::from_vec(&[m, n], out)?;
         let macs = (m * k * n) as u64;
         emit_sequential(
@@ -332,7 +369,7 @@ impl Tensor {
         let (b, m, k) = (self.dim(0), self.dim(1), self.dim(2));
         let n = other.dim(2);
         let mut out = pool::zeroed(b * m * n);
-        bmm_into(self.as_slice(), other.as_slice(), &mut out, b, m, k, n);
+        bmm_into(self.as_slice(), false, other.as_slice(), &mut out, b, m, k, n);
         let result = Tensor::from_vec(&[b, m, n], out)?;
         let macs = (b * m * k * n) as u64;
         emit_sequential(
@@ -350,9 +387,12 @@ impl Tensor {
 
 /// Batched `out += A·B`: the flattened `b*m` output rows are partitioned
 /// across the pool; each task dispatches per-batch segments to
-/// [`gemm_kernel`]. `out` must be zeroed.
+/// [`gemm_kernel`]. Every batch of `a` holds `m * k` elements, as `[m, k]`
+/// or — `a_transposed` — as `[k, m]`. `out` must be zeroed.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn bmm_into(
     a: &[f32],
+    a_transposed: bool,
     bmat: &[f32],
     out: &mut [f32],
     batches: usize,
@@ -367,13 +407,14 @@ pub(crate) fn bmm_into(
         while row < r.end {
             let bi = row / m;
             let seg_end = r.end.min((bi + 1) * m);
-            let (r0, rows) = (row - bi * m, seg_end - row);
             gemm_kernel(
                 lvl,
-                &a[bi * m * k + r0 * k..bi * m * k + (r0 + rows) * k],
+                &a[bi * m * k..(bi + 1) * m * k],
+                a_transposed,
+                row - bi * m..seg_end - bi * m,
                 &bmat[bi * k * n..(bi + 1) * k * n],
                 &mut chunk[(row - r.start) * n..(seg_end - r.start) * n],
-                rows,
+                m,
                 k,
                 n,
             );

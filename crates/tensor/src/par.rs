@@ -80,16 +80,23 @@ impl Cost {
     /// One nnz × dense-column update of SpMM (`spmm_4k_32knnz_t1`:
     /// 0.047 ns).
     pub(crate) const SPMM_MAC: Cost = Cost(50);
-    /// One multiply-accumulate of the direct forward convolution (STGCN's
-    /// `Scale::Small` shapes and `conv2d_temporal`: 0.16–0.22 ns).
-    pub(crate) const CONV_MAC: Cost = Cost(200);
-    /// One forward multiply-accumulate's worth of *each* convolution
-    /// gradient (dgrad, wgrad): wgrad reduces into a scalar and does not
-    /// vectorize (0.67 ns on the same shapes).
-    pub(crate) const CONV_GRAD_MAC: Cost = Cost(700);
+    /// One multiply-accumulate of the direct forward convolution at stride
+    /// 1 without padding, where a strip of outputs stays in registers
+    /// across all taps (`conv2d_temporal` and STGCN's `Scale::Small`
+    /// shapes, one thread: 0.054–0.056 ns).
+    pub(crate) const CONV_MAC: Cost = Cost(60);
+    /// The same under any other stride or padding, where every tap sweeps
+    /// the output plane (a padded 3 × 3 over `[2, 8, 16, 16]`: 0.30 ns).
+    pub(crate) const CONV_STRIDED_MAC: Cost = Cost(300);
+    /// One forward multiply-accumulate's worth of a convolution gradient.
+    /// dgrad and wgrad fork on one plan, priced at the dearer of the two:
+    /// dgrad, an axpy per tap, 0.20 ns; wgrad, a block of add chains side
+    /// by side, 0.09 ns (`conv2d_backward_temporal` and STGCN's shapes, one
+    /// thread: 0.25–0.30 ns for the pair).
+    pub(crate) const CONV_GRAD_MAC: Cost = Cost(200);
     /// One element streamed by an element-wise, gather, reduce or
     /// transpose kernel (`relu_1m_t1`: 0.40 ns; from 0.12 ns for the SIMD
-    /// reductions to 1 ns for a strided transpose).
+    /// reductions to 1 ns for the scalar lane's strided transpose).
     pub(crate) const ELEMENT: Cost = Cost(500);
     /// One element through a scalar libm call: row softmax, `exp`, `log`,
     /// `sigmoid`, `tanh`, `pow` (`softmax_32kx32_t1`: 4.1 ns; `sigmoid`

@@ -15,7 +15,10 @@
 //!   softmax).
 //!
 //! Buffers come back via [`recycle`] / [`recycle_vec`] — the autograd tape
-//! feeds consumed gradient temporaries here during the backward pass. The
+//! feeds consumed gradient temporaries here during the backward pass.
+//! Tensor storage is shared and copy-on-write, so [`recycle`] takes a
+//! buffer only from its last handle: one that a parameter, a reshape or
+//! another tape node still holds is never handed out for overwriting. The
 //! pool is strictly thread-local: parallel kernel workers never touch it
 //! (they write into a caller-provided buffer), so no locks are paid.
 
@@ -125,9 +128,14 @@ pub fn filled(len: usize) -> Vec<f32> {
     take(len).unwrap_or_else(|| vec![0.0f32; len])
 }
 
-/// Returns a tensor's data buffer to the pool.
+/// Returns a tensor's data buffer to the pool — if `t` is the only handle
+/// to it. Tensor storage is shared (see [`Tensor`]): a buffer that a clone,
+/// a reshape or a tape node still reads stays theirs, and `t` is simply
+/// dropped, without a copy. The last handle to reach here recycles it.
 pub fn recycle(t: Tensor) {
-    recycle_vec(t.into_vec());
+    if let Some(v) = t.into_unique_vec() {
+        recycle_vec(v);
+    }
 }
 
 /// Returns a raw buffer to the pool. Buffers whose capacity differs from
@@ -257,6 +265,25 @@ mod tests {
         assert_eq!(stats().recycled, 1);
         let v = filled(16);
         assert!(v.iter().all(|&x| x == 1.0));
+        clear();
+    }
+
+    #[test]
+    fn recycling_a_shared_tensor_neither_recycles_nor_copies() {
+        clear();
+        let a = Tensor::ones(&[4, 4]);
+        let b = a.clone();
+        let view = a.reshape(&[16]).unwrap();
+        let buf = a.as_slice().as_ptr();
+        recycle(a);
+        recycle(view);
+        assert_eq!(stats().recycled, 0, "two other handles still read it");
+        assert_eq!(b.as_slice().as_ptr(), buf, "the survivor was not copied");
+        assert!(b.as_slice().iter().all(|&x| x == 1.0));
+        recycle(b);
+        assert_eq!(stats().recycled, 1, "the last handle gives the buffer back");
+        let reused = filled(16);
+        assert_eq!(reused.as_ptr(), buf);
         clear();
     }
 

@@ -29,6 +29,7 @@
 //! verification gate is honored) and capture it into the parallel closure.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Instruction-set lane the microkernels execute with.
@@ -225,6 +226,8 @@ pub enum UnOp {
 // ---------------------------------------------------------------------------
 
 mod scalar {
+    use std::ops::Range;
+
     use super::{BinOp, UnOp};
 
     pub fn binary(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -292,6 +295,58 @@ mod scalar {
         }
     }
 
+    /// The body every lane of [`super::tap_sum`] runs: a strip of `STRIP`
+    /// outputs is held in registers across all taps. `inline(always)` so the
+    /// AVX2 wrapper compiles it with 256-bit registers; neither instance may
+    /// contract or reorder, so they agree bit for bit.
+    #[inline(always)]
+    pub fn tap_sum(dst: &mut [f32], weights: &[f32], offsets: &[usize], src: &[f32]) {
+        const STRIP: usize = 32;
+        let mut base = 0;
+        let mut strips = dst.chunks_exact_mut(STRIP);
+        for strip in &mut strips {
+            let mut acc = [0.0f32; STRIP];
+            for (&wt, &off) in weights.iter().zip(offsets) {
+                let x: &[f32; STRIP] = src[off + base..][..STRIP].try_into().unwrap();
+                for (a, &xv) in acc.iter_mut().zip(x) {
+                    *a += wt * xv;
+                }
+            }
+            strip.copy_from_slice(&acc);
+            base += STRIP;
+        }
+        let tail = strips.into_remainder();
+        if tail.is_empty() {
+            return;
+        }
+        let mut acc = [0.0f32; STRIP];
+        let acc = &mut acc[..tail.len()];
+        for (&wt, &off) in weights.iter().zip(offsets) {
+            for (a, &xv) in acc.iter_mut().zip(&src[off + base..]) {
+                *a += wt * xv;
+            }
+        }
+        tail.copy_from_slice(acc);
+    }
+
+    /// Cache-blocked: 32 × 32 tiles keep the strided reads of one tile in
+    /// L1 while its destination rows are written.
+    pub fn transpose(src: &[f32], rows: usize, stride: usize, cols: Range<usize>, dst: &mut [f32]) {
+        const T: usize = 32;
+        for c0 in cols.clone().step_by(T) {
+            let c1 = (c0 + T).min(cols.end);
+            for r0 in (0..rows).step_by(T) {
+                let r1 = (r0 + T).min(rows);
+                for c in c0..c1 {
+                    let drow = &mut dst[(c - cols.start) * rows..][..rows];
+                    for r in r0..r1 {
+                        drow[r] = src[r * stride + c];
+                    }
+                }
+            }
+        }
+    }
+
     pub fn vsum(xs: &[f32]) -> f32 {
         xs.iter().sum()
     }
@@ -332,6 +387,7 @@ mod x86 {
 
     use super::{BinOp, UnOp};
     use std::arch::x86_64::*;
+    use std::ops::Range;
 
     // ---- SSE2 (always available on x86_64) --------------------------------
 
@@ -1004,6 +1060,78 @@ mod x86 {
         }
     }
 
+    /// 8 × 8 blocks transposed in registers (unpack / shuffle / 128-bit
+    /// permute), walked in 32-column bands so a band's source lines are
+    /// used whole before they leave L1; the ragged right and bottom strips
+    /// (fewer than 8 wide) take the plain loop. A pure permutation: bits
+    /// move, none change.
+    ///
+    /// # Safety
+    /// Requires `avx2`; `src` must hold `(rows - 1) * stride + cols.end`
+    /// elements and `dst` `cols.len() * rows` (checked by
+    /// [`super::transpose`]).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn transpose_avx2(
+        src: &[f32],
+        rows: usize,
+        stride: usize,
+        cols: Range<usize>,
+        dst: &mut [f32],
+    ) {
+        const BAND: usize = 32;
+        let rows8 = rows & !7;
+        let cols8 = cols.start + (cols.len() & !7);
+        let sp = src.as_ptr();
+        let dp = dst.as_mut_ptr();
+        for c0 in (cols.start..cols8).step_by(BAND) {
+            let c1 = (c0 + BAND).min(cols8);
+            for r0 in (0..rows8).step_by(8) {
+                for c in (c0..c1).step_by(8) {
+                    let s = sp.add(r0 * stride + c);
+                    let r: [__m256; 8] = std::array::from_fn(|i| _mm256_loadu_ps(s.add(i * stride)));
+                    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+                    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+                    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+                    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+                    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+                    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+                    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+                    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+                    let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+                    let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+                    let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+                    let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+                    let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+                    let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+                    let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+                    let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+                    let d = dp.add((c - cols.start) * rows + r0);
+                    _mm256_storeu_ps(d, _mm256_permute2f128_ps::<0x20>(u0, u4));
+                    _mm256_storeu_ps(d.add(rows), _mm256_permute2f128_ps::<0x20>(u1, u5));
+                    _mm256_storeu_ps(d.add(2 * rows), _mm256_permute2f128_ps::<0x20>(u2, u6));
+                    _mm256_storeu_ps(d.add(3 * rows), _mm256_permute2f128_ps::<0x20>(u3, u7));
+                    _mm256_storeu_ps(d.add(4 * rows), _mm256_permute2f128_ps::<0x31>(u0, u4));
+                    _mm256_storeu_ps(d.add(5 * rows), _mm256_permute2f128_ps::<0x31>(u1, u5));
+                    _mm256_storeu_ps(d.add(6 * rows), _mm256_permute2f128_ps::<0x31>(u2, u6));
+                    _mm256_storeu_ps(d.add(7 * rows), _mm256_permute2f128_ps::<0x31>(u3, u7));
+                }
+            }
+        }
+        for c in cols.clone() {
+            let edge = if c < cols8 { rows8 } else { 0 };
+            for r in edge..rows {
+                dst[(c - cols.start) * rows + r] = src[r * stride + c];
+            }
+        }
+    }
+
+    /// [`super::scalar::tap_sum`] compiled for 256-bit registers. `fma` is
+    /// deliberately not enabled: nothing here may contract.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn tap_sum_avx2(dst: &mut [f32], weights: &[f32], offsets: &[usize], src: &[f32]) {
+        super::scalar::tap_sum(dst, weights, offsets, src)
+    }
+
     /// Horizontal sum of one 256-bit register in fixed lane order.
     #[inline]
     unsafe fn hsum256(v: __m256) -> f32 {
@@ -1390,6 +1518,57 @@ pub fn axpy8x2(
             axpy8(lvl, dst0, a0, b, stride);
             axpy8(lvl, dst1, a1, b, stride);
         }
+    }
+}
+
+/// A sum of weighted, shifted windows of `src`, the direct convolution's
+/// inner loop: `dst[j] = Σ_t weights[t] · src[offsets[t] + j]`, summed from
+/// `0.0` in `t` order with a separate multiply and add per tap. Every lane
+/// runs the same loop — a strip of 32 outputs stays in registers across all
+/// taps — so all lanes agree exactly; AVX2 only widens the registers.
+///
+/// # Panics
+/// Panics if a window `offsets[t] .. offsets[t] + dst.len()` leaves `src`.
+pub fn tap_sum(lvl: SimdLevel, dst: &mut [f32], weights: &[f32], offsets: &[usize], src: &[f32]) {
+    debug_assert_eq!(weights.len(), offsets.len());
+    match lvl {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the level is only ever `Avx2` when the CPU has it; the
+        // body is safe code and bounds-checks every window itself.
+        SimdLevel::Avx2 => unsafe { x86::tap_sum_avx2(dst, weights, offsets, src) },
+        _ => scalar::tap_sum(dst, weights, offsets, src),
+    }
+}
+
+/// Transposes columns `cols` of a row-major `rows × stride` matrix into
+/// `dst` (`cols.len() × rows`, row-major): `dst[(c - cols.start) * rows + r]
+/// = src[r * stride + c]`. The pack step of the NT GEMM layouts and
+/// `transpose2d`. Every lane moves the same bits, so all lanes agree
+/// exactly; AVX2 transposes 8 × 8 blocks in registers, the other lanes run
+/// the cache-blocked scalar loop.
+///
+/// # Panics
+/// Panics if `src` or `dst` is too short for the shape.
+pub fn transpose(
+    lvl: SimdLevel,
+    src: &[f32],
+    rows: usize,
+    stride: usize,
+    cols: Range<usize>,
+    dst: &mut [f32],
+) {
+    assert!(cols.start <= cols.end && cols.end <= stride, "columns outside the row");
+    assert!(
+        rows == 0 || src.len() >= (rows - 1) * stride + cols.end,
+        "source shorter than rows × stride"
+    );
+    assert!(dst.len() >= cols.len() * rows, "destination too short");
+    match lvl {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the level is only ever `Avx2` when the CPU has it
+        // (`clamp_supported`), and the lengths were checked above.
+        SimdLevel::Avx2 => unsafe { x86::transpose_avx2(src, rows, stride, cols, dst) },
+        _ => scalar::transpose(src, rows, stride, cols, dst),
     }
 }
 

@@ -30,8 +30,8 @@ fn gnn_sized_kernels_plan_one_chunk_and_large_ones_fork() {
     let src = Tensor::from_fn(&[32_768, 32], |i| (i % 23) as f32 * 0.1);
     let idx = IntTensor::from_vec(&[32_768], (0..32_768).map(|i| (i * 97) % 2048).collect())
         .unwrap();
-    // `matmul_tn` packs its `[4, 256]` left operand: a 256-column pack,
-    // which the column-count rule used to fork on its own.
+    // A thin transposed operand: `matmul_tn` reads the `[4, 256]` matrix
+    // in place, so there is one region to plan and it is tiny.
     let thin = Tensor::from_fn(&[4, 256], |i| i as f32 * 0.01);
     let rhs = Tensor::from_fn(&[4, 8], |i| i as f32 * 0.1);
     for t in [1usize, 2, 4, 8] {
@@ -44,7 +44,7 @@ fn gnn_sized_kernels_plan_one_chunk_and_large_ones_fork() {
                 pooled_regions(|| drop(src.scatter_add_rows(&idx, 2048).unwrap())),
             ),
             (
-                "256 x 4 transpose_pack + product",
+                "256 x 4 x 8 matmul_tn",
                 pooled_regions(|| drop(thin.matmul_tn(&rhs).unwrap())),
             ),
         ] {
@@ -79,8 +79,14 @@ fn tasks_on_helpers(rounds: usize) -> usize {
     let on_helpers = AtomicUsize::new(0);
     for _ in 0..rounds {
         par::run(8, &|_| {
-            // Long enough for a woken helper to claim a share.
-            std::hint::black_box((0..20_000u64).sum::<u64>());
+            // Long enough for a woken helper to claim a share. Opaque per
+            // iteration: a plain `(0..n).sum()` folds to a constant under
+            // `--release` and the caller drains all eight tasks alone.
+            let mut acc = 0u64;
+            for i in 0..20_000u64 {
+                acc = std::hint::black_box(acc + i);
+            }
+            std::hint::black_box(acc);
             if std::thread::current().id() != caller {
                 on_helpers.fetch_add(1, Ordering::Relaxed);
             }
