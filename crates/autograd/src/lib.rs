@@ -12,6 +12,10 @@
 //! scatters, GEMMs into transposed GEMMs — exactly the property the GNNMark
 //! paper's training-time characterization depends on.
 //!
+//! A forward written against [`Var`] is also the model's inference path:
+//! under a [`NoGradGuard`] the same ops run and nothing is recorded (see
+//! [`nograd`]).
+//!
 //! ## Example
 //!
 //! ```

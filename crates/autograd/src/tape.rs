@@ -96,7 +96,10 @@ impl Drop for TapeInner {
 /// Create one per training step, build the forward computation with
 /// [`Var`] operations, then call [`Tape::backward`] on the (scalar) loss.
 /// The tape is intentionally `!Send`: the multi-GPU simulator runs one
-/// independent tape per modeled device thread.
+/// independent tape per modeled device thread. While a
+/// [`crate::NoGradGuard`] is alive on the thread the tape records nothing:
+/// [`Tape::constant`], [`Tape::leaf`] and [`Tape::read`] hand back `Var`s
+/// that carry their value, and ops on those stay off the tape.
 #[derive(Clone, Default)]
 pub struct Tape {
     pub(crate) inner: Rc<RefCell<TapeInner>>,
@@ -125,7 +128,12 @@ impl Tape {
         backward: Option<BackwardFn>,
         param: Option<Param>,
     ) -> Var {
-        crate::nograd::forbid("tape push");
+        // Under a `NoGradGuard` nothing is recorded: the result carries its
+        // value and the node counter, the activation ledger and
+        // quantize-on-push below never see it.
+        if crate::nograd::active() {
+            return Var(Repr::Value(value));
+        }
         NODES_RECORDED.fetch_add(1, Ordering::Relaxed);
         // Under reduced thread precision every activation is rounded through
         // 16-bit storage as it lands on the tape ("round-on-store"): the
@@ -148,10 +156,10 @@ impl Tape {
             param,
             act_bytes,
         });
-        Var {
+        Var(Repr::Node {
             id,
             tape: Rc::clone(&self.inner),
-        }
+        })
     }
 
     /// Records a constant (non-differentiable) input.
@@ -183,28 +191,33 @@ impl Tape {
     /// in an op's backward function, e.g. a shape mismatch).
     ///
     /// # Panics
-    /// Panics if `loss` belongs to a different tape.
+    /// Panics under a [`crate::NoGradGuard`], and if `loss` belongs to a
+    /// different tape or to none (it was produced under a guard).
     pub fn backward(&self, loss: &Var) -> Result<()> {
-        crate::nograd::forbid("backward");
         assert!(
-            Rc::ptr_eq(&self.inner, &loss.tape),
-            "loss Var belongs to a different tape"
+            !crate::nograd::active(),
+            "autograd backward inside inference mode (NoGradGuard active): \
+             nothing was recorded to differentiate"
         );
+        let loss_id = match &loss.0 {
+            Repr::Node { id, tape } if Rc::ptr_eq(&self.inner, tape) => *id,
+            _ => panic!("loss Var belongs to a different tape"),
+        };
         {
             let mut inner = self.inner.borrow_mut();
             // With loss scaling active the seed is the scale itself —
             // algebraically identical to multiplying the loss before
             // backward, without perturbing the recorded forward values.
             let scale = amp::thread_loss_scale();
-            let dims = inner.nodes[loss.id].value.dims();
+            let dims = inner.nodes[loss_id].value.dims();
             let seed = if scale == 1.0 {
                 Tensor::ones(dims)
             } else {
                 Tensor::full(dims, scale)
             };
-            inner.nodes[loss.id].grad = Some(seed);
+            inner.nodes[loss_id].grad = Some(seed);
         }
-        for i in (0..=loss.id).rev() {
+        for i in (0..=loss_id).rev() {
             // Take this node's gradient out to avoid aliasing the borrow of
             // parent values during the gradient computation.
             let upstream = {
@@ -272,26 +285,39 @@ impl fmt::Debug for Tape {
     }
 }
 
-/// A handle to a value on a [`Tape`].
+/// A handle to a value in a differentiable computation.
 ///
-/// `Var` is a cheap clone (id + tape reference). All differentiable
-/// operations are defined as inherent methods (see the crate docs for an
-/// end-to-end example).
+/// `Var` is a cheap clone. It is either a node on a [`Tape`] (id + tape
+/// reference) or, when it was produced under a [`crate::NoGradGuard`], the
+/// value itself: no node, no parents, no gradient. Every operation is
+/// defined once, as an inherent method (see the crate docs for an
+/// end-to-end example), and two private functions, `Tape::push` and
+/// `Var::record`, decide which of the two a result is — so the forward a
+/// model trains with is the forward it infers with.
 #[derive(Clone)]
-pub struct Var {
-    pub(crate) id: usize,
-    pub(crate) tape: Rc<RefCell<TapeInner>>,
+pub struct Var(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Node {
+        id: usize,
+        tape: Rc<RefCell<TapeInner>>,
+    },
+    Value(Tensor),
 }
 
 impl Var {
-    /// The current value: a handle sharing the node's buffer, not a copy.
+    /// The current value: a handle sharing the buffer, not a copy.
     pub fn value(&self) -> Tensor {
-        self.tape.borrow().nodes[self.id].value.clone()
+        self.with_value(Tensor::clone)
     }
 
     /// Applies `f` to a borrow of the value without copying.
     pub fn with_value<R>(&self, f: impl FnOnce(&Tensor) -> R) -> R {
-        f(&self.tape.borrow().nodes[self.id].value)
+        match &self.0 {
+            Repr::Node { id, tape } => f(&tape.borrow().nodes[*id].value),
+            Repr::Value(value) => f(value),
+        }
     }
 
     /// Dimensions of the value.
@@ -300,9 +326,13 @@ impl Var {
     }
 
     /// The accumulated gradient (populated by [`Tape::backward`]), sharing
-    /// the node's buffer.
+    /// the node's buffer. Always `None` for a value produced under a
+    /// [`crate::NoGradGuard`].
     pub fn grad(&self) -> Option<Tensor> {
-        self.tape.borrow().nodes[self.id].grad.clone()
+        match &self.0 {
+            Repr::Node { id, tape } => tape.borrow().nodes[*id].grad.clone(),
+            Repr::Value(_) => None,
+        }
     }
 
     /// Re-enters the value as a constant, cutting the gradient flow
@@ -312,28 +342,55 @@ impl Var {
         self.constant_like(value)
     }
 
-    /// Records `value` as a new constant on the same tape as `self`.
+    /// Records `value` as a new constant on the same tape as `self` (on
+    /// none, if `self` is on none).
     pub fn constant_like(&self, value: Tensor) -> Var {
-        let tape = Tape {
-            inner: Rc::clone(&self.tape),
-        };
-        tape.constant(value)
-    }
-
-    pub(crate) fn same_tape(&self, other: &Var) -> bool {
-        Rc::ptr_eq(&self.tape, &other.tape)
-    }
-
-    pub(crate) fn tape_handle(&self) -> Tape {
-        Tape {
-            inner: Rc::clone(&self.tape),
+        match &self.0 {
+            Repr::Node { tape, .. } => Tape {
+                inner: Rc::clone(tape),
+            }
+            .constant(value),
+            Repr::Value(_) => Var(Repr::Value(value)),
         }
+    }
+
+    /// The result of an op: a node on the operands' tape holding `value`
+    /// and `backward`, or — when the operands are on no tape, or a
+    /// [`crate::NoGradGuard`] is active — `value` alone, `backward` dropped.
+    ///
+    /// # Panics
+    /// Panics if the operands are on different tapes, or some on a tape and
+    /// some on none.
+    pub(crate) fn record(operands: &[&Var], value: Tensor, backward: BackwardFn) -> Var {
+        let nodes = operands.iter().filter_map(|operand| match &operand.0 {
+            Repr::Node { id, tape } => Some((*id, tape)),
+            Repr::Value(_) => None,
+        });
+        let Some((_, tape)) = nodes.clone().next() else {
+            return Var(Repr::Value(value));
+        };
+        let ids: Vec<usize> = nodes
+            .filter(|(_, other)| Rc::ptr_eq(tape, other))
+            .map(|(id, _)| id)
+            .collect();
+        assert!(
+            ids.len() == operands.len(),
+            "operands belong to different tapes (or one to none: it was produced under a NoGradGuard)"
+        );
+        Tape {
+            inner: Rc::clone(tape),
+        }
+        .push(value, ids, Some(backward), None)
     }
 }
 
 impl fmt::Debug for Var {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.with_value(|t| write!(f, "Var#{} {:?}", self.id, t.dims()))
+        let dims = self.dims();
+        match &self.0 {
+            Repr::Node { id, .. } => write!(f, "Var#{id} {dims:?}"),
+            Repr::Value(_) => write!(f, "Var(no tape) {dims:?}"),
+        }
     }
 }
 

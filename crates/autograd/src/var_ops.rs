@@ -11,21 +11,9 @@ use gnnmark_tensor::ops::conv::Conv2dSpec;
 use gnnmark_tensor::{CsrMatrix, IntTensor, Tensor};
 use rand::Rng;
 
-use crate::tape::BackwardFn;
 use crate::{Result, Var};
 
 impl Var {
-    fn unary(&self, value: Tensor, backward: BackwardFn) -> Var {
-        self.tape_handle()
-            .push(value, vec![self.id], Some(backward), None)
-    }
-
-    fn binary(&self, other: &Var, value: Tensor, backward: BackwardFn) -> Var {
-        assert!(self.same_tape(other), "operands belong to different tapes");
-        self.tape_handle()
-            .push(value, vec![self.id, other.id], Some(backward), None)
-    }
-
     // ----- element-wise binary -------------------------------------------
 
     /// Element-wise addition.
@@ -34,8 +22,8 @@ impl Var {
     /// Propagates shape mismatches from the tensor engine.
     pub fn add(&self, other: &Var) -> Result<Var> {
         let value = self.with_value(|a| other.with_value(|b| a.add(b)))?;
-        Ok(self.binary(
-            other,
+        Ok(Var::record(
+            &[self, other],
             value,
             Box::new(|up, _, _| Ok(vec![Some(up.clone()), Some(up.clone())])),
         ))
@@ -47,8 +35,8 @@ impl Var {
     /// Propagates shape mismatches from the tensor engine.
     pub fn sub(&self, other: &Var) -> Result<Var> {
         let value = self.with_value(|a| other.with_value(|b| a.sub(b)))?;
-        Ok(self.binary(
-            other,
+        Ok(Var::record(
+            &[self, other],
             value,
             Box::new(|up, _, _| Ok(vec![Some(up.clone()), Some(up.neg())])),
         ))
@@ -60,8 +48,8 @@ impl Var {
     /// Propagates shape mismatches from the tensor engine.
     pub fn mul(&self, other: &Var) -> Result<Var> {
         let value = self.with_value(|a| other.with_value(|b| a.mul(b)))?;
-        Ok(self.binary(
-            other,
+        Ok(Var::record(
+            &[self, other],
             value,
             Box::new(|up, _, parents| {
                 Ok(vec![Some(up.mul(parents[1])?), Some(up.mul(parents[0])?)])
@@ -75,8 +63,8 @@ impl Var {
     /// Propagates shape mismatches from the tensor engine.
     pub fn div(&self, other: &Var) -> Result<Var> {
         let value = self.with_value(|a| other.with_value(|b| a.div(b)))?;
-        Ok(self.binary(
-            other,
+        Ok(Var::record(
+            &[self, other],
             value,
             Box::new(|up, _, parents| {
                 let da = up.div(parents[1])?;
@@ -94,19 +82,20 @@ impl Var {
     /// Element-wise negation.
     pub fn neg(&self) -> Var {
         let value = self.with_value(Tensor::neg);
-        self.unary(value, Box::new(|up, _, _| Ok(vec![Some(up.neg())])))
+        Var::record(&[self], value, Box::new(|up, _, _| Ok(vec![Some(up.neg())])))
     }
 
     /// Adds a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Var {
         let value = self.with_value(|t| t.add_scalar(s));
-        self.unary(value, Box::new(|up, _, _| Ok(vec![Some(up.clone())])))
+        Var::record(&[self], value, Box::new(|up, _, _| Ok(vec![Some(up.clone())])))
     }
 
     /// Multiplies every element by a scalar.
     pub fn mul_scalar(&self, s: f32) -> Var {
         let value = self.with_value(|t| t.mul_scalar(s));
-        self.unary(
+        Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| Ok(vec![Some(up.mul_scalar(s))])),
         )
@@ -115,7 +104,8 @@ impl Var {
     /// Rectified linear unit.
     pub fn relu(&self) -> Var {
         let value = self.with_value(Tensor::relu);
-        self.unary(
+        Var::record(
+            &[self],
             value,
             Box::new(|up, _, parents| Ok(vec![Some(up.mul(&parents[0].gt_zero_mask())?)])),
         )
@@ -124,7 +114,8 @@ impl Var {
     /// Leaky ReLU with fixed negative slope.
     pub fn leaky_relu(&self, alpha: f32) -> Var {
         let value = self.with_value(|t| t.leaky_relu(alpha));
-        self.unary(
+        Var::record(
+            &[self],
             value,
             Box::new(move |up, _, parents| {
                 let m = parents[0].gt_zero_mask();
@@ -142,8 +133,8 @@ impl Var {
     pub fn prelu(&self, alpha: &Var) -> Result<Var> {
         let a = alpha.with_value(|t| t.item())?;
         let value = self.with_value(|t| t.prelu(a));
-        Ok(self.binary(
-            alpha,
+        Ok(Var::record(
+            &[self, alpha],
             value,
             Box::new(move |up, _, parents| {
                 let x = parents[0];
@@ -162,7 +153,8 @@ impl Var {
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
         let value = self.with_value(Tensor::sigmoid);
-        self.unary(
+        Var::record(
+            &[self],
             value,
             Box::new(|up, y, _| {
                 let one_minus = y.neg().add_scalar(1.0);
@@ -174,7 +166,8 @@ impl Var {
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Var {
         let value = self.with_value(Tensor::tanh);
-        self.unary(
+        Var::record(
+            &[self],
             value,
             Box::new(|up, y, _| {
                 let one_minus_sq = y.square().neg().add_scalar(1.0);
@@ -186,7 +179,8 @@ impl Var {
     /// Element-wise exponential.
     pub fn exp(&self) -> Var {
         let value = self.with_value(Tensor::exp);
-        self.unary(
+        Var::record(
+            &[self],
             value,
             Box::new(|up, y, _| Ok(vec![Some(up.mul(y)?)])),
         )
@@ -195,7 +189,8 @@ impl Var {
     /// Element-wise natural logarithm.
     pub fn ln(&self) -> Var {
         let value = self.with_value(Tensor::ln);
-        self.unary(
+        Var::record(
+            &[self],
             value,
             Box::new(|up, _, parents| Ok(vec![Some(up.div(parents[0])?)])),
         )
@@ -204,7 +199,8 @@ impl Var {
     /// Element-wise square.
     pub fn square(&self) -> Var {
         let value = self.with_value(Tensor::square);
-        self.unary(
+        Var::record(
+            &[self],
             value,
             Box::new(|up, _, parents| {
                 Ok(vec![Some(up.mul(&parents[0].mul_scalar(2.0))?)])
@@ -215,7 +211,8 @@ impl Var {
     /// Element-wise square root.
     pub fn sqrt(&self) -> Var {
         let value = self.with_value(Tensor::sqrt);
-        self.unary(
+        Var::record(
+            &[self],
             value,
             Box::new(|up, y, _| Ok(vec![Some(up.div(y)?.mul_scalar(0.5))])),
         )
@@ -224,7 +221,8 @@ impl Var {
     /// Element-wise reciprocal.
     pub fn recip(&self) -> Var {
         let value = self.with_value(Tensor::recip);
-        self.unary(
+        Var::record(
+            &[self],
             value,
             Box::new(|up, y, _| Ok(vec![Some(up.mul(&y.square())?.neg())])),
         )
@@ -238,7 +236,8 @@ impl Var {
         let value = self.with_value(|t| t.slice_cols(start, end))?;
         let dims = self.dims();
         let (n, d) = (dims[0], dims[1]);
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| {
                 let left = Tensor::zeros(&[n, start]);
@@ -263,12 +262,13 @@ impl Var {
         if p == 0.0 {
             // Identity; keep the graph shallow.
             let value = self.with_value(Clone::clone);
-            return Ok(self.unary(value, Box::new(|up, _, _| Ok(vec![Some(up.clone())]))));
+            return Ok(Var::record(&[self], value, Box::new(|up, _, _| Ok(vec![Some(up.clone())]))));
         }
         let dims = self.dims();
         let mask = Tensor::from_fn(&dims, |_| if rng.gen::<f32>() < p { 0.0 } else { 1.0 });
         let value = self.with_value(|t| t.apply_dropout_mask(&mask, p))?;
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| Ok(vec![Some(up.apply_dropout_mask(&mask, p)?)])),
         ))
@@ -285,8 +285,8 @@ impl Var {
     /// Propagates shape mismatches from the tensor engine.
     pub fn matmul(&self, other: &Var) -> Result<Var> {
         let value = self.with_value(|a| other.with_value(|b| a.matmul(b)))?;
-        Ok(self.binary(
-            other,
+        Ok(Var::record(
+            &[self, other],
             value,
             Box::new(|up, _, parents| {
                 let da = up.matmul_nt(parents[1])?;
@@ -303,8 +303,8 @@ impl Var {
     /// Propagates shape mismatches from the tensor engine.
     pub fn matmul_nt(&self, other: &Var) -> Result<Var> {
         let value = self.with_value(|a| other.with_value(|b| a.matmul_nt(b)))?;
-        Ok(self.binary(
-            other,
+        Ok(Var::record(
+            &[self, other],
             value,
             Box::new(|up, _, parents| {
                 // C = A·Bᵀ ⇒ dA = dC·B, dB = dCᵀ·A.
@@ -322,8 +322,8 @@ impl Var {
     /// Propagates shape mismatches from the tensor engine.
     pub fn matmul_tn(&self, other: &Var) -> Result<Var> {
         let value = self.with_value(|a| other.with_value(|b| a.matmul_tn(b)))?;
-        Ok(self.binary(
-            other,
+        Ok(Var::record(
+            &[self, other],
             value,
             Box::new(|up, _, parents| {
                 // C = Aᵀ·B ⇒ dA = B·dCᵀ, dB = A·dC.
@@ -340,8 +340,8 @@ impl Var {
     /// Propagates shape mismatches from the tensor engine.
     pub fn bmm(&self, other: &Var) -> Result<Var> {
         let value = self.with_value(|a| other.with_value(|b| a.bmm(b)))?;
-        Ok(self.binary(
-            other,
+        Ok(Var::record(
+            &[self, other],
             value,
             Box::new(|up, _, parents| {
                 let da = up.bmm_nt(parents[1])?;
@@ -358,8 +358,8 @@ impl Var {
     /// Propagates shape mismatches from the tensor engine.
     pub fn bmm_nt(&self, other: &Var) -> Result<Var> {
         let value = self.with_value(|a| other.with_value(|b| a.bmm_nt(b)))?;
-        Ok(self.binary(
-            other,
+        Ok(Var::record(
+            &[self, other],
             value,
             Box::new(|up, _, parents| {
                 // C = A·Bᵀ ⇒ dA = dC·B, dB = dCᵀ·A (batched).
@@ -376,7 +376,8 @@ impl Var {
     /// Propagates rank errors from the tensor engine.
     pub fn transpose2d(&self) -> Result<Var> {
         let value = self.with_value(Tensor::transpose2d)?;
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(|up, _, _| Ok(vec![Some(up.transpose2d()?)])),
         ))
@@ -389,7 +390,8 @@ impl Var {
     pub fn reshape(&self, dims: &[usize]) -> Result<Var> {
         let value = self.with_value(|t| t.reshape(dims))?;
         let old_dims = self.dims();
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| Ok(vec![Some(up.reshape(&old_dims)?)])),
         ))
@@ -401,8 +403,8 @@ impl Var {
     /// Propagates shape mismatches from the tensor engine.
     pub fn add_bias(&self, bias: &Var) -> Result<Var> {
         let value = self.with_value(|a| bias.with_value(|b| a.add_bias(b)))?;
-        Ok(self.binary(
-            bias,
+        Ok(Var::record(
+            &[self, bias],
             value,
             Box::new(|up, _, _| Ok(vec![Some(up.clone()), Some(up.sum_cols()?)])),
         ))
@@ -414,8 +416,8 @@ impl Var {
     /// Propagates shape mismatches from the tensor engine.
     pub fn scale_rows(&self, scales: &Var) -> Result<Var> {
         let value = self.with_value(|a| scales.with_value(|s| a.scale_rows(s)))?;
-        Ok(self.binary(
-            scales,
+        Ok(Var::record(
+            &[self, scales],
             value,
             Box::new(|up, _, parents| {
                 let dx = up.scale_rows(parents[1])?;
@@ -432,8 +434,8 @@ impl Var {
     /// Propagates shape mismatches from the tensor engine.
     pub fn scale_cols(&self, scales: &Var) -> Result<Var> {
         let value = self.with_value(|a| scales.with_value(|s| a.scale_cols(s)))?;
-        Ok(self.binary(
-            scales,
+        Ok(Var::record(
+            &[self, scales],
             value,
             Box::new(|up, _, parents| {
                 let dx = up.scale_cols(parents[1])?;
@@ -450,7 +452,8 @@ impl Var {
     pub fn scale_rows_const(&self, scales: &Tensor) -> Result<Var> {
         let value = self.with_value(|a| a.scale_rows(scales))?;
         let s = scales.clone();
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| Ok(vec![Some(up.scale_rows(&s)?)])),
         ))
@@ -465,19 +468,15 @@ impl Var {
     /// Panics if the variables live on different tapes.
     pub fn concat_rows(parts: &[Var]) -> Result<Var> {
         assert!(!parts.is_empty(), "concat_rows requires at least one Var");
-        let first = &parts[0];
-        for p in parts {
-            assert!(first.same_tape(p), "operands belong to different tapes");
-        }
         let tensors: Vec<Tensor> = parts.iter().map(|p| p.value()).collect();
         let refs: Vec<&Tensor> = tensors.iter().collect();
         let value = Tensor::concat_rows(&refs)?;
         let row_counts: Vec<usize> = tensors.iter().map(|t| t.dim(0)).collect();
-        let parent_ids: Vec<usize> = parts.iter().map(|p| p.id).collect();
-        Ok(first.tape_handle().push(
+        let operands: Vec<&Var> = parts.iter().collect();
+        Ok(Var::record(
+            &operands,
             value,
-            parent_ids,
-            Some(Box::new(move |up, _, _| {
+            Box::new(move |up, _, _| {
                 let mut grads = Vec::with_capacity(row_counts.len());
                 let mut start = 0usize;
                 for &rows in &row_counts {
@@ -485,8 +484,7 @@ impl Var {
                     start += rows;
                 }
                 Ok(grads)
-            })),
-            None,
+            }),
         ))
     }
 
@@ -499,19 +497,15 @@ impl Var {
     /// Panics if the variables live on different tapes.
     pub fn concat_cols(parts: &[Var]) -> Result<Var> {
         assert!(!parts.is_empty(), "concat_cols requires at least one Var");
-        let first = &parts[0];
-        for p in parts {
-            assert!(first.same_tape(p), "operands belong to different tapes");
-        }
         let tensors: Vec<Tensor> = parts.iter().map(|p| p.value()).collect();
         let refs: Vec<&Tensor> = tensors.iter().collect();
         let value = Tensor::concat_cols(&refs)?;
         let col_counts: Vec<usize> = tensors.iter().map(|t| t.dim(1)).collect();
-        let parent_ids: Vec<usize> = parts.iter().map(|p| p.id).collect();
-        Ok(first.tape_handle().push(
+        let operands: Vec<&Var> = parts.iter().collect();
+        Ok(Var::record(
+            &operands,
             value,
-            parent_ids,
-            Some(Box::new(move |up, _, _| {
+            Box::new(move |up, _, _| {
                 let mut grads = Vec::with_capacity(col_counts.len());
                 let mut start = 0usize;
                 for &cols in &col_counts {
@@ -519,8 +513,7 @@ impl Var {
                     start += cols;
                 }
                 Ok(grads)
-            })),
-            None,
+            }),
         ))
     }
 
@@ -531,7 +524,8 @@ impl Var {
     pub fn slice_rows(&self, start: usize, end: usize) -> Result<Var> {
         let value = self.with_value(|t| t.slice_rows(start, end))?;
         let n = self.dims()[0];
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| {
                 let idx = IntTensor::from_vec(
@@ -555,7 +549,8 @@ impl Var {
     pub fn spmm(adj: &Rc<CsrMatrix>, adj_t: &Rc<CsrMatrix>, x: &Var) -> Result<Var> {
         let value = x.with_value(|t| adj.spmm(t))?;
         let at = Rc::clone(adj_t);
-        Ok(x.unary(
+        Ok(Var::record(
+            &[x],
             value,
             Box::new(move |up, _, _| Ok(vec![Some(at.spmm(up)?)])),
         ))
@@ -578,7 +573,8 @@ impl Var {
         let value = self.with_value(|t| t.gather_rows(index))?;
         let n = self.dims()[0];
         let idx = index.clone();
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| Ok(vec![Some(up.scatter_add_rows(&idx, n)?)])),
         ))
@@ -592,7 +588,8 @@ impl Var {
         let value = self.with_value(|t| t.index_select(index))?;
         let n = self.dims()[0];
         let idx = index.clone();
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| Ok(vec![Some(up.scatter_add_rows(&idx, n)?)])),
         ))
@@ -606,7 +603,8 @@ impl Var {
         let value = self.with_value(|t| t.embedding_lookup(ids))?;
         let vocab = self.dims()[0];
         let idx = ids.clone();
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| Ok(vec![Some(up.scatter_add_rows(&idx, vocab)?)])),
         ))
@@ -619,7 +617,8 @@ impl Var {
     pub fn scatter_add_rows(&self, index: &IntTensor, out_rows: usize) -> Result<Var> {
         let value = self.with_value(|t| t.scatter_add_rows(index, out_rows))?;
         let idx = index.clone();
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| Ok(vec![Some(up.gather_rows(&idx)?)])),
         ))
@@ -633,7 +632,8 @@ impl Var {
         let value = self.with_value(|t| t.select_per_row(index))?;
         let d = self.dims()[1];
         let idx = index.clone();
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| Ok(vec![Some(up.scatter_per_row(&idx, d)?)])),
         ))
@@ -648,7 +648,8 @@ impl Var {
     pub fn bce_with_logits_mean(&self, target: &Tensor) -> Result<Var> {
         let value = self.with_value(|z| z.bce_with_logits_mean(target))?;
         let y = target.clone();
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, parents| {
                 let g = parents[0].bce_with_logits_backward(&y)?;
@@ -665,7 +666,8 @@ impl Var {
     /// Propagates rank errors from the tensor engine.
     pub fn softmax_rows(&self) -> Result<Var> {
         let value = self.with_value(Tensor::softmax_rows)?;
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(|up, y, _| {
                 let t = up.mul(y)?;
@@ -681,7 +683,8 @@ impl Var {
     /// Propagates rank errors from the tensor engine.
     pub fn log_softmax_rows(&self) -> Result<Var> {
         let value = self.with_value(Tensor::log_softmax_rows)?;
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(|up, y, _| {
                 let p = y.exp();
@@ -696,22 +699,17 @@ impl Var {
     /// # Errors
     /// Propagates shape errors from the tensor engine.
     pub fn batch_norm(&self, gamma: &Var, beta: &Var, eps: f32) -> Result<Var> {
-        assert!(
-            self.same_tape(gamma) && self.same_tape(beta),
-            "operands belong to different tapes"
-        );
         let (value, mean, var) = self.with_value(|x| {
             gamma.with_value(|g| beta.with_value(|b| x.batch_norm(g, b, eps)))
         })?;
-        Ok(self.tape_handle().push(
+        Ok(Var::record(
+            &[self, gamma, beta],
             value,
-            vec![self.id, gamma.id, beta.id],
-            Some(Box::new(move |up, _, parents| {
+            Box::new(move |up, _, parents| {
                 let (dx, dgamma, dbeta) =
                     parents[0].batch_norm_backward(parents[1], &mean, &var, eps, up)?;
                 Ok(vec![Some(dx), Some(dgamma), Some(dbeta)])
-            })),
-            None,
+            }),
         ))
     }
 
@@ -721,8 +719,8 @@ impl Var {
     /// Propagates shape errors from the tensor engine.
     pub fn conv2d(&self, weight: &Var, spec: Conv2dSpec) -> Result<Var> {
         let value = self.with_value(|x| weight.with_value(|w| x.conv2d(w, spec)))?;
-        Ok(self.binary(
-            weight,
+        Ok(Var::record(
+            &[self, weight],
             value,
             Box::new(move |up, _, parents| {
                 let (dx, dw) = parents[0].conv2d_backward(parents[1], spec, up)?;
@@ -737,7 +735,8 @@ impl Var {
     pub fn sum_all(&self) -> Var {
         let value = self.with_value(Tensor::sum_all);
         let dims = self.dims();
-        self.unary(
+        Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| {
                 let g = up.item()?;
@@ -751,7 +750,8 @@ impl Var {
         let value = self.with_value(Tensor::mean_all);
         let dims = self.dims();
         let n: usize = dims.iter().product();
-        self.unary(
+        Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| {
                 let g = up.item()? / n as f32;
@@ -767,7 +767,8 @@ impl Var {
     pub fn sum_rows(&self) -> Result<Var> {
         let value = self.with_value(Tensor::sum_rows)?;
         let dims = self.dims();
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| {
                 Ok(vec![Some(Tensor::ones(&dims).scale_rows(up)?)])
@@ -783,7 +784,8 @@ impl Var {
         let value = self.with_value(Tensor::mean_rows)?;
         let dims = self.dims();
         let d = dims[1] as f32;
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| {
                 Ok(vec![Some(
@@ -800,7 +802,8 @@ impl Var {
     pub fn sum_cols(&self) -> Result<Var> {
         let value = self.with_value(Tensor::sum_cols)?;
         let dims = self.dims();
-        Ok(self.unary(
+        Ok(Var::record(
+            &[self],
             value,
             Box::new(move |up, _, _| Ok(vec![Some(Tensor::zeros(&dims).add_bias(up)?)])),
         ))

@@ -1,7 +1,7 @@
 //! The `gnnmark infer` subcommand: forward-only inference
 //! characterization (see `docs/INFERENCE.md`).
 //!
-//! Runs every selected workload through the tape-free inference path
+//! Runs every selected workload's forward under a `NoGradGuard`
 //! ([`gnnmark::infer`]), asserts zero autograd tape allocations across
 //! the whole run, prints the batch-1 latency / batched-throughput JSON,
 //! and — unless `--no-figures` — trains the same workloads to render the
@@ -209,9 +209,9 @@ pub fn run_infer_cli(mut args: std::env::Args) -> i32 {
         }
     }
     // The zero-tape assertion of the acceptance gate: a pure-inference
-    // process must never have recorded an autograd node. (Each per-run
-    // delta is also guarded thread-locally — any tape push under the
-    // NoGradGuard panics — so this is belt and braces.)
+    // process must never have recorded an autograd node — a workload whose
+    // `infer` forgot its `NoGradGuard` would tape its forward and still
+    // return the right loss; this is where that shows.
     let tape_nodes: u64 = artifacts.iter().map(|(_, a)| a.tape_nodes).sum();
     if tape_nodes != 0 {
         eprintln!("error: inference run recorded {tape_nodes} autograd tape node(s)");

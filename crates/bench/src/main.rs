@@ -48,8 +48,8 @@
 //! without a daemon. See `docs/SERVING.md` and `docs/INFERENCE.md`.
 //!
 //! `infer` is the forward-only characterization suite: every workload
-//! runs tape-free under a `NoGradGuard` (zero autograd allocations,
-//! asserted), emitting batch-1 latency / batched-throughput JSON and the
+//! runs its training forward under a `NoGradGuard` (zero autograd
+//! allocations, asserted), emitting batch-1 latency / batched-throughput JSON and the
 //! measured inference-vs-training figures. See `docs/INFERENCE.md`.
 //! `report` renders a deterministic single-file HTML characterization
 //! report (roofline, stalls, caches, per-step timeline, comparison, perf

@@ -14,7 +14,7 @@
 
 use std::rc::Rc;
 
-use gnnmark_autograd::{Tape, Var};
+use gnnmark_autograd::{NoGradGuard, Tape, Var};
 use gnnmark_tensor::ops::conv::Conv2dSpec;
 use gnnmark_tensor::{CsrMatrix, IntTensor, Tensor};
 use rand::rngs::StdRng;
@@ -163,7 +163,11 @@ pub fn grad_check_against(
 }
 
 /// Full gradient check of one op: computes analytic gradients via the
-/// tape, then compares them against central finite differences.
+/// tape, then compares them against central finite differences — and
+/// evaluates the op once more under a [`NoGradGuard`], failing the report
+/// unless that records nothing and returns the taped forward's bits. Every
+/// differentiable op comes through here, so this is what stands behind
+/// "inference is the training forward under the guard".
 ///
 /// # Errors
 /// Propagates tensor-engine errors.
@@ -173,12 +177,30 @@ pub fn grad_check(
     tol: f64,
     build: &dyn BuildFn,
 ) -> Result<GradReport> {
-    let probe_tape = Tape::new();
-    let probe_leaves: Vec<Var> = inputs.iter().map(|t| probe_tape.leaf(t.clone())).collect();
-    let out_dims = build(&probe_tape, &probe_leaves)?.dims();
-    let w = weight_for(name, &out_dims);
+    let forward = || -> Result<(usize, Tensor)> {
+        let tape = Tape::new();
+        let leaves: Vec<Var> = inputs.iter().map(|t| tape.leaf(t.clone())).collect();
+        let out = build(&tape, &leaves)?.value();
+        Ok((tape.len(), out))
+    };
+    let (_, taped) = forward()?;
+    let w = weight_for(name, taped.dims());
     let analytic = analytic_grads(build, inputs, &w)?;
-    grad_check_against(name, inputs, tol, build, &analytic)
+    let mut report = grad_check_against(name, inputs, tol, build, &analytic)?;
+    let (recorded, guarded) = {
+        let _no_grad = NoGradGuard::new();
+        forward()?
+    };
+    let same_bits = guarded.dims() == taped.dims()
+        && guarded.as_slice().iter().zip(taped.as_slice()).all(|(g, t)| g.to_bits() == t.to_bits());
+    if recorded != 0 || !same_bits {
+        report.max_err = f64::INFINITY;
+        report.detail = format!(
+            "op `{name}` under NoGradGuard: {recorded} tape node(s) recorded, value {} the taped forward's",
+            if same_bits { "bit-equal to" } else { "differs from" }
+        );
+    }
+    Ok(report)
 }
 
 /// Deterministic strictly-positive inputs (safe for `ln`, `sqrt`,

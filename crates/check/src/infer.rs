@@ -1,26 +1,27 @@
 //! Inference verification (check layer 6).
 //!
-//! Three check families cover the forward-only inference path:
+//! A workload has one forward; [`Workload::infer`] is that forward entered
+//! under a [`gnnmark_autograd::NoGradGuard`], which makes autograd record
+//! nothing (see `gnnmark_autograd::nograd`). That inference computes what training
+//! computes is therefore structural, and the per-op half of it — every
+//! op's guarded value bit-equals its taped value — is checked in layer 1
+//! ([`crate::gradcheck::grad_check`]). Three check families remain here:
 //!
-//! * **Train-eval parity** — for every workload, the tape-free
-//!   [`Workload::infer`] forward over the full probe batch must
-//!   bit-equal the forward loss of [`Workload::probe`] at fp32. The
-//!   inference mirrors are hand-written tensor-level twins of the
-//!   autograd forward passes, so a single reordered reduction or dropped
-//!   term anywhere in a mirror surfaces as a bit mismatch here.
+//! * **Guarded-vs-taped equality, end to end** — for every workload, the
+//!   loss of the guarded forward over the full probe batch must bit-equal
+//!   the forward loss of the taped [`Workload::probe`] at fp32. It is the
+//!   one end-to-end read of the guard's branch in `Tape::push` /
+//!   `Var::record`, and it fails if a workload's `infer` stops calling the
+//!   forward its `probe` calls.
 //! * **Thread parity** — the inference loss is bit-identical at 1 and 4
 //!   tensor-kernel threads, extending the suite's thread-count
 //!   determinism guarantee to the inference path.
 //! * **Golden op streams** — forward-only kernel streams of every
 //!   workload are snapshotted under `results/golden/opstream-infer/`;
 //!   shape-derived, so identical across SIMD lanes.
-//!
-//! All checks run under a [`NoGradGuard`], so a stray tape push inside
-//! any inference mirror is a panic, not a silently-different stream.
 
 use gnnmark::infer::{run_infer_workload, InferConfig};
 use gnnmark::suite::SuiteConfig;
-use gnnmark_autograd::NoGradGuard;
 use gnnmark_profiler::WorkloadProfile;
 use gnnmark_workloads::{InferBatch, Scale, TrainMode, Workload, WorkloadKind};
 
@@ -32,9 +33,9 @@ fn build(kind: WorkloadKind, scale: Scale, seed: u64) -> Result<Box<dyn Workload
     kind.build_mode(scale, seed, &TrainMode::FullGraph)
 }
 
-/// Train-eval vs inference parity: for every workload, the forward loss
-/// of the tape-free inference path over the full probe batch bit-equals
-/// the training-eval (`probe`) forward loss.
+/// Guarded-vs-taped equality, end to end: for every workload, the loss of
+/// the forward run under a `NoGradGuard` (`infer`) over the full probe
+/// batch bit-equals the loss of the same forward taped (`probe`).
 ///
 /// # Errors
 /// Propagates workload construction or forward errors.
@@ -42,11 +43,7 @@ pub fn parity_reports(scale: Scale, seed: u64) -> Result<Vec<ParityReport>> {
     let mut out = Vec::with_capacity(WorkloadKind::ALL.len());
     for kind in WorkloadKind::ALL {
         let probe_loss = build(kind, scale, seed)?.probe()?;
-        let infer_loss = {
-            let mut w = build(kind, scale, seed)?;
-            let _guard = NoGradGuard::new();
-            w.infer(InferBatch::Full)?
-        };
+        let infer_loss = build(kind, scale, seed)?.infer(InferBatch::Full)?;
         let ok = probe_loss.to_bits() == infer_loss.to_bits();
         out.push(ParityReport {
             name: format!("infer-forward/{}", kind.label()),
@@ -73,9 +70,7 @@ pub fn thread_parity_reports(scale: Scale, seed: u64) -> Result<Vec<ParityReport
     let entering = par::threads();
     let run_at = |threads: usize, kind: WorkloadKind| -> Result<f64> {
         par::set_threads(threads);
-        let mut w = build(kind, scale, seed)?;
-        let _guard = NoGradGuard::new();
-        w.infer(InferBatch::Full)
+        build(kind, scale, seed)?.infer(InferBatch::Full)
     };
     let inner = || -> Result<Vec<ParityReport>> {
         let mut out = Vec::with_capacity(WorkloadKind::ALL.len());

@@ -5,9 +5,10 @@
 //!
 //! 1. **Gradient checks** ([`gradcheck`], [`workload`]) — a central
 //!    finite-difference harness compares every differentiable op's
-//!    analytic gradient against numeric perturbation, then repeats the
-//!    comparison end-to-end on sampled parameter elements of each of the
-//!    eight workloads.
+//!    analytic gradient against numeric perturbation — and its value under
+//!    a `NoGradGuard` against its taped value, bit for bit — then repeats
+//!    the gradient comparison end-to-end on sampled parameter elements of
+//!    each of the eight workloads.
 //! 2. **Golden snapshots** ([`golden`]) — per-workload op streams and
 //!    digests of every figure table are checked against files under
 //!    `results/golden/`; `--bless` regenerates them after intentional
@@ -23,8 +24,9 @@
 //!    digests of the HTML characterization report rendered from the same
 //!    suite runs, gated against `results/golden/report.csv`, which keeps
 //!    `gnnmark report` byte-deterministic.
-//! 6. **Inference** ([`infer`]) — bit-exact train-eval vs forward-only
-//!    parity for every workload, thread-count (1 vs 4) parity of the
+//! 6. **Inference** ([`infer`]) — guarded-vs-taped equality end to end
+//!    (every workload's forward under a `NoGradGuard` returns the loss bits
+//!    its taped `probe` does), thread-count (1 vs 4) parity of the
 //!    inference loss, and inference golden op streams under
 //!    `results/golden/opstream-infer/`.
 //!

@@ -171,11 +171,10 @@ pub fn ablation_half_precision(kind: WorkloadKind, cfg: &SuiteConfig) -> Result<
 /// work measured >50 %) while training is not, because backward passes
 /// and optimizers add irregular and element-wise kernels.
 ///
-/// The inference arm is *measured*, not modeled: it runs the tape-free
-/// tensor-level forward ([`gnnmark_nn::GcnConv::infer`]) under a
-/// [`gnnmark_autograd::NoGradGuard`], so it records exactly the kernels a
-/// forward-only deployment executes and any autograd activity would be a
-/// hard error.
+/// Both arms run the same [`gnnmark_nn::GcnConv::forward`]. The inference
+/// arm is *measured*, not modeled: it enters that forward under a
+/// [`gnnmark_autograd::NoGradGuard`], so nothing is taped and the session
+/// records exactly the kernels a forward-only deployment executes.
 ///
 /// # Errors
 /// Propagates training failures.
@@ -199,9 +198,11 @@ pub fn ablation_inference_vs_training(seed: u64) -> Result<Table> {
         let mut session = ProfileSession::new("gcn-infer", DeviceSpec::v100());
         for _ in 0..4 {
             session.begin_step();
-            let h = conv1.infer(&adj, graph.features())?.relu();
-            let logits = conv2.infer(&adj, &h)?;
-            let _ = logits.argmax_rows()?;
+            let tape = Tape::new();
+            let x = tape.constant(graph.features().clone());
+            let h = conv1.forward(&tape, &adj, &x)?.relu();
+            let logits = conv2.forward(&tape, &adj, &h)?;
+            let _ = logits.value().argmax_rows()?;
             session.end_step();
         }
         session.finish()

@@ -4,10 +4,11 @@
 //! leans on a contrast: prior GPU studies of GNN *inference* measured
 //! GEMM-dominated execution (>50 %), while training adds backward passes
 //! and optimizers full of irregular and element-wise kernels. This module
-//! measures that contrast instead of modeling it: every workload runs a
-//! tape-free, optimizer-free forward pass ([`gnnmark_workloads::Workload::infer`])
-//! under a [`NoGradGuard`], so any stray autograd activity is a hard error
-//! and the zero-tape-allocation accounting below is enforced, not assumed.
+//! measures that contrast instead of modeling it: every workload runs its
+//! training forward, optimizer-free, under a
+//! [`gnnmark_autograd::NoGradGuard`] ([`gnnmark_workloads::Workload::infer`]),
+//! so autograd records nothing, and the zero-tape-allocation accounting
+//! below is measured per run, not assumed.
 //!
 //! Two batch shapes are measured through the gpusim timing model:
 //!
@@ -20,7 +21,7 @@
 //! format training uses, with [`ReplayMeta::phase`] set to `"infer"` so
 //! the serve cache never conflates the two stream populations.
 
-use gnnmark_autograd::{tape_nodes_recorded, NoGradGuard};
+use gnnmark_autograd::tape_nodes_recorded;
 use gnnmark_gpusim::stream::{CapturedRun, CapturedStream, ReplayMeta};
 use gnnmark_profiler::{FigureCategory, Table, WorkloadProfile};
 use gnnmark_profiler::ProfileSession;
@@ -35,7 +36,7 @@ use crate::Result;
 pub enum ExecPhase {
     /// Full training steps.
     Train,
-    /// Tape-free forward-only inference steps.
+    /// Forward-only inference steps (nothing taped).
     Infer,
 }
 
@@ -112,9 +113,9 @@ pub struct InferArtifacts {
     /// Device-independent; the batched loss bit-equals training-eval
     /// (`probe`) forward loss at fp32.
     pub losses: Vec<f64>,
-    /// Autodiff tape nodes recorded process-wide during the run. Always 0
-    /// in a pure-inference process; the thread-level guarantee is stronger
-    /// still (any tape push under the [`NoGradGuard`] panics).
+    /// Autodiff tape nodes recorded process-wide during the run: 0 unless
+    /// another thread of the process was training meanwhile (a push under
+    /// the workload's `NoGradGuard` records nothing).
     pub tape_nodes: u64,
 }
 
@@ -157,7 +158,7 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 ///
 /// # Errors
 /// Propagates workload construction or forward errors, annotated with the
-/// workload label; any autograd tape activity panics (see [`NoGradGuard`]).
+/// workload label.
 pub fn run_infer_workload(kind: WorkloadKind, cfg: &InferConfig) -> Result<InferArtifacts> {
     run_infer_inner(kind, cfg, false)
         .map(|(art, _)| art)
@@ -222,9 +223,6 @@ fn run_infer_inner(
         session.enable_capture();
     }
     let nodes_before = tape_nodes_recorded();
-    // Everything below runs in inference mode: a single tape push anywhere
-    // in the forward path is a panic, not a silent allocation.
-    let _guard = NoGradGuard::new();
     let mut losses = Vec::with_capacity(cfg.batch1_steps + cfg.batched_steps);
     let batches = std::iter::repeat_n(InferBatch::Single, cfg.batch1_steps)
         .chain(std::iter::repeat_n(InferBatch::Full, cfg.batched_steps));

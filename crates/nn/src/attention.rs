@@ -99,32 +99,6 @@ impl GraphAttention {
         // Residual + layer norm.
         self.norm.forward(tape, &out.add(x)?)
     }
-
-    /// Tape-free forward mirroring [`GraphAttention::forward`] op-for-op.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn infer(&self, x: &Tensor, mask: &Tensor) -> Result<Tensor> {
-        let dk = self.dim / self.heads;
-        let scale = 1.0 / (dk as f32).sqrt();
-        let q = self.wq.infer(x)?;
-        let k = self.wk.infer(x)?;
-        let v = self.wv.infer(x)?;
-        let mut head_outputs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let (lo, hi) = (h * dk, (h + 1) * dk);
-            let qh = q.slice_cols(lo, hi)?;
-            let kh = k.slice_cols(lo, hi)?;
-            let vh = v.slice_cols(lo, hi)?;
-            let scores = qh.matmul_nt(&kh)?.mul_scalar(scale).add(mask)?;
-            let attn = scores.softmax_rows()?;
-            head_outputs.push(attn.matmul(&vh)?);
-        }
-        let refs: Vec<&Tensor> = head_outputs.iter().collect();
-        let cat = Tensor::concat_cols(&refs)?;
-        let out = self.wo.infer(&cat)?;
-        self.norm.infer(&out.add(x)?)
-    }
 }
 
 impl Module for GraphAttention {

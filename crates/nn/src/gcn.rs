@@ -44,14 +44,6 @@ impl NormAdj {
         Var::spmm(&self.fwd, &self.bwd, x)
     }
 
-    /// Tape-free mirror of [`NormAdj::aggregate`] for inference.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn aggregate_infer(&self, x: &gnnmark_tensor::Tensor) -> Result<gnnmark_tensor::Tensor> {
-        self.fwd.spmm(x)
-    }
-
     /// Number of graph nodes.
     pub fn num_nodes(&self) -> usize {
         self.fwd.rows()
@@ -93,15 +85,6 @@ impl GcnConv {
     pub fn forward(&self, tape: &Tape, adj: &NormAdj, x: &Var) -> Result<Var> {
         let agg = adj.aggregate(x)?;
         self.linear.forward(tape, &agg)
-    }
-
-    /// Tape-free forward mirroring [`GcnConv::forward`] op-for-op.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn infer(&self, adj: &NormAdj, x: &gnnmark_tensor::Tensor) -> Result<gnnmark_tensor::Tensor> {
-        let agg = adj.aggregate_infer(x)?;
-        self.linear.infer(&agg)
     }
 
     /// The dense transform applied after aggregation (used by the sampled
@@ -149,16 +132,6 @@ impl SageConv {
         let agg = adj.aggregate(x)?;
         let cat = Var::concat_cols(&[x.clone(), agg])?;
         self.linear.forward(tape, &cat)
-    }
-
-    /// Tape-free forward mirroring [`SageConv::forward`] op-for-op.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn infer(&self, adj: &NormAdj, x: &gnnmark_tensor::Tensor) -> Result<gnnmark_tensor::Tensor> {
-        let agg = adj.aggregate_infer(x)?;
-        let cat = gnnmark_tensor::Tensor::concat_cols(&[x, &agg])?;
-        self.linear.infer(&cat)
     }
 }
 
@@ -271,25 +244,6 @@ impl GenConv {
         contrib.scatter_add_rows(&edges.dst, n)
     }
 
-    /// Tape-free mirror of [`GenConv::softmax_aggregate`], same kernels in
-    /// the same order.
-    fn softmax_aggregate_infer(
-        edges: &EdgeList,
-        x: &gnnmark_tensor::Tensor,
-    ) -> Result<gnnmark_tensor::Tensor> {
-        let n = edges.num_nodes;
-        let msg = x.gather_rows(&edges.src)?; // [E, d]
-        let seg_max = msg.scatter_max_rows(&edges.dst, n)?;
-        let max_per_edge = seg_max.gather_rows(&edges.dst)?;
-        let shifted = msg.sub(&max_per_edge)?;
-        let expd = shifted.exp();
-        let sums = expd.scatter_add_rows(&edges.dst, n)?;
-        let sums_per_edge = sums.gather_rows(&edges.dst)?;
-        let weighted = expd.div(&sums_per_edge.add_scalar(1e-16))?;
-        let contrib = weighted.mul(&msg)?;
-        contrib.scatter_add_rows(&edges.dst, n)
-    }
-
     /// Applies the residual block.
     ///
     /// # Errors
@@ -302,25 +256,6 @@ impl GenConv {
         let agg = Self::softmax_aggregate(edges, &act)?;
         let msg = act.add(&agg)?;
         let out = self.mlp.forward(tape, &msg)?;
-        out.add(x) // residual
-    }
-
-    /// Tape-free forward mirroring [`GenConv::forward`] op-for-op.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn infer(
-        &self,
-        edges: &EdgeList,
-        x: &gnnmark_tensor::Tensor,
-    ) -> Result<gnnmark_tensor::Tensor> {
-        let normed = x
-            .batch_norm(&self.gamma.value(), &self.beta.value(), 1e-5)?
-            .0;
-        let act = normed.relu();
-        let agg = Self::softmax_aggregate_infer(edges, &act)?;
-        let msg = act.add(&agg)?;
-        let out = self.mlp.infer(&msg)?;
         out.add(x) // residual
     }
 }

@@ -7,7 +7,10 @@
 //! graph attention, layer normalization, and the standard loss functions.
 //!
 //! Every layer is a [`Module`]: it owns persistent [`Param`]s and exposes a
-//! `forward` that builds instrumented ops on a per-step [`Tape`].
+//! `forward` that builds instrumented ops on a per-step [`Tape`]. That
+//! `forward` is the layer's only implementation: entered under a
+//! [`gnnmark_autograd::NoGradGuard`] it runs the same kernels and records
+//! nothing, which is how the workloads do inference.
 //!
 //! ## Example
 //!

@@ -76,20 +76,6 @@ impl Linear {
             None => Ok(y),
         }
     }
-
-    /// Tape-free forward for inference: the same tensor ops as
-    /// [`Linear::forward`], op-for-op, so values are bit-identical at fp32
-    /// and the profiled kernel stream matches — with zero tape allocation.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
-        let y = x.matmul(&self.weight.value())?;
-        match &self.bias {
-            Some(b) => y.add_bias(&b.value()),
-            None => Ok(y),
-        }
-    }
 }
 
 impl Module for Linear {
@@ -119,16 +105,6 @@ pub enum Activation {
 impl Activation {
     /// Applies the activation to a variable.
     pub fn apply(self, x: &Var) -> Var {
-        match self {
-            Activation::Relu => x.relu(),
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => x.sigmoid(),
-            Activation::Identity => x.mul_scalar(1.0),
-        }
-    }
-
-    /// Tape-free mirror of [`Activation::apply`] for inference.
-    pub fn apply_infer(self, x: &Tensor) -> Tensor {
         match self {
             Activation::Relu => x.relu(),
             Activation::Tanh => x.tanh(),
@@ -182,22 +158,6 @@ impl Mlp {
             h = layer.forward(tape, &h)?;
             if i != last {
                 h = self.activation.apply(&h);
-            }
-        }
-        Ok(h)
-    }
-
-    /// Tape-free forward mirroring [`Mlp::forward`] op-for-op.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.infer(&h)?;
-            if i != last {
-                h = self.activation.apply_infer(&h);
             }
         }
         Ok(h)

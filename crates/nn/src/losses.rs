@@ -37,32 +37,6 @@ pub fn mse(pred: &Var, target: &Tensor) -> Result<Var> {
     Ok(pred.sub(&t)?.square().mean_all())
 }
 
-/// Tape-free mirror of [`cross_entropy`] for inference.
-///
-/// # Errors
-/// Returns an error if shapes or target bounds are invalid.
-pub fn cross_entropy_infer(logits: &Tensor, targets: &IntTensor) -> Result<Tensor> {
-    let logp = logits.log_softmax_rows()?;
-    let picked = logp.select_per_row(targets)?;
-    Ok(picked.mean_all().neg())
-}
-
-/// Tape-free mirror of [`bce_with_logits`] for inference.
-///
-/// # Errors
-/// Returns an error if shapes mismatch.
-pub fn bce_with_logits_infer(logits: &Tensor, targets: &Tensor) -> Result<Tensor> {
-    logits.bce_with_logits_mean(targets)
-}
-
-/// Tape-free mirror of [`mse`] for inference.
-///
-/// # Errors
-/// Returns an error if shapes mismatch.
-pub fn mse_infer(pred: &Tensor, target: &Tensor) -> Result<Tensor> {
-    Ok(pred.sub(target)?.square().mean_all())
-}
-
 /// Classification accuracy of `[n, classes]` logits (no gradient).
 ///
 /// # Errors

@@ -59,27 +59,6 @@ impl LstmCell {
         let h_new = o.mul(&c_new.tanh())?;
         Ok((h_new, c_new))
     }
-
-    /// Tape-free step mirroring [`LstmCell::step`] op-for-op.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn step_infer(
-        &self,
-        x: &gnnmark_tensor::Tensor,
-        h: &gnnmark_tensor::Tensor,
-        c: &gnnmark_tensor::Tensor,
-    ) -> Result<(gnnmark_tensor::Tensor, gnnmark_tensor::Tensor)> {
-        let gates = self.input_proj.infer(x)?.add(&self.hidden_proj.infer(h)?)?;
-        let hdim = self.hidden;
-        let i = gates.slice_cols(0, hdim)?.sigmoid();
-        let f = gates.slice_cols(hdim, 2 * hdim)?.sigmoid();
-        let g = gates.slice_cols(2 * hdim, 3 * hdim)?.tanh();
-        let o = gates.slice_cols(3 * hdim, 4 * hdim)?.sigmoid();
-        let c_new = f.mul(c)?.add(&i.mul(&g)?)?;
-        let h_new = o.mul(&c_new.tanh())?;
-        Ok((h_new, c_new))
-    }
 }
 
 impl Module for LstmCell {
@@ -167,37 +146,6 @@ impl TreeLstmCell {
         let fx = self.f_x.forward(tape, x)?;
         for (h_k, c_k) in child_h.iter().zip(child_c) {
             let f_k = fx.add(&self.f_h.forward(tape, h_k)?)?.sigmoid();
-            c_new = c_new.add(&f_k.mul(c_k)?)?;
-        }
-        let h_new = o.mul(&c_new.tanh())?;
-        Ok((h_new, c_new))
-    }
-
-    /// Tape-free level step mirroring [`TreeLstmCell::step`] op-for-op.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn step_infer(
-        &self,
-        x: &gnnmark_tensor::Tensor,
-        child_h: &[gnnmark_tensor::Tensor],
-        child_c: &[gnnmark_tensor::Tensor],
-    ) -> Result<(gnnmark_tensor::Tensor, gnnmark_tensor::Tensor)> {
-        let n = x.dim(0);
-        let hdim = self.hidden;
-        let mut h_sum = gnnmark_tensor::Tensor::zeros(&[n, hdim]);
-        for h in child_h {
-            h_sum = h_sum.add(h)?;
-        }
-        let iou = self.iou_x.infer(x)?.add(&self.iou_h.infer(&h_sum)?)?;
-        let i = iou.slice_cols(0, hdim)?.sigmoid();
-        let o = iou.slice_cols(hdim, 2 * hdim)?.sigmoid();
-        let u = iou.slice_cols(2 * hdim, 3 * hdim)?.tanh();
-
-        let mut c_new = i.mul(&u)?;
-        let fx = self.f_x.infer(x)?;
-        for (h_k, c_k) in child_h.iter().zip(child_c) {
-            let f_k = fx.add(&self.f_h.infer(h_k)?)?.sigmoid();
             c_new = c_new.add(&f_k.mul(c_k)?)?;
         }
         let h_new = o.mul(&c_new.tanh())?;

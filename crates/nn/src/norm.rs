@@ -47,24 +47,6 @@ impl LayerNorm {
         let g_rows = zeros.add_bias(&g)?;
         normed.mul(&g_rows)?.add_bias(&b)
     }
-
-    /// Tape-free forward mirroring [`LayerNorm::forward`] op-for-op.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
-        let n = x.dim(0);
-        let d = x.dim(1);
-        let mean = x.mean_rows()?;
-        let ones = Tensor::ones(&[n, d]);
-        let centered = x.sub(&ones.scale_rows(&mean)?)?;
-        let var = centered.square().mean_rows()?;
-        let inv_std = var.add_scalar(self.eps).sqrt().recip();
-        let normed = centered.scale_rows(&inv_std)?;
-        let zeros = Tensor::zeros(&[n, d]);
-        let g_rows = zeros.add_bias(&self.gamma.value())?;
-        normed.mul(&g_rows)?.add_bias(&self.beta.value())
-    }
 }
 
 impl Module for LayerNorm {

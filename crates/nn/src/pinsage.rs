@@ -146,41 +146,6 @@ impl PinSageConv {
         let norm = proj.square().sum_rows()?.add_scalar(1e-12).sqrt().recip();
         proj.scale_rows(&norm)
     }
-
-    /// Tape-free mirror of [`PinSageConv::project_features`].
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn project_features_infer(&self, feats: &Tensor) -> Result<Tensor> {
-        let m = feats.dim(0);
-        debug_assert_eq!(feats.dim(1), self.in_dim);
-        let scaled = feats.scale_cols(&self.col_scale.value())?;
-        let chunk = self.in_dim / self.hidden;
-        if chunk == 1 {
-            return Ok(scaled);
-        }
-        let folded = scaled.reshape(&[m * self.hidden, chunk])?;
-        folded.sum_rows()?.reshape(&[m, self.hidden])
-    }
-
-    /// Tape-free forward mirroring [`PinSageConv::forward`] op-for-op.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn infer(
-        &self,
-        features: &Tensor,
-        agg: &Rc<CsrMatrix>,
-        seeds: &IntTensor,
-    ) -> Result<Tensor> {
-        let h = self.project_features_infer(features)?;
-        let neigh = agg.spmm(&h)?;
-        let own = h.index_select(seeds)?;
-        let cat = Tensor::concat_cols(&[&own, &neigh])?;
-        let proj = self.project.infer(&cat)?.relu();
-        let norm = proj.square().sum_rows()?.add_scalar(1e-12).sqrt().recip();
-        proj.scale_rows(&norm)
-    }
 }
 
 impl Module for PinSageConv {

@@ -24,17 +24,6 @@ pub fn block_aggregate(block: &SampledBlock, x: &Var) -> Result<Var> {
     Var::spmm(&block.adj, &block.adj_t, x)
 }
 
-/// Tape-free mirror of [`block_aggregate`] for inference.
-///
-/// # Errors
-/// Propagates shape errors from the tensor engine.
-pub fn block_aggregate_infer(
-    block: &SampledBlock,
-    x: &gnnmark_tensor::Tensor,
-) -> Result<gnnmark_tensor::Tensor> {
-    block.adj.spmm(x)
-}
-
 impl GcnConv {
     /// Applies the convolution over one sampled block: aggregate the
     /// source rows into the destination rows, then transform.
@@ -44,19 +33,6 @@ impl GcnConv {
     pub fn forward_block(&self, tape: &Tape, block: &SampledBlock, x: &Var) -> Result<Var> {
         let agg = block_aggregate(block, x)?;
         self.linear().forward(tape, &agg)
-    }
-
-    /// Tape-free mirror of [`GcnConv::forward_block`] op-for-op.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn infer_block(
-        &self,
-        block: &SampledBlock,
-        x: &gnnmark_tensor::Tensor,
-    ) -> Result<gnnmark_tensor::Tensor> {
-        let agg = block_aggregate_infer(block, x)?;
-        self.linear().infer(&agg)
     }
 }
 
@@ -120,36 +96,6 @@ impl SampledGcn {
         let mut h = x.clone();
         for (i, (conv, block)) in self.convs.iter().zip(blocks).enumerate() {
             h = conv.forward_block(tape, block, &h)?;
-            if i + 1 < self.convs.len() {
-                h = h.relu();
-            }
-        }
-        Ok(h)
-    }
-
-    /// Tape-free forward mirroring [`SampledGcn::forward`] op-for-op.
-    ///
-    /// # Errors
-    /// Returns an error if the block count differs from the layer count,
-    /// or on shape errors.
-    pub fn infer(
-        &self,
-        blocks: &[SampledBlock],
-        x: &gnnmark_tensor::Tensor,
-    ) -> Result<gnnmark_tensor::Tensor> {
-        if blocks.len() != self.convs.len() {
-            return Err(gnnmark_tensor::TensorError::InvalidArgument {
-                op: "SampledGcn::infer",
-                reason: format!(
-                    "{} blocks for {} layers (fanouts must list one entry per layer)",
-                    blocks.len(),
-                    self.convs.len()
-                ),
-            });
-        }
-        let mut h = x.clone();
-        for (i, (conv, block)) in self.convs.iter().zip(blocks).enumerate() {
-            h = conv.infer_block(block, &h)?;
             if i + 1 < self.convs.len() {
                 h = h.relu();
             }

@@ -98,33 +98,6 @@ impl TemporalConv {
         let glu = p.mul(&q.sigmoid())?;
         glu.reshape(&[b, co, t_out, n])
     }
-
-    /// Tape-free forward mirroring [`TemporalConv::forward`] op-for-op.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn infer(&self, x: &gnnmark_tensor::Tensor) -> Result<gnnmark_tensor::Tensor> {
-        let (b, c, t, n) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-        debug_assert_eq!(c, self.c_in);
-        let y = x.conv2d(&self.weight.value(), Conv2dSpec::default())?;
-        let t_out = t - self.kt + 1;
-        let co = self.c_out;
-        let y2 = y.reshape(&[b * 2 * co, t_out * n])?;
-        let mut p_rows = Vec::with_capacity(b * co);
-        let mut q_rows = Vec::with_capacity(b * co);
-        for bi in 0..b {
-            for ci in 0..co {
-                p_rows.push((bi * 2 * co + ci) as i64);
-                q_rows.push((bi * 2 * co + co + ci) as i64);
-            }
-        }
-        let p_idx = IntTensor::from_vec(&[b * co], p_rows)?;
-        let q_idx = IntTensor::from_vec(&[b * co], q_rows)?;
-        let p = y2.index_select(&p_idx)?;
-        let q = y2.index_select(&q_idx)?;
-        let glu = p.mul(&q.sigmoid())?;
-        glu.reshape(&[b, co, t_out, n])
-    }
 }
 
 impl Module for TemporalConv {
@@ -185,30 +158,6 @@ impl SpatialGcn {
         let rows = agg.reshape(&[b * c * t * n, 1])?;
         let perm = rows.gather_rows(&to_cl)?.reshape(&[b * t * n, c])?;
         let mixed = self.linear.forward(tape, &perm)?; // [b·T·n, c_out]
-        let back = permutation_btnc_to_bctn(b, self.c_out, t, n)?;
-        let out = mixed
-            .reshape(&[b * t * n * self.c_out, 1])?
-            .gather_rows(&back)?;
-        out.reshape(&[b, self.c_out, t, n])
-    }
-
-    /// Tape-free forward mirroring [`SpatialGcn::forward`] op-for-op.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn infer(
-        &self,
-        adj: &Rc<CsrMatrix>,
-        x: &gnnmark_tensor::Tensor,
-    ) -> Result<gnnmark_tensor::Tensor> {
-        let (b, c, t, n) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-        debug_assert_eq!(c, self.c_in);
-        let flat = x.reshape(&[b * c * t, n])?;
-        let agg = adj.spmm(&flat.transpose2d()?)?.transpose2d()?;
-        let to_cl = permutation_bctn_to_btnc(b, c, t, n)?;
-        let rows = agg.reshape(&[b * c * t * n, 1])?;
-        let perm = rows.gather_rows(&to_cl)?.reshape(&[b * t * n, c])?;
-        let mixed = self.linear.infer(&perm)?; // [b·T·n, c_out]
         let back = permutation_btnc_to_bctn(b, self.c_out, t, n)?;
         let out = mixed
             .reshape(&[b * t * n * self.c_out, 1])?
@@ -297,20 +246,6 @@ impl StConvBlock {
         let h = self.t1.forward(tape, x)?;
         let s = self.spatial.forward(tape, adj, &h)?.relu();
         self.t2.forward(tape, &s)
-    }
-
-    /// Tape-free forward mirroring [`StConvBlock::forward`] op-for-op.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the tensor engine.
-    pub fn infer(
-        &self,
-        adj: &Rc<CsrMatrix>,
-        x: &gnnmark_tensor::Tensor,
-    ) -> Result<gnnmark_tensor::Tensor> {
-        let h = self.t1.infer(x)?;
-        let s = self.spatial.infer(adj, &h)?.relu();
-        self.t2.infer(&s)
     }
 }
 

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use gnnmark_autograd::{Adam, Optimizer, Param, ParamSet, Tape, Var};
+use gnnmark_autograd::{Adam, NoGradGuard, Optimizer, Param, ParamSet, Tape, Var};
 use gnnmark_gpusim::ScalingBehavior;
 use gnnmark_graph::datasets::{citation, CitationKind};
 use gnnmark_graph::sampler::MinibatchSampler;
@@ -233,14 +233,8 @@ impl Arga {
             let d_loss = {
                 let _fwd = gnnmark_telemetry::span!("forward");
                 let x = tape.constant(feats.clone());
-                let z_fake = self.encode_blocks(&tape, &batch, &x)?.detach();
-                let z_real = tape.constant(Tensor::randn(&[b, self.embed], 1.0, &mut self.rng));
-                let d_fake = self.discriminator.forward(&tape, &z_fake)?;
-                let d_real = self.discriminator.forward(&tape, &z_real)?;
-                let ones = Tensor::ones(&[b, 1]);
-                let zeros_t = Tensor::zeros(&[b, 1]);
-                losses::bce_with_logits(&d_real, &ones)?
-                    .add(&losses::bce_with_logits(&d_fake, &zeros_t)?)?
+                let z = self.encode_blocks(&tape, &batch, &x)?;
+                self.discriminator_loss(&tape, &z)?
             };
             {
                 let _bwd = gnnmark_telemetry::span!("backward");
@@ -262,7 +256,8 @@ impl Arga {
             let g_loss = {
                 let _fwd = gnnmark_telemetry::span!("forward");
                 let x = tape.constant(feats.clone());
-                self.generator_loss_sampled(&tape, &batch, &x, &target)?
+                let z = self.encode_blocks(&tape, &batch, &x)?;
+                self.generator_loss(&tape, &z, &target)?
             };
             {
                 let _bwd = gnnmark_telemetry::span!("backward");
@@ -284,54 +279,67 @@ impl Arga {
         Ok(gen_losses.iter().sum::<f64>() / gen_losses.len().max(1) as f64)
     }
 
-    /// One sampled generator pass (forward only up to the loss): returns
-    /// the loss `Var` so callers control backward/step.
-    fn generator_loss_sampled(
-        &self,
-        tape: &Tape,
-        batch: &SampledBatch,
-        x: &Var,
-        target: &Tensor,
-    ) -> Result<Var> {
-        let b = batch.seeds.len();
-        let z = self.encode_blocks(tape, batch, x)?;
-        let logits = z.matmul_nt(&z)?;
-        let recon = losses::bce_with_logits(&logits, target)?;
-        let d_on_fake = self.discriminator.forward(tape, &z)?;
+    /// The discriminator's objective on one batch of embeddings: tell a
+    /// fresh Gaussian prior sample (real) from the detached `z` (fake).
+    fn discriminator_loss(&mut self, tape: &Tape, z: &Var) -> Result<Var> {
+        let b = z.dims()[0];
+        let z_fake = z.detach();
+        let z_real = tape.constant(Tensor::randn(&[b, self.embed], 1.0, &mut self.rng));
+        let d_fake = self.discriminator.forward(tape, &z_fake)?;
+        let d_real = self.discriminator.forward(tape, &z_real)?;
         let ones = Tensor::ones(&[b, 1]);
+        let zeros_t = Tensor::zeros(&[b, 1]);
+        losses::bce_with_logits(&d_real, &ones)?.add(&losses::bce_with_logits(&d_fake, &zeros_t)?)
+    }
+
+    /// The generator's objective on one batch of embeddings `z`: the
+    /// inner-product decoder's reconstruction of the dense `target`, plus
+    /// the adversarial term (fool the discriminator).
+    fn generator_loss(&self, tape: &Tape, z: &Var, target: &Tensor) -> Result<Var> {
+        let logits = z.matmul_nt(z)?;
+        let recon = losses::bce_with_logits(&logits, target)?;
+        let d_on_fake = self.discriminator.forward(tape, z)?;
+        let ones = Tensor::ones(&[z.dims()[0], 1]);
         let adv = losses::bce_with_logits(&d_on_fake, &ones)?;
         recon.add(&adv.mul_scalar(0.1))
     }
 
-    /// Tape-free mirror of [`Arga::encode`].
-    fn encode_infer(&self, x: &Tensor) -> Result<Tensor> {
-        let h = self.enc1.infer(&self.adj, x)?;
-        let h = h.prelu(self.prelu_alpha.value().item()?);
-        self.enc2.infer(&self.adj, &h)
+    /// Nodes scored by the deterministic probe batch (its seed count in
+    /// minibatch mode).
+    fn probe_batch_size(&self, batch: crate::InferBatch) -> usize {
+        let n = self.graph.num_nodes();
+        match (batch, self.mode.minibatch()) {
+            (crate::InferBatch::Single, _) => 1,
+            (crate::InferBatch::Full, Some(cfg)) => cfg.batch_size.min(n).max(1),
+            (crate::InferBatch::Full, None) => n,
+        }
     }
 
-    /// Tape-free mirror of [`Arga::encode_blocks`].
-    fn encode_blocks_infer(&self, batch: &SampledBatch, x: &Tensor) -> Result<Tensor> {
-        let h = self.enc1.infer_block(&batch.blocks[0], x)?;
-        let h = h.prelu(self.prelu_alpha.value().item()?);
-        self.enc2.infer_block(&batch.blocks[1], &h)
-    }
-
-    /// Tape-free mirror of [`Arga::generator_loss_sampled`].
-    fn generator_loss_sampled_infer(
-        &self,
-        batch: &SampledBatch,
-        x: &Tensor,
-        target: &Tensor,
-    ) -> Result<Tensor> {
-        let b = batch.seeds.len();
-        let z = self.encode_blocks_infer(batch, x)?;
-        let logits = z.matmul_nt(&z)?;
-        let recon = losses::bce_with_logits_infer(&logits, target)?;
-        let d_on_fake = self.discriminator.infer(&z)?;
-        let ones = Tensor::ones(&[b, 1]);
-        let adv = losses::bce_with_logits_infer(&d_on_fake, &ones)?;
-        recon.add(&adv.mul_scalar(0.1))
+    /// The generator pass `probe` differentiates and `infer` scores — the
+    /// RNG-free part of the GAN loop (the discriminator step draws a fresh
+    /// Gaussian prior sample every call), and it exercises every
+    /// parameter: encoder + PReLU through the reconstruction,
+    /// discriminator through the adversarial term.
+    fn probe_loss(&self, tape: &Tape, batch: crate::InferBatch) -> Result<Var> {
+        let Some((fanout, _)) = &self.sampler else {
+            // Full-graph mode: the forward is inherently whole-graph, so
+            // `Single` scores the same graph-sized batch as `Full`.
+            let x = tape.constant(self.graph.features().clone());
+            let z = self.encode(tape, &x)?;
+            let target = self.adj_dense.as_ref().expect("full-graph mode has dense target");
+            return self.generator_loss(tape, &z, target);
+        };
+        // Deterministic probe batch: the first nodes in id order with a
+        // reserved batch id — fanout sampling is a pure function of (seed,
+        // batch id, level, node), so no RNG state advances. When
+        // batch_size ≥ n this covers the whole graph, which is what the
+        // parity layer exploits.
+        let seeds: Vec<i64> = (0..self.probe_batch_size(batch) as i64).collect();
+        let sampled = fanout.sample(self.adj.matrix().as_ref(), &seeds, PROBE_BATCH_ID)?;
+        let target = self.dense_sub_target(&seeds);
+        let feats = self.graph.features().gather_rows(&sampled.input_index()?)?;
+        let z = self.encode_blocks(tape, &sampled, &tape.constant(feats))?;
+        self.generator_loss(tape, &z, &target)
     }
 }
 
@@ -399,93 +407,19 @@ impl Workload for Arga {
     }
 
     fn probe(&mut self) -> Result<f64> {
-        // Generator/reconstruction path only — it is the RNG-free part of
-        // the GAN loop (the discriminator step draws a fresh Gaussian
-        // prior sample every call), and it exercises every parameter:
-        // encoder + PReLU through the reconstruction, discriminator
-        // through the adversarial term.
-        let n = self.graph.num_nodes();
-        if let Some((fanout, _)) = &self.sampler {
-            // Deterministic probe batch: the first `batch_size` nodes in id
-            // order with a reserved batch id — fanout sampling is a pure
-            // function of (seed, batch id, level, node), so no RNG state
-            // advances. When batch_size ≥ n this covers the whole graph,
-            // which is what the parity layer exploits.
-            let batch_size = match self.mode.minibatch() {
-                Some(cfg) => cfg.batch_size.min(n).max(1),
-                None => n,
-            };
-            let seeds: Vec<i64> = (0..batch_size as i64).collect();
-            let batch = fanout.sample(self.adj.matrix().as_ref(), &seeds, PROBE_BATCH_ID)?;
-            let target = self.dense_sub_target(&seeds);
-            let tape = Tape::new();
-            let feats = {
-                let idx = batch.input_index()?;
-                self.graph.features().gather_rows(&idx)?
-            };
-            let x = tape.constant(feats);
-            let g_loss = self.generator_loss_sampled(&tape, &batch, &x, &target)?;
-            tape.backward(&g_loss)?;
-            return Ok(g_loss.value().item()? as f64);
-        }
         let tape = Tape::new();
-        let x = tape.constant(self.graph.features().clone());
-        let z = self.encode(&tape, &x)?;
-        let logits = z.matmul_nt(&z)?;
-        let target = self.adj_dense.as_ref().expect("full-graph mode has dense target");
-        let recon = losses::bce_with_logits(&logits, target)?;
-        let d_on_fake = self.discriminator.forward(&tape, &z)?;
-        let ones = Tensor::ones(&[n, 1]);
-        let adv = losses::bce_with_logits(&d_on_fake, &ones)?;
-        let g_loss = recon.add(&adv.mul_scalar(0.1))?;
+        let g_loss = self.probe_loss(&tape, crate::InferBatch::Full)?;
         tape.backward(&g_loss)?;
         Ok(g_loss.value().item()? as f64)
     }
 
     fn infer(&mut self, batch: crate::InferBatch) -> Result<f64> {
-        let n = self.graph.num_nodes();
-        if let Some((fanout, _)) = &self.sampler {
-            // Same deterministic sampling as `probe` (pure function of the
-            // batch id, no RNG advance), over one seed or the probe batch.
-            let batch_size = match batch {
-                crate::InferBatch::Single => 1,
-                crate::InferBatch::Full => match self.mode.minibatch() {
-                    Some(cfg) => cfg.batch_size.min(n).max(1),
-                    None => n,
-                },
-            };
-            let seeds: Vec<i64> = (0..batch_size as i64).collect();
-            let sampled = fanout.sample(self.adj.matrix().as_ref(), &seeds, PROBE_BATCH_ID)?;
-            let target = self.dense_sub_target(&seeds);
-            let feats = {
-                let idx = sampled.input_index()?;
-                self.graph.features().gather_rows(&idx)?
-            };
-            let g_loss = self.generator_loss_sampled_infer(&sampled, &feats, &target)?;
-            return Ok(g_loss.item()? as f64);
-        }
-        // Full-graph mode: the forward is inherently whole-graph, so
-        // `Single` scores the same graph-sized batch as `Full`.
-        let z = self.encode_infer(self.graph.features())?;
-        let logits = z.matmul_nt(&z)?;
-        let target = self.adj_dense.as_ref().expect("full-graph mode has dense target");
-        let recon = losses::bce_with_logits_infer(&logits, target)?;
-        let d_on_fake = self.discriminator.infer(&z)?;
-        let ones = Tensor::ones(&[n, 1]);
-        let adv = losses::bce_with_logits_infer(&d_on_fake, &ones)?;
-        let g_loss = recon.add(&adv.mul_scalar(0.1))?;
-        Ok(g_loss.item()? as f64)
+        let _no_grad = NoGradGuard::new();
+        Ok(self.probe_loss(&Tape::new(), batch)?.value().item()? as f64)
     }
 
     fn infer_items(&self, batch: crate::InferBatch) -> u64 {
-        let n = self.graph.num_nodes();
-        match batch {
-            crate::InferBatch::Single => 1,
-            crate::InferBatch::Full => match self.mode.minibatch() {
-                Some(cfg) => cfg.batch_size.min(n).max(1) as u64,
-                None => n as u64,
-            },
-        }
+        self.probe_batch_size(batch) as u64
     }
 
     fn run_epoch(&mut self, session: &mut ProfileSession) -> Result<f64> {
@@ -505,14 +439,8 @@ impl Workload for Arga {
         let d_loss = {
             let _fwd = gnnmark_telemetry::span!("forward");
             let x = tape.constant(self.graph.features().clone());
-            let z_fake = self.encode(&tape, &x)?.detach();
-            let z_real = tape.constant(Tensor::randn(&[n, self.embed], 1.0, &mut self.rng));
-            let d_fake = self.discriminator.forward(&tape, &z_fake)?;
-            let d_real = self.discriminator.forward(&tape, &z_real)?;
-            let ones = Tensor::ones(&[n, 1]);
-            let zeros_t = Tensor::zeros(&[n, 1]);
-            losses::bce_with_logits(&d_real, &ones)?
-                .add(&losses::bce_with_logits(&d_fake, &zeros_t)?)?
+            let z = self.encode(&tape, &x)?;
+            self.discriminator_loss(&tape, &z)?
         };
         {
             let _bwd = gnnmark_telemetry::span!("backward");
@@ -534,18 +462,11 @@ impl Workload for Arga {
             let _fwd = gnnmark_telemetry::span!("forward");
             let x = tape.constant(self.graph.features().clone());
             let z = self.encode(&tape, &x)?;
-            // Inner-product decoder over the whole graph.
-            let logits = z.matmul_nt(&z)?;
             let target = self
                 .adj_dense
                 .as_ref()
                 .expect("full-graph epoch requires dense target");
-            let recon = losses::bce_with_logits(&logits, target)?;
-            // Adversarial term: fool the discriminator.
-            let d_on_fake = self.discriminator.forward(&tape, &z)?;
-            let ones = Tensor::ones(&[n, 1]);
-            let adv = losses::bce_with_logits(&d_on_fake, &ones)?;
-            recon.add(&adv.mul_scalar(0.1))?
+            self.generator_loss(&tape, &z, target)?
         };
         {
             let _bwd = gnnmark_telemetry::span!("backward");

@@ -6,13 +6,14 @@
 //! whose execution the paper finds dominated by *element-wise* kernels
 //! (~31 %), driven by the residual adds, batch-norm math and Adam updates.
 
-use gnnmark_autograd::{Adam, Optimizer, ParamSet, Tape};
+use gnnmark_autograd::{Adam, NoGradGuard, Optimizer, ParamSet, Tape, Var};
 use gnnmark_gpusim::ScalingBehavior;
 use gnnmark_graph::datasets::molhiv_like;
 use gnnmark_graph::{BatchedGraph, Graph};
 use gnnmark_nn::gcn::EdgeList;
 use gnnmark_nn::{losses, GenConv, Linear, Module};
 use gnnmark_profiler::ProfileSession;
+use gnnmark_tensor::{IntTensor, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -83,6 +84,51 @@ impl Dgcn {
     pub fn hidden(&self) -> usize {
         self.hidden
     }
+
+    /// The model's one forward, from a merged molecule batch to per-graph
+    /// logits: training, `probe`, `quality` and `infer` all run this.
+    fn logits(&self, tape: &Tape, batch: &MolBatch) -> Result<Var> {
+        let graphs = &batch.graphs;
+        let x = tape.constant(graphs.graph().features().clone());
+        let mut h = self.embed.forward(tape, &x)?.relu();
+        for block in &self.blocks {
+            h = block.forward(tape, &batch.edges, &h)?;
+        }
+        // Mean-pool readout via scatter + per-graph rescale.
+        let n_graphs = graphs.num_graphs();
+        let sums = h.scatter_add_rows(graphs.graph_ids(), n_graphs)?;
+        let inv_counts: Vec<f32> = (0..n_graphs)
+            .map(|i| {
+                let (s, e) = graphs.node_range(i);
+                1.0 / (e - s).max(1) as f32
+            })
+            .collect();
+        let inv = tape.constant(Tensor::from_vec(&[n_graphs], inv_counts)?);
+        self.head.forward(tape, &sums.scale_rows(&inv)?)
+    }
+
+    /// Cross-entropy of [`Dgcn::logits`] against the batch's labels.
+    fn loss(&self, tape: &Tape, batch: &MolBatch) -> Result<Var> {
+        losses::cross_entropy(&self.logits(tape, batch)?, batch.labels())
+    }
+}
+
+/// Molecules merged into one block-diagonal graph, with its edge list.
+struct MolBatch {
+    graphs: BatchedGraph,
+    edges: EdgeList,
+}
+
+impl MolBatch {
+    fn new(molecules: &[Graph]) -> Result<Self> {
+        let graphs = BatchedGraph::from_graphs(molecules)?;
+        let edges = EdgeList::from_graph(graphs.graph())?;
+        Ok(MolBatch { graphs, edges })
+    }
+
+    fn labels(&self) -> &IntTensor {
+        self.graphs.graph_labels().expect("molecules carry labels")
+    }
 }
 
 impl Workload for Dgcn {
@@ -116,82 +162,27 @@ impl Workload for Dgcn {
 
     fn quality(&mut self) -> Result<Option<(&'static str, f64)>> {
         // Accuracy over the full training set, one batched forward pass.
-        let batch = BatchedGraph::from_graphs(&self.molecules)?;
-        let edges = EdgeList::from_graph(batch.graph())?;
-        let labels = batch.graph_labels().expect("labels").clone();
-        let tape = Tape::new();
-        let x = tape.constant(batch.graph().features().clone());
-        let mut h = self.embed.forward(&tape, &x)?.relu();
-        for block in &self.blocks {
-            h = block.forward(&tape, &edges, &h)?;
-        }
-        let sums = h.scatter_add_rows(batch.graph_ids(), batch.num_graphs())?;
-        let inv: Vec<f32> = (0..batch.num_graphs())
-            .map(|i| {
-                let (s, e) = batch.node_range(i);
-                1.0 / (e - s).max(1) as f32
-            })
-            .collect();
-        let n_graphs = batch.num_graphs();
-        let inv = tape.constant(gnnmark_tensor::Tensor::from_vec(&[n_graphs], inv)?);
-        let logits = self.head.forward(&tape, &sums.scale_rows(&inv)?)?;
-        let acc = losses::accuracy(&logits.value(), &labels)?;
+        let batch = MolBatch::new(&self.molecules)?;
+        let logits = self.logits(&Tape::new(), &batch)?;
+        let acc = losses::accuracy(&logits.value(), batch.labels())?;
         Ok(Some(("train accuracy", acc)))
     }
 
     fn probe(&mut self) -> Result<f64> {
         // Full-batch forward (as in `quality`) with a cross-entropy loss
         // and backward; no shuffling, no optimizer step.
-        let batch = BatchedGraph::from_graphs(&self.molecules)?;
-        let edges = EdgeList::from_graph(batch.graph())?;
-        let labels = batch.graph_labels().expect("labels").clone();
+        let batch = MolBatch::new(&self.molecules)?;
         let tape = Tape::new();
-        let x = tape.constant(batch.graph().features().clone());
-        let mut h = self.embed.forward(&tape, &x)?.relu();
-        for block in &self.blocks {
-            h = block.forward(&tape, &edges, &h)?;
-        }
-        let sums = h.scatter_add_rows(batch.graph_ids(), batch.num_graphs())?;
-        let inv: Vec<f32> = (0..batch.num_graphs())
-            .map(|i| {
-                let (s, e) = batch.node_range(i);
-                1.0 / (e - s).max(1) as f32
-            })
-            .collect();
-        let n_graphs = batch.num_graphs();
-        let inv = tape.constant(gnnmark_tensor::Tensor::from_vec(&[n_graphs], inv)?);
-        let logits = self.head.forward(&tape, &sums.scale_rows(&inv)?)?;
-        let loss = losses::cross_entropy(&logits, &labels)?;
+        let loss = self.loss(&tape, &batch)?;
         tape.backward(&loss)?;
         Ok(loss.value().item()? as f64)
     }
 
     fn infer(&mut self, batch: crate::InferBatch) -> Result<f64> {
-        // Tensor-level mirror of `probe`'s forward: full molecule set for
-        // `Full`, the first molecule alone for `Single`.
-        let graphs: Vec<Graph> = match batch {
-            crate::InferBatch::Single => vec![self.molecules[0].clone()],
-            crate::InferBatch::Full => self.molecules.clone(),
-        };
-        let batched = BatchedGraph::from_graphs(&graphs)?;
-        let edges = EdgeList::from_graph(batched.graph())?;
-        let labels = batched.graph_labels().expect("labels").clone();
-        let mut h = self.embed.infer(batched.graph().features())?.relu();
-        for block in &self.blocks {
-            h = block.infer(&edges, &h)?;
-        }
-        let sums = h.scatter_add_rows(batched.graph_ids(), batched.num_graphs())?;
-        let inv: Vec<f32> = (0..batched.num_graphs())
-            .map(|i| {
-                let (s, e) = batched.node_range(i);
-                1.0 / (e - s).max(1) as f32
-            })
-            .collect();
-        let n_graphs = batched.num_graphs();
-        let inv = gnnmark_tensor::Tensor::from_vec(&[n_graphs], inv)?;
-        let logits = self.head.infer(&sums.scale_rows(&inv)?)?;
-        let loss = losses::cross_entropy_infer(&logits, &labels)?;
-        Ok(loss.item()? as f64)
+        // `probe`'s batch for `Full`, the first molecule alone for `Single`.
+        let batch = MolBatch::new(&self.molecules[..self.infer_items(batch) as usize])?;
+        let _no_grad = NoGradGuard::new();
+        Ok(self.loss(&Tape::new(), &batch)?.value().item()? as f64)
     }
 
     fn infer_items(&self, batch: crate::InferBatch) -> u64 {
@@ -209,39 +200,19 @@ impl Workload for Dgcn {
         for chunk in order.chunks(self.batch_size) {
             let _step = gnnmark_telemetry::span!("step");
             let graphs: Vec<Graph> = chunk.iter().map(|&i| self.molecules[i].clone()).collect();
-            let batch = BatchedGraph::from_graphs(&graphs)?;
-            let edges = EdgeList::from_graph(batch.graph())?;
-            let labels = batch.graph_labels().expect("molecules carry labels").clone();
+            let batch = MolBatch::new(&graphs)?;
             // Per-batch device copies: features + structure.
-            session.upload(batch.graph().features());
-            session.upload_int(&edges.src);
-            session.upload_int(&edges.dst);
-            session.upload_int(batch.graph_ids());
+            session.upload(batch.graphs.graph().features());
+            session.upload_int(&batch.edges.src);
+            session.upload_int(&batch.edges.dst);
+            session.upload_int(batch.graphs.graph_ids());
 
             self.params().zero_grad();
             session.begin_step();
             let tape = Tape::new();
             let loss = {
                 let _fwd = gnnmark_telemetry::span!("forward");
-                let x = tape.constant(batch.graph().features().clone());
-                let mut h = self.embed.forward(&tape, &x)?.relu();
-                for block in &self.blocks {
-                    h = block.forward(&tape, &edges, &h)?;
-                }
-                // Mean-pool readout via scatter + per-graph rescale.
-                let sums = h.scatter_add_rows(batch.graph_ids(), batch.num_graphs())?;
-                let inv_counts: Vec<f32> = (0..batch.num_graphs())
-                    .map(|i| {
-                        let (s, e) = batch.node_range(i);
-                        1.0 / (e - s).max(1) as f32
-                    })
-                    .collect();
-                let n_graphs = batch.num_graphs();
-                let inv =
-                    tape.constant(gnnmark_tensor::Tensor::from_vec(&[n_graphs], inv_counts)?);
-                let pooled = sums.scale_rows(&inv)?;
-                let logits = self.head.forward(&tape, &pooled)?;
-                losses::cross_entropy(&logits, &labels)?
+                self.loss(&tape, &batch)?
             };
             {
                 let _bwd = gnnmark_telemetry::span!("backward");

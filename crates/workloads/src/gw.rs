@@ -10,7 +10,7 @@
 //! workload in the suite whose instruction mix is fp32-dominated, and it
 //! posts the suite's highest GFLOPS (~2 TFLOPS in the paper).
 
-use gnnmark_autograd::{Adam, Optimizer, Param, ParamSet, Tape, Var};
+use gnnmark_autograd::{Adam, NoGradGuard, Optimizer, Param, ParamSet, Tape, Var};
 use gnnmark_gpusim::ScalingBehavior;
 use gnnmark_graph::datasets::{agenda_like, KnowledgeDoc};
 use gnnmark_nn::{GraphAttention, Linear, LstmCell, Module};
@@ -111,9 +111,10 @@ impl GraphWriter {
         Ok(h)
     }
 
-    /// Encode + batched teacher-forced decode of one padded document
-    /// batch, returning the mean token loss. Deterministic for fixed
-    /// parameters — no RNG, no session, no optimizer.
+    /// The model's one forward: encode + batched teacher-forced decode of
+    /// one padded document batch, returning the mean token loss. Training,
+    /// `probe` and `infer` all run this. Deterministic for fixed parameters
+    /// — no RNG, no session, no optimizer.
     fn batch_loss(&self, tape: &Tape, docs: &[KnowledgeDoc]) -> Result<Var> {
         let b = docs.len();
         let d = self.dim;
@@ -203,101 +204,10 @@ impl GraphWriter {
             .mul_scalar(1.0 / valid_tokens.max(1) as f32))
     }
 
-    /// Tape-free mirror of [`GraphWriter::encode_doc`].
-    fn encode_doc_infer(&self, doc: &KnowledgeDoc) -> Result<Tensor> {
-        let table = self.token_embed.value();
-        let ent_tok = table.embedding_lookup(&doc.entity_ids)?;
-        let mut h = self.entity_proj.infer(doc.graph.features())?.add(&ent_tok)?;
-        let mask = GraphAttention::edge_mask(&doc.graph);
-        for layer in &self.encoder {
-            h = layer.infer(&h, &mask)?;
-        }
-        Ok(h)
-    }
-
-    /// Tape-free mirror of [`GraphWriter::batch_loss`] op-for-op.
-    fn batch_loss_infer(&self, docs: &[KnowledgeDoc]) -> Result<Tensor> {
-        let b = docs.len();
-        let d = self.dim;
-        let max_n = docs.iter().map(|x| x.graph.num_nodes()).max().unwrap_or(1);
-        let max_t = docs.iter().map(|x| x.target.numel()).max().unwrap_or(1);
-        let table = self.token_embed.value().clone();
-
-        let mut padded = Vec::with_capacity(b);
-        for doc in docs {
-            let enc = self.encode_doc_infer(doc)?;
-            let n = doc.graph.num_nodes();
-            if n < max_n {
-                let pad = Tensor::zeros(&[max_n - n, d]);
-                padded.push(Tensor::concat_rows(&[&enc, &pad])?);
-            } else {
-                padded.push(enc);
-            }
-        }
-        let refs: Vec<&Tensor> = padded.iter().collect();
-        let enc_stack = Tensor::concat_rows(&refs)?.reshape(&[b, max_n, d])?;
-        let attn_mask = Tensor::from_fn(&[b, max_n], |flat| {
-            let (bi, ni) = (flat / max_n, flat % max_n);
-            if ni < docs[bi].graph.num_nodes() {
-                0.0
-            } else {
-                -1e9
-            }
-        });
-
-        let mut dec_h = Tensor::zeros(&[b, d]);
-        let mut dec_c = Tensor::zeros(&[b, d]);
-        let bos = self.vocab as i64;
-        let mut prev: Vec<i64> = vec![bos; b];
-        let mut total_loss: Option<Tensor> = None;
-        let mut valid_tokens = 0u64;
-        for t in 0..max_t {
-            let ids = IntTensor::from_vec(&[b], prev.clone())?;
-            let tok = table.embedding_lookup(&ids)?; // [b, d]
-
-            let q = self.attn_proj.infer(&dec_h)?.reshape(&[b, 1, d])?;
-            let scores = q.bmm_nt(&enc_stack)?.reshape(&[b, max_n])?;
-            let attn = scores.add(&attn_mask)?.softmax_rows()?;
-            let ctx = attn
-                .reshape(&[b, 1, max_n])?
-                .bmm(&enc_stack)?
-                .reshape(&[b, d])?;
-
-            let x = Tensor::concat_cols(&[&tok, &ctx])?;
-            let (h2, c2) = self.decoder.step_infer(&x, &dec_h, &dec_c)?;
-            dec_h = h2;
-            dec_c = c2;
-
-            let out = Tensor::concat_cols(&[&dec_h, &ctx])?;
-            let logits = self.vocab_proj.infer(&out)?; // [b, vocab]
-            let logp = logits.log_softmax_rows()?;
-
-            let mut targets = Vec::with_capacity(b);
-            let mut mask = Vec::with_capacity(b);
-            for (bi, doc) in docs.iter().enumerate() {
-                if t < doc.target.numel() {
-                    targets.push(doc.target.as_slice()[t]);
-                    mask.push(1.0f32);
-                    valid_tokens += 1;
-                    prev[bi] = doc.target.as_slice()[t];
-                } else {
-                    targets.push(0);
-                    mask.push(0.0);
-                    prev[bi] = bos;
-                }
-            }
-            let targets = IntTensor::from_vec(&[b], targets)?;
-            let mask = Tensor::from_vec(&[b], mask)?;
-            let picked = logp.select_per_row(&targets)?.mul(&mask)?;
-            let step_loss = picked.sum_all().neg();
-            total_loss = Some(match total_loss {
-                None => step_loss,
-                Some(prev_loss) => prev_loss.add(&step_loss)?,
-            });
-        }
-        Ok(total_loss
-            .expect("at least one decode step")
-            .mul_scalar(1.0 / valid_tokens.max(1) as f32))
+    /// The fixed probe batch: the first documents in dataset order — no
+    /// shuffle — as many as [`Workload::infer_items`] counts.
+    fn probe_docs(&self, batch: crate::InferBatch) -> &[KnowledgeDoc] {
+        &self.docs[..self.infer_items(batch) as usize]
     }
 
     /// Trains one padded batch of documents; returns the mean token loss.
@@ -362,27 +272,17 @@ impl Workload for GraphWriter {
     }
 
     fn probe(&mut self) -> Result<f64> {
-        // First documents in dataset order — no shuffle, no session.
-        let docs: Vec<KnowledgeDoc> = self
-            .docs
-            .iter()
-            .take(self.batch_size)
-            .cloned()
-            .collect();
         let tape = Tape::new();
-        let loss = self.batch_loss(&tape, &docs)?;
+        let loss = self.batch_loss(&tape, self.probe_docs(crate::InferBatch::Full))?;
         tape.backward(&loss)?;
         Ok(loss.value().item()? as f64)
     }
 
     fn infer(&mut self, batch: crate::InferBatch) -> Result<f64> {
-        let count = match batch {
-            crate::InferBatch::Single => 1,
-            crate::InferBatch::Full => self.batch_size,
-        };
-        let docs: Vec<KnowledgeDoc> = self.docs.iter().take(count).cloned().collect();
-        let loss = self.batch_loss_infer(&docs)?;
-        Ok(loss.item()? as f64)
+        // `probe`'s batch for `Full`, the first document alone for `Single`.
+        let _no_grad = NoGradGuard::new();
+        let loss = self.batch_loss(&Tape::new(), self.probe_docs(batch))?;
+        Ok(loss.value().item()? as f64)
     }
 
     fn infer_items(&self, batch: crate::InferBatch) -> u64 {

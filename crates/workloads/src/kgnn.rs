@@ -7,7 +7,7 @@
 //! representations — so cost grows combinatorially with k, the behavior
 //! GNNMark includes the pair of variants to study.
 
-use gnnmark_autograd::{Adam, Optimizer, ParamSet, Tape, Var};
+use gnnmark_autograd::{Adam, NoGradGuard, Optimizer, ParamSet, Tape, Var};
 use gnnmark_gpusim::ScalingBehavior;
 use gnnmark_graph::datasets::proteins_like_sized;
 use gnnmark_graph::kwl::{kwl_transform, KwlConnectivity};
@@ -147,16 +147,20 @@ impl Kgnn {
     }
 
     /// Runs one GCN stage over a batch of graphs and mean-pools per graph.
+    /// A training step ships the stage's merged features and adjacency to
+    /// the device through `session` as it builds them.
     fn stage(
         conv: &GcnConv,
         tape: &Tape,
         graphs: &[Graph],
-        session: &mut ProfileSession,
+        session: Option<&mut ProfileSession>,
     ) -> Result<Var> {
         let batch = BatchedGraph::from_graphs(graphs)?;
         let adj = NormAdj::new_symmetric(batch.graph().normalized_adjacency()?);
-        session.upload(batch.graph().features());
-        session.upload_csr(adj.matrix());
+        if let Some(session) = session {
+            session.upload(batch.graph().features());
+            session.upload_csr(adj.matrix());
+        }
         let x = tape.constant(batch.graph().features().clone());
         let h = conv.forward(tape, &adj, &x)?.relu();
         let sums = h.scatter_add_rows(batch.graph_ids(), batch.num_graphs())?;
@@ -171,22 +175,49 @@ impl Kgnn {
         sums.scale_rows(&inv)
     }
 
-    /// Tape-free mirror of [`Kgnn::stage`] (no session: inference runs
-    /// with weights and structure already resident).
-    fn stage_infer(conv: &GcnConv, graphs: &[Graph]) -> Result<Tensor> {
-        let batch = BatchedGraph::from_graphs(graphs)?;
-        let adj = NormAdj::new_symmetric(batch.graph().normalized_adjacency()?);
-        let h = conv.infer(&adj, batch.graph().features())?.relu();
-        let sums = h.scatter_add_rows(batch.graph_ids(), batch.num_graphs())?;
-        let inv: Vec<f32> = (0..batch.num_graphs())
-            .map(|i| {
-                let (s, e) = batch.node_range(i);
-                1.0 / (e - s).max(1) as f32
-            })
-            .collect();
-        let n_graphs = batch.num_graphs();
-        let inv = Tensor::from_vec(&[n_graphs], inv)?;
-        sums.scale_rows(&inv)
+    /// The model's one forward, from a batch of samples to per-graph
+    /// logits — one stage per k-set order, concatenated into the head:
+    /// training, `probe`, `quality` and `infer` all run this.
+    fn logits(
+        &self,
+        tape: &Tape,
+        picked: &[Sample],
+        mut session: Option<&mut ProfileSession>,
+    ) -> Result<Var> {
+        let base: Vec<Graph> = picked.iter().map(|s| s.base.clone()).collect();
+        let two: Vec<Graph> = picked.iter().map(|s| s.two_set.clone()).collect();
+        let mut pooled = vec![
+            Self::stage(&self.conv1, tape, &base, session.as_deref_mut())?,
+            Self::stage(&self.conv2_set, tape, &two, session.as_deref_mut())?,
+        ];
+        if let Some(conv3) = &self.conv3_set {
+            let three: Vec<Graph> = picked
+                .iter()
+                .map(|s| s.three_set.clone().expect("high order has 3-sets"))
+                .collect();
+            pooled.push(Self::stage(conv3, tape, &three, session)?);
+        }
+        self.head.forward(tape, &Var::concat_cols(&pooled)?)
+    }
+
+    /// Cross-entropy of [`Kgnn::logits`] against the samples' labels.
+    fn loss(
+        &self,
+        tape: &Tape,
+        picked: &[Sample],
+        session: Option<&mut ProfileSession>,
+    ) -> Result<Var> {
+        losses::cross_entropy(&self.logits(tape, picked, session)?, &Self::labels(picked)?)
+    }
+
+    fn labels(picked: &[Sample]) -> Result<IntTensor> {
+        IntTensor::from_vec(&[picked.len()], picked.iter().map(|s| s.label).collect())
+    }
+
+    /// The fixed probe batch: the first samples in dataset order — no
+    /// shuffle — as many as [`Workload::infer_items`] counts.
+    fn probe_samples(&self, batch: crate::InferBatch) -> &[Sample] {
+        &self.samples[..self.infer_items(batch) as usize]
     }
 }
 
@@ -230,94 +261,25 @@ impl Workload for Kgnn {
     }
 
     fn quality(&mut self) -> Result<Option<(&'static str, f64)>> {
-        // Accuracy over the full training set (no optimizer step). The
-        // stage helper needs a session; use a throwaway one.
-        let mut session = ProfileSession::new(
-            "kgnn-eval",
-            gnnmark_gpusim::DeviceSpec::v100(),
-        );
-        let picked: Vec<Sample> = self.samples.clone();
-        let labels: Vec<i64> = picked.iter().map(|s| s.label).collect();
-        let n_labels = labels.len();
-        let labels = IntTensor::from_vec(&[n_labels], labels)?;
-        let tape = Tape::new();
-        let base: Vec<Graph> = picked.iter().map(|s| s.base.clone()).collect();
-        let two: Vec<Graph> = picked.iter().map(|s| s.two_set.clone()).collect();
-        let mut pooled = vec![
-            Self::stage(&self.conv1, &tape, &base, &mut session)?,
-            Self::stage(&self.conv2_set, &tape, &two, &mut session)?,
-        ];
-        if let Some(conv3) = &self.conv3_set {
-            let three: Vec<Graph> = picked
-                .iter()
-                .map(|s| s.three_set.clone().expect("high order has 3-sets"))
-                .collect();
-            pooled.push(Self::stage(conv3, &tape, &three, &mut session)?);
-        }
-        let cat = Var::concat_cols(&pooled)?;
-        let logits = self.head.forward(&tape, &cat)?;
-        let acc = losses::accuracy(&logits.value(), &labels)?;
+        // Accuracy over the full training set (no optimizer step).
+        let logits = self.logits(&Tape::new(), &self.samples, None)?;
+        let acc = losses::accuracy(&logits.value(), &Self::labels(&self.samples)?)?;
         Ok(Some(("train accuracy", acc)))
     }
 
     fn probe(&mut self) -> Result<f64> {
-        // First samples in dataset order with a cross-entropy loss and
-        // backward. The stage helper wants a session for uploads; a
-        // throwaway one keeps the run's profile untouched.
-        let mut session =
-            ProfileSession::new("kgnn-probe", gnnmark_gpusim::DeviceSpec::v100());
-        let picked: Vec<Sample> = self.samples.iter().take(self.batch_size).cloned().collect();
-        let labels: Vec<i64> = picked.iter().map(|s| s.label).collect();
-        let n_labels = labels.len();
-        let labels = IntTensor::from_vec(&[n_labels], labels)?;
         let tape = Tape::new();
-        let base: Vec<Graph> = picked.iter().map(|s| s.base.clone()).collect();
-        let two: Vec<Graph> = picked.iter().map(|s| s.two_set.clone()).collect();
-        let mut pooled = vec![
-            Self::stage(&self.conv1, &tape, &base, &mut session)?,
-            Self::stage(&self.conv2_set, &tape, &two, &mut session)?,
-        ];
-        if let Some(conv3) = &self.conv3_set {
-            let three: Vec<Graph> = picked
-                .iter()
-                .map(|s| s.three_set.clone().expect("high order has 3-sets"))
-                .collect();
-            pooled.push(Self::stage(conv3, &tape, &three, &mut session)?);
-        }
-        let cat = Var::concat_cols(&pooled)?;
-        let logits = self.head.forward(&tape, &cat)?;
-        let loss = losses::cross_entropy(&logits, &labels)?;
+        let loss = self.loss(&tape, self.probe_samples(crate::InferBatch::Full), None)?;
         tape.backward(&loss)?;
         Ok(loss.value().item()? as f64)
     }
 
     fn infer(&mut self, batch: crate::InferBatch) -> Result<f64> {
-        let count = match batch {
-            crate::InferBatch::Single => 1,
-            crate::InferBatch::Full => self.batch_size,
-        };
-        let picked: Vec<Sample> = self.samples.iter().take(count).cloned().collect();
-        let labels: Vec<i64> = picked.iter().map(|s| s.label).collect();
-        let n_labels = labels.len();
-        let labels = IntTensor::from_vec(&[n_labels], labels)?;
-        let base: Vec<Graph> = picked.iter().map(|s| s.base.clone()).collect();
-        let two: Vec<Graph> = picked.iter().map(|s| s.two_set.clone()).collect();
-        let mut pooled = vec![
-            Self::stage_infer(&self.conv1, &base)?,
-            Self::stage_infer(&self.conv2_set, &two)?,
-        ];
-        if let Some(conv3) = &self.conv3_set {
-            let three: Vec<Graph> = picked
-                .iter()
-                .map(|s| s.three_set.clone().expect("high order has 3-sets"))
-                .collect();
-            pooled.push(Self::stage_infer(conv3, &three)?);
-        }
-        let refs: Vec<&Tensor> = pooled.iter().collect();
-        let cat = Tensor::concat_cols(&refs)?;
-        let logits = self.head.infer(&cat)?;
-        let loss = losses::cross_entropy_infer(&logits, &labels)?;
-        Ok(loss.item()? as f64)
+        // `probe`'s batch for `Full`, the first sample alone for `Single`;
+        // weights and structure are taken as already resident.
+        let _no_grad = NoGradGuard::new();
+        let loss = self.loss(&Tape::new(), self.probe_samples(batch), None)?;
+        Ok(loss.value().item()? as f64)
     }
 
     fn infer_items(&self, batch: crate::InferBatch) -> u64 {
@@ -336,31 +298,13 @@ impl Workload for Kgnn {
             let _step = gnnmark_telemetry::span!("step");
             let picked: Vec<Sample> =
                 chunk.iter().map(|&i| self.samples[i].clone()).collect();
-            let labels: Vec<i64> = picked.iter().map(|s| s.label).collect();
-            let n_labels = labels.len();
-            let labels = IntTensor::from_vec(&[n_labels], labels)?;
 
             self.params().zero_grad();
             session.begin_step();
             let tape = Tape::new();
             let loss = {
                 let _fwd = gnnmark_telemetry::span!("forward");
-                let base_graphs: Vec<Graph> = picked.iter().map(|s| s.base.clone()).collect();
-                let two_graphs: Vec<Graph> = picked.iter().map(|s| s.two_set.clone()).collect();
-                let mut pooled = vec![
-                    Self::stage(&self.conv1, &tape, &base_graphs, session)?,
-                    Self::stage(&self.conv2_set, &tape, &two_graphs, session)?,
-                ];
-                if let Some(conv3) = &self.conv3_set {
-                    let three_graphs: Vec<Graph> = picked
-                        .iter()
-                        .map(|s| s.three_set.clone().expect("high order has 3-sets"))
-                        .collect();
-                    pooled.push(Self::stage(conv3, &tape, &three_graphs, session)?);
-                }
-                let cat = Var::concat_cols(&pooled)?;
-                let logits = self.head.forward(&tape, &cat)?;
-                losses::cross_entropy(&logits, &labels)?
+                self.loss(&tape, &picked, Some(&mut *session))?
             };
             {
                 let _bwd = gnnmark_telemetry::span!("backward");

@@ -217,12 +217,15 @@ pub trait Workload {
 
     /// Runs one forward-only inference pass over the same fixed batch as
     /// [`Workload::probe`] (for [`InferBatch::Full`]) or a single item
-    /// ([`InferBatch::Single`]), built entirely from tensor-level ops: no
-    /// autograd tape node is allocated and no RNG advances. Callers run
-    /// this under a [`gnnmark_autograd::NoGradGuard`] so any stray tape
-    /// activity is a hard error. For `InferBatch::Full` the returned loss
-    /// must bit-equal the forward loss of [`Workload::probe`] at fp32 —
-    /// the parity layer in `gnnmark-check` relies on this.
+    /// ([`InferBatch::Single`]): the training forward — the very function
+    /// `run_epoch` and `probe` call — entered under a
+    /// [`gnnmark_autograd::NoGradGuard`], so no autograd tape node is
+    /// allocated, no backward closure is kept and no RNG advances. The
+    /// implementation installs the guard itself; a caller's own guard
+    /// nests. For `InferBatch::Full` the returned loss bit-equals the
+    /// forward loss of [`Workload::probe`] at fp32 and the kernel stream is
+    /// the prefix of `probe`'s — `gnnmark-check`'s parity layer and
+    /// `tests/infer_stream_prefix.rs` hold every workload to that.
     ///
     /// # Errors
     /// Propagates tensor-engine errors.

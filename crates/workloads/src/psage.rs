@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use gnnmark_autograd::{Adam, Optimizer, ParamSet, Tape, Var};
+use gnnmark_autograd::{Adam, NoGradGuard, Optimizer, ParamSet, Tape, Var};
 use gnnmark_gpusim::ScalingBehavior;
 use gnnmark_graph::datasets::{movielens_like, nowplaying_like, Recommendation};
 use gnnmark_graph::sampler::{ImportanceNeighborhood, RandomWalkSampler};
@@ -281,7 +281,9 @@ impl Psage {
             .collect()
     }
 
-    /// Device-side computation of one minibatch, returning the loss.
+    /// The model's one forward: device-side computation of one minibatch,
+    /// returning the margin loss. Training (`train`: with feature dropout),
+    /// `probe`, `eval_loss` and `infer` all run this.
     fn batch_forward(&mut self, batch: &Minibatch, tape: &Tape, train: bool) -> Result<Var> {
         let m = batch.touched.numel();
         let remap: HashMap<i64, i64> = batch
@@ -320,46 +322,6 @@ impl Psage {
         let emb_s = self.conv.forward(tape, &feats, &a_s, &a_s_t, &i_s)?;
         let emb_p = self.conv.forward(tape, &feats, &a_p, &a_p_t, &i_p)?;
         let emb_n = self.conv.forward(tape, &feats, &a_n, &a_n_t, &i_n)?;
-
-        let pos_score = emb_s.mul(&emb_p)?.sum_rows()?;
-        let neg_score = emb_s.mul(&emb_n)?.sum_rows()?;
-        let hinge = neg_score.sub(&pos_score)?.add_scalar(self.margin).relu();
-        Ok(hinge.mean_all())
-    }
-
-    /// Tape-free mirror of [`Psage::batch_forward`] with `train = false`
-    /// (no dropout), op-for-op.
-    fn batch_forward_infer(&self, batch: &Minibatch) -> Result<gnnmark_tensor::Tensor> {
-        let m = batch.touched.numel();
-        let remap: HashMap<i64, i64> = batch
-            .touched
-            .as_slice()
-            .iter()
-            .enumerate()
-            .map(|(local, &global)| (global, local as i64))
-            .collect();
-        let seeds_l = Self::localize(&batch.seeds, &remap);
-        let pos_l = Self::localize(&batch.positives, &remap);
-        let neg_l = Self::localize(&batch.negatives, &remap);
-
-        let (sorted_trace, _) = batch.walk_trace.sort_with_indices()?;
-        let (_, _) = sorted_trace.sort_with_indices()?;
-        let (_, _) = batch.touched.sort_with_indices()?;
-
-        let feats = self
-            .data
-            .item_item
-            .features()
-            .gather_rows(&batch.touched)?;
-        let norm = feats.square().sum_rows()?.add_scalar(1e-12).sqrt().recip();
-        let feats = feats.scale_rows(&norm)?;
-
-        let (a_s, _a_s_t, i_s) = PinSageConv::build_batch(&seeds_l, m)?;
-        let (a_p, _a_p_t, i_p) = PinSageConv::build_batch(&pos_l, m)?;
-        let (a_n, _a_n_t, i_n) = PinSageConv::build_batch(&neg_l, m)?;
-        let emb_s = self.conv.infer(&feats, &a_s, &i_s)?;
-        let emb_p = self.conv.infer(&feats, &a_p, &i_p)?;
-        let emb_n = self.conv.infer(&feats, &a_n, &i_n)?;
 
         let pos_score = emb_s.mul(&emb_p)?.sum_rows()?;
         let neg_score = emb_s.mul(&emb_n)?.sum_rows()?;
@@ -428,8 +390,9 @@ impl Workload for Psage {
         }
         let sampled = self.sample_minibatch(Some(0xea71));
         self.batch_size = saved;
-        let loss = self.batch_forward_infer(&sampled?)?;
-        Ok(loss.item()? as f64)
+        let _no_grad = NoGradGuard::new();
+        let loss = self.batch_forward(&sampled?, &Tape::new(), false)?;
+        Ok(loss.value().item()? as f64)
     }
 
     fn infer_items(&self, batch: crate::InferBatch) -> u64 {

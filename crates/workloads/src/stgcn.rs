@@ -9,7 +9,7 @@
 
 use std::rc::Rc;
 
-use gnnmark_autograd::{Adam, Optimizer, ParamSet, Tape, Var};
+use gnnmark_autograd::{Adam, NoGradGuard, Optimizer, ParamSet, Tape, Var};
 use gnnmark_gpusim::ScalingBehavior;
 use gnnmark_graph::datasets::metr_la_like;
 use gnnmark_graph::SpatioTemporal;
@@ -89,7 +89,63 @@ impl Stgcn {
     pub fn num_nodes(&self) -> usize {
         self.data.graph().num_nodes()
     }
+
+    /// Number of window start positions in the signal.
+    fn max_start(&self) -> usize {
+        self.data.num_windows(self.history, HORIZON)
+    }
+
+    /// Assembles the windows starting at `starts` into a standardized
+    /// batch: inputs `[b, 1, history, n]` and targets `[b, n]`.
+    fn windows(&self, starts: &[usize]) -> Result<(Tensor, Tensor)> {
+        let (b, n) = (starts.len(), self.num_nodes());
+        let mut xs = Vec::with_capacity(b * self.history * n);
+        let mut ys = Vec::with_capacity(b * n);
+        for &start in starts {
+            let (x, y) = self.data.window(start, self.history, HORIZON)?;
+            xs.extend_from_slice(x.as_slice());
+            ys.extend_from_slice(y.as_slice());
+        }
+        // Standardize speeds so the regression is well-conditioned.
+        let standardize = |t: Tensor| t.add_scalar(-50.0).mul_scalar(1.0 / 20.0);
+        Ok((
+            standardize(Tensor::from_vec(&[b, 1, self.history, n], xs)?),
+            standardize(Tensor::from_vec(&[b, n], ys)?),
+        ))
+    }
+
+    /// `count` fixed windows spread evenly over the signal, as a batch.
+    fn spread_windows(&self, count: usize, of: usize) -> Result<(Tensor, Tensor)> {
+        let max_start = self.max_start();
+        let starts: Vec<usize> = (0..count).map(|i| i * max_start / of).collect();
+        self.windows(&starts)
+    }
+
+    /// The model's one forward, from a window batch `[b, 1, history, n]`
+    /// to predicted speeds `[b, n]`: training, `probe`, `quality` and
+    /// `infer` all run this.
+    fn predict(&self, tape: &Tape, x: Tensor) -> Result<Var> {
+        let (b, n) = (x.dim(0), x.dim(3));
+        let x = tape.constant(x);
+        let h = self.block1.forward(tape, &self.adj, &x)?;
+        let h = self.block2.forward(tape, &self.adj, &h)?;
+        let h = self.out_conv.forward(tape, &h)?; // [b, c2, 1, n]
+        // Head: per (batch, node) channel vector → predicted speed.
+        let h2 = reorder_bc1n_to_bn_c(&h, b, self.out_conv.c_out(), n)?;
+        self.head.forward(tape, &h2)?.reshape(&[b, n]) // from [b·n, 1]
+    }
+
+    /// MSE of [`Stgcn::predict`] against the windows' targets.
+    fn loss(&self, tape: &Tape, (x, y): (Tensor, Tensor)) -> Result<Var> {
+        losses::mse(&self.predict(tape, x)?, &y)
+    }
 }
+
+/// Forecast horizon, in time steps.
+const HORIZON: usize = 1;
+
+/// Windows in the fixed probe batch.
+const PROBE_WINDOWS: usize = 2;
 
 impl Workload for Stgcn {
     fn name(&self) -> String {
@@ -121,135 +177,41 @@ impl Workload for Stgcn {
 
     fn quality(&mut self) -> Result<Option<(&'static str, f64)>> {
         // RMSE (in standardized speed units) over fixed evaluation windows.
-        let n = self.num_nodes();
-        let horizon = 1usize;
-        let max_start = self.data.num_windows(self.history, horizon);
-        let eval_windows: Vec<usize> = (0..4).map(|i| i * max_start / 4).collect();
-        let b = eval_windows.len();
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for &start in &eval_windows {
-            let (x, y) = self.data.window(start, self.history, horizon)?;
-            xs.extend_from_slice(x.as_slice());
-            ys.extend_from_slice(y.as_slice());
-        }
-        let x = Tensor::from_vec(&[b, 1, self.history, n], xs)?
-            .add_scalar(-50.0)
-            .mul_scalar(1.0 / 20.0);
-        let y = Tensor::from_vec(&[b, n], ys)?
-            .add_scalar(-50.0)
-            .mul_scalar(1.0 / 20.0);
-        let tape = Tape::new();
-        let xv = tape.constant(x);
-        let h = self.block1.forward(&tape, &self.adj, &xv)?;
-        let h = self.block2.forward(&tape, &self.adj, &h)?;
-        let h = self.out_conv.forward(&tape, &h)?;
-        let c2 = self.out_conv.c_out();
-        let h2 = reorder_bc1n_to_bn_c(&h, b, c2, n)?;
-        let pred = self.head.forward(&tape, &h2)?.reshape(&[b, n])?;
-        let mse = losses::mse(&pred, &y)?.value().item()? as f64;
+        let mse = self.loss(&Tape::new(), self.spread_windows(4, 4)?)?;
+        let mse = mse.value().item()? as f64;
         Ok(Some(("forecast RMSE (std units)", mse.sqrt())))
     }
 
     fn probe(&mut self) -> Result<f64> {
-        // Same fixed evaluation windows as `quality`, but with an MSE loss
-        // and a backward pass so parameter gradients populate.
-        let n = self.num_nodes();
-        let horizon = 1usize;
-        let max_start = self.data.num_windows(self.history, horizon);
-        let probe_windows: Vec<usize> = (0..2).map(|i| i * max_start / 2).collect();
-        let b = probe_windows.len();
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for &start in &probe_windows {
-            let (x, y) = self.data.window(start, self.history, horizon)?;
-            xs.extend_from_slice(x.as_slice());
-            ys.extend_from_slice(y.as_slice());
-        }
-        let x = Tensor::from_vec(&[b, 1, self.history, n], xs)?
-            .add_scalar(-50.0)
-            .mul_scalar(1.0 / 20.0);
-        let y = Tensor::from_vec(&[b, n], ys)?
-            .add_scalar(-50.0)
-            .mul_scalar(1.0 / 20.0);
         let tape = Tape::new();
-        let xv = tape.constant(x);
-        let h = self.block1.forward(&tape, &self.adj, &xv)?;
-        let h = self.block2.forward(&tape, &self.adj, &h)?;
-        let h = self.out_conv.forward(&tape, &h)?;
-        let c2 = self.out_conv.c_out();
-        let h2 = reorder_bc1n_to_bn_c(&h, b, c2, n)?;
-        let pred = self.head.forward(&tape, &h2)?.reshape(&[b, n])?;
-        let loss = losses::mse(&pred, &y)?;
+        let loss = self.loss(&tape, self.spread_windows(PROBE_WINDOWS, PROBE_WINDOWS)?)?;
         tape.backward(&loss)?;
         Ok(loss.value().item()? as f64)
     }
 
     fn infer(&mut self, batch: crate::InferBatch) -> Result<f64> {
-        // Same fixed windows as `probe` (`Full` = both probe windows,
-        // `Single` = the first), mirrored through the tensor-level path.
-        let n = self.num_nodes();
-        let horizon = 1usize;
-        let max_start = self.data.num_windows(self.history, horizon);
-        let count = match batch {
-            crate::InferBatch::Single => 1,
-            crate::InferBatch::Full => 2,
-        };
-        let probe_windows: Vec<usize> = (0..count).map(|i| i * max_start / 2).collect();
-        let b = probe_windows.len();
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for &start in &probe_windows {
-            let (x, y) = self.data.window(start, self.history, horizon)?;
-            xs.extend_from_slice(x.as_slice());
-            ys.extend_from_slice(y.as_slice());
-        }
-        let x = Tensor::from_vec(&[b, 1, self.history, n], xs)?
-            .add_scalar(-50.0)
-            .mul_scalar(1.0 / 20.0);
-        let y = Tensor::from_vec(&[b, n], ys)?
-            .add_scalar(-50.0)
-            .mul_scalar(1.0 / 20.0);
-        let h = self.block1.infer(&self.adj, &x)?;
-        let h = self.block2.infer(&self.adj, &h)?;
-        let h = self.out_conv.infer(&h)?;
-        let c2 = self.out_conv.c_out();
-        let h2 = reorder_bc1n_to_bn_c_infer(&h, b, c2, n)?;
-        let pred = self.head.infer(&h2)?.reshape(&[b, n])?;
-        let loss = losses::mse_infer(&pred, &y)?;
-        Ok(loss.item()? as f64)
+        // `probe`'s windows for `Full`, the first of them for `Single`.
+        let windows = self.spread_windows(self.infer_items(batch) as usize, PROBE_WINDOWS)?;
+        let _no_grad = NoGradGuard::new();
+        Ok(self.loss(&Tape::new(), windows)?.value().item()? as f64)
     }
 
     fn infer_items(&self, batch: crate::InferBatch) -> u64 {
         match batch {
             crate::InferBatch::Single => 1,
-            crate::InferBatch::Full => 2,
+            crate::InferBatch::Full => PROBE_WINDOWS as u64,
         }
     }
 
     fn run_epoch(&mut self, session: &mut ProfileSession) -> Result<f64> {
-        let n = self.num_nodes();
-        let horizon = 1usize;
-        let max_start = self.data.num_windows(self.history, horizon);
+        let max_start = self.max_start();
         let mut epoch_loss = 0.0f64;
         for _ in 0..self.batches_per_epoch {
             let _step = gnnmark_telemetry::span!("step");
-            // Assemble a batch of windows: [b, 1, history, n] plus targets.
-            let mut xs = Vec::with_capacity(self.batch_size * self.history * n);
-            let mut ys = Vec::with_capacity(self.batch_size * n);
-            for _ in 0..self.batch_size {
-                let start = self.rng.gen_range(0..max_start);
-                let (x, y) = self.data.window(start, self.history, horizon)?;
-                xs.extend_from_slice(x.as_slice());
-                ys.extend_from_slice(y.as_slice());
-            }
-            // Standardize speeds so the regression is well-conditioned.
-            let x_batch = Tensor::from_vec(&[self.batch_size, 1, self.history, n], xs)?
-                .add_scalar(-50.0)
-                .mul_scalar(1.0 / 20.0);
-            let y_batch = Tensor::from_vec(&[self.batch_size, n], ys)?
-                .add_scalar(-50.0)
-                .mul_scalar(1.0 / 20.0);
+            let starts: Vec<usize> = (0..self.batch_size)
+                .map(|_| self.rng.gen_range(0..max_start))
+                .collect();
+            let (x_batch, y_batch) = self.windows(&starts)?;
             session.upload(&x_batch);
             session.upload(&y_batch);
 
@@ -258,16 +220,7 @@ impl Workload for Stgcn {
             let tape = Tape::new();
             let loss = {
                 let _fwd = gnnmark_telemetry::span!("forward");
-                let x = tape.constant(x_batch);
-                let h = self.block1.forward(&tape, &self.adj, &x)?;
-                let h = self.block2.forward(&tape, &self.adj, &h)?;
-                let h = self.out_conv.forward(&tape, &h)?; // [b, c2, 1, n]
-                // Head: per (batch, node) channel vector → predicted speed.
-                let c2 = self.out_conv.c_out();
-                let h2 = reorder_bc1n_to_bn_c(&h, self.batch_size, c2, n)?;
-                let pred = self.head.forward(&tape, &h2)?; // [b·n, 1]
-                let pred = pred.reshape(&[self.batch_size, n])?;
-                losses::mse(&pred, &y_batch)?
+                self.loss(&tape, (x_batch, y_batch))?
             };
             {
                 let _bwd = gnnmark_telemetry::span!("backward");
@@ -287,21 +240,6 @@ impl Workload for Stgcn {
 /// Rearranges `[b, c, 1, n]` activations into `[b·n, c]` rows for the
 /// linear head (an explicit permute-gather, like a real NCHW→NHWC kernel).
 fn reorder_bc1n_to_bn_c(h: &Var, b: usize, c: usize, n: usize) -> Result<Var> {
-    let mut idx = Vec::with_capacity(b * n * c);
-    for bi in 0..b {
-        for ni in 0..n {
-            for ci in 0..c {
-                idx.push(((bi * c + ci) * n + ni) as i64);
-            }
-        }
-    }
-    let len = idx.len();
-    let idx = gnnmark_tensor::IntTensor::from_vec(&[len], idx)?;
-    h.reshape(&[b * c * n, 1])?.gather_rows(&idx)?.reshape(&[b * n, c])
-}
-
-/// Tape-free mirror of [`reorder_bc1n_to_bn_c`].
-fn reorder_bc1n_to_bn_c_infer(h: &Tensor, b: usize, c: usize, n: usize) -> Result<Tensor> {
     let mut idx = Vec::with_capacity(b * n * c);
     for bi in 0..b {
         for ni in 0..n {

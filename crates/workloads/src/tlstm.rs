@@ -5,7 +5,7 @@
 //! and the arithmetic intensity is low — the paper measures only
 //! ~74 GFLOPS for TLSTM and finds it gains nothing from multi-GPU DDP.
 
-use gnnmark_autograd::{Adam, Optimizer, Param, ParamSet, Tape};
+use gnnmark_autograd::{Adam, NoGradGuard, Optimizer, Param, ParamSet, Tape, Var};
 use gnnmark_gpusim::ScalingBehavior;
 use gnnmark_graph::datasets::sst_like;
 use gnnmark_graph::{Tree, TreeBatch};
@@ -82,21 +82,14 @@ impl TreeLstm {
         self.vocab
     }
 
-    fn train_batch(
-        &mut self,
-        session: &mut ProfileSession,
-        batch: &TreeBatch,
-    ) -> Result<f64> {
-        let _step = gnnmark_telemetry::span!("step");
+    /// The model's one forward, from a tree batch to per-node sentiment
+    /// logits, evaluated level by level: training, `probe`, `quality` and
+    /// `infer` all run this. `frontier_sort` adds the two sort kernels per
+    /// level with which DGL's frontier construction orders a training
+    /// batch's node and child-id arrays before batching the cell kernels.
+    fn logits(&self, tape: &Tape, batch: &TreeBatch, frontier_sort: bool) -> Result<Var> {
         let total = batch.total_nodes();
         let hdim = self.hidden;
-        session.upload_int(batch.words());
-        session.upload_int(batch.labels());
-
-        self.params().zero_grad();
-        session.begin_step();
-        let tape = Tape::new();
-        let fwd = gnnmark_telemetry::span!("forward");
         let table = tape.read(&self.embed);
 
         // Node embedding input: word id, or the padding row for internal
@@ -117,10 +110,10 @@ impl TreeLstm {
 
         for level in batch.levels() {
             let n_level = level.nodes.numel();
-            // DGL's frontier construction sorts each level's node and
-            // child-id arrays before batching the cell kernels.
-            let (_, _) = level.nodes.sort_with_indices()?;
-            let (_, _) = level.child_ids.sort_with_indices()?;
+            if frontier_sort {
+                let (_, _) = level.nodes.sort_with_indices()?;
+                let (_, _) = level.child_ids.sort_with_indices()?;
+            }
             let x = x_all.gather_rows(&level.nodes)?;
             // Gather per-child states (pad → zero row).
             let mut child_h = Vec::with_capacity(level.max_children);
@@ -140,17 +133,48 @@ impl TreeLstm {
                 child_h.push(h_all.gather_rows(&ids)?);
                 child_c.push(c_all.gather_rows(&ids)?);
             }
-            let (h, c) = self.cell.step(&tape, &x, &child_h, &child_c)?;
+            let (h, c) = self.cell.step(tape, &x, &child_h, &child_c)?;
             // Scatter level results back into the state tables.
             h_all = h_all.add(&h.scatter_add_rows(&level.nodes, total + 1)?)?;
             c_all = c_all.add(&c.scatter_add_rows(&level.nodes, total + 1)?)?;
         }
 
         // Classify every node's sentiment (SST trains on all subtrees).
-        let all_states = h_all.slice_rows(0, total)?;
-        let logits = self.head.forward(&tape, &all_states)?;
-        let loss = losses::cross_entropy(&logits, batch.labels())?;
-        drop(fwd);
+        self.head.forward(tape, &h_all.slice_rows(0, total)?)
+    }
+
+    /// Cross-entropy of [`TreeLstm::logits`] against every node's label.
+    fn loss(&self, tape: &Tape, batch: &TreeBatch, frontier_sort: bool) -> Result<Var> {
+        losses::cross_entropy(&self.logits(tape, batch, frontier_sort)?, batch.labels())
+    }
+
+    /// The first `count` trees in dataset order, batched — no shuffle.
+    fn first_trees(&self, count: usize) -> Result<TreeBatch> {
+        TreeBatch::from_trees(&self.trees[..count.min(self.trees.len())])
+    }
+
+    /// The fixed probe batch: as many first trees as
+    /// [`Workload::infer_items`] counts.
+    fn probe_trees(&self, batch: crate::InferBatch) -> Result<TreeBatch> {
+        self.first_trees(self.infer_items(batch) as usize)
+    }
+
+    fn train_batch(
+        &mut self,
+        session: &mut ProfileSession,
+        batch: &TreeBatch,
+    ) -> Result<f64> {
+        let _step = gnnmark_telemetry::span!("step");
+        session.upload_int(batch.words());
+        session.upload_int(batch.labels());
+
+        self.params().zero_grad();
+        session.begin_step();
+        let tape = Tape::new();
+        let loss = {
+            let _fwd = gnnmark_telemetry::span!("forward");
+            self.loss(&tape, batch, true)?
+        };
         {
             let _bwd = gnnmark_telemetry::span!("backward");
             tape.backward(&loss)?;
@@ -195,137 +219,25 @@ impl Workload for TreeLstm {
 
     fn quality(&mut self) -> Result<Option<(&'static str, f64)>> {
         // Node-level sentiment accuracy over the first few trees.
-        let subset: Vec<Tree> = self.trees.iter().take(8).cloned().collect();
-        let batch = TreeBatch::from_trees(&subset)?;
-        let total = batch.total_nodes();
-        let hdim = self.hidden;
-        let tape = Tape::new();
-        let table = tape.read(&self.embed);
-        let word_ids: Vec<i64> = batch
-            .words()
-            .as_slice()
-            .iter()
-            .map(|&w| if w < 0 { self.vocab as i64 } else { w })
-            .collect();
-        let word_ids = IntTensor::from_vec(&[total], word_ids)?;
-        let x_all = table.embedding_lookup(&word_ids)?;
-        let mut h_all = tape.constant(Tensor::zeros(&[total + 1, hdim]));
-        let mut c_all = tape.constant(Tensor::zeros(&[total + 1, hdim]));
-        for level in batch.levels() {
-            let n_level = level.nodes.numel();
-            let x = x_all.gather_rows(&level.nodes)?;
-            let mut child_h = Vec::new();
-            let mut child_c = Vec::new();
-            for k in 0..level.max_children {
-                let ids: Vec<i64> = (0..n_level)
-                    .map(|i| {
-                        let v = level.child_ids.as_slice()[i * level.max_children + k];
-                        if v < 0 { total as i64 } else { v }
-                    })
-                    .collect();
-                let ids = IntTensor::from_vec(&[n_level], ids)?;
-                child_h.push(h_all.gather_rows(&ids)?);
-                child_c.push(c_all.gather_rows(&ids)?);
-            }
-            let (h, c) = self.cell.step(&tape, &x, &child_h, &child_c)?;
-            h_all = h_all.add(&h.scatter_add_rows(&level.nodes, total + 1)?)?;
-            c_all = c_all.add(&c.scatter_add_rows(&level.nodes, total + 1)?)?;
-        }
-        let logits = self.head.forward(&tape, &h_all.slice_rows(0, total)?)?;
+        let batch = self.first_trees(8)?;
+        let logits = self.logits(&Tape::new(), &batch, false)?;
         let acc = losses::accuracy(&logits.value(), batch.labels())?;
         Ok(Some(("node sentiment accuracy", acc)))
     }
 
     fn probe(&mut self) -> Result<f64> {
-        // Quality-style level-by-level forward over the first trees in
-        // dataset order, with a cross-entropy loss and backward.
-        let subset: Vec<Tree> = self.trees.iter().take(self.batch_size).cloned().collect();
-        let batch = TreeBatch::from_trees(&subset)?;
-        let total = batch.total_nodes();
-        let hdim = self.hidden;
+        let batch = self.probe_trees(crate::InferBatch::Full)?;
         let tape = Tape::new();
-        let table = tape.read(&self.embed);
-        let word_ids: Vec<i64> = batch
-            .words()
-            .as_slice()
-            .iter()
-            .map(|&w| if w < 0 { self.vocab as i64 } else { w })
-            .collect();
-        let word_ids = IntTensor::from_vec(&[total], word_ids)?;
-        let x_all = table.embedding_lookup(&word_ids)?;
-        let mut h_all = tape.constant(Tensor::zeros(&[total + 1, hdim]));
-        let mut c_all = tape.constant(Tensor::zeros(&[total + 1, hdim]));
-        for level in batch.levels() {
-            let n_level = level.nodes.numel();
-            let x = x_all.gather_rows(&level.nodes)?;
-            let mut child_h = Vec::new();
-            let mut child_c = Vec::new();
-            for k in 0..level.max_children {
-                let ids: Vec<i64> = (0..n_level)
-                    .map(|i| {
-                        let v = level.child_ids.as_slice()[i * level.max_children + k];
-                        if v < 0 { total as i64 } else { v }
-                    })
-                    .collect();
-                let ids = IntTensor::from_vec(&[n_level], ids)?;
-                child_h.push(h_all.gather_rows(&ids)?);
-                child_c.push(c_all.gather_rows(&ids)?);
-            }
-            let (h, c) = self.cell.step(&tape, &x, &child_h, &child_c)?;
-            h_all = h_all.add(&h.scatter_add_rows(&level.nodes, total + 1)?)?;
-            c_all = c_all.add(&c.scatter_add_rows(&level.nodes, total + 1)?)?;
-        }
-        let logits = self.head.forward(&tape, &h_all.slice_rows(0, total)?)?;
-        let loss = losses::cross_entropy(&logits, batch.labels())?;
+        let loss = self.loss(&tape, &batch, false)?;
         tape.backward(&loss)?;
         Ok(loss.value().item()? as f64)
     }
 
     fn infer(&mut self, batch: crate::InferBatch) -> Result<f64> {
-        // Tensor-level mirror of `probe`'s forward: the first tree alone
-        // for `Single`, the first `batch_size` trees for `Full`.
-        let count = match batch {
-            crate::InferBatch::Single => 1,
-            crate::InferBatch::Full => self.batch_size,
-        };
-        let subset: Vec<Tree> = self.trees.iter().take(count).cloned().collect();
-        let batch = TreeBatch::from_trees(&subset)?;
-        let total = batch.total_nodes();
-        let hdim = self.hidden;
-        let table = self.embed.value().clone();
-        let word_ids: Vec<i64> = batch
-            .words()
-            .as_slice()
-            .iter()
-            .map(|&w| if w < 0 { self.vocab as i64 } else { w })
-            .collect();
-        let word_ids = IntTensor::from_vec(&[total], word_ids)?;
-        let x_all = table.embedding_lookup(&word_ids)?;
-        let mut h_all = Tensor::zeros(&[total + 1, hdim]);
-        let mut c_all = Tensor::zeros(&[total + 1, hdim]);
-        for level in batch.levels() {
-            let n_level = level.nodes.numel();
-            let x = x_all.gather_rows(&level.nodes)?;
-            let mut child_h = Vec::new();
-            let mut child_c = Vec::new();
-            for k in 0..level.max_children {
-                let ids: Vec<i64> = (0..n_level)
-                    .map(|i| {
-                        let v = level.child_ids.as_slice()[i * level.max_children + k];
-                        if v < 0 { total as i64 } else { v }
-                    })
-                    .collect();
-                let ids = IntTensor::from_vec(&[n_level], ids)?;
-                child_h.push(h_all.gather_rows(&ids)?);
-                child_c.push(c_all.gather_rows(&ids)?);
-            }
-            let (h, c) = self.cell.step_infer(&x, &child_h, &child_c)?;
-            h_all = h_all.add(&h.scatter_add_rows(&level.nodes, total + 1)?)?;
-            c_all = c_all.add(&c.scatter_add_rows(&level.nodes, total + 1)?)?;
-        }
-        let logits = self.head.infer(&h_all.slice_rows(0, total)?)?;
-        let loss = losses::cross_entropy_infer(&logits, batch.labels())?;
-        Ok(loss.item()? as f64)
+        // `probe`'s batch for `Full`, the first tree alone for `Single`.
+        let batch = self.probe_trees(batch)?;
+        let _no_grad = NoGradGuard::new();
+        Ok(self.loss(&Tape::new(), &batch, false)?.value().item()? as f64)
     }
 
     fn infer_items(&self, batch: crate::InferBatch) -> u64 {
