@@ -24,10 +24,11 @@ use std::path::Path;
 
 use gnnmark::figures;
 use gnnmark::suite::RunArtifacts;
+use gnnmark_gpusim::stream::fnv1a_64;
 use gnnmark_profiler::{Table, WorkloadProfile};
 use gnnmark_tensor::TensorError;
 
-use crate::{fnv1a, Result};
+use crate::Result;
 
 /// Default snapshot directory, relative to the repo root.
 pub const GOLDEN_DIR: &str = "results/golden";
@@ -110,7 +111,7 @@ pub fn all_figure_tables(runs: &[RunArtifacts]) -> Vec<Table> {
 pub fn figure_digest_lines(runs: &[RunArtifacts]) -> Vec<String> {
     all_figure_tables(runs)
         .iter()
-        .map(|t| format!("{:016x}\t{}", fnv1a(t.to_csv().as_bytes()), t.title()))
+        .map(|t| format!("{:016x}\t{}", fnv1a_64(t.to_csv().as_bytes()), t.title()))
         .collect()
 }
 

@@ -15,12 +15,13 @@
 use std::rc::Rc;
 
 use gnnmark_autograd::{NoGradGuard, Tape, Var};
+use gnnmark_gpusim::stream::fnv1a_64;
 use gnnmark_tensor::ops::conv::Conv2dSpec;
 use gnnmark_tensor::{CsrMatrix, IntTensor, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{fnv1a, Result};
+use crate::Result;
 
 /// Perturbation used by the central difference. Large enough that the
 /// f32 forward's rounding noise stays well below the secant slope, small
@@ -75,7 +76,7 @@ pub trait BuildFn: Fn(&Tape, &[Var]) -> Result<Var> {}
 impl<F: Fn(&Tape, &[Var]) -> Result<Var>> BuildFn for F {}
 
 fn weight_for(name: &str, dims: &[usize]) -> Tensor {
-    let mut rng = StdRng::seed_from_u64(fnv1a(name.as_bytes()) ^ 0x77);
+    let mut rng = StdRng::seed_from_u64(fnv1a_64(name.as_bytes()) ^ 0x77);
     Tensor::uniform(dims, -1.0, 1.0, &mut rng)
 }
 
@@ -206,7 +207,7 @@ pub fn grad_check(
 /// Deterministic strictly-positive inputs (safe for `ln`, `sqrt`,
 /// `recip`, `div` denominators).
 fn positive(name: &str, dims: &[usize]) -> Tensor {
-    let mut rng = StdRng::seed_from_u64(fnv1a(name.as_bytes()));
+    let mut rng = StdRng::seed_from_u64(fnv1a_64(name.as_bytes()));
     Tensor::uniform(dims, 0.2, 1.5, &mut rng)
 }
 

@@ -50,14 +50,6 @@ use gnnmark_workloads::Scale;
 /// Result alias re-used from the tensor crate.
 pub type Result<T> = gnnmark_tensor::Result<T>;
 
-/// FNV-1a hash — the digest for golden snapshots and the seed source for
-/// deterministic per-op weight tensors.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Configuration of one `gnnmark check` run.
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
@@ -225,16 +217,4 @@ pub fn run_check(cfg: &CheckConfig) -> Result<CheckOutcome> {
     }
 
     Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
 }

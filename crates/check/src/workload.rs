@@ -16,6 +16,7 @@
 //! disagree. A small deterministic offset moves the check to a generic,
 //! differentiable point without touching the workloads themselves.
 
+use gnnmark_gpusim::stream::fnv1a_64;
 use gnnmark_tensor::Tensor;
 use gnnmark_workloads::{Scale, TrainMode, Workload, WorkloadKind};
 use rand::SeedableRng;
@@ -42,7 +43,7 @@ fn set_elem(p: &gnnmark_autograd::Param, idx: usize, v: f32) {
 fn jitter_params(params: &gnnmark_autograd::ParamSet, seed: u64) -> Result<()> {
     for p in params.iter() {
         let mut rng =
-            rand::rngs::StdRng::seed_from_u64(seed ^ crate::fnv1a(p.name().as_bytes()));
+            rand::rngs::StdRng::seed_from_u64(seed ^ fnv1a_64(p.name().as_bytes()));
         let value = p.value().clone();
         let offset = Tensor::uniform(value.dims(), -JITTER, JITTER, &mut rng);
         p.set_value(value.add(&offset)?);

@@ -4,7 +4,6 @@
 //! interconnect bandwidth (scaling), and half-precision training (the
 //! paper's future-work proposal).
 
-
 use gnnmark_autograd::{Adam, Optimizer, Tape};
 use gnnmark_gpusim::{DdpModel, DeviceSpec, ScalingBehavior};
 use gnnmark_graph::datasets::recommendation_with_width;
@@ -13,12 +12,9 @@ use gnnmark_profiler::{FigureCategory, ProfileSession, Table};
 use gnnmark_tensor::IntTensor;
 use gnnmark_workloads::WorkloadKind;
 
+use crate::figures::pct;
 use crate::suite::{run_workload, run_workload_full, SuiteConfig};
 use crate::Result;
-
-fn pct(v: f64) -> String {
-    format!("{:.1}", v * 100.0)
-}
 
 /// Sweeps L1 capacity for one workload, reporting hit rate and epoch time.
 ///

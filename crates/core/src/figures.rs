@@ -9,7 +9,7 @@ use gnnmark_profiler::{FigureCategory, Table, WorkloadProfile};
 
 use crate::suite::RunArtifacts;
 
-fn pct(v: f64) -> String {
+pub(crate) fn pct(v: f64) -> String {
     format!("{:.1}", v * 100.0)
 }
 

@@ -24,10 +24,11 @@
 use gnnmark_autograd::tape_nodes_recorded;
 use gnnmark_gpusim::stream::{CapturedRun, CapturedStream, ReplayMeta};
 use gnnmark_profiler::{FigureCategory, Table, WorkloadProfile};
-use gnnmark_profiler::ProfileSession;
+pub use gnnmark_telemetry::metrics::percentile;
 use gnnmark_workloads::{InferBatch, WorkloadKind};
 
-use crate::suite::{PrecisionSetup, SuiteConfig};
+use crate::figures::pct;
+use crate::suite::{run_session, SuiteConfig};
 use crate::Result;
 
 /// Execution phase of a captured op stream: the training loop (forward +
@@ -143,26 +144,13 @@ impl InferArtifacts {
     }
 }
 
-/// Nearest-rank percentile over unsorted samples, `q` in 0–1.
-pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
-    sorted[rank.min(sorted.len()) - 1]
-}
-
 /// Runs one workload forward-only and returns its inference metrics.
 ///
 /// # Errors
 /// Propagates workload construction or forward errors, annotated with the
 /// workload label.
 pub fn run_infer_workload(kind: WorkloadKind, cfg: &InferConfig) -> Result<InferArtifacts> {
-    run_infer_inner(kind, cfg, false)
-        .map(|(art, _)| art)
-        .map_err(|e| e.in_workload(kind.label()))
+    run_infer_inner(kind, cfg, false).map(|(art, _)| art)
 }
 
 /// Runs one workload forward-only with op-stream capture, returning the
@@ -176,8 +164,7 @@ pub fn run_infer_captured(
     kind: WorkloadKind,
     cfg: &InferConfig,
 ) -> Result<(InferArtifacts, CapturedRun)> {
-    let (artifacts, stream) =
-        run_infer_inner(kind, cfg, true).map_err(|e| e.in_workload(kind.label()))?;
+    let (artifacts, stream) = run_infer_inner(kind, cfg, true)?;
     let stream = stream.expect("capture was requested");
     let run = CapturedRun {
         meta: ReplayMeta {
@@ -206,40 +193,21 @@ fn run_infer_inner(
     cfg: &InferConfig,
     capture: bool,
 ) -> Result<(InferArtifacts, Option<CapturedStream>)> {
-    if let Some(t) = cfg.suite.threads {
-        gnnmark_tensor::par::set_threads(t);
-    }
-    let setup = PrecisionSetup::install(&cfg.suite);
-    let device = setup.device.clone();
-    let _wl = gnnmark_telemetry::span!(format!("infer:{}", kind.label()));
-    // Make room for this workload's shapes (see `pool::clear`).
-    gnnmark_tensor::pool::clear();
-    let mut w = {
-        let _build = gnnmark_telemetry::span!("build");
-        kind.build_mode(cfg.suite.scale, cfg.suite.seed, &cfg.suite.mode)?
-    };
-    let mut session = ProfileSession::new(kind.label(), device);
-    if capture {
-        session.enable_capture();
-    }
-    let nodes_before = tape_nodes_recorded();
-    let mut losses = Vec::with_capacity(cfg.batch1_steps + cfg.batched_steps);
-    let batches = std::iter::repeat_n(InferBatch::Single, cfg.batch1_steps)
-        .chain(std::iter::repeat_n(InferBatch::Full, cfg.batched_steps));
-    for batch in batches {
-        session.begin_step();
-        let loss = w.infer(batch)?;
-        session.end_step();
-        losses.push(loss);
-    }
-    let tape_nodes = tape_nodes_recorded().saturating_sub(nodes_before);
-    let batched_items = w.infer_items(InferBatch::Full);
-    let (profile, stream) = if capture {
-        let (p, s) = session.finish_captured();
-        (p, Some(s))
-    } else {
-        (session.finish(), None)
-    };
+    let ((losses, tape_nodes, batched_items), profile, stream) =
+        run_session(kind, &cfg.suite, "infer", capture, |w, session| {
+            let nodes_before = tape_nodes_recorded();
+            let mut losses = Vec::with_capacity(cfg.batch1_steps + cfg.batched_steps);
+            let batches = std::iter::repeat_n(InferBatch::Single, cfg.batch1_steps)
+                .chain(std::iter::repeat_n(InferBatch::Full, cfg.batched_steps));
+            for batch in batches {
+                session.begin_step();
+                let loss = w.infer(batch)?;
+                session.end_step();
+                losses.push(loss);
+            }
+            let tape_nodes = tape_nodes_recorded().saturating_sub(nodes_before);
+            Ok((losses, tape_nodes, w.infer_items(InferBatch::Full)))
+        })?;
     // Per-step modeled time is read off the finished profile, not off the
     // live session (a read there waits for the simulator). A step's time is
     // the growth of the running sum over all kernels, which is what reading
@@ -279,10 +247,6 @@ pub fn run_infer_suite(cfg: &InferConfig) -> Result<Vec<InferArtifacts>> {
         .iter()
         .map(|&k| run_infer_workload(k, cfg))
         .collect()
-}
-
-fn pct(x: f64) -> String {
-    format!("{:.1}", x * 100.0)
 }
 
 /// Measured inference-vs-training *operation mix*: for each workload, the
@@ -446,15 +410,6 @@ mod tests {
         }
         assert_eq!(ExecPhase::parse("INFER"), Some(ExecPhase::Infer));
         assert_eq!(ExecPhase::parse("eval"), None);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let samples = [40.0, 10.0, 20.0, 30.0];
-        assert_eq!(percentile(&samples, 0.5), 20.0);
-        assert_eq!(percentile(&samples, 0.95), 40.0);
-        assert_eq!(percentile(&samples, 0.0), 10.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use gnnmark_telemetry::export::{
 };
 use gnnmark_telemetry::metrics;
 
-use crate::resilience::{scale_name, SuiteReport, WorkloadStatus};
+use crate::resilience::{SuiteReport, WorkloadStatus};
 use crate::suite::SuiteConfig;
 
 /// Where to write which artifacts. Every field is optional; the manifest
@@ -168,7 +168,7 @@ pub fn run_manifest(target: &str, cfg: &SuiteConfig, report: &SuiteReport) -> Ru
     RunManifest {
         target: target.to_string(),
         seed: cfg.seed,
-        scale: scale_name(cfg.scale).to_string(),
+        scale: cfg.scale.label().to_string(),
         threads: cfg.threads.unwrap_or_else(gnnmark_tensor::par::threads),
         device: cfg.device.name.clone(),
         precision: cfg.precision.as_str().to_string(),

@@ -7,10 +7,14 @@
 //! run: one diverging workload must not discard eight finished ones. The
 //! entry points here never abort the suite:
 //!
-//! * [`run_workload_resilient`] executes one workload on a dedicated worker
-//!   thread under `catch_unwind`, an optional wall-clock deadline, and a
-//!   bounded retry policy with exponential backoff and per-attempt seed
-//!   perturbation, classifying the result as a [`WorkloadStatus`].
+//! * [`run_task_resilient`] is the one attempt runner: it executes a
+//!   fallible task on a dedicated worker thread per attempt under
+//!   `catch_unwind`, an optional wall-clock deadline, and a bounded retry
+//!   policy with exponential backoff, and records the attempt timeline.
+//! * [`run_workload_resilient`] is a workload-shaped task on that runner:
+//!   per-attempt seed perturbation, the injected fault, and
+//!   [`crate::suite`]'s one training loop under a [`NumericGuard`], with
+//!   the result classified as a [`WorkloadStatus`].
 //! * [`run_suite_resilient`] drives every workload (serially or one thread
 //!   per workload), checkpoints completed runs as JSON summaries, skips
 //!   workloads a previous interrupted run already finished, and returns a
@@ -33,9 +37,10 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use gnnmark_profiler::{ProfileSession, Table};
+use gnnmark_profiler::Table;
+use gnnmark_telemetry::export::{json_escape, parse_json, JsonValue};
 use gnnmark_tensor::TensorError;
-use gnnmark_workloads::{Scale, WorkloadKind};
+use gnnmark_workloads::WorkloadKind;
 
 use crate::suite::{panic_message, RunArtifacts, SuiteConfig};
 use crate::Result;
@@ -154,6 +159,30 @@ pub enum Fault {
     },
 }
 
+impl Fault {
+    /// Applies the fault's start-of-attempt effect on the worker thread and
+    /// returns the epoch whose loss this attempt must turn into NaN.
+    fn apply(&self, kind: WorkloadKind, attempt: usize) -> Result<Option<usize>> {
+        gnnmark_telemetry::mark("fault:injected", "resilience");
+        match self {
+            Fault::Panic => panic!("injected panic in {}", kind.label()),
+            Fault::TransientError { failures } if attempt <= *failures => {
+                Err(TensorError::InvalidArgument {
+                    op: "fault_injection",
+                    reason: format!("injected transient error (attempt {attempt})"),
+                }
+                .in_workload(kind.label()))
+            }
+            Fault::Stall { duration } => {
+                std::thread::sleep(*duration);
+                Ok(None)
+            }
+            Fault::NanLoss { epoch, failures } if attempt <= *failures => Ok(Some(*epoch)),
+            _ => Ok(None),
+        }
+    }
+}
+
 /// Maps workload labels to injected faults.
 ///
 /// The `GNNMARK_FAULT` environment hook (see [`FaultPlan::from_env`])
@@ -217,10 +246,6 @@ impl FaultPlan {
             _ => return None,
         };
         Some(FaultPlan::default().inject(label, fault))
-    }
-
-    fn get(&self, label: &str) -> Option<&Fault> {
-        self.fault_for(label)
     }
 
     /// The fault registered for a workload label, if any. Public so other
@@ -388,11 +413,11 @@ pub struct AttemptEvent {
 impl AttemptEvent {
     fn to_json(&self) -> String {
         format!(
-            "{{\"attempt\":{},\"start_ms\":{:.3},\"dur_ms\":{:.3},\"result\":{}}}",
+            "{{\"attempt\":{},\"start_ms\":{:.3},\"dur_ms\":{:.3},\"result\":\"{}\"}}",
             self.attempt,
             self.start_ms,
             self.dur_ms,
-            json_string(self.result),
+            self.result,
         )
     }
 }
@@ -517,13 +542,13 @@ impl SuiteReport {
                 .collect::<Vec<_>>()
                 .join(",");
             out.push_str(&format!(
-                "{{\"workload\":{},\"status\":{},\"attempts\":{},\"wall_ms\":{:.3},\
-                 \"detail\":{},\"attempt_log\":[{}]}}",
-                json_string(o.kind.label()),
-                json_string(o.status.label()),
+                "{{\"workload\":\"{}\",\"status\":\"{}\",\"attempts\":{},\"wall_ms\":{:.3},\
+                 \"detail\":\"{}\",\"attempt_log\":[{}]}}",
+                o.kind.label(),
+                o.status.label(),
                 o.attempts,
                 o.wall.as_secs_f64() * 1e3,
-                json_string(&o.status.detail()),
+                json_escape(&o.status.detail()),
                 log,
             ));
         }
@@ -551,17 +576,11 @@ impl SuiteReport {
     }
 }
 
-/// What one attempt on the worker thread produced.
-enum AttemptOutcome {
-    Done(Box<Result<RunArtifacts>>),
-    Panicked(String),
-    TimedOut,
-}
-
-/// Runs one workload to a terminal [`WorkloadStatus`]: panic isolation,
-/// optional deadline, bounded retries with exponential backoff and seed
-/// perturbation, and one extra clipped retry after a numeric anomaly when
-/// [`ResilienceConfig::grad_clip_fallback`] is set.
+/// Runs one workload to a terminal [`WorkloadStatus`] through
+/// [`run_task_resilient`], which supplies the panic isolation, the
+/// deadline, the retries and the clipped bonus retry. What is particular
+/// to a workload lives in the task: the per-attempt seed perturbation, the
+/// injected fault, and training under a [`NumericGuard`].
 ///
 /// Never panics and never blocks past `timeout × attempts`; a timed-out
 /// worker thread is detached (it finishes in the background and its result
@@ -571,84 +590,36 @@ pub fn run_workload_resilient(
     cfg: &SuiteConfig,
     rcfg: &ResilienceConfig,
 ) -> WorkloadOutcome {
-    let started = Instant::now();
-    let max_attempts = rcfg.retry.max_retries + 1;
-    let mut attempts = 0;
-    let mut clip_retry_spent = false;
-    let mut attempt_log: Vec<AttemptEvent> = Vec::new();
-    let log_attempt = |attempts: usize, t0: Duration, result: &'static str| AttemptEvent {
-        attempt: attempts,
-        start_ms: t0.as_secs_f64() * 1e3,
-        dur_ms: (started.elapsed() - t0).as_secs_f64() * 1e3,
-        result,
-    };
-    loop {
-        attempts += 1;
-        let clip = clip_retry_spent; // set on the attempt *after* an anomaly
-        let attempt_t0 = started.elapsed();
-        let span = gnnmark_telemetry::Span::enter_cat(
-            format!("attempt:{}#{}", kind.label(), attempts),
-            "resilience",
-        );
-        let outcome = run_attempt(kind, cfg, rcfg, attempts, clip);
-        drop(span);
-        let status = match outcome {
-            AttemptOutcome::Done(res) => match *res {
-                Ok(art) => {
-                    attempt_log.push(log_attempt(attempts, attempt_t0, "ok"));
-                    return WorkloadOutcome {
-                        kind,
-                        status: WorkloadStatus::Completed(Box::new(art)),
-                        attempts,
-                        wall: started.elapsed(),
-                        attempt_log,
-                    };
-                }
-                Err(error) => {
-                    attempt_log.push(log_attempt(attempts, attempt_t0, "error"));
-                    let is_numeric =
-                        matches!(error.root_cause(), TensorError::NumericAnomaly { .. });
-                    if is_numeric && rcfg.grad_clip_fallback.is_some() && !clip_retry_spent {
-                        // One bonus retry with clipping, outside the normal
-                        // retry budget: divergence is the failure clipping
-                        // exists to fix.
-                        clip_retry_spent = true;
-                        gnnmark_telemetry::mark("retry:clipped", "resilience");
-                        gnnmark_telemetry::metrics::counter_add(
-                            "gnnmark_resilience_retries_total",
-                            1,
-                        );
-                        std::thread::sleep(rcfg.retry.backoff(attempts));
-                        continue;
-                    }
-                    WorkloadStatus::Failed { error }
-                }
-            },
-            AttemptOutcome::Panicked(message) => {
-                attempt_log.push(log_attempt(attempts, attempt_t0, "panicked"));
-                WorkloadStatus::Panicked { message }
+    let cfg = cfg.clone();
+    let perturb_seed = rcfg.retry.perturb_seed;
+    let fault = rcfg.faults.fault_for(kind.label()).cloned();
+    let outcome = run_task_resilient(
+        kind.label(),
+        rcfg,
+        std::sync::Arc::new(move |attempt| {
+            let mut cfg = cfg.clone();
+            if perturb_seed && attempt > 1 {
+                cfg.seed = cfg.seed.wrapping_add(attempt as u64 - 1);
             }
-            AttemptOutcome::TimedOut => {
-                attempt_log.push(log_attempt(attempts, attempt_t0, "timed_out"));
-                gnnmark_telemetry::mark("timeout", "resilience");
-                WorkloadStatus::TimedOut {
-                    after: rcfg.timeout.unwrap_or_default(),
-                }
-            }
-        };
-        if attempts >= max_attempts {
-            gnnmark_telemetry::metrics::counter_add("gnnmark_resilience_failures_total", 1);
-            return WorkloadOutcome {
-                kind,
-                status,
-                attempts,
-                wall: started.elapsed(),
-                attempt_log,
+            let nan_epoch = match &fault {
+                Some(fault) => fault.apply(kind, attempt)?,
+                None => None,
             };
-        }
-        gnnmark_telemetry::mark("retry:scheduled", "resilience");
-        gnnmark_telemetry::metrics::counter_add("gnnmark_resilience_retries_total", 1);
-        std::thread::sleep(rcfg.retry.backoff(attempts));
+            let guard = Some(NumericGuard::default());
+            crate::suite::train(kind, &cfg, false, guard, nan_epoch).map(|(art, _)| art)
+        }),
+    );
+    WorkloadOutcome {
+        kind,
+        status: match outcome.status {
+            TaskStatus::Completed(art) => WorkloadStatus::Completed(Box::new(art)),
+            TaskStatus::Failed { error } => WorkloadStatus::Failed { error },
+            TaskStatus::TimedOut { after } => WorkloadStatus::TimedOut { after },
+            TaskStatus::Panicked { message } => WorkloadStatus::Panicked { message },
+        },
+        attempts: outcome.attempts,
+        wall: outcome.wall,
+        attempt_log: outcome.attempt_log,
     }
 }
 
@@ -683,6 +654,8 @@ pub struct TaskOutcome<T> {
     pub attempts: usize,
     /// Wall-clock time across all attempts (including backoff sleeps).
     pub wall: Duration,
+    /// Per-attempt timeline.
+    pub(crate) attempt_log: Vec<AttemptEvent>,
 }
 
 impl<T> TaskOutcome<T> {
@@ -708,21 +681,18 @@ impl<T> TaskOutcome<T> {
     }
 }
 
-enum TaskAttempt<T> {
-    Done(Box<Result<T>>),
-    Panicked(String),
-    TimedOut,
-}
-
-/// Runs an arbitrary fallible task under the same resilience machinery as
-/// [`run_workload_resilient`]: a dedicated worker thread per attempt with
-/// panic isolation, an optional wall-clock deadline, and bounded retries
-/// with exponential backoff. The closure receives the 1-based attempt
-/// index. Used by the `gnnmark-serve` campaign engine for per-job
-/// retries/timeouts.
+/// The one attempt runner: runs a fallible task on a dedicated worker
+/// thread per attempt with panic isolation, an optional wall-clock
+/// deadline, and bounded retries with exponential backoff. The closure
+/// receives the 1-based attempt index. A task failing with a numeric
+/// anomaly while [`ResilienceConfig::grad_clip_fallback`] is set earns one
+/// bonus retry, and that and every later attempt run with gradients
+/// clipped (see [`gnnmark_autograd::set_thread_grad_clip`]): divergence is
+/// the failure clipping exists to fix. [`run_workload_resilient`] and the
+/// `gnnmark-serve` campaign engine's per-job retries both run here.
 ///
 /// A timed-out worker thread is detached — it finishes in the background
-/// and its result is discarded, exactly like a timed-out workload attempt.
+/// and its result is discarded.
 pub fn run_task_resilient<T: Send + 'static>(
     name: &str,
     rcfg: &ResilienceConfig,
@@ -731,180 +701,87 @@ pub fn run_task_resilient<T: Send + 'static>(
     let started = Instant::now();
     let max_attempts = rcfg.retry.max_retries + 1;
     let mut attempts = 0;
+    let mut clip = None; // the fallback norm, once an anomaly has earned it
+    let mut attempt_log = Vec::new();
     loop {
         attempts += 1;
         let attempt = attempts;
+        let attempt_t0 = started.elapsed();
+        let span = gnnmark_telemetry::Span::enter_cat(
+            format!("attempt:{name}#{attempt}"),
+            "resilience",
+        );
         let t = std::sync::Arc::clone(&task);
         let (tx, rx) = mpsc::channel();
         let spawned = std::thread::Builder::new()
             .name(format!("gnnmark-task-{name}"))
             .spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| t(attempt)));
-                let msg = match result {
-                    Ok(run) => TaskAttempt::Done(Box::new(run)),
-                    Err(payload) => TaskAttempt::Panicked(panic_message(payload.as_ref())),
-                };
+                if clip.is_some() {
+                    gnnmark_autograd::set_thread_grad_clip(clip);
+                }
                 // The receiver may have timed out and gone away; fine.
-                let _ = tx.send(msg);
+                let _ = tx.send(catch_unwind(AssertUnwindSafe(|| t(attempt))));
             });
-        let outcome = if spawned.is_err() {
-            TaskAttempt::Panicked("failed to spawn worker thread".to_string())
-        } else {
-            match rcfg.timeout {
-                Some(deadline) => rx.recv_timeout(deadline).unwrap_or(TaskAttempt::TimedOut),
-                None => rx
-                    .recv()
-                    .unwrap_or_else(|_| TaskAttempt::Panicked("worker vanished".to_string())),
+        let received = match (spawned, rcfg.timeout) {
+            (Err(_), _) => Some(Err("failed to spawn worker thread".to_string())),
+            (Ok(_), Some(deadline)) => rx.recv_timeout(deadline).ok().map(attempt_result),
+            (Ok(_), None) => Some(
+                rx.recv()
+                    .map_or_else(|_| Err("worker vanished".to_string()), attempt_result),
+            ),
+        };
+        drop(span);
+        let (status, result) = match received {
+            Some(Ok(Ok(value))) => (TaskStatus::Completed(value), "ok"),
+            Some(Ok(Err(error))) => (TaskStatus::Failed { error }, "error"),
+            Some(Err(message)) => (TaskStatus::Panicked { message }, "panicked"),
+            None => {
+                gnnmark_telemetry::mark("timeout", "resilience");
+                let after = rcfg.timeout.unwrap_or_default();
+                (TaskStatus::TimedOut { after }, "timed_out")
             }
         };
-        let status = match outcome {
-            TaskAttempt::Done(res) => match *res {
-                Ok(value) => {
-                    return TaskOutcome {
-                        status: TaskStatus::Completed(value),
-                        attempts,
-                        wall: started.elapsed(),
-                    };
-                }
-                Err(error) => TaskStatus::Failed { error },
-            },
-            TaskAttempt::Panicked(message) => TaskStatus::Panicked { message },
-            TaskAttempt::TimedOut => TaskStatus::TimedOut {
-                after: rcfg.timeout.unwrap_or_default(),
-            },
+        attempt_log.push(AttemptEvent {
+            attempt,
+            start_ms: attempt_t0.as_secs_f64() * 1e3,
+            dur_ms: (started.elapsed() - attempt_t0).as_secs_f64() * 1e3,
+            result,
+        });
+        let retry = match &status {
+            TaskStatus::Completed(_) => None,
+            TaskStatus::Failed { error }
+                if clip.is_none()
+                    && rcfg.grad_clip_fallback.is_some()
+                    && matches!(error.root_cause(), TensorError::NumericAnomaly { .. }) =>
+            {
+                // One bonus retry with clipping, outside the retry budget.
+                clip = rcfg.grad_clip_fallback;
+                Some("retry:clipped")
+            }
+            _ if attempts >= max_attempts => {
+                gnnmark_telemetry::metrics::counter_add("gnnmark_resilience_failures_total", 1);
+                None
+            }
+            _ => Some("retry:scheduled"),
         };
-        if attempts >= max_attempts {
-            gnnmark_telemetry::metrics::counter_add("gnnmark_resilience_failures_total", 1);
+        let Some(retry) = retry else {
             return TaskOutcome {
                 status,
                 attempts,
                 wall: started.elapsed(),
+                attempt_log,
             };
-        }
-        gnnmark_telemetry::mark("retry:scheduled", "resilience");
+        };
+        gnnmark_telemetry::mark(retry, "resilience");
         gnnmark_telemetry::metrics::counter_add("gnnmark_resilience_retries_total", 1);
         std::thread::sleep(rcfg.retry.backoff(attempts));
     }
 }
 
-/// One isolated attempt on a dedicated worker thread.
-fn run_attempt(
-    kind: WorkloadKind,
-    cfg: &SuiteConfig,
-    rcfg: &ResilienceConfig,
-    attempt: usize,
-    clip: bool,
-) -> AttemptOutcome {
-    let mut attempt_cfg = cfg.clone();
-    if rcfg.retry.perturb_seed && attempt > 1 {
-        attempt_cfg.seed = cfg.seed.wrapping_add(attempt as u64 - 1);
-    }
-    let fault = rcfg.faults.get(kind.label()).cloned();
-    let clip_norm = rcfg.grad_clip_fallback;
-    let (tx, rx) = mpsc::channel();
-    let spawned = std::thread::Builder::new()
-        .name(format!("gnnmark-{}", kind.label()))
-        .spawn(move || {
-            if clip {
-                if let Some(norm) = clip_norm {
-                    gnnmark_autograd::set_thread_grad_clip(Some(norm));
-                }
-            }
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                train_guarded(kind, &attempt_cfg, fault.as_ref(), attempt)
-            }));
-            let msg = match result {
-                Ok(run) => AttemptOutcome::Done(Box::new(run)),
-                Err(payload) => AttemptOutcome::Panicked(panic_message(payload.as_ref())),
-            };
-            // The receiver may have timed out and gone away; that is fine.
-            let _ = tx.send(msg);
-        });
-    let Ok(_handle) = spawned else {
-        return AttemptOutcome::Panicked("failed to spawn worker thread".to_string());
-    };
-    match rcfg.timeout {
-        Some(deadline) => rx.recv_timeout(deadline).unwrap_or(AttemptOutcome::TimedOut),
-        None => rx
-            .recv()
-            .unwrap_or_else(|_| AttemptOutcome::Panicked("worker vanished".to_string())),
-    }
-}
-
-/// The guarded training loop: runs epochs under the numeric guard, applying
-/// any injected fault deterministically.
-fn train_guarded(
-    kind: WorkloadKind,
-    cfg: &SuiteConfig,
-    fault: Option<&Fault>,
-    attempt: usize,
-) -> Result<RunArtifacts> {
-    train_guarded_inner(kind, cfg, fault, attempt).map_err(|e| e.in_workload(kind.label()))
-}
-
-fn train_guarded_inner(
-    kind: WorkloadKind,
-    cfg: &SuiteConfig,
-    fault: Option<&Fault>,
-    attempt: usize,
-) -> Result<RunArtifacts> {
-    if fault.is_some() {
-        gnnmark_telemetry::mark("fault:injected", "resilience");
-    }
-    match fault {
-        Some(Fault::Panic) => panic!("injected panic in {}", kind.label()),
-        Some(Fault::TransientError { failures }) if attempt <= *failures => {
-            return Err(TensorError::InvalidArgument {
-                op: "fault_injection",
-                reason: format!("injected transient error (attempt {attempt})"),
-            });
-        }
-        Some(Fault::Stall { duration }) => std::thread::sleep(*duration),
-        _ => {}
-    }
-    let _wl = gnnmark_telemetry::span!(format!("workload:{}", kind.label()));
-    // Same thread-local mixed-precision install as the direct path: this
-    // attempt runs on its own worker thread, so it must set up (and tear
-    // down) precision + loss scaling itself.
-    let setup = crate::suite::PrecisionSetup::install(cfg);
-    // Make room for this workload's shapes (see `pool::clear`).
-    gnnmark_tensor::pool::clear();
-    let mut w = {
-        let _build = gnnmark_telemetry::span!("build");
-        kind.build_mode(cfg.scale, cfg.seed, &cfg.mode)?
-    };
-    let mut session = ProfileSession::new(kind.label(), setup.device.clone());
-    let mut guard = NumericGuard::default();
-    let mut losses = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        let _ep = gnnmark_telemetry::span!("epoch");
-        let progress = crate::suite::EpochProgress::start(&mut session);
-        let mut loss = w.run_epoch(&mut session)?;
-        if let Some(Fault::NanLoss {
-            epoch: at,
-            failures,
-        }) = fault
-        {
-            if epoch == *at && attempt <= *failures {
-                loss = f64::NAN;
-            }
-        }
-        guard.observe_loss(epoch, loss)?;
-        guard.observe_grad_norm(epoch, w.params().grad_norm())?;
-        losses.push(loss);
-        if let Some(p) = progress {
-            p.report(kind, epoch, cfg.epochs, loss, &mut session);
-        }
-    }
-    let quality = w.quality()?;
-    Ok(RunArtifacts {
-        profile: session.finish(),
-        losses,
-        steps_per_epoch: w.steps_per_epoch(),
-        grad_bytes: w.params().total_bytes(),
-        scaling: w.scaling_behavior(),
-        quality,
-    })
+/// What the worker thread sent: the task's own result, or its panic
+/// message.
+fn attempt_result<T>(sent: std::thread::Result<Result<T>>) -> std::result::Result<Result<T>, String> {
+    sent.map_err(|payload| panic_message(payload.as_ref()))
 }
 
 /// Runs the full suite under the resilience layer; always returns a
@@ -999,6 +876,8 @@ pub struct RunSummary {
     pub seed: u64,
     /// Storage precision the run trained under (`fp32`/`fp16`/`bf16`).
     pub precision: String,
+    /// Training mode and its parameters ([`gnnmark_workloads::TrainMode::key`]).
+    pub mode: String,
     /// Per-epoch mean losses.
     pub losses: Vec<f64>,
     /// Optimizer steps per epoch.
@@ -1011,25 +890,16 @@ pub struct RunSummary {
     pub kernel_launches: u64,
 }
 
-/// Display name of a scale (stable across releases; used as the checkpoint
-/// fingerprint component).
-pub fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    }
-}
-
 impl RunSummary {
     /// Summarizes one completed run.
     pub fn of(kind: WorkloadKind, cfg: &SuiteConfig, art: &RunArtifacts) -> Self {
         RunSummary {
             workload: kind.label().to_string(),
-            scale: scale_name(cfg.scale).to_string(),
+            scale: cfg.scale.label().to_string(),
             epochs: cfg.epochs,
             seed: cfg.seed,
             precision: cfg.precision.as_str().to_string(),
+            mode: cfg.mode.key(),
             losses: art.losses.clone(),
             steps_per_epoch: art.steps_per_epoch,
             grad_bytes: art.grad_bytes,
@@ -1041,10 +911,11 @@ impl RunSummary {
     /// `true` when this summary was produced by the given configuration.
     pub fn matches(&self, kind: WorkloadKind, cfg: &SuiteConfig) -> bool {
         self.workload == kind.label()
-            && self.scale == scale_name(cfg.scale)
+            && self.scale == cfg.scale.label()
             && self.epochs == cfg.epochs
             && self.seed == cfg.seed
             && self.precision == cfg.precision.as_str()
+            && self.mode == cfg.mode.key()
     }
 
     /// Serializes to one JSON object.
@@ -1056,15 +927,16 @@ impl RunSummary {
             .collect::<Vec<_>>()
             .join(",");
         let out = format!(
-            "{{\"workload\":{},\"scale\":{},\"epochs\":{},\"seed\":{},\
-             \"precision\":{},\"losses\":[{}],\
+            "{{\"workload\":\"{}\",\"scale\":\"{}\",\"epochs\":{},\"seed\":{},\
+             \"precision\":\"{}\",\"mode\":\"{}\",\"losses\":[{}],\
              \"steps_per_epoch\":{},\"grad_bytes\":{},\"total_time_ns\":{:?},\
              \"kernel_launches\":{}}}",
-            json_string(&self.workload),
-            json_string(&self.scale),
+            json_escape(&self.workload),
+            json_escape(&self.scale),
             self.epochs,
             self.seed,
-            json_string(&self.precision),
+            json_escape(&self.precision),
+            json_escape(&self.mode),
             losses,
             self.steps_per_epoch,
             self.grad_bytes,
@@ -1077,20 +949,29 @@ impl RunSummary {
     /// Parses a summary written by [`RunSummary::to_json`]; `None` on any
     /// structural mismatch (corrupted checkpoints are treated as absent).
     pub fn from_json(json: &str) -> Option<Self> {
+        let doc = parse_json(json).ok()?;
+        let string = |key: &str| Some(doc.get(key)?.as_str()?.to_string());
+        let count = |key: &str| doc.get(key)?.as_u64();
         Some(RunSummary {
-            workload: json_get_string(json, "workload")?,
-            scale: json_get_string(json, "scale")?,
-            epochs: json_get_number(json, "epochs")? as usize,
-            seed: json_get_number(json, "seed")? as u64,
-            // Checkpoints written before mixed precision lack the field;
-            // they were fp32 runs by construction.
-            precision: json_get_string(json, "precision")
-                .unwrap_or_else(|| "fp32".to_string()),
-            losses: json_get_array(json, "losses")?,
-            steps_per_epoch: json_get_number(json, "steps_per_epoch")? as u64,
-            grad_bytes: json_get_number(json, "grad_bytes")? as u64,
-            total_time_ns: json_get_number(json, "total_time_ns")?,
-            kernel_launches: json_get_number(json, "kernel_launches")? as u64,
+            workload: string("workload")?,
+            scale: string("scale")?,
+            epochs: count("epochs")? as usize,
+            seed: count("seed")?,
+            // Checkpoints written before mixed precision / mini-batch mode
+            // lack these fields; they were fp32 full-graph runs by
+            // construction.
+            precision: string("precision").unwrap_or_else(|| "fp32".to_string()),
+            mode: string("mode").unwrap_or_else(|| "fullgraph".to_string()),
+            losses: doc
+                .get("losses")?
+                .as_array()?
+                .iter()
+                .map(JsonValue::as_f64)
+                .collect::<Option<_>>()?,
+            steps_per_epoch: count("steps_per_epoch")?,
+            grad_bytes: count("grad_bytes")?,
+            total_time_ns: doc.get("total_time_ns")?.as_f64()?,
+            kernel_launches: count("kernel_launches")?,
         })
     }
 }
@@ -1125,73 +1006,6 @@ impl Checkpoint {
         std::fs::write(&tmp, summary.to_json())?;
         std::fs::rename(&tmp, &path)
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Finds the raw value text after `"key":` in a flat JSON object.
-fn json_raw_value<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = json[start..].trim_start();
-    Some(rest)
-}
-
-fn json_get_string(json: &str, key: &str) -> Option<String> {
-    let rest = json_raw_value(json, key)?;
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-fn json_get_number(json: &str, key: &str) -> Option<f64> {
-    let rest = json_raw_value(json, key)?;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn json_get_array(json: &str, key: &str) -> Option<Vec<f64>> {
-    let rest = json_raw_value(json, key)?;
-    let rest = rest.strip_prefix('[')?;
-    let end = rest.find(']')?;
-    let body = &rest[..end];
-    if body.trim().is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',')
-        .map(|s| s.trim().parse().ok())
-        .collect::<Option<Vec<f64>>>()
 }
 
 #[cfg(test)]
@@ -1337,12 +1151,12 @@ mod tests {
     #[test]
     fn fault_plan_env_grammar() {
         let p = FaultPlan::parse("panic:TLSTM").unwrap();
-        assert_eq!(p.get("TLSTM"), Some(&Fault::Panic));
+        assert_eq!(p.fault_for("TLSTM"), Some(&Fault::Panic));
         let p = FaultPlan::parse("transient:GW@3").unwrap();
-        assert_eq!(p.get("GW"), Some(&Fault::TransientError { failures: 3 }));
+        assert_eq!(p.fault_for("GW"), Some(&Fault::TransientError { failures: 3 }));
         let p = FaultPlan::parse("nan:DGCN@2").unwrap();
         assert_eq!(
-            p.get("DGCN"),
+            p.fault_for("DGCN"),
             Some(&Fault::NanLoss {
                 epoch: 2,
                 failures: 1
@@ -1350,7 +1164,7 @@ mod tests {
         );
         let p = FaultPlan::parse("stall:ARGA@250ms").unwrap();
         assert_eq!(
-            p.get("ARGA"),
+            p.fault_for("ARGA"),
             Some(&Fault::Stall {
                 duration: Duration::from_millis(250)
             })
@@ -1368,6 +1182,7 @@ mod tests {
             epochs: 2,
             seed: 42,
             precision: "bf16".to_string(),
+            mode: "minibatch-b16-f6x4".to_string(),
             losses: vec![1.25, 0.75],
             steps_per_epoch: 10,
             grad_bytes: 4096,
@@ -1379,6 +1194,33 @@ mod tests {
         assert_eq!(back, s);
         assert!(RunSummary::from_json("{\"workload\":3}").is_none());
         assert!(RunSummary::from_json("not json at all").is_none());
+        // A label that a substring scan for `"seed":` or a reader without
+        // `\u` escapes gets wrong.
+        let hostile = RunSummary {
+            workload: "a\"b\\c\u{1}d \"seed\":7 e".to_string(),
+            ..s
+        };
+        assert_eq!(RunSummary::from_json(&hostile.to_json()), Some(hostile));
+        // Summaries older than the `precision` / `mode` fields were fp32
+        // full-graph runs.
+        let old = RunSummary::from_json(
+            "{\"workload\":\"GW\",\"scale\":\"test\",\"epochs\":1,\"seed\":42,\"losses\":[],\
+             \"steps_per_epoch\":1,\"grad_bytes\":8,\"total_time_ns\":1.0,\"kernel_launches\":3}",
+        )
+        .expect("parses");
+        assert_eq!((old.precision.as_str(), old.mode.as_str()), ("fp32", "fullgraph"));
+    }
+
+    #[test]
+    fn resilient_run_applies_the_configured_thread_count() {
+        let prev = gnnmark_tensor::par::threads();
+        gnnmark_tensor::par::set_threads(3);
+        let cfg = SuiteConfig::test().with_threads(1);
+        let o = run_workload_resilient(WorkloadKind::Tlstm, &cfg, &fast_rcfg());
+        assert!(matches!(o.status, WorkloadStatus::Completed(_)), "{:?}", o.status);
+        let threads = gnnmark_tensor::par::threads();
+        gnnmark_tensor::par::set_threads(prev);
+        assert_eq!(threads, 1);
     }
 
     #[test]

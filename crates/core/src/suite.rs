@@ -4,8 +4,9 @@ use gnnmark_gpusim::stream::{CapturedRun, CapturedStream, ReplayMeta};
 use gnnmark_gpusim::DeviceSpec;
 use gnnmark_profiler::{ProfileSession, WorkloadProfile};
 use gnnmark_tensor::half::{Precision, PrecisionGuard};
-use gnnmark_workloads::{Scale, TrainMode, WorkloadKind};
+use gnnmark_workloads::{Scale, TrainMode, Workload, WorkloadKind};
 
+use crate::resilience::NumericGuard;
 use crate::Result;
 
 /// Configuration of a suite run.
@@ -131,9 +132,7 @@ pub fn run_workload(kind: WorkloadKind, cfg: &SuiteConfig) -> Result<WorkloadPro
 /// Propagates workload construction or training errors, annotated with the
 /// workload label (see [`gnnmark_tensor::TensorError::InWorkload`]).
 pub fn run_workload_full(kind: WorkloadKind, cfg: &SuiteConfig) -> Result<RunArtifacts> {
-    run_workload_full_inner(kind, cfg, false)
-        .map(|(art, _)| art)
-        .map_err(|e| e.in_workload(kind.label()))
+    train(kind, cfg, false, None, None).map(|(art, _)| art)
 }
 
 /// Trains and profiles one workload with op-stream capture enabled,
@@ -148,8 +147,7 @@ pub fn run_workload_captured(
     kind: WorkloadKind,
     cfg: &SuiteConfig,
 ) -> Result<(RunArtifacts, CapturedRun)> {
-    let (artifacts, stream) = run_workload_full_inner(kind, cfg, true)
-        .map_err(|e| e.in_workload(kind.label()))?;
+    let (artifacts, stream) = train(kind, cfg, true, None, None)?;
     let stream = stream.expect("capture was requested");
     let run = CapturedRun {
         meta: ReplayMeta {
@@ -201,129 +199,120 @@ impl Drop for AmpOff {
     }
 }
 
-/// Thread-local mixed-precision state for one workload run, installed
-/// *before* the workload builds so its parameters get 16-bit master
-/// storage and every tape activation rounds on store. Holds the RAII
-/// guards until dropped; both the direct [`run_workload_full`] path and
-/// the resilient suite's per-attempt worker threads install one.
-pub(crate) struct PrecisionSetup {
-    _precision: PrecisionGuard,
-    _amp: AmpOff,
-    /// The modeled device, switched to 2-byte elements under a reduced
-    /// precision (halved memory traffic, doubled effective cache
-    /// capacity) unless the caller already chose a half-precision device.
-    pub device: gnnmark_gpusim::DeviceSpec,
-}
-
-impl PrecisionSetup {
-    pub fn install(cfg: &SuiteConfig) -> Self {
-        let precision = PrecisionGuard::new(cfg.precision);
+/// The one workload-run skeleton: every path that executes a workload
+/// (plain, captured and resilient training, forward-only inference) goes
+/// through this prologue and epilogue, so a step added here is applied on
+/// all of them. `body` drives the built workload under the session and
+/// returns whatever it measured; `span` names the enclosing telemetry span
+/// (`workload:<LABEL>` / `infer:<LABEL>`). Errors come back annotated with
+/// the workload label.
+pub(crate) fn run_session<T>(
+    kind: WorkloadKind,
+    cfg: &SuiteConfig,
+    span: &str,
+    capture: bool,
+    body: impl FnOnce(&mut dyn Workload, &mut ProfileSession) -> Result<T>,
+) -> Result<(T, WorkloadProfile, Option<CapturedStream>)> {
+    let run = || {
+        if let Some(t) = cfg.threads {
+            gnnmark_tensor::par::set_threads(t);
+        }
+        // Thread-local mixed-precision state, installed *before* the
+        // workload builds so its parameters get 16-bit master storage and
+        // every tape activation rounds on store. Loss scaling rides along;
+        // the guards restore fp32 even if the body panics on a pooled
+        // thread.
+        let _precision = PrecisionGuard::new(cfg.precision);
         gnnmark_autograd::amp::enable(cfg.precision);
+        let _amp = AmpOff;
+        // A reduced precision models the device at 2-byte elements (halved
+        // memory traffic, doubled effective cache capacity) unless the
+        // caller already chose a half-precision device.
         let device = if cfg.precision != Precision::Fp32 && cfg.device.elem_bytes == 4 {
             cfg.device.clone().with_half_precision()
         } else {
             cfg.device.clone()
         };
-        PrecisionSetup {
-            _precision: precision,
-            _amp: AmpOff,
-            device,
+        let _wl = gnnmark_telemetry::span!(format!("{span}:{}", kind.label()));
+        // Make room for this workload's shapes.
+        gnnmark_tensor::pool::clear();
+        let mut w = {
+            let _build = gnnmark_telemetry::span!("build");
+            kind.build_mode(cfg.scale, cfg.seed, &cfg.mode)?
+        };
+        let mut session = ProfileSession::new(kind.label(), device);
+        if capture {
+            session.enable_capture();
         }
-    }
-}
-
-/// One epoch's `--progress` line: wall and modeled time since
-/// [`EpochProgress::start`]. Exists only while progress is on, because each
-/// modeled-time read waits for the session's simulator to catch up, which
-/// takes simulation off the thread it overlaps with (training math never
-/// observes the clocks either way).
-pub(crate) struct EpochProgress {
-    modeled_before_ns: f64,
-    started: std::time::Instant,
-}
-
-impl EpochProgress {
-    pub fn start(session: &mut ProfileSession) -> Option<Self> {
-        gnnmark_telemetry::progress_enabled().then(|| EpochProgress {
-            modeled_before_ns: session.modeled_time_ns(),
-            started: std::time::Instant::now(),
+        let out = body(w.as_mut(), &mut session)?;
+        Ok(if capture {
+            let (profile, stream) = session.finish_captured();
+            (out, profile, Some(stream))
+        } else {
+            (out, session.finish(), None)
         })
-    }
-
-    pub fn report(
-        self,
-        kind: WorkloadKind,
-        epoch: usize,
-        epochs: usize,
-        loss: f64,
-        session: &mut ProfileSession,
-    ) {
-        let pool = gnnmark_tensor::pool::global_stats();
-        eprintln!(
-            "[{}] epoch {}/{}: loss {:.4}  wall {:.1} ms  modeled {:.1} ms  pool hit {:.1}%",
-            kind.label(),
-            epoch + 1,
-            epochs,
-            loss,
-            self.started.elapsed().as_secs_f64() * 1e3,
-            (session.modeled_time_ns() - self.modeled_before_ns) / 1e6,
-            pool.hit_rate() * 100.0,
-        );
-    }
+    };
+    run().map_err(|e: gnnmark_tensor::TensorError| e.in_workload(kind.label()))
 }
 
-fn run_workload_full_inner(
+/// The one training loop. The resilient runner passes a [`NumericGuard`]
+/// (a non-finite or diverged loss or gradient norm becomes an error) and
+/// the epoch whose loss an injected fault turns into NaN; plain runs pass
+/// neither and hand non-finite losses back to the caller as they are.
+pub(crate) fn train(
     kind: WorkloadKind,
     cfg: &SuiteConfig,
     capture: bool,
+    mut guard: Option<NumericGuard>,
+    nan_epoch: Option<usize>,
 ) -> Result<(RunArtifacts, Option<CapturedStream>)> {
-    if let Some(t) = cfg.threads {
-        gnnmark_tensor::par::set_threads(t);
-    }
-    // Loss scaling rides along with the precision; both are thread-local
-    // and the guards restore fp32 even if training panics on a pooled
-    // thread.
-    let setup = PrecisionSetup::install(cfg);
-    let device = setup.device.clone();
-    let _wl = gnnmark_telemetry::span!(format!("workload:{}", kind.label()));
-    // Make room for this workload's shapes (see `pool::clear`).
-    gnnmark_tensor::pool::clear();
-    let mut w = {
-        let _build = gnnmark_telemetry::span!("build");
-        kind.build_mode(cfg.scale, cfg.seed, &cfg.mode)?
-    };
-    let mut session = ProfileSession::new(kind.label(), device);
-    if capture {
-        session.enable_capture();
-    }
-    let mut losses = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        let _ep = gnnmark_telemetry::span!("epoch");
-        let progress = EpochProgress::start(&mut session);
-        let loss = w.run_epoch(&mut session)?;
-        losses.push(loss);
-        if let Some(p) = progress {
-            p.report(kind, epoch, cfg.epochs, loss, &mut session);
-        }
-    }
-    let quality = w.quality()?;
-    let (profile, stream) = if capture {
-        let (p, s) = session.finish_captured();
-        (p, Some(s))
-    } else {
-        (session.finish(), None)
-    };
-    Ok((
-        RunArtifacts {
-            profile,
-            losses,
-            steps_per_epoch: w.steps_per_epoch(),
-            grad_bytes: w.params().total_bytes(),
-            scaling: w.scaling_behavior(),
-            quality,
-        },
-        stream,
-    ))
+    let (into_artifacts, profile, stream) =
+        run_session(kind, cfg, "workload", capture, |w, session| {
+            let mut losses = Vec::with_capacity(cfg.epochs);
+            for epoch in 0..cfg.epochs {
+                let _ep = gnnmark_telemetry::span!("epoch");
+                // `--progress` only: each modeled-time read waits for the
+                // session's simulator to catch up, which takes simulation
+                // off the thread it overlaps with (training math never
+                // observes the clocks either way).
+                let progress = gnnmark_telemetry::progress_enabled()
+                    .then(|| (session.modeled_time_ns(), std::time::Instant::now()));
+                let mut loss = w.run_epoch(session)?;
+                if nan_epoch == Some(epoch) {
+                    loss = f64::NAN;
+                }
+                if let Some(guard) = &mut guard {
+                    guard.observe_loss(epoch, loss)?;
+                    guard.observe_grad_norm(epoch, w.params().grad_norm())?;
+                }
+                losses.push(loss);
+                if let Some((modeled_before_ns, started)) = progress {
+                    eprintln!(
+                        "[{}] epoch {}/{}: loss {:.4}  wall {:.1} ms  modeled {:.1} ms  pool hit {:.1}%",
+                        kind.label(),
+                        epoch + 1,
+                        cfg.epochs,
+                        loss,
+                        started.elapsed().as_secs_f64() * 1e3,
+                        (session.modeled_time_ns() - modeled_before_ns) / 1e6,
+                        gnnmark_tensor::pool::global_stats().hit_rate() * 100.0,
+                    );
+                }
+            }
+            let quality = w.quality()?;
+            let steps_per_epoch = w.steps_per_epoch();
+            let grad_bytes = w.params().total_bytes();
+            let scaling = w.scaling_behavior();
+            Ok(move |profile| RunArtifacts {
+                profile,
+                losses,
+                steps_per_epoch,
+                grad_bytes,
+                scaling,
+                quality,
+            })
+        })?;
+    Ok((into_artifacts(profile), stream))
 }
 
 /// Runs the whole suite (every workload of the paper's figures) and
@@ -385,51 +374,6 @@ pub fn run_suite_parallel(cfg: &SuiteConfig) -> Result<Vec<RunArtifacts>> {
     results.into_iter().collect()
 }
 
-/// Result of a time-to-train measurement (the MLPerf-style metric the
-/// paper plans to adopt in its future work, §VII).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeToTrain {
-    /// Epochs needed to reach the target (`None` if never reached).
-    pub epochs: Option<usize>,
-    /// Modeled GPU time spent, nanoseconds (up to the reaching epoch, or
-    /// all of `max_epochs` when the target was missed).
-    pub modeled_ns: f64,
-    /// The loss trajectory that was observed.
-    pub losses: Vec<f64>,
-}
-
-/// Trains a workload until its epoch loss falls below `target_loss` (or
-/// `max_epochs` elapse) and reports the modeled time to get there — the
-/// "time-to-train" metric of MLPerf that the paper lists as future work.
-///
-/// # Errors
-/// Propagates workload failures.
-pub fn time_to_target(
-    kind: WorkloadKind,
-    cfg: &SuiteConfig,
-    target_loss: f64,
-    max_epochs: usize,
-) -> Result<TimeToTrain> {
-    let mut w = kind.build_mode(cfg.scale, cfg.seed, &cfg.mode)?;
-    let mut session = ProfileSession::new(kind.label(), cfg.device.clone());
-    let mut losses = Vec::new();
-    let mut reached = None;
-    for epoch in 0..max_epochs {
-        let loss = w.run_epoch(&mut session)?;
-        losses.push(loss);
-        if loss <= target_loss {
-            reached = Some(epoch + 1);
-            break;
-        }
-    }
-    let profile = session.finish();
-    Ok(TimeToTrain {
-        epochs: reached,
-        modeled_ns: profile.total_time_ns(),
-        losses,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,21 +387,6 @@ mod tests {
         assert!(art.grad_bytes > 0);
         assert!(art.steps_per_epoch > 0);
         assert!(art.scaling.is_some());
-    }
-
-    #[test]
-    fn time_to_target_reports_epochs_or_miss() {
-        let cfg = SuiteConfig::test();
-        // An absurdly high target is hit on epoch 1.
-        let easy = time_to_target(WorkloadKind::Tlstm, &cfg, 1e9, 4).unwrap();
-        assert_eq!(easy.epochs, Some(1));
-        assert_eq!(easy.losses.len(), 1);
-        assert!(easy.modeled_ns > 0.0);
-        // An impossible target runs out the budget.
-        let hard = time_to_target(WorkloadKind::Tlstm, &cfg, -1.0, 2).unwrap();
-        assert_eq!(hard.epochs, None);
-        assert_eq!(hard.losses.len(), 2);
-        assert!(hard.modeled_ns > easy.modeled_ns);
     }
 
     #[test]

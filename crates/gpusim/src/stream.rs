@@ -520,6 +520,13 @@ impl CapturedRun {
 mod tests {
     use super::*;
 
+    #[test]
+    fn digest_matches_the_fnv1a_reference_vectors() {
+        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
     fn sample_run() -> CapturedRun {
         let mut stream = CapturedStream::default();
         stream.push_step(&[

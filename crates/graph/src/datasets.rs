@@ -461,58 +461,6 @@ pub fn agenda_like(num_docs: usize, vocab: usize, seed: u64) -> Result<Vec<Knowl
         .collect()
 }
 
-/// An evolving social-network-like [`crate::dynamic::DynamicGraph`]:
-/// starts from a preferential-attachment graph and, per snapshot, adds
-/// new members and friendships and drops a few old edges — the "dynamic
-/// graph" category of the paper's taxonomy (§II-B) beyond the
-/// fixed-topology spatio-temporal case.
-///
-/// # Errors
-/// Propagates construction errors.
-pub fn social_snapshots_like(
-    base_nodes: usize,
-    snapshots: usize,
-    seed: u64,
-) -> Result<crate::dynamic::DynamicGraph> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let max_nodes = base_nodes + snapshots * (base_nodes / 10).max(1);
-    let mut edges: Vec<(usize, usize)> = barabasi_albert(base_nodes, 2, &mut rng);
-    let mut n = base_nodes;
-    let mut dynamic = crate::dynamic::DynamicGraph::new();
-    for t in 0..snapshots {
-        // Feature = activity vector; re-sampled per snapshot (profiles
-        // evolve), padded to the final member count for shape stability.
-        let feats = Tensor::from_fn(&[max_nodes, 8], |flat| {
-            let node = flat / 8;
-            if node < n && rng.gen_bool(0.3) {
-                rng.gen_range(0.1..1.0)
-            } else {
-                0.0
-            }
-        });
-        let graph = Graph::from_undirected_edges(max_nodes, &edges, feats)?;
-        dynamic.push(t, graph)?;
-        // Evolve: new members attach preferentially; some edges churn out.
-        let join = (base_nodes / 10).max(1);
-        for _ in 0..join {
-            if n >= max_nodes {
-                break;
-            }
-            let degreeish = edges.len().max(1);
-            let (a, b) = edges[rng.gen_range(0..degreeish)];
-            let target = if rng.gen_bool(0.5) { a } else { b };
-            edges.push((n, target));
-            n += 1;
-        }
-        let drop = edges.len() / 20;
-        for _ in 0..drop {
-            let idx = rng.gen_range(0..edges.len());
-            edges.swap_remove(idx);
-        }
-    }
-    Ok(dynamic)
-}
-
 /// SST-like sentiment trees for Tree-LSTM: random binarized parse trees
 /// whose leaves carry word ids and every node a 5-way sentiment label.
 ///
@@ -664,20 +612,5 @@ mod tests {
                 .all(|&t| (0..500).contains(&t)));
             assert_eq!(d.entity_ids.numel(), d.graph.num_nodes());
         }
-    }
-
-    #[test]
-    fn social_snapshots_evolve() {
-        let d = social_snapshots_like(40, 5, 9).unwrap();
-        assert_eq!(d.len(), 5);
-        let first = &d.snapshots()[0];
-        let last = &d.snapshots()[4];
-        // Stable node-count padding, evolving structure: new members have
-        // joined (degree > 0 beyond the original 40) only in later
-        // snapshots.
-        assert_eq!(first.graph.num_nodes(), last.graph.num_nodes());
-        assert_eq!(first.graph.degrees()[41], 0);
-        assert!(last.graph.degrees().iter().skip(40).any(|&d| d > 0));
-        assert!(last.time > first.time);
     }
 }

@@ -1,12 +1,6 @@
-//! Dynamic / spatio-temporal graphs.
-//!
-//! Two flavors appear in the suite:
-//!
-//! * [`SpatioTemporal`] — a fixed spatial graph whose node *signals* evolve
-//!   over time (traffic sensor networks; STGCN's input), sampled as sliding
-//!   windows.
-//! * [`DynamicGraph`] — a sequence of timestamped snapshots whose edge
-//!   structure itself evolves (social/communication networks).
+//! Spatio-temporal graphs: [`SpatioTemporal`] is a fixed spatial graph
+//! whose node *signals* evolve over time (traffic sensor networks; STGCN's
+//! input), sampled as sliding windows.
 
 use gnnmark_tensor::{Tensor, TensorError};
 
@@ -100,60 +94,6 @@ impl SpatioTemporal {
     }
 }
 
-/// A timestamped snapshot of an evolving graph.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    /// Time index of this snapshot.
-    pub time: usize,
-    /// Graph structure and features at this time.
-    pub graph: Graph,
-}
-
-/// A dynamic graph: an ordered sequence of structural snapshots.
-#[derive(Debug, Clone, Default)]
-pub struct DynamicGraph {
-    snapshots: Vec<Snapshot>,
-}
-
-impl DynamicGraph {
-    /// Creates an empty dynamic graph.
-    pub fn new() -> Self {
-        DynamicGraph::default()
-    }
-
-    /// Appends a snapshot (times must be non-decreasing).
-    ///
-    /// # Errors
-    /// Returns an error if `time` precedes the last snapshot.
-    pub fn push(&mut self, time: usize, graph: Graph) -> Result<()> {
-        if let Some(last) = self.snapshots.last() {
-            if time < last.time {
-                return Err(TensorError::InvalidArgument {
-                    op: "DynamicGraph::push",
-                    reason: format!("time {time} precedes {}", last.time),
-                });
-            }
-        }
-        self.snapshots.push(Snapshot { time, graph });
-        Ok(())
-    }
-
-    /// Number of snapshots.
-    pub fn len(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    /// `true` if there are no snapshots.
-    pub fn is_empty(&self) -> bool {
-        self.snapshots.is_empty()
-    }
-
-    /// The snapshots in time order.
-    pub fn snapshots(&self) -> &[Snapshot] {
-        &self.snapshots
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,18 +129,5 @@ mod tests {
         assert!(SpatioTemporal::new(g.clone(), bad).is_err());
         let mixed = vec![Tensor::ones(&[2, 1]), Tensor::ones(&[2, 2])];
         assert!(SpatioTemporal::new(g, mixed).is_err());
-    }
-
-    #[test]
-    fn dynamic_graph_time_ordering() {
-        let g =
-            Graph::from_undirected_edges(2, &[(0, 1)], Tensor::ones(&[2, 1])).unwrap();
-        let mut d = DynamicGraph::new();
-        d.push(0, g.clone()).unwrap();
-        d.push(5, g.clone()).unwrap();
-        assert!(d.push(3, g).is_err());
-        assert_eq!(d.len(), 2);
-        assert!(!d.is_empty());
-        assert_eq!(d.snapshots()[1].time, 5);
     }
 }

@@ -52,6 +52,8 @@ fn corrupt(reason: String) -> TensorError {
     }
 }
 
+// The repo's digest is `gnnmark_gpusim::stream::fnv1a_64`; this copy exists
+// only because no dependency of `gnnmark-graph` owns one.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -48,7 +48,6 @@ pub mod lstm;
 mod module;
 pub mod norm;
 pub mod pinsage;
-pub mod rgcn;
 pub mod sampled;
 pub mod stgcn;
 
@@ -59,7 +58,6 @@ pub use lstm::{LstmCell, TreeLstmCell};
 pub use module::Module;
 pub use norm::LayerNorm;
 pub use pinsage::PinSageConv;
-pub use rgcn::{RelationAdj, RgcnConv};
 pub use sampled::SampledGcn;
 pub use stgcn::{StConvBlock, TemporalConv};
 

@@ -15,13 +15,10 @@
 
 use std::fmt::Write as _;
 
+use gnnmark_telemetry::export::json_escape;
 use gnnmark_telemetry::HostTrace;
 
 use crate::profile::{FigureCategory, WorkloadProfile};
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// One pre-rendered trace event object (no separators — the document
 /// assembler owns those, which is what keeps zero-event traces valid).
@@ -31,7 +28,7 @@ fn thread_name_event(pid: usize, tid: usize, name: &str) -> Event {
     format!(
         "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
          \"args\":{{\"name\":\"{}\"}}}}",
-        escape(name)
+        json_escape(name)
     )
 }
 
@@ -39,7 +36,7 @@ fn process_name_event(pid: usize, name: &str) -> Event {
     format!(
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
          \"args\":{{\"name\":\"{}\"}}}}",
-        escape(name)
+        json_escape(name)
     )
 }
 
@@ -62,8 +59,8 @@ fn profile_events(profile: &WorkloadProfile, pid: usize) -> Vec<Event> {
             e,
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
              \"args\":{{\"flops\":{},\"iops\":{},\"l1_hit\":{:.3},\"divergence\":{:.3},\"sms\":{}}}}}",
-            escape(k.kernel),
-            escape(FigureCategory::from_class(k.class).label()),
+            json_escape(k.kernel),
+            json_escape(FigureCategory::from_class(k.class).label()),
             pid,
             tid,
             cursor_us,
@@ -97,8 +94,8 @@ fn host_events(host: &HostTrace) -> Vec<Event> {
             let _ = write!(
                 ev,
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{},\"ts\":{:.3}}}",
-                escape(&e.name),
-                escape(e.cat),
+                json_escape(&e.name),
+                json_escape(e.cat),
                 e.lane,
                 ts_us,
             );
@@ -106,8 +103,8 @@ fn host_events(host: &HostTrace) -> Vec<Event> {
             let _ = write!(
                 ev,
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
-                escape(&e.name),
-                escape(e.cat),
+                json_escape(&e.name),
+                json_escape(e.cat),
                 e.lane,
                 ts_us,
                 e.dur_ns as f64 / 1e3,
@@ -148,8 +145,8 @@ pub fn to_chrome_trace(profile: &WorkloadProfile) -> String {
         &events,
         &format!(
             "\"workload\":\"{}\",\"device\":\"{}\"",
-            escape(&profile.name),
-            escape(&profile.spec.name)
+            json_escape(&profile.name),
+            json_escape(&profile.spec.name)
         ),
     )
 }
@@ -234,11 +231,6 @@ mod tests {
         assert_eq!(ts.len(), p.kernels.len());
         assert!(ts.windows(2).all(|w| w[1] >= w[0]));
         assert_eq!(ts[0], 0.0);
-    }
-
-    #[test]
-    fn names_are_escaped() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use gnnmark_gpusim::roofline::{self, Bound};
 use gnnmark_gpusim::StallReason;
 use gnnmark_profiler::FigureCategory;
-use gnnmark_telemetry::metrics::MetricValue;
+use gnnmark_telemetry::metrics::{percentile, MetricValue};
 
 use crate::history::{regression_verdict, HistoryRow};
 use crate::html::{esc, html_table};
@@ -758,20 +758,6 @@ pub(crate) fn comparison_panel(runs: &[ReportRun]) -> String {
 
 // --------------------------------------------------------------------- SLO
 
-/// Quantile table of every fixed-bucket histogram in the snapshot — the
-/// dashboard's SLO view, fed by the same counters `gnnmark loadtest`
-/// observes into.
-/// Nearest-rank percentile (matching `gnnmark::infer::percentile`).
-fn nearest_rank(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
-    sorted[rank.min(sorted.len()) - 1]
-}
-
 /// Forward-only runs: batch-1 modeled latency percentiles and the
 /// batched-throughput saturation rate, read off the profile's per-step
 /// times using each run's [`crate::InferStats`] shape.
@@ -784,7 +770,7 @@ pub(crate) fn inference_panel(runs: &[ReportRun]) -> String {
                 r.profile.step_times_ns().iter().map(|ns| ns / 1e6).collect();
             let split = stats.batch1_steps.min(step_ms.len());
             let (batch1, batched) = step_ms.split_at(split);
-            let q = |p: f64| format!("{} ms", fmt_sig(nearest_rank(batch1, p)));
+            let q = |p: f64| format!("{} ms", fmt_sig(percentile(batch1, p)));
             let batched_ms: f64 = batched.iter().sum();
             let throughput = if batched_ms <= 0.0 {
                 "—".to_string()
@@ -800,7 +786,7 @@ pub(crate) fn inference_panel(runs: &[ReportRun]) -> String {
                 q(0.5),
                 q(0.95),
                 q(0.99),
-                format!("{} ms", fmt_sig(nearest_rank(batch1, 1.0))),
+                format!("{} ms", fmt_sig(percentile(batch1, 1.0))),
                 batched.len().to_string(),
                 throughput,
             ]
@@ -823,6 +809,9 @@ pub(crate) fn inference_panel(runs: &[ReportRun]) -> String {
     )
 }
 
+/// Quantile table of every fixed-bucket histogram in the snapshot — the
+/// dashboard's SLO view, fed by the same counters `gnnmark loadtest`
+/// observes into.
 pub(crate) fn slo_panel(metrics: &[(String, MetricValue)]) -> String {
     let rows: Vec<Vec<String>> = metrics
         .iter()

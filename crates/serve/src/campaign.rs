@@ -23,7 +23,7 @@ use gnnmark::resilience::{run_task_resilient, Fault, ResilienceConfig};
 use gnnmark::suite::{artifacts_from_replay, RunArtifacts};
 use gnnmark::{figures, shutdown};
 use gnnmark_gpusim::{CapturedRun, DdpModel};
-use gnnmark_telemetry::export::debug_validated;
+use gnnmark_telemetry::export::{debug_validated, json_escape};
 
 use crate::cache::{CacheKey, StreamCache};
 use crate::spec::{CampaignSpec, DeviceConfig};
@@ -208,22 +208,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the merged campaign document. Deliberately excluded: wall

@@ -51,14 +51,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use gnnmark::shutdown;
-use gnnmark_telemetry::export::{metrics_prometheus, parse_json, JsonValue};
+use gnnmark_telemetry::export::{json_escape, metrics_prometheus, parse_json, JsonValue};
 use gnnmark_telemetry::metrics;
 
 use crate::cache::StreamCache;
 use crate::campaign::{run_campaign, CampaignOptions};
 use crate::lease::{Lease, LeaseManager};
 use crate::spec::CampaignSpec;
-use crate::store::{json_escape, JobStore, StoredJob};
+use crate::store::{JobStore, StoredJob};
 
 /// Times a worker-killed job may be re-queued before failing terminally.
 const MAX_REQUEUES: u64 = 3;

@@ -36,8 +36,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use gnnmark::infer::{run_infer_workload, InferConfig};
-use gnnmark_telemetry::export::debug_validated;
-use gnnmark_telemetry::metrics;
+use gnnmark_telemetry::export::{debug_validated, parse_json, JsonValue};
+use gnnmark_telemetry::metrics::{self, percentile};
 use gnnmark_workloads::WorkloadKind;
 
 /// Chaos drill: the generator owns a daemon child process and murders it
@@ -176,15 +176,6 @@ impl LoadtestReport {
     }
 }
 
-/// Nearest-rank percentile over an already-sorted sample (ms).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// One raw `Connection: close` exchange; `Ok((status, body))` or `Err`
 /// on any transport failure.
 fn http_exchange(addr: &str, request: &str) -> Result<(u16, String), ()> {
@@ -241,19 +232,9 @@ fn post_request(addr: &str, path: &str, body: &str) -> Result<(u16, String), ()>
     )
 }
 
-/// Pulls the value of a top-level `"key":<number>` or `"key":"string"`
-/// field out of a JSON body without a full parse.
-fn json_field(body: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let rest = &body[body.find(&pat)? + pat.len()..];
-    let rest = rest.trim_start();
-    if let Some(s) = rest.strip_prefix('"') {
-        return Some(s[..s.find('"')?].to_string());
-    }
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    (end > 0).then(|| rest[..end].to_string())
+/// A top-level field of a JSON response body.
+fn json_field(body: &str, key: &str) -> Option<JsonValue> {
+    parse_json(body).ok()?.get(key).cloned()
 }
 
 struct Tally {
@@ -381,8 +362,8 @@ pub fn run_loadtest(opts: &LoadtestOptions) -> Result<LoadtestReport, String> {
         if status != 202 {
             return Err(format!("job submission refused: HTTP {status}: {resp}"));
         }
-        let id: u64 = json_field(&resp, "id")
-            .and_then(|s| s.parse().ok())
+        let id = json_field(&resp, "id")
+            .and_then(|v| v.as_u64())
             .ok_or_else(|| format!("unparseable submission response: {resp}"))?;
         opts.path = format!("/jobs/{id}");
         job_id = Some(id);
@@ -451,7 +432,7 @@ pub fn run_loadtest(opts: &LoadtestOptions) -> Result<LoadtestReport, String> {
             let state = get_request(&opts.addr, &format!("/jobs/{id}"))
                 .ok()
                 .filter(|(s, _)| *s == 200)
-                .and_then(|(_, body)| json_field(&body, "state"));
+                .and_then(|(_, body)| json_field(&body, "state")?.as_str().map(str::to_string));
             let terminal = matches!(state.as_deref(), Some("done" | "failed"));
             if terminal || Instant::now() >= deadline {
                 job_state = state;
@@ -706,16 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_are_nearest_rank() {
-        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 0.50), 51.0);
-        assert_eq!(percentile(&sorted, 0.99), 99.0);
-        assert_eq!(percentile(&sorted, 1.0), 100.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
-    }
-
-    #[test]
     fn closed_loop_measures_a_healthy_server() {
         let (addr, stop) = stub_server("200 OK");
         let report = run_loadtest(&quick_opts(&addr)).unwrap();
@@ -790,10 +761,13 @@ mod tests {
     #[test]
     fn json_field_reads_numbers_and_strings() {
         let body = r#"{"id":12,"state":"done","x":-3.5}"#;
-        assert_eq!(json_field(body, "id").as_deref(), Some("12"));
-        assert_eq!(json_field(body, "state").as_deref(), Some("done"));
-        assert_eq!(json_field(body, "x").as_deref(), Some("-3.5"));
+        assert_eq!(json_field(body, "id").and_then(|v| v.as_u64()), Some(12));
+        assert_eq!(json_field(body, "state").unwrap().as_str(), Some("done"));
+        assert_eq!(json_field(body, "x").and_then(|v| v.as_f64()), Some(-3.5));
         assert_eq!(json_field(body, "nope"), None);
+        // Top-level only: a nested key of the same name is not the field.
+        let nested = r#"{"job":{"id":3},"id":12}"#;
+        assert_eq!(json_field(nested, "id").and_then(|v| v.as_u64()), Some(12));
     }
 
     #[test]

@@ -75,7 +75,7 @@ use std::time::{Duration, Instant};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use gnnmark_gpusim::stream::fnv1a_64;
-use gnnmark_telemetry::export::{parse_json, JsonValue};
+use gnnmark_telemetry::export::{json_escape, parse_json, JsonValue};
 use gnnmark_telemetry::metrics;
 
 const LOG_FILE: &str = "wal.log";
@@ -102,23 +102,6 @@ pub fn now_unix_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_millis() as u64)
-}
-
-/// JSON string escaping for record payloads.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A cross-process mutex: an exclusive `flock(2)` on the store's lock

@@ -824,6 +824,14 @@ mod tests {
     }
 
     #[test]
+    fn json_escape_round_trips_through_parse_json() {
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        let raw = "q\"b\\s\n\t\r\u{1}é";
+        let doc = format!("\"{}\"", json_escape(raw));
+        assert_eq!(parse_json(&doc).unwrap().as_str(), Some(raw));
+    }
+
+    #[test]
     fn debug_validated_passes_through_valid_json() {
         let s = debug_validated("test", "{\"a\": 1}".to_string());
         assert_eq!(s, "{\"a\": 1}");

@@ -133,6 +133,20 @@ impl MetricValue {
     }
 }
 
+/// Nearest-rank percentile over unsorted samples, `q` in 0–1: the smallest
+/// sample with at least `q` of the samples at or below it (0.0 when there
+/// are none). The one definition behind `gnnmark infer`, `gnnmark
+/// loadtest` and the report's latency panel.
+pub fn percentile(samples: &[f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
+    sorted[rank.min(sorted.len()) - 1]
+}
+
 static REGISTRY: Mutex<BTreeMap<String, MetricValue>> = Mutex::new(BTreeMap::new());
 
 /// Adds `delta` to the named counter, creating it at zero first.
@@ -331,6 +345,20 @@ mod tests {
         // Empty / wrong-variant → None.
         observe("t7_plain", 1.0);
         assert!(get("t7_plain").unwrap().bucket_quantile(0.5).is_none());
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let samples = [40.0, 10.0, 20.0, 30.0];
+        assert_eq!(percentile(&samples, 0.5), 20.0);
+        assert_eq!(percentile(&samples, 0.95), 40.0);
+        assert_eq!(percentile(&samples, 0.0), 10.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        let hundred: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&hundred, 0.50), 50.0);
+        assert_eq!(percentile(&hundred, 0.99), 99.0);
+        assert_eq!(percentile(&hundred, 1.0), 100.0);
+        assert_eq!(percentile(&[7.0], 0.99), 7.0);
     }
 
     #[test]

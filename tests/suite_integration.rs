@@ -354,6 +354,33 @@ mod resilience {
     }
 
     #[test]
+    fn checkpoint_is_not_restored_across_training_modes() {
+        let dir = std::env::temp_dir().join(format!(
+            "gnnmark_resume_mode_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rcfg = fast().with_checkpoint_dir(&dir);
+        let full = run_suite_resilient(&SuiteConfig::test(), &rcfg);
+        assert!(full.all_succeeded());
+
+        // Same directory, other mode: the full-graph summaries describe
+        // different runs, so every workload trains.
+        let minibatch =
+            SuiteConfig::test().with_mode(gnnmark::TrainMode::Minibatch(Default::default()));
+        let second = run_suite_resilient(&minibatch, &rcfg);
+        for o in &second.outcomes {
+            assert!(
+                matches!(o.status, WorkloadStatus::Completed(_)),
+                "{:?}: {:?}",
+                o.kind,
+                o.status
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn restored_summary_matches_original_run() {
         // The checkpoint round-trip preserves the training record exactly:
         // losses from the restored summary equal the live run's.
