@@ -9,7 +9,7 @@
 //! fresh state, the same way a live session does.
 
 use gnnmark_gpusim::stream::CapturedStream;
-use gnnmark_gpusim::{DeviceSpec, GpuModel, TransferDirection, TransferEngine};
+use gnnmark_gpusim::{DeviceSpec, GpuModel, KernelMetrics, TransferDirection, TransferEngine};
 
 use crate::profile::WorkloadProfile;
 
@@ -20,9 +20,26 @@ pub fn replay_profile(
     spec: DeviceSpec,
     stream: &CapturedStream,
 ) -> WorkloadProfile {
+    let kernels = Vec::with_capacity(stream.events.len());
+    replay_profile_into(name, spec, stream, kernels)
+}
+
+/// [`replay_profile`] into caller-allocated storage: the per-kernel
+/// metrics are written into `kernels` (cleared first), which becomes the
+/// profile's `kernels`. A caller that replays on a worker thread but keeps
+/// the profile allocates it, with room for `stream.events.len()`, on its
+/// own thread, so the largest block of the result lives in the allocator
+/// arena of the thread that frees it (see `Command::Launch` in the
+/// session for the same rule).
+pub fn replay_profile_into(
+    name: impl Into<String>,
+    spec: DeviceSpec,
+    stream: &CapturedStream,
+    mut kernels: Vec<KernelMetrics>,
+) -> WorkloadProfile {
     let _sp = gnnmark_telemetry::span!("replay", "gpu-model");
     let mut gpu = GpuModel::new(spec.clone());
-    let mut kernels = Vec::with_capacity(stream.events.len());
+    kernels.clear();
     for e in &stream.events {
         kernels.push(gpu.execute(e));
     }
@@ -85,6 +102,26 @@ mod tests {
         assert_eq!(replayed.mean_sparsity.to_bits(), live.mean_sparsity.to_bits());
         assert_eq!(replayed.h2d_bytes, live.h2d_bytes);
         assert_eq!(replayed.sparsity_series, live.sparsity_series);
+    }
+
+    #[test]
+    fn replay_into_fills_the_callers_storage() {
+        let (live, stream) = captured_session();
+        let mut stale = Vec::with_capacity(stream.events.len() + 1);
+        stale.push(live.kernels[0].clone());
+        let storage = stale.as_ptr();
+        let into = replay_profile_into("replay-test", DeviceSpec::v100(), &stream, stale);
+        assert_eq!(into.kernels.as_ptr(), storage, "no reallocation");
+        let plain = replay_profile("replay-test", DeviceSpec::v100(), &stream);
+        assert_eq!(into.kernels.len(), plain.kernels.len());
+        for (a, b) in into.kernels.iter().zip(&plain.kernels) {
+            assert_eq!(a.kernel, b.kernel);
+            assert_eq!(a.time_ns.to_bits(), b.time_ns.to_bits());
+        }
+        assert_eq!(
+            into.total_time_ns().to_bits(),
+            plain.total_time_ns().to_bits()
+        );
     }
 
     #[test]

@@ -166,9 +166,28 @@ impl StreamCache {
     /// Propagates training errors on a miss; a failed training stores
     /// nothing, so the next call retries.
     pub fn get_or_train(&self, key: &CacheKey) -> Result<CapturedRun> {
-        if let Some(run) = self.load(key) {
-            gnnmark_telemetry::metrics::counter_add("gnnmark_serve_cache_hits_total", 1);
-            return Ok(run);
+        Ok(self.fetch(key)?.0)
+    }
+
+    /// [`StreamCache::load`] that counts a hit when the entry is intact.
+    /// A miss counts nothing here: it is counted by the [`StreamCache::fetch`]
+    /// that trains it, so a caller may look up first and fall back to
+    /// `fetch` without counting one request twice.
+    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<CapturedRun> {
+        let _sp = gnnmark_telemetry::Span::enter_cat(
+            format!("load:{}", key.id()),
+            "serve-cache",
+        );
+        let run = self.load(key)?;
+        gnnmark_telemetry::metrics::counter_add("gnnmark_serve_cache_hits_total", 1);
+        Some(run)
+    }
+
+    /// [`StreamCache::get_or_train`] that also says whether this call
+    /// trained: `(run, true)` after a miss, `(run, false)` on a hit.
+    pub(crate) fn fetch(&self, key: &CacheKey) -> Result<(CapturedRun, bool)> {
+        if let Some(run) = self.lookup(key) {
+            return Ok((run, false));
         }
         gnnmark_telemetry::metrics::counter_add("gnnmark_serve_cache_misses_total", 1);
         let _sp = gnnmark_telemetry::Span::enter_cat(
@@ -188,7 +207,7 @@ impl StreamCache {
         gnnmark_telemetry::metrics::counter_add("gnnmark_serve_trainings_total", 1);
         // A write failure only costs a retrain next time; the run is good.
         let _ = self.store(key, &run);
-        Ok(run)
+        Ok((run, true))
     }
 }
 

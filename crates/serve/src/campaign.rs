@@ -1,28 +1,36 @@
 //! The campaign engine: expand a [`CampaignSpec`] into a two-phase job
 //! DAG and execute it on a bounded worker pool.
 //!
-//! * **Phase 1 — capture.** One job per workload (the replay-cache key
-//!   space of the campaign): [`StreamCache::get_or_train`] under the
-//!   suite's resilient task runner (retries, deadline, panic isolation).
-//!   Only cache misses actually train.
+//! * **Phase 1 — capture.** One stream per workload (the replay-cache key
+//!   space of the campaign). A cache hit loads on the calling thread; a
+//!   miss, or a workload a fault drill names, is a job that loads or
+//!   trains it ([`StreamCache::get_or_train`]) under the suite's resilient
+//!   task runner (retries, deadline, panic isolation). Only misses train.
 //! * **Phase 2 — replay.** One job per (config × workload): the captured
 //!   stream replays through a fresh gpusim model built from the config's
-//!   [`DeviceSpec`]. Replay is pure simulation — milliseconds, not
-//!   minutes.
+//!   [`DeviceSpec`](gnnmark_gpusim::DeviceSpec). Replay is pure
+//!   simulation — milliseconds, not minutes.
 //!
 //! Every job writes its result into a pre-sized slot indexed by its
 //! position in the expanded job list, and the merged output is rendered
 //! by iterating those slots in order — so the merged JSON and the figure
 //! CSVs are byte-identical across runs and worker counts, and contain no
 //! wall-clock values.
+//!
+//! Memory: the thread that keeps a result allocates it. The calling
+//! thread decodes the hits and allocates every replay's kernel metrics
+//! before the workers run, so the blocks a campaign keeps, and frees when
+//! it returns, live in that thread's allocator arena instead of in the
+//! arenas of short-lived worker threads, which keep freed memory resident.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gnnmark::resilience::{run_task_resilient, Fault, ResilienceConfig};
-use gnnmark::suite::{artifacts_from_replay, RunArtifacts};
+use gnnmark::suite::RunArtifacts;
 use gnnmark::{figures, shutdown};
-use gnnmark_gpusim::{CapturedRun, DdpModel};
+use gnnmark_gpusim::{CapturedRun, DdpModel, KernelMetrics};
+use gnnmark_profiler::replay_profile_into;
 use gnnmark_telemetry::export::{debug_validated, json_escape};
 
 use crate::cache::{CacheKey, StreamCache};
@@ -165,27 +173,33 @@ impl CampaignOutcome {
     }
 }
 
-/// Runs `n_jobs` closures on `workers` threads (inline when that is one),
-/// each writing into its own slot — results are position-stable regardless
-/// of which worker ran which job. Checks the process shutdown flag between
-/// jobs.
-fn run_jobs<T: Send>(
-    n_jobs: usize,
+/// Runs `job` once per input on `workers` threads (inline when that is
+/// one), each result written into the slot of its input — results are
+/// position-stable regardless of which worker ran which job. Inputs are
+/// built by the caller, so whatever a job fills in for the caller to keep
+/// is allocated on the caller's thread. Checks the process shutdown flag
+/// between jobs.
+fn run_jobs<I: Send, T: Send>(
+    inputs: Vec<I>,
     workers: usize,
-    job: impl Fn(usize) -> T + Sync,
+    job: impl Fn(I) -> T + Sync,
 ) -> Vec<Option<T>> {
+    let n_jobs = inputs.len();
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n_jobs).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
+    let queue = Mutex::new(inputs.into_iter().enumerate());
     let workers = workers.clamp(1, n_jobs.max(1));
     let work = || loop {
         if shutdown::requested() {
             return;
         }
-        let i = next.fetch_add(1, Ordering::SeqCst);
-        if i >= n_jobs {
+        let next = queue
+            .lock()
+            .expect("no job runs while the queue is locked")
+            .next();
+        let Some((i, input)) = next else {
             return;
-        }
-        let out = job(i);
+        };
+        let out = job(input);
         slots.lock().unwrap()[i] = Some(out);
     };
     if workers == 1 {
@@ -329,13 +343,29 @@ fn apply_capture_fault(
     }
 }
 
+/// [`artifacts_from_replay`](gnnmark::suite::artifacts_from_replay) with
+/// the kernel metrics written into `kernels`, which the campaign thread
+/// allocated.
 fn replay_one(
     cfg: &DeviceConfig,
     workload_label: &str,
     run: &CapturedRun,
+    kernels: Vec<KernelMetrics>,
 ) -> Result<ReplayResult, String> {
     let device = cfg.to_device_spec()?;
-    let artifacts = artifacts_from_replay(run, &device);
+    let artifacts = RunArtifacts {
+        profile: replay_profile_into(
+            run.meta.workload.clone(),
+            device.clone(),
+            &run.stream,
+            kernels,
+        ),
+        losses: run.meta.losses.clone(),
+        steps_per_epoch: run.meta.steps_per_epoch,
+        grad_bytes: run.meta.grad_bytes,
+        scaling: run.meta.scaling,
+        quality: run.meta.quality,
+    };
     let ddp_epoch_ns = match (cfg.gpus > 1, artifacts.scaling) {
         (true, Some(behavior)) => {
             let epochs = run.meta.epochs.max(1) as f64;
@@ -375,57 +405,69 @@ pub fn run_campaign(
         "serve-campaign",
     );
 
-    // Phase 1 — capture. One job per workload; hits/misses decided by the
-    // entry's presence on disk before the call (counters are global and
-    // shared with other in-process work, so they can't attribute per
-    // campaign).
-    let keys: Vec<CacheKey> = spec
+    // Phase 1 — capture. The replays read every stream and this thread
+    // frees them, so this thread allocates them: a hit loads and decodes
+    // here. Only a miss, or a workload a fault drill names, becomes a job
+    // under the resilient runner, and that job reports whether it trained
+    // (the process-wide counters are shared with other in-process work, so
+    // they can't attribute per campaign).
+    let keys: Vec<CacheKey> = spec.workloads.iter().map(|&w| spec.cache_key(w)).collect();
+    let report_capture = |label: &str, ok: bool| {
+        opts.report(&format!(
+            "capture {label}: {}",
+            if ok { "ok" } else { "failed" }
+        ));
+    };
+    let faults: Vec<Option<Fault>> = spec
         .workloads
         .iter()
-        .map(|&workload| CacheKey {
-            workload,
-            scale: spec.scale,
-            seed: spec.seed,
-            epochs: spec.epochs,
-            precision: spec.precision,
-            mode: spec.mode.clone(),
-            phase: spec.phase,
+        .map(|w| opts.resilience.faults.fault_for(w.label()).cloned())
+        .collect();
+    let mut captures: Vec<Option<Result<(CapturedRun, bool), String>>> = (0..keys.len())
+        .map(|i| {
+            if faults[i].is_some() || shutdown::requested() {
+                return None;
+            }
+            let run = cache.lookup(&keys[i])?;
+            report_capture(spec.workloads[i].label(), true);
+            Some(Ok((run, false)))
         })
         .collect();
-    let pre_cached: Vec<bool> = keys.iter().map(|k| cache.path_for(k).exists()).collect();
+    // A hit counts as the one attempt it took.
+    let hits = captures.iter().flatten().count() as u64;
+    let pending: Vec<usize> = (0..keys.len()).filter(|&i| captures[i].is_none()).collect();
 
     let faults_injected = Arc::new(AtomicU64::new(0));
-    let total_attempts = AtomicU64::new(0);
-    let captures: Vec<Option<Result<CapturedRun, String>>> =
-        run_jobs(keys.len(), opts.workers, |i| {
-            let key = keys[i].clone();
-            let label = spec.workloads[i].label();
-            let cache = cache.clone();
-            let fault = opts.resilience.faults.fault_for(label).cloned();
-            let injected = Arc::clone(&faults_injected);
-            let outcome = run_task_resilient(
-                &format!("capture:{}", key.id()),
-                &opts.resilience,
-                Arc::new(move |attempt| {
-                    if let Some(fault) = &fault {
-                        apply_capture_fault(label, fault, attempt, &injected)?;
-                    }
-                    cache.get_or_train(&key)
-                }),
-            );
-            total_attempts.fetch_add(outcome.attempts as u64, Ordering::SeqCst);
-            let res = match outcome.status {
-                gnnmark::resilience::TaskStatus::Completed(run) => Ok(run),
-                _ => Err(outcome
-                    .failure()
-                    .unwrap_or_else(|| "unknown failure".to_string())),
-            };
-            opts.report(&format!(
-                "capture {label}: {}",
-                if res.is_ok() { "ok" } else { "failed" }
-            ));
-            res
-        });
+    let total_attempts = AtomicU64::new(hits);
+    let attempted = run_jobs(pending.clone(), opts.workers, |i| {
+        let key = keys[i].clone();
+        let label = spec.workloads[i].label();
+        let cache = cache.clone();
+        let fault = faults[i].clone();
+        let injected = Arc::clone(&faults_injected);
+        let outcome = run_task_resilient(
+            &format!("capture:{}", key.id()),
+            &opts.resilience,
+            Arc::new(move |attempt| {
+                if let Some(fault) = &fault {
+                    apply_capture_fault(label, fault, attempt, &injected)?;
+                }
+                cache.fetch(&key)
+            }),
+        );
+        total_attempts.fetch_add(outcome.attempts as u64, Ordering::SeqCst);
+        let res = match outcome.status {
+            gnnmark::resilience::TaskStatus::Completed(fetched) => Ok(fetched),
+            _ => Err(outcome
+                .failure()
+                .unwrap_or_else(|| "unknown failure".to_string())),
+        };
+        report_capture(label, res.is_ok());
+        res
+    });
+    for (i, cap) in pending.into_iter().zip(attempted) {
+        captures[i] = cap;
+    }
 
     let mut failures = Vec::new();
     let mut streams: Vec<Option<CapturedRun>> = Vec::with_capacity(keys.len());
@@ -434,11 +476,11 @@ pub fn run_campaign(
     for (i, cap) in captures.into_iter().enumerate() {
         let label = spec.workloads[i].label();
         match cap {
-            Some(Ok(run)) => {
-                if pre_cached[i] {
-                    cache_hits += 1;
-                } else {
+            Some(Ok((run, trained))) => {
+                if trained {
                     trainings += 1;
+                } else {
+                    cache_hits += 1;
                 }
                 streams.push(Some(run));
             }
@@ -461,16 +503,26 @@ pub fn run_campaign(
     }
 
     // Phase 2 — replay. Jobs expand config-major so per-config results are
-    // contiguous; each job owns slot (ci * workloads + wi).
+    // contiguous; each job owns slot (ci * workloads + wi). Each job's
+    // kernel metrics, the bulk of what this thread keeps, are allocated
+    // here at their final size and filled by the worker.
     let n_workloads = spec.workloads.len();
     let n_jobs = spec.configs.len() * n_workloads;
     opts.report(&format!("replay: {n_jobs} jobs"));
+    let inputs: Vec<(usize, Vec<KernelMetrics>)> = (0..n_jobs)
+        .map(|i| {
+            let events = streams[i % n_workloads]
+                .as_ref()
+                .map_or(0, |run| run.stream.events.len());
+            (i, Vec::with_capacity(events))
+        })
+        .collect();
     let replays: Vec<Option<Result<ReplayResult, String>>> =
-        run_jobs(n_jobs, opts.workers, |i| {
+        run_jobs(inputs, opts.workers, |(i, kernels)| {
             let cfg = &spec.configs[i / n_workloads];
             let wi = i % n_workloads;
             match &streams[wi] {
-                Some(run) => replay_one(cfg, spec.workloads[wi].label(), run),
+                Some(run) => replay_one(cfg, spec.workloads[wi].label(), run, kernels),
                 None => Err("capture unavailable".to_string()),
             }
         });
@@ -518,6 +570,16 @@ mod tests {
         .unwrap()
     }
 
+    /// One workload on one device: the cheapest campaign that trains.
+    fn tlstm_spec(name: &str, seed: u64) -> CampaignSpec {
+        CampaignSpec::parse(&format!(
+            r#"{{"name":"{name}","scale":"test","seed":{seed},"epochs":1,
+                "workloads":["TLSTM"],
+                "configs":[{{"name":"v100","device":"v100"}}]}}"#
+        ))
+        .unwrap()
+    }
+
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "gnnmark_campaign_{tag}_{}",
@@ -543,6 +605,7 @@ mod tests {
         let out2 = run_campaign(&spec, &cache, &CampaignOptions::default()).unwrap();
         assert_eq!(out2.trainings, 0);
         assert_eq!(out2.cache_hits, 1);
+        assert_eq!(out2.attempts, 1, "a hit is one attempt");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -571,12 +634,7 @@ mod tests {
         use gnnmark::resilience::FaultPlan;
         let dir = tmp_dir("fault");
         let cache = StreamCache::new(&dir);
-        let spec = CampaignSpec::parse(
-            r#"{"name":"flt","scale":"test","seed":42,"epochs":1,
-                "workloads":["TLSTM"],
-                "configs":[{"name":"v100","device":"v100"}]}"#,
-        )
-        .unwrap();
+        let spec = tlstm_spec("flt", 42);
         let messages = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&messages);
         let opts = CampaignOptions {
@@ -598,6 +656,46 @@ mod tests {
             "{msgs:?}"
         );
         assert!(msgs.iter().any(|m| m.starts_with("replay:")), "{msgs:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_broken_entry_is_retrained_and_counted_as_a_training() {
+        let dir = tmp_dir("broken");
+        let cache = StreamCache::new(&dir);
+        let spec = tlstm_spec("broken", 11);
+        let key = spec.cache_key(spec.workloads[0]);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(cache.path_for(&key), b"definitely not a stream").unwrap();
+        let out = run_campaign(&spec, &cache, &CampaignOptions::default()).unwrap();
+        assert!(out.complete(), "failures: {:?}", out.failures);
+        assert_eq!(out.trainings, 1, "the garbage entry was retrained");
+        assert_eq!(out.cache_hits, 0, "a garbage entry is not a hit");
+        assert_eq!(out.attempts, 1);
+        assert!(cache.load(&key).is_some(), "retraining repaired it");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_fault_drill_still_fires_on_a_warm_cache() {
+        use gnnmark::resilience::FaultPlan;
+        let dir = tmp_dir("warmfault");
+        let cache = StreamCache::new(&dir);
+        let spec = tlstm_spec("warmfault", 12);
+        let cold = run_campaign(&spec, &cache, &CampaignOptions::default()).unwrap();
+        assert_eq!((cold.trainings, cold.attempts), (1, 1));
+        let opts = CampaignOptions {
+            resilience: ResilienceConfig::default().with_retries(2).with_faults(
+                FaultPlan::none().inject("TLSTM", Fault::TransientError { failures: 2 }),
+            ),
+            ..CampaignOptions::default()
+        };
+        let out = run_campaign(&spec, &cache, &opts).unwrap();
+        assert!(out.complete(), "failures: {:?}", out.failures);
+        assert_eq!(out.faults_injected, 2, "both planned failures fire");
+        assert_eq!(out.attempts, 3, "two failures, then the hit");
+        assert_eq!((out.trainings, out.cache_hits), (0, 1));
+        assert_eq!(out.merged_json, cold.merged_json);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -21,7 +21,7 @@ use gnnmark::suite::artifacts_from_replay;
 use gnnmark_report::{esc, html_table, Report, ReportRun};
 use gnnmark_telemetry::metrics;
 
-use crate::cache::{CacheKey, StreamCache};
+use crate::cache::StreamCache;
 use crate::spec::CampaignSpec;
 use crate::store::{JobState, StoredJob};
 
@@ -157,16 +157,7 @@ pub(crate) fn job_report_page(job: &StoredJob, cache: &StreamCache) -> Result<St
 
     let mut pending = Vec::new();
     for &workload in &spec.workloads {
-        let key = CacheKey {
-            workload,
-            scale: spec.scale,
-            seed: spec.seed,
-            epochs: spec.epochs,
-            precision: spec.precision,
-            mode: spec.mode.clone(),
-            phase: spec.phase,
-        };
-        let Some(run) = cache.load(&key) else {
+        let Some(run) = cache.load(&spec.cache_key(workload)) else {
             pending.push(workload.label());
             continue;
         };
@@ -222,6 +213,7 @@ pub(crate) fn job_report_page(job: &StoredJob, cache: &StreamCache) -> Result<St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheKey;
     use gnnmark::infer::ExecPhase;
     use gnnmark_tensor::half::Precision;
     use gnnmark_workloads::{Scale, TrainMode, WorkloadKind};

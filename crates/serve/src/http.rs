@@ -752,6 +752,15 @@ fn wait_readable(_listener: &TcpListener, timeout: Duration) {
 /// a daemon serving hundreds of jobs a second ends up with the tag arrays
 /// resident several times over. Setting the threshold explicitly (to its
 /// own default) turns the dynamic adjustment off.
+///
+/// The tag arrays are not what makes a campaign's memory depend on thread
+/// scheduling: with `mmap`-backed tag arrays and nothing else changed, the
+/// `replay_sweep` benchmark still read 161–218 MiB. That came from the
+/// decoded streams and per-replay kernel metrics being allocated on
+/// short-lived threads, which the campaign engine avoids by allocating
+/// them on the campaign thread (see `campaign`'s module docs). This pin
+/// stays a daemon-only setting: it is process-wide, and in `replay_sweep`
+/// it costs 4–12 % of wall time.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 fn pin_mmap_threshold() {
     use std::ffi::c_int;

@@ -34,6 +34,8 @@ use gnnmark_telemetry::export::{parse_json, JsonValue};
 use gnnmark_tensor::half::Precision;
 use gnnmark_workloads::{Scale, TrainMode, WorkloadKind};
 
+use crate::cache::CacheKey;
+
 /// One device configuration of a campaign: a base device plus optional
 /// architectural overrides, and a DDP GPU count.
 #[derive(Debug, Clone, PartialEq)]
@@ -341,6 +343,19 @@ impl CampaignSpec {
     /// Total replay jobs this campaign expands to (configs × workloads).
     pub fn job_count(&self) -> usize {
         self.configs.len() * self.workloads.len()
+    }
+
+    /// The replay-cache key of one of this campaign's workloads.
+    pub(crate) fn cache_key(&self, workload: WorkloadKind) -> CacheKey {
+        CacheKey {
+            workload,
+            scale: self.scale,
+            seed: self.seed,
+            epochs: self.epochs,
+            precision: self.precision,
+            mode: self.mode.clone(),
+            phase: self.phase,
+        }
     }
 }
 

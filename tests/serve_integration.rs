@@ -9,7 +9,7 @@ use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
 use gnnmark_serve::campaign::CampaignOptions;
-use gnnmark_serve::{run_campaign, serve, CampaignSpec, ServeConfig, StreamCache};
+use gnnmark_serve::{run_campaign, serve, CacheKey, CampaignSpec, ServeConfig, StreamCache};
 
 /// The shutdown flag is process-wide and campaigns skip their remaining
 /// jobs once it is set: campaign tests hold this for reading, the daemon
@@ -78,6 +78,69 @@ fn resubmitted_campaign_never_retrains() {
         "replayed output must be byte-identical to the from-scratch run"
     );
     assert_eq!(first.figure_csvs(), second.figure_csvs());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A warm-cache campaign with no fault drill loads its streams on the
+/// calling thread: no capture attempt (span or worker thread) is started,
+/// and the output is byte-identical to the cold run's.
+#[test]
+fn warm_campaign_starts_no_capture_attempt() {
+    let _flag = SHUTDOWN_FLAG.read().unwrap_or_else(|e| e.into_inner());
+    let dir = tmp("warm");
+    let cache = StreamCache::new(dir.join("cache"));
+    // A seed no other test here uses, so the key ids below are ours even
+    // though spans from concurrently running tests land in the same sink.
+    let spec = CampaignSpec::parse(
+        r#"{"name":"warm","scale":"test","seed":4242,"epochs":1,
+            "workloads":["TLSTM","ARGA"],
+            "configs":[{"name":"v100","device":"v100"},{"name":"a100","device":"a100"}]}"#,
+    )
+    .unwrap();
+    let ids: Vec<String> = spec
+        .workloads
+        .iter()
+        .map(|&workload| {
+            CacheKey {
+                workload,
+                scale: spec.scale,
+                seed: spec.seed,
+                epochs: spec.epochs,
+                precision: spec.precision,
+                mode: spec.mode.clone(),
+                phase: spec.phase,
+            }
+            .id()
+        })
+        .collect();
+    let opts = CampaignOptions::default();
+    let cold = run_campaign(&spec, &cache, &opts).unwrap();
+    assert_eq!(cold.trainings, 2, "failures: {:?}", cold.failures);
+
+    gnnmark_telemetry::set_enabled(true);
+    let _ = gnnmark_telemetry::take_host_trace();
+    let warm = run_campaign(&spec, &cache, &opts);
+    let trace = gnnmark_telemetry::take_host_trace();
+    gnnmark_telemetry::set_enabled(false);
+    let warm = warm.unwrap();
+    assert_eq!((warm.trainings, warm.cache_hits, warm.attempts), (0, 2, 2));
+    assert_eq!(warm.merged_json, cold.merged_json, "warm output differs");
+
+    for id in &ids {
+        let attempt = format!("attempt:capture:{id}#");
+        assert!(
+            !trace.events.iter().any(|e| e.name.starts_with(&attempt)),
+            "a warm hit started a capture attempt for {id}"
+        );
+        let loads = trace.named(&format!("load:{id}"));
+        assert_eq!(loads.len(), 1, "one load of {id}");
+        let thread = trace.lanes.iter().find(|l| l.lane == loads[0].lane);
+        let thread = thread.map_or("", |l| l.thread.as_str());
+        assert!(
+            !thread.starts_with("gnnmark-task-capture:"),
+            "{id} was decoded on capture worker {thread}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
