@@ -163,6 +163,11 @@ impl CacheSim {
         self.accesses = 0;
         self.hits = 0;
     }
+
+    /// The tag array, set after set, MRU first within a set.
+    pub(crate) fn tags(&self) -> &[u64] {
+        &self.tags
+    }
 }
 
 /// The memory behavior of one kernel, measured by simulation.

@@ -48,7 +48,7 @@ pub mod transfer;
 pub use cache::{CacheSim, MemoryTrace};
 pub use device::DeviceSpec;
 pub use kernel::{InstructionMix, KernelMetrics};
-pub use model::GpuModel;
+pub use model::{GpuModel, PrevStep};
 pub use multigpu::{DdpModel, ScalingBehavior};
 pub use roofline::{Bound, RooflinePoint};
 pub use stall::{StallBreakdown, StallReason};

@@ -69,17 +69,37 @@ fn is_mac_class(class: OpClass) -> bool {
     )
 }
 
+/// The step a [`GpuModel::execute_step`] call follows: its events and the
+/// metrics the model produced for them.
+#[derive(Debug, Clone, Copy)]
+pub struct PrevStep<'a> {
+    /// The previous step's events, in order.
+    pub events: &'a [OpEvent],
+    /// The metrics the model produced for them, one per event.
+    pub kernels: &'a [KernelMetrics],
+}
+
 /// An analytical single-GPU model with persistent cache state.
 ///
 /// Feed it the recorded [`OpEvent`]s of a training step in order; each
 /// call simulates the kernel's memory behavior through the shared cache
-/// hierarchy and returns full [`KernelMetrics`].
+/// hierarchy and returns full [`KernelMetrics`]. [`GpuModel::execute_step`]
+/// takes a whole step and copies the metrics of a repeated step it can
+/// prove would come out the same.
 #[derive(Debug)]
 pub struct GpuModel {
     spec: DeviceSpec,
     l1: CacheSim,
     l2: CacheSim,
     kernels_executed: u64,
+    /// `kernels_executed` at the end of the last step, when that step left
+    /// both tag arrays as it found them. A bare `execute` since moves the
+    /// count past it.
+    fixed_point_at: Option<u64>,
+    /// L1 and L2 tags as the running repeated step found them; the buffers
+    /// are reused from step to step.
+    snapshot: [Vec<u64>; 2],
+    steps_elided: u64,
 }
 
 impl GpuModel {
@@ -92,6 +112,9 @@ impl GpuModel {
             l1,
             l2,
             kernels_executed: 0,
+            fixed_point_at: None,
+            snapshot: [Vec::new(), Vec::new()],
+            steps_elided: 0,
         }
     }
 
@@ -100,9 +123,61 @@ impl GpuModel {
         &self.spec
     }
 
-    /// Kernels executed so far.
+    /// Kernels executed so far, elided steps' included.
     pub fn kernels_executed(&self) -> u64 {
         self.kernels_executed
+    }
+
+    /// Steps [`GpuModel::execute_step`] copied instead of simulating.
+    pub fn steps_elided(&self) -> u64 {
+        self.steps_elided
+    }
+
+    /// Simulates one step, appending one metric per event to `out`.
+    ///
+    /// `prev` is the step this model ran last, through this method, with
+    /// the metrics it produced for it. [`GpuModel::execute`] is a function
+    /// of the L1 and L2 tags and the event, so a step that repeats `prev`'s
+    /// events from the tags `prev` started from repeats its metrics and its
+    /// ending tags. When `prev` was such a repeat and was seen to leave both
+    /// tag arrays as it found them, this step is *elided*: `prev`'s metrics
+    /// are copied and the caches are left untouched. Any other step runs
+    /// event by event; a repeat first snapshots both tag arrays and compares
+    /// them afterwards, which decides whether the next repeat is elided.
+    /// Either way `out` receives what the per-event loop would have
+    /// produced, bit for bit.
+    ///
+    /// # Panics
+    /// Panics if `prev` holds a different number of metrics than events.
+    pub fn execute_step(
+        &mut self,
+        events: &[OpEvent],
+        prev: Option<PrevStep<'_>>,
+        out: &mut Vec<KernelMetrics>,
+    ) {
+        let repeat = prev.filter(|p| p.events == events);
+        if let Some(p) = repeat {
+            assert_eq!(p.kernels.len(), p.events.len(), "one metric per event");
+            if self.fixed_point_at == Some(self.kernels_executed) {
+                out.extend_from_slice(p.kernels);
+                self.kernels_executed += events.len() as u64;
+                self.fixed_point_at = Some(self.kernels_executed);
+                self.steps_elided += 1;
+                return;
+            }
+            for (saved, cache) in self.snapshot.iter_mut().zip([&self.l1, &self.l2]) {
+                saved.clear();
+                saved.extend_from_slice(cache.tags());
+            }
+        }
+        out.reserve(events.len());
+        for e in events {
+            out.push(self.execute(e));
+        }
+        let unchanged = repeat.is_some()
+            && self.snapshot[0] == self.l1.tags()
+            && self.snapshot[1] == self.l2.tags();
+        self.fixed_point_at = unchanged.then_some(self.kernels_executed);
     }
 
     /// Simulates one kernel.

@@ -95,6 +95,26 @@ impl CapturedStream {
     pub fn steps(&self) -> u64 {
         self.per_step.len() as u64
     }
+
+    /// Each step's events, in step order: [`CapturedStream::events`] cut by
+    /// [`CapturedStream::per_step`]. A stream whose counts do not add up to
+    /// its events (only a hand-built one; [`CapturedRun::from_bytes`]
+    /// rejects them) has its counts cut short at the last event, and
+    /// uncounted events come last as one more slice, so no event is lost.
+    pub fn step_events(&self) -> impl Iterator<Item = &[OpEvent]> + '_ {
+        let mut rest = self.events.as_slice();
+        let mut counts = self.per_step.iter();
+        std::iter::from_fn(move || {
+            let n = match counts.next() {
+                Some(&n) => n as usize,
+                None if !rest.is_empty() => rest.len(),
+                None => return None,
+            };
+            let (step, tail) = rest.split_at(n.min(rest.len()));
+            rest = tail;
+            Some(step)
+        })
+    }
 }
 
 /// Training metadata captured alongside the stream — everything a replay
@@ -478,6 +498,16 @@ impl CapturedRun {
         let per_step = r.vec(n_steps.into(), 4, "steps", Reader::u32)?;
         let n_events = r.u64()?;
         let events = r.vec(n_events, MIN_EVENT_BYTES, "events", read_event)?;
+        // A consistent writer's counts cover the events exactly; replay cuts
+        // the events by them.
+        let counted = per_step
+            .iter()
+            .try_fold(0u64, |sum, &n| sum.checked_add(n.into()));
+        if counted != Some(n_events) {
+            return Err(format!(
+                "per-step counts add up to {counted:?} events, stream has {n_events}"
+            ));
+        }
         let n_transfers = r.u32()?;
         let transfers = r.vec(n_transfers.into(), TRANSFER_BYTES, "transfers", |r| {
             Ok(TransferRecord {
@@ -680,7 +710,7 @@ mod tests {
         run.meta.scaling = None;
         run.meta.quality = None;
         run.stream = CapturedStream::default();
-        run.stream.events.push(OpEvent {
+        run.stream.push_step(&[OpEvent {
             class: OpClass::Gather,
             kernel: "gather_rows",
             flops: 0,
@@ -694,7 +724,7 @@ mod tests {
                 table_bytes: 8192,
             }],
             writes: vec![],
-        });
+        }]);
         run
     }
 
@@ -703,7 +733,7 @@ mod tests {
         // A body that ends ... [n_losses u32][scaling u8][quality u8]
         // [n_steps u32][n_events u64][n_transfers u32]: every list empty.
         let mut empty = indexed_run(vec![]);
-        empty.stream.events.clear();
+        empty.stream = CapturedStream::default();
         let body_of_empty = body(&empty);
         let end = body_of_empty.len();
         for (what, at, width) in [
@@ -746,6 +776,35 @@ mod tests {
                 other => panic!("decoded {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn step_counts_that_miss_the_event_count_are_rejected() {
+        let mut run = indexed_run(vec![1, 2]);
+        let event = run.stream.events[0].clone();
+        run.stream.events = vec![event; 3];
+        run.stream.per_step = vec![5];
+        let err = CapturedRun::from_bytes(&run.to_bytes()).unwrap_err();
+        assert!(err.contains("per-step counts"), "got: {err}");
+        // A sum that wraps a u64 is not taken for a match.
+        run.stream.per_step = vec![u32::MAX; 2];
+        assert!(CapturedRun::from_bytes(&run.to_bytes()).is_err());
+        run.stream.per_step = vec![1, 2];
+        assert!(CapturedRun::from_bytes(&run.to_bytes()).is_ok());
+    }
+
+    #[test]
+    fn step_events_cut_the_stream_without_losing_an_event() {
+        let run = sample_run();
+        let lens: Vec<usize> = run.stream.step_events().map(<[_]>::len).collect();
+        assert_eq!(lens, [2, 0], "an empty step is a step");
+        let mut odd = run.stream.clone();
+        odd.per_step = vec![1];
+        let lens: Vec<usize> = odd.step_events().map(<[_]>::len).collect();
+        assert_eq!(lens, [1, 1], "uncounted events come last");
+        odd.per_step = vec![5, 1];
+        let lens: Vec<usize> = odd.step_events().map(<[_]>::len).collect();
+        assert_eq!(lens, [2, 0], "counts are cut at the last event");
     }
 
     #[test]

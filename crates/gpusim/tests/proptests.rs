@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
-use gnnmark_gpusim::{CacheSim, DdpModel, DeviceSpec, GpuModel, ScalingBehavior, StallReason};
+use gnnmark_gpusim::{
+    CacheSim, DdpModel, DeviceSpec, GpuModel, KernelMetrics, PrevStep, ScalingBehavior, StallReason,
+};
 use gnnmark_tensor::{AccessDesc, OpClass, OpEvent};
 use proptest::prelude::*;
 
@@ -45,6 +47,289 @@ fn arb_event() -> impl Strategy<Value = OpEvent> {
                 writes: vec![AccessDesc::Sequential { bytes: bw }],
             },
         )
+}
+
+/// A V100 with a 4 KiB L1 and a 32 KiB L2, so that steps of a few events
+/// overflow both and the walk stays cheap.
+fn tiny_cache_gpu() -> DeviceSpec {
+    DeviceSpec {
+        l1_bytes: 4 * 1024,
+        l2_bytes: 32 * 1024,
+        ..DeviceSpec::v100()
+    }
+}
+
+/// An event touching at most `max_bytes` per descriptor, with an index
+/// array of up to 64 rows.
+fn arb_small_event(max_bytes: u64) -> impl Strategy<Value = OpEvent> {
+    (
+        arb_class(),
+        1u64..1_000_000,
+        128u64..max_bytes,
+        0u64..3,
+        proptest::collection::vec(0u32..4_096, 1..64),
+        1u64..1_000_000,
+    )
+        .prop_map(|(class, flops, bytes, shape, indices, threads)| {
+            let access = match shape {
+                0 => AccessDesc::Sequential { bytes },
+                1 => AccessDesc::Indexed {
+                    indices: Arc::new(indices),
+                    row_bytes: 16,
+                    table_bytes: 4_096 * 16,
+                },
+                _ => AccessDesc::Random {
+                    accesses: bytes / 4,
+                    access_bytes: 4,
+                    region_bytes: bytes,
+                },
+            };
+            OpEvent {
+                class,
+                kernel: "prop",
+                flops,
+                iops: flops / 3,
+                bytes_read: bytes,
+                bytes_written: bytes / 2,
+                threads,
+                reads: vec![access],
+                writes: vec![AccessDesc::Sequential { bytes: bytes / 2 }],
+            }
+        })
+}
+
+/// One thing done to a model: a pool step run as a step, or its events run
+/// through bare [`GpuModel::execute`] calls.
+#[derive(Debug, Clone, Copy)]
+enum Run {
+    Step(usize),
+    Bare(usize),
+}
+
+/// Every field of every kernel, bit for bit: `Debug` prints each `f64` in
+/// the shortest form that reads back to the same bits.
+fn bits(kernels: &[KernelMetrics]) -> Vec<String> {
+    kernels.iter().map(|k| format!("{k:?}")).collect()
+}
+
+/// The reference: every event through [`GpuModel::execute`], in order.
+fn per_event(spec: &DeviceSpec, pool: &[Vec<OpEvent>], runs: &[Run]) -> (Vec<String>, u64) {
+    let mut gpu = GpuModel::new(spec.clone());
+    let mut out = Vec::new();
+    for &(Run::Step(i) | Run::Bare(i)) in runs {
+        out.extend(pool[i].iter().map(|e| gpu.execute(e)));
+    }
+    (bits(&out), gpu.kernels_executed())
+}
+
+/// The same runs with every `Step` through [`GpuModel::execute_step`],
+/// following the last `Step` before it; returns the metrics, the kernel
+/// count and the steps elided.
+fn stepped(spec: &DeviceSpec, pool: &[Vec<OpEvent>], runs: &[Run]) -> (Vec<String>, u64, u64) {
+    let mut gpu = GpuModel::new(spec.clone());
+    let mut out: Vec<KernelMetrics> = Vec::new();
+    let mut step = Vec::new();
+    let mut prev: Option<(usize, std::ops::Range<usize>)> = None;
+    for &run in runs {
+        match run {
+            Run::Step(i) => {
+                let prev_step = prev.clone().map(|(p, at)| PrevStep {
+                    events: &pool[p],
+                    kernels: &out[at],
+                });
+                gpu.execute_step(&pool[i], prev_step, &mut step);
+                prev = Some((i, out.len()..out.len() + step.len()));
+                out.append(&mut step);
+            }
+            Run::Bare(i) => out.extend(pool[i].iter().map(|e| gpu.execute(e))),
+        }
+    }
+    (bits(&out), gpu.kernels_executed(), gpu.steps_elided())
+}
+
+/// Runs both ways, asserts they agree, and returns the steps elided.
+fn elided_when_equal_to_per_event(spec: &DeviceSpec, pool: &[Vec<OpEvent>], runs: &[Run]) -> u64 {
+    let (want, want_count) = per_event(spec, pool, runs);
+    let (got, got_count, elided) = stepped(spec, pool, runs);
+    assert_eq!(got.len(), want.len(), "{runs:?}");
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g, w, "kernel {i} of {runs:?}");
+    }
+    assert_eq!(got_count, want_count, "kernels_executed of {runs:?}");
+    elided
+}
+
+/// Two small steps and a cache-flushing sweep; `fits` and `other` fit in
+/// the V100's caches.
+fn step_pool() -> Vec<Vec<OpEvent>> {
+    let event = |kernel, reads: Vec<AccessDesc>, bytes| OpEvent {
+        class: OpClass::Gather,
+        kernel,
+        flops: 1_000,
+        iops: 5_000,
+        bytes_read: bytes,
+        bytes_written: 4_096,
+        threads: 4_096,
+        reads,
+        writes: vec![AccessDesc::Sequential { bytes: 4_096 }],
+    };
+    let indices = Arc::new((0..2_048u32).map(|i| i * 7 % 1_000).collect());
+    let fits = vec![
+        event(
+            "gather",
+            vec![AccessDesc::Indexed {
+                indices,
+                row_bytes: 32,
+                table_bytes: 32_000,
+            }],
+            65_536,
+        ),
+        event(
+            "sweep",
+            vec![AccessDesc::Sequential { bytes: 16_384 }],
+            16_384,
+        ),
+    ];
+    let other = vec![event(
+        "sort",
+        vec![AccessDesc::Random {
+            accesses: 8_192,
+            access_bytes: 4,
+            region_bytes: 32_768,
+        }],
+        32_768,
+    )];
+    // Twice the V100's 6 MiB L2.
+    let flush = vec![event(
+        "flush",
+        vec![AccessDesc::Sequential { bytes: 12 << 20 }],
+        12 << 20,
+    )];
+    vec![fits, other, flush]
+}
+
+#[test]
+fn a_third_repeat_is_elided_and_matches_per_event() {
+    let pool = step_pool();
+    let runs = [Run::Step(0), Run::Step(0), Run::Step(0)];
+    for spec in [DeviceSpec::v100(), DeviceSpec::a100(), tiny_cache_gpu()] {
+        assert_eq!(
+            elided_when_equal_to_per_event(&spec, &pool, &runs),
+            1,
+            "{}",
+            spec.name
+        );
+    }
+}
+
+#[test]
+fn alternating_steps_are_never_elided() {
+    let pool = step_pool();
+    let runs = [Run::Step(0), Run::Step(1), Run::Step(0), Run::Step(1)];
+    assert_eq!(
+        elided_when_equal_to_per_event(&DeviceSpec::v100(), &pool, &runs),
+        0
+    );
+}
+
+#[test]
+fn a_repeat_larger_than_l2_is_elided_exactly() {
+    let pool = step_pool();
+    let runs = [Run::Step(2), Run::Step(2), Run::Step(2), Run::Step(2)];
+    assert_eq!(
+        elided_when_equal_to_per_event(&DeviceSpec::v100(), &pool, &runs),
+        2
+    );
+}
+
+#[test]
+fn a_repeat_after_a_bare_execute_is_simulated() {
+    let pool = step_pool();
+    let spec = DeviceSpec::v100();
+    // The flush in between leaves the caches cold for the third `fits`, so
+    // copying the second one's metrics would be wrong; the fourth finds what
+    // the third left and is the first a fifth can be copied from.
+    let runs = [
+        Run::Step(0),
+        Run::Step(0),
+        Run::Bare(2),
+        Run::Step(0),
+        Run::Step(0),
+        Run::Step(0),
+    ];
+    assert_eq!(elided_when_equal_to_per_event(&spec, &pool, &runs), 1);
+    let (want, _) = per_event(&spec, &pool, &runs);
+    assert_ne!(
+        want[2..4],
+        want[5..7],
+        "the flush must change the repeat's metrics"
+    );
+}
+
+/// One event reading table rows `rows`, 128 bytes each, in order: with
+/// nothing else in the kernel, row `r` is line `2^21 + r`.
+fn read_rows(rows: Vec<u32>) -> Vec<OpEvent> {
+    vec![OpEvent {
+        class: OpClass::Gather,
+        kernel: "rows",
+        flops: 0,
+        iops: rows.len() as u64,
+        bytes_read: 128 * rows.len() as u64,
+        bytes_written: 0,
+        threads: 32,
+        reads: vec![AccessDesc::Indexed {
+            indices: Arc::new(rows),
+            row_bytes: 128,
+            table_bytes: 128 * 1024,
+        }],
+        writes: vec![],
+    }]
+}
+
+#[test]
+fn a_repeat_that_moves_one_cache_level_is_not_taken_for_unchanged() {
+    // The bare `evict` between two runs of `reread` leaves the third
+    // `reread` to change one level only; taking that step for unchanged
+    // would copy its misses into the fourth.
+    //
+    // L1 8 sets × 4 ways, L2 16 sets: rows 8, 24, 40 and 56 share row 0's
+    // L1 set but not its L2 set. The third read of row 0 misses L1 and hits
+    // L2, where row 0 is already most recent: only L1 changes.
+    let only_l1 = (
+        tiny_cache_gpu(),
+        [read_rows(vec![0]), read_rows(vec![8, 24, 40, 56])],
+    );
+    // L2 12 sets: rows 0, 24, 48, 72, 96 share an L1 set they overflow,
+    // so they miss L1 every time and leave it as they found it. The twelve
+    // rows 12, 36, .., 276 share only their L2 set and push row 0 out of
+    // it: the third read misses L2 once and changes only L2.
+    let only_l2 = (
+        DeviceSpec {
+            l2_bytes: 24 * 1024,
+            ..tiny_cache_gpu()
+        },
+        [
+            read_rows((0..5).map(|i| 24 * i).collect()),
+            read_rows((0..12).map(|i| 12 + 24 * i).collect()),
+        ],
+    );
+    let runs = [
+        Run::Step(0),
+        Run::Step(0),
+        Run::Bare(1),
+        Run::Step(0),
+        Run::Step(0),
+        Run::Step(0),
+    ];
+    for (level, (spec, pool)) in [("L1", only_l1), ("L2", only_l2)] {
+        assert_eq!(
+            elided_when_equal_to_per_event(&spec, &pool, &runs),
+            1,
+            "{level}"
+        );
+        let (want, _) = per_event(&spec, &pool, &runs);
+        assert_ne!(want[3], want[4], "{level}: the third read must miss more");
+    }
 }
 
 /// The stamp-LRU cache model `CacheSim` used before its sets became
@@ -205,6 +490,26 @@ proptest! {
         }
         prop_assert_eq!(new.accesses(), old.accesses);
         prop_assert_eq!(new.hits(), old.hits);
+    }
+
+    #[test]
+    fn execute_step_equals_the_per_event_loop(
+        pool in proptest::collection::vec(
+            proptest::collection::vec(arb_small_event(64 * 1024), 1..4),
+            1..4,
+        ),
+        picks in proptest::collection::vec((0u8..5, 0usize..3), 2..12),
+        caches in 0u8..2,
+    ) {
+        let runs: Vec<Run> = picks
+            .iter()
+            .map(|&(kind, i)| {
+                let i = i % pool.len();
+                if kind == 0 { Run::Bare(i) } else { Run::Step(i) }
+            })
+            .collect();
+        let spec = if caches == 0 { tiny_cache_gpu() } else { DeviceSpec::v100() };
+        elided_when_equal_to_per_event(&spec, &pool, &runs);
     }
 
     #[test]

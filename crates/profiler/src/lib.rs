@@ -35,7 +35,7 @@ pub mod table;
 pub mod trace;
 
 pub use profile::{ClassStats, FigureCategory, WorkloadProfile};
-pub use replay::{replay_profile, replay_profile_into};
+pub use replay::{replay_profile, replay_profile_into, replay_steps};
 pub use session::ProfileSession;
 pub use table::Table;
 pub use trace::{to_chrome_trace, to_merged_chrome_trace};

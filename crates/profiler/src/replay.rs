@@ -5,11 +5,14 @@
 //! model needs; replaying it under a different [`DeviceSpec`] produces the
 //! profile that device *would* have yielded, without re-running training.
 //! Replaying under the capture-time device reproduces the original profile
-//! exactly: the model is deterministic and consumes events in order from a
-//! fresh state, the same way a live session does.
+//! exactly: the model is deterministic and consumes the steps in order from
+//! a fresh state through [`GpuModel::execute_step`], the same way a live
+//! session does.
 
 use gnnmark_gpusim::stream::CapturedStream;
-use gnnmark_gpusim::{DeviceSpec, GpuModel, KernelMetrics, TransferDirection, TransferEngine};
+use gnnmark_gpusim::{
+    DeviceSpec, GpuModel, KernelMetrics, PrevStep, TransferDirection, TransferEngine,
+};
 
 use crate::profile::WorkloadProfile;
 
@@ -37,12 +40,12 @@ pub fn replay_profile_into(
     stream: &CapturedStream,
     mut kernels: Vec<KernelMetrics>,
 ) -> WorkloadProfile {
-    let _sp = gnnmark_telemetry::span!("replay", "gpu-model");
+    let mut sp = gnnmark_telemetry::span!("replay", "gpu-model");
     let mut gpu = GpuModel::new(spec.clone());
     kernels.clear();
-    for e in &stream.events {
-        kernels.push(gpu.execute(e));
-    }
+    replay_steps(&mut gpu, stream, &mut kernels);
+    sp.arg("elided", gpu.steps_elided());
+    gnnmark_telemetry::metrics::counter_add(STEPS_ELIDED_TOTAL, gpu.steps_elided());
     let mut transfers = TransferEngine::new(&spec);
     for t in &stream.transfers {
         let direction = if t.h2d {
@@ -60,6 +63,28 @@ pub fn replay_profile_into(
         stream.steps(),
         stream.per_step.clone(),
     )
+}
+
+/// Counter of steps the GPU model copied instead of simulating, bumped once
+/// per replay and once per live session.
+pub(crate) const STEPS_ELIDED_TOTAL: &str = "gnnmark_sim_steps_elided_total";
+
+/// Lowers `stream` step by step through `gpu`, each step following the one
+/// before it, appending one metric per event to `kernels`.
+pub fn replay_steps(gpu: &mut GpuModel, stream: &CapturedStream, kernels: &mut Vec<KernelMetrics>) {
+    // A step's metrics go through `step` because the previous step's are
+    // read from `kernels` meanwhile.
+    let mut step = Vec::new();
+    let mut prev = None;
+    for events in stream.step_events() {
+        let prev_step = prev.map(|events: &[_]| PrevStep {
+            events,
+            kernels: &kernels[kernels.len() - events.len()..],
+        });
+        gpu.execute_step(events, prev_step, &mut step);
+        kernels.append(&mut step);
+        prev = Some(events);
+    }
 }
 
 #[cfg(test)]

@@ -6,17 +6,21 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use gnnmark_gpusim::stream::{CapturedStream, TransferRecord};
-use gnnmark_gpusim::{DeviceSpec, GpuModel, KernelMetrics, TransferDirection, TransferEngine};
+use gnnmark_gpusim::{
+    DeviceSpec, GpuModel, KernelMetrics, PrevStep, TransferDirection, TransferEngine,
+};
 use gnnmark_tensor::instrument::OpEvent;
 use gnnmark_tensor::{record, CsrMatrix, IntTensor, Tensor};
 
 use crate::profile::WorkloadProfile;
+use crate::replay::STEPS_ELIDED_TOTAL;
 
 /// Steps launched and not yet simulated at any moment: the one the
 /// simulator is executing plus the ones waiting in the channel. A launch
 /// beyond that blocks the training thread until the simulator takes a step,
 /// so a simulator slower than training holds the heap at this many steps'
-/// events instead of the whole run's.
+/// events, plus the last simulated step's (kept to compare the next launch
+/// with, see [`GpuModel::execute_step`]), instead of the whole run's.
 const STEPS_IN_FLIGHT: usize = 2;
 
 /// Captures the op stream of a training run and lowers it onto the GPU
@@ -35,7 +39,8 @@ const STEPS_IN_FLIGHT: usize = 2;
 /// [`ProfileSession::finish_partial`] and
 /// [`ProfileSession::modeled_time_ns`] *synchronize*: they wait until every
 /// launched step has been simulated. The one simulator thread consumes steps
-/// in launch order from a fresh [`GpuModel`], which is the computation
+/// in launch order from a fresh [`GpuModel`], each launch one
+/// [`GpuModel::execute_step`] after the one before, which is the computation
 /// [`crate::replay::replay_profile`] does, so the profile does not depend on
 /// how the two threads interleave.
 ///
@@ -84,6 +89,14 @@ enum Command {
     Synchronize(mpsc::Sender<f64>),
 }
 
+/// What the simulator thread lowers launched steps through.
+enum Model {
+    /// The session's device, one [`GpuModel::execute_step`] per launch.
+    Gpu(Box<GpuModel>),
+    /// A per-event stand-in from [`ProfileSession::with_model`].
+    Custom(Box<dyn FnMut(&OpEvent) -> KernelMetrics + Send>),
+}
+
 /// What the simulator thread has produced so far, and returns when joined.
 #[derive(Default)]
 struct Simulated {
@@ -101,8 +114,8 @@ struct Simulator {
 }
 
 impl Simulator {
-    /// Starts a simulator thread that lowers each event through `model`.
-    fn spawn(model: impl FnMut(&OpEvent) -> KernelMetrics + Send + 'static) -> Self {
+    /// Starts a simulator thread that lowers each launch through `model`.
+    fn spawn(model: Model) -> Self {
         // The executing step has left the channel, so the channel holds the
         // rest of the in-flight budget.
         let (commands, inbox) = mpsc::sync_channel(STEPS_IN_FLIGHT - 1);
@@ -121,13 +134,12 @@ impl Simulator {
 
     /// The simulator thread: executes commands in order until the session
     /// drops its sender, or until `stop` is set.
-    fn run(
-        inbox: Receiver<Command>,
-        stop: &AtomicBool,
-        mut model: impl FnMut(&OpEvent) -> KernelMetrics,
-    ) -> Simulated {
+    fn run(inbox: Receiver<Command>, stop: &AtomicBool, mut model: Model) -> Simulated {
         let mut done = Simulated::default();
-        for command in inbox {
+        // The last launch's events, which the next one is compared with; its
+        // metrics are `done.launches.last()`.
+        let mut prev: Option<Vec<OpEvent>> = None;
+        'commands: for command in inbox {
             match command {
                 Command::Launch {
                     events,
@@ -136,16 +148,31 @@ impl Simulator {
                     // The host time this costs is what the `simulate` span
                     // measures — on the real hardware it would be kernel
                     // execution, here it is the analytic model.
-                    let _sp = gnnmark_telemetry::span!("simulate", "gpu-model");
-                    // By value: an event's index arrays are freed as soon as
-                    // it has executed, not when the step has.
-                    for e in events {
-                        if stop.load(Ordering::Relaxed) {
-                            return done;
+                    let mut sp = gnnmark_telemetry::span!("simulate", "gpu-model");
+                    match &mut model {
+                        Model::Gpu(gpu) => {
+                            if stop.load(Ordering::Relaxed) {
+                                break 'commands;
+                            }
+                            let elided = gpu.steps_elided();
+                            let last = prev.as_deref().zip(done.launches.last());
+                            let prev_step =
+                                last.map(|(events, kernels)| PrevStep { events, kernels });
+                            gpu.execute_step(&events, prev_step, &mut kernels);
+                            sp.arg("elided", gpu.steps_elided() - elided);
+                            prev = Some(events);
                         }
-                        let k = model(&e);
+                        Model::Custom(model) => {
+                            for e in events {
+                                if stop.load(Ordering::Relaxed) {
+                                    break 'commands;
+                                }
+                                kernels.push(model(&e));
+                            }
+                        }
+                    }
+                    for k in &kernels {
                         done.modeled_ns += k.time_ns;
-                        kernels.push(k);
                     }
                     done.launches.push(kernels);
                 }
@@ -154,6 +181,9 @@ impl Simulator {
                     let _ = reply.send(done.modeled_ns);
                 }
             }
+        }
+        if let Model::Gpu(gpu) = &model {
+            gnnmark_telemetry::metrics::counter_add(STEPS_ELIDED_TOTAL, gpu.steps_elided());
         }
         done
     }
@@ -170,8 +200,10 @@ impl Simulator {
     }
 
     /// Abandons whatever is queued and waits for the thread to exit (at
-    /// most one kernel's model time). Swallows a simulator panic: this runs
-    /// from `Drop`, usually while an error is already on its way up.
+    /// most the model time of the step it is in; of one kernel for a
+    /// [`ProfileSession::with_model`] stand-in). Swallows a simulator panic:
+    /// this runs from `Drop`, usually while an error is already on its way
+    /// up.
     fn cancel(self) {
         self.cancelled.store(true, Ordering::Relaxed);
         drop(self.commands);
@@ -195,9 +227,9 @@ impl ProfileSession {
         }
     }
 
-    /// A session whose simulator thread calls `model` where
-    /// [`ProfileSession::new`]'s calls [`GpuModel::execute`] — for tests
-    /// that need the simulator to stall or fail on cue.
+    /// A session whose simulator thread calls `model` on every event where
+    /// [`ProfileSession::new`]'s calls [`GpuModel::execute_step`] on every
+    /// launch — for tests that need the simulator to stall or fail on cue.
     #[doc(hidden)]
     pub fn with_model(
         name: impl Into<String>,
@@ -205,7 +237,7 @@ impl ProfileSession {
         model: impl FnMut(&OpEvent) -> KernelMetrics + Send + 'static,
     ) -> Self {
         let mut session = Self::new(name, spec);
-        session.sim = Some(Simulator::spawn(model));
+        session.sim = Some(Simulator::spawn(Model::Custom(Box::new(model))));
         session
     }
 
@@ -258,8 +290,7 @@ impl ProfileSession {
         let spec = &self.spec;
         let sim = self.sim.get_or_insert_with(|| {
             // Built here, not on the new thread: see `Command::Launch`.
-            let mut gpu = GpuModel::new(spec.clone());
-            Simulator::spawn(move |e| gpu.execute(e))
+            Simulator::spawn(Model::Gpu(Box::new(GpuModel::new(spec.clone()))))
         });
         let kernels = Vec::with_capacity(events.len());
         if sim

@@ -102,13 +102,18 @@ fn host_events(host: &HostTrace) -> Vec<Event> {
         } else {
             let _ = write!(
                 ev,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
+                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}",
                 json_escape(&e.name),
                 json_escape(e.cat),
                 e.lane,
                 ts_us,
                 e.dur_ns as f64 / 1e3,
             );
+            for (i, (key, value)) in e.args.iter().enumerate() {
+                let open = if i == 0 { ",\"args\":{" } else { "," };
+                let _ = write!(ev, "{open}\"{}\":{value}", json_escape(key));
+            }
+            ev.push_str(if e.args.is_empty() { "}" } else { "}}" });
         }
         events.push(ev);
     }
@@ -245,6 +250,7 @@ mod tests {
                     start_ns: 5_000,
                     dur_ns: 2_000,
                     instant: false,
+                    args: vec![("elided", 1)],
                 },
                 SpanEvent {
                     name: "retry".into(),
@@ -253,6 +259,7 @@ mod tests {
                     start_ns: 8_000,
                     dur_ns: 0,
                     instant: true,
+                    args: vec![],
                 },
             ],
             lanes: vec![LaneInfo { lane: 0, thread: "main".into() }],
@@ -262,7 +269,7 @@ mod tests {
         validate_json(&json).expect("merged trace parses as JSON");
         // Host process 0 with the span, re-based to ts 0.
         assert!(json.contains("\"name\":\"forward\",\"cat\":\"host\",\"ph\":\"X\",\"pid\":0"));
-        assert!(json.contains("\"ts\":0.000,\"dur\":2.000"));
+        assert!(json.contains("\"ts\":0.000,\"dur\":2.000,\"args\":{\"elided\":1}}"));
         assert!(json.contains("\"name\":\"retry\",\"cat\":\"resilience\",\"ph\":\"i\""));
         // Modeled process 1 with the kernel stream.
         assert!(json.contains("\"ph\":\"X\",\"pid\":1"));

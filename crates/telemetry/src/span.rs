@@ -86,6 +86,9 @@ pub struct SpanEvent {
     /// `true` for zero-duration instant marks (retry scheduled, fault
     /// injected, checkpoint written, …).
     pub instant: bool,
+    /// Integer arguments attached with [`Span::arg`], exported as the
+    /// Chrome-trace event's `args`.
+    pub args: Vec<(&'static str, u64)>,
 }
 
 /// Lane id → thread name, captured when the thread's first span opened.
@@ -127,6 +130,7 @@ struct OpenSpan {
     name: Cow<'static, str>,
     cat: &'static str,
     start_ns: u64,
+    args: Vec<(&'static str, u64)>,
 }
 
 impl Span {
@@ -146,7 +150,16 @@ impl Span {
             name: name.into(),
             cat,
             start_ns: now_ns(),
+            args: Vec::new(),
         }))
+    }
+
+    /// Attaches an integer argument to the span (a no-op when telemetry
+    /// was disabled at entry).
+    pub fn arg(&mut self, key: &'static str, value: u64) {
+        if let Some(open) = self.0.as_mut() {
+            open.args.push((key, value));
+        }
     }
 }
 
@@ -161,6 +174,7 @@ impl Drop for Span {
                 start_ns: open.start_ns,
                 dur_ns: end.saturating_sub(open.start_ns),
                 instant: false,
+                args: open.args,
             };
             SINK.lock().unwrap().push(event);
         }
@@ -180,6 +194,7 @@ pub fn mark(name: impl Into<Cow<'static, str>>, cat: &'static str) {
         start_ns: now_ns(),
         dur_ns: 0,
         instant: true,
+        args: Vec::new(),
     };
     SINK.lock().unwrap().push(event);
 }
@@ -277,6 +292,24 @@ mod tests {
         let tick = trace.named("tick")[0];
         assert!(tick.instant && tick.dur_ns == 0);
         assert!(!trace.lanes.is_empty());
+    }
+
+    #[test]
+    fn args_ride_on_enabled_spans_only() {
+        let _l = lock();
+        let _ = take_host_trace();
+        let mut quiet = crate::span!("quiet-args");
+        quiet.arg("elided", 1);
+        drop(quiet);
+        set_enabled(true);
+        {
+            let mut sp = crate::span!("with-args");
+            sp.arg("elided", 3);
+        }
+        set_enabled(false);
+        let trace = take_host_trace();
+        assert!(trace.named("quiet-args").is_empty());
+        assert_eq!(trace.named("with-args")[0].args, [("elided", 3)]);
     }
 
     #[test]

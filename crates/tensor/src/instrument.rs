@@ -109,7 +109,10 @@ impl std::fmt::Display for OpClass {
 /// Irregular patterns carry the *actual* index arrays used by the op, so the
 /// GPU model can measure true locality and warp divergence rather than
 /// assuming a distribution.
-#[derive(Debug, Clone)]
+///
+/// Equality is structural; an `Indexed` pair sharing one index array
+/// compares by pointer without reading it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AccessDesc {
     /// A fully coalesced sequential sweep over `bytes` bytes.
     Sequential {
@@ -177,7 +180,7 @@ impl AccessDesc {
 /// comparisons on integer data, loop bookkeeping attributable to data
 /// indexing). Load/store instruction counts are derived downstream from
 /// `bytes_read`/`bytes_written`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpEvent {
     /// Operation class (the paper's taxonomy).
     pub class: OpClass,
