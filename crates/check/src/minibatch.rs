@@ -20,8 +20,7 @@
 
 use gnnmark::suite::{run_workload_full, RunArtifacts, SuiteConfig};
 use gnnmark_autograd::Tape;
-use gnnmark_graph::dataset::GraphDataset;
-use gnnmark_graph::{FanoutSampler, Graph, InMemoryDataset};
+use gnnmark_graph::{FanoutSampler, Graph};
 use gnnmark_nn::gcn::NormAdj;
 use gnnmark_nn::{sampled, SampledGcn};
 use gnnmark_tensor::Tensor;
@@ -62,12 +61,11 @@ impl ParityReport {
 /// fanout sampling produces non-trivial blocks: a ring with chords.
 /// Features are bounded away from zero so the ReLU between aggregation
 /// levels never evaluates on its kink during FD probing.
-fn check_dataset(n: usize) -> Result<InMemoryDataset> {
+fn check_graph(n: usize) -> Result<Graph> {
     let mut edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
     edges.extend((0..n / 3).map(|i| (i, (i + n / 2) % n)));
     let feats = Tensor::from_fn(&[n, 4], |i| ((i * 13) % 7) as f32 / 7.0 + 0.1);
-    let g = Graph::from_undirected_edges(n, &edges, feats)?;
-    InMemoryDataset::new("check-ring", g)
+    Graph::from_undirected_edges(n, &edges, feats)
 }
 
 /// FD gradient check of the sampled gather/index-select path in
@@ -77,10 +75,10 @@ fn check_dataset(n: usize) -> Result<InMemoryDataset> {
 /// # Errors
 /// Propagates sampling and tensor-engine errors.
 pub fn sampled_path_grad_report(tol: f64) -> Result<GradReport> {
-    let ds = check_dataset(12)?;
+    let g = check_graph(12)?;
     let sampler = FanoutSampler::new(&[3, 2], 11)?;
-    let batch = sampler.sample(ds.adjacency(), &[0, 3, 7, 10], 0)?;
-    let x = ds.gather_features(batch.input_nodes())?;
+    let batch = sampler.sample(&g.normalized_adjacency()?, &[0, 3, 7, 10], 0)?;
+    let x = g.features().gather_rows(&batch.input_index()?)?;
     let blocks = batch.blocks;
     grad_check("sampled-block-aggregate", &[x], tol, &move |_tape, v| {
         let mut h = v[0].clone();
@@ -155,19 +153,20 @@ pub fn parity_reports(scale: Scale, seed: u64) -> Result<Vec<ParityReport>> {
 
 fn sampled_gcn_parity() -> Result<ParityReport> {
     use rand::SeedableRng;
-    let ds = check_dataset(10)?;
-    let n = ds.num_nodes();
+    let g = check_graph(10)?;
+    let norm_adj = g.normalized_adjacency()?;
+    let n = g.num_nodes();
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
     let model = SampledGcn::new("parity", &[4, 5, 3], &mut rng)?;
     let sampler = FanoutSampler::new(&[0, 0], 0)?;
     let seeds: Vec<i64> = (0..n as i64).collect();
-    let batch = sampler.sample(ds.adjacency(), &seeds, 0)?;
+    let batch = sampler.sample(&norm_adj, &seeds, 0)?;
 
     let tape = Tape::new();
-    let x = tape.constant(ds.graph().features().clone());
+    let x = tape.constant(g.features().clone());
     let via_blocks = model.forward(&tape, &batch.blocks, &x)?;
 
-    let adj = NormAdj::new_symmetric(ds.norm_adj().clone());
+    let adj = NormAdj::new_symmetric(norm_adj);
     let mut h = x;
     for (i, conv) in model.convs().iter().enumerate() {
         h = conv.forward(&tape, &adj, &h)?;

@@ -74,11 +74,6 @@ impl BatchedGraph {
         &self.merged
     }
 
-    /// Mutable access to the merged graph (e.g. to swap features).
-    pub fn graph_mut(&mut self) -> &mut Graph {
-        &mut self.merged
-    }
-
     /// Per-node graph id (`[total_nodes]`), the scatter index for readout.
     pub fn graph_ids(&self) -> &IntTensor {
         &self.graph_ids

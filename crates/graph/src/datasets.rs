@@ -362,17 +362,9 @@ pub fn molhiv_like(num_graphs: usize, seed: u64) -> Result<Vec<Graph>> {
         .collect()
 }
 
-/// PROTEINS-like graphs for k-GNN: small graphs with 3-d node features and
-/// a binary (enzyme / non-enzyme) label.
-///
-/// # Errors
-/// Propagates construction errors.
-pub fn proteins_like(num_graphs: usize, seed: u64) -> Result<Vec<Graph>> {
-    proteins_like_sized(num_graphs, 8, 20, seed)
-}
-
-/// PROTEINS-like graphs with an explicit node-count range, used by the
-/// higher-order k-GNN whose k-set graphs grow combinatorially.
+/// PROTEINS-like graphs for k-GNN: small graphs with 3-d node features, a
+/// binary (enzyme / non-enzyme) label, and an explicit node-count range
+/// (the higher-order k-GNN's k-set graphs grow combinatorially).
 ///
 /// # Errors
 /// Propagates construction errors.
@@ -584,7 +576,7 @@ mod tests {
 
     #[test]
     fn proteins_and_trees_generate() {
-        let prots = proteins_like(6, 5).unwrap();
+        let prots = proteins_like_sized(6, 8, 20, 5).unwrap();
         assert_eq!(prots.len(), 6);
         assert!(prots.iter().all(|p| p.feature_dim() == 3));
 

@@ -1,6 +1,6 @@
-//! Layer-wise fanout neighbor sampling over CSR — the DGL/GraphSAGE
-//! "blocks" construction, generalized so every workload (and any
-//! [`crate::dataset::CsrSource`], in-RAM or out-of-core) can use it.
+//! Layer-wise fanout neighbor sampling over a [`CsrMatrix`] adjacency —
+//! the DGL/GraphSAGE "blocks" construction, generalized so every workload
+//! can use it.
 //!
 //! Sampling proceeds from the output layer toward the input: the seed
 //! nodes are the destinations of the last block; each level samples up to
@@ -23,7 +23,6 @@ use gnnmark_tensor::{CsrMatrix, IntTensor, TensorError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dataset::CsrSource;
 use crate::Result;
 
 /// One sampled bipartite block: a `[num_dst × num_src]` CSR slice of the
@@ -76,25 +75,16 @@ pub struct SampledBatch {
 }
 
 impl SampledBatch {
-    /// Global ids of the nodes whose input features must be gathered
-    /// (the source side of the first block).
-    pub fn input_nodes(&self) -> &[i64] {
-        &self.blocks[0].src_nodes
-    }
-
-    /// [`Self::input_nodes`] as an index tensor for `gather_rows`.
+    /// Global ids of the nodes whose input features must be gathered (the
+    /// source side of the first block), as an index tensor for
+    /// `gather_rows`.
     ///
     /// # Errors
     /// Propagates tensor-construction errors (cannot occur for a valid
     /// batch).
     pub fn input_index(&self) -> Result<IntTensor> {
-        let ids = self.input_nodes().to_vec();
+        let ids = self.blocks[0].src_nodes.clone();
         IntTensor::from_vec(&[ids.len()], ids)
-    }
-
-    /// Total nodes across the input frontier.
-    pub fn num_input_nodes(&self) -> usize {
-        self.blocks[0].src_nodes.len()
     }
 }
 
@@ -141,31 +131,32 @@ impl FanoutSampler {
         &self.fanouts
     }
 
-    /// Number of levels (= blocks per batch).
-    pub fn num_levels(&self) -> usize {
-        self.fanouts.len()
-    }
-
     /// Samples the blocks for one minibatch of `seeds`. `batch_id` must be
     /// unique per batch (e.g. a running counter) so different batches draw
     /// different neighbors; repeating a `batch_id` reproduces the batch
     /// exactly.
     ///
     /// # Errors
-    /// Returns an error on out-of-range seeds or backing-store failure.
-    pub fn sample(
-        &self,
-        adj: &dyn CsrSource,
-        seeds: &[i64],
-        batch_id: u64,
-    ) -> Result<SampledBatch> {
+    /// Returns an error if `adj` is not square, or on empty or out-of-range
+    /// seeds.
+    pub fn sample(&self, adj: &CsrMatrix, seeds: &[i64], batch_id: u64) -> Result<SampledBatch> {
+        if adj.rows() != adj.cols() {
+            return Err(TensorError::InvalidArgument {
+                op: "FanoutSampler::sample",
+                reason: format!(
+                    "adjacency must be square, got {}x{}",
+                    adj.rows(),
+                    adj.cols()
+                ),
+            });
+        }
         if seeds.is_empty() {
             return Err(TensorError::InvalidArgument {
                 op: "FanoutSampler::sample",
                 reason: "seeds must be non-empty".to_string(),
             });
         }
-        let n = adj.num_nodes();
+        let n = adj.rows();
         let mut frontier: Vec<usize> = Vec::with_capacity(seeds.len());
         for &s in seeds {
             let node = usize::try_from(s).ok().filter(|&x| x < n).ok_or_else(|| {
@@ -179,8 +170,6 @@ impl FanoutSampler {
 
         let mut blocks: Vec<SampledBlock> = Vec::with_capacity(self.fanouts.len());
         let mut edges = 0u64;
-        let mut row_cols: Vec<usize> = Vec::new();
-        let mut row_vals: Vec<f32> = Vec::new();
         // Output side first: the last fanout applies to the seed frontier.
         for (level, &fanout) in self.fanouts.iter().enumerate().rev() {
             let num_dst = frontier.len();
@@ -198,10 +187,10 @@ impl FanoutSampler {
             let mut sampled: Vec<(usize, usize, f32)> = Vec::new(); // (row, global col, val)
             let mut extras: Vec<usize> = Vec::new();
             for (row, &d) in frontier.iter().enumerate() {
-                adj.row_into(d, &mut row_cols, &mut row_vals)?;
+                let (row_cols, row_vals) = adj.row(d);
                 let deg = row_cols.len();
                 if fanout == 0 || fanout >= deg {
-                    for (&c, &v) in row_cols.iter().zip(&row_vals) {
+                    for (&c, &v) in row_cols.iter().zip(row_vals) {
                         sampled.push((row, c, v));
                     }
                 } else {
@@ -260,34 +249,33 @@ impl FanoutSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{GraphDataset, InMemoryDataset};
     use crate::Graph;
     use gnnmark_tensor::Tensor;
 
-    fn ring_dataset(n: usize) -> InMemoryDataset {
+    fn ring_adjacency(n: usize) -> CsrMatrix {
         let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
         let g = Graph::from_undirected_edges(n, &edges, Tensor::ones(&[n, 3])).unwrap();
-        InMemoryDataset::new("ring", g).unwrap()
+        g.normalized_adjacency().unwrap()
     }
 
     #[test]
     fn full_coverage_unlimited_fanout_reproduces_adjacency() {
-        let ds = ring_dataset(8);
+        let adj = ring_adjacency(8);
         let sampler = FanoutSampler::new(&[0, 0], 7).unwrap();
         let seeds: Vec<i64> = (0..8).collect();
-        let batch = sampler.sample(ds.adjacency(), &seeds, 0).unwrap();
+        let batch = sampler.sample(&adj, &seeds, 0).unwrap();
         assert_eq!(batch.blocks.len(), 2);
         for b in &batch.blocks {
-            assert_eq!(b.adj.as_ref(), ds.norm_adj());
+            assert_eq!(b.adj.as_ref(), &adj);
             assert_eq!(b.src_nodes, seeds);
         }
     }
 
     #[test]
     fn fanout_bounds_and_chaining() {
-        let ds = ring_dataset(12);
+        let adj = ring_adjacency(12);
         let sampler = FanoutSampler::new(&[2, 1], 3).unwrap();
-        let batch = sampler.sample(ds.adjacency(), &[4, 9], 5).unwrap();
+        let batch = sampler.sample(&adj, &[4, 9], 5).unwrap();
         let last = &batch.blocks[1];
         assert_eq!(last.dst_nodes, vec![4, 9]);
         for r in 0..last.num_dst() {
@@ -304,24 +292,26 @@ mod tests {
 
     #[test]
     fn deterministic_per_batch_id() {
-        let ds = ring_dataset(16);
+        let adj = ring_adjacency(16);
         let sampler = FanoutSampler::new(&[2], 11).unwrap();
-        let a = sampler.sample(ds.adjacency(), &[3, 7, 12], 4).unwrap();
-        let b = sampler.sample(ds.adjacency(), &[3, 7, 12], 4).unwrap();
+        let a = sampler.sample(&adj, &[3, 7, 12], 4).unwrap();
+        let b = sampler.sample(&adj, &[3, 7, 12], 4).unwrap();
         assert_eq!(a.blocks[0].adj, b.blocks[0].adj);
         assert_eq!(a.blocks[0].src_nodes, b.blocks[0].src_nodes);
-        let c = sampler.sample(ds.adjacency(), &[3, 7, 12], 5).unwrap();
+        let c = sampler.sample(&adj, &[3, 7, 12], 5).unwrap();
         // Different batch id is allowed to differ (ring degree 3 > fanout 2).
         assert_eq!(c.seeds, a.seeds);
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        let ds = ring_dataset(4);
+        let adj = ring_adjacency(4);
         assert!(FanoutSampler::new(&[], 0).is_err());
         let s = FanoutSampler::new(&[2], 0).unwrap();
-        assert!(s.sample(ds.adjacency(), &[], 0).is_err());
-        assert!(s.sample(ds.adjacency(), &[99], 0).is_err());
-        assert!(s.sample(ds.adjacency(), &[-1], 0).is_err());
+        assert!(s.sample(&adj, &[], 0).is_err());
+        assert!(s.sample(&adj, &[99], 0).is_err());
+        assert!(s.sample(&adj, &[-1], 0).is_err());
+        let wide = CsrMatrix::from_coo(2, 3, &[(0, 2, 1.0)]).unwrap();
+        assert!(s.sample(&wide, &[0], 0).is_err());
     }
 }

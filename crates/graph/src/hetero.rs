@@ -4,7 +4,7 @@
 //! GraphWriter operates on a knowledge graph with entity and relation
 //! types. Both are instances of [`HeteroGraph`].
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use gnnmark_tensor::{CsrMatrix, Tensor, TensorError};
 
@@ -46,19 +46,14 @@ impl Relation {
     }
 }
 
-#[derive(Debug, Clone)]
-struct NodeType {
-    name: String,
-    features: Tensor,
-}
-
 /// A heterogeneous graph: named node types with features, and named typed
 /// relations between them.
 #[derive(Debug, Clone, Default)]
 pub struct HeteroGraph {
-    node_types: Vec<NodeType>,
+    /// Feature matrix per node type, indexed by [`NodeTypeId`].
+    node_features: Vec<Tensor>,
     relations: Vec<Relation>,
-    type_by_name: HashMap<String, NodeTypeId>,
+    type_names: HashSet<String>,
 }
 
 impl HeteroGraph {
@@ -77,7 +72,7 @@ impl HeteroGraph {
         features: Tensor,
     ) -> Result<NodeTypeId> {
         let name = name.into();
-        if self.type_by_name.contains_key(&name) {
+        if self.type_names.contains(&name) {
             return Err(TensorError::InvalidArgument {
                 op: "HeteroGraph::add_node_type",
                 reason: format!("duplicate node type `{name}`"),
@@ -90,10 +85,9 @@ impl HeteroGraph {
                 actual: features.rank(),
             });
         }
-        let id = NodeTypeId(self.node_types.len());
-        self.type_by_name.insert(name.clone(), id);
-        self.node_types.push(NodeType { name, features });
-        Ok(id)
+        self.type_names.insert(name);
+        self.node_features.push(features);
+        Ok(NodeTypeId(self.node_features.len() - 1))
     }
 
     /// Adds a typed relation from weighted `(src, dst, w)` triplets.
@@ -120,37 +114,14 @@ impl HeteroGraph {
     }
 
     fn num_nodes_checked(&self, ty: NodeTypeId) -> Result<usize> {
-        self.node_types
+        self.node_features
             .get(ty.0)
-            .map(|t| t.features.dim(0))
+            .map(|f| f.dim(0))
             .ok_or(TensorError::IndexOutOfBounds {
                 op: "HeteroGraph",
                 index: ty.0,
-                bound: self.node_types.len(),
+                bound: self.node_features.len(),
             })
-    }
-
-    /// Looks up a node type by name.
-    pub fn node_type(&self, name: &str) -> Option<NodeTypeId> {
-        self.type_by_name.get(name).copied()
-    }
-
-    /// Name of a node type.
-    ///
-    /// # Panics
-    /// Panics if the id is invalid.
-    pub fn type_name(&self, ty: NodeTypeId) -> &str {
-        &self.node_types[ty.0].name
-    }
-
-    /// Number of node types.
-    pub fn num_node_types(&self) -> usize {
-        self.node_types.len()
-    }
-
-    /// Number of relations.
-    pub fn num_relations(&self) -> usize {
-        self.relations.len()
     }
 
     /// Node count of a type.
@@ -158,12 +129,12 @@ impl HeteroGraph {
     /// # Panics
     /// Panics if the id is invalid.
     pub fn num_nodes(&self, ty: NodeTypeId) -> usize {
-        self.node_types[ty.0].features.dim(0)
+        self.node_features[ty.0].dim(0)
     }
 
     /// Total node count across all types.
     pub fn total_nodes(&self) -> usize {
-        self.node_types.iter().map(|t| t.features.dim(0)).sum()
+        self.node_features.iter().map(|f| f.dim(0)).sum()
     }
 
     /// Total directed edge count across all relations.
@@ -176,7 +147,7 @@ impl HeteroGraph {
     /// # Panics
     /// Panics if the id is invalid.
     pub fn features(&self, ty: NodeTypeId) -> &Tensor {
-        &self.node_types[ty.0].features
+        &self.node_features[ty.0]
     }
 
     /// The relations, in insertion order.
@@ -211,14 +182,10 @@ mod tests {
     #[test]
     fn construction() {
         let (g, users, items) = bipartite();
-        assert_eq!(g.num_node_types(), 2);
         assert_eq!(g.num_nodes(users), 3);
         assert_eq!(g.num_nodes(items), 5);
         assert_eq!(g.total_nodes(), 8);
         assert_eq!(g.total_edges(), 3);
-        assert_eq!(g.type_name(users), "user");
-        assert_eq!(g.node_type("item"), Some(items));
-        assert!(g.node_type("missing").is_none());
     }
 
     #[test]

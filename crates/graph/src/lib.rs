@@ -3,7 +3,7 @@
 //! Graph substrates for the GNNMark reproduction: the three graph families
 //! the paper builds its suite around (homogeneous, heterogeneous and
 //! dynamic/spatio-temporal graphs), plus trees, block-diagonal graph
-//! batching, neighbor/random-walk samplers, the k-WL graph transform used
+//! batching, minibatch/fanout/random-walk samplers, the k-WL graph transform used
 //! by k-GNNs, and seeded synthetic dataset generators shaped like the
 //! paper's datasets (MovieLens, Nowplaying, METR-LA, ogbg-molhiv, AGENDA,
 //! PROTEINS, Cora/PubMed/CiteSeer, SST).
@@ -23,7 +23,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod batch;
-pub mod dataset;
 pub mod datasets;
 pub mod dynamic;
 pub mod fanout;
@@ -31,17 +30,14 @@ pub mod hetero;
 pub mod homo;
 pub mod kwl;
 pub mod sampler;
-pub mod stream;
 pub mod trees;
 
 pub use batch::BatchedGraph;
-pub use dataset::{CsrSource, GraphDataset, InMemoryDataset};
 pub use dynamic::SpatioTemporal;
 pub use fanout::{FanoutSampler, SampledBatch, SampledBlock};
 pub use hetero::{HeteroGraph, NodeTypeId, Relation};
 pub use homo::Graph;
 pub use sampler::EpochBatches;
-pub use stream::{StreamGraph, StreamMeta};
 pub use trees::{Tree, TreeBatch};
 
 /// Result alias re-used from the tensor crate.

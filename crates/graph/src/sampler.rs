@@ -1,4 +1,5 @@
-//! Minibatch, neighbor and random-walk samplers.
+//! Minibatch and random-walk samplers (the layer-wise fanout sampler is
+//! [`crate::fanout`]).
 //!
 //! PinSAGE's defining trick (paper §III) is random-walk importance
 //! sampling: instead of using all neighbors, short random walks from each
@@ -16,7 +17,6 @@ use crate::{Graph, Result};
 pub struct MinibatchSampler {
     order: Vec<i64>,
     batch_size: usize,
-    cursor: usize,
 }
 
 impl MinibatchSampler {
@@ -37,11 +37,7 @@ impl MinibatchSampler {
         }
         let mut order: Vec<i64> = (0..num_items as i64).collect();
         order.shuffle(rng);
-        Ok(MinibatchSampler {
-            order,
-            batch_size,
-            cursor: 0,
-        })
+        Ok(MinibatchSampler { order, batch_size })
     }
 
     /// Number of batches per epoch.
@@ -49,33 +45,11 @@ impl MinibatchSampler {
         self.order.len().div_ceil(self.batch_size)
     }
 
-    /// The next batch, or `None` at epoch end.
-    pub fn next_batch(&mut self) -> Option<IntTensor> {
-        if self.cursor >= self.order.len() {
-            return None;
-        }
-        let end = (self.cursor + self.batch_size).min(self.order.len());
-        let ids = self.order[self.cursor..end].to_vec();
-        self.cursor = end;
-        let n = ids.len();
-        Some(IntTensor::from_vec(&[n], ids).expect("lengths agree"))
-    }
-
-    /// Restarts the epoch with a fresh shuffle.
-    pub fn reset<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        self.order.shuffle(rng);
-        self.cursor = 0;
-    }
-
-    /// Starts a fresh epoch and returns it as a snapshot iterator.
-    ///
-    /// This is the safe epoch API: the returned [`EpochBatches`] owns its
-    /// shuffled order, so a caller that pairs a stale `num_batches()` with
-    /// `next_batch()` across epochs (the historic desync on non-divisible
-    /// batch sizes) cannot drift — the iterator simply ends after the last
-    /// (possibly partial) batch.
+    /// Starts a fresh epoch: reshuffles the order and returns it as an
+    /// iterator that owns its snapshot, so its length is fixed at creation
+    /// and the last (possibly partial) batch ends it.
     pub fn epoch<R: Rng + ?Sized>(&mut self, rng: &mut R) -> EpochBatches {
-        self.reset(rng);
+        self.order.shuffle(rng);
         EpochBatches {
             order: self.order.clone(),
             batch_size: self.batch_size,
@@ -127,50 +101,6 @@ impl Iterator for EpochBatches {
 }
 
 impl ExactSizeIterator for EpochBatches {}
-
-/// Uniformly samples up to `fanout` neighbors per seed node.
-#[derive(Debug, Clone, Copy)]
-pub struct NeighborSampler {
-    fanout: usize,
-}
-
-impl NeighborSampler {
-    /// Creates a sampler with the given fanout.
-    pub fn new(fanout: usize) -> Self {
-        NeighborSampler { fanout }
-    }
-
-    /// For each seed, samples up to `fanout` neighbors (with replacement if
-    /// the neighborhood is smaller). Returns parallel `(src, dst)` arrays
-    /// where `src[i]` is the seed and `dst[i]` a sampled neighbor;
-    /// isolated seeds self-loop.
-    pub fn sample<R: Rng + ?Sized>(
-        &self,
-        graph: &Graph,
-        seeds: &IntTensor,
-        rng: &mut R,
-    ) -> (IntTensor, IntTensor) {
-        let mut src = Vec::with_capacity(seeds.numel() * self.fanout);
-        let mut dst = Vec::with_capacity(seeds.numel() * self.fanout);
-        for &s in seeds.as_slice() {
-            let neigh = graph.neighbors(s as usize);
-            for _ in 0..self.fanout {
-                let pick = if neigh.is_empty() {
-                    s
-                } else {
-                    neigh[rng.gen_range(0..neigh.len())] as i64
-                };
-                src.push(s);
-                dst.push(pick);
-            }
-        }
-        let n = src.len();
-        (
-            IntTensor::from_vec(&[n], src).expect("lengths agree"),
-            IntTensor::from_vec(&[n], dst).expect("lengths agree"),
-        )
-    }
-}
 
 /// PinSAGE random-walk importance sampling.
 #[derive(Debug, Clone, Copy)]
@@ -264,48 +194,20 @@ mod tests {
     }
 
     #[test]
-    fn minibatch_covers_everything_once() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let mut s = MinibatchSampler::new(10, 3, &mut rng).unwrap();
-        assert_eq!(s.num_batches(), 4);
-        let mut seen = Vec::new();
-        while let Some(b) = s.next_batch() {
-            seen.extend_from_slice(b.as_slice());
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<i64>>());
-        assert!(s.next_batch().is_none());
-        s.reset(&mut rng);
-        assert!(s.next_batch().is_some());
-    }
-
-    #[test]
-    fn epoch_iterator_handles_last_partial_batch() {
+    fn every_epoch_covers_everything_once_with_a_partial_last_batch() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         // 10 items, batch 3 → 4 batches, last of size 1.
         let mut s = MinibatchSampler::new(10, 3, &mut rng).unwrap();
-        let epoch = s.epoch(&mut rng);
-        assert_eq!(epoch.num_batches(), 4);
-        assert_eq!(epoch.len(), 4);
-        let sizes: Vec<usize> = epoch.clone().map(|b| b.numel()).collect();
-        assert_eq!(sizes, vec![3, 3, 3, 1]);
-        let mut seen: Vec<i64> = epoch.flat_map(|b| b.as_slice().to_vec()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<i64>>());
-        // The historic desync: a caller looping `for _ in 0..num_batches`
-        // with a count captured before an epoch where items don't divide
-        // evenly. With the snapshot iterator each epoch is self-contained.
-        let stale_count = s.num_batches();
+        assert_eq!(s.num_batches(), 4);
         for _ in 0..3 {
-            let mut epoch = s.epoch(&mut rng);
-            let mut drawn = 0;
-            for _ in 0..stale_count {
-                if epoch.next().is_some() {
-                    drawn += 1;
-                }
-            }
-            assert_eq!(drawn, 4, "every epoch yields exactly num_batches batches");
-            assert!(epoch.next().is_none(), "and then cleanly ends");
+            let epoch = s.epoch(&mut rng);
+            assert_eq!(epoch.num_batches(), 4);
+            assert_eq!(epoch.len(), 4);
+            let sizes: Vec<usize> = epoch.clone().map(|b| b.numel()).collect();
+            assert_eq!(sizes, vec![3, 3, 3, 1]);
+            let mut seen: Vec<i64> = epoch.flat_map(|b| b.as_slice().to_vec()).collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..10).collect::<Vec<i64>>());
         }
     }
 
@@ -314,20 +216,6 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         assert!(MinibatchSampler::new(0, 2, &mut rng).is_err());
         assert!(MinibatchSampler::new(5, 0, &mut rng).is_err());
-    }
-
-    #[test]
-    fn neighbor_sampler_respects_fanout() {
-        let g = ring(6);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let seeds = IntTensor::from_vec(&[2], vec![0, 3]).unwrap();
-        let (src, dst) = NeighborSampler::new(4).sample(&g, &seeds, &mut rng);
-        assert_eq!(src.numel(), 8);
-        assert_eq!(dst.numel(), 8);
-        // All sampled dsts are true neighbors.
-        for (&s, &d) in src.as_slice().iter().zip(dst.as_slice()) {
-            assert!(g.neighbors(s as usize).contains(&(d as usize)));
-        }
     }
 
     #[test]

@@ -16,18 +16,18 @@
 //!   the same batch drawn under 1 and 4 tensor-engine threads is
 //!   identical (the per-node RNG never observes global iteration state).
 
-use gnnmark_graph::dataset::{GraphDataset, InMemoryDataset};
 use gnnmark_graph::datasets::barabasi_albert;
 use gnnmark_graph::{FanoutSampler, Graph, SampledBatch};
-use gnnmark_tensor::Tensor;
+use gnnmark_tensor::{CsrMatrix, Tensor};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
-fn random_dataset(n: usize, seed: u64) -> InMemoryDataset {
+/// The normalized adjacency of a random Barabási–Albert graph.
+fn random_adjacency(n: usize, seed: u64) -> CsrMatrix {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let edges = barabasi_albert(n, 2, &mut rng);
     let g = Graph::from_undirected_edges(n, &edges, Tensor::ones(&[n, 3])).unwrap();
-    InMemoryDataset::new("ba", g).unwrap()
+    g.normalized_adjacency().unwrap()
 }
 
 fn seed_set(n: usize, count: usize) -> Vec<i64> {
@@ -64,9 +64,9 @@ proptest! {
         fanouts in proptest::collection::vec(0usize..5, 1..4),
         batch_id in any::<u64>(),
     ) {
-        let ds = random_dataset(n, gseed);
+        let adj = random_adjacency(n, gseed);
         let sampler = FanoutSampler::new(&fanouts, sseed).unwrap();
-        let batch = sampler.sample(ds.adjacency(), &seed_set(n, 4), batch_id).unwrap();
+        let batch = sampler.sample(&adj, &seed_set(n, 4), batch_id).unwrap();
         prop_assert_eq!(batch.blocks.len(), fanouts.len());
         let mut edge_total = 0u64;
         for blk in &batch.blocks {
@@ -106,12 +106,12 @@ proptest! {
         sseed in any::<u64>(),
         fanouts in proptest::collection::vec(0usize..5, 1..4),
     ) {
-        let ds = random_dataset(n, gseed);
+        let adj = random_adjacency(n, gseed);
         let sampler = FanoutSampler::new(&fanouts, sseed).unwrap();
-        let batch = sampler.sample(ds.adjacency(), &seed_set(n, 3), 9).unwrap();
+        let batch = sampler.sample(&adj, &seed_set(n, 3), 9).unwrap();
         for (blk, &fanout) in batch.blocks.iter().zip(&fanouts) {
             for r in 0..blk.num_dst() {
-                let deg = ds.adjacency().degree(blk.dst_nodes[r] as usize).unwrap();
+                let deg = adj.row_nnz(blk.dst_nodes[r] as usize);
                 let nnz = blk.adj.row_nnz(r);
                 if fanout == 0 {
                     prop_assert_eq!(nnz, deg, "unlimited fanout keeps the row");
@@ -129,15 +129,15 @@ proptest! {
         sseed in any::<u64>(),
         batch_id in any::<u64>(),
     ) {
-        let ds = random_dataset(n, gseed);
+        let adj = random_adjacency(n, gseed);
         let sampler = FanoutSampler::new(&[3, 2], sseed).unwrap();
         let seeds = seed_set(n, 5);
-        let a = sampler.sample(ds.adjacency(), &seeds, batch_id).unwrap();
-        let b = sampler.sample(ds.adjacency(), &seeds, batch_id).unwrap();
+        let a = sampler.sample(&adj, &seeds, batch_id).unwrap();
+        let b = sampler.sample(&adj, &seeds, batch_id).unwrap();
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
         // A sampler rebuilt from the same config agrees bit-for-bit.
         let rebuilt = FanoutSampler::new(&[3, 2], sseed).unwrap();
-        let c = rebuilt.sample(ds.adjacency(), &seeds, batch_id).unwrap();
+        let c = rebuilt.sample(&adj, &seeds, batch_id).unwrap();
         prop_assert_eq!(fingerprint(&a), fingerprint(&c));
     }
 
@@ -147,13 +147,13 @@ proptest! {
         gseed in any::<u64>(),
         sseed in any::<u64>(),
     ) {
-        let ds = random_dataset(n, gseed);
+        let adj = random_adjacency(n, gseed);
         let sampler = FanoutSampler::new(&[2, 2], sseed).unwrap();
         let seeds = seed_set(n, 4);
         gnnmark_tensor::par::set_threads(1);
-        let single = sampler.sample(ds.adjacency(), &seeds, 1).unwrap();
+        let single = sampler.sample(&adj, &seeds, 1).unwrap();
         gnnmark_tensor::par::set_threads(4);
-        let multi = sampler.sample(ds.adjacency(), &seeds, 1).unwrap();
+        let multi = sampler.sample(&adj, &seeds, 1).unwrap();
         gnnmark_tensor::par::set_threads(1);
         prop_assert_eq!(fingerprint(&single), fingerprint(&multi));
     }

@@ -72,13 +72,17 @@ proptest! {
     fn minibatch_partitions_exactly(n in 1usize..200, batch in 1usize..32, seed in any::<u64>()) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut s = MinibatchSampler::new(n, batch, &mut rng).unwrap();
-        let mut seen = Vec::new();
-        while let Some(b) = s.next_batch() {
-            prop_assert!(b.numel() <= batch);
-            seen.extend_from_slice(b.as_slice());
+        for _ in 0..2 {
+            let epoch = s.epoch(&mut rng);
+            prop_assert_eq!(epoch.len(), n.div_ceil(batch));
+            let mut seen = Vec::new();
+            for b in epoch {
+                prop_assert!(b.numel() <= batch);
+                seen.extend_from_slice(b.as_slice());
+            }
+            seen.sort_unstable();
+            prop_assert_eq!(seen, (0..n as i64).collect::<Vec<_>>());
         }
-        seen.sort_unstable();
-        prop_assert_eq!(seen, (0..n as i64).collect::<Vec<_>>());
     }
 
     #[test]

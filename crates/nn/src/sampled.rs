@@ -117,31 +117,35 @@ impl Module for SampledGcn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnnmark_graph::dataset::GraphDataset;
-    use gnnmark_graph::{FanoutSampler, Graph, InMemoryDataset};
+    use gnnmark_graph::{FanoutSampler, Graph};
     use gnnmark_tensor::Tensor;
     use rand::SeedableRng;
 
-    fn ring_dataset(n: usize) -> InMemoryDataset {
+    fn ring(n: usize) -> Graph {
         let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-        let g = Graph::from_undirected_edges(
+        Graph::from_undirected_edges(
             n,
             &edges,
             Tensor::from_fn(&[n, 4], |i| ((i * 13) % 7) as f32 / 7.0),
         )
-        .unwrap();
-        InMemoryDataset::new("ring", g).unwrap()
+        .unwrap()
     }
 
     #[test]
     fn sampled_forward_shapes_and_grads() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let ds = ring_dataset(10);
+        let g = ring(10);
         let model = SampledGcn::new("sg", &[4, 6, 3], &mut rng).unwrap();
         let sampler = FanoutSampler::new(&[2, 2], 1).unwrap();
-        let batch = sampler.sample(ds.adjacency(), &[1, 4, 8], 0).unwrap();
+        let batch = sampler
+            .sample(&g.normalized_adjacency().unwrap(), &[1, 4, 8], 0)
+            .unwrap();
         let tape = Tape::new();
-        let x = tape.constant(ds.gather_features(batch.input_nodes()).unwrap());
+        let x = tape.constant(
+            g.features()
+                .gather_rows(&batch.input_index().unwrap())
+                .unwrap(),
+        );
         let y = model.forward(&tape, &batch.blocks, &x).unwrap();
         assert_eq!(y.dims(), vec![3, 3]);
         let loss = y.square().sum_all();
@@ -156,16 +160,17 @@ mod tests {
     #[test]
     fn full_coverage_matches_full_graph_forward() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let ds = ring_dataset(8);
+        let g = ring(8);
+        let norm_adj = g.normalized_adjacency().unwrap();
         let model = SampledGcn::new("sg", &[4, 5, 2], &mut rng).unwrap();
         let sampler = FanoutSampler::new(&[0, 0], 0).unwrap();
         let seeds: Vec<i64> = (0..8).collect();
-        let batch = sampler.sample(ds.adjacency(), &seeds, 0).unwrap();
+        let batch = sampler.sample(&norm_adj, &seeds, 0).unwrap();
         let tape = Tape::new();
-        let x = tape.constant(ds.graph().features().clone());
+        let x = tape.constant(g.features().clone());
         let sampled = model.forward(&tape, &batch.blocks, &x).unwrap();
         // Full-graph reference through the same layers.
-        let adj = crate::gcn::NormAdj::new_symmetric(ds.norm_adj().clone());
+        let adj = crate::gcn::NormAdj::new_symmetric(norm_adj);
         let mut h = x;
         for (i, conv) in [0usize, 1].iter().zip(model.convs.iter()) {
             h = conv.forward(&tape, &adj, &h).unwrap();

@@ -1,19 +1,20 @@
 //! GraphSAGE-style sampled training: instead of full-graph aggregation,
-//! each step samples a fixed fanout of neighbors per minibatch node
-//! (Hamilton et al., 2017) — the memory-scaling technique PinSAGE builds
-//! on (paper §III). Demonstrates `NeighborSampler`, `MinibatchSampler`
-//! and `SageConv` together on a citation graph.
+//! each step samples a bounded fanout of neighbors per layer for a
+//! minibatch of seed nodes (Hamilton et al., 2017) — the memory-scaling
+//! technique PinSAGE builds on (paper §III), and the path `--mode
+//! minibatch` ARGA takes. Demonstrates `MinibatchSampler::epoch`,
+//! `FanoutSampler` blocks and `SampledGcn` together on a citation graph.
 //!
 //! ```text
 //! cargo run --release --example graphsage_sampling
 //! ```
 
-use gnnmark_autograd::{Adam, Optimizer, Tape, Var};
+use gnnmark_autograd::{Adam, Optimizer, Tape};
 use gnnmark_graph::datasets::{citation, CitationKind};
-use gnnmark_graph::sampler::{MinibatchSampler, NeighborSampler};
-use gnnmark_nn::{losses, Linear, Module, SageConv};
-use gnnmark_nn::gcn::NormAdj;
-use gnnmark_tensor::{CsrMatrix, IntTensor};
+use gnnmark_graph::sampler::MinibatchSampler;
+use gnnmark_graph::FanoutSampler;
+use gnnmark_nn::{losses, Module, SampledGcn};
+use gnnmark_tensor::IntTensor;
 use rand::SeedableRng;
 
 fn main() -> gnnmark::Result<()> {
@@ -27,61 +28,58 @@ fn main() -> gnnmark::Result<()> {
         graph.feature_dim()
     );
 
-    let conv = SageConv::new("sage", graph.feature_dim(), 32, &mut rng)?;
-    let head = Linear::new("clf", 32, 7, &mut rng)?;
-    let mut params = conv.params();
-    params.extend(&head.params());
+    let adj = graph.normalized_adjacency()?;
+    let model = SampledGcn::new("sage", &[graph.feature_dim(), 32, 7], &mut rng)?;
+    let params = model.params();
     let mut opt = Adam::new(5e-3);
 
-    let neighbor_sampler = NeighborSampler::new(5);
+    // Two layers, input side first: 10 neighbors per node feed the first
+    // layer, 5 per seed feed the second.
+    let fanout = FanoutSampler::new(&[10, 5], 33)?;
+    let mut batches = MinibatchSampler::new(n, 256, &mut rng)?;
+    let mut batch_id = 0u64;
     for epoch in 0..8 {
-        let mut batches = MinibatchSampler::new(n, 256, &mut rng)?;
         let mut epoch_loss = 0.0;
-        let mut epoch_batches = 0;
-        while let Some(batch) = batches.next_batch() {
-            // Sample a bounded neighborhood instead of the full adjacency
-            // (with replacement; duplicates just weight the mean).
-            let (src, dst) = neighbor_sampler.sample(&graph, &batch, &mut rng);
-            let mut triplets = Vec::with_capacity(src.numel());
-            for (&s, &d) in src.as_slice().iter().zip(dst.as_slice()) {
-                triplets.push((s as usize, d as usize, 1.0 / 5.0));
-            }
-            // A fresh sampled adjacency per batch, as sampling frameworks do.
-            let sampled_adj = NormAdj::new(CsrMatrix::from_coo(n, n, &triplets)?);
-
-            params.zero_grad();
-            let tape = Tape::new();
-            let x = tape.constant(graph.features().clone());
-            let h = conv.forward(&tape, &sampled_adj, &x)?.relu();
-            let logits = head.forward(&tape, &h)?;
-            // Loss only on the minibatch nodes.
-            let batch_logits = logits.index_select(&batch)?;
+        let mut edges = 0u64;
+        let epoch_batches = batches.epoch(&mut rng);
+        let num_batches = epoch_batches.num_batches();
+        for ids in epoch_batches {
+            let batch = fanout.sample(&adj, ids.as_slice(), batch_id)?;
+            batch_id += 1;
+            edges += batch.edges;
+            // Only the sampled input frontier's features are gathered.
+            let x_in = graph.features().gather_rows(&batch.input_index()?)?;
             let batch_labels = IntTensor::from_vec(
-                &[batch.numel()],
-                batch
-                    .as_slice()
+                &[ids.numel()],
+                ids.as_slice()
                     .iter()
                     .map(|&i| labels.as_slice()[i as usize])
                     .collect(),
             )?;
-            let loss = losses::cross_entropy(&batch_logits, &batch_labels)?;
+
+            params.zero_grad();
+            let tape = Tape::new();
+            let x = tape.constant(x_in);
+            let logits = model.forward(&tape, &batch.blocks, &x)?;
+            let loss = losses::cross_entropy(&logits, &batch_labels)?;
             tape.backward(&loss)?;
             opt.step(&params)?;
             epoch_loss += loss.value().item()? as f64;
-            epoch_batches += 1;
         }
         println!(
-            "epoch {epoch}  mean minibatch loss {:.4} over {epoch_batches} sampled batches",
-            epoch_loss / epoch_batches as f64
+            "epoch {epoch}  mean minibatch loss {:.4} over {num_batches} batches, {edges} sampled edges",
+            epoch_loss / num_batches as f64
         );
     }
 
-    // Full-graph evaluation with the trained parameters.
-    let full_adj = NormAdj::new_symmetric(graph.normalized_adjacency()?);
+    // Full-graph evaluation with the trained parameters: seeds 0..n with
+    // unlimited fanout make every block the full normalized adjacency.
+    let full = FanoutSampler::new(&[0, 0], 0)?;
+    let seeds: Vec<i64> = (0..n as i64).collect();
+    let batch = full.sample(&adj, &seeds, 0)?;
     let tape = Tape::new();
     let x = tape.constant(graph.features().clone());
-    let h: Var = conv.forward(&tape, &full_adj, &x)?.relu();
-    let logits = head.forward(&tape, &h)?;
+    let logits = model.forward(&tape, &batch.blocks, &x)?;
     let acc = losses::accuracy(&logits.value(), &labels)?;
     println!("full-graph train accuracy after sampled training: {:.1}%", acc * 100.0);
     Ok(())

@@ -1,18 +1,10 @@
 //! End-to-end mini-batch training mode: every workload trains with
 //! finite losses under `--mode minibatch`, sampled training is
-//! bit-identical across thread counts, an out-of-core streaming graph
-//! trains byte-identically to its in-RAM twin, and the serve replay
-//! cache keys full-graph and minibatch runs separately.
+//! bit-identical across thread counts, and the serve replay cache keys
+//! full-graph and minibatch runs separately.
 
 use gnnmark::suite::{run_suite_parallel, run_workload_full, SuiteConfig};
 use gnnmark::{MinibatchConfig, TrainMode, WorkloadKind};
-use gnnmark_autograd::{Adam, Optimizer, Tape};
-use gnnmark_graph::dataset::{CsrSource, GraphDataset, InMemoryDataset};
-use gnnmark_graph::stream::{write_graph, StreamGraph};
-use gnnmark_graph::{FanoutSampler, Graph};
-use gnnmark_nn::{losses, Module, SampledGcn};
-use gnnmark_tensor::Tensor;
-use rand::SeedableRng;
 
 fn minibatch_mode() -> TrainMode {
     TrainMode::Minibatch(MinibatchConfig {
@@ -50,77 +42,6 @@ fn minibatch_training_is_thread_count_invariant() {
         assert_eq!(a.to_bits(), b.to_bits(), "minibatch loss diverged: {a} vs {b}");
     }
     assert_eq!(one.profile.kernels.len(), four.profile.kernels.len());
-}
-
-/// A sampled-GCN training loop over any [`GraphDataset`]-like pair of
-/// (adjacency rows, feature gather): runs 3 deterministic batches and
-/// returns the loss bits of each step.
-fn train_sampled(
-    adj: &dyn CsrSource,
-    gather: &dyn Fn(&[i64]) -> gnnmark::Result<Tensor>,
-    labels: &dyn Fn(&[i64]) -> Vec<i64>,
-    feature_dim: usize,
-) -> Vec<u64> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-    let model = SampledGcn::new("ooc", &[feature_dim, 8, 4], &mut rng).unwrap();
-    let mut opt = Adam::new(1e-2);
-    let sampler = FanoutSampler::new(&[3, 2], 5).unwrap();
-    let n = adj.num_nodes();
-    let mut bits = Vec::new();
-    for step in 0..3u64 {
-        let seeds: Vec<i64> = (0..6).map(|i| ((i * 5 + step as usize * 7) % n) as i64).collect();
-        let batch = sampler.sample(adj, &seeds, step).unwrap();
-        let tape = Tape::new();
-        let x = tape.constant(gather(batch.input_nodes()).unwrap());
-        let logits = model.forward(&tape, &batch.blocks, &x).unwrap();
-        let y = gnnmark_tensor::IntTensor::from_vec(&[seeds.len()], labels(&seeds)).unwrap();
-        let loss = losses::cross_entropy(&logits, &y).unwrap();
-        model.params().zero_grad();
-        tape.backward(&loss).unwrap();
-        opt.step(&model.params()).unwrap();
-        bits.push((loss.value().item().unwrap() as f64).to_bits());
-    }
-    bits
-}
-
-#[test]
-fn streaming_graph_trains_byte_identically_to_in_ram() {
-    // Build a labeled graph, keep one copy in RAM and write one to disk.
-    let n = 40;
-    let edges: Vec<(usize, usize)> = (0..n)
-        .map(|i| (i, (i + 1) % n))
-        .chain((0..n / 2).map(|i| (i, (i + n / 3) % n)))
-        .collect();
-    let g = Graph::from_undirected_edges(n, &edges, Tensor::from_fn(&[n, 6], |i| (i % 11) as f32 * 0.1))
-        .unwrap()
-        .with_labels(
-            gnnmark_tensor::IntTensor::from_vec(&[n], (0..n as i64).map(|i| i % 4).collect())
-                .unwrap(),
-        )
-        .unwrap();
-    let ram = InMemoryDataset::new("ram", g.clone()).unwrap();
-
-    let path = std::env::temp_dir().join(format!("gnnmark-mbint-{}.gnm", std::process::id()));
-    write_graph(&path, &g, 7).unwrap();
-    // A tight cache budget forces chunk eviction + re-reads mid-training.
-    let stream = StreamGraph::open(&path, 1 << 10).unwrap();
-
-    let ram_bits = train_sampled(
-        ram.adjacency(),
-        &|ids| ram.gather_features(ids),
-        &|ids| ram.gather_labels(ids).unwrap().as_slice().to_vec(),
-        6,
-    );
-    let stream_bits = train_sampled(
-        &stream,
-        &|ids| stream.gather_features(ids),
-        &|ids| stream.gather_labels(ids).unwrap().as_slice().to_vec(),
-        6,
-    );
-    assert_eq!(ram_bits, stream_bits, "streaming and in-RAM training must be byte-identical");
-    assert!(stream.cache_stats().evictions > 0, "budget was tight enough to evict");
-    assert!(stream.resident_bytes() < stream.meta().full_graph_bytes());
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
