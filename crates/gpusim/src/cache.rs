@@ -39,6 +39,30 @@
 //! miss as they would have, and leave each touched set holding its last
 //! `ways` run lines in MRU order. Counts, L2 traffic and both tag arrays
 //! equal the line-by-line walk's.
+//!
+//! # The resident-region rule
+//!
+//! A `Random` descriptor draws each warp's 32 lanes from a region of `R`
+//! consecutive lines; the walk touches nothing else. When `R ≤ sets · ways`
+//! of L1:
+//!
+//! 1. consecutive lines fall in consecutive sets, so each set holds at most
+//!    `⌈R / sets⌉ ≤ ways` region lines;
+//! 2. LRU keeps a set's `ways` most recent distinct lines, so a region line
+//!    touched once in this walk stays in L1 for the rest of it;
+//! 3. so once every region line has been touched, no probe can miss.
+//!
+//! Until then the walk runs as usual and records, per region offset, the
+//! iteration that last touched it. After coverage each warp still draws its
+//! 32 lanes, but it is neither sorted nor probed: its distinct lines are
+//! counted (an offset whose stamp is not this iteration's is new to the
+//! warp) as L1 accesses and hits, and L2 sees nothing. A hit-only stretch
+//! leaves each set holding the lines it touched, most recent use first,
+//! then its untouched lines in their old order, so at the end
+//! `replay_last_uses` promotes just the last use of each line touched after
+//! coverage, ordered by iteration and then by line (a warp probes its
+//! lines in ascending order). Counts and both tag arrays equal the
+//! line-by-line walk's. A region larger than L1 keeps the plain walk.
 
 use gnnmark_tensor::AccessDesc;
 
@@ -392,6 +416,40 @@ impl<'a, const W1: usize, const W2: usize> Walker<'a, W1, W2> {
         }
     }
 
+    /// One warp op whose `lines` distinct lines are known L1 hits: counted as
+    /// [`touch`](Self::touch) counts them, with no probe and no state change.
+    #[inline(always)]
+    fn touch_hits(&mut self, lines: u64) {
+        self.warp_ops += 1;
+        self.divergent_warp_ops += u64::from(lines > 1);
+        self.l1.accesses += lines;
+        self.l1.hits += lines;
+    }
+
+    /// Ends a resident region's hit-only stretch (module docs, "the
+    /// resident-region rule"): promotes in L1, uncounted, the last use of
+    /// each line `first + o` whose `stamp[o]` is above `after`, in walk order
+    /// — by stamp, then by line, since a warp probes its lines in ascending
+    /// order. Sets never interact, so each set's lines (`o ≡ o0 mod sets`,
+    /// at most `ways` of them) are replayed on their own.
+    fn replay_last_uses(&mut self, first: u64, stamp: &[u32], after: u32) {
+        let sets = self.l1.sets as usize;
+        for o0 in 0..sets.min(stamp.len()) {
+            let mut prev = (after, usize::MAX);
+            while let Some(next) = (o0..stamp.len())
+                .step_by(sets)
+                .map(|o| (stamp[o], o))
+                .filter(|&k| k > prev)
+                .min()
+            {
+                let l = first + next.1 as u64;
+                let hit = promote::<W1>(self.l1.tags, self.l1.ways, l % self.l1.sets, l + 1);
+                debug_assert!(hit, "a resident region line missed L1");
+                prev = next;
+            }
+        }
+    }
+
     /// Warp ops emitted so far (the sampling budget).
     fn emitted(&self) -> usize {
         self.warp_ops as usize
@@ -535,20 +593,55 @@ fn drive_desc<const W1: usize, const W2: usize>(
             let warps = accesses.div_ceil(per_warp).max(1);
             let step = (warps as usize / SAMPLE_CAP).max(1) as u64;
             let region_lines = (sized(*region_bytes) / line).max(1);
+            let first = base / line;
             // Deterministic LCG so runs are reproducible.
             let mut state = 0x9e3779b97f4a7c15u64 ^ *accesses;
+            let mut draw = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 16) % region_lines
+            };
+            // The resident-region rule (module docs): `stamp[o]` is the
+            // iteration, from 1, that last touched offset `o`, 0 if none has.
+            // `untouched` never reaches 0 when the rule does not apply.
+            let resident = region_lines <= d.l1.sets * d.l1.ways as u64;
+            let mut stamp = vec![0u32; if resident { region_lines as usize } else { 0 }];
+            let mut untouched = if resident { region_lines } else { u64::MAX };
+            let mut iter = 0u32;
             let mut w = 0;
-            while w < warps && d.emitted() < SAMPLE_CAP {
+            while w < warps && d.emitted() < SAMPLE_CAP && untouched > 0 {
+                iter += 1;
                 for slot in buf.iter_mut() {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    *slot = base / line + (state >> 16) % region_lines;
+                    *slot = first + draw();
                 }
                 buf.sort_unstable();
                 let kept = dedup_lines(&mut buf);
+                if resident {
+                    for &l in &buf[..kept] {
+                        let s = &mut stamp[(l - first) as usize];
+                        untouched -= u64::from(*s == 0);
+                        *s = iter;
+                    }
+                }
                 d.touch(&buf[..kept]);
                 w += step;
+            }
+            // Every region line is resident in L1: the rest only hits.
+            let covered = iter;
+            while w < warps && d.emitted() < SAMPLE_CAP {
+                iter += 1;
+                let mut kept = 0;
+                for _ in 0..per_warp {
+                    let s = &mut stamp[draw() as usize];
+                    kept += u64::from(*s != iter);
+                    *s = iter;
+                }
+                d.touch_hits(kept);
+                w += step;
+            }
+            if iter > covered {
+                d.replay_last_uses(first, &stamp, covered);
             }
             warps
         }
@@ -751,6 +844,250 @@ mod tests {
             assert_same(&walked, &by_line, &case);
         }
         assert!(skipped_l1 > 1000, "only {skipped_l1} cases took the run rule");
+    }
+
+    fn trace_fields(t: &MemoryTrace) -> [u64; 7] {
+        [
+            t.l1_accesses,
+            t.l1_hits,
+            t.l2_accesses,
+            t.l2_hits,
+            t.dram_bytes,
+            t.divergent_warp_ops,
+            t.warp_ops,
+        ]
+    }
+
+    /// The reference for a `Random` descriptor: the same LCG draws, each warp
+    /// sorted and deduped, every line through `access_line` (L1, then L2 on a
+    /// miss), and the same rescale. Also returns how many walked warps came
+    /// after every region line had been touched.
+    fn random_by_line(
+        s: &DeviceSpec,
+        (l1, l2): (&mut CacheSim, &mut CacheSim),
+        (accesses, region_bytes): (u64, u64),
+        base: u64,
+    ) -> (MemoryTrace, u64) {
+        let line = s.line_bytes;
+        let sized = if s.elem_bytes == 4 {
+            region_bytes
+        } else {
+            ((region_bytes as f64 * s.elem_bytes as f64 / 4.0) as u64).max(1)
+        };
+        let region_lines = (sized / line).max(1);
+        let warps = accesses.div_ceil(32).max(1);
+        let step = (warps / SAMPLE_CAP as u64).max(1);
+        let before = (l1.accesses, l1.hits, l2.accesses, l2.hits);
+        let mut state = 0x9e3779b97f4a7c15u64 ^ accesses;
+        let mut seen = vec![false; region_lines as usize];
+        let (mut unseen, mut after_cover) = (region_lines, 0);
+        let (mut ops, mut divergent) = (0u64, 0u64);
+        let mut w = 0;
+        while w < warps && ops < SAMPLE_CAP as u64 {
+            after_cover += u64::from(unseen == 0);
+            let mut lines: Vec<u64> = (0..32)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    base / line + (state >> 16) % region_lines
+                })
+                .collect();
+            lines.sort_unstable();
+            lines.dedup();
+            ops += 1;
+            divergent += u64::from(lines.len() > 1);
+            for &l in &lines {
+                let o = (l - base / line) as usize;
+                unseen -= u64::from(!seen[o]);
+                seen[o] = true;
+                if !l1.access_line(l) {
+                    l2.access_line(l);
+                }
+            }
+            w += step;
+        }
+        let scale = warps as f64 / ops as f64;
+        let sc = |v: u64| (v as f64 * scale).round() as u64;
+        let (a2, h2) = (l2.accesses - before.2, l2.hits - before.3);
+        let trace = MemoryTrace {
+            l1_accesses: sc(l1.accesses - before.0),
+            l1_hits: sc(l1.hits - before.1),
+            l2_accesses: sc(a2),
+            l2_hits: sc(h2),
+            dram_bytes: sc((a2 - h2) * line),
+            divergent_warp_ops: sc(divergent),
+            warp_ops: warps,
+        };
+        (trace, after_cover)
+    }
+
+    /// One `Random` descriptor through the `<W1, W2>` walker and through the
+    /// reference, from equal pre-warmed caches; asserts equal traces, tags and
+    /// lifetime counters and returns the reference's warps after coverage.
+    fn random_matches_reference<const W1: usize, const W2: usize>(
+        s: &DeviceSpec,
+        (w1, n1): (usize, u64),
+        (w2, n2): (usize, u64),
+        (accesses, region_bytes): (u64, u64),
+        base: u64,
+        warm: &[u64],
+        case: &str,
+    ) -> u64 {
+        let line = s.line_bytes;
+        let fresh = || {
+            (
+                CacheSim::new(n1 * w1 as u64 * line, w1, line),
+                CacheSim::new(n2 * w2 as u64 * line, w2, line),
+            )
+        };
+        let (mut walked, mut by_line) = (fresh(), fresh());
+        for side in [&mut walked, &mut by_line] {
+            for &l in warm {
+                if !side.0.access_line(l) {
+                    side.1.access_line(l);
+                }
+            }
+        }
+        let desc = AccessDesc::Random {
+            accesses,
+            access_bytes: 4,
+            region_bytes,
+        };
+        let got = drive_desc::<W1, W2>(s, &mut walked.0, &mut walked.1, &desc, base);
+        let (want, after_cover) =
+            random_by_line(s, (&mut by_line.0, &mut by_line.1), (accesses, region_bytes), base);
+        assert_eq!(trace_fields(&got), trace_fields(&want), "trace, {case}");
+        assert_same(&walked, &by_line, case);
+        after_cover
+    }
+
+    #[test]
+    fn resident_region_rule_matches_line_by_line_walk() {
+        // 8 sets x 4 ways = 32 L1 lines; 5 x 16 L2. Regions of 1 line, below,
+        // at and one above the L1's line count, the last 96 bytes of each
+        // region a partial line; fp32 and fp16 byte scales.
+        let fp32 = spec();
+        let fp16 = spec().with_half_precision();
+        let base = 0x1000_0000u64;
+        let first = base / fp32.line_bytes;
+        // Region lines (both ends of the region, the middle) and lines of
+        // another tensor that share their L1 sets.
+        let warm: Vec<u64> = [0, 1, 7, 8, 15, 31, 32, 40]
+            .iter()
+            .map(|o| first + o)
+            .chain([first + (1 << 20), first + (1 << 20) + 9, first - 8])
+            .collect();
+        let mut covered = 0;
+        for (s, scale) in [(&fp32, 1u64), (&fp16, 2)] {
+            for lines in [1u64, 20, 32, 33] {
+                let region_bytes = (lines * 128 + 96) * scale;
+                for accesses in [64u64, 5_000, 40_000] {
+                    for warm in [&[][..], &warm[..]] {
+                        let case = format!(
+                            "elem {} B, {lines} lines, {accesses} accesses, {} warm",
+                            s.elem_bytes,
+                            warm.len()
+                        );
+                        let c = random_matches_reference::<L1_WAYS, L2_WAYS>(
+                            s,
+                            (4, 8),
+                            (16, 5),
+                            (accesses, region_bytes),
+                            base,
+                            warm,
+                            &case,
+                        );
+                        let c0 = random_matches_reference::<0, 0>(
+                            s,
+                            (4, 8),
+                            (16, 5),
+                            (accesses, region_bytes),
+                            base,
+                            warm,
+                            &format!("<0, 0>, {case}"),
+                        );
+                        assert_eq!(c, c0);
+                        if lines > 1 && accesses == 64 {
+                            assert_eq!(c, 0, "two warps cannot cover {lines} lines");
+                        }
+                        if accesses > 5_000 {
+                            assert!(c > 1_000, "{case}: only {c} warps after coverage");
+                        }
+                        covered += u32::from(c > 0);
+                    }
+                }
+            }
+        }
+        assert!(covered >= 28, "only {covered} cases reached coverage");
+
+        // More warps than `SAMPLE_CAP`: every second warp is walked.
+        let accesses = 32 * (2 * SAMPLE_CAP as u64 + 7);
+        let c = random_matches_reference::<L1_WAYS, L2_WAYS>(
+            &fp32,
+            (4, 8),
+            (16, 5),
+            (accesses, 30 * 128),
+            base,
+            &warm,
+            "sampled",
+        );
+        assert!(c > 60_000, "sampled walk: only {c} warps after coverage");
+    }
+
+    #[test]
+    fn randomized_random_walks_match_line_by_line_walk() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Odd geometries, regions on both sides of `sets · ways`, random
+        // bases and pre-warmed lines in and beside the region.
+        let s = spec();
+        let mut rng = StdRng::seed_from_u64(0x7265_7369_6465);
+        let mut took_rule = 0;
+        for case in 0..600 {
+            let fixed = case % 2 == 0;
+            let (w1, w2) = if fixed {
+                (L1_WAYS, L2_WAYS)
+            } else {
+                (rng.gen_range(1..9usize), rng.gen_range(1..9usize))
+            };
+            let (n1, n2) = (rng.gen_range(1..17u64), rng.gen_range(1..23u64));
+            let l1_lines = n1 * w1 as u64;
+            let lines = rng.gen_range(1..l1_lines + 3);
+            let region_bytes = lines * 128 + rng.gen_range(0..128u64);
+            let accesses = rng.gen_range(0..6_000u64);
+            let first = rng.gen_range(1u64 << 20..1 << 24);
+            let warm: Vec<u64> = (0..rng.gen_range(0..40u32))
+                .map(|_| first + rng.gen_range(0..lines + 64) - rng.gen_range(0..2u64) * 64)
+                .collect();
+            let geometry = ((w1, n1), (w2, n2));
+            let case = format!("case {case}: ways {w1}/{w2}, sets {n1}/{n2}, {lines} lines");
+            let walk = (accesses, region_bytes);
+            let c = if fixed {
+                random_matches_reference::<L1_WAYS, L2_WAYS>(
+                    &s,
+                    geometry.0,
+                    geometry.1,
+                    walk,
+                    first * 128,
+                    &warm,
+                    &case,
+                )
+            } else {
+                random_matches_reference::<0, 0>(
+                    &s,
+                    geometry.0,
+                    geometry.1,
+                    walk,
+                    first * 128,
+                    &warm,
+                    &case,
+                )
+            };
+            took_rule += u32::from(c > 0 && lines <= l1_lines);
+        }
+        assert!(took_rule > 200, "only {took_rule} cases took the resident-region rule");
     }
 
     #[test]
