@@ -9,7 +9,11 @@
 use super::emit_sequential;
 use crate::cost::{INT_PER_ELEMWISE_ELEM, INT_PER_REDUCE_ELEM};
 use crate::instrument::OpClass;
-use crate::{Result, Tensor, TensorError};
+use crate::{par, Result, Tensor, TensorError};
+
+/// Logits per block of [`Tensor::bce_with_logits_mean`]: a 256 KiB scratch
+/// of f32 terms, and 2.6 grains at `Cost::EXP_ELEM`, so a block forks.
+const BCE_BLOCK: usize = 64 * 1024;
 
 impl Tensor {
     /// Fused mean binary-cross-entropy-with-logits:
@@ -23,11 +27,23 @@ impl Tensor {
     pub fn bce_with_logits_mean(&self, target: &Tensor) -> Result<Tensor> {
         self.shape().require_same(target.shape(), "bce_with_logits_mean")?;
         let n = self.numel();
+        let (zs, ys) = (self.as_slice(), target.as_slice());
+        // The f32 terms are computed a block at a time on the pool; the
+        // caller then adds each block into one f64 in index order, so the
+        // sum is the sequential loop's at every thread count.
+        let mut terms = vec![0.0f32; n.min(BCE_BLOCK)];
         let mut acc = 0.0f64;
-        for (&z, &y) in self.as_slice().iter().zip(target.as_slice()) {
-            // (1−y)z + softplus(−z), stable: softplus(−z) = max(−z,0) + ln(1+e^{−|z|})
-            let softplus_neg = (-z).max(0.0) + (-(z.abs())).exp().ln_1p();
-            acc += ((1.0 - y) * z + softplus_neg) as f64;
+        for start in (0..n).step_by(BCE_BLOCK) {
+            let block = &mut terms[..BCE_BLOCK.min(n - start)];
+            par::fill_chunks(block, par::Cost::EXP_ELEM, |r, chunk| {
+                let r = start + r.start..start + r.end;
+                for ((t, &z), &y) in chunk.iter_mut().zip(&zs[r.clone()]).zip(&ys[r]) {
+                    // (1−y)z + softplus(−z), stable: softplus(−z) = max(−z,0) + ln(1+e^{−|z|})
+                    let softplus_neg = (-z).max(0.0) + (-(z.abs())).exp().ln_1p();
+                    *t = (1.0 - y) * z + softplus_neg;
+                }
+            });
+            acc = block.iter().fold(acc, |acc, &t| acc + t as f64);
         }
         let out = Tensor::scalar((acc / n as f64) as f32);
         let n = n as u64;

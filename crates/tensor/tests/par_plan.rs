@@ -34,6 +34,9 @@ fn gnn_sized_kernels_plan_one_chunk_and_large_ones_fork() {
     // in place, so there is one region to plan and it is tiny.
     let thin = Tensor::from_fn(&[4, 256], |i| i as f32 * 0.01);
     let rhs = Tensor::from_fn(&[4, 8], |i| i as f32 * 0.1);
+    // A loss over 4 Ki logits: 16 µs of libm work, well under two grains.
+    let logits = Tensor::from_fn(&[4096], |i| (i % 31) as f32 * 0.2 - 3.0);
+    let labels = Tensor::from_fn(&[4096], |i| (i % 2) as f32);
     for t in [1usize, 2, 4, 8] {
         par::set_threads(t);
         for (what, pooled) in [
@@ -46,6 +49,10 @@ fn gnn_sized_kernels_plan_one_chunk_and_large_ones_fork() {
             (
                 "256 x 4 x 8 matmul_tn",
                 pooled_regions(|| drop(thin.matmul_tn(&rhs).unwrap())),
+            ),
+            (
+                "4 Ki bce loss",
+                pooled_regions(|| drop(logits.bce_with_logits_mean(&labels).unwrap())),
             ),
         ] {
             assert_eq!(pooled, 0, "{what} forked at {t} threads");
@@ -68,6 +75,15 @@ fn gnn_sized_kernels_plan_one_chunk_and_large_ones_fork() {
         pooled_regions(|| drop(img.conv2d(&filt, Conv2dSpec::default()).unwrap())),
         1,
         "STGCN's Small convolution must fork at two threads"
+    );
+    // ARGA's reconstruction loss at `Scale::Small`: 677^2 logits, seven
+    // blocks of at most 64 Ki terms, each of which forks.
+    let recon = Tensor::from_fn(&[677, 677], |i| (i % 19) as f32 * 0.5 - 4.5);
+    let adj = Tensor::from_fn(&[677, 677], |i| if i % 7 == 0 { 1.0 } else { 0.0 });
+    assert_eq!(
+        pooled_regions(|| drop(recon.bce_with_logits_mean(&adj).unwrap())),
+        7,
+        "ARGA's Small reconstruction loss must fork each block at two threads"
     );
 
     par::set_threads(prev);
