@@ -1,6 +1,8 @@
-//! Prints where a workload's wall-clock actually goes, per kernel name:
-//! run one workload at a chosen scale and aggregate the recorded op stream
-//! alongside real elapsed time. Useful when tuning the CPU kernels.
+//! Prints a workload's modeled work per kernel name: run one workload at a
+//! chosen scale, then list each kernel's call count, modeled flops and
+//! modeled DRAM bytes, sorted by flops, under the run's total wall-clock
+//! and the model's construction time. It does not time kernels on the
+//! host; EXPERIMENTS.md, "Host time by kernel", gives the method for that.
 //!
 //! ```text
 //! cargo run --release --example op_hotspots [workload] [scale]
