@@ -135,14 +135,27 @@ impl Param {
 
     /// Adds `g` into the accumulated gradient.
     ///
+    /// The first gradient is kept as it is (no copy). Each later one is
+    /// added in place ([`Tensor::add_assign`]: the values and the `add`
+    /// event of [`Tensor::add`]) and its buffer goes back to the tensor
+    /// pool if `g` was its last handle. A parameter read at every step of
+    /// a recurrent loop is flushed once per read, so the sum grows in one
+    /// buffer instead of a fresh one per read; when the accumulated buffer
+    /// is still shared (with the tape node the first gradient came from),
+    /// the first add writes the sum to a new buffer and leaves the node's
+    /// gradient alone.
+    ///
     /// # Errors
     /// Returns a shape error if `g` does not match previous accumulations.
     pub fn accumulate_grad(&self, g: Tensor) -> crate::Result<()> {
         let mut slot = self.inner.grad.borrow_mut();
-        *slot = Some(match slot.take() {
-            None => g,
-            Some(prev) => prev.add(&g)?,
-        });
+        match slot.as_mut() {
+            None => *slot = Some(g),
+            Some(acc) => {
+                acc.add_assign(&g)?;
+                gnnmark_tensor::pool::recycle(g);
+            }
+        }
         Ok(())
     }
 

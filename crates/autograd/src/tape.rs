@@ -6,6 +6,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gnnmark_tensor::half::{self, Precision};
+use gnnmark_tensor::ops::gemm::PackScope;
 use gnnmark_tensor::Tensor;
 
 use crate::{amp, Param, Result};
@@ -186,6 +187,12 @@ impl Tape {
     /// Runs the reverse pass from `loss`, accumulating gradients into every
     /// node and into linked parameters.
     ///
+    /// The pass runs inside a [`PackScope`]: a weight read at every step of
+    /// an unrolled loop is the right operand of one NT product per step,
+    /// and is transposed once for all of them. Gradients are summed in
+    /// place ([`Tensor::add_assign`]). Both leave every value and every
+    /// emitted event as they would be without them.
+    ///
     /// # Errors
     /// Propagates tensor errors from gradient kernels (these indicate a bug
     /// in an op's backward function, e.g. a shape mismatch).
@@ -203,6 +210,7 @@ impl Tape {
             Repr::Node { id, tape } if Rc::ptr_eq(&self.inner, tape) => *id,
             _ => panic!("loss Var belongs to a different tape"),
         };
+        let _packs = PackScope::enter();
         {
             let mut inner = self.inner.borrow_mut();
             // With loss scaling active the seed is the scale itself —
@@ -248,19 +256,15 @@ impl Tape {
                 if let Some(contribs) = contribs {
                     debug_assert_eq!(contribs.len(), parents.len());
                     for (p, c) in parents.into_iter().zip(contribs) {
-                        if let Some(c) = c {
-                            let slot = &mut inner.nodes[p].grad;
-                            *slot = Some(match slot.take() {
-                                None => c,
-                                Some(prev) => {
-                                    let sum = prev.add(&c)?;
-                                    // Both temporaries are dead; feed their
-                                    // buffers back to the tensor pool.
-                                    gnnmark_tensor::pool::recycle(prev);
-                                    gnnmark_tensor::pool::recycle(c);
-                                    sum
-                                }
-                            });
+                        let Some(c) = c else { continue };
+                        match &mut inner.nodes[p].grad {
+                            slot @ None => *slot = Some(c),
+                            Some(acc) => {
+                                // Summed in place; the dead addend's buffer
+                                // goes back to the tensor pool.
+                                acc.add_assign(&c)?;
+                                gnnmark_tensor::pool::recycle(c);
+                            }
                         }
                     }
                 }
@@ -496,6 +500,57 @@ mod tests {
         let loss = d.square().sum_all();
         tape.backward(&loss).unwrap();
         assert!(x.grad().is_none());
+    }
+
+    /// One weight read at each of `T` unrolled steps, against the same graph
+    /// over `T` separate parameters holding copies of it (so no NT operand
+    /// repeats and no gradient is summed in place), whose grads are summed
+    /// by `Tensor::add` in read order. Backward reuses the shared weight's
+    /// transpose and flushes its reads in place; neither may change a bit,
+    /// a node gradient or an event.
+    #[test]
+    fn a_weight_read_at_every_step_matches_one_param_per_step() {
+        use gnnmark_tensor::record;
+        const T: usize = 6;
+        let w0 = Tensor::from_fn(&[7, 7], |i| ((i * 37) % 23) as f32 * 0.05 - 0.5);
+        let x = Tensor::from_fn(&[5, 7], |i| ((i * 11) % 13) as f32 * 0.1 - 0.6);
+        let unrolled = |params: &[Param]| {
+            let tape = Tape::new();
+            let mut h = tape.constant(x.clone());
+            for t in 0..T {
+                let w = tape.read(&params[t % params.len()]);
+                h = h.matmul(&w).unwrap().tanh();
+            }
+            let loss = h.square().sum_all();
+            record::start_recording();
+            tape.backward(&loss).unwrap();
+            (tape, record::stop_recording())
+        };
+
+        let shared = Param::new("w", w0.clone());
+        let (tape, events) = unrolled(std::slice::from_ref(&shared));
+        let copy = || Tensor::from_vec(&[7, 7], w0.as_slice().to_vec()).unwrap();
+        let copies: Vec<Param> = (0..T).map(|t| Param::new(format!("w{t}"), copy())).collect();
+        let (ref_tape, mut ref_events) = unrolled(&copies);
+        record::start_recording();
+        let mut ref_grad = copies[0].grad().unwrap();
+        for p in &copies[1..] {
+            ref_grad = ref_grad.add(&p.grad().unwrap()).unwrap();
+        }
+        ref_events.extend(record::stop_recording());
+
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&shared.grad().unwrap()), bits(&ref_grad), "param grad");
+        let (nodes, ref_nodes) = (&tape.inner.borrow().nodes, &ref_tape.inner.borrow().nodes);
+        assert_eq!(nodes.len(), ref_nodes.len());
+        for (i, (n, r)) in nodes.iter().zip(ref_nodes.iter()).enumerate() {
+            assert_eq!(n.grad.as_ref().map(bits), r.grad.as_ref().map(bits), "node {i} grad");
+        }
+        let key = |e: &gnnmark_tensor::OpEvent| (e.kernel, e.flops, e.bytes_read, e.bytes_written);
+        let got: Vec<_> = events.iter().map(key).collect();
+        assert_eq!(got, ref_events.iter().map(key).collect::<Vec<_>>(), "events");
+        assert_eq!(got.iter().filter(|e| e.0 == "sgemm_nt").count(), T);
+        assert_eq!(got.iter().filter(|e| e.0 == "add").count(), T - 1);
     }
 
     #[test]

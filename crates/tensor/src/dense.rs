@@ -161,6 +161,13 @@ impl Tensor {
         Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
+    /// Mutable view of the data if this is the only handle to the buffer;
+    /// `None` when it is shared (a caller that must not copy falls back to
+    /// writing a fresh buffer).
+    pub(crate) fn unique_mut_slice(&mut self) -> Option<&mut [f32]> {
+        Arc::get_mut(&mut self.data).map(Vec::as_mut_slice)
+    }
+
     /// Consumes the tensor, returning its data buffer: the buffer itself
     /// when this was the only handle to it, a copy when it is shared.
     pub fn into_vec(self) -> Vec<f32> {

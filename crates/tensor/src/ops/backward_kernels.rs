@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use super::conv::{valid_taps, Conv2dSpec};
-use super::gemm::{bmm_into, transpose_pack};
+use super::gemm::{bmm_into, with_nt_pack};
 use super::{emit_op, emit_sequential};
 use crate::cost;
 use crate::instrument::{AccessDesc, OpClass};
@@ -71,6 +71,11 @@ impl Tensor {
     /// `self` (`[b, m, k]`) × `otherᵀ` where `other` is `[b, n, k]`,
     /// yielding `[b, m, n]`.
     ///
+    /// Like [`Tensor::matmul_nt`], inside a
+    /// [`PackScope`](super::gemm::PackScope) (every autograd backward pass)
+    /// each batch of a given `other` is transposed once and the pack reused
+    /// by later calls on the same buffer and dims.
+    ///
     /// # Errors
     /// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`]
     /// on malformed operands.
@@ -91,22 +96,13 @@ impl Tensor {
         }
         let (b, m, k) = (self.dim(0), self.dim(1), self.dim(2));
         let n = other.dim(1);
-        let a = self.as_slice();
-        let bt = other.as_slice();
         // Transpose each batch of `other` ([n, k] → [k, n]), then reuse
         // the shared blocked kernel — same path as the forward bmm.
-        let mut packed = pool::filled(b * n * k);
-        for bi in 0..b {
-            transpose_pack(
-                &bt[bi * n * k..(bi + 1) * n * k],
-                n,
-                k,
-                &mut packed[bi * k * n..(bi + 1) * k * n],
-            );
-        }
-        let mut out = pool::zeroed(b * m * n);
-        bmm_into(a, false, &packed, &mut out, b, m, k, n);
-        pool::recycle_vec(packed);
+        let out = with_nt_pack(other, b, n, k, |packed| {
+            let mut out = pool::zeroed(b * m * n);
+            bmm_into(self.as_slice(), false, packed, &mut out, b, m, k, n);
+            out
+        });
         let result = Tensor::from_vec(&[b, m, n], out)?;
         let macs = (b * m * k * n) as u64;
         emit_sequential(

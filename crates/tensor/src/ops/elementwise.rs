@@ -14,6 +14,19 @@ use crate::{par, pool, Result, Tensor, TensorError};
 /// Cost (in modeled fp32 ops) of special-function-unit transcendentals.
 const SFU_FLOPS: u64 = 8;
 
+/// The event of an `n`-element binary kernel: two streamed reads, one write.
+fn emit_binary(op: &'static str, n: u64) {
+    emit_sequential(
+        OpClass::ElementWise,
+        op,
+        n,
+        n * INT_PER_ELEMWISE_ELEM,
+        2 * n * 4,
+        n * 4,
+        n,
+    );
+}
+
 impl Tensor {
     /// Shape-checked element-wise binary op dispatched through the
     /// [`crate::simd`] kernel table. The level is resolved once on the
@@ -28,16 +41,7 @@ impl Tensor {
             simd::binary(lvl, kop, &a[r.clone()], &b[r], chunk);
         });
         let out = Tensor::from_vec(self.dims(), data)?;
-        let n = self.numel() as u64;
-        emit_sequential(
-            OpClass::ElementWise,
-            op,
-            n,
-            n * INT_PER_ELEMWISE_ELEM,
-            2 * n * 4,
-            n * 4,
-            n,
-        );
+        emit_binary(op, self.numel() as u64);
         Ok(out)
     }
 
@@ -98,6 +102,31 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn add(&self, other: &Tensor) -> Result<Tensor> {
         self.binary_simd(other, "add", BinOp::Add)
+    }
+
+    /// In-place element-wise addition, `self += other`: the values and the
+    /// `add` event of [`Tensor::add`], without a fresh buffer. The sum is
+    /// written where `self` lies when `self` is the only handle to its
+    /// buffer; a shared buffer keeps its values for its other handles, and
+    /// `self` receives the sum in a new one (copy-on-write, as for any
+    /// writer of a [`Tensor`]).
+    ///
+    /// # Errors
+    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
+    pub fn add_assign(&mut self, other: &Tensor) -> Result<()> {
+        self.shape().require_same(other.shape(), "add")?;
+        let n = self.numel() as u64;
+        let Some(dst) = self.unique_mut_slice() else {
+            *self = self.add(other)?;
+            return Ok(());
+        };
+        let src = other.as_slice();
+        let lvl = simd::level();
+        par::fill_chunks(dst, par::Cost::ELEMENT, |r, chunk| {
+            simd::accumulate(lvl, chunk, &src[r]);
+        });
+        emit_binary("add", n);
+        Ok(())
     }
 
     /// Element-wise subtraction.

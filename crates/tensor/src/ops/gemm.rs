@@ -8,13 +8,23 @@
 //! All variants (NN, NT, TN, batched) execute through one cache-blocked,
 //! unroll-by-8 micro-kernel ([`gemm_kernel`]). It reads its left operand
 //! through row/k strides, so a transposed left operand (TN) is read where
-//! it lies: the kernel only ever wants eight `a` scalars per panel. The right operand it streams in rows, so a transposed right
-//! operand (NT) is transposed once first ([`transpose_pack`]). Row blocks
-//! run on the [`crate::par`] pool; each output row is accumulated in a
-//! fixed k-order by exactly one task, so results are bit-identical at every
-//! thread count, and identical between a layout flag and an explicit
-//! transpose.
+//! it lies: the kernel only ever wants eight `a` scalars per panel. The
+//! right operand it streams in rows, so a transposed right operand (NT) is
+//! transposed first ([`transpose_pack`]). Row blocks run on the
+//! [`crate::par`] pool; each output row is accumulated in a fixed k-order
+//! by exactly one task, so results are bit-identical at every thread
+//! count, and identical between a layout flag and an explicit transpose.
+//!
+//! While a [`PackScope`] is open on the thread — the autograd tape opens
+//! one for each backward pass — the NT layouts keep each transposed right
+//! operand and reuse it for every later product against the same buffer
+//! at the same dims. A recurrent model reads one weight at every time
+//! step, so its backward transposes that weight once instead of once per
+//! step. Every product still runs and emits its event; only the host's
+//! repeated pack goes.
 
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::ops::Range;
 
 use super::emit_sequential;
@@ -220,6 +230,115 @@ pub(crate) fn transpose_pack(src: &[f32], rows: usize, cols: usize, dst: &mut [f
     });
 }
 
+/// A transposed right operand kept by the open [`PackScope`]. `src` is a
+/// handle to the operand: while it is held the buffer can be neither freed
+/// (so its address cannot come back as another tensor's) nor written in
+/// place (a writer gets a private copy), so a match on buffer identity and
+/// dims is always the same values.
+struct KeptPack {
+    src: Tensor,
+    packed: Vec<f32>,
+}
+
+/// This thread's pack scope: how many [`PackScope`] guards are open, and the
+/// packs kept since the outermost one opened.
+#[derive(Default)]
+struct Scope {
+    depth: usize,
+    packs: Vec<KeptPack>,
+}
+
+thread_local! {
+    static SCOPE: RefCell<Scope> = RefCell::default();
+}
+
+/// While alive, [`Tensor::matmul_nt`] and [`Tensor::bmm_nt`] on this thread
+/// transpose each distinct right operand once and reuse the pack: the key
+/// is the operand's buffer (as [`Tensor::shares_storage`] compares it) plus
+/// its dims, and the scope holds a handle to the operand so the key cannot
+/// go stale. Results and emitted events are exactly those of the unscoped
+/// products. A guard opened inside another shares the outer scope's packs;
+/// dropping the outermost returns every pack to [`crate::pool`].
+///
+/// The scope has no bound: it keeps one pack per distinct NT operand,
+/// which is meant for one autograd backward pass (`Tape::backward` opens
+/// it), not for a long-lived loop.
+#[must_use = "the scope closes when the guard is dropped"]
+pub struct PackScope {
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl PackScope {
+    /// Opens (or, if one is open, joins) this thread's pack scope.
+    pub fn enter() -> PackScope {
+        SCOPE.with(|s| s.borrow_mut().depth += 1);
+        PackScope {
+            _thread_bound: PhantomData,
+        }
+    }
+}
+
+impl Drop for PackScope {
+    fn drop(&mut self) {
+        let kept = SCOPE.with(|s| {
+            let mut s = s.borrow_mut();
+            s.depth -= 1;
+            if s.depth == 0 {
+                std::mem::take(&mut s.packs)
+            } else {
+                Vec::new()
+            }
+        });
+        for pack in kept {
+            pool::recycle_vec(pack.packed);
+        }
+    }
+}
+
+/// Runs `f` on the row-major transpose of `b`, which holds `batches`
+/// blocks of `[n, k]` (packed: `batches` blocks of `[k, n]`). Inside a
+/// [`PackScope`] the pack is looked up, or made and kept; outside one it
+/// is made for this call and recycled after it.
+pub(crate) fn with_nt_pack<R>(
+    b: &Tensor,
+    batches: usize,
+    n: usize,
+    k: usize,
+    f: impl FnOnce(&[f32]) -> R,
+) -> R {
+    let pack = || {
+        let src = b.as_slice();
+        let mut packed = pool::filled(batches * n * k);
+        for bi in 0..batches {
+            let block = bi * n * k..(bi + 1) * n * k;
+            transpose_pack(&src[block.clone()], n, k, &mut packed[block]); // [n,k] → [k,n]
+        }
+        packed
+    };
+    SCOPE.with(|s| {
+        let mut s = s.borrow_mut();
+        if s.depth == 0 {
+            drop(s);
+            let packed = pack();
+            let out = f(&packed);
+            pool::recycle_vec(packed);
+            return out;
+        }
+        let hit = s
+            .packs
+            .iter()
+            .position(|p| p.src.shares_storage(b) && p.src.dims() == b.dims());
+        let i = hit.unwrap_or_else(|| {
+            s.packs.push(KeptPack {
+                src: b.clone(),
+                packed: pack(),
+            });
+            s.packs.len() - 1
+        });
+        f(&s.packs[i].packed)
+    })
+}
+
 impl Tensor {
     /// Matrix product of `self` (`[m, k]`) with `other` (`[k, n]`).
     ///
@@ -296,9 +415,13 @@ impl Tensor {
     ///
     /// Real BLAS libraries provide this as a layout flag (`gemm_nt`), so no
     /// transpose kernel is *profiled* — backward passes and attention use
-    /// it. Here `other` is transposed once and the product runs through the
-    /// same blocked micro-kernel as [`Tensor::matmul`], so NT results are
-    /// bit-identical to `matmul` against an explicitly transposed operand.
+    /// it. Here `other` is transposed first and the product runs through
+    /// the same blocked micro-kernel as [`Tensor::matmul`], so NT results
+    /// are bit-identical to `matmul` against an explicitly transposed
+    /// operand. Inside a [`PackScope`] (every autograd backward pass) the
+    /// transpose of a given `other` is made once and reused by each later
+    /// call on the same buffer and dims; the product and its event are
+    /// never skipped.
     ///
     /// # Errors
     /// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`]
@@ -307,11 +430,11 @@ impl Tensor {
         check_pair("matmul_nt", self, other, 2, 1, 1)?;
         let (m, k) = (self.dim(0), self.dim(1));
         let n = other.dim(0);
-        let mut packed = pool::filled(n * k);
-        transpose_pack(other.as_slice(), n, k, &mut packed); // [n,k] → [k,n]
-        let mut out = pool::zeroed(m * n);
-        matmul_into(self.as_slice(), false, &packed, &mut out, m, k, n);
-        pool::recycle_vec(packed);
+        let out = with_nt_pack(other, 1, n, k, |packed| {
+            let mut out = pool::zeroed(m * n);
+            matmul_into(self.as_slice(), false, packed, &mut out, m, k, n);
+            out
+        });
         let result = Tensor::from_vec(&[m, n], out)?;
         let macs = (m * k * n) as u64;
         emit_sequential(

@@ -8,11 +8,15 @@
 //! sides of the 8-deep panel and of the 256-deep `KC` block, `n` below one
 //! vector, and operands with all-zero panels (which the kernel skips) and
 //! `-0.0` (which it must not mistake for a reason to skip differently).
+//!
+//! Inside a `PackScope` the NT layouts reuse a transposed operand; the last
+//! tests hold the scope's key (buffer and dims) and its pool hand-back.
 
 use std::sync::Mutex;
 
+use gnnmark_tensor::ops::gemm::PackScope;
 use gnnmark_tensor::simd::{self, SimdLevel};
-use gnnmark_tensor::{par, Tensor};
+use gnnmark_tensor::{par, pool, Tensor};
 
 /// `par::set_threads` is process-wide; the tests here take turns.
 static LOCK: Mutex<()> = Mutex::new(());
@@ -145,5 +149,88 @@ fn transpose2d_uses_it_at_every_plan() {
             let t = operand(rows, cols, 7);
             assert_same_bits(&t.transpose2d().unwrap(), &transposed(&t), &format!("{rows}x{cols} {how}"));
         }
+    });
+}
+
+/// Buffers this thread has handed back to the pool so far.
+fn recycled() -> u64 {
+    pool::stats().recycled
+}
+
+#[test]
+fn a_pack_scope_keys_by_buffer_and_dims() {
+    let w = operand(6, 20, 8);
+    let x = operand(5, 20, 9);
+    let x_view = operand(5, 6, 10);
+    let xb = operand(5, 20, 11).reshape(&[1, 5, 20]).unwrap();
+    // One buffer, three dims: [6, 20], [20, 6] and [1, 6, 20].
+    let w_view = w.reshape(&[20, 6]).unwrap();
+    let w_batched = w.reshape(&[1, 6, 20]).unwrap();
+    let want = x.matmul(&transposed(&w)).unwrap();
+    let want_view = x_view.matmul(&transposed(&w_view)).unwrap();
+    let want_batched = xb.bmm(&transposed(&w).reshape(&[1, 20, 6]).unwrap()).unwrap();
+
+    let before = recycled();
+    let scope = PackScope::enter();
+    for t in 0..4 {
+        assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, &format!("step {t}"));
+    }
+    assert_same_bits(&x_view.matmul_nt(&w_view).unwrap(), &want_view, "same buffer, other dims");
+    assert_same_bits(&xb.bmm_nt(&w_batched).unwrap(), &want_batched, "rank-3 view");
+    assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, "after the other views");
+    assert_eq!(recycled(), before, "the scope keeps its packs while open");
+    drop(scope);
+    assert_eq!(recycled() - before, 3, "one pack per (buffer, dims), recycled on drop");
+}
+
+#[test]
+fn a_write_after_its_pack_reaches_the_next_product() {
+    let x = operand(3, 9, 12);
+    let original = operand(4, 9, 13);
+    let mut w = original.clone();
+    let _scope = PackScope::enter();
+    let first = x.matmul_nt(&w).unwrap();
+    w.as_mut_slice()[5] = 42.0;
+    w.set(&[3, 8], -7.0);
+    let second = x.matmul_nt(&w).unwrap();
+    assert_same_bits(&first, &x.matmul(&transposed(&original)).unwrap(), "before the write");
+    assert_same_bits(&second, &x.matmul(&transposed(&w)).unwrap(), "after the write");
+    assert_eq!(original.as_slice()[5], operand(4, 9, 13).as_slice()[5], "the kept handle is untouched");
+}
+
+#[test]
+fn a_nested_scope_shares_the_outer_scopes_packs() {
+    let x = operand(3, 9, 14);
+    let w = operand(4, 9, 15);
+    let v = operand(2, 9, 16);
+    let before = recycled();
+    let outer = PackScope::enter();
+    let want = x.matmul_nt(&w).unwrap();
+    {
+        let _inner = PackScope::enter();
+        assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, "inner hit");
+        let _ = x.matmul_nt(&v).unwrap();
+    }
+    assert_eq!(recycled(), before, "closing the inner scope returns nothing");
+    assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, "outer hit");
+    drop(outer);
+    assert_eq!(recycled() - before, 2, "w's pack and v's, once each");
+}
+
+#[test]
+fn another_thread_packs_as_if_no_scope_were_open() {
+    let x = operand(3, 9, 17);
+    let w = operand(4, 9, 18);
+    let want = x.matmul(&transposed(&w)).unwrap();
+    let _scope = PackScope::enter();
+    let _ = x.matmul_nt(&w).unwrap();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for t in 0..3 {
+                let before = recycled();
+                assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, &format!("call {t}"));
+                assert_eq!(recycled() - before, 1, "no scope here: each pack is recycled at once");
+            }
+        });
     });
 }

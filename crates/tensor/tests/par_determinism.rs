@@ -10,7 +10,8 @@
 
 use std::sync::Mutex;
 
-use gnnmark_tensor::{par, CsrMatrix, IntTensor, Tensor};
+use gnnmark_tensor::ops::gemm::PackScope;
+use gnnmark_tensor::{par, record, CsrMatrix, IntTensor, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -329,4 +330,80 @@ fn bce_loss_bits_equal_the_serial_loop_at_any_thread_count() {
             );
         }
     }
+}
+
+/// A recurrent backward's NT products: one weight (and one batched
+/// operand) against a fresh left operand at each of `T` steps. Inside a
+/// `PackScope` each is transposed once; every product must equal the
+/// unscoped one, bit for bit, at every thread count.
+#[test]
+fn scoped_nt_reuse_equals_unscoped_products_at_any_thread_count() {
+    const T: usize = 6;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(39);
+    let mut draw = |dims: &[usize]| Tensor::from_fn(dims, |_| rng.gen_range(-2.0..2.0));
+    let w = draw(&[24, 40]);
+    let wb = draw(&[3, 17, 40]);
+    let xs: Vec<Tensor> = (0..T).map(|_| draw(&[9, 40])).collect();
+    let xbs: Vec<Tensor> = (0..T).map(|_| draw(&[3, 5, 40])).collect();
+    let products = || {
+        let mut out = Vec::new();
+        for (x, xb) in xs.iter().zip(&xbs) {
+            out.extend(x.matmul_nt(&w).unwrap().into_vec());
+            out.extend(xb.bmm_nt(&wb).unwrap().into_vec());
+        }
+        out
+    };
+    let unscoped = products();
+    let scoped = at_thread_counts(|| {
+        let _scope = PackScope::enter();
+        products()
+    });
+    assert_bit_identical(&scoped, "scoped NT");
+    assert_bit_identical(&[unscoped, scoped[0].clone()], "scoped vs unscoped NT");
+}
+
+#[test]
+fn add_assign_equals_add_at_any_thread_count() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(40);
+    let x = Tensor::from_fn(&[300, 7], |_| rng.gen_range(-4.0..4.0));
+    let y = Tensor::from_fn(&[300, 7], |_| rng.gen_range(-4.0..4.0));
+    let want = x.add(&y).unwrap().into_vec();
+    let outs = at_thread_counts(|| {
+        let mut acc = Tensor::from_vec(x.dims(), x.as_slice().to_vec()).unwrap();
+        acc.add_assign(&y).unwrap();
+        acc.into_vec()
+    });
+    assert_bit_identical(&outs, "add_assign");
+    assert_bit_identical(&[want, outs[0].clone()], "add_assign vs add");
+}
+
+/// `add_assign` is `add` to the modeled device: one event, the same one.
+/// It writes in place only into a buffer no other handle reads.
+#[test]
+fn add_assign_emits_adds_event_and_copies_a_shared_buffer() {
+    let x = Tensor::from_fn(&[37, 5], |i| i as f32 * 0.5 - 20.0);
+    let y = Tensor::from_fn(&[37, 5], |i| 3.0 - i as f32 * 0.25);
+    record::start_recording();
+    let sum = x.add(&y).unwrap();
+    let want = record::stop_recording();
+    assert_eq!(want.len(), 1);
+
+    let mut shared = x.clone();
+    record::start_recording();
+    shared.add_assign(&y).unwrap();
+    assert_eq!(record::stop_recording(), want, "shared buffer");
+    assert_eq!(shared.as_slice(), sum.as_slice());
+    assert!(!shared.shares_storage(&x));
+    let x_again = Tensor::from_fn(&[37, 5], |i| i as f32 * 0.5 - 20.0);
+    assert_eq!(x.as_slice(), x_again.as_slice(), "the other handle keeps its values");
+
+    let mut own = x_again;
+    let buf = own.as_slice().as_ptr();
+    record::start_recording();
+    own.add_assign(&y).unwrap();
+    assert_eq!(record::stop_recording(), want, "unshared buffer");
+    assert_eq!(own.as_slice(), sum.as_slice());
+    assert_eq!(own.as_slice().as_ptr(), buf, "summed where it lies");
+
+    assert!(own.add_assign(&Tensor::zeros(&[5, 37])).is_err());
 }

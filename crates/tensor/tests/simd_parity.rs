@@ -237,3 +237,36 @@ fn forced_scalar_lane_is_bit_stable() {
 /// Recorded from the scalar reference loops. Update ONLY when the scalar
 /// lane changes on purpose (which also invalidates `results/golden/`).
 const GOLDEN_SCALAR_DIGEST: u64 = 6_522_836_538_623_809_907;
+
+/// `add_assign` runs `simd::accumulate`, `add` runs `simd::binary`: within
+/// each lane the two must agree bit for bit, on every pairing of NaN, ±0,
+/// ±inf, subnormals and ordinary values (121 elements: a ragged tail).
+#[test]
+fn add_assign_equals_add_in_the_scalar_and_auto_lanes() {
+    let specials = [
+        f32::NAN,
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(1),
+        -f32::from_bits(0x0040_0000),
+        f32::MIN_POSITIVE,
+        1.5,
+        -3.25,
+        f32::MAX,
+    ];
+    let n = specials.len();
+    let a = Tensor::from_fn(&[n, n], |i| specials[i / n]);
+    let b = Tensor::from_fn(&[n, n], |i| specials[i % n]);
+    for lvl in [SimdLevel::Scalar, simd::detect()] {
+        simd::with_level(lvl, || {
+            let want = a.add(&b).unwrap();
+            let mut got = Tensor::from_vec(a.dims(), a.as_slice().to_vec()).unwrap();
+            got.add_assign(&b).unwrap();
+            for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{} lane, [{i}]: {g} vs {w}", lvl.as_str());
+            }
+        });
+    }
+}
