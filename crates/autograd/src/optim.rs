@@ -196,13 +196,6 @@ impl Adam {
             v: HashMap::new(),
         }
     }
-
-    /// Overrides β₁/β₂.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
 }
 
 impl Optimizer for Adam {

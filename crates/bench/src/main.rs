@@ -60,11 +60,11 @@
 //! tensor kernels. Losses, profiles and figures are bit-identical at every
 //! thread count; only wall-clock changes.
 //!
-//! `GNNMARK_SIMD={auto,avx2,sse2,scalar}` clamps the kernels' SIMD
-//! dispatch lane (default `auto` = best the host supports). The scalar
-//! lane is byte-identical to the historic kernels; vector lanes are
-//! deterministic per lane but differ from scalar by ULPs (FMA,
-//! reassociated reductions). See docs/VERIFICATION.md.
+//! `GNNMARK_SIMD={auto,avx2,scalar}` clamps the kernels' SIMD dispatch
+//! lane, scalar or AVX2+FMA (default `auto` = AVX2+FMA when the host has
+//! it, else scalar). The scalar lane is byte-identical to the historic
+//! kernels; the AVX2 lane is deterministic but differs from scalar by
+//! ULPs (FMA, reassociated reductions). See docs/VERIFICATION.md.
 //!
 //! `--mode minibatch` trains every workload through the mini-batch
 //! neighbor-sampling path: the graph workloads (PSAGE, ARGA) sample

@@ -7,14 +7,11 @@
 
 #![cfg(unix)]
 
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use std::io::{Read, Write};
-
-use gnnmark_serve::JobStore;
+use gnnmark_serve::{client, JobStore};
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gnnmark_crash_{tag}_{}", std::process::id()));
@@ -52,44 +49,10 @@ fn spawn_daemon(addr: &str, store: &Path, cache: &Path, worker_id: &str) -> Comm
     cmd
 }
 
-fn http(addr: &str, request: &str) -> Option<(u16, String)> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .ok()?;
-    stream.write_all(request.as_bytes()).ok()?;
-    let mut buf = String::new();
-    stream.read_to_string(&mut buf).ok()?;
-    let status: u16 = buf.split_whitespace().nth(1)?.parse().ok()?;
-    let body = buf
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Some((status, body))
-}
-
-fn get(addr: &str, path: &str) -> Option<(u16, String)> {
-    http(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"),
-    )
-}
-
-fn post(addr: &str, path: &str, body: &str) -> Option<(u16, String)> {
-    http(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-             Connection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
 fn wait_healthy(addr: &str, child: &mut Child, secs: u64) {
     let deadline = Instant::now() + Duration::from_secs(secs);
     loop {
-        if let Some((200, _)) = get(addr, "/healthz") {
+        if let Ok((200, _)) = client::get(addr, "/healthz") {
             return;
         }
         if let Ok(Some(status)) = child.try_wait() {
@@ -102,7 +65,7 @@ fn wait_healthy(addr: &str, child: &mut Child, secs: u64) {
 
 /// Reads a counter out of the Prometheus exposition; 0 when absent.
 fn metric(addr: &str, name: &str) -> u64 {
-    let Some((200, body)) = get(addr, "/metrics") else {
+    let Ok((200, body)) = client::get(addr, "/metrics") else {
         return 0;
     };
     body.lines()
@@ -184,7 +147,7 @@ fn killed_daemon_recovers_without_retraining() {
         .expect("daemon 1 spawns");
     wait_healthy(&addr, &mut d1, 30);
 
-    let (st, body) = post(&addr, "/campaigns", SPEC).expect("submit reaches daemon");
+    let (st, body) = client::post(&addr, "/campaigns", SPEC).expect("submit reaches daemon");
     assert_eq!(st, 202, "{body}");
 
     // Kill as soon as the first workload has trained — ARGA is still inside
@@ -209,7 +172,7 @@ fn killed_daemon_recovers_without_retraining() {
 
     let deadline = Instant::now() + Duration::from_secs(180);
     loop {
-        let (st, body) = get(&addr, "/jobs/0").expect("status poll");
+        let (st, body) = client::get(&addr, "/jobs/0").expect("status poll");
         assert_eq!(st, 200, "{body}");
         if body.contains("\"state\":\"done\"") {
             assert!(
@@ -278,7 +241,7 @@ fn two_workers_share_a_store_with_exactly_once_completion() {
     // through the shared store so either worker may take any of them.
     for device in ["v100", "a100", "v100"] {
         let body = format!(r#"{{"workload":"TLSTM","device":"{device}","seed":11}}"#);
-        let (st, resp) = post(&addr_a, "/jobs", &body).expect("submit");
+        let (st, resp) = client::post(&addr_a, "/jobs", &body).expect("submit");
         assert_eq!(st, 202, "{resp}");
     }
 
@@ -286,7 +249,7 @@ fn two_workers_share_a_store_with_exactly_once_completion() {
     'wait: loop {
         assert!(Instant::now() < deadline, "jobs never drained");
         // Either daemon's view works: both fold the same WAL.
-        if let Some((200, body)) = get(&addr_b, "/jobs") {
+        if let Ok((200, body)) = client::get(&addr_b, "/jobs") {
             let done = body.matches("\"state\":\"done\"").count();
             let failed = body.matches("\"state\":\"failed\"").count();
             assert_eq!(failed, 0, "a job failed: {body}");

@@ -238,17 +238,6 @@ fn run_infer_inner(
     ))
 }
 
-/// Runs the whole suite forward-only, in [`WorkloadKind::ALL`] order.
-///
-/// # Errors
-/// Propagates the first workload failure.
-pub fn run_infer_suite(cfg: &InferConfig) -> Result<Vec<InferArtifacts>> {
-    WorkloadKind::ALL
-        .iter()
-        .map(|&k| run_infer_workload(k, cfg))
-        .collect()
-}
-
 /// Measured inference-vs-training *operation mix*: for each workload, the
 /// time share of dense math, element-wise and irregular kernel classes in
 /// the forward-only stream next to the training stream. The measured

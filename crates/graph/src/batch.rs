@@ -96,30 +96,6 @@ impl BatchedGraph {
     pub fn graph_labels(&self) -> Option<&IntTensor> {
         self.graph_labels.as_ref()
     }
-
-    /// Mean-pools node rows into per-graph rows (`[num_graphs, d]`) given
-    /// node values aligned with the merged graph.
-    ///
-    /// # Errors
-    /// Returns an error if `node_values` rows mismatch the batch.
-    pub fn mean_readout(&self, node_values: &Tensor) -> Result<Tensor> {
-        if node_values.rank() != 2 || node_values.dim(0) != self.merged.num_nodes() {
-            return Err(TensorError::ShapeMismatch {
-                op: "BatchedGraph::mean_readout",
-                lhs: vec![self.merged.num_nodes()],
-                rhs: node_values.dims().to_vec(),
-            });
-        }
-        let sums = node_values.scatter_add_rows(&self.graph_ids, self.num_graphs())?;
-        let inv_counts: Vec<f32> = (0..self.num_graphs())
-            .map(|i| {
-                let (s, e) = self.node_range(i);
-                1.0 / (e - s).max(1) as f32
-            })
-            .collect();
-        let inv = Tensor::from_vec(&[self.num_graphs()], inv_counts)?;
-        sums.scale_rows(&inv)
-    }
 }
 
 #[cfg(test)]
@@ -157,16 +133,6 @@ mod tests {
         }
         assert_eq!(b.graph_ids().as_slice(), &[0, 0, 1, 1, 1]);
         assert_eq!(b.graph_labels().unwrap().as_slice(), &[0, 1]);
-    }
-
-    #[test]
-    fn mean_readout_pools_per_graph() {
-        let b = BatchedGraph::from_graphs(&two_graphs()).unwrap();
-        let values = b.graph().features().clone();
-        let pooled = b.mean_readout(&values).unwrap();
-        assert_eq!(pooled.dims(), &[2, 3]);
-        assert!((pooled.get(&[0, 0]) - 1.0).abs() < 1e-6);
-        assert!((pooled.get(&[1, 0]) - 2.0).abs() < 1e-6);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub fn barabasi_albert<R: Rng + ?Sized>(
 
 /// Generates a `[n, d]` binary bag-of-words feature matrix with the given
 /// nonzero density (citation features are ~1–2 % dense).
-pub fn sparse_binary_features<R: Rng + ?Sized>(
+fn sparse_binary_features<R: Rng + ?Sized>(
     n: usize,
     d: usize,
     density: f64,

@@ -149,16 +149,6 @@ impl HeteroGraph {
     pub fn features(&self, ty: NodeTypeId) -> &Tensor {
         &self.node_features[ty.0]
     }
-
-    /// The relations, in insertion order.
-    pub fn relations(&self) -> &[Relation] {
-        &self.relations
-    }
-
-    /// Finds a relation by name.
-    pub fn relation(&self, name: &str) -> Option<&Relation> {
-        self.relations.iter().find(|r| r.name == name)
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +181,7 @@ mod tests {
     #[test]
     fn relation_lookup() {
         let (g, users, items) = bipartite();
-        let r = g.relation("rated").unwrap();
+        let r = &g.relations[0];
         assert_eq!(r.src(), users);
         assert_eq!(r.dst(), items);
         assert_eq!(r.edges().nnz(), 3);

@@ -77,7 +77,7 @@ impl Tree {
 
     /// Height of each node (leaves are 0; parents one more than their
     /// tallest child). Used to schedule level-parallel processing.
-    pub fn heights(&self) -> Vec<usize> {
+    fn heights(&self) -> Vec<usize> {
         let mut h = vec![0usize; self.nodes.len()];
         // Nodes may appear in any order; iterate until fixpoint (tree depth
         // bounded by node count).
@@ -119,7 +119,6 @@ pub struct TreeBatch {
     levels: Vec<TreeLevel>,
     words: IntTensor,
     labels: IntTensor,
-    root_ids: IntTensor,
     total_nodes: usize,
 }
 
@@ -138,7 +137,6 @@ impl TreeBatch {
         }
         let mut words = Vec::new();
         let mut labels = Vec::new();
-        let mut root_ids = Vec::new();
         // (height, global_id, global children ids)
         let mut annotated: Vec<(usize, usize, Vec<usize>)> = Vec::new();
         let mut offset = 0usize;
@@ -154,7 +152,6 @@ impl TreeBatch {
                 max_height = max_height.max(heights[i]);
                 annotated.push((heights[i], gid, children));
             }
-            root_ids.push((offset + tree.root()) as i64);
             offset += tree.len();
         }
         let mut levels = Vec::with_capacity(max_height + 1);
@@ -185,12 +182,10 @@ impl TreeBatch {
             });
         }
         let n_words = words.len();
-        let n_roots = root_ids.len();
         Ok(TreeBatch {
             levels,
             words: IntTensor::from_vec(&[n_words], words)?,
             labels: IntTensor::from_vec(&[n_words], labels)?,
-            root_ids: IntTensor::from_vec(&[n_roots], root_ids)?,
             total_nodes: offset,
         })
     }
@@ -208,11 +203,6 @@ impl TreeBatch {
     /// Label per global node.
     pub fn labels(&self) -> &IntTensor {
         &self.labels
-    }
-
-    /// Global id of each tree's root.
-    pub fn root_ids(&self) -> &IntTensor {
-        &self.root_ids
     }
 
     /// Total node count across all trees.
@@ -283,7 +273,6 @@ mod tests {
         assert_eq!(batch.levels()[1].max_children, 2);
         // Children of the level-1 node of tree 2 are offset by 5.
         assert_eq!(batch.levels()[1].child_ids.as_slice(), &[0, 1, 5, 6]);
-        assert_eq!(batch.root_ids().as_slice(), &[4, 9]);
     }
 
     #[test]

@@ -251,11 +251,6 @@ impl ProfileSession {
         }
     }
 
-    /// Whether op-stream capture is enabled.
-    pub fn capture_enabled(&self) -> bool {
-        self.capture.is_some()
-    }
-
     /// Starts capturing ops on this thread.
     ///
     /// # Panics

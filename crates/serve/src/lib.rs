@@ -39,6 +39,8 @@
 //!   (`gnnmark loadtest`): p50/p95/p99 latency, saturation RPS, error
 //!   budget, and a `--chaos` drill that SIGKILLs and restarts a worker
 //!   mid-run to measure recovery time.
+//! * [`client`] — the HTTP/1.1 client the load harness and the daemon
+//!   tests send their requests with.
 //!
 //! The one-shot `gnnmark sweep <spec.json>` CLI path reuses [`campaign`]
 //! directly, without the daemon.
@@ -48,6 +50,7 @@
 
 pub mod cache;
 pub mod campaign;
+pub mod client;
 mod dashboard;
 pub mod http;
 pub mod lease;

@@ -27,8 +27,6 @@
 //!   batched-throughput saturation rate per workload, deterministic and
 //!   snapshot-able as a baseline.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,6 +37,8 @@ use gnnmark::infer::{run_infer_workload, InferConfig};
 use gnnmark_telemetry::export::{debug_validated, parse_json, JsonValue};
 use gnnmark_telemetry::metrics::{self, percentile};
 use gnnmark_workloads::WorkloadKind;
+
+use crate::client;
 
 /// Chaos drill: the generator owns a daemon child process and murders it
 /// mid-run.
@@ -176,60 +176,9 @@ impl LoadtestReport {
     }
 }
 
-/// One raw `Connection: close` exchange; `Ok((status, body))` or `Err`
-/// on any transport failure.
-fn http_exchange(addr: &str, request: &str) -> Result<(u16, String), ()> {
-    let mut stream = TcpStream::connect(addr).map_err(|_| ())?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .map_err(|_| ())?;
-    stream
-        .set_write_timeout(Some(Duration::from_secs(10)))
-        .map_err(|_| ())?;
-    stream.write_all(request.as_bytes()).map_err(|_| ())?;
-    let mut buf = Vec::new();
-    stream.read_to_end(&mut buf).map_err(|_| ())?;
-    let text = String::from_utf8_lossy(&buf);
-    let status = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or(())?;
-    let body = text
-        .find("\r\n\r\n")
-        .map(|i| text[i + 4..].to_string())
-        .unwrap_or_default();
-    Ok((status, body))
-}
-
-/// One `GET` with `Connection: close`; `Ok(status)` or `Err` on any
-/// transport failure.
-fn one_request(addr: &str, path: &str) -> Result<u16, ()> {
-    http_exchange(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"),
-    )
-    .map(|(status, _)| status)
-}
-
-/// One `GET` returning the body too (for job-status polls).
-fn get_request(addr: &str, path: &str) -> Result<(u16, String), ()> {
-    http_exchange(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"),
-    )
-}
-
-/// One `POST` with a JSON body (job submission).
-fn post_request(addr: &str, path: &str, body: &str) -> Result<(u16, String), ()> {
-    http_exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+/// One `GET`'s status, or `Err` on any transport failure.
+fn one_request(addr: &str, path: &str) -> std::io::Result<u16> {
+    client::get(addr, path).map(|(status, _)| status)
 }
 
 /// A top-level field of a JSON response body.
@@ -357,8 +306,8 @@ pub fn run_loadtest(opts: &LoadtestOptions) -> Result<LoadtestReport, String> {
     let mut opts = opts.clone();
     let mut job_id = None;
     if let Some(body) = opts.submit.clone() {
-        let (status, resp) = post_request(&opts.addr, "/jobs", &body)
-            .map_err(|()| format!("submitting job to {}: transport failure", opts.addr))?;
+        let (status, resp) = client::post(&opts.addr, "/jobs", &body)
+            .map_err(|e| format!("submitting job to {}: {e}", opts.addr))?;
         if status != 202 {
             return Err(format!("job submission refused: HTTP {status}: {resp}"));
         }
@@ -429,7 +378,7 @@ pub fn run_loadtest(opts: &LoadtestOptions) -> Result<LoadtestReport, String> {
     if let (Some(id), None) = (job_id, &chaos_err) {
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
-            let state = get_request(&opts.addr, &format!("/jobs/{id}"))
+            let state = client::get(&opts.addr, &format!("/jobs/{id}"))
                 .ok()
                 .filter(|(s, _)| *s == 200)
                 .and_then(|(_, body)| json_field(&body, "state")?.as_str().map(str::to_string));
@@ -646,6 +595,7 @@ pub fn run_infer_loadtest(opts: &InferLoadOptions) -> Result<InferLoadReport, St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
     use std::net::TcpListener;
 
     /// A minimal in-test HTTP server answering every request with the

@@ -207,11 +207,6 @@ impl OpEvent {
     pub fn total_bytes(&self) -> u64 {
         self.bytes_read + self.bytes_written
     }
-
-    /// Total arithmetic operations (fp32 + int32).
-    pub fn total_arith(&self) -> u64 {
-        self.flops + self.iops
-    }
 }
 
 #[cfg(test)]

@@ -185,13 +185,6 @@ pub fn worker_busy_ns() -> Vec<u64> {
     vals[..last.max(1)].to_vec()
 }
 
-/// Zeroes every busy-time slot (per-run accounting).
-pub fn reset_worker_busy() {
-    for slot in &BUSY_NS {
-        slot.store(0, Ordering::Relaxed);
-    }
-}
-
 #[inline]
 fn busy_start() -> Option<Instant> {
     if TRACK_BUSY.load(Ordering::Relaxed) {

@@ -160,11 +160,6 @@ impl CsrMatrix {
         &self.values
     }
 
-    /// Mutable value array (structure is fixed; values may be rescaled).
-    pub fn values_mut(&mut self) -> &mut [f32] {
-        &mut self.values
-    }
-
     /// The column indices and values of row `r`.
     ///
     /// # Panics

@@ -2,14 +2,15 @@
 //! campaign determinism across worker counts, the HTTP daemon over a
 //! real loopback socket, and graceful shutdown draining.
 
-use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
 use gnnmark_serve::campaign::CampaignOptions;
-use gnnmark_serve::{run_campaign, serve, CacheKey, CampaignSpec, ServeConfig, StreamCache};
+use gnnmark_serve::{
+    client, run_campaign, serve, CacheKey, CampaignSpec, ServeConfig, StreamCache,
+};
 
 /// The shutdown flag is process-wide and campaigns skip their remaining
 /// jobs once it is set: campaign tests hold this for reading, the daemon
@@ -190,44 +191,6 @@ fn collect_files(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-fn http(addr: &str, request: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut buf = String::new();
-    stream.read_to_string(&mut buf).unwrap();
-    let status: u16 = buf
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = buf
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: &str, path: &str) -> (u16, String) {
-    http(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"),
-    )
-}
-
-fn post(addr: &str, path: &str, body: &str) -> (u16, String) {
-    http(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-             Connection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
 /// Full daemon lifecycle on a loopback socket: submit a job over raw
 /// HTTP, poll to completion, fetch artifacts and metrics, then shut down
 /// gracefully via the shutdown flag (the signal handler's code path).
@@ -262,17 +225,18 @@ fn daemon_serves_jobs_and_drains_on_shutdown() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    let (st, body) = get(&addr, "/healthz");
+    let (st, body) = client::get(&addr, "/healthz").unwrap();
     assert_eq!((st, body.trim()), (200, "ok"));
 
-    let (st, body) = post(&addr, "/jobs", r#"{"workload":"TLSTM","device":"a100"}"#);
+    let job = r#"{"workload":"TLSTM","device":"a100"}"#;
+    let (st, body) = client::post(&addr, "/jobs", job).unwrap();
     assert_eq!(st, 202, "{body}");
     assert!(body.contains("\"id\":0"));
 
     // Poll until the job finishes (a Test-scale TLSTM run is fast).
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let (st, body) = get(&addr, "/jobs/0");
+        let (st, body) = client::get(&addr, "/jobs/0").unwrap();
         assert_eq!(st, 200);
         if body.contains("\"state\":\"done\"") {
             break;
@@ -285,18 +249,18 @@ fn daemon_serves_jobs_and_drains_on_shutdown() {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    let (st, listing) = get(&addr, "/jobs/0/artifacts");
+    let (st, listing) = client::get(&addr, "/jobs/0/artifacts").unwrap();
     assert_eq!(st, 200);
     assert!(listing.contains("merged.json"), "{listing}");
-    let (st, merged) = get(&addr, "/jobs/0/artifacts/merged.json");
+    let (st, merged) = client::get(&addr, "/jobs/0/artifacts/merged.json").unwrap();
     assert_eq!(st, 200);
     let v = gnnmark_telemetry::export::parse_json(&merged).unwrap();
     assert_eq!(v.get("campaign").and_then(|x| x.as_str()), Some("job-0"));
-    let (st, csv) = get(&addr, "/jobs/0/artifacts/a100/summary.csv");
+    let (st, csv) = client::get(&addr, "/jobs/0/artifacts/a100/summary.csv").unwrap();
     assert_eq!(st, 200);
     assert!(csv.contains("TLSTM"), "{csv}");
 
-    let (st, metrics) = get(&addr, "/metrics");
+    let (st, metrics) = client::get(&addr, "/metrics").unwrap();
     assert_eq!(st, 200);
     assert!(!metrics.trim().is_empty(), "metrics exposition is empty");
     assert!(
