@@ -1,4 +1,4 @@
-//! Optimizers: SGD (with momentum and weight decay) and Adam.
+//! Optimizers: plain SGD and Adam.
 //!
 //! Optimizer steps run through the instrumented tensor engine, so profiled
 //! training includes the element-wise parameter-update kernels — Adam in
@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use gnnmark_tensor::Tensor;
 
-use crate::{amp, Param, ParamSet, Result};
+use crate::{amp, ParamSet, Result};
 
 thread_local! {
     static GRAD_CLIP: Cell<Option<f64>> = const { Cell::new(None) };
@@ -88,61 +88,16 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Stochastic gradient descent with optional momentum and weight decay.
+/// Plain stochastic gradient descent: `p ← p − lr · g`.
 #[derive(Debug)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: HashMap<u64, Tensor>,
 }
 
 impl Sgd {
     /// Plain SGD with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            momentum,
-            ..Sgd::new(lr)
-        }
-    }
-
-    /// Adds L2 weight decay.
-    pub fn weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
-    fn update(&mut self, p: &Param, grad: &Tensor) -> Result<()> {
-        let new_value = if self.momentum > 0.0 {
-            let mut vel = self
-                .velocity
-                .remove(&p.id())
-                .unwrap_or_else(|| Tensor::zeros(grad.dims()));
-            let nv = p.value().sgd_step_fused(
-                grad,
-                Some(&mut vel),
-                self.lr,
-                self.momentum,
-                self.weight_decay,
-            )?;
-            self.velocity.insert(p.id(), vel);
-            nv
-        } else {
-            p.value()
-                .sgd_step_fused(grad, None, self.lr, 0.0, self.weight_decay)?
-        };
-        p.set_value(new_value);
-        Ok(())
+        Sgd { lr }
     }
 }
 
@@ -156,7 +111,8 @@ impl Optimizer for Sgd {
         }
         for p in params {
             if let Some(grad) = p.grad() {
-                self.update(p, &grad)?;
+                let new_value = p.value().sgd_step_fused(&grad, self.lr)?;
+                p.set_value(new_value);
             }
         }
         Ok(())
@@ -249,7 +205,7 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tape;
+    use crate::{Param, Tape};
 
     /// Minimizes `(w - 3)²` and checks convergence.
     fn converges(opt: &mut dyn Optimizer) -> f32 {
@@ -275,34 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let w = converges(&mut opt);
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.1);
         let w = converges(&mut opt);
         assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameters() {
-        let mut set = ParamSet::new();
-        let w = set.register(Param::new("w", Tensor::from_vec(&[1], vec![5.0]).unwrap()));
-        let mut opt = Sgd::new(0.1).weight_decay(0.5);
-        for _ in 0..50 {
-            set.zero_grad();
-            let tape = Tape::new();
-            let wv = tape.read(&w);
-            // Zero data loss: only decay acts.
-            let loss = wv.mul_scalar(0.0).sum_all();
-            tape.backward(&loss).unwrap();
-            opt.step(&set).unwrap();
-        }
-        assert!(w.value().as_slice()[0].abs() < 0.5);
     }
 
     #[test]

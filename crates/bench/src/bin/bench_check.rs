@@ -8,8 +8,7 @@
 //! Both files are the `{"benches": [{"name": ..., "median_ns": ...}]}`
 //! format the vendored criterion harness writes. For every benchmark
 //! present in *both* files, the new/baseline median ratio must stay at or
-//! below the threshold: `--max-ratio` if given, else the
-//! `GNNMARK_BENCH_MAX_RATIO` environment variable, else 2.0 (generous on
+//! below the threshold: `--max-ratio` if given, else 2.0 (generous on
 //! purpose, since CI machines are noisy and the smoke run uses few
 //! samples). A failing run names every offending benchmark in the summary
 //! line. Benchmarks only present on one side are reported but never
@@ -256,17 +255,7 @@ fn record_history(new_path: &str, history_path: &str) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Threshold precedence: --max-ratio flag > GNNMARK_BENCH_MAX_RATIO > 2.0.
-    let mut max_ratio = match std::env::var("GNNMARK_BENCH_MAX_RATIO") {
-        Ok(v) => match v.parse::<f64>() {
-            Ok(r) if r > 0.0 && r.is_finite() => r,
-            _ => {
-                eprintln!("error: GNNMARK_BENCH_MAX_RATIO=`{v}` is not a positive number");
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => 2.0,
-    };
+    let mut max_ratio = 2.0;
     let mut files = Vec::new();
     let mut record = false;
     let mut history_path = DEFAULT_HISTORY_PATH.to_string();

@@ -8,14 +8,12 @@
 //! three measured inference-vs-training figures (operation mix,
 //! instruction mix, cache behavior).
 
-use std::io::Write as _;
-
 use gnnmark::infer::{
     infer_vs_train_cache_behavior, infer_vs_train_instruction_mix, infer_vs_train_op_mix,
     run_infer_workload, InferArtifacts, InferConfig,
 };
 use gnnmark::suite::{run_workload, SuiteConfig};
-use gnnmark::{Scale, Table, WorkloadKind};
+use gnnmark::{Scale, WorkloadKind};
 
 const USAGE: &str = "usage: gnnmark infer [--target LABEL|all] \
 [--scale tiny|test|small|paper] [--seed S] [--epochs N] [--threads N] \
@@ -49,26 +47,6 @@ fn artifact_json(kind: WorkloadKind, art: &InferArtifacts) -> String {
         art.batched_throughput(),
         art.tape_nodes,
     )
-}
-
-fn write_csv_tables(tables: &[Table], dir: &str) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    for t in tables {
-        let slug: String = t
-            .title()
-            .chars()
-            .map(|c| if c.is_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
-            .collect::<String>()
-            .split('_')
-            .filter(|s| !s.is_empty())
-            .collect::<Vec<_>>()
-            .join("_");
-        let path = format!("{dir}/{slug}.csv");
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(t.to_csv().as_bytes())?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
 }
 
 /// Entry point of `gnnmark infer`; returns the process exit code.
@@ -259,15 +237,9 @@ pub fn run_infer_cli(mut args: std::env::Args) -> i32 {
             infer_vs_train_instruction_mix(&infer_profiles, &train_profiles),
             infer_vs_train_cache_behavior(&infer_profiles, &train_profiles),
         ];
-        for t in &tables {
-            println!("{t}");
-            println!();
-        }
-        if let Some(dir) = &csv_dir {
-            if let Err(e) = write_csv_tables(&tables, dir) {
-                eprintln!("error writing CSVs: {e}");
-                return 1;
-            }
+        if let Err(e) = crate::emit(&tables, csv_dir.as_deref()) {
+            eprintln!("error writing CSVs: {e}");
+            return 1;
         }
     }
     eprintln!(

@@ -109,27 +109,33 @@ pub fn render_tables(
     Ok(tables)
 }
 
-/// Runs the suite once and renders one figure target into tables,
-/// propagating the first workload failure (fail-fast semantics).
-///
-/// `suite_cache` lets callers reuse one suite run across several targets.
+/// Prints each table to stdout and, with `csv_dir`, writes it to
+/// `<csv_dir>/<slug>.csv`, the slug being the lower-cased title with every
+/// run of non-alphanumerics collapsed to one `_`.
 ///
 /// # Errors
-/// Propagates workload failures (annotated with the workload label).
-pub fn render_target(
-    target: &str,
-    cfg: &SuiteConfig,
-    suite_cache: &mut Option<Vec<RunArtifacts>>,
-) -> Result<Vec<Table>> {
-    // Table 1 needs no training.
-    if target == "table1" {
-        return render_tables(target, &[], &[]);
+/// Propagates directory-creation and file-write failures.
+pub fn emit(tables: &[Table], csv_dir: Option<&str>) -> std::io::Result<()> {
+    for t in tables {
+        println!("{t}");
+        println!();
+        if let Some(dir) = csv_dir {
+            std::fs::create_dir_all(dir)?;
+            let slug: String = t
+                .title()
+                .chars()
+                .map(|c| if c.is_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
+                .collect::<String>()
+                .split('_')
+                .filter(|s| !s.is_empty())
+                .collect::<Vec<_>>()
+                .join("_");
+            let path = format!("{dir}/{slug}.csv");
+            std::fs::write(&path, t.to_csv())?;
+            eprintln!("wrote {path}");
+        }
     }
-    if suite_cache.is_none() {
-        *suite_cache = Some(gnnmark::suite::run_suite_parallel(cfg)?);
-    }
-    let runs = suite_cache.as_ref().expect("cache populated");
-    render_tables(target, runs, &[])
+    Ok(())
 }
 
 /// Runs the suite once under the resilience layer and renders one figure
@@ -138,9 +144,8 @@ pub fn render_target(
 ///
 /// * `keep_going == true` — failed/timed-out/panicked workloads render as
 ///   explicit `—` rows and the call succeeds with partial figures;
-/// * `keep_going == false` — the first failure is returned as an error
-///   (same contract as [`render_target`]), but retries, deadlines and
-///   checkpointing still apply.
+/// * `keep_going == false` — the first failure is returned as an error,
+///   but retries, deadlines and checkpointing still apply.
 ///
 /// `report_cache` lets callers reuse one resilient suite run (and its
 /// per-workload status) across several targets.
@@ -159,41 +164,19 @@ pub fn render_target_resilient(
     }
     // Single-workload targets train just that workload (still resilient)
     // and report the per-workload summary table.
-    if let Some(kind) = workload_for_target(target) {
-        if report_cache.is_none() {
-            let outcome = gnnmark::resilience::run_workload_resilient(kind, cfg, rcfg);
-            *report_cache = Some(SuiteReport {
-                outcomes: vec![outcome],
-            });
-        }
-        let report = report_cache.as_ref().expect("cache populated");
-        if !keep_going {
-            if let Some(error) = report.first_failure() {
-                return Err(error);
-            }
-        }
-        let runs: Vec<RunArtifacts> = report
-            .artifacts()
-            .into_iter()
-            .map(|(_, a)| a.clone())
-            .collect();
-        return render_tables("summary", &runs, &report.missing());
-    }
-    if report_cache.is_none() {
-        *report_cache = Some(run_suite_resilient(cfg, rcfg));
-    }
-    let report = report_cache.as_ref().expect("cache populated");
-    if !keep_going {
-        if let Some(error) = report.first_failure() {
-            return Err(error);
-        }
-    }
-    let runs: Vec<RunArtifacts> = report
-        .artifacts()
-        .into_iter()
-        .map(|(_, a)| a.clone())
-        .collect();
-    render_tables(target, &runs, &report.missing())
+    let single = workload_for_target(target);
+    let report = report_cache.get_or_insert_with(|| match single {
+        Some(kind) => SuiteReport {
+            outcomes: vec![gnnmark::resilience::run_workload_resilient(kind, cfg, rcfg)],
+        },
+        None => run_suite_resilient(cfg, rcfg),
+    });
+    let runs = report.runs(keep_going)?;
+    render_tables(
+        single.map_or(target, |_| "summary"),
+        &runs,
+        &report.missing(),
+    )
 }
 
 /// Runs the suite under both training modes and renders the full-graph vs
@@ -212,8 +195,12 @@ pub fn render_mode_comparison(cfg: &SuiteConfig) -> Result<Vec<Table>> {
         TrainMode::FullGraph => TrainMode::Minibatch(Default::default()),
     };
     let mini_cfg = cfg.clone().with_mode(mini_mode);
-    let full = gnnmark::suite::run_suite_parallel(&full_cfg)?;
-    let mini = gnnmark::suite::run_suite_parallel(&mini_cfg)?;
+    let rcfg = ResilienceConfig {
+        parallel: true,
+        ..ResilienceConfig::default()
+    };
+    let full = run_suite_resilient(&full_cfg, &rcfg).runs(false)?;
+    let mini = run_suite_resilient(&mini_cfg, &rcfg).runs(false)?;
     Ok(vec![figures::fig_mode_comparison(&full, &mini)])
 }
 
@@ -243,15 +230,25 @@ mod tests {
     #[test]
     fn table1_needs_no_suite() {
         let mut cache = None;
-        let t = render_target("table1", &SuiteConfig::test(), &mut cache).unwrap();
+        let rcfg = ResilienceConfig::default();
+        let t = render_target_resilient("table1", &SuiteConfig::test(), &rcfg, false, &mut cache)
+            .unwrap();
         assert_eq!(t.len(), 1);
         assert!(cache.is_none());
     }
 
     #[test]
     fn unknown_target_is_an_error() {
-        let mut cache = None;
-        assert!(render_target("fig99", &SuiteConfig::test(), &mut cache).is_err());
+        // A cached report stands in for the suite run; the name is
+        // rejected before anything renders.
+        let mut cache = Some(SuiteReport {
+            outcomes: Vec::new(),
+        });
+        let rcfg = ResilienceConfig::default();
+        assert!(
+            render_target_resilient("fig99", &SuiteConfig::test(), &rcfg, false, &mut cache)
+                .is_err()
+        );
     }
 
     #[test]

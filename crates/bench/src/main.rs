@@ -19,9 +19,6 @@
 //!                  [--duration SECS] [--error-budget F] [--saturation-probe SECS]
 //!                  [--out FILE] [--csv FILE] [--submit JSON]
 //!                  [--chaos [--store DIR] [--cache DIR] [--kill-after SECS]]
-//! gnnmark loadtest --kind infer [--workload LABEL[,LABEL]|all] [--scale S]
-//!                  [--seed S] [--precision P] [--mode M] [--requests N]
-//!                  [--batched-steps N] [--out FILE] [--csv FILE]
 //! gnnmark infer [--target LABEL[,LABEL]|all] [--scale S] [--seed S] [--epochs N]
 //!               [--threads N] [--precision P] [--mode M] [--batch-size N]
 //!               [--fanout F1,F2,...] [--requests N] [--batched-steps N]
@@ -42,15 +39,15 @@
 //! saturation RPS and the error budget; `--chaos` SIGKILLs and restarts
 //! a worker mid-run to measure recovery time; `--submit JSON` first
 //! POSTs a job (e.g. `{"workload":"TLSTM","kind":"infer"}`) and then
-//! drives its status endpoint, passing only if the job completes;
-//! `--kind infer` measures the modeled inference SLO surface itself
-//! (batch-1 latency percentiles, batched-throughput saturation rate)
-//! without a daemon. See `docs/SERVING.md` and `docs/INFERENCE.md`.
+//! drives its status endpoint, passing only if the job completes. See
+//! `docs/SERVING.md` and `docs/INFERENCE.md`.
 //!
-//! `infer` is the forward-only characterization suite: every workload
-//! runs its training forward under a `NoGradGuard` (zero autograd
-//! allocations, asserted), emitting batch-1 latency / batched-throughput JSON and the
-//! measured inference-vs-training figures. See `docs/INFERENCE.md`.
+//! `infer` is the forward-only characterization suite and the one
+//! measurement of the modeled inference SLO: every workload runs its
+//! training forward under a `NoGradGuard` (zero autograd allocations,
+//! asserted), emitting batch-1 latency percentiles / batched-throughput
+//! JSON (deterministic in modeled time, so `--out` doubles as a baseline)
+//! and the measured inference-vs-training figures. See `docs/INFERENCE.md`.
 //! `report` renders a deterministic single-file HTML characterization
 //! report (roofline, stalls, caches, per-step timeline, comparison, perf
 //! trend) from captured `.stream` files or a live suite run; see
@@ -110,18 +107,16 @@
 //! and gpusim accounting invariants. The CI gate runs
 //! `gnnmark check --scale tiny`. See `docs/VERIFICATION.md`.
 
-use std::io::Write as _;
 use std::time::Duration;
 
 use gnnmark::resilience::{FaultPlan, ResilienceConfig, SuiteReport};
 use gnnmark::suite::SuiteConfig;
 use gnnmark::{shutdown, Scale, Table};
-use gnnmark_bench::{render_ablations, render_target_resilient, TARGETS};
+use gnnmark_bench::{emit, render_ablations, render_target_resilient, TARGETS};
 use gnnmark_serve::campaign::CampaignOptions;
 use gnnmark_serve::loadtest::ChaosOptions;
 use gnnmark_serve::{
-    run_campaign, run_infer_loadtest, run_loadtest, serve, CampaignSpec, InferLoadOptions,
-    LoadtestOptions, ServeConfig, StreamCache,
+    run_campaign, run_loadtest, serve, CampaignSpec, LoadtestOptions, ServeConfig, StreamCache,
 };
 
 const USAGE: &str = "usage: gnnmark <target> [--scale tiny|test|small|paper] [--epochs N] \
@@ -136,9 +131,6 @@ const USAGE: &str = "usage: gnnmark <target> [--scale tiny|test|small|paper] [--
        gnnmark loadtest [--addr HOST:PORT] [--path P] [--rps R] [--concurrency N] \
 [--duration SECS] [--error-budget F] [--saturation-probe SECS] [--out FILE] [--csv FILE] \
 [--submit JSON] [--chaos [--store DIR] [--cache DIR] [--kill-after SECS]]
-       gnnmark loadtest --kind infer [--workload LABEL[,LABEL]|all] \
-[--scale tiny|test|small|paper] [--seed S] [--precision fp32|fp16|bf16] \
-[--mode fullgraph|minibatch] [--requests N] [--batched-steps N] [--out FILE] [--csv FILE]
        gnnmark infer [--target LABEL[,LABEL]|all] [--scale tiny|test|small|paper] \
 [--seed S] [--epochs N] [--threads N] [--precision fp32|fp16|bf16] \
 [--mode fullgraph|minibatch] [--batch-size N] [--fanout F1,F2,...] \
@@ -371,30 +363,6 @@ fn run_check_gate(args: &Args) -> i32 {
     }
 }
 
-fn emit(tables: &[Table], csv_dir: Option<&str>) -> std::io::Result<()> {
-    for t in tables {
-        println!("{t}");
-        println!();
-        if let Some(dir) = csv_dir {
-            std::fs::create_dir_all(dir)?;
-            let slug: String = t
-                .title()
-                .chars()
-                .map(|c| if c.is_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
-                .collect::<String>()
-                .split('_')
-                .filter(|s| !s.is_empty())
-                .collect::<Vec<_>>()
-                .join("_");
-            let path = format!("{dir}/{slug}.csv");
-            let mut f = std::fs::File::create(&path)?;
-            f.write_all(t.to_csv().as_bytes())?;
-            eprintln!("wrote {path}");
-        }
-    }
-    Ok(())
-}
-
 /// `gnnmark sweep <spec.json> [--cache DIR] [--out DIR] [--workers N]`:
 /// one-shot offline campaign — capture (train-or-load) every workload
 /// stream once, replay it under every device config, write the merged
@@ -552,71 +520,11 @@ fn run_loadtest_cli(mut args: std::env::Args) -> i32 {
     let mut kill_after = 3.0f64;
     let mut store_dir = "results/serve/chaos/store".to_string();
     let mut cache_dir = "results/serve/cache".to_string();
-    let mut infer_kind = false;
-    let mut infer_opts = InferLoadOptions::default();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--kind" => match args.next().as_deref() {
-                Some("train") => infer_kind = false,
-                Some("infer") => infer_kind = true,
-                _ => return usage_err("--kind needs train|infer"),
-            },
             "--submit" => match args.next() {
                 Some(v) => opts.submit = Some(v),
                 None => return usage_err("--submit needs a JSON job body"),
-            },
-            "--workload" => match args.next() {
-                Some(v) if v == "all" => {
-                    infer_opts.workloads = gnnmark::WorkloadKind::ALL.to_vec();
-                }
-                Some(v) => {
-                    let mut kinds = Vec::new();
-                    for label in v.split(',') {
-                        match gnnmark::WorkloadKind::parse(label.trim()) {
-                            Some(k) => kinds.push(k),
-                            None => {
-                                return usage_err(&format!("unknown workload `{label}`"))
-                            }
-                        }
-                    }
-                    infer_opts.workloads = kinds;
-                }
-                None => return usage_err("--workload needs a label list or `all`"),
-            },
-            "--scale" => match args.next().as_deref() {
-                Some("test" | "tiny") => infer_opts.cfg.suite.scale = Scale::Test,
-                Some("small") => infer_opts.cfg.suite.scale = Scale::Small,
-                Some("paper") => infer_opts.cfg.suite.scale = Scale::Paper,
-                _ => return usage_err("--scale needs tiny|test|small|paper"),
-            },
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(s) => infer_opts.cfg.suite.seed = s,
-                None => return usage_err("--seed needs a number"),
-            },
-            "--precision" => match args
-                .next()
-                .and_then(|v| gnnmark_tensor::half::Precision::parse(&v))
-            {
-                Some(p) => infer_opts.cfg.suite.precision = p,
-                None => return usage_err("--precision needs fp32|fp16|bf16"),
-            },
-            "--mode" => match args.next().as_deref() {
-                Some("fullgraph") => {
-                    infer_opts.cfg.suite.mode = gnnmark::TrainMode::FullGraph;
-                }
-                Some("minibatch") => {
-                    infer_opts.cfg.suite.mode =
-                        gnnmark::TrainMode::Minibatch(gnnmark::MinibatchConfig::default());
-                }
-                _ => return usage_err("--mode needs fullgraph|minibatch"),
-            },
-            "--requests" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => infer_opts.cfg.batch1_steps = n,
-                _ => return usage_err("--requests needs a count >= 1"),
-            },
-            "--batched-steps" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => infer_opts.cfg.batched_steps = n,
-                _ => return usage_err("--batched-steps needs a count >= 1"),
             },
             "--addr" => match args.next() {
                 Some(v) => opts.addr = v,
@@ -673,42 +581,6 @@ fn run_loadtest_cli(mut args: std::env::Args) -> i32 {
             },
             other => return usage_err(&format!("unknown loadtest flag `{other}`")),
         }
-    }
-    if infer_kind {
-        // Modeled inference SLO surface: no daemon involved, deterministic,
-        // so the output is committed as a baseline.
-        return match run_infer_loadtest(&infer_opts) {
-            Ok(report) => {
-                // A pure-inference process must never record a tape node.
-                if report.total_tape_nodes() != 0 {
-                    eprintln!(
-                        "error: inference loadtest recorded {} autograd tape node(s)",
-                        report.total_tape_nodes()
-                    );
-                    return 1;
-                }
-                let json = report.to_json();
-                println!("{json}");
-                for (path, body) in [(&out_file, &json), (&csv_file, &report.to_figure_csv())]
-                {
-                    if let Some(path) = path {
-                        if let Some(dir) = std::path::Path::new(path).parent() {
-                            let _ = std::fs::create_dir_all(dir);
-                        }
-                        if let Err(e) = std::fs::write(path, body) {
-                            eprintln!("error writing {path}: {e}");
-                            return 1;
-                        }
-                        eprintln!("wrote {path}");
-                    }
-                }
-                0
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                1
-            }
-        };
     }
     if chaos {
         let exe = match std::env::current_exe() {

@@ -175,6 +175,52 @@ fn parallel_tables_are_byte_identical_to_serial() {
 }
 
 #[test]
+fn infer_output_is_deterministic_with_one_row_per_target() {
+    let dir = std::env::temp_dir().join(format!("gnnmark_cli_infer_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let infer = |name: &str| {
+        let path = dir.join(name);
+        let out = gnnmark()
+            .args([
+                "infer",
+                "--target",
+                "TLSTM,ARGA",
+                "--scale",
+                "tiny",
+                "--no-figures",
+            ])
+            .arg("--out")
+            .arg(&path)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read_to_string(&path).expect("--out written")
+    };
+    let first = infer("a.json");
+    // Modeled time, not wall time: a second run writes the same bytes.
+    assert_eq!(first, infer("b.json"));
+    assert!(first.contains("\"tape_nodes\":0"), "{first}");
+    let v = gnnmark_telemetry::export::parse_json(&first).expect("valid JSON");
+    let labels: Vec<_> = v
+        .get("workloads")
+        .and_then(|w| w.as_array())
+        .expect("workloads array")
+        .iter()
+        .map(|w| {
+            w.get("workload")
+                .and_then(|l| l.as_str())
+                .unwrap_or_default()
+        })
+        .collect();
+    assert_eq!(labels, ["TLSTM", "ARGA"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn fig9_runs_at_test_scale_and_writes_csv() {
     let dir = std::env::temp_dir().join(format!("gnnmark_cli_test_{}", std::process::id()));
     let out = gnnmark()

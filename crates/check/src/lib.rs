@@ -44,7 +44,8 @@ pub mod workload;
 
 use std::path::PathBuf;
 
-use gnnmark::suite::{run_suite_parallel, SuiteConfig};
+use gnnmark::resilience::{run_suite_resilient, ResilienceConfig};
+use gnnmark::suite::SuiteConfig;
 use gnnmark_workloads::Scale;
 
 /// Result alias re-used from the tensor crate.
@@ -133,7 +134,11 @@ pub fn run_check(cfg: &CheckConfig) -> Result<CheckOutcome> {
     let mut suite_cfg = SuiteConfig::test();
     suite_cfg.scale = cfg.scale;
     suite_cfg.seed = cfg.seed;
-    let runs = run_suite_parallel(&suite_cfg)?;
+    let rcfg = ResilienceConfig {
+        parallel: true,
+        ..ResilienceConfig::default()
+    };
+    let runs = run_suite_resilient(&suite_cfg, &rcfg).runs(false)?;
 
     out.lines.push("== layer 2: golden snapshots ==".to_string());
     if cfg.scale == Scale::Test {

@@ -57,11 +57,11 @@ pub fn ablation_feature_width(seed: u64) -> Result<Table> {
         let sampler = gnnmark_graph::sampler::RandomWalkSampler::new(16, 3, 6);
         let mut opt = Adam::new(1e-3);
         let mut session = ProfileSession::new("psage-width", DeviceSpec::v100());
-        let n_items = data.item_item.num_nodes();
+        let n_items = data.num_nodes();
         for _ in 0..4 {
             let seeds: Vec<i64> = (0..64).map(|i| (i * 5 % n_items) as i64).collect();
             let seeds = IntTensor::from_vec(&[64], seeds)?;
-            let hoods = sampler.sample(&data.item_item, &seeds, &mut rng);
+            let hoods = sampler.sample(&data, &seeds, &mut rng);
             let (agg, agg_t, idx) = PinSageConv::build_batch(&hoods, n_items)?;
             conv.params().zero_grad();
             session.begin_step();
@@ -71,7 +71,7 @@ pub fn ablation_feature_width(seed: u64) -> Result<Table> {
             let ids_len = ids.len();
             let _ = IntTensor::from_vec(&[ids_len], ids)?.argsort()?;
             let tape = Tape::new();
-            let feats = tape.constant(data.item_item.features().clone());
+            let feats = tape.constant(data.features().clone());
             let feats = feats.dropout(0.1, &mut rng)?;
             let norm = feats.square().sum_rows()?.add_scalar(1e-12).sqrt().recip();
             let feats = feats.scale_rows(&norm)?;

@@ -2,10 +2,10 @@
 //! numeric-anomaly guards, deterministic fault injection, and
 //! checkpoint/resume.
 //!
-//! [`crate::suite::run_suite`] propagates the first failure, which is the
-//! right default for unit tests but wrong for a multi-hour characterization
-//! run: one diverging workload must not discard eight finished ones. The
-//! entry points here never abort the suite:
+//! One diverging workload must not discard eight finished ones, so the
+//! entry points here never abort the suite; a caller that wants fail-fast
+//! semantics asks the finished [`SuiteReport`] for them
+//! ([`SuiteReport::runs`]):
 //!
 //! * [`run_task_resilient`] is the one attempt runner: it executes a
 //!   fallible task on a dedicated worker thread per attempt under
@@ -261,35 +261,20 @@ impl FaultPlan {
     }
 }
 
+/// A loss beyond this many times the first epoch's magnitude has diverged.
+const DIVERGENCE_FACTOR: f64 = 1e4;
+
 /// Monitors a training run for numeric anomalies.
 ///
 /// Flags NaN/Inf losses, NaN/Inf gradient norms, and divergence (a loss
-/// exceeding `divergence_factor ×` the magnitude of the first epoch's
-/// loss), returning a structured [`TensorError::NumericAnomaly`].
-#[derive(Debug, Clone)]
+/// exceeding `1e4 ×` the magnitude of the first epoch's loss), returning a
+/// structured [`TensorError::NumericAnomaly`].
+#[derive(Debug, Clone, Default)]
 pub struct NumericGuard {
     first_loss: Option<f64>,
-    divergence_factor: f64,
-}
-
-impl Default for NumericGuard {
-    fn default() -> Self {
-        NumericGuard {
-            first_loss: None,
-            divergence_factor: 1e4,
-        }
-    }
 }
 
 impl NumericGuard {
-    /// A guard with a custom divergence factor.
-    pub fn with_divergence_factor(factor: f64) -> Self {
-        NumericGuard {
-            first_loss: None,
-            divergence_factor: factor,
-        }
-    }
-
     /// Checks one epoch's mean loss.
     ///
     /// # Errors
@@ -305,7 +290,7 @@ impl NumericGuard {
         match self.first_loss {
             None => self.first_loss = Some(loss),
             Some(first) => {
-                let bound = self.divergence_factor * first.abs().max(1.0);
+                let bound = DIVERGENCE_FACTOR * first.abs().max(1.0);
                 if loss.abs() > bound {
                     return Err(TensorError::NumericAnomaly {
                         what: "epoch loss",
@@ -486,9 +471,29 @@ impl SuiteReport {
         self.outcomes.iter().all(WorkloadOutcome::succeeded)
     }
 
-    /// The first non-successful outcome's error, for callers that want
-    /// fail-fast semantics (`--keep-going` off).
-    pub fn first_failure(&self) -> Option<TensorError> {
+    /// The artifacts of every workload that completed in this run, in
+    /// [`WorkloadKind::ALL`] order. Unless `keep_going`, this is fail-fast:
+    /// the first failed, timed-out or panicked workload is the `Err`.
+    /// Restored and interrupted workloads are neither runs nor failures.
+    ///
+    /// # Errors
+    /// The first failure, annotated with its workload label, when
+    /// `keep_going` is off.
+    pub fn runs(&self, keep_going: bool) -> Result<Vec<RunArtifacts>> {
+        if !keep_going {
+            if let Some(error) = self.first_failure() {
+                return Err(error);
+            }
+        }
+        Ok(self
+            .outcomes
+            .iter()
+            .filter_map(|o| o.artifacts().cloned())
+            .collect())
+    }
+
+    /// The first non-successful outcome's error.
+    fn first_failure(&self) -> Option<TensorError> {
         self.outcomes.iter().find_map(|o| match &o.status {
             WorkloadStatus::Failed { error } => Some(error.clone()),
             WorkloadStatus::TimedOut { after } => Some(
@@ -1143,9 +1148,11 @@ mod tests {
         assert!(g.observe_loss(2, 1e9).is_err(), "diverged loss accepted");
         assert!(g.observe_grad_norm(0, 5.0).is_ok());
         assert!(g.observe_grad_norm(0, f64::NAN).is_err());
-        let mut tight = NumericGuard::with_divergence_factor(2.0);
-        assert!(tight.observe_loss(0, 1.0).is_ok());
-        assert!(tight.observe_loss(1, 3.0).is_err());
+        // The bound is 1e4 times the first loss's magnitude.
+        let mut scaled = NumericGuard::default();
+        assert!(scaled.observe_loss(0, -3.0).is_ok());
+        assert!(scaled.observe_loss(1, 2.9e4).is_ok());
+        assert!(scaled.observe_loss(2, -3.1e4).is_err());
     }
 
     #[test]
@@ -1262,7 +1269,8 @@ mod tests {
         assert!(json.contains("\"failed\":1"), "{json}");
         let table = report.status_table().to_string();
         assert!(table.contains("TLSTM") && table.contains("boom"), "{table}");
-        let err = report.first_failure().expect("has a failure");
+        assert_eq!(report.runs(true).unwrap().len(), 1);
+        let err = report.runs(false).expect_err("has a failure");
         assert!(err.to_string().starts_with("GW: "), "{err}");
     }
 

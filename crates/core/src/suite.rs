@@ -315,18 +315,6 @@ pub(crate) fn train(
     Ok((into_artifacts(profile), stream))
 }
 
-/// Runs the whole suite (every workload of the paper's figures) and
-/// returns the artifacts in [`WorkloadKind::ALL`] order.
-///
-/// # Errors
-/// Propagates the first workload failure.
-pub fn run_suite(cfg: &SuiteConfig) -> Result<Vec<RunArtifacts>> {
-    WorkloadKind::ALL
-        .iter()
-        .map(|&k| run_workload_full(k, cfg))
-        .collect()
-}
-
 /// Renders a panic payload (the `Box<dyn Any>` from a joined thread) as the
 /// panic message when it is a string, or a placeholder otherwise.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -337,41 +325,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Runs the whole suite with one OS thread per workload (op recording is
-/// thread-local, so runs are fully independent); results come back in
-/// [`WorkloadKind::ALL`] order and are bit-identical to [`run_suite`].
-///
-/// # Errors
-/// Propagates the first workload failure. A panicking worker becomes an
-/// `Err` naming the panicking workload — it never takes down the caller.
-/// For a run that *always* completes and reports per-workload status
-/// instead, see [`crate::resilience::run_suite_resilient`].
-pub fn run_suite_parallel(cfg: &SuiteConfig) -> Result<Vec<RunArtifacts>> {
-    let results: Vec<Result<RunArtifacts>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = WorkloadKind::ALL
-            .iter()
-            .map(|&kind| {
-                let cfg = cfg.clone();
-                scope.spawn(move || run_workload_full(kind, &cfg))
-            })
-            .collect();
-        WorkloadKind::ALL
-            .iter()
-            .zip(handles)
-            .map(|(&kind, h)| {
-                h.join().unwrap_or_else(|payload| {
-                    Err(gnnmark_tensor::TensorError::InvalidArgument {
-                        op: "run_suite_parallel",
-                        reason: format!("worker panicked: {}", panic_message(payload.as_ref())),
-                    }
-                    .in_workload(kind.label()))
-                })
-            })
-            .collect()
-    });
-    results.into_iter().collect()
 }
 
 #[cfg(test)]

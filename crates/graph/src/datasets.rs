@@ -13,7 +13,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dynamic::SpatioTemporal;
-use crate::hetero::{HeteroGraph, NodeTypeId};
 use crate::trees::{Tree, TreeNode};
 use crate::{Graph, Result};
 
@@ -145,21 +144,9 @@ pub fn citation(kind: CitationKind, scale: f64, seed: u64) -> Result<Graph> {
     g.with_labels(labels)
 }
 
-/// A PinSAGE-style recommendation dataset: a bipartite user–item
-/// heterogeneous graph plus the projected item–item co-interaction graph
-/// that random-walk sampling operates on.
-#[derive(Debug, Clone)]
-pub struct Recommendation {
-    /// The bipartite interaction graph.
-    pub graph: HeteroGraph,
-    /// Item–item projection (edges between co-interacted items).
-    pub item_item: Graph,
-    /// Node type id of users.
-    pub users: NodeTypeId,
-    /// Node type id of items.
-    pub items: NodeTypeId,
-}
-
+/// A PinSAGE-style recommendation dataset: the item–item co-interaction
+/// graph that random-walk sampling operates on, carrying the item features.
+/// The user–item interactions it is projected from are drawn and dropped.
 fn recommendation_like(
     base_users: usize,
     base_items: usize,
@@ -167,18 +154,17 @@ fn recommendation_like(
     item_zero_prob: f64,
     scale: f64,
     seed: u64,
-) -> Result<Recommendation> {
+) -> Result<Graph> {
     let users_n = ((base_users as f64 * scale).round() as usize).max(4);
     let items_n = ((base_items as f64 * scale).round() as usize).max(4);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = HeteroGraph::new();
-    let user_feats = Tensor::from_fn(&[users_n, 32], |_| {
+    // The 32-wide sparse user features are never read, but their draws
+    // (row-major, as `f32`) set where the item features' stream starts.
+    for _ in 0..users_n * 32 {
         if rng.gen_bool(0.2) {
-            rng.gen_range(0.1..1.0)
-        } else {
-            0.0
+            let _: f32 = rng.gen_range(0.1..1.0);
         }
-    });
+    }
     // Item features: dense embeddings-plus-metadata. Width is the MVL/NWP
     // differentiator (the paper's 10× observation).
     let item_feats = Tensor::from_fn(&[items_n, item_dim], |_| {
@@ -188,35 +174,27 @@ fn recommendation_like(
             rng.gen_range(-1.0..1.0)
         }
     });
-    let users = g.add_node_type("user", user_feats)?;
-    let items = g.add_node_type("item", item_feats)?;
 
     // Zipf-ish item popularity: user interactions preferentially hit
     // popular items (drives skewed gather locality, like real logs).
     let interactions_per_user = 12usize;
-    let mut fwd = Vec::new();
-    let mut bwd = Vec::new();
-    for u in 0..users_n {
+    let mut per_user: Vec<Vec<usize>> = vec![Vec::new(); users_n];
+    for list in &mut per_user {
         let mut seen = std::collections::HashSet::new();
         for _ in 0..interactions_per_user {
             let r: f64 = rng.gen::<f64>();
             let item = ((items_n as f64) * r * r) as usize % items_n;
             if seen.insert(item) {
-                let rating = rng.gen_range(1.0..5.0);
-                fwd.push((u, item, rating));
-                bwd.push((item, u, rating));
+                // The interaction's rating: unread, but drawn (as `f32`)
+                // to keep the stream.
+                let _: f32 = rng.gen_range(1.0..5.0);
+                list.push(item);
             }
         }
     }
-    g.add_relation("interacted", users, items, &fwd)?;
-    g.add_relation("interacted_by", items, users, &bwd)?;
 
     // Item–item projection: co-interaction within each user's list.
     let mut proj = std::collections::BTreeSet::new();
-    let mut per_user: Vec<Vec<usize>> = vec![Vec::new(); users_n];
-    for &(u, i, _) in &fwd {
-        per_user[u].push(i);
-    }
     for list in &per_user {
         for w in list.windows(2) {
             let (a, b) = (w[0].min(w[1]), w[0].max(w[1]));
@@ -226,17 +204,7 @@ fn recommendation_like(
         }
     }
     let proj_edges: Vec<(usize, usize)> = proj.into_iter().collect();
-    let item_item = Graph::from_undirected_edges(
-        items_n,
-        &proj_edges,
-        g.features(items).clone(),
-    )?;
-    Ok(Recommendation {
-        graph: g,
-        item_item,
-        users,
-        items,
-    })
+    Graph::from_undirected_edges(items_n, &proj_edges, item_feats)
 }
 
 /// Recommendation dataset with a caller-chosen item feature width — used
@@ -249,7 +217,7 @@ pub fn recommendation_with_width(
     item_dim: usize,
     scale: f64,
     seed: u64,
-) -> Result<Recommendation> {
+) -> Result<Graph> {
     recommendation_like(6040, 3706, item_dim, 0.2, scale, seed)
 }
 
@@ -257,7 +225,7 @@ pub fn recommendation_with_width(
 ///
 /// # Errors
 /// Propagates construction errors for degenerate scales.
-pub fn movielens_like(scale: f64, seed: u64) -> Result<Recommendation> {
+pub fn movielens_like(scale: f64, seed: u64) -> Result<Graph> {
     // 60-wide features (240 B rows — deliberately not a multiple of the
     // 128 B line, like real metadata vectors) with ~22 % zeros, matching
     // the paper's measured MVL sparsity.
@@ -269,7 +237,7 @@ pub fn movielens_like(scale: f64, seed: u64) -> Result<Recommendation> {
 ///
 /// # Errors
 /// Propagates construction errors for degenerate scales.
-pub fn nowplaying_like(scale: f64, seed: u64) -> Result<Recommendation> {
+pub fn nowplaying_like(scale: f64, seed: u64) -> Result<Graph> {
     // Denser features than MVL (~11 % zeros), as the paper measures.
     recommendation_like(8000, 5000, 600, 0.11, scale, seed)
 }
@@ -539,11 +507,8 @@ mod tests {
     fn recommendation_feature_widths_differ_10x() {
         let mvl = movielens_like(0.02, 11).unwrap();
         let nwp = nowplaying_like(0.02, 11).unwrap();
-        let mvl_d = mvl.graph.features(mvl.items).dim(1);
-        let nwp_d = nwp.graph.features(nwp.items).dim(1);
-        assert_eq!(nwp_d, mvl_d * 10);
-        assert!(mvl.item_item.num_edges() > 0);
-        assert!(mvl.graph.total_edges() > 0);
+        assert_eq!(nwp.feature_dim(), mvl.feature_dim() * 10);
+        assert!(mvl.num_edges() > 0);
     }
 
     #[test]

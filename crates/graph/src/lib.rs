@@ -1,7 +1,8 @@
 //! # gnnmark-graph
 //!
 //! Graph substrates for the GNNMark reproduction: the three graph families
-//! the paper builds its suite around (homogeneous, heterogeneous and
+//! the paper builds its suite around (homogeneous graphs, heterogeneous
+//! user–item graphs, generated as their item–item projection, and
 //! dynamic/spatio-temporal graphs), plus trees, block-diagonal graph
 //! batching, minibatch/fanout/random-walk samplers, the k-WL graph transform used
 //! by k-GNNs, and seeded synthetic dataset generators shaped like the
@@ -26,7 +27,6 @@ pub mod batch;
 pub mod datasets;
 pub mod dynamic;
 pub mod fanout;
-pub mod hetero;
 pub mod homo;
 pub mod kwl;
 pub mod sampler;
@@ -35,7 +35,6 @@ pub mod trees;
 pub use batch::BatchedGraph;
 pub use dynamic::SpatioTemporal;
 pub use fanout::{FanoutSampler, SampledBatch, SampledBlock};
-pub use hetero::{HeteroGraph, NodeTypeId, Relation};
 pub use homo::Graph;
 pub use sampler::EpochBatches;
 pub use trees::{Tree, TreeBatch};

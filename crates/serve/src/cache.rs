@@ -26,17 +26,10 @@ use gnnmark_tensor::half::Precision;
 use gnnmark_gpusim::stream::{fnv1a_64, CapturedRun, FORMAT_VERSION};
 use gnnmark_workloads::{Scale, TrainMode, WorkloadKind};
 
-/// The built-in component of the cache salt. Bumps with the stream format;
-/// bump the trailing revision manually when the *timing-relevant* tensor
+/// The code-version cache salt. Bumps with the stream format; bump the
+/// trailing revision manually when the *timing-relevant* tensor
 /// instrumentation changes without a format change.
 const CODE_SALT: &str = "gnnmark-stream-v1";
-
-/// The cache salt: `GNNMARK_CACHE_SALT` env override (operators can force
-/// a cold cache fleet-wide) or the built-in code-version salt.
-pub fn cache_salt() -> String {
-    std::env::var("GNNMARK_CACHE_SALT")
-        .unwrap_or_else(|_| format!("{CODE_SALT}+fmt{FORMAT_VERSION}"))
-}
 
 /// Everything that determines a captured op stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,7 +62,7 @@ impl CacheKey {
     /// FNV-1a digest of the full key material (including the salt).
     pub fn id(&self) -> String {
         let material = format!(
-            "{}|{}|{}|{}|{}|{}|{}|{}",
+            "{}|{}|{}|{}|{}|{}|{}|{CODE_SALT}+fmt{FORMAT_VERSION}",
             self.workload.label(),
             self.scale.label(),
             self.seed,
@@ -77,7 +70,6 @@ impl CacheKey {
             self.precision.as_str(),
             self.mode.key(),
             self.phase.as_str(),
-            cache_salt(),
         );
         format!(
             "{}-{}-s{}-e{}-{:016x}",

@@ -62,9 +62,6 @@ pub use cache::{CacheKey, StreamCache};
 pub use campaign::{run_campaign, CampaignOutcome};
 pub use http::{serve, ServeConfig};
 pub use lease::{Lease, LeaseManager};
-pub use loadtest::{
-    run_infer_loadtest, run_loadtest, InferLoadOptions, InferLoadReport, LoadtestOptions,
-    LoadtestReport,
-};
+pub use loadtest::{run_loadtest, LoadtestOptions, LoadtestReport};
 pub use spec::{CampaignSpec, DeviceConfig};
 pub use store::{JobState, JobStore, StoredJob};

@@ -16,16 +16,12 @@
 //! back. Output renders as validated JSON plus a figure CSV of the
 //! latency quantiles.
 //!
-//! Two inference-serving extensions (see `docs/INFERENCE.md`):
-//!
-//! * [`LoadtestOptions::submit`] POSTs a job body to `/jobs` first (e.g.
-//!   `{"workload":"TLSTM","kind":"infer"}`), then drives that job's
-//!   status endpoint; the run fails the error budget unless the job
-//!   reaches `done` — a daemon-*served* inference loadtest.
-//! * [`run_infer_loadtest`] measures the inference SLO surface itself in
-//!   the modeled-time domain: batch-1 latency percentiles and the
-//!   batched-throughput saturation rate per workload, deterministic and
-//!   snapshot-able as a baseline.
+//! Served inference (see `docs/INFERENCE.md`): [`LoadtestOptions::submit`]
+//! POSTs a job body to `/jobs` first (e.g.
+//! `{"workload":"TLSTM","kind":"infer"}`), then drives that job's status
+//! endpoint; the run fails the error budget unless the job reaches `done`.
+//! The modeled inference SLO itself (batch-1 latency percentiles, batched
+//! throughput) is `gnnmark infer`'s output.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -33,10 +29,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use gnnmark::infer::{run_infer_workload, InferConfig};
 use gnnmark_telemetry::export::{debug_validated, parse_json, JsonValue};
 use gnnmark_telemetry::metrics::{self, percentile};
-use gnnmark_workloads::WorkloadKind;
 
 use crate::client;
 
@@ -439,159 +433,6 @@ pub fn run_loadtest(opts: &LoadtestOptions) -> Result<LoadtestReport, String> {
     })
 }
 
-/// Knobs of the modeled inference loadtest ([`run_infer_loadtest`]).
-#[derive(Debug, Clone)]
-pub struct InferLoadOptions {
-    /// Workloads to measure, in order.
-    pub workloads: Vec<WorkloadKind>,
-    /// Scale / seed / precision / mode plus the batch-1 and batched step
-    /// counts (`batch1_steps` is the latency sample count per workload).
-    pub cfg: InferConfig,
-}
-
-impl Default for InferLoadOptions {
-    fn default() -> Self {
-        let mut cfg = InferConfig::new(gnnmark::suite::SuiteConfig::test());
-        cfg.batch1_steps = 32;
-        cfg.batched_steps = 8;
-        InferLoadOptions {
-            workloads: WorkloadKind::ALL.to_vec(),
-            cfg,
-        }
-    }
-}
-
-/// One workload's inference SLO numbers, in the modeled-time domain.
-#[derive(Debug, Clone)]
-pub struct InferLoadRow {
-    /// Workload label.
-    pub workload: &'static str,
-    /// Batch-1 latency samples taken.
-    pub requests: u64,
-    /// Modeled batch-1 latency percentiles (milliseconds).
-    pub p50_ms: f64,
-    /// 95th percentile (ms).
-    pub p95_ms: f64,
-    /// 99th percentile (ms).
-    pub p99_ms: f64,
-    /// Worst sample (ms).
-    pub max_ms: f64,
-    /// Items scored per batched step.
-    pub items_per_step: u64,
-    /// Saturation rate: items per modeled second at the training batch
-    /// size — the batched-throughput ceiling a server could sustain.
-    pub saturation_rps: f64,
-    /// Autodiff tape nodes recorded during the run (must be 0 in a
-    /// pure-inference process).
-    pub tape_nodes: u64,
-}
-
-/// The modeled inference loadtest report: one row per workload.
-#[derive(Debug, Clone)]
-pub struct InferLoadReport {
-    /// Scale label the rows were measured at.
-    pub scale: String,
-    /// Sampling-mode key (`fullgraph` / `minibatch@...`).
-    pub mode: String,
-    /// Precision label.
-    pub precision: String,
-    /// Per-workload measurements.
-    pub rows: Vec<InferLoadRow>,
-}
-
-impl InferLoadReport {
-    /// The report as validated JSON.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"workload\":\"{}\",\"requests\":{},\"latency_ms\":{{\
-                     \"p50\":{:.6},\"p95\":{:.6},\"p99\":{:.6},\"max\":{:.6}}},\
-                     \"items_per_step\":{},\"saturation_rps\":{:.3},\"tape_nodes\":{}}}",
-                    r.workload,
-                    r.requests,
-                    r.p50_ms,
-                    r.p95_ms,
-                    r.p99_ms,
-                    r.max_ms,
-                    r.items_per_step,
-                    r.saturation_rps,
-                    r.tape_nodes,
-                )
-            })
-            .collect();
-        let s = format!(
-            "{{\"kind\":\"infer\",\"scale\":\"{}\",\"mode\":\"{}\",\
-             \"precision\":\"{}\",\"workloads\":[{}]}}",
-            self.scale,
-            self.mode,
-            self.precision,
-            rows.join(","),
-        );
-        debug_validated("infer loadtest report", s)
-    }
-
-    /// Figure CSV: one row per workload.
-    pub fn to_figure_csv(&self) -> String {
-        let mut out =
-            "workload,p50_ms,p95_ms,p99_ms,max_ms,items_per_step,saturation_rps\n"
-                .to_string();
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{:.6},{:.6},{:.6},{:.6},{},{:.3}\n",
-                r.workload,
-                r.p50_ms,
-                r.p95_ms,
-                r.p99_ms,
-                r.max_ms,
-                r.items_per_step,
-                r.saturation_rps,
-            ));
-        }
-        out
-    }
-
-    /// Total tape nodes across all rows — 0 proves the forward-only path
-    /// never touched autograd.
-    pub fn total_tape_nodes(&self) -> u64 {
-        self.rows.iter().map(|r| r.tape_nodes).sum()
-    }
-}
-
-/// Runs the forward-only inference loadtest: per workload, batch-1
-/// latency percentiles and the batched-throughput saturation rate, all in
-/// modeled (gpusim) time — deterministic, so the output doubles as a
-/// committed baseline (`results/serve/infer_loadtest_baseline.*`).
-///
-/// # Errors
-/// A workload failing to build or run forward aborts the whole report.
-pub fn run_infer_loadtest(opts: &InferLoadOptions) -> Result<InferLoadReport, String> {
-    let mut rows = Vec::with_capacity(opts.workloads.len());
-    for &kind in &opts.workloads {
-        let art = run_infer_workload(kind, &opts.cfg).map_err(|e| e.to_string())?;
-        let ms = |q| art.batch1_percentile_ns(q) / 1e6;
-        rows.push(InferLoadRow {
-            workload: kind.label(),
-            requests: art.batch1_latency_ns.len() as u64,
-            p50_ms: ms(0.50),
-            p95_ms: ms(0.95),
-            p99_ms: ms(0.99),
-            max_ms: ms(1.0),
-            items_per_step: art.batched_items,
-            saturation_rps: art.batched_throughput(),
-            tape_nodes: art.tape_nodes,
-        });
-    }
-    Ok(InferLoadReport {
-        scale: opts.cfg.suite.scale.label().to_string(),
-        mode: opts.cfg.suite.mode.key(),
-        precision: opts.cfg.suite.precision.as_str().to_string(),
-        rows,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,33 +585,6 @@ mod tests {
         assert_eq!(report.job_state.as_deref(), Some("failed"));
         assert_eq!(report.errors, 0, "polls succeeded; the job did not");
         assert!(!report.error_budget_ok);
-    }
-
-    #[test]
-    fn infer_loadtest_measures_latency_and_saturation() {
-        let opts = InferLoadOptions {
-            workloads: vec![WorkloadKind::Tlstm, WorkloadKind::ArgaCora],
-            cfg: InferConfig::test(),
-        };
-        let report = run_infer_loadtest(&opts).unwrap();
-        assert_eq!(report.rows.len(), 2);
-        for r in &report.rows {
-            assert!(r.requests > 0);
-            assert!(r.p50_ms > 0.0, "{}: modeled latency must be positive", r.workload);
-            assert!(r.p50_ms <= r.p95_ms && r.p95_ms <= r.p99_ms && r.p99_ms <= r.max_ms);
-            assert!(r.saturation_rps > 0.0);
-            assert!(r.items_per_step >= 1);
-        }
-        // Deterministic in the modeled-time domain: a second run renders
-        // byte-identical JSON (losses never enter the report).
-        let again = run_infer_loadtest(&opts).unwrap();
-        assert_eq!(report.to_json(), again.to_json());
-        let json = report.to_json();
-        let v = gnnmark_telemetry::export::parse_json(&json).unwrap();
-        assert_eq!(v.get("kind").and_then(|x| x.as_str()), Some("infer"));
-        assert!(report
-            .to_figure_csv()
-            .starts_with("workload,p50_ms,p95_ms,p99_ms,max_ms"));
     }
 
     #[test]

@@ -148,40 +148,18 @@ impl Tensor {
         Ok(result)
     }
 
-    /// One fused SGD(+momentum, +weight-decay) update; updates `velocity`
-    /// in place (pass `None` for plain SGD) and returns the new value.
+    /// One fused plain-SGD update, `p − lr · g`; returns the new value.
     ///
     /// # Errors
     /// Returns a shape error if tensor shapes differ.
-    pub fn sgd_step_fused(
-        &self,
-        grad: &Tensor,
-        velocity: Option<&mut Tensor>,
-        lr: f32,
-        momentum: f32,
-        weight_decay: f32,
-    ) -> Result<Tensor> {
+    pub fn sgd_step_fused(&self, grad: &Tensor, lr: f32) -> Result<Tensor> {
         self.shape().require_same(grad.shape(), "sgd_step_fused")?;
-        let mut out = Vec::with_capacity(self.numel());
-        match velocity {
-            Some(vel) => {
-                self.shape().require_same(vel.shape(), "sgd_step_fused")?;
-                let vs = vel.as_mut_slice();
-                for ((&p, &g), v_i) in
-                    self.as_slice().iter().zip(grad.as_slice()).zip(vs.iter_mut())
-                {
-                    let g = g + weight_decay * p;
-                    *v_i = momentum * *v_i + g;
-                    out.push(p - lr * *v_i);
-                }
-            }
-            None => {
-                for (&p, &g) in self.as_slice().iter().zip(grad.as_slice()) {
-                    let g = g + weight_decay * p;
-                    out.push(p - lr * g);
-                }
-            }
-        }
+        let out = self
+            .as_slice()
+            .iter()
+            .zip(grad.as_slice())
+            .map(|(&p, &g)| p - lr * g)
+            .collect();
         let result = Tensor::from_vec(self.dims(), out)?;
         let n = self.numel() as u64;
         emit_sequential(
@@ -255,21 +233,6 @@ mod tests {
         let events = record::stop_recording();
         assert_eq!(events.len(), 200); // exactly one kernel per step
         assert!((p.as_slice()[0] - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn sgd_fused_with_momentum() {
-        let p = Tensor::from_vec(&[2], vec![1.0, -1.0]).unwrap();
-        let g = Tensor::from_vec(&[2], vec![0.5, 0.5]).unwrap();
-        let mut vel = Tensor::zeros(&[2]);
-        let p2 = p
-            .sgd_step_fused(&g, Some(&mut vel), 0.1, 0.9, 0.0)
-            .unwrap();
-        assert!((p2.as_slice()[0] - 0.95).abs() < 1e-6);
-        assert_eq!(vel.as_slice(), &[0.5, 0.5]);
-        // Plain SGD with weight decay.
-        let p3 = p.sgd_step_fused(&g, None, 0.1, 0.0, 0.1).unwrap();
-        assert!((p3.as_slice()[0] - (1.0 - 0.1 * 0.6)).abs() < 1e-6);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! PSAGE: the PinSAGE recommendation workload (Ying et al., KDD 2018).
 //!
-//! Trains item embeddings on a bipartite user–item interaction graph with
-//! random-walk importance sampling and a max-margin triplet loss, as in
-//! the DGL reference implementation the paper profiles. Each step
-//! follows DGL's minibatch pipeline: random walks sampled on the host,
-//! walk traces and node ids sorted/compacted on the device, features of
-//! the *sampled* nodes gathered and normalized, then aggregation,
-//! projection and the triplet loss.
+//! Trains item embeddings on the item–item projection of a bipartite
+//! user–item interaction graph with random-walk importance sampling and a
+//! max-margin triplet loss, as in the DGL reference implementation the
+//! paper profiles. Each step follows DGL's minibatch pipeline: random
+//! walks sampled on the host, walk traces and node ids sorted/compacted on
+//! the device, features of the *sampled* nodes gathered and normalized,
+//! then aggregation, projection and the triplet loss.
 //!
 //! The two datasets (MovieLens-like and Nowplaying-like) differ mainly in
 //! item feature width — 10× wider for NWP — which flips the workload's
@@ -17,9 +17,9 @@ use std::collections::HashMap;
 
 use gnnmark_autograd::{Adam, NoGradGuard, Optimizer, ParamSet, Tape, Var};
 use gnnmark_gpusim::ScalingBehavior;
-use gnnmark_graph::datasets::{movielens_like, nowplaying_like, Recommendation};
+use gnnmark_graph::datasets::{movielens_like, nowplaying_like};
 use gnnmark_graph::sampler::{ImportanceNeighborhood, RandomWalkSampler};
-use gnnmark_graph::FanoutSampler;
+use gnnmark_graph::{FanoutSampler, Graph};
 use gnnmark_nn::{Module, PinSageConv};
 use gnnmark_profiler::ProfileSession;
 use gnnmark_tensor::IntTensor;
@@ -65,7 +65,8 @@ const PROBE_BATCH_ID: u64 = u64::MAX;
 /// The PSAGE workload.
 pub struct Psage {
     dataset: PsageDataset,
-    data: Recommendation,
+    /// Item–item co-interaction graph carrying the item features.
+    item_item: Graph,
     conv: PinSageConv,
     sampler: RandomWalkSampler,
     /// In minibatch mode, the layer-wise fanout engine replaces the
@@ -112,16 +113,16 @@ impl Psage {
             let hop = cfg.fanouts.first().copied().unwrap_or(10);
             fanout = Some(FanoutSampler::new(&[hop], seed ^ 0x9a5e)?);
         }
-        let data = match dataset {
+        let item_item = match dataset {
             PsageDataset::MovieLens => movielens_like(data_scale, seed)?,
             PsageDataset::Nowplaying => nowplaying_like(data_scale, seed)?,
         };
         let mut rng = StdRng::seed_from_u64(seed ^ 0x95a6e);
-        let feat_dim = data.graph.features(data.items).dim(1);
+        let feat_dim = item_item.feature_dim();
         let conv = PinSageConv::new("psage.conv", feat_dim, 60, &mut rng)?;
         Ok(Psage {
             dataset,
-            data,
+            item_item,
             conv,
             sampler: RandomWalkSampler::new(16, 3, 6),
             fanout,
@@ -177,7 +178,7 @@ impl Psage {
     }
 
     fn num_items(&self) -> usize {
-        self.data.item_item.num_nodes()
+        self.item_item.num_nodes()
     }
 
     /// Samples one minibatch on the host (walks, positives, negatives) and
@@ -206,10 +207,10 @@ impl Psage {
                 id
             }
         };
-        let adj = self.data.item_item.adjacency();
+        let adj = self.item_item.adjacency();
         let seeds = match &self.fanout {
             Some(fs) => Self::fanout_neighborhoods(fs, adj, &seed_ids, batch_id)?,
-            None => self.sampler.sample(&self.data.item_item, &seed_ids, rng),
+            None => self.sampler.sample(&self.item_item, &seed_ids, rng),
         };
         let pos_ids: Vec<i64> = seeds.iter().map(|h| h.neighbors[0]).collect();
         let neg_ids: Vec<i64> = match deterministic {
@@ -224,8 +225,8 @@ impl Psage {
                 Self::fanout_neighborhoods(fs, adj, &neg_ids, batch_id)?,
             ),
             None => (
-                self.sampler.sample(&self.data.item_item, &pos_ids, rng),
-                self.sampler.sample(&self.data.item_item, &neg_ids, rng),
+                self.sampler.sample(&self.item_item, &pos_ids, rng),
+                self.sampler.sample(&self.item_item, &neg_ids, rng),
             ),
         };
 
@@ -306,7 +307,7 @@ impl Psage {
 
         // Gather the sampled nodes' features and normalize them — the
         // element-wise stage whose cost scales with feature width.
-        let all_feats = tape.constant(self.data.item_item.features().clone());
+        let all_feats = tape.constant(self.item_item.features().clone());
         let feats = all_feats.gather_rows(&batch.touched)?;
         let feats = if train {
             feats.dropout(0.1, &mut self.rng)?
@@ -403,7 +404,7 @@ impl Workload for Psage {
     }
 
     fn run_epoch(&mut self, session: &mut ProfileSession) -> Result<f64> {
-        let features = self.data.item_item.features().clone();
+        let features = self.item_item.features().clone();
         let mut epoch_loss = 0.0f64;
         for _ in 0..self.batches_per_epoch {
             let _step = gnnmark_telemetry::span!("step");
@@ -485,8 +486,8 @@ mod tests {
         let mvl = Psage::new(PsageDataset::MovieLens, Scale::Test, 1).unwrap();
         let nwp = Psage::new(PsageDataset::Nowplaying, Scale::Test, 3).unwrap();
         assert_eq!(
-            nwp.data.item_item.feature_dim(),
-            10 * mvl.data.item_item.feature_dim()
+            nwp.item_item.feature_dim(),
+            10 * mvl.item_item.feature_dim()
         );
         assert!(matches!(
             mvl.scaling_behavior(),

@@ -34,15 +34,15 @@ fn main() -> gnnmark::Result<()> {
     // rank them against a query by dot product.
     let data = movielens_like(0.2, 11)?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-    let conv = PinSageConv::new("demo", data.item_item.feature_dim(), 64, &mut rng)?;
+    let conv = PinSageConv::new("demo", data.feature_dim(), 64, &mut rng)?;
     let sampler = RandomWalkSampler::new(16, 3, 6);
     let candidates: Vec<i64> = (0..16).collect();
     let n = candidates.len();
     let ids = IntTensor::from_vec(&[n], candidates.clone())?;
-    let hoods = sampler.sample(&data.item_item, &ids, &mut rng);
-    let (agg, agg_t, seeds) = PinSageConv::build_batch(&hoods, data.item_item.num_nodes())?;
+    let hoods = sampler.sample(&data, &ids, &mut rng);
+    let (agg, agg_t, seeds) = PinSageConv::build_batch(&hoods, data.num_nodes())?;
     let tape = Tape::new();
-    let feats = tape.constant(data.item_item.features().clone());
+    let feats = tape.constant(data.features().clone());
     let emb = conv.forward(&tape, &feats, &agg, &agg_t, &seeds)?.value();
 
     let query = 0usize;

@@ -3,7 +3,8 @@
 //! bit-identical across thread counts, and the serve replay cache keys
 //! full-graph and minibatch runs separately.
 
-use gnnmark::suite::{run_suite_parallel, run_workload_full, SuiteConfig};
+use gnnmark::resilience::{run_suite_resilient, ResilienceConfig};
+use gnnmark::suite::{run_workload_full, SuiteConfig};
 use gnnmark::{MinibatchConfig, TrainMode, WorkloadKind};
 
 fn minibatch_mode() -> TrainMode {
@@ -16,7 +17,13 @@ fn minibatch_mode() -> TrainMode {
 #[test]
 fn every_workload_trains_minibatch_with_finite_losses() {
     let cfg = SuiteConfig::test().with_mode(minibatch_mode());
-    let runs = run_suite_parallel(&cfg).expect("suite trains in minibatch mode");
+    let rcfg = ResilienceConfig {
+        parallel: true,
+        ..ResilienceConfig::default()
+    };
+    let runs = run_suite_resilient(&cfg, &rcfg)
+        .runs(false)
+        .expect("suite trains in minibatch mode");
     assert_eq!(runs.len(), WorkloadKind::ALL.len());
     for run in &runs {
         assert!(!run.losses.is_empty(), "{} recorded no losses", run.profile.name);

@@ -5,9 +5,8 @@
 //! runs must produce the same HTML regardless of host thread count, and
 //! replaying a captured op stream must render identically every time.
 
-use gnnmark::suite::{
-    artifacts_from_replay, run_suite_parallel, run_workload_captured, RunArtifacts, SuiteConfig,
-};
+use gnnmark::resilience::{run_suite_resilient, ResilienceConfig};
+use gnnmark::suite::{artifacts_from_replay, run_workload_captured, RunArtifacts, SuiteConfig};
 use gnnmark::WorkloadKind;
 use gnnmark_gpusim::stream::CapturedRun;
 use gnnmark_gpusim::DeviceSpec;
@@ -30,8 +29,16 @@ fn report_for(runs: &[RunArtifacts]) -> Report {
 #[test]
 fn suite_report_is_byte_identical_across_thread_counts() {
     let base = SuiteConfig::test();
-    let one = run_suite_parallel(&base.clone().with_threads(1)).expect("suite at 1 thread");
-    let four = run_suite_parallel(&base.clone().with_threads(4)).expect("suite at 4 threads");
+    let rcfg = ResilienceConfig {
+        parallel: true,
+        ..ResilienceConfig::default()
+    };
+    let one = run_suite_resilient(&base.clone().with_threads(1), &rcfg)
+        .runs(false)
+        .expect("suite at 1 thread");
+    let four = run_suite_resilient(&base.clone().with_threads(4), &rcfg)
+        .runs(false)
+        .expect("suite at 4 threads");
     gnnmark_tensor::par::set_threads(1);
 
     let html_one = report_for(&one).render();

@@ -2,15 +2,27 @@
 //! the full stack (datasets → layers → autograd → op events → GPU model →
 //! profile) and the profiles obey the model's invariants.
 
-use gnnmark::suite::{run_suite, run_workload_full, SuiteConfig};
+use gnnmark::resilience::{run_suite_resilient, ResilienceConfig};
+use gnnmark::suite::{run_workload_full, RunArtifacts, SuiteConfig};
 use gnnmark::WorkloadKind;
 use gnnmark_gpusim::StallReason;
 use gnnmark_profiler::FigureCategory;
 
+/// Every workload's artifacts, failing on the first workload failure.
+fn run_suite(cfg: &SuiteConfig, parallel: bool) -> Vec<RunArtifacts> {
+    let rcfg = ResilienceConfig {
+        parallel,
+        ..ResilienceConfig::default()
+    };
+    run_suite_resilient(cfg, &rcfg)
+        .runs(false)
+        .expect("suite runs")
+}
+
 #[test]
 fn every_workload_runs_and_produces_consistent_profiles() {
     let cfg = SuiteConfig::test();
-    let runs = run_suite(&cfg).expect("suite runs");
+    let runs = run_suite(&cfg, false);
     assert_eq!(runs.len(), WorkloadKind::ALL.len());
     for art in &runs {
         let p = &art.profile;
@@ -157,8 +169,8 @@ fn higher_order_kgnn_costs_more_per_graph() {
 #[test]
 fn parallel_suite_matches_serial_suite() {
     let cfg = SuiteConfig::test();
-    let serial = run_suite(&cfg).unwrap();
-    let parallel = gnnmark::suite::run_suite_parallel(&cfg).unwrap();
+    let serial = run_suite(&cfg, false);
+    let parallel = run_suite(&cfg, true);
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.profile.name, b.profile.name);
