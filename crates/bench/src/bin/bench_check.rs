@@ -37,7 +37,9 @@
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use gnnmark_bench::flags::Flags;
 use gnnmark_report::{append_row, HistoryRow, DEFAULT_HISTORY_PATH};
+use gnnmark_telemetry::export::{parse_json, JsonValue};
 
 /// One `{"name": ..., "median_ns": ...}` entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,66 +48,34 @@ struct BenchEntry {
     median_ns: f64,
 }
 
-/// Minimal scanner for the fixed report shape: pulls every string value of
-/// a `"name"` key and pairs it with the following `"median_ns"` number.
-/// Not a general JSON parser — the report writer lives in-repo, so the
-/// shape is under our control.
+/// Reads the `{"benches": [{"name": ..., "median_ns": ...}]}` report.
 fn parse_report(text: &str) -> Result<Vec<BenchEntry>, String> {
-    let mut entries = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find("\"name\"") {
-        rest = &rest[pos + "\"name\"".len()..];
-        let name = next_string_value(&mut rest)
-            .ok_or_else(|| "malformed report: `name` without string value".to_string())?;
-        let mpos = rest
-            .find("\"median_ns\"")
-            .ok_or_else(|| format!("malformed report: `{name}` has no median_ns"))?;
-        rest = &rest[mpos + "\"median_ns\"".len()..];
-        let median_ns = next_number_value(&mut rest)
-            .ok_or_else(|| format!("malformed report: `{name}` has non-numeric median_ns"))?;
-        entries.push(BenchEntry { name, median_ns });
-    }
+    let doc = parse_json(text).map_err(|e| format!("malformed report: {e}"))?;
+    let benches = doc
+        .get("benches")
+        .and_then(JsonValue::as_array)
+        .unwrap_or_default();
+    let entries = benches
+        .iter()
+        .map(|b| {
+            let name = b
+                .get("name")
+                .and_then(JsonValue::as_str)
+                .ok_or("malformed report: a bench without a string `name`")?;
+            let median_ns = b
+                .get("median_ns")
+                .and_then(JsonValue::as_f64)
+                .ok_or_else(|| format!("malformed report: `{name}` has no numeric median_ns"))?;
+            Ok(BenchEntry {
+                name: name.to_string(),
+                median_ns,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     if entries.is_empty() {
         return Err("no benchmark entries found".to_string());
     }
     Ok(entries)
-}
-
-/// After a key, skips `: "` and returns the (escape-aware) string value,
-/// advancing `rest` past it.
-fn next_string_value(rest: &mut &str) -> Option<String> {
-    let colon = rest.find(':')?;
-    let after = rest[colon + 1..].trim_start();
-    let body = after.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = body.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '\\' => {
-                let (_, esc) = chars.next()?;
-                out.push(esc);
-            }
-            '"' => {
-                let consumed = after.len() - body.len() + i + 1;
-                *rest = &after[consumed..];
-                return Some(out);
-            }
-            _ => out.push(c),
-        }
-    }
-    None
-}
-
-/// After a key, skips `:` and parses the numeric value, advancing `rest`.
-fn next_number_value(rest: &mut &str) -> Option<f64> {
-    let colon = rest.find(':')?;
-    let after = rest[colon + 1..].trim_start();
-    let end = after
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E'))
-        .unwrap_or(after.len());
-    let v = after[..end].parse().ok()?;
-    *rest = &after[end..];
-    Some(v)
 }
 
 /// How far a `par_kernels/*_tN` median may exceed its own `_t1`.
@@ -253,40 +223,39 @@ fn record_history(new_path: &str, history_path: &str) -> Result<(), String> {
     Ok(())
 }
 
+const USAGE: &str =
+    "usage: bench-check <baseline.json> <new.json> [--max-ratio 2.0] [--record [--history PATH]]";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut max_ratio = 2.0;
     let mut files = Vec::new();
+    let mut max_ratio = 2.0f64;
     let mut record = false;
     let mut history_path = DEFAULT_HISTORY_PATH.to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--max-ratio" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 => max_ratio = v,
-                _ => {
-                    eprintln!("error: --max-ratio needs a positive number");
-                    return ExitCode::from(2);
+    let parsed = Flags::new(std::env::args().skip(1)).each(|flag, f| {
+        match flag {
+            "--max-ratio" => {
+                max_ratio = f.parse(flag)?;
+                if !(max_ratio > 0.0 && max_ratio.is_finite()) {
+                    return Err("--max-ratio must be a positive number".to_string());
                 }
-            },
+            }
             "--record" => record = true,
-            "--history" => match it.next() {
-                Some(v) => history_path = v.clone(),
-                None => {
-                    eprintln!("error: --history needs a file path");
-                    return ExitCode::from(2);
-                }
-            },
-            _ => files.push(a.clone()),
+            "--history" => history_path = f.value(flag)?,
+            file if !file.starts_with('-') => files.push(file.to_string()),
+            _ => return Ok(false),
         }
-    }
-    let [baseline, fresh] = files.as_slice() else {
-        eprintln!(
-            "usage: bench-check <baseline.json> <new.json> [--max-ratio 2.0] \
-             [--record [--history PATH]]"
-        );
+        Ok(true)
+    });
+    let parsed = parsed.and_then(|()| match files.len() {
+        2 => Ok(()),
+        _ => Err("bench-check needs two reports".to_string()),
+    });
+    if let Err(e) = parsed {
+        eprintln!("error: {e}");
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
-    };
+    }
+    let (baseline, fresh) = (&files[0], &files[1]);
     let outcome = run(baseline, fresh, max_ratio);
     // Record pass or fail: the trend panel should see regressions too.
     if record && outcome.is_ok() {

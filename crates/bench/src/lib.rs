@@ -15,20 +15,21 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod flags;
 pub mod infer_cli;
 pub mod report_cli;
 
 use gnnmark::resilience::{run_suite_resilient, ResilienceConfig, SuiteReport};
 use gnnmark::suite::{RunArtifacts, SuiteConfig};
-use gnnmark::{figures, Result, Table, WorkloadKind};
+use gnnmark::{figures, Result, Table, WorkloadKind, WorkloadProfile};
 
 /// Every figure target the CLI and benches expose, plus one
 /// single-workload target per paper workload (lower-cased label, e.g.
 /// `gnnmark stgcn`) for focused profiling/observability runs.
-pub const TARGETS: [&str; 31] = [
+pub const TARGETS: [&str; 32] = [
     "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
     "roofline", "convergence", "summary", "suite", "ablations", "modecmp", "check", "all",
-    "list", "serve", "sweep", "report", "infer",
+    "list", "serve", "sweep", "report", "infer", "loadtest",
     "psage-mvl", "psage-nwp", "stgcn", "dgcn", "gw", "kgnnl", "kgnnh", "arga", "tlstm",
 ];
 
@@ -41,43 +42,48 @@ pub fn workload_for_target(target: &str) -> Option<WorkloadKind> {
         .find(|k| k.label().to_ascii_lowercase() == target)
 }
 
-/// Renders one figure target from whatever artifacts are available.
-/// Workloads in `missing` appear as explicit `—` rows in workload-keyed
-/// tables (see [`figures::append_missing_rows`]).
-///
-/// # Errors
-/// Returns an error only for an unknown target name.
-pub fn render_tables(
-    target: &str,
-    runs: &[RunArtifacts],
-    missing: &[WorkloadKind],
-) -> Result<Vec<Table>> {
-    let profiles: Vec<_> = runs.iter().map(|r| r.profile.clone()).collect();
-    let mut tables = match target {
-        "table1" => vec![figures::table1()],
-        "fig2" => vec![figures::fig2_time_breakdown(&profiles)],
-        "fig3" => vec![figures::fig3_instruction_mix(&profiles)],
-        "fig4" => vec![
-            figures::fig4_throughput(&profiles),
-            figures::fig4_per_op_throughput(&profiles),
-        ],
-        "fig5" => vec![
-            figures::fig5_stalls(&profiles),
-            figures::fig5_per_op_stalls(&profiles),
-        ],
-        "fig6" => vec![
-            figures::fig6_caches(&profiles),
-            figures::fig6_per_op_caches(&profiles),
-        ],
-        "fig7" => vec![figures::fig7_sparsity(&profiles)],
-        "fig8" => {
+/// A figure target's renderer.
+type Render = fn(&[RunArtifacts]) -> Vec<Table>;
+
+/// The renderer of one figure target, `None` for a name that is not one.
+fn figure(target: &str) -> Option<Render> {
+    fn profiles(runs: &[RunArtifacts]) -> Vec<WorkloadProfile> {
+        runs.iter().map(|r| r.profile.clone()).collect()
+    }
+    Some(match target {
+        "table1" => |_| vec![figures::table1()],
+        "fig2" => |runs| vec![figures::fig2_time_breakdown(&profiles(runs))],
+        "fig3" => |runs| vec![figures::fig3_instruction_mix(&profiles(runs))],
+        "fig4" => |runs| {
+            let profiles = profiles(runs);
+            vec![
+                figures::fig4_throughput(&profiles),
+                figures::fig4_per_op_throughput(&profiles),
+            ]
+        },
+        "fig5" => |runs| {
+            let profiles = profiles(runs);
+            vec![
+                figures::fig5_stalls(&profiles),
+                figures::fig5_per_op_stalls(&profiles),
+            ]
+        },
+        "fig6" => |runs| {
+            let profiles = profiles(runs);
+            vec![
+                figures::fig6_caches(&profiles),
+                figures::fig6_per_op_caches(&profiles),
+            ]
+        },
+        "fig7" => |runs| vec![figures::fig7_sparsity(&profiles(runs))],
+        "fig8" => |runs| {
             // The paper plots representative workloads; show one dense and
             // one sparse-transfer workload. Either may be missing from a
             // degraded run — render the ones that are present.
             let mut series = Vec::new();
             for prefix in ["PSAGE", "ARGA"] {
-                match profiles.iter().find(|p| p.name.starts_with(prefix)) {
-                    Some(p) => series.push(figures::fig8_sparsity_series(p, 24)),
+                match runs.iter().find(|r| r.profile.name.starts_with(prefix)) {
+                    Some(r) => series.push(figures::fig8_sparsity_series(&r.profile, 24)),
                     None => {
                         let mut t = Table::new(format!(
                             "Figure 8 — transfer sparsity over time ({prefix}: unavailable)"
@@ -89,24 +95,15 @@ pub fn render_tables(
                 }
             }
             series
-        }
-        "fig9" => vec![figures::fig9_scaling(runs)],
-        "roofline" => vec![figures::fig_roofline(&profiles)],
+        },
+        "fig9" => |runs| vec![figures::fig9_scaling(runs)],
+        "roofline" => |runs| vec![figures::fig_roofline(&profiles(runs))],
         // `suite` is the timing-oriented alias: run every workload, report
         // the per-workload summary (the wall-clock benchmark entry point).
-        "summary" | "suite" => vec![figures::suite_summary(runs)],
-        "convergence" => vec![figures::fig_convergence(runs)],
-        other => {
-            return Err(gnnmark_tensor::TensorError::InvalidArgument {
-                op: "render_tables",
-                reason: format!("unknown target `{other}`"),
-            })
-        }
-    };
-    for t in &mut tables {
-        figures::append_missing_rows(t, missing);
-    }
-    Ok(tables)
+        "summary" | "suite" => |runs| vec![figures::suite_summary(runs)],
+        "convergence" => |runs| vec![figures::fig_convergence(runs)],
+        _ => return None,
+    })
 }
 
 /// Prints each table to stdout and, with `csv_dir`, writes it to
@@ -159,24 +156,30 @@ pub fn render_target_resilient(
     keep_going: bool,
     report_cache: &mut Option<SuiteReport>,
 ) -> Result<Vec<Table>> {
-    if target == "table1" {
-        return render_tables(target, &[], &[]);
-    }
     // Single-workload targets train just that workload (still resilient)
     // and report the per-workload summary table.
     let single = workload_for_target(target);
+    let render = figure(single.map_or(target, |_| "summary")).ok_or_else(|| {
+        gnnmark_tensor::TensorError::InvalidArgument {
+            op: "render_target_resilient",
+            reason: format!("unknown target `{target}`"),
+        }
+    })?;
+    if target == "table1" {
+        return Ok(render(&[]));
+    }
     let report = report_cache.get_or_insert_with(|| match single {
         Some(kind) => SuiteReport {
             outcomes: vec![gnnmark::resilience::run_workload_resilient(kind, cfg, rcfg)],
         },
         None => run_suite_resilient(cfg, rcfg),
     });
-    let runs = report.runs(keep_going)?;
-    render_tables(
-        single.map_or(target, |_| "summary"),
-        &runs,
-        &report.missing(),
-    )
+    let mut tables = render(&report.runs(keep_going)?);
+    let missing = report.missing();
+    for t in &mut tables {
+        figures::append_missing_rows(t, &missing);
+    }
+    Ok(tables)
 }
 
 /// Runs the suite under both training modes and renders the full-graph vs
@@ -239,16 +242,14 @@ mod tests {
 
     #[test]
     fn unknown_target_is_an_error() {
-        // A cached report stands in for the suite run; the name is
-        // rejected before anything renders.
-        let mut cache = Some(SuiteReport {
-            outcomes: Vec::new(),
-        });
+        // The name is rejected before the suite trains.
+        let mut cache = None;
         let rcfg = ResilienceConfig::default();
         assert!(
             render_target_resilient("fig99", &SuiteConfig::test(), &rcfg, false, &mut cache)
                 .is_err()
         );
+        assert!(cache.is_none());
     }
 
     #[test]

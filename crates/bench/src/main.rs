@@ -1,33 +1,9 @@
 //! The `gnnmark` CLI: regenerates the paper's tables and figures.
 //!
-//! ```text
-//! gnnmark <target> [--scale tiny|test|small|paper] [--epochs N] [--seed S] [--csv DIR]
-//!                  [--threads N] [--precision fp32|fp16|bf16]
-//!                  [--mode fullgraph|minibatch] [--batch-size N] [--fanout F1,F2,...]
-//!                  [--parallel] [--keep-going] [--timeout SECS]
-//!                  [--retries N] [--checkpoint DIR] [--bless] [--golden DIR]
-//!                  [--trace FILE] [--metrics FILE] [--progress]
-//!
-//! targets: table1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-//!          roofline convergence summary suite ablations modecmp check all list
-//!          psage-mvl psage-nwp stgcn dgcn gw kgnnl kgnnh arga tlstm
-//!
-//! gnnmark sweep <spec.json> [--cache DIR] [--out DIR] [--workers N]
-//! gnnmark serve [--addr HOST:PORT] [--cache DIR] [--out DIR] [--workers N]
-//!               [--store DIR] [--worker-id ID] [--lease-ttl SECS]
-//! gnnmark loadtest [--addr HOST:PORT] [--path P] [--rps R] [--concurrency N]
-//!                  [--duration SECS] [--error-budget F] [--saturation-probe SECS]
-//!                  [--out FILE] [--csv FILE] [--submit JSON]
-//!                  [--chaos [--store DIR] [--cache DIR] [--kill-after SECS]]
-//! gnnmark infer [--target LABEL[,LABEL]|all] [--scale S] [--seed S] [--epochs N]
-//!               [--threads N] [--precision P] [--mode M] [--batch-size N]
-//!               [--fanout F1,F2,...] [--requests N] [--batched-steps N]
-//!               [--no-figures] [--out FILE] [--csv DIR]
-//! gnnmark report [STREAM.stream ...] [--out FILE] [--device v100|a100]
-//!                [--scale tiny|test|small|paper] [--epochs N] [--seed S]
-//!                [--precision fp32|fp16|bf16] [--mode fullgraph|minibatch]
-//!                [--threads N] [--history PATH | --no-history] [--max-ratio R]
-//! ```
+//! The flag grammar of every command is the `USAGE` string below, which
+//! the binary prints with any usage error (exit code 2). Every command
+//! reads its argv through [`gnnmark_bench::flags`]; the suite flags mean
+//! the same thing for `<target>`, `infer` and `report`.
 //!
 //! `sweep` runs a declarative device-ablation campaign through the
 //! op-stream replay cache (train once per workload, replay under every
@@ -36,8 +12,7 @@
 //! the same `--store` directory to scale out, with lease-arbitrated
 //! claims and exactly-once completion. `loadtest` drives the daemon's
 //! HTTP API open- or closed-loop and reports p50/p95/p99 latency,
-//! saturation RPS and the error budget; `--chaos` SIGKILLs and restarts
-//! a worker mid-run to measure recovery time; `--submit JSON` first
+//! saturation RPS and the error budget; `--submit JSON` first
 //! POSTs a job (e.g. `{"workload":"TLSTM","kind":"infer"}`) and then
 //! drives its status endpoint, passing only if the job completes. See
 //! `docs/SERVING.md` and `docs/INFERENCE.md`.
@@ -107,38 +82,40 @@
 //! and gpusim accounting invariants. The CI gate runs
 //! `gnnmark check --scale tiny`. See `docs/VERIFICATION.md`.
 
-use std::time::Duration;
+use std::path::{Path, PathBuf};
 
 use gnnmark::resilience::{FaultPlan, ResilienceConfig, SuiteReport};
 use gnnmark::suite::SuiteConfig;
-use gnnmark::{shutdown, Scale, Table};
-use gnnmark_bench::{emit, render_ablations, render_target_resilient, TARGETS};
+use gnnmark::{shutdown, Table};
+use gnnmark_bench::flags::{parse_suite_args, Flags};
+use gnnmark_bench::{
+    emit, infer_cli, render_ablations, render_target_resilient, report_cli, TARGETS,
+};
 use gnnmark_serve::campaign::CampaignOptions;
-use gnnmark_serve::loadtest::ChaosOptions;
 use gnnmark_serve::{
     run_campaign, run_loadtest, serve, CampaignSpec, LoadtestOptions, ServeConfig, StreamCache,
 };
 
-const USAGE: &str = "usage: gnnmark <target> [--scale tiny|test|small|paper] [--epochs N] \
-[--seed S] [--csv DIR] [--threads N] [--precision fp32|fp16|bf16] \
-[--mode fullgraph|minibatch] [--batch-size N] [--fanout F1,F2,...] \
-[--parallel] [--keep-going] \
-[--timeout SECS] [--retries N] \
-[--checkpoint DIR] [--bless] [--golden DIR] [--trace FILE] [--metrics FILE] [--progress]
+const USAGE: &str = "usage: gnnmark <target> [SUITE FLAGS] [--csv DIR] [--parallel] \
+[--keep-going] [--timeout SECS] [--retries N] [--checkpoint DIR] [--bless] [--golden DIR] \
+[--trace FILE] [--metrics FILE] [--progress]
        gnnmark sweep <spec.json> [--cache DIR] [--out DIR] [--workers N]
        gnnmark serve [--addr HOST:PORT] [--cache DIR] [--out DIR] [--workers N] \
 [--store DIR] [--worker-id ID] [--lease-ttl SECS]
        gnnmark loadtest [--addr HOST:PORT] [--path P] [--rps R] [--concurrency N] \
 [--duration SECS] [--error-budget F] [--saturation-probe SECS] [--out FILE] [--csv FILE] \
-[--submit JSON] [--chaos [--store DIR] [--cache DIR] [--kill-after SECS]]
-       gnnmark infer [--target LABEL[,LABEL]|all] [--scale tiny|test|small|paper] \
-[--seed S] [--epochs N] [--threads N] [--precision fp32|fp16|bf16] \
-[--mode fullgraph|minibatch] [--batch-size N] [--fanout F1,F2,...] \
+[--submit JSON]
+       gnnmark infer [--target LABEL[,LABEL]|all] [SUITE FLAGS] \
 [--requests N] [--batched-steps N] [--no-figures] [--out FILE] [--csv DIR]
-       gnnmark report [STREAM.stream ...] [--out FILE] [--device v100|a100] \
-[--scale tiny|test|small|paper] [--epochs N] [--seed S] [--precision fp32|fp16|bf16] \
-[--mode fullgraph|minibatch] [--threads N] [--history PATH | --no-history] [--max-ratio R]";
+       gnnmark report [STREAM.stream ...] [--out FILE] [--device v100|a100] [SUITE FLAGS] \
+[--history PATH | --no-history] [--max-ratio R]
 
+SUITE FLAGS, the same for <target>, infer and report: [--scale tiny|test|small|paper] \
+[--epochs N] [--seed S] [--threads N] [--precision fp32|fp16|bf16] \
+[--mode fullgraph|minibatch] [--batch-size N] [--fanout F1,F2,...]
+targets: `gnnmark list` prints them";
+
+/// A parsed `gnnmark <target>` invocation.
 struct Args {
     target: String,
     cfg: SuiteConfig,
@@ -149,186 +126,53 @@ struct Args {
     golden_dir: Option<String>,
     trace: Option<String>,
     metrics: Option<String>,
+    progress: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let target = args.next().unwrap_or_else(|| "list".to_string());
-    let mut cfg = SuiteConfig::small();
-    let mut csv_dir = None;
-    let mut rcfg = ResilienceConfig::default();
-    let mut keep_going = false;
-    let mut bless = false;
-    let mut golden_dir = None;
-    let mut trace = None;
-    let mut metrics = None;
-    let mut progress = false;
-    let mut mode: Option<String> = None;
-    let mut batch_size: Option<usize> = None;
-    let mut fanouts: Option<Vec<usize>> = None;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--scale" => {
-                let v = args.next().ok_or("--scale needs a value")?;
-                cfg.scale = match v.as_str() {
-                    // `tiny` is the check-gate spelling of the test scale.
-                    "test" | "tiny" => Scale::Test,
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => return Err(format!("unknown scale `{other}`")),
-                };
-            }
-            "--epochs" => {
-                cfg.epochs = args
-                    .next()
-                    .ok_or("--epochs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad epoch count: {e}"))?;
-            }
-            "--seed" => {
-                cfg.seed = args
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--csv" => {
-                csv_dir = Some(args.next().ok_or("--csv needs a directory")?);
-            }
-            "--precision" => {
-                let v = args.next().ok_or("--precision needs a value")?;
-                cfg.precision = gnnmark_tensor::half::Precision::parse(&v)
-                    .ok_or_else(|| format!("unknown precision `{v}` (fp32|fp16|bf16)"))?;
-            }
-            "--threads" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--threads needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad thread count: {e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                cfg.threads = Some(n);
-                // Apply immediately so every code path (including table1,
-                // which skips the suite) sees the setting.
-                gnnmark_tensor::par::set_threads(n);
-            }
-            "--mode" => {
-                let v = args.next().ok_or("--mode needs a value")?;
-                match v.as_str() {
-                    "fullgraph" | "minibatch" => mode = Some(v),
-                    other => {
-                        return Err(format!("unknown mode `{other}` (fullgraph|minibatch)"))
-                    }
-                }
-            }
-            "--batch-size" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--batch-size needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad batch size: {e}"))?;
-                if n == 0 {
-                    return Err("--batch-size must be at least 1".to_string());
-                }
-                batch_size = Some(n);
-            }
-            "--fanout" => {
-                let v = args.next().ok_or("--fanout needs a comma-separated list")?;
-                let parsed: Result<Vec<usize>, _> =
-                    v.split(',').map(|s| s.trim().parse::<usize>()).collect();
-                let parsed = parsed.map_err(|e| format!("bad fanout list `{v}`: {e}"))?;
-                if parsed.is_empty() {
-                    return Err("--fanout needs at least one level".to_string());
-                }
-                fanouts = Some(parsed);
-            }
-            "--parallel" => rcfg.parallel = true,
-            "--keep-going" => keep_going = true,
-            "--timeout" => {
-                let secs: f64 = args
-                    .next()
-                    .ok_or("--timeout needs seconds")?
-                    .parse()
-                    .map_err(|e| format!("bad timeout: {e}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err("--timeout must be a positive number of seconds".to_string());
-                }
-                rcfg.timeout = Some(Duration::from_secs_f64(secs));
-            }
-            "--retries" => {
-                rcfg.retry.max_retries = args
-                    .next()
-                    .ok_or("--retries needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad retry count: {e}"))?;
-            }
-            "--checkpoint" => {
-                rcfg.checkpoint_dir =
-                    Some(args.next().ok_or("--checkpoint needs a directory")?.into());
-            }
-            "--bless" => bless = true,
-            "--golden" => {
-                golden_dir = Some(args.next().ok_or("--golden needs a directory")?);
-            }
-            "--trace" => {
-                trace = Some(args.next().ok_or("--trace needs a file path")?);
-            }
-            "--metrics" => {
-                metrics = Some(args.next().ok_or("--metrics needs a file path")?);
-            }
-            "--progress" => progress = true,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
+/// Parses `gnnmark <target> [flags]`.
+fn parse_args(target: String, argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    if !TARGETS.contains(&target.as_str()) {
+        return Err(format!(
+            "unknown target `{target}`\nvalid targets: {}",
+            TARGETS.join(" ")
+        ));
     }
-    // Telemetry stays compiled-out-cheap unless an artifact was requested;
-    // the recorded spans/counters never feed back into training math, so
-    // enabling them cannot perturb op-streams or losses.
-    if trace.is_some() || metrics.is_some() {
-        gnnmark_telemetry::set_enabled(true);
-        gnnmark_tensor::par::set_worker_tracking(true);
-    }
-    if progress {
-        gnnmark_telemetry::set_progress(true);
-    }
-    // Resolve the training mode. `--batch-size`/`--fanout` imply minibatch
-    // unless `--mode fullgraph` was given explicitly, where they'd be
-    // silently ignored — make that an error instead.
-    let wants_minibatch = batch_size.is_some() || fanouts.is_some();
-    match mode.as_deref() {
-        Some("fullgraph") if wants_minibatch => {
-            return Err(
-                "--batch-size/--fanout only apply to --mode minibatch".to_string()
-            );
-        }
-        Some("minibatch") | None if wants_minibatch || mode.is_some() => {
-            let mut mb = gnnmark::MinibatchConfig::default();
-            if let Some(b) = batch_size {
-                mb.batch_size = b;
-            }
-            if let Some(f) = fanouts {
-                mb.fanouts = f;
-            }
-            cfg.mode = gnnmark::TrainMode::Minibatch(mb);
-        }
-        _ => {}
-    }
-    // Diverged workloads get one clipped retry by default; the threshold is
-    // generous enough to be inert on healthy runs.
-    rcfg.grad_clip_fallback = Some(10.0);
-    rcfg.faults = FaultPlan::from_env();
-    Ok(Args {
+    let mut args = Args {
         target,
-        cfg,
-        csv_dir,
-        rcfg,
-        keep_going,
-        bless,
-        golden_dir,
-        trace,
-        metrics,
-    })
+        cfg: SuiteConfig::small(),
+        csv_dir: None,
+        // Diverged workloads get one clipped retry by default; the
+        // threshold is generous enough to be inert on healthy runs.
+        rcfg: ResilienceConfig {
+            grad_clip_fallback: Some(10.0),
+            faults: FaultPlan::from_env(),
+            ..ResilienceConfig::default()
+        },
+        keep_going: false,
+        bless: false,
+        golden_dir: None,
+        trace: None,
+        metrics: None,
+        progress: false,
+    };
+    args.cfg = parse_suite_args(argv, args.cfg.clone(), |flag, f| {
+        match flag {
+            "--csv" => args.csv_dir = Some(f.value(flag)?),
+            "--parallel" => args.rcfg.parallel = true,
+            "--keep-going" => args.keep_going = true,
+            "--timeout" => args.rcfg.timeout = Some(f.secs(flag)?),
+            "--retries" => args.rcfg.retry.max_retries = f.parse(flag)?,
+            "--checkpoint" => args.rcfg.checkpoint_dir = Some(f.value(flag)?.into()),
+            "--bless" => args.bless = true,
+            "--golden" => args.golden_dir = Some(f.value(flag)?),
+            "--trace" => args.trace = Some(f.value(flag)?),
+            "--metrics" => args.metrics = Some(f.value(flag)?),
+            "--progress" => args.progress = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok(args)
 }
 
 /// Runs the three-layer verification gate; returns the process exit code.
@@ -363,39 +207,141 @@ fn run_check_gate(args: &Args) -> i32 {
     }
 }
 
-/// `gnnmark sweep <spec.json> [--cache DIR] [--out DIR] [--workers N]`:
-/// one-shot offline campaign — capture (train-or-load) every workload
-/// stream once, replay it under every device config, write the merged
-/// JSON and per-config figure CSVs.
-fn run_sweep(mut args: std::env::Args) -> i32 {
-    let mut spec_path = None;
-    let mut cache_dir = "results/serve/cache".to_string();
-    let mut out_dir = "results/serve".to_string();
-    let mut workers = 2usize;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--cache" => match args.next() {
-                Some(v) => cache_dir = v,
-                None => return usage_err("--cache needs a directory"),
-            },
-            "--out" => match args.next() {
-                Some(v) => out_dir = v,
-                None => return usage_err("--out needs a directory"),
-            },
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => workers = n,
-                _ => return usage_err("--workers needs a count >= 1"),
-            },
-            other if spec_path.is_none() && !other.starts_with('-') => {
-                spec_path = Some(other.to_string());
+/// `gnnmark <target>`: renders a figure target (or runs the check gate);
+/// returns the process exit code.
+fn run_target(args: &Args) -> i32 {
+    if args.target == "list" {
+        println!("targets:");
+        for t in TARGETS {
+            println!("  {t}");
+        }
+        return 0;
+    }
+    // Telemetry stays compiled-out-cheap unless an artifact was requested;
+    // the recorded spans/counters never feed back into training math, so
+    // enabling them cannot perturb op-streams or losses.
+    if args.trace.is_some() || args.metrics.is_some() {
+        gnnmark_telemetry::set_enabled(true);
+        gnnmark_tensor::par::set_worker_tracking(true);
+    }
+    if args.progress {
+        gnnmark_telemetry::set_progress(true);
+    }
+    if args.target == "check" {
+        return run_check_gate(args);
+    }
+    let started = std::time::Instant::now();
+    let mut report: Option<SuiteReport> = None;
+    let mut render = |target: &str| {
+        render_target_resilient(target, &args.cfg, &args.rcfg, args.keep_going, &mut report)
+    };
+    let result = (|| -> gnnmark::Result<Vec<Table>> {
+        match args.target.as_str() {
+            "all" => {
+                let mut tables = Vec::new();
+                for target in [
+                    "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+                    "fig9", "roofline", "convergence", "summary",
+                ] {
+                    tables.extend(render(target)?);
+                }
+                tables.extend(render_ablations(&args.cfg)?);
+                Ok(tables)
             }
-            other => return usage_err(&format!("unknown sweep flag `{other}`")),
+            "ablations" => render_ablations(&args.cfg),
+            "modecmp" => gnnmark_bench::render_mode_comparison(&args.cfg),
+            target => render(target),
+        }
+    })();
+    // Per-workload status, whenever a suite actually ran: the table when
+    // anything is notable (non-completed workloads), the JSON line always.
+    if let Some(report) = &report {
+        if !report.all_succeeded() || report.outcomes.iter().any(|o| o.attempts > 1) {
+            eprintln!("{}", report.status_table());
+        }
+        eprintln!("suite status: {}", report.to_json());
+        let paths = gnnmark::observability::ExportPaths {
+            trace: args.trace.as_ref().map(PathBuf::from),
+            metrics: args.metrics.as_ref().map(PathBuf::from),
+            csv_dir: args.csv_dir.as_ref().map(PathBuf::from),
+        };
+        if !paths.is_empty() {
+            match gnnmark::observability::export_artifacts(&args.target, &args.cfg, report, &paths)
+            {
+                Ok(written) => {
+                    for p in &written {
+                        eprintln!("wrote {}", p.display());
+                    }
+                }
+                Err(e) => {
+                    eprintln!("error writing observability artifacts: {e}");
+                    return 1;
+                }
+            }
         }
     }
-    let Some(spec_path) = spec_path else {
-        return usage_err("sweep needs a spec: gnnmark sweep <spec.json>");
+    match result {
+        Ok(tables) => {
+            if let Err(e) = emit(&tables, args.csv_dir.as_deref()) {
+                eprintln!("error writing output: {e}");
+                return 1;
+            }
+            eprintln!(
+                "done: {} table(s) in {:.1}s",
+                tables.len(),
+                started.elapsed().as_secs_f64()
+            );
+            if shutdown::requested() {
+                eprintln!("interrupted: remaining workloads were skipped");
+                return shutdown::EXIT_INTERRUPTED;
+            }
+            0
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            1
+        }
+    }
+}
+
+/// A parsed `gnnmark sweep` invocation.
+struct SweepArgs {
+    spec_path: String,
+    cache_dir: String,
+    out_dir: String,
+    workers: usize,
+}
+
+fn parse_sweep(argv: impl IntoIterator<Item = String>) -> Result<SweepArgs, String> {
+    let mut spec_path = None;
+    let mut args = SweepArgs {
+        spec_path: String::new(),
+        cache_dir: "results/serve/cache".to_string(),
+        out_dir: "results/serve".to_string(),
+        workers: 2,
     };
-    let text = match std::fs::read_to_string(&spec_path) {
+    Flags::new(argv).each(|flag, f| {
+        match flag {
+            "--cache" => args.cache_dir = f.value(flag)?,
+            "--out" => args.out_dir = f.value(flag)?,
+            "--workers" => args.workers = f.count(flag)?,
+            path if spec_path.is_none() && !path.starts_with('-') => {
+                spec_path = Some(path.to_string());
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    args.spec_path = spec_path.ok_or("sweep needs a spec: gnnmark sweep <spec.json>")?;
+    Ok(args)
+}
+
+/// `gnnmark sweep`: one-shot offline campaign — capture (train-or-load)
+/// every workload stream once, replay it under every device config, write
+/// the merged JSON and per-config figure CSVs.
+fn run_sweep(args: &SweepArgs) -> i32 {
+    let spec_path = &args.spec_path;
+    let text = match std::fs::read_to_string(spec_path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: cannot read {spec_path}: {e}");
@@ -411,16 +357,16 @@ fn run_sweep(mut args: std::env::Args) -> i32 {
     };
     shutdown::install();
     let started = std::time::Instant::now();
-    let cache = StreamCache::new(&cache_dir);
+    let cache = StreamCache::new(&args.cache_dir);
     let mut opts = CampaignOptions {
-        workers,
+        workers: args.workers,
         ..CampaignOptions::default()
     };
     // `GNNMARK_FAULT` drills the sweep path like any suite run.
     opts.resilience = opts.resilience.with_faults(FaultPlan::from_env());
     match run_campaign(&spec, &cache, &opts) {
         Ok(out) => {
-            match out.write_to(std::path::Path::new(&out_dir)) {
+            match out.write_to(Path::new(&args.out_dir)) {
                 Ok(root) => eprintln!("wrote {}", root.display()),
                 Err(e) => {
                     eprintln!("error writing results: {e}");
@@ -453,56 +399,31 @@ fn run_sweep(mut args: std::env::Args) -> i32 {
     }
 }
 
-/// `gnnmark serve [--addr A] [--cache DIR] [--out DIR] [--workers N]
-/// [--store DIR] [--worker-id ID] [--lease-ttl SECS]`: the
-/// benchmark-as-a-service daemon over the durable job store (see
-/// `docs/SERVING.md`). Several daemons sharing one `--store` directory
-/// form a worker pool.
-fn run_serve(mut args: std::env::Args) -> i32 {
+fn parse_serve(argv: impl IntoIterator<Item = String>) -> Result<ServeConfig, String> {
     let mut cfg = ServeConfig::default();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--addr" => match args.next() {
-                Some(v) => cfg.addr = v,
-                None => return usage_err("--addr needs host:port"),
-            },
-            "--cache" => match args.next() {
-                Some(v) => cfg.cache_dir = v.into(),
-                None => return usage_err("--cache needs a directory"),
-            },
-            "--out" => match args.next() {
-                Some(v) => cfg.results_dir = v.into(),
-                None => return usage_err("--out needs a directory"),
-            },
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cfg.workers = n,
-                _ => return usage_err("--workers needs a count >= 1"),
-            },
-            "--store" => match args.next() {
-                Some(v) => cfg.store_dir = v.into(),
-                None => return usage_err("--store needs a directory"),
-            },
-            "--worker-id" => match args.next() {
-                Some(v) => cfg.worker_id = v,
-                None => return usage_err("--worker-id needs an identifier"),
-            },
-            "--lease-ttl" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 && s.is_finite() => {
-                    cfg.lease_ttl = Duration::from_secs_f64(s);
-                }
-                _ => return usage_err("--lease-ttl needs positive seconds"),
-            },
-            other => return usage_err(&format!("unknown serve flag `{other}`")),
+    Flags::new(argv).each(|flag, f| {
+        match flag {
+            "--addr" => cfg.addr = f.value(flag)?,
+            "--cache" => cfg.cache_dir = f.value(flag)?.into(),
+            "--out" => cfg.results_dir = f.value(flag)?.into(),
+            "--workers" => cfg.workers = f.count(flag)?,
+            "--store" => cfg.store_dir = f.value(flag)?.into(),
+            "--worker-id" => cfg.worker_id = f.value(flag)?,
+            "--lease-ttl" => cfg.lease_ttl = f.secs(flag)?,
+            _ => return Ok(false),
         }
-    }
-    match serve(&cfg) {
-        Ok(()) => {
-            if shutdown::requested() {
-                shutdown::EXIT_INTERRUPTED
-            } else {
-                0
-            }
-        }
+        Ok(true)
+    })?;
+    Ok(cfg)
+}
+
+/// `gnnmark serve`: the benchmark-as-a-service daemon over the durable job
+/// store (see `docs/SERVING.md`). Several daemons sharing one `--store`
+/// directory form a worker pool.
+fn run_serve(cfg: &ServeConfig) -> i32 {
+    match serve(cfg) {
+        Ok(()) if shutdown::requested() => shutdown::EXIT_INTERRUPTED,
+        Ok(()) => 0,
         Err(e) => {
             eprintln!("error: {e}");
             1
@@ -510,113 +431,62 @@ fn run_serve(mut args: std::env::Args) -> i32 {
     }
 }
 
-/// `gnnmark loadtest [...]`: the SLO load harness. Exit code 0 when the
-/// error budget held, 1 on budget overrun or harness failure.
-fn run_loadtest_cli(mut args: std::env::Args) -> i32 {
-    let mut opts = LoadtestOptions::default();
-    let mut out_file: Option<String> = None;
-    let mut csv_file: Option<String> = None;
-    let mut chaos = false;
-    let mut kill_after = 3.0f64;
-    let mut store_dir = "results/serve/chaos/store".to_string();
-    let mut cache_dir = "results/serve/cache".to_string();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--submit" => match args.next() {
-                Some(v) => opts.submit = Some(v),
-                None => return usage_err("--submit needs a JSON job body"),
-            },
-            "--addr" => match args.next() {
-                Some(v) => opts.addr = v,
-                None => return usage_err("--addr needs host:port"),
-            },
-            "--path" => match args.next() {
-                Some(v) => opts.path = v,
-                None => return usage_err("--path needs a request path"),
-            },
-            "--rps" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if r >= 0.0 && r.is_finite() => opts.rps = r,
-                _ => return usage_err("--rps needs a non-negative rate"),
-            },
-            "--concurrency" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => opts.concurrency = n,
-                _ => return usage_err("--concurrency needs a count >= 1"),
-            },
-            "--duration" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 && s.is_finite() => {
-                    opts.duration = Duration::from_secs_f64(s);
+/// A parsed `gnnmark loadtest` invocation.
+struct LoadtestArgs {
+    opts: LoadtestOptions,
+    out_file: Option<String>,
+    csv_file: Option<String>,
+}
+
+fn parse_loadtest(argv: impl IntoIterator<Item = String>) -> Result<LoadtestArgs, String> {
+    let mut args = LoadtestArgs {
+        opts: LoadtestOptions::default(),
+        out_file: None,
+        csv_file: None,
+    };
+    let opts = &mut args.opts;
+    Flags::new(argv).each(|flag, f| {
+        match flag {
+            "--submit" => opts.submit = Some(f.value(flag)?),
+            "--addr" => opts.addr = f.value(flag)?,
+            "--path" => opts.path = f.value(flag)?,
+            "--rps" => {
+                opts.rps = f.parse(flag)?;
+                if !(opts.rps >= 0.0 && opts.rps.is_finite()) {
+                    return Err("--rps needs a non-negative rate".to_string());
                 }
-                _ => return usage_err("--duration needs positive seconds"),
-            },
-            "--error-budget" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(b) if (0.0..=1.0).contains(&b) => opts.error_budget = b,
-                _ => return usage_err("--error-budget needs a ratio in [0, 1]"),
-            },
-            "--saturation-probe" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 && s.is_finite() => {
-                    opts.saturation_probe = Some(Duration::from_secs_f64(s));
-                }
-                _ => return usage_err("--saturation-probe needs positive seconds"),
-            },
-            "--out" => match args.next() {
-                Some(v) => out_file = Some(v),
-                None => return usage_err("--out needs a file path"),
-            },
-            "--csv" => match args.next() {
-                Some(v) => csv_file = Some(v),
-                None => return usage_err("--csv needs a file path"),
-            },
-            "--chaos" => chaos = true,
-            "--kill-after" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 && s.is_finite() => kill_after = s,
-                _ => return usage_err("--kill-after needs positive seconds"),
-            },
-            "--store" => match args.next() {
-                Some(v) => store_dir = v,
-                None => return usage_err("--store needs a directory"),
-            },
-            "--cache" => match args.next() {
-                Some(v) => cache_dir = v,
-                None => return usage_err("--cache needs a directory"),
-            },
-            other => return usage_err(&format!("unknown loadtest flag `{other}`")),
-        }
-    }
-    if chaos {
-        let exe = match std::env::current_exe() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: cannot locate own binary for chaos drill: {e}");
-                return 1;
             }
-        };
-        // Short lease TTL so the killed worker's jobs requeue within the
-        // run, making recovery measurable instead of TTL-bound.
-        opts.chaos = Some(ChaosOptions {
-            exe,
-            args: vec![
-                "serve".into(),
-                "--addr".into(),
-                opts.addr.clone(),
-                "--store".into(),
-                store_dir.clone(),
-                "--cache".into(),
-                cache_dir.clone(),
-                "--out".into(),
-                format!("{store_dir}/out"),
-                "--lease-ttl".into(),
-                "2".into(),
-            ],
-            kill_after: Duration::from_secs_f64(kill_after),
-        });
-    }
-    match run_loadtest(&opts) {
+            "--concurrency" => opts.concurrency = f.count(flag)?,
+            "--duration" => opts.duration = f.secs(flag)?,
+            "--error-budget" => {
+                opts.error_budget = f.parse(flag)?;
+                if !(0.0..=1.0).contains(&opts.error_budget) {
+                    return Err("--error-budget needs a ratio in [0, 1]".to_string());
+                }
+            }
+            "--saturation-probe" => opts.saturation_probe = Some(f.secs(flag)?),
+            "--out" => args.out_file = Some(f.value(flag)?),
+            "--csv" => args.csv_file = Some(f.value(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok(args)
+}
+
+/// `gnnmark loadtest`: the SLO load harness. Exit code 0 when the error
+/// budget held, 1 on budget overrun or harness failure.
+fn run_loadtest_cli(args: &LoadtestArgs) -> i32 {
+    match run_loadtest(&args.opts) {
         Ok(report) => {
             let json = report.to_json();
             println!("{json}");
-            for (path, body) in [(&out_file, &json), (&csv_file, &report.to_figure_csv())] {
+            for (path, body) in [
+                (&args.out_file, &json),
+                (&args.csv_file, &report.to_figure_csv()),
+            ] {
                 if let Some(path) = path {
-                    if let Some(dir) = std::path::Path::new(path).parent() {
+                    if let Some(dir) = Path::new(path).parent() {
                         let _ = std::fs::create_dir_all(dir);
                     }
                     if let Err(e) = std::fs::write(path, body) {
@@ -641,142 +511,113 @@ fn run_loadtest_cli(mut args: std::env::Args) -> i32 {
     }
 }
 
-fn usage_err(msg: &str) -> i32 {
-    eprintln!("error: {msg}");
-    eprintln!("{USAGE}");
-    2
-}
-
 fn main() {
-    // `serve` and `sweep` own their flag sets; dispatch before the
-    // figure-target parser sees them.
-    {
-        let mut argv = std::env::args();
-        let _bin = argv.next();
-        match argv.next().as_deref() {
-            Some("sweep") => std::process::exit(run_sweep(argv)),
-            Some("serve") => std::process::exit(run_serve(argv)),
-            Some("loadtest") => std::process::exit(run_loadtest_cli(argv)),
-            Some("infer") => {
-                shutdown::install();
-                std::process::exit(gnnmark_bench::infer_cli::run_infer_cli(argv));
-            }
-            Some("report") => {
-                shutdown::install();
-                std::process::exit(gnnmark_bench::report_cli::run_report(argv));
-            }
-            _ => {}
-        }
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
+    let mut argv = std::env::args().skip(1);
+    let command = argv.next().unwrap_or_else(|| "list".to_string());
+    // Graceful shutdown: SIGINT/SIGTERM lets the in-flight workload finish,
+    // skips the rest, and still flushes checkpoints, figures-so-far and the
+    // observability artifacts before exiting with code 130. `sweep` and
+    // `serve` install it themselves.
+    let code = match command.as_str() {
+        "sweep" => parse_sweep(argv).map(|a| run_sweep(&a)),
+        "serve" => parse_serve(argv).map(|c| run_serve(&c)),
+        "loadtest" => parse_loadtest(argv).map(|a| run_loadtest_cli(&a)),
+        "infer" => infer_cli::parse_infer_args(argv).map(|a| {
+            shutdown::install();
+            infer_cli::run_infer(&a)
+        }),
+        "report" => report_cli::parse_report_args(argv).map(|o| {
+            shutdown::install();
+            report_cli::run_report(&o)
+        }),
+        _ => parse_args(command, argv).map(|a| {
+            shutdown::install();
+            run_target(&a)
+        }),
+    };
+    match code {
+        Ok(code) => std::process::exit(code),
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("{USAGE}");
             std::process::exit(2);
         }
-    };
-    // Graceful shutdown: SIGINT/SIGTERM lets the in-flight workload finish,
-    // skips the rest, and still flushes checkpoints, figures-so-far and the
-    // observability artifacts before exiting with code 130.
-    shutdown::install();
-    if args.target == "list" {
-        println!("targets:");
-        for t in TARGETS {
-            println!("  {t}");
-        }
-        return;
     }
-    if !TARGETS.contains(&args.target.as_str()) {
-        eprintln!("error: unknown target `{}`", args.target);
-        eprintln!("valid targets: {}", TARGETS.join(" "));
-        std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gnnmark_bench::infer_cli::parse_infer_args;
+    use gnnmark_bench::report_cli::parse_report_args;
+
+    /// The suite config each suite-backed command reads from `argv`.
+    fn suite_configs(argv: &[&str]) -> [Result<SuiteConfig, String>; 3] {
+        let argv = || argv.iter().map(|s| s.to_string());
+        [
+            parse_args("summary".to_string(), argv()).map(|a| a.cfg),
+            parse_infer_args(argv()).map(|a| a.suite),
+            parse_report_args(argv()).map(|o| o.cfg),
+        ]
     }
-    if args.target == "check" {
-        std::process::exit(run_check_gate(&args));
-    }
-    let started = std::time::Instant::now();
-    let mut report: Option<SuiteReport> = None;
-    let result = (|| -> gnnmark::Result<Vec<Table>> {
-        match args.target.as_str() {
-            "all" => {
-                let mut tables = Vec::new();
-                for target in [
-                    "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-                    "fig9", "roofline", "convergence", "summary",
-                ] {
-                    tables.extend(render_target_resilient(
-                        target,
-                        &args.cfg,
-                        &args.rcfg,
-                        args.keep_going,
-                        &mut report,
-                    )?);
-                }
-                tables.extend(render_ablations(&args.cfg)?);
-                Ok(tables)
-            }
-            "ablations" => render_ablations(&args.cfg),
-            "modecmp" => gnnmark_bench::render_mode_comparison(&args.cfg),
-            target => render_target_resilient(
-                target,
-                &args.cfg,
-                &args.rcfg,
-                args.keep_going,
-                &mut report,
-            ),
-        }
-    })();
-    // Per-workload status, whenever a suite actually ran: the table when
-    // anything is notable (non-completed workloads), the JSON line always.
-    if let Some(report) = &report {
-        if !report.all_succeeded() || report.outcomes.iter().any(|o| o.attempts > 1) {
-            eprintln!("{}", report.status_table());
-        }
-        eprintln!("suite status: {}", report.to_json());
-        let paths = gnnmark::observability::ExportPaths {
-            trace: args.trace.as_ref().map(std::path::PathBuf::from),
-            metrics: args.metrics.as_ref().map(std::path::PathBuf::from),
-            csv_dir: args.csv_dir.as_ref().map(std::path::PathBuf::from),
-        };
-        if !paths.is_empty() {
-            match gnnmark::observability::export_artifacts(
-                &args.target,
-                &args.cfg,
-                report,
-                &paths,
-            ) {
-                Ok(written) => {
-                    for p in &written {
-                        eprintln!("wrote {}", p.display());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error writing observability artifacts: {e}");
-                    std::process::exit(1);
-                }
+
+    #[test]
+    fn one_argv_means_one_suite_config_on_every_command() {
+        let argv = [
+            "--scale", "tiny", "--epochs", "2", "--seed", "7", "--threads", "2",
+            "--precision", "fp16", "--batch-size", "16", "--fanout", "6,4",
+        ];
+        let [target, infer, report] = suite_configs(&argv).map(|c| format!("{:?}", c.unwrap()));
+        assert_eq!(target, infer);
+        assert_eq!(target, report);
+        assert!(target.contains("epochs: 2"), "{target}");
+        for bad in [
+            &["--epochs", "0"][..],
+            &["--threads", "0"],
+            &["--fanout", "4,"],
+            &["--mode", "fullgraph", "--fanout", "3"],
+            &["--scale", "huge"],
+            &["--batch-size", "0"],
+            &["--mode", "sampled"],
+            &["--precision", "fp8"],
+            &["--seed", "-1"],
+            &["--seed"],
+            &["--bogus"],
+        ] {
+            for parsed in suite_configs(bad) {
+                assert!(parsed.is_err(), "{bad:?} must be rejected");
             }
         }
     }
-    match result {
-        Ok(tables) => {
-            if let Err(e) = emit(&tables, args.csv_dir.as_deref()) {
-                eprintln!("error writing output: {e}");
-                std::process::exit(1);
-            }
-            eprintln!(
-                "done: {} table(s) in {:.1}s",
-                tables.len(),
-                started.elapsed().as_secs_f64()
-            );
-            if shutdown::requested() {
-                eprintln!("interrupted: remaining workloads were skipped");
-                std::process::exit(shutdown::EXIT_INTERRUPTED);
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
+
+    #[test]
+    fn command_flags_parse() {
+        let args = parse_args(
+            "fig4".to_string(),
+            ["--timeout", "1.5", "--retries", "3", "--keep-going", "--csv", "out"]
+                .map(String::from),
+        )
+        .unwrap();
+        assert_eq!(args.rcfg.timeout, Some(std::time::Duration::from_millis(1500)));
+        assert_eq!(args.rcfg.retry.max_retries, 3);
+        assert!(args.keep_going);
+        assert_eq!(args.csv_dir.as_deref(), Some("out"));
+        assert!(parse_args("fig99".to_string(), []).is_err());
+
+        let sweep = parse_sweep(["spec.json", "--workers", "3"].map(String::from)).unwrap();
+        assert_eq!((sweep.spec_path.as_str(), sweep.workers), ("spec.json", 3));
+        assert!(parse_sweep(["--workers", "3"].map(String::from)).is_err());
+
+        let serve = parse_serve(["--lease-ttl", "2", "--worker-id", "w1"].map(String::from))
+            .unwrap();
+        assert_eq!(serve.lease_ttl, std::time::Duration::from_secs(2));
+        assert_eq!(serve.worker_id, "w1");
+
+        let lt = parse_loadtest(["--rps", "100", "--saturation-probe", "2"].map(String::from))
+            .unwrap();
+        assert_eq!(lt.opts.rps, 100.0);
+        for bad in [&["--chaos"][..], &["--rps", "-1"], &["--error-budget", "2"]] {
+            assert!(parse_loadtest(bad.iter().map(|s| s.to_string())).is_err(), "{bad:?}");
         }
     }
 }

@@ -1,22 +1,17 @@
 //! `gnnmark report` — render a deterministic single-file HTML
 //! characterization report.
 //!
-//! ```text
-//! gnnmark report [STREAM.stream ...] [--out FILE] [--device v100|a100]
-//!                [--scale tiny|test|small|paper] [--epochs N] [--seed S]
-//!                [--precision fp32|fp16|bf16] [--mode fullgraph|minibatch]
-//!                [--threads N] [--history PATH | --no-history]
-//!                [--max-ratio R]
-//! ```
+//! The flags are in the `gnnmark` binary's usage text; the suite flags
+//! are the ones `gnnmark <target>` and `gnnmark infer` take.
 //!
 //! Two input paths:
 //!
 //! * **Replay** — positional `.stream` files (replay-cache entries or
 //!   `CapturedRun` dumps) are replayed through the gpusim timing model on
 //!   `--device` without retraining; one report run per file.
-//! * **Live suite** — with no inputs, the full suite trains at the
-//!   requested scale under the resilience layer and every completed
-//!   workload becomes a report run.
+//! * **Live suite** — with no inputs, the full suite trains on `--device`
+//!   at the requested scale under the resilience layer and every
+//!   completed workload becomes a report run.
 //!
 //! Either way the output is one self-contained HTML file (inline CSS and
 //! SVG, no scripts) whose bytes depend only on the inputs: wall-clock and
@@ -29,11 +24,12 @@ use std::path::Path;
 
 use gnnmark::resilience::{run_suite_resilient, ResilienceConfig};
 use gnnmark::suite::{artifacts_from_replay, RunArtifacts, SuiteConfig};
-use gnnmark::Scale;
 use gnnmark_gpusim::stream::CapturedRun;
 use gnnmark_gpusim::DeviceSpec;
 use gnnmark_report::{esc, load_history, Report, ReportRun, DEFAULT_HISTORY_PATH};
 use gnnmark_telemetry::metrics::{self, MetricValue};
+
+use crate::flags::parse_suite_args;
 
 /// Metric families whose values are fully determined by the training
 /// inputs (never by wall-clock or thread scheduling). Only these reach
@@ -54,10 +50,10 @@ const DETERMINISTIC_METRIC_PREFIXES: &[&str] = &[
 pub struct ReportOpts {
     /// Output HTML path.
     pub out: String,
-    /// Replay device for `.stream` inputs.
+    /// The `--device` name the report shows.
     pub device: String,
     /// Suite config for the live-suite path (scale, seed, epochs,
-    /// precision, mode).
+    /// precision, mode); its `device` is also the replay device.
     pub cfg: SuiteConfig,
     /// Positional `.stream` inputs; empty = run the live suite.
     pub inputs: Vec<String>,
@@ -84,96 +80,37 @@ impl Default for ReportOpts {
 ///
 /// # Errors
 /// A human-readable message naming the offending flag.
-pub fn parse_report_args(args: impl Iterator<Item = String>) -> Result<ReportOpts, String> {
+pub fn parse_report_args(args: impl IntoIterator<Item = String>) -> Result<ReportOpts, String> {
     let mut opts = ReportOpts::default();
-    let mut args = args.peekable();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--out" => opts.out = args.next().ok_or("--out needs a file path")?,
+    let mut device = None;
+    opts.cfg = parse_suite_args(args, opts.cfg.clone(), |flag, f| {
+        match flag {
+            "--out" => opts.out = f.value(flag)?,
             "--device" => {
-                let v = args.next().ok_or("--device needs a value")?;
-                match v.as_str() {
-                    "v100" | "a100" => opts.device = v,
-                    other => return Err(format!("unknown device `{other}` (v100|a100)")),
-                }
+                let v = f.value(flag)?;
+                device = Some(
+                    DeviceSpec::by_name(&v)
+                        .ok_or_else(|| format!("unknown device `{v}` (v100|a100)"))?,
+                );
+                opts.device = v;
             }
-            "--scale" => {
-                let v = args.next().ok_or("--scale needs a value")?;
-                opts.cfg.scale = match v.as_str() {
-                    "test" | "tiny" => Scale::Test,
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => return Err(format!("unknown scale `{other}`")),
-                };
-            }
-            "--epochs" => {
-                opts.cfg.epochs = args
-                    .next()
-                    .ok_or("--epochs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad epoch count: {e}"))?;
-            }
-            "--seed" => {
-                opts.cfg.seed = args
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--precision" => {
-                let v = args.next().ok_or("--precision needs a value")?;
-                opts.cfg.precision = gnnmark_tensor::half::Precision::parse(&v)
-                    .ok_or_else(|| format!("unknown precision `{v}` (fp32|fp16|bf16)"))?;
-            }
-            "--mode" => {
-                let v = args.next().ok_or("--mode needs a value")?;
-                opts.cfg.mode = match v.as_str() {
-                    "fullgraph" => gnnmark::TrainMode::FullGraph,
-                    "minibatch" => {
-                        gnnmark::TrainMode::Minibatch(gnnmark::MinibatchConfig::default())
-                    }
-                    other => return Err(format!("unknown mode `{other}` (fullgraph|minibatch)")),
-                };
-            }
-            "--threads" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--threads needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad thread count: {e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                opts.cfg.threads = Some(n);
-                gnnmark_tensor::par::set_threads(n);
-            }
-            "--history" => {
-                opts.history = Some(args.next().ok_or("--history needs a file path")?);
-            }
+            "--history" => opts.history = Some(f.value(flag)?),
             "--no-history" => opts.history = None,
             "--max-ratio" => {
-                let r: f64 = args
-                    .next()
-                    .ok_or("--max-ratio needs a ratio")?
-                    .parse()
-                    .map_err(|e| format!("bad ratio: {e}"))?;
-                if !(r > 0.0 && r.is_finite()) {
+                opts.max_ratio = f.parse(flag)?;
+                if !(opts.max_ratio > 0.0 && opts.max_ratio.is_finite()) {
                     return Err("--max-ratio must be a positive number".to_string());
                 }
-                opts.max_ratio = r;
             }
-            other if !other.starts_with('-') => opts.inputs.push(other.to_string()),
-            other => return Err(format!("unknown report flag `{other}`")),
+            input if !input.starts_with('-') => opts.inputs.push(input.to_string()),
+            _ => return Ok(false),
         }
+        Ok(true)
+    })?;
+    if let Some(spec) = device {
+        opts.cfg.device = spec;
     }
     Ok(opts)
-}
-
-fn device_spec(name: &str) -> DeviceSpec {
-    match name {
-        "a100" => DeviceSpec::a100(),
-        _ => DeviceSpec::v100(),
-    }
 }
 
 fn run_from_artifacts(label: String, art: RunArtifacts, meta: Vec<(String, String)>) -> ReportRun {
@@ -248,7 +185,6 @@ pub fn build_report(opts: &ReportOpts) -> Result<(Report, usize), String> {
             opts.inputs.len(),
             opts.device,
         ));
-        let spec = device_spec(&opts.device);
         for input in &opts.inputs {
             let bytes = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
             let run = CapturedRun::from_bytes(&bytes)
@@ -262,7 +198,7 @@ pub fn build_report(opts: &ReportOpts) -> Result<(Report, usize), String> {
                 ("seed".to_string(), run.meta.seed.to_string()),
                 ("epochs".to_string(), run.meta.epochs.to_string()),
             ];
-            let art = artifacts_from_replay(&run, &spec);
+            let art = artifacts_from_replay(&run, &opts.cfg.device);
             runs += 1;
             let mut rr = run_from_artifacts(label, art, meta);
             if run.meta.phase == "infer" {
@@ -290,16 +226,9 @@ pub fn build_report(opts: &ReportOpts) -> Result<(Report, usize), String> {
     Ok((report, runs))
 }
 
-/// CLI entry point for `gnnmark report`; returns the process exit code.
-pub fn run_report(args: impl Iterator<Item = String>) -> i32 {
-    let opts = match parse_report_args(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    match build_report(&opts) {
+/// Runs `gnnmark report`; returns the process exit code.
+pub fn run_report(opts: &ReportOpts) -> i32 {
+    match build_report(opts) {
         Ok((report, runs)) => {
             let html = report.render();
             if let Some(dir) = Path::new(&opts.out).parent() {
@@ -330,6 +259,7 @@ pub fn run_report(args: impl Iterator<Item = String>) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnnmark::Scale;
 
     fn argv(s: &[&str]) -> impl Iterator<Item = String> {
         s.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter()
@@ -345,12 +275,28 @@ mod tests {
         assert_eq!(opts.inputs, vec!["a.stream"]);
         assert_eq!(opts.out, "x.html");
         assert_eq!(opts.device, "a100");
+        assert_eq!(opts.cfg.device, DeviceSpec::a100());
         assert_eq!(opts.cfg.scale, Scale::Test);
         assert_eq!(opts.cfg.seed, 7);
         assert!(opts.history.is_none());
         assert!(parse_report_args(argv(&["--device", "h100"])).is_err());
         assert!(parse_report_args(argv(&["--max-ratio", "-1"])).is_err());
         assert!(parse_report_args(argv(&["--bogus"])).is_err());
+    }
+
+    #[test]
+    fn live_report_trains_on_the_named_device() {
+        let timeline = |device: &str| {
+            let opts = parse_report_args(argv(&["--device", device, "--no-history"])).unwrap();
+            let (report, runs) = build_report(&opts).unwrap();
+            assert_eq!(runs, 9);
+            report
+                .digest_lines()
+                .into_iter()
+                .find(|l| l.ends_with("\ttimeline"))
+                .expect("timeline section")
+        };
+        assert_ne!(timeline("a100"), timeline("v100"), "modeled step times must differ");
     }
 
     #[test]

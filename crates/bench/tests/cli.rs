@@ -85,6 +85,20 @@ fn bad_flag_shows_usage() {
 }
 
 #[test]
+fn zero_epochs_is_a_usage_error() {
+    for argv in [
+        &["tlstm", "--scale", "tiny", "--epochs", "0"][..],
+        &["infer", "--scale", "tiny", "--epochs", "0"],
+    ] {
+        let out = gnnmark().args(argv).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--epochs must be at least 1"), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+}
+
+#[test]
 fn observability_flags_write_trace_metrics_and_manifest() {
     let dir = std::env::temp_dir().join(format!("gnnmark_cli_obs_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

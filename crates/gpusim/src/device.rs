@@ -85,6 +85,16 @@ impl DeviceSpec {
         }
     }
 
+    /// The device a CLI flag or a campaign spec names: `"v100"` or
+    /// `"a100"`.
+    pub fn by_name(name: &str) -> Option<DeviceSpec> {
+        match name {
+            "v100" => Some(DeviceSpec::v100()),
+            "a100" => Some(DeviceSpec::a100()),
+            _ => None,
+        }
+    }
+
     /// Theoretical peak fp32 throughput, GFLOPS.
     pub fn peak_gflops(&self) -> f64 {
         self.sms as f64 * self.fp32_lanes_per_sm as f64 * 2.0 * self.clock_ghz

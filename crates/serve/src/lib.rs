@@ -36,9 +36,8 @@
 //!   reads keep working, new submissions get `503 Retry-After`, and the
 //!   WAL is compacted on exit.
 //! * [`loadtest`] — an open/closed-loop SLO load harness
-//!   (`gnnmark loadtest`): p50/p95/p99 latency, saturation RPS, error
-//!   budget, and a `--chaos` drill that SIGKILLs and restarts a worker
-//!   mid-run to measure recovery time.
+//!   (`gnnmark loadtest`): p50/p95/p99 latency, saturation RPS and the
+//!   error budget.
 //! * [`client`] — the HTTP/1.1 client the load harness and the daemon
 //!   tests send their requests with.
 //!

@@ -9,12 +9,9 @@
 //!   queueing delay in the percentiles instead of silently back-pressuring
 //!   the generator (the coordinated-omission trap).
 //!
-//! The report carries p50/p95/p99/max latency, achieved RPS, the error
-//! budget verdict, and — in `--chaos` mode — the measured recovery time:
-//! the generator spawns its own daemon, SIGKILLs it mid-run, restarts it
-//! against the same store, and times how long `/healthz` takes to come
-//! back. Output renders as validated JSON plus a figure CSV of the
-//! latency quantiles.
+//! The report carries p50/p95/p99/max latency, achieved RPS and the error
+//! budget verdict. Output renders as validated JSON plus a figure CSV of
+//! the latency quantiles.
 //!
 //! Served inference (see `docs/INFERENCE.md`): [`LoadtestOptions::submit`]
 //! POSTs a job body to `/jobs` first (e.g.
@@ -23,9 +20,7 @@
 //! The modeled inference SLO itself (batch-1 latency percentiles, batched
 //! throughput) is `gnnmark infer`'s output.
 
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -33,18 +28,6 @@ use gnnmark_telemetry::export::{debug_validated, parse_json, JsonValue};
 use gnnmark_telemetry::metrics::{self, percentile};
 
 use crate::client;
-
-/// Chaos drill: the generator owns a daemon child process and murders it
-/// mid-run.
-#[derive(Debug, Clone)]
-pub struct ChaosOptions {
-    /// Binary to spawn (normally `std::env::current_exe()`).
-    pub exe: PathBuf,
-    /// Arguments, e.g. `["serve", "--addr", …, "--store", …]`.
-    pub args: Vec<String>,
-    /// When into the run the SIGKILL lands.
-    pub kill_after: Duration,
-}
 
 /// Load-generator knobs.
 #[derive(Debug, Clone)]
@@ -64,8 +47,6 @@ pub struct LoadtestOptions {
     /// After an open-loop run, also probe saturation with a short closed
     /// loop of this length.
     pub saturation_probe: Option<Duration>,
-    /// Kill-and-restart drill (the generator spawns the daemon itself).
-    pub chaos: Option<ChaosOptions>,
     /// JSON body to `POST /jobs` before the run. The returned job id's
     /// status endpoint becomes the driven path, and the run only passes
     /// its error budget if the job reaches `done` by the end.
@@ -82,7 +63,6 @@ impl Default for LoadtestOptions {
             duration: Duration::from_secs(10),
             error_budget: 0.01,
             saturation_probe: None,
-            chaos: None,
             submit: None,
         }
     }
@@ -113,8 +93,6 @@ pub struct LoadtestReport {
     /// Closed-loop saturation throughput (the run itself when closed,
     /// the trailing probe when open, absent otherwise).
     pub saturation_rps: Option<f64>,
-    /// Chaos mode: `/healthz` downtime across the kill + restart (ms).
-    pub recovery_ms: Option<f64>,
     /// Error budget from the options, echoed for the report.
     pub error_budget: f64,
     /// Whether `errors / requests` stayed within the budget (and, for a
@@ -142,7 +120,7 @@ impl LoadtestReport {
         let s = format!(
             "{{\"mode\":\"{}\",\"requests\":{},\"errors\":{},\"duration_s\":{:.3},\
              \"achieved_rps\":{:.1},\"latency_ms\":{{\"p50\":{:.3},\"p95\":{:.3},\
-             \"p99\":{:.3},\"max\":{:.3}}},\"saturation_rps\":{},\"recovery_ms\":{},\
+             \"p99\":{:.3},\"max\":{:.3}}},\"saturation_rps\":{},\
              \"error_budget\":{},\"error_budget_ok\":{}{job}}}",
             self.mode,
             self.requests,
@@ -154,7 +132,6 @@ impl LoadtestReport {
             self.p99_ms,
             self.max_ms,
             opt(self.saturation_rps),
-            opt(self.recovery_ms),
             self.error_budget,
             self.error_budget_ok,
         );
@@ -261,40 +238,12 @@ fn run_open(opts: &LoadtestOptions, tally: &Tally) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-fn spawn_daemon(chaos: &ChaosOptions) -> Result<Child, String> {
-    Command::new(&chaos.exe)
-        .args(&chaos.args)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(|e| format!("spawning daemon for chaos drill: {e}"))
-}
-
-/// Polls `/healthz` until it answers 200; the wait in milliseconds, or
-/// `Err` past the deadline.
-pub fn wait_for_health(addr: &str, deadline: Duration) -> Result<f64, String> {
-    let t0 = Instant::now();
-    while t0.elapsed() < deadline {
-        if matches!(one_request(addr, "/healthz"), Ok(200)) {
-            return Ok(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    Err(format!("daemon at {addr} not healthy after {deadline:?}"))
-}
-
-/// Runs the load test (and the chaos drill, when configured).
+/// Runs the load test.
 ///
 /// # Errors
-/// Only harness-level failures (chaos daemon never became healthy, spawn
-/// failure) are errors; request failures are tallied into the report.
+/// Only a refused or unparseable job submission is an error; request
+/// failures are tallied into the report.
 pub fn run_loadtest(opts: &LoadtestOptions) -> Result<LoadtestReport, String> {
-    let mut child: Option<Child> = None;
-    if let Some(chaos) = &opts.chaos {
-        child = Some(spawn_daemon(chaos)?);
-        wait_for_health(&opts.addr, Duration::from_secs(60))?;
-    }
-
     // Submit-then-drive mode: the run measures the daemon while it serves
     // the submitted job, polling its status endpoint.
     let mut opts = opts.clone();
@@ -314,62 +263,16 @@ pub fn run_loadtest(opts: &LoadtestOptions) -> Result<LoadtestReport, String> {
     let opts = &opts;
 
     let tally = Tally::new();
-    let recovery = Mutex::new(None::<f64>);
-    let stop_chaos = AtomicBool::new(false);
-    let mut chaos_err = None;
-    let (elapsed, mode) = std::thread::scope(|s| {
-        let chaos_handle = opts.chaos.as_ref().map(|chaos| {
-            let taken = child.take();
-            let stop = &stop_chaos;
-            let recovery = &recovery;
-            s.spawn(move || -> Result<Option<Child>, String> {
-                let mut child = taken;
-                let t0 = Instant::now();
-                while t0.elapsed() < chaos.kill_after {
-                    if stop.load(Ordering::SeqCst) {
-                        return Ok(child);
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                if let Some(c) = child.as_mut() {
-                    let _ = c.kill(); // SIGKILL: no drain, torn WAL tail and all
-                    let _ = c.wait();
-                    metrics::counter_add("gnnmark_loadtest_chaos_kills_total", 1);
-                }
-                let down = Instant::now();
-                let mut respawned = spawn_daemon(chaos)?;
-                match wait_for_health(&opts.addr, Duration::from_secs(60)) {
-                    Ok(_) => {
-                        *recovery.lock().unwrap() =
-                            Some(down.elapsed().as_secs_f64() * 1e3);
-                        Ok(Some(respawned))
-                    }
-                    Err(e) => {
-                        let _ = respawned.kill();
-                        Err(e)
-                    }
-                }
-            })
-        });
-        let result = if opts.rps > 0.0 {
-            (run_open(opts, &tally), "open")
-        } else {
-            (run_closed(opts, opts.duration, &tally), "closed")
-        };
-        stop_chaos.store(true, Ordering::SeqCst);
-        if let Some(h) = chaos_handle {
-            match h.join().unwrap_or_else(|_| Err("chaos thread panicked".into())) {
-                Ok(c) => child = c,
-                Err(e) => chaos_err = Some(e),
-            }
-        }
-        result
-    });
+    let (elapsed, mode) = if opts.rps > 0.0 {
+        (run_open(opts, &tally), "open")
+    } else {
+        (run_closed(opts, opts.duration, &tally), "closed")
+    };
     // A submitted job only counts as served once it reaches a terminal
     // state: keep polling briefly after the measurement window (the
     // daemon may still be training/replaying when the window closes).
     let mut job_state = None;
-    if let (Some(id), None) = (job_id, &chaos_err) {
+    if let Some(id) = job_id {
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
             let state = client::get(&opts.addr, &format!("/jobs/{id}"))
@@ -383,13 +286,6 @@ pub fn run_loadtest(opts: &LoadtestOptions) -> Result<LoadtestReport, String> {
             }
             std::thread::sleep(Duration::from_millis(25));
         }
-    }
-    if let Some(mut c) = child {
-        let _ = c.kill();
-        let _ = c.wait();
-    }
-    if let Some(e) = chaos_err {
-        return Err(e);
     }
 
     let requests = tally.requests.load(Ordering::SeqCst);
@@ -424,7 +320,6 @@ pub fn run_loadtest(opts: &LoadtestOptions) -> Result<LoadtestReport, String> {
         p99_ms: percentile(&lat, 0.99),
         max_ms: lat.last().copied().unwrap_or(0.0),
         saturation_rps,
-        recovery_ms: recovery.into_inner().unwrap(),
         error_budget: opts.error_budget,
         error_budget_ok: errors as f64 <= opts.error_budget * requests as f64
             && (job_id.is_none() || job_state.as_deref() == Some("done")),
@@ -438,6 +333,7 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::TcpListener;
+    use std::sync::atomic::AtomicBool;
 
     /// A minimal in-test HTTP server answering every request with the
     /// given status line.
@@ -510,7 +406,6 @@ mod tests {
         assert_eq!(report.requests, 12, "open loop must honor the schedule");
         assert_eq!(report.errors, 12, "every 500 is an error");
         assert!(!report.error_budget_ok);
-        assert!(report.recovery_ms.is_none());
     }
 
     /// A stub daemon with job routes: `POST /jobs` → 202 `{"id":7}`,

@@ -60,11 +60,8 @@ impl DeviceConfig {
     /// # Errors
     /// Unknown base device name.
     pub fn to_device_spec(&self) -> Result<DeviceSpec, String> {
-        let mut spec = match self.base.as_str() {
-            "v100" => DeviceSpec::v100(),
-            "a100" => DeviceSpec::a100(),
-            other => return Err(format!("unknown base device \"{other}\" (v100|a100)")),
-        };
+        let mut spec = DeviceSpec::by_name(&self.base)
+            .ok_or_else(|| format!("unknown base device \"{}\" (v100|a100)", self.base))?;
         if let Some(kb) = self.l1_kb {
             spec = spec.with_l1_bytes(kb * 1024);
         }

@@ -165,10 +165,10 @@ impl Tensor {
         emit_sequential(
             OpClass::ElementWise,
             "sgd_fused",
-            n * 6,
+            n * 2, // mul + sub
             n * INT_PER_ELEMWISE_ELEM,
-            3 * n * 4,
-            2 * n * 4,
+            2 * n * 4, // p, g reads
+            n * 4,     // p write
             n,
         );
         Ok(result)
@@ -233,6 +233,20 @@ mod tests {
         let events = record::stop_recording();
         assert_eq!(events.len(), 200); // exactly one kernel per step
         assert!((p.as_slice()[0] - 3.0).abs() < 1e-2);
+    }
+
+    #[test]
+    fn sgd_fused_records_the_plain_sgd_cost() {
+        let p = Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]).unwrap();
+        let g = Tensor::from_vec(&[3], vec![1.0, 1.0, -1.0]).unwrap();
+        record::start_recording();
+        let next = p.sgd_step_fused(&g, 0.5).unwrap();
+        let events = record::stop_recording();
+        assert_eq!(next.as_slice(), &[0.5, 1.5, 3.5]);
+        assert_eq!(events.len(), 1);
+        let e = &events[0];
+        assert_eq!(e.kernel, "sgd_fused");
+        assert_eq!((e.flops, e.bytes_read, e.bytes_written), (6, 24, 12));
     }
 
     #[test]

@@ -17,11 +17,7 @@ use gnnmark::{Scale, WorkloadKind};
 fn main() {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "STGCN".to_string());
-    let scale = match args.next().as_deref() {
-        Some("test") => Scale::Test,
-        Some("paper") => Scale::Paper,
-        _ => Scale::Small,
-    };
+    let scale = args.next().as_deref().and_then(Scale::parse).unwrap_or(Scale::Small);
     let kind = WorkloadKind::ALL
         .into_iter()
         .find(|k| format!("{k:?}").eq_ignore_ascii_case(&name))
