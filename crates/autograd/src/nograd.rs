@@ -98,7 +98,10 @@ mod tests {
     /// benchmark's `infer_fwd`, `tests/loss_fingerprints.rs`).
     #[test]
     fn pushes_reads_and_ops_under_guard_record_nothing_and_match_the_taped_bits() {
-        let p = Param::new("p", Tensor::from_vec(&[2, 2], vec![0.3333333, -3.0, 0.5, 7.0]).unwrap());
+        let p = Param::new(
+            "p",
+            Tensor::from_vec(&[2, 2], vec![0.3333333, -3.0, 0.5, 7.0]).unwrap(),
+        );
         let x0 = Tensor::from_vec(&[1, 2], vec![1.5, -0.25]).unwrap();
         let forward = |tape: &Tape| {
             let x = tape.constant(x0.clone());
@@ -116,7 +119,10 @@ mod tests {
             guarded.value().item().unwrap().to_bits(),
             taped.value().item().unwrap().to_bits()
         );
-        assert!(tape.read(&p).value().shares_storage(&p.value()), "a read is a reference bump");
+        assert!(
+            tape.read(&p).value().shares_storage(&p.value()),
+            "a read is a reference bump"
+        );
         // An op on a `Var` that was taped before the guard records nothing either.
         let _ = taped.square();
         assert_eq!(taped_tape.len(), 5);
@@ -157,11 +163,18 @@ mod tests {
             let _p = half::PrecisionGuard::new(precision);
             let third = Tensor::from_vec(&[1], vec![0.3333333]).unwrap();
             let tape = Tape::new();
-            assert_eq!(tape.constant(third.clone()).value().get(&[0]), precision.quantize(0.3333333));
+            assert_eq!(
+                tape.constant(third.clone()).value().get(&[0]),
+                precision.quantize(0.3333333)
+            );
             let _g = NoGradGuard::new();
             let v = tape.constant(third.clone());
             assert_eq!(v.value().get(&[0]), 0.3333333, "{precision:?}");
-            assert_eq!(v.mul_scalar(1.0).value().get(&[0]), 0.3333333, "{precision:?}");
+            assert_eq!(
+                v.mul_scalar(1.0).value().get(&[0]),
+                0.3333333,
+                "{precision:?}"
+            );
         }
     }
 

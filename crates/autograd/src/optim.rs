@@ -176,15 +176,7 @@ impl Optimizer for Adam {
                 .remove(&p.id())
                 .unwrap_or_else(|| Tensor::zeros(grad.dims()));
             let new_value = p.value().adam_step_fused(
-                &grad,
-                &mut m,
-                &mut v,
-                self.lr,
-                self.beta1,
-                self.beta2,
-                self.eps,
-                bc1,
-                bc2,
+                &grad, &mut m, &mut v, self.lr, self.beta1, self.beta2, self.eps, bc1, bc2,
             )?;
             p.set_value(new_value);
             self.m.insert(p.id(), m);

@@ -392,9 +392,16 @@ mod tests {
         let p = Param::new("w", Tensor::zeros(&[2]));
         let g = Tensor::ones(&[2]);
         p.accumulate_grad(g.clone()).unwrap();
-        assert!(p.grad().unwrap().shares_storage(&g), "first gradient is kept, not copied");
+        assert!(
+            p.grad().unwrap().shares_storage(&g),
+            "first gradient is kept, not copied"
+        );
         p.accumulate_grad(g.clone()).unwrap();
-        assert_eq!(g.as_slice(), &[1.0, 1.0], "summing leaves the contribution alone");
+        assert_eq!(
+            g.as_slice(),
+            &[1.0, 1.0],
+            "summing leaves the contribution alone"
+        );
         assert_eq!(p.grad().unwrap().as_slice(), &[2.0, 2.0]);
     }
 

@@ -58,7 +58,8 @@ pub fn reset_activation_peak() {
 
 /// Gradient function of one node: maps `(upstream_grad, own_value,
 /// parent_values)` to one optional gradient contribution per parent.
-pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &Tensor, &[&Tensor]) -> Result<Vec<Option<Tensor>>>>;
+pub(crate) type BackwardFn =
+    Box<dyn Fn(&Tensor, &Tensor, &[&Tensor]) -> Result<Vec<Option<Tensor>>>>;
 
 pub(crate) struct Node {
     pub(crate) value: Tensor,
@@ -447,7 +448,10 @@ mod tests {
         let p = Param::new("p", Tensor::from_vec(&[2], vec![0.3333333, 3.0]).unwrap());
         let tape = Tape::new();
         let v = tape.read(&p);
-        assert!(v.value().shares_storage(&p.value()), "fp32: a reference bump");
+        assert!(
+            v.value().shares_storage(&p.value()),
+            "fp32: a reference bump"
+        );
         assert!(v.detach().value().shares_storage(&p.value()));
         let r = v.reshape(&[1, 2]).unwrap();
         assert!(r.value().shares_storage(&p.value()));
@@ -530,7 +534,9 @@ mod tests {
         let shared = Param::new("w", w0.clone());
         let (tape, events) = unrolled(std::slice::from_ref(&shared));
         let copy = || Tensor::from_vec(&[7, 7], w0.as_slice().to_vec()).unwrap();
-        let copies: Vec<Param> = (0..T).map(|t| Param::new(format!("w{t}"), copy())).collect();
+        let copies: Vec<Param> = (0..T)
+            .map(|t| Param::new(format!("w{t}"), copy()))
+            .collect();
         let (ref_tape, mut ref_events) = unrolled(&copies);
         record::start_recording();
         let mut ref_grad = copies[0].grad().unwrap();
@@ -544,11 +550,19 @@ mod tests {
         let (nodes, ref_nodes) = (&tape.inner.borrow().nodes, &ref_tape.inner.borrow().nodes);
         assert_eq!(nodes.len(), ref_nodes.len());
         for (i, (n, r)) in nodes.iter().zip(ref_nodes.iter()).enumerate() {
-            assert_eq!(n.grad.as_ref().map(bits), r.grad.as_ref().map(bits), "node {i} grad");
+            assert_eq!(
+                n.grad.as_ref().map(bits),
+                r.grad.as_ref().map(bits),
+                "node {i} grad"
+            );
         }
         let key = |e: &gnnmark_tensor::OpEvent| (e.kernel, e.flops, e.bytes_read, e.bytes_written);
         let got: Vec<_> = events.iter().map(key).collect();
-        assert_eq!(got, ref_events.iter().map(key).collect::<Vec<_>>(), "events");
+        assert_eq!(
+            got,
+            ref_events.iter().map(key).collect::<Vec<_>>(),
+            "events"
+        );
         assert_eq!(got.iter().filter(|e| e.0 == "sgemm_nt").count(), T);
         assert_eq!(got.iter().filter(|e| e.0 == "add").count(), T - 1);
     }

@@ -68,10 +68,7 @@ impl Var {
             value,
             Box::new(|up, _, parents| {
                 let da = up.div(parents[1])?;
-                let db = up
-                    .mul(parents[0])?
-                    .div(&parents[1].square())?
-                    .neg();
+                let db = up.mul(parents[0])?.div(&parents[1].square())?.neg();
                 Ok(vec![Some(da), Some(db)])
             }),
         ))
@@ -82,13 +79,21 @@ impl Var {
     /// Element-wise negation.
     pub fn neg(&self) -> Var {
         let value = self.with_value(Tensor::neg);
-        Var::record(&[self], value, Box::new(|up, _, _| Ok(vec![Some(up.neg())])))
+        Var::record(
+            &[self],
+            value,
+            Box::new(|up, _, _| Ok(vec![Some(up.neg())])),
+        )
     }
 
     /// Adds a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Var {
         let value = self.with_value(|t| t.add_scalar(s));
-        Var::record(&[self], value, Box::new(|up, _, _| Ok(vec![Some(up.clone())])))
+        Var::record(
+            &[self],
+            value,
+            Box::new(|up, _, _| Ok(vec![Some(up.clone())])),
+        )
     }
 
     /// Multiplies every element by a scalar.
@@ -202,9 +207,7 @@ impl Var {
         Var::record(
             &[self],
             value,
-            Box::new(|up, _, parents| {
-                Ok(vec![Some(up.mul(&parents[0].mul_scalar(2.0))?)])
-            }),
+            Box::new(|up, _, parents| Ok(vec![Some(up.mul(&parents[0].mul_scalar(2.0))?)])),
         )
     }
 
@@ -262,7 +265,11 @@ impl Var {
         if p == 0.0 {
             // Identity; keep the graph shallow.
             let value = self.with_value(Clone::clone);
-            return Ok(Var::record(&[self], value, Box::new(|up, _, _| Ok(vec![Some(up.clone())]))));
+            return Ok(Var::record(
+                &[self],
+                value,
+                Box::new(|up, _, _| Ok(vec![Some(up.clone())])),
+            ));
         }
         let dims = self.dims();
         let mask = Tensor::from_fn(&dims, |_| if rng.gen::<f32>() < p { 0.0 } else { 1.0 });
@@ -528,10 +535,8 @@ impl Var {
             &[self],
             value,
             Box::new(move |up, _, _| {
-                let idx = IntTensor::from_vec(
-                    &[end - start],
-                    (start as i64..end as i64).collect(),
-                )?;
+                let idx =
+                    IntTensor::from_vec(&[end - start], (start as i64..end as i64).collect())?;
                 Ok(vec![Some(up.scatter_add_rows(&idx, n)?)])
             }),
         ))
@@ -699,9 +704,8 @@ impl Var {
     /// # Errors
     /// Propagates shape errors from the tensor engine.
     pub fn batch_norm(&self, gamma: &Var, beta: &Var, eps: f32) -> Result<Var> {
-        let (value, mean, var) = self.with_value(|x| {
-            gamma.with_value(|g| beta.with_value(|b| x.batch_norm(g, b, eps)))
-        })?;
+        let (value, mean, var) = self
+            .with_value(|x| gamma.with_value(|g| beta.with_value(|b| x.batch_norm(g, b, eps))))?;
         Ok(Var::record(
             &[self, gamma, beta],
             value,
@@ -770,9 +774,7 @@ impl Var {
         Ok(Var::record(
             &[self],
             value,
-            Box::new(move |up, _, _| {
-                Ok(vec![Some(Tensor::ones(&dims).scale_rows(up)?)])
-            }),
+            Box::new(move |up, _, _| Ok(vec![Some(Tensor::ones(&dims).scale_rows(up)?)])),
         ))
     }
 
@@ -818,12 +820,7 @@ mod tests {
 
     /// Finite-difference gradient check of a scalar-valued function of one
     /// leaf tensor.
-    fn grad_check(
-        dims: &[usize],
-        build: impl Fn(&Tape, &Var) -> Var,
-        seed: u64,
-        tol: f32,
-    ) {
+    fn grad_check(dims: &[usize], build: impl Fn(&Tape, &Var) -> Var, seed: u64, tol: f32) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let x0 = Tensor::uniform(dims, 0.2, 1.5, &mut rng);
         let tape = Tape::new();
@@ -1020,9 +1017,24 @@ mod tests {
             17,
             1e-2,
         );
-        grad_check(&[3, 2], |_, x| x.sum_rows().unwrap().square().sum_all(), 18, 1e-2);
-        grad_check(&[3, 2], |_, x| x.sum_cols().unwrap().square().sum_all(), 19, 1e-2);
-        grad_check(&[3, 2], |_, x| x.mean_rows().unwrap().square().sum_all(), 20, 1e-2);
+        grad_check(
+            &[3, 2],
+            |_, x| x.sum_rows().unwrap().square().sum_all(),
+            18,
+            1e-2,
+        );
+        grad_check(
+            &[3, 2],
+            |_, x| x.sum_cols().unwrap().square().sum_all(),
+            19,
+            1e-2,
+        );
+        grad_check(
+            &[3, 2],
+            |_, x| x.mean_rows().unwrap().square().sum_all(),
+            20,
+            1e-2,
+        );
     }
 
     #[test]

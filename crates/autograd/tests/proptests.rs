@@ -54,10 +54,7 @@ fn loss_of(stages: &[Stage], x0: &Tensor) -> (f64, Option<Tensor>) {
     }
     let loss = h.square().mean_all();
     tape.backward(&loss).expect("backward");
-    (
-        loss.value().item().expect("scalar") as f64,
-        x.grad(),
-    )
+    (loss.value().item().expect("scalar") as f64, x.grad())
 }
 
 proptest! {

@@ -124,7 +124,10 @@ fn run(
     let mut compared = 0usize;
     for new_entry in &fresh {
         let Some(base) = baseline.iter().find(|b| b.name == new_entry.name) else {
-            println!("  new      {:<44} {:>12.0} ns (no baseline)", new_entry.name, new_entry.median_ns);
+            println!(
+                "  new      {:<44} {:>12.0} ns (no baseline)",
+                new_entry.name, new_entry.median_ns
+            );
             continue;
         };
         compared += 1;
@@ -219,7 +222,10 @@ fn record_history(new_path: &str, history_path: &str) -> Result<(), String> {
     };
     append_row(std::path::Path::new(history_path), &row)
         .map_err(|e| format!("append {history_path}: {e}"))?;
-    println!("bench-check: recorded {} bench(es) to {history_path}", row.benches.len());
+    println!(
+        "bench-check: recorded {} bench(es) to {history_path}",
+        row.benches.len()
+    );
     Ok(())
 }
 
@@ -307,11 +313,22 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let base = dir.join("base.json");
         let slow = dir.join("slow.json");
-        std::fs::write(&base, "{\"benches\": [{\"name\": \"a\", \"median_ns\": 100}]}").unwrap();
-        std::fs::write(&slow, "{\"benches\": [{\"name\": \"a\", \"median_ns\": 250}]}").unwrap();
+        std::fs::write(
+            &base,
+            "{\"benches\": [{\"name\": \"a\", \"median_ns\": 100}]}",
+        )
+        .unwrap();
+        std::fs::write(
+            &slow,
+            "{\"benches\": [{\"name\": \"a\", \"median_ns\": 250}]}",
+        )
+        .unwrap();
         let (offenders, _) = run(base.to_str().unwrap(), slow.to_str().unwrap(), 2.0).unwrap();
         assert_eq!(offenders.len(), 1);
-        assert!(offenders[0].starts_with("a ("), "names the offender: {offenders:?}");
+        assert!(
+            offenders[0].starts_with("a ("),
+            "names the offender: {offenders:?}"
+        );
         assert!(run(base.to_str().unwrap(), slow.to_str().unwrap(), 3.0)
             .unwrap()
             .0
@@ -349,7 +366,11 @@ mod tests {
         let (offenders, improved) =
             run(base.to_str().unwrap(), fast.to_str().unwrap(), 2.0).unwrap();
         assert!(offenders.is_empty(), "improvements are never fatal");
-        assert_eq!(improved.len(), 1, "only the >2x win is flagged: {improved:?}");
+        assert_eq!(
+            improved.len(),
+            1,
+            "only the >2x win is flagged: {improved:?}"
+        );
         assert!(improved[0].starts_with("a ("));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -380,8 +401,16 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let base = dir.join("base.json");
         let new = dir.join("new.json");
-        std::fs::write(&base, "{\"benches\": [{\"name\": \"a\", \"median_ns\": 100}]}").unwrap();
-        std::fs::write(&new, "{\"benches\": [{\"name\": \"b\", \"median_ns\": 100}]}").unwrap();
+        std::fs::write(
+            &base,
+            "{\"benches\": [{\"name\": \"a\", \"median_ns\": 100}]}",
+        )
+        .unwrap();
+        std::fs::write(
+            &new,
+            "{\"benches\": [{\"name\": \"b\", \"median_ns\": 100}]}",
+        )
+        .unwrap();
         assert!(run(base.to_str().unwrap(), new.to_str().unwrap(), 2.0).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -164,8 +164,7 @@ pub fn run_infer(args: &InferArgs) -> i32 {
                 }
             }
         }
-        let infer_profiles: Vec<_> =
-            artifacts.iter().map(|(_, a)| a.profile.clone()).collect();
+        let infer_profiles: Vec<_> = artifacts.iter().map(|(_, a)| a.profile.clone()).collect();
         let tables = vec![
             infer_vs_train_op_mix(&infer_profiles, &train_profiles),
             infer_vs_train_instruction_mix(&infer_profiles, &train_profiles),

@@ -27,10 +27,38 @@ use gnnmark::{figures, Result, Table, WorkloadKind, WorkloadProfile};
 /// single-workload target per paper workload (lower-cased label, e.g.
 /// `gnnmark stgcn`) for focused profiling/observability runs.
 pub const TARGETS: [&str; 32] = [
-    "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-    "roofline", "convergence", "summary", "suite", "ablations", "modecmp", "check", "all",
-    "list", "serve", "sweep", "report", "infer", "loadtest",
-    "psage-mvl", "psage-nwp", "stgcn", "dgcn", "gw", "kgnnl", "kgnnh", "arga", "tlstm",
+    "table1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "roofline",
+    "convergence",
+    "summary",
+    "suite",
+    "ablations",
+    "modecmp",
+    "check",
+    "all",
+    "list",
+    "serve",
+    "sweep",
+    "report",
+    "infer",
+    "loadtest",
+    "psage-mvl",
+    "psage-nwp",
+    "stgcn",
+    "dgcn",
+    "gw",
+    "kgnnl",
+    "kgnnh",
+    "arga",
+    "tlstm",
 ];
 
 /// Resolves a single-workload CLI target (`"stgcn"`, `"psage-mvl"`, …) to
@@ -121,7 +149,13 @@ pub fn emit(tables: &[Table], csv_dir: Option<&str>) -> std::io::Result<()> {
             let slug: String = t
                 .title()
                 .chars()
-                .map(|c| if c.is_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
+                .map(|c| {
+                    if c.is_alphanumeric() {
+                        c.to_ascii_lowercase()
+                    } else {
+                        '_'
+                    }
+                })
                 .collect::<String>()
                 .split('_')
                 .filter(|s| !s.is_empty())
@@ -257,8 +291,7 @@ mod tests {
         let cfg = SuiteConfig::test();
         let rcfg = ResilienceConfig::default();
         let mut cache = None;
-        let tables =
-            render_target_resilient("tlstm", &cfg, &rcfg, false, &mut cache).unwrap();
+        let tables = render_target_resilient("tlstm", &cfg, &rcfg, false, &mut cache).unwrap();
         assert_eq!(tables.len(), 1);
         assert!(tables[0].to_string().contains("TLSTM"), "{}", tables[0]);
         let report = cache.expect("report cached");
@@ -270,8 +303,8 @@ mod tests {
     #[test]
     fn resilient_render_degrades_gracefully() {
         let cfg = SuiteConfig::test();
-        let rcfg = ResilienceConfig::default()
-            .with_faults(FaultPlan::none().inject("GW", Fault::Panic));
+        let rcfg =
+            ResilienceConfig::default().with_faults(FaultPlan::none().inject("GW", Fault::Panic));
         let mut cache = None;
         // Fail-fast mode surfaces the injected failure.
         let err = render_target_resilient("fig4", &cfg, &rcfg, false, &mut cache)

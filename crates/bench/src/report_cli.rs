@@ -161,7 +161,10 @@ pub fn build_report(opts: &ReportOpts) -> Result<(Report, usize), String> {
                 art.clone(),
                 vec![
                     ("mode".to_string(), opts.cfg.mode.key()),
-                    ("precision".to_string(), opts.cfg.precision.as_str().to_string()),
+                    (
+                        "precision".to_string(),
+                        opts.cfg.precision.as_str().to_string(),
+                    ),
                     ("device".to_string(), opts.device.clone()),
                 ],
             ));
@@ -262,14 +265,27 @@ mod tests {
     use gnnmark::Scale;
 
     fn argv(s: &[&str]) -> impl Iterator<Item = String> {
-        s.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter()
+        s.iter()
+            .map(|s| s.to_string())
+            .collect::<Vec<_>>()
+            .into_iter()
     }
 
     #[test]
     fn flags_parse_and_reject_garbage() {
         let opts = parse_report_args(argv(&[
-            "a.stream", "--out", "x.html", "--device", "a100", "--scale", "tiny",
-            "--seed", "7", "--no-history", "--max-ratio", "2.0",
+            "a.stream",
+            "--out",
+            "x.html",
+            "--device",
+            "a100",
+            "--scale",
+            "tiny",
+            "--seed",
+            "7",
+            "--no-history",
+            "--max-ratio",
+            "2.0",
         ]))
         .unwrap();
         assert_eq!(opts.inputs, vec!["a.stream"]);
@@ -296,15 +312,16 @@ mod tests {
                 .find(|l| l.ends_with("\ttimeline"))
                 .expect("timeline section")
         };
-        assert_ne!(timeline("a100"), timeline("v100"), "modeled step times must differ");
+        assert_ne!(
+            timeline("a100"),
+            timeline("v100"),
+            "modeled step times must differ"
+        );
     }
 
     #[test]
     fn replayed_stream_renders_deterministically() {
-        let dir = std::env::temp_dir().join(format!(
-            "gnnmark_report_cli_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("gnnmark_report_cli_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let cfg = SuiteConfig::test();
@@ -322,7 +339,11 @@ mod tests {
         let (b, runs_b) = build_report(&opts).unwrap();
         assert_eq!(runs_a, 1);
         assert_eq!(runs_b, 1);
-        assert_eq!(a.render(), b.render(), "same stream renders byte-identically");
+        assert_eq!(
+            a.render(),
+            b.render(),
+            "same stream renders byte-identically"
+        );
         let html = a.render();
         assert!(html.contains("TLSTM@v100"));
         assert!(html.contains("id=\"sec-roofline\""));

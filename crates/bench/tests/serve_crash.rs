@@ -154,10 +154,7 @@ fn killed_daemon_recovers_without_retraining() {
     // its stall, so its stream is not yet cached.
     let deadline = Instant::now() + Duration::from_secs(60);
     while metric(&addr, "gnnmark_serve_trainings_total") < 1 {
-        assert!(
-            Instant::now() < deadline,
-            "daemon 1 never started training"
-        );
+        assert!(Instant::now() < deadline, "daemon 1 never started training");
         std::thread::sleep(Duration::from_millis(100));
     }
     d1.kill().expect("SIGKILL daemon 1");
@@ -274,7 +271,10 @@ fn two_workers_share_a_store_with_exactly_once_completion() {
             .iter()
             .filter(|r| r.contains("\"type\":\"done\"") && r.contains(&format!("\"id\":{id},")))
             .count();
-        assert_eq!(done, 1, "job {id} must complete exactly once:\n{records:#?}");
+        assert_eq!(
+            done, 1,
+            "job {id} must complete exactly once:\n{records:#?}"
+        );
     }
     let claimed_by_a = records
         .iter()

@@ -146,7 +146,13 @@ fn compare(name: &str, unit: &str, golden: &[&str], current: &[String]) -> Golde
     }
 }
 
-fn check_lines(name: &str, unit: &str, path: &Path, current: &[String], bless: bool) -> Result<GoldenReport> {
+fn check_lines(
+    name: &str,
+    unit: &str,
+    path: &Path,
+    current: &[String],
+    bless: bool,
+) -> Result<GoldenReport> {
     if bless {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent).map_err(|e| io_err("golden_bless", &e, parent))?;
@@ -227,7 +233,13 @@ pub fn check_opstream_in(
 /// Fails only on filesystem errors while blessing.
 pub fn check_figures(runs: &[RunArtifacts], dir: &Path, bless: bool) -> Result<GoldenReport> {
     let current = figure_digest_lines(runs);
-    check_lines("figures", "table digest", &dir.join("figures.csv"), &current, bless)
+    check_lines(
+        "figures",
+        "table digest",
+        &dir.join("figures.csv"),
+        &current,
+        bless,
+    )
 }
 
 /// The runs-only HTML report the golden layer gates: every suite
@@ -236,8 +248,7 @@ pub fn check_figures(runs: &[RunArtifacts], dir: &Path, bless: bool) -> Result<G
 pub fn report_for_runs(runs: &[RunArtifacts]) -> gnnmark_report::Report {
     let mut report = gnnmark_report::Report::new("GNNMark golden report");
     for art in runs {
-        let mut run =
-            gnnmark_report::ReportRun::new(art.profile.name.clone(), art.profile.clone());
+        let mut run = gnnmark_report::ReportRun::new(art.profile.name.clone(), art.profile.clone());
         run.losses = art.losses.clone();
         run.steps_per_epoch = art.steps_per_epoch;
         run.quality = art.quality.map(|(n, v)| (n.to_string(), v));
@@ -255,7 +266,13 @@ pub fn report_for_runs(runs: &[RunArtifacts]) -> gnnmark_report::Report {
 /// Fails only on filesystem errors while blessing.
 pub fn check_report(runs: &[RunArtifacts], dir: &Path, bless: bool) -> Result<GoldenReport> {
     let current = report_for_runs(runs).digest_lines();
-    check_lines("report", "section digest", &dir.join("report.csv"), &current, bless)
+    check_lines(
+        "report",
+        "section digest",
+        &dir.join("report.csv"),
+        &current,
+        bless,
+    )
 }
 
 #[cfg(test)]
@@ -312,12 +329,14 @@ mod tests {
         let dir = tmp_dir("corrupt");
         check_opstream(&art.profile, &dir, true).unwrap();
 
-        let path = dir.join("opstream").join(format!("{}.csv", art.profile.name));
+        let path = dir
+            .join("opstream")
+            .join(format!("{}.csv", art.profile.name));
         let mut body = fs::read_to_string(&path).unwrap();
         // Corrupt the flops column of the first kernel line (line index 1).
         let lines: Vec<&str> = body.lines().collect();
         let mut corrupted: Vec<String> = lines.iter().map(|s| s.to_string()).collect();
-        corrupted[1] = corrupted[1].replace(',', ",9") ;
+        corrupted[1] = corrupted[1].replace(',', ",9");
         body = corrupted.join("\n");
         fs::write(&path, body).unwrap();
 

@@ -193,7 +193,11 @@ pub fn grad_check(
         forward()?
     };
     let same_bits = guarded.dims() == taped.dims()
-        && guarded.as_slice().iter().zip(taped.as_slice()).all(|(g, t)| g.to_bits() == t.to_bits());
+        && guarded
+            .as_slice()
+            .iter()
+            .zip(taped.as_slice())
+            .all(|(g, t)| g.to_bits() == t.to_bits());
     if recorded != 0 || !same_bits {
         report.max_err = f64::INFINITY;
         report.detail = format!(
@@ -353,8 +357,12 @@ pub fn all_op_reports(tol: f64) -> Result<Vec<GradReport>> {
     )?;
 
     // ---- shape / layout ----
-    run("transpose2d", &[mixed("tr.x", d)], &|_, v| v[0].transpose2d())?;
-    run("reshape", &[mixed("rs.x", d)], &|_, v| v[0].reshape(&[2, 6]))?;
+    run("transpose2d", &[mixed("tr.x", d)], &|_, v| {
+        v[0].transpose2d()
+    })?;
+    run("reshape", &[mixed("rs.x", d)], &|_, v| {
+        v[0].reshape(&[2, 6])
+    })?;
     run("slice_cols", &[mixed("slc.x", d)], &|_, v| {
         v[0].slice_cols(1, 3)
     })?;
@@ -439,9 +447,11 @@ pub fn all_op_reports(tol: f64) -> Result<Vec<GradReport>> {
         v[0].log_softmax_rows()
     })?;
     let target = Tensor::from_fn(&[3, 4], |i| if i % 3 == 0 { 1.0 } else { 0.0 });
-    run("bce_with_logits_mean", &[mixed("bce.x", d)], &move |_, v| {
-        v[0].bce_with_logits_mean(&target)
-    })?;
+    run(
+        "bce_with_logits_mean",
+        &[mixed("bce.x", d)],
+        &move |_, v| v[0].bce_with_logits_mean(&target),
+    )?;
 
     // ---- normalization ----
     run(

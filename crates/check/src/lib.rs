@@ -35,8 +35,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod gradcheck;
 pub mod golden;
+pub mod gradcheck;
 pub mod infer;
 pub mod invariants;
 pub mod minibatch;
@@ -140,7 +140,8 @@ pub fn run_check(cfg: &CheckConfig) -> Result<CheckOutcome> {
     };
     let runs = run_suite_resilient(&suite_cfg, &rcfg).runs(false)?;
 
-    out.lines.push("== layer 2: golden snapshots ==".to_string());
+    out.lines
+        .push("== layer 2: golden snapshots ==".to_string());
     if cfg.scale == Scale::Test {
         for run in &runs {
             let r = golden::check_opstream(&run.profile, &cfg.golden_dir, cfg.bless)?;
@@ -153,7 +154,8 @@ pub fn run_check(cfg: &CheckConfig) -> Result<CheckOutcome> {
             .push("(skipped: goldens are generated at the tiny scale)".to_string());
     }
 
-    out.lines.push("== layer 3: simulator invariants ==".to_string());
+    out.lines
+        .push("== layer 3: simulator invariants ==".to_string());
     for run in &runs {
         for r in invariants::profile_invariants(run) {
             out.record(r.ok, r.line());
@@ -166,7 +168,8 @@ pub fn run_check(cfg: &CheckConfig) -> Result<CheckOutcome> {
         out.record(r.ok, r.line());
     }
 
-    out.lines.push("== layer 4: mini-batch sampling ==".to_string());
+    out.lines
+        .push("== layer 4: mini-batch sampling ==".to_string());
     let r = minibatch::sampled_path_grad_report(cfg.tol)?;
     out.record(r.passed(), r.line());
     for r in minibatch::minibatch_workload_reports(cfg.scale, cfg.seed, cfg.tol)? {
@@ -190,7 +193,8 @@ pub fn run_check(cfg: &CheckConfig) -> Result<CheckOutcome> {
             .push("(snapshots skipped: goldens are generated at the tiny scale)".to_string());
     }
 
-    out.lines.push("== layer 5: report rendering ==".to_string());
+    out.lines
+        .push("== layer 5: report rendering ==".to_string());
     if cfg.scale == Scale::Test {
         let r = golden::check_report(&runs, &cfg.golden_dir, cfg.bless)?;
         out.record(r.ok, r.line());

@@ -32,8 +32,7 @@ use crate::Result;
 
 /// The two workloads with a real fanout-sampled path (the batched
 /// workloads only re-chunk their existing loops in minibatch mode).
-pub const SAMPLED_WORKLOADS: [WorkloadKind; 2] =
-    [WorkloadKind::PsageMvl, WorkloadKind::ArgaCora];
+pub const SAMPLED_WORKLOADS: [WorkloadKind; 2] = [WorkloadKind::PsageMvl, WorkloadKind::ArgaCora];
 
 /// Outcome of one parity comparison.
 #[derive(Debug, Clone)]
@@ -235,7 +234,11 @@ mod tests {
     #[test]
     fn minibatch_workloads_pass_gradient_check() {
         for r in minibatch_workload_reports(Scale::Test, 42, 1e-3).unwrap() {
-            assert!(r.name.contains("[minibatch-"), "mode key in name: {}", r.name);
+            assert!(
+                r.name.contains("[minibatch-"),
+                "mode key in name: {}",
+                r.name
+            );
             assert!(r.passed(), "{}", r.line());
         }
     }

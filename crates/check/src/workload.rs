@@ -42,8 +42,7 @@ fn set_elem(p: &gnnmark_autograd::Param, idx: usize, v: f32) {
 /// `[-JITTER, JITTER]` so the probe evaluates at a generic point.
 fn jitter_params(params: &gnnmark_autograd::ParamSet, seed: u64) -> Result<()> {
     for p in params.iter() {
-        let mut rng =
-            rand::rngs::StdRng::seed_from_u64(seed ^ fnv1a_64(p.name().as_bytes()));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ fnv1a_64(p.name().as_bytes()));
         let value = p.value().clone();
         let offset = Tensor::uniform(value.dims(), -JITTER, JITTER, &mut rng);
         p.set_value(value.add(&offset)?);
@@ -101,7 +100,9 @@ pub fn workload_grad_report_mode(
         let grads = analytic[pi].as_ref();
         let argmax = grads.map_or(0, |g| {
             let s = g.as_slice();
-            (0..n).max_by(|&a, &b| s[a].abs().total_cmp(&s[b].abs())).unwrap_or(0)
+            (0..n)
+                .max_by(|&a, &b| s[a].abs().total_cmp(&s[b].abs()))
+                .unwrap_or(0)
         });
         let mut idxs = vec![argmax];
         if PROBES_PER_PARAM > 1 && n > 1 && n / 2 != argmax {

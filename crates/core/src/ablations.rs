@@ -25,7 +25,12 @@ use crate::Result;
 /// Propagates workload failures.
 pub fn ablation_l1_size(kind: WorkloadKind, cfg: &SuiteConfig) -> Result<Table> {
     let mut t = Table::new(format!("Ablation — L1 capacity sweep ({})", kind.label()));
-    t.header(["L1 size (KB)", "L1 hit (%)", "L2 hit (%)", "Epoch time (ms)"]);
+    t.header([
+        "L1 size (KB)",
+        "L1 hit (%)",
+        "L2 hit (%)",
+        "Epoch time (ms)",
+    ]);
     for kb in [32u64, 64, 128, 256, 512] {
         let cfg = cfg
             .clone()
@@ -220,7 +225,13 @@ pub fn ablation_inference_vs_training(seed: u64) -> Result<Table> {
         session.finish()
     };
     let mut t = Table::new("Ablation — Inference vs training operation mix (2-layer GCN)");
-    t.header(["Phase", "GEMM+SpMM (%)", "ElemWise (%)", "Irregular (%)", "Kernels"]);
+    t.header([
+        "Phase",
+        "GEMM+SpMM (%)",
+        "ElemWise (%)",
+        "Irregular (%)",
+        "Kernels",
+    ]);
     for p in [&infer, &train] {
         let matmul = p.time_share(FigureCategory::Gemm) + p.time_share(FigureCategory::Spmm);
         let irregular = p.time_share(FigureCategory::Scatter)
@@ -255,7 +266,9 @@ pub fn ablation_weak_scaling(cfg: &SuiteConfig) -> Result<Table> {
         WorkloadKind::PsageMvl,
     ] {
         let art = run_workload_full(kind, cfg)?;
-        let Some(behavior) = art.scaling else { continue };
+        let Some(behavior) = art.scaling else {
+            continue;
+        };
         let ddp = DdpModel::new(DeviceSpec::v100());
         let epoch_ns = art.profile.total_time_ns() / art.losses.len().max(1) as f64;
         let e2 = ddp.weak_efficiency(epoch_ns, art.steps_per_epoch, art.grad_bytes, behavior, 2);
@@ -291,7 +304,11 @@ pub fn ablation_arga_datasets(cfg: &SuiteConfig) -> Result<Table> {
         "Reduction (%)",
         "H2D sparsity (%)",
     ]);
-    for kind in [CitationKind::Cora, CitationKind::CiteSeer, CitationKind::PubMed] {
+    for kind in [
+        CitationKind::Cora,
+        CitationKind::CiteSeer,
+        CitationKind::PubMed,
+    ] {
         let mut w = Arga::new(kind, cfg.scale, cfg.seed)?;
         let nodes = w.graph().num_nodes();
         let width = w.graph().feature_dim();
@@ -365,7 +382,10 @@ pub fn ablation_device_comparison(kind: WorkloadKind, cfg: &SuiteConfig) -> Resu
         let p = &art.profile;
         t.row([
             p.spec.name.clone(),
-            format!("{:.2}", p.total_time_ns() / art.losses.len().max(1) as f64 / 1e6),
+            format!(
+                "{:.2}",
+                p.total_time_ns() / art.losses.len().max(1) as f64 / 1e6
+            ),
             format!("{:.0}", p.gflops()),
             pct(p.l1_hit_rate()),
             pct(p.l2_hit_rate()),
@@ -391,9 +411,7 @@ mod tests {
         // Parse first and last ElemWise share from CSV.
         let csv = t.to_csv();
         let rows: Vec<&str> = csv.lines().skip(1).collect();
-        let share = |row: &str| -> f64 {
-            row.split(',').nth(1).unwrap().parse().unwrap()
-        };
+        let share = |row: &str| -> f64 { row.split(',').nth(1).unwrap().parse().unwrap() };
         // Compare the paper's MVL/NWP pair: width 64 vs width 640.
         assert!(
             share(rows[4]) > share(rows[1]),
@@ -474,10 +492,16 @@ mod tests {
         let stgcn = crate::suite::run_workload_full(WorkloadKind::Stgcn, &cfg).unwrap();
         // ARGA ships near-empty bag-of-words features; STGCN ships dense
         // traffic signals — compression must separate them sharply.
-        assert!(arga.profile.compression_savings() > 0.7,
-            "ARGA savings {}", arga.profile.compression_savings());
-        assert!(stgcn.profile.compression_savings() < 0.2,
-            "STGCN savings {}", stgcn.profile.compression_savings());
+        assert!(
+            arga.profile.compression_savings() > 0.7,
+            "ARGA savings {}",
+            arga.profile.compression_savings()
+        );
+        assert!(
+            stgcn.profile.compression_savings() < 0.2,
+            "STGCN savings {}",
+            stgcn.profile.compression_savings()
+        );
         let t = ablation_sparsity_compression(&cfg).unwrap();
         assert_eq!(t.num_rows(), 6);
     }
@@ -492,6 +516,11 @@ mod tests {
             .skip(1)
             .map(|r| r.rsplit(',').nth(3).unwrap().parse().unwrap())
             .collect();
-        assert!(times[1] <= times[0] * 1.02, "A100 {} vs V100 {}", times[1], times[0]);
+        assert!(
+            times[1] <= times[0] * 1.02,
+            "A100 {} vs V100 {}",
+            times[1],
+            times[0]
+        );
     }
 }

@@ -16,9 +16,23 @@ pub(crate) fn pct(v: f64) -> String {
 /// Table I: the benchmark suite inventory.
 pub fn table1() -> Table {
     let mut t = Table::new("Table I — GNNMark benchmark suite");
-    t.header(["Abbrev", "Model", "Framework", "Domain", "Dataset", "Graph type"]);
+    t.header([
+        "Abbrev",
+        "Model",
+        "Framework",
+        "Domain",
+        "Dataset",
+        "Graph type",
+    ]);
     for r in gnnmark_workloads::table_one() {
-        t.row([r.abbrev, r.model, r.framework, r.domain, r.dataset, r.graph_type]);
+        t.row([
+            r.abbrev,
+            r.model,
+            r.framework,
+            r.domain,
+            r.dataset,
+            r.graph_type,
+        ]);
     }
     t
 }
@@ -242,7 +256,8 @@ pub fn fig6_per_op_caches(profiles: &[WorkloadProfile]) -> Table {
     let mut t = Table::new("Figure 6 (per-op) — Locality by operation class (%)");
     t.header(["Operation", "L1 hit", "L2 hit", "Divergence"]);
     for cat in FigureCategory::ALL {
-        let (mut l1h, mut l1a, mut l2h, mut l2a, mut dw, mut w) = (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
+        let (mut l1h, mut l1a, mut l2h, mut l2a, mut dw, mut w) =
+            (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
         for p in profiles {
             if let Some(s) = p.per_class.get(&cat) {
                 l1h += s.l1_hits;
@@ -304,11 +319,7 @@ pub fn fig8_sparsity_series(profile: &WorkloadProfile, max_points: usize) -> Tab
     let step = (series.len() / max_points.max(1)).max(1);
     for (i, s) in series.iter().enumerate().step_by(step) {
         let bar_len = (s * 40.0).round() as usize;
-        t.row([
-            i.to_string(),
-            pct(*s),
-            "#".repeat(bar_len),
-        ]);
+        t.row([i.to_string(), pct(*s), "#".repeat(bar_len)]);
     }
     t
 }
@@ -318,7 +329,8 @@ pub fn fig8_sparsity_series(profile: &WorkloadProfile, max_points: usize) -> Tab
 /// Paper shape targets: DGCN/STGCN/GW speed up; TLSTM stays flat; PSAGE
 /// *degrades*; ARGA is excluded.
 pub fn fig9_scaling(runs: &[RunArtifacts]) -> Table {
-    let mut t = Table::new("Figure 9 — Multi-GPU strong scaling (time per epoch, speedup vs 1 GPU)");
+    let mut t =
+        Table::new("Figure 9 — Multi-GPU strong scaling (time per epoch, speedup vs 1 GPU)");
     t.header(["Workload", "1 GPU (ms)", "2 GPUs (×)", "4 GPUs (×)"]);
     for art in runs {
         let Some(behavior) = art.scaling else {
@@ -352,7 +364,12 @@ pub fn fig9_scaling(runs: &[RunArtifacts]) -> Table {
 /// memory-boundedness finding (§V-B) in roofline terms.
 pub fn fig_roofline(profiles: &[WorkloadProfile]) -> Table {
     let mut t = Table::new("Roofline — time share by binding roof (%)");
-    t.header(["Workload", "Memory-bound", "Compute-bound", "Overhead-bound"]);
+    t.header([
+        "Workload",
+        "Memory-bound",
+        "Compute-bound",
+        "Overhead-bound",
+    ]);
     for p in profiles {
         let (m, c, o) = gnnmark_gpusim::roofline::bound_shares(&p.spec, &p.kernels);
         t.row([p.name.clone(), pct(m), pct(c), pct(o)]);
@@ -371,11 +388,7 @@ pub fn fig_convergence(runs: &[RunArtifacts]) -> Table {
     for r in runs {
         let mut row = vec![r.profile.name.clone()];
         for e in 0..max_epochs {
-            row.push(
-                r.losses
-                    .get(e)
-                    .map_or(String::new(), |l| format!("{l:.4}")),
-            );
+            row.push(r.losses.get(e).map_or(String::new(), |l| format!("{l:.4}")));
         }
         t.row(row);
     }
@@ -407,9 +420,7 @@ pub fn suite_summary(runs: &[RunArtifacts]) -> Table {
             format!("{:.2}", p.total_kernel_time_ns() / 1e6),
             format!("{:.2}", p.transfer_time_ns / 1e6),
             format!("{:.0}", r.grad_bytes as f64 / 1024.0),
-            r.losses
-                .last()
-                .map_or(String::new(), |l| format!("{l:.4}")),
+            r.losses.last().map_or(String::new(), |l| format!("{l:.4}")),
             r.quality
                 .map_or(String::new(), |(name, v)| format!("{name} = {v:.3}")),
         ]);

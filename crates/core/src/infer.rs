@@ -242,10 +242,7 @@ fn run_infer_inner(
 /// time share of dense math, element-wise and irregular kernel classes in
 /// the forward-only stream next to the training stream. The measured
 /// counterpart of the paper's §V-A inference contrast.
-pub fn infer_vs_train_op_mix(
-    infer: &[WorkloadProfile],
-    train: &[WorkloadProfile],
-) -> Table {
+pub fn infer_vs_train_op_mix(infer: &[WorkloadProfile], train: &[WorkloadProfile]) -> Table {
     let mut t = Table::new("Inference vs training — operation mix (measured)");
     t.header([
         "Workload",
@@ -259,8 +256,8 @@ pub fn infer_vs_train_op_mix(
     for (ip, tp) in infer.iter().zip(train) {
         for (phase, p) in [("infer", ip), ("train", tp)] {
             let dense = p.time_share(FigureCategory::Gemm) + p.time_share(FigureCategory::Spmm);
-            let conv = p.time_share(FigureCategory::Conv2d)
-                + p.time_share(FigureCategory::BatchNorm);
+            let conv =
+                p.time_share(FigureCategory::Conv2d) + p.time_share(FigureCategory::BatchNorm);
             let irregular = p.time_share(FigureCategory::Scatter)
                 + p.time_share(FigureCategory::Gather)
                 + p.time_share(FigureCategory::Reduction)
@@ -372,11 +369,8 @@ mod tests {
         let back = CapturedRun::from_bytes(&run.to_bytes()).unwrap();
         assert_eq!(back.meta.phase, "infer");
         // Replaying the inference stream reproduces the profile timing.
-        let replayed = gnnmark_profiler::replay_profile(
-            "TLSTM",
-            cfg.suite.device.clone(),
-            &back.stream,
-        );
+        let replayed =
+            gnnmark_profiler::replay_profile("TLSTM", cfg.suite.device.clone(), &back.stream);
         assert_eq!(
             replayed.total_kernel_time_ns().to_bits(),
             art.profile.total_kernel_time_ns().to_bits()

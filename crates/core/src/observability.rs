@@ -16,9 +16,7 @@
 
 use std::path::{Path, PathBuf};
 
-use gnnmark_telemetry::export::{
-    metrics_json, metrics_prometheus, ManifestWorkload, RunManifest,
-};
+use gnnmark_telemetry::export::{metrics_json, metrics_prometheus, ManifestWorkload, RunManifest};
 use gnnmark_telemetry::metrics;
 
 use crate::resilience::{SuiteReport, WorkloadStatus};
@@ -118,7 +116,10 @@ pub fn collect_run_metrics(report: &SuiteReport) {
         bytes += art.profile.h2d_bytes;
         sparsity_weighted += art.profile.mean_sparsity * art.profile.h2d_bytes as f64;
         metrics::gauge_set(
-            &format!("gnnmark_workload_modeled_ms{{workload=\"{}\"}}", kind.label()),
+            &format!(
+                "gnnmark_workload_modeled_ms{{workload=\"{}\"}}",
+                kind.label()
+            ),
             art.profile.total_time_ns() / 1e6,
         );
     }
@@ -140,7 +141,10 @@ pub fn collect_run_metrics(report: &SuiteReport) {
             failures += 1;
         }
         metrics::gauge_set(
-            &format!("gnnmark_workload_wall_ms{{workload=\"{}\"}}", o.kind.label()),
+            &format!(
+                "gnnmark_workload_wall_ms{{workload=\"{}\"}}",
+                o.kind.label()
+            ),
             o.wall.as_secs_f64() * 1e3,
         );
     }
@@ -174,7 +178,12 @@ pub fn run_manifest(target: &str, cfg: &SuiteConfig, report: &SuiteReport) -> Ru
         precision: cfg.precision.as_str().to_string(),
         mode: cfg.mode.key(),
         workloads,
-        status: if report.all_succeeded() { "ok" } else { "partial" }.to_string(),
+        status: if report.all_succeeded() {
+            "ok"
+        } else {
+            "partial"
+        }
+        .to_string(),
     }
 }
 
@@ -302,12 +311,22 @@ mod tests {
         validate_json(&trace).expect("trace is valid JSON");
         let metrics_text = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
         validate_json(&metrics_text).expect("metrics snapshot is valid JSON");
-        assert!(metrics_text.contains("gnnmark_pool_hit_rate"), "{metrics_text}");
+        assert!(
+            metrics_text.contains("gnnmark_pool_hit_rate"),
+            "{metrics_text}"
+        );
         let prom = std::fs::read_to_string(dir.join("metrics.json.prom")).unwrap();
-        assert!(prom.contains("# TYPE gnnmark_pool_hits_total counter"), "{prom}");
+        assert!(
+            prom.contains("# TYPE gnnmark_pool_hits_total counter"),
+            "{prom}"
+        );
         let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
         validate_json(&manifest).expect("manifest is valid JSON");
-        for field in ["\"target\": \"tlstm\"", "\"scale\": \"test\"", "\"workloads\": ["] {
+        for field in [
+            "\"target\": \"tlstm\"",
+            "\"scale\": \"test\"",
+            "\"workloads\": [",
+        ] {
             assert!(manifest.contains(field), "missing {field} in {manifest}");
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -317,8 +336,7 @@ mod tests {
     fn export_artifacts_noop_when_nothing_requested() {
         let report = tiny_report();
         let cfg = SuiteConfig::test();
-        let written =
-            export_artifacts("tlstm", &cfg, &report, &ExportPaths::default()).unwrap();
+        let written = export_artifacts("tlstm", &cfg, &report, &ExportPaths::default()).unwrap();
         assert!(written.is_empty());
     }
 }

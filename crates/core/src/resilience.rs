@@ -399,10 +399,7 @@ impl AttemptEvent {
     fn to_json(&self) -> String {
         format!(
             "{{\"attempt\":{},\"start_ms\":{:.3},\"dur_ms\":{:.3},\"result\":\"{}\"}}",
-            self.attempt,
-            self.start_ms,
-            self.dur_ms,
-            self.result,
+            self.attempt, self.start_ms, self.dur_ms, self.result,
         )
     }
 }
@@ -499,10 +496,7 @@ impl SuiteReport {
             WorkloadStatus::TimedOut { after } => Some(
                 TensorError::InvalidArgument {
                     op: "run_suite_resilient",
-                    reason: format!(
-                        "workload exceeded {:.3}s deadline",
-                        after.as_secs_f64()
-                    ),
+                    reason: format!("workload exceeded {:.3}s deadline", after.as_secs_f64()),
                 }
                 .in_workload(o.kind.label()),
             ),
@@ -677,10 +671,9 @@ impl<T> TaskOutcome<T> {
         match &self.status {
             TaskStatus::Completed(_) => None,
             TaskStatus::Failed { error } => Some(error.to_string()),
-            TaskStatus::TimedOut { after } => Some(format!(
-                "exceeded {:.3}s deadline",
-                after.as_secs_f64()
-            )),
+            TaskStatus::TimedOut { after } => {
+                Some(format!("exceeded {:.3}s deadline", after.as_secs_f64()))
+            }
             TaskStatus::Panicked { message } => Some(format!("panic: {message}")),
         }
     }
@@ -712,10 +705,8 @@ pub fn run_task_resilient<T: Send + 'static>(
         attempts += 1;
         let attempt = attempts;
         let attempt_t0 = started.elapsed();
-        let span = gnnmark_telemetry::Span::enter_cat(
-            format!("attempt:{name}#{attempt}"),
-            "resilience",
-        );
+        let span =
+            gnnmark_telemetry::Span::enter_cat(format!("attempt:{name}#{attempt}"), "resilience");
         let t = std::sync::Arc::clone(&task);
         let (tx, rx) = mpsc::channel();
         let spawned = std::thread::Builder::new()
@@ -785,7 +776,9 @@ pub fn run_task_resilient<T: Send + 'static>(
 
 /// What the worker thread sent: the task's own result, or its panic
 /// message.
-fn attempt_result<T>(sent: std::thread::Result<Result<T>>) -> std::result::Result<Result<T>, String> {
+fn attempt_result<T>(
+    sent: std::thread::Result<Result<T>>,
+) -> std::result::Result<Result<T>, String> {
     sent.map_err(|payload| panic_message(payload.as_ref()))
 }
 
@@ -1036,8 +1029,7 @@ mod tests {
     #[test]
     fn injected_panic_is_isolated() {
         let cfg = SuiteConfig::test();
-        let rcfg =
-            fast_rcfg().with_faults(FaultPlan::none().inject("TLSTM", Fault::Panic));
+        let rcfg = fast_rcfg().with_faults(FaultPlan::none().inject("TLSTM", Fault::Panic));
         let o = run_workload_resilient(WorkloadKind::Tlstm, &cfg, &rcfg);
         match &o.status {
             WorkloadStatus::Panicked { message } => {
@@ -1052,12 +1044,13 @@ mod tests {
         let cfg = SuiteConfig::test();
         let rcfg = fast_rcfg()
             .with_retries(2)
-            .with_faults(FaultPlan::none().inject(
-                "TLSTM",
-                Fault::TransientError { failures: 2 },
-            ));
+            .with_faults(FaultPlan::none().inject("TLSTM", Fault::TransientError { failures: 2 }));
         let o = run_workload_resilient(WorkloadKind::Tlstm, &cfg, &rcfg);
-        assert!(matches!(o.status, WorkloadStatus::Completed(_)), "{:?}", o.status);
+        assert!(
+            matches!(o.status, WorkloadStatus::Completed(_)),
+            "{:?}",
+            o.status
+        );
         assert_eq!(o.attempts, 3);
     }
 
@@ -1066,10 +1059,7 @@ mod tests {
         let cfg = SuiteConfig::test();
         let rcfg = fast_rcfg()
             .with_retries(1)
-            .with_faults(FaultPlan::none().inject(
-                "TLSTM",
-                Fault::TransientError { failures: 5 },
-            ));
+            .with_faults(FaultPlan::none().inject("TLSTM", Fault::TransientError { failures: 5 }));
         let o = run_workload_resilient(WorkloadKind::Tlstm, &cfg, &rcfg);
         match &o.status {
             WorkloadStatus::Failed { error } => {
@@ -1117,7 +1107,11 @@ mod tests {
                 },
             ));
         let o = run_workload_resilient(WorkloadKind::Tlstm, &cfg, &rcfg);
-        assert!(matches!(o.status, WorkloadStatus::Completed(_)), "{:?}", o.status);
+        assert!(
+            matches!(o.status, WorkloadStatus::Completed(_)),
+            "{:?}",
+            o.status
+        );
         assert_eq!(o.attempts, 2, "one clean attempt after the clipped retry");
     }
 
@@ -1134,8 +1128,15 @@ mod tests {
             ));
         let started = Instant::now();
         let o = run_workload_resilient(WorkloadKind::Tlstm, &cfg, &rcfg);
-        assert!(matches!(o.status, WorkloadStatus::TimedOut { .. }), "{:?}", o.status);
-        assert!(started.elapsed() < Duration::from_millis(350), "did not detach");
+        assert!(
+            matches!(o.status, WorkloadStatus::TimedOut { .. }),
+            "{:?}",
+            o.status
+        );
+        assert!(
+            started.elapsed() < Duration::from_millis(350),
+            "did not detach"
+        );
     }
 
     #[test]
@@ -1160,7 +1161,10 @@ mod tests {
         let p = FaultPlan::parse("panic:TLSTM").unwrap();
         assert_eq!(p.fault_for("TLSTM"), Some(&Fault::Panic));
         let p = FaultPlan::parse("transient:GW@3").unwrap();
-        assert_eq!(p.fault_for("GW"), Some(&Fault::TransientError { failures: 3 }));
+        assert_eq!(
+            p.fault_for("GW"),
+            Some(&Fault::TransientError { failures: 3 })
+        );
         let p = FaultPlan::parse("nan:DGCN@2").unwrap();
         assert_eq!(
             p.fault_for("DGCN"),
@@ -1215,7 +1219,10 @@ mod tests {
              \"steps_per_epoch\":1,\"grad_bytes\":8,\"total_time_ns\":1.0,\"kernel_launches\":3}",
         )
         .expect("parses");
-        assert_eq!((old.precision.as_str(), old.mode.as_str()), ("fp32", "fullgraph"));
+        assert_eq!(
+            (old.precision.as_str(), old.mode.as_str()),
+            ("fp32", "fullgraph")
+        );
     }
 
     #[test]
@@ -1224,7 +1231,11 @@ mod tests {
         gnnmark_tensor::par::set_threads(3);
         let cfg = SuiteConfig::test().with_threads(1);
         let o = run_workload_resilient(WorkloadKind::Tlstm, &cfg, &fast_rcfg());
-        assert!(matches!(o.status, WorkloadStatus::Completed(_)), "{:?}", o.status);
+        assert!(
+            matches!(o.status, WorkloadStatus::Completed(_)),
+            "{:?}",
+            o.status
+        );
         let threads = gnnmark_tensor::par::threads();
         gnnmark_tensor::par::set_threads(prev);
         assert_eq!(threads, 1);
@@ -1279,12 +1290,13 @@ mod tests {
         let cfg = SuiteConfig::test();
         let rcfg = fast_rcfg()
             .with_retries(2)
-            .with_faults(FaultPlan::none().inject(
-                "TLSTM",
-                Fault::TransientError { failures: 1 },
-            ));
+            .with_faults(FaultPlan::none().inject("TLSTM", Fault::TransientError { failures: 1 }));
         let o = run_workload_resilient(WorkloadKind::Tlstm, &cfg, &rcfg);
-        assert!(matches!(o.status, WorkloadStatus::Completed(_)), "{:?}", o.status);
+        assert!(
+            matches!(o.status, WorkloadStatus::Completed(_)),
+            "{:?}",
+            o.status
+        );
         assert_eq!(o.attempt_log.len(), 2, "{:?}", o.attempt_log);
         let first = &o.attempt_log[0];
         let second = &o.attempt_log[1];
@@ -1317,7 +1329,8 @@ mod tests {
         let cfg = SuiteConfig::test();
         let cp = Checkpoint::new(dir.clone());
         let art = crate::suite::run_workload_full(WorkloadKind::Tlstm, &cfg).unwrap();
-        cp.save(&RunSummary::of(WorkloadKind::Tlstm, &cfg, &art)).unwrap();
+        cp.save(&RunSummary::of(WorkloadKind::Tlstm, &cfg, &art))
+            .unwrap();
         assert!(cp.load_matching(WorkloadKind::Tlstm, &cfg).is_some());
         // A different seed invalidates the checkpoint.
         let other = SuiteConfig {
@@ -1339,20 +1352,23 @@ mod tests {
         let calls2 = Arc::clone(&calls);
         let mut rcfg = fast_rcfg().with_retries(2);
         rcfg.retry.backoff_base = Duration::ZERO;
-        let task: Arc<dyn Fn(usize) -> Result<u32> + Send + Sync> =
-            Arc::new(move |attempt| {
-                calls2.fetch_add(1, Ordering::SeqCst);
-                if attempt < 3 {
-                    Err(TensorError::InvalidArgument {
-                        op: "test_task",
-                        reason: format!("transient (attempt {attempt})"),
-                    })
-                } else {
-                    Ok(7)
-                }
-            });
+        let task: Arc<dyn Fn(usize) -> Result<u32> + Send + Sync> = Arc::new(move |attempt| {
+            calls2.fetch_add(1, Ordering::SeqCst);
+            if attempt < 3 {
+                Err(TensorError::InvalidArgument {
+                    op: "test_task",
+                    reason: format!("transient (attempt {attempt})"),
+                })
+            } else {
+                Ok(7)
+            }
+        });
         let o = run_task_resilient("test", &rcfg, task);
-        assert!(matches!(o.status, TaskStatus::Completed(7)), "{:?}", o.status);
+        assert!(
+            matches!(o.status, TaskStatus::Completed(7)),
+            "{:?}",
+            o.status
+        );
         assert_eq!(o.attempts, 3);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
         assert!(o.failure().is_none());
@@ -1365,7 +1381,11 @@ mod tests {
         let panicker: Arc<dyn Fn(usize) -> Result<u32> + Send + Sync> =
             Arc::new(|_| panic!("task exploded"));
         let o = run_task_resilient("panicker", &rcfg, panicker);
-        assert!(matches!(o.status, TaskStatus::Panicked { .. }), "{:?}", o.status);
+        assert!(
+            matches!(o.status, TaskStatus::Panicked { .. }),
+            "{:?}",
+            o.status
+        );
         assert!(o.failure().unwrap().contains("task exploded"));
 
         let rcfg = fast_rcfg().with_timeout(Duration::from_millis(20));
@@ -1374,7 +1394,11 @@ mod tests {
             Ok(0)
         });
         let o = run_task_resilient("staller", &rcfg, staller);
-        assert!(matches!(o.status, TaskStatus::TimedOut { .. }), "{:?}", o.status);
+        assert!(
+            matches!(o.status, TaskStatus::TimedOut { .. }),
+            "{:?}",
+            o.status
+        );
         assert!(o.failure().unwrap().contains("deadline"));
     }
 

@@ -30,10 +30,7 @@ mod imp {
     // `std` already links libc; declaring the two calls we need directly
     // keeps the crate dependency-free.
     extern "C" {
-        fn signal(
-            signum: std::ffi::c_int,
-            handler: extern "C" fn(std::ffi::c_int),
-        ) -> usize;
+        fn signal(signum: std::ffi::c_int, handler: extern "C" fn(std::ffi::c_int)) -> usize;
         fn _exit(status: std::ffi::c_int) -> !;
     }
 

@@ -173,11 +173,8 @@ pub fn run_workload_captured(
 /// without retraining. Training metadata (losses, quality, scaling) is
 /// device-independent and comes straight from the capture.
 pub fn artifacts_from_replay(run: &CapturedRun, device: &DeviceSpec) -> RunArtifacts {
-    let profile = gnnmark_profiler::replay_profile(
-        run.meta.workload.clone(),
-        device.clone(),
-        &run.stream,
-    );
+    let profile =
+        gnnmark_profiler::replay_profile(run.meta.workload.clone(), device.clone(), &run.stream);
     RunArtifacts {
         profile,
         losses: run.meta.losses.clone(),
@@ -266,8 +263,12 @@ pub(crate) fn train(
     mut guard: Option<NumericGuard>,
     nan_epoch: Option<usize>,
 ) -> Result<(RunArtifacts, Option<CapturedStream>)> {
-    let (into_artifacts, profile, stream) =
-        run_session(kind, cfg, "workload", capture, |w, session| {
+    let (into_artifacts, profile, stream) = run_session(
+        kind,
+        cfg,
+        "workload",
+        capture,
+        |w, session| {
             let mut losses = Vec::with_capacity(cfg.epochs);
             for epoch in 0..cfg.epochs {
                 let _ep = gnnmark_telemetry::span!("epoch");
@@ -311,7 +312,8 @@ pub(crate) fn train(
                 scaling,
                 quality,
             })
-        })?;
+        },
+    )?;
     Ok((into_artifacts(profile), stream))
 }
 
@@ -363,9 +365,7 @@ mod tests {
         // Replaying under a different device yields different timing from
         // the very same capture — the point of the cache.
         let ablated = artifacts_from_replay(&back, &DeviceSpec::a100());
-        assert!(
-            ablated.profile.total_kernel_time_ns() < live.profile.total_kernel_time_ns()
-        );
+        assert!(ablated.profile.total_kernel_time_ns() < live.profile.total_kernel_time_ns());
     }
 
     #[test]

@@ -239,14 +239,12 @@ impl GpuModel {
         let fma_rate = (active * 2.0 * eff).max(1e-6);
         let issue_rate = (active * self.spec.schedulers_per_sm as f64 * eff).max(1e-6);
         let occupancy_penalty = 1.0 / (0.3 + 0.7 * occupancy.max(0.05));
-        let compute_cycles =
-            (fp_warp / fma_rate + other_warp / issue_rate) * occupancy_penalty;
+        let compute_cycles = (fp_warp / fma_rate + other_warp / issue_rate) * occupancy_penalty;
 
         // --- memory-bound cycles ---
         let line = self.spec.line_bytes as f64;
         let dram_bw_cycles = memory.dram_bytes as f64 / self.spec.dram_bytes_per_cycle();
-        let l2_bw_cycles =
-            (memory.l2_accesses as f64 * line) / self.spec.l2_bytes_per_cycle();
+        let l2_bw_cycles = (memory.l2_accesses as f64 * line) / self.spec.l2_bytes_per_cycle();
         // Latency-bound term for poorly parallel kernels.
         let concurrency = (warps as f64)
             .min(sms_used as f64 * WARPS_PER_SM_FOR_FULL_OCCUPANCY as f64)
@@ -330,11 +328,9 @@ mod tests {
         let events = run(|| {
             let a = Tensor::ones(&[256, 256]);
             let _ = a.matmul(&a).unwrap();
-            let idx = IntTensor::from_vec(
-                &[4096],
-                (0..4096i64).map(|i| (i * 977) % 50000).collect(),
-            )
-            .unwrap();
+            let idx =
+                IntTensor::from_vec(&[4096], (0..4096i64).map(|i| (i * 977) % 50000).collect())
+                    .unwrap();
             let table = Tensor::ones(&[50000, 4]);
             let _ = table.gather_rows(&idx).unwrap();
         });

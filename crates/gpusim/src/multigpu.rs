@@ -88,8 +88,8 @@ impl DdpModel {
     ) -> f64 {
         let n_f = n as f64;
         let comm = if n > 1 {
-            let per_step = self.allreduce_ns(grad_bytes, n) * (1.0 - self.overlap)
-                + self.step_overhead_ns;
+            let per_step =
+                self.allreduce_ns(grad_bytes, n) * (1.0 - self.overlap) + self.step_overhead_ns;
             per_step * steps_per_epoch as f64
         } else {
             0.0
@@ -149,8 +149,20 @@ impl DdpModel {
         behavior: ScalingBehavior,
         n: u32,
     ) -> f64 {
-        let t1 = self.weak_epoch_time_ns(single_gpu_epoch_ns, steps_per_epoch, grad_bytes, behavior, 1);
-        let tn = self.weak_epoch_time_ns(single_gpu_epoch_ns, steps_per_epoch, grad_bytes, behavior, n);
+        let t1 = self.weak_epoch_time_ns(
+            single_gpu_epoch_ns,
+            steps_per_epoch,
+            grad_bytes,
+            behavior,
+            1,
+        );
+        let tn = self.weak_epoch_time_ns(
+            single_gpu_epoch_ns,
+            steps_per_epoch,
+            grad_bytes,
+            behavior,
+            n,
+        );
         t1 / tn
     }
 
@@ -163,10 +175,20 @@ impl DdpModel {
         behavior: ScalingBehavior,
         n: u32,
     ) -> f64 {
-        let t1 =
-            self.epoch_time_ns(single_gpu_epoch_ns, steps_per_epoch, grad_bytes, behavior, 1);
-        let tn =
-            self.epoch_time_ns(single_gpu_epoch_ns, steps_per_epoch, grad_bytes, behavior, n);
+        let t1 = self.epoch_time_ns(
+            single_gpu_epoch_ns,
+            steps_per_epoch,
+            grad_bytes,
+            behavior,
+            1,
+        );
+        let tn = self.epoch_time_ns(
+            single_gpu_epoch_ns,
+            steps_per_epoch,
+            grad_bytes,
+            behavior,
+            n,
+        );
         t1 / tn
     }
 }

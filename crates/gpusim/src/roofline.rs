@@ -57,9 +57,12 @@ pub fn classify(spec: &DeviceSpec, k: &KernelMetrics) -> RooflinePoint {
     let ops = (k.flops + k.iops) as f64;
     let dram = (k.memory.dram_bytes.max(1)) as f64;
     let intensity = ops / dram;
-    let achieved_gops = if k.time_ns > 0.0 { ops / k.time_ns } else { 0.0 };
-    let overhead_ns =
-        (k.cycles - k.active_cycles) / spec.clock_ghz + spec.launch_overhead_ns;
+    let achieved_gops = if k.time_ns > 0.0 {
+        ops / k.time_ns
+    } else {
+        0.0
+    };
+    let overhead_ns = (k.cycles - k.active_cycles) / spec.clock_ghz + spec.launch_overhead_ns;
     let bound = if overhead_ns > 0.5 * k.time_ns {
         Bound::Overhead
     } else if intensity < ridge_point(spec) {

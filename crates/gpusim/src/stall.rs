@@ -165,8 +165,7 @@ mod tests {
         let gather = attribute(OpClass::Gather, &t);
         let gemm = attribute(OpClass::Gemm, &t);
         assert!(
-            gather.share(StallReason::MemoryDependency)
-                > gemm.share(StallReason::MemoryDependency)
+            gather.share(StallReason::MemoryDependency) > gemm.share(StallReason::MemoryDependency)
         );
     }
 

@@ -125,7 +125,12 @@ impl TransferEngine {
             + m.row_ptr().iter().filter(|v| **v == 0).count() as u64
             + m.col_idx().iter().filter(|v| **v == 0).count() as u64;
         let elements = (m.values().len() + m.row_ptr().len() + m.col_idx().len()) as u64;
-        self.record(TransferDirection::HostToDevice, m.byte_len(), zeros, elements);
+        self.record(
+            TransferDirection::HostToDevice,
+            m.byte_len(),
+            zeros,
+            elements,
+        );
     }
 
     /// Downloads a dense tensor.
@@ -246,13 +251,12 @@ mod tests {
     fn compression_shrinks_sparse_payloads_only() {
         let mut eng = TransferEngine::new(&DeviceSpec::v100());
         // 75 % zeros → compressed well below original.
-        let sparse = Tensor::from_vec(&[8], vec![0.0, 1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0])
-            .unwrap();
+        let sparse = Tensor::from_vec(&[8], vec![0.0, 1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0]).unwrap();
         eng.upload(&sparse);
         let t = &eng.transfers()[0];
         assert!(t.compressed_bytes() < t.bytes);
         assert_eq!(t.compressed_bytes(), 2 * 4 + 1); // 2 nonzeros + 1-byte bitmap
-        // Dense payload: compression only adds the bitmap.
+                                                     // Dense payload: compression only adds the bitmap.
         eng.upload(&Tensor::ones(&[8]));
         let d = &eng.transfers()[1];
         assert_eq!(d.compressed_bytes(), 8 * 4 + 1);

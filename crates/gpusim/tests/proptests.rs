@@ -15,11 +15,11 @@ fn arb_class() -> impl Strategy<Value = OpClass> {
 fn arb_event() -> impl Strategy<Value = OpEvent> {
     (
         arb_class(),
-        1u64..10_000_000,        // flops
-        1u64..10_000_000,        // iops
-        64u64..50_000_000,       // bytes read
-        64u64..50_000_000,       // bytes written
-        1u64..5_000_000,         // threads
+        1u64..10_000_000,  // flops
+        1u64..10_000_000,  // iops
+        64u64..50_000_000, // bytes read
+        64u64..50_000_000, // bytes written
+        1u64..5_000_000,   // threads
         proptest::collection::vec(0u32..100_000, 0..256),
         32u64..2048,
     )

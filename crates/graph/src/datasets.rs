@@ -18,11 +18,7 @@ use crate::{Graph, Result};
 
 /// Generates a Barabási–Albert preferential-attachment edge list:
 /// power-law degree distribution like real citation/social graphs.
-pub fn barabasi_albert<R: Rng + ?Sized>(
-    n: usize,
-    m: usize,
-    rng: &mut R,
-) -> Vec<(usize, usize)> {
+pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Vec<(usize, usize)> {
     assert!(m >= 1, "attachment count must be positive");
     let mut edges = Vec::new();
     let mut targets: Vec<usize> = Vec::new(); // node repeated per degree
@@ -61,13 +57,7 @@ fn sparse_binary_features<R: Rng + ?Sized>(
     density: f64,
     rng: &mut R,
 ) -> Tensor {
-    Tensor::from_fn(&[n, d], |_| {
-        if rng.gen_bool(density) {
-            1.0
-        } else {
-            0.0
-        }
-    })
+    Tensor::from_fn(&[n, d], |_| if rng.gen_bool(density) { 1.0 } else { 0.0 })
 }
 
 /// The three citation benchmarks used by ARGA (and GCN evaluation broadly).
@@ -213,11 +203,7 @@ fn recommendation_like(
 ///
 /// # Errors
 /// Propagates construction errors for degenerate scales.
-pub fn recommendation_with_width(
-    item_dim: usize,
-    scale: f64,
-    seed: u64,
-) -> Result<Graph> {
+pub fn recommendation_with_width(item_dim: usize, scale: f64, seed: u64) -> Result<Graph> {
     recommendation_like(6040, 3706, item_dim, 0.2, scale, seed)
 }
 
@@ -358,13 +344,7 @@ pub fn proteins_like_sized(
             }
             edges.sort_unstable();
             edges.dedup();
-            let feats = Tensor::from_fn(&[n, 3], |_| {
-                if rng.gen_bool(0.4) {
-                    1.0
-                } else {
-                    0.0
-                }
-            });
+            let feats = Tensor::from_fn(&[n, 3], |_| if rng.gen_bool(0.4) { 1.0 } else { 0.0 });
             let label = i64::from(edges.len() * 2 > n * 3);
             Ok(Graph::from_undirected_edges(n, &edges, feats)?.with_graph_label(label))
         })
@@ -492,8 +472,7 @@ mod tests {
     fn ba_graphs_have_power_law_hubs() {
         let mut rng = StdRng::seed_from_u64(5);
         let edges = barabasi_albert(500, 2, &mut rng);
-        let g =
-            Graph::from_undirected_edges(500, &edges, Tensor::ones(&[500, 1])).unwrap();
+        let g = Graph::from_undirected_edges(500, &edges, Tensor::ones(&[500, 1])).unwrap();
         let degs = g.degrees();
         let max = *degs.iter().max().unwrap();
         let mean = degs.iter().sum::<usize>() as f64 / degs.len() as f64;
@@ -562,11 +541,7 @@ mod tests {
         for d in &docs {
             assert!(d.graph.num_nodes() >= 8);
             assert!(d.target.numel() >= 12);
-            assert!(d
-                .target
-                .as_slice()
-                .iter()
-                .all(|&t| (0..500).contains(&t)));
+            assert!(d.target.as_slice().iter().all(|&t| (0..500).contains(&t)));
             assert_eq!(d.entity_ids.numel(), d.graph.num_nodes());
         }
     }

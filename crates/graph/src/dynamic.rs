@@ -82,10 +82,7 @@ impl SpatioTemporal {
             let refs: Vec<&Tensor> = parts.iter().collect();
             Tensor::concat_rows(&refs)
         };
-        Ok((
-            stack(start, start + history)?,
-            stack(start + history, end)?,
-        ))
+        Ok((stack(start, start + history)?, stack(start + history, end)?))
     }
 
     /// Number of distinct `(history, horizon)` windows available.
@@ -99,11 +96,8 @@ mod tests {
     use super::*;
 
     fn tiny_st() -> SpatioTemporal {
-        let g =
-            Graph::from_undirected_edges(2, &[(0, 1)], Tensor::ones(&[2, 1])).unwrap();
-        let signal = (0..10)
-            .map(|t| Tensor::full(&[2, 1], t as f32))
-            .collect();
+        let g = Graph::from_undirected_edges(2, &[(0, 1)], Tensor::ones(&[2, 1])).unwrap();
+        let signal = (0..10).map(|t| Tensor::full(&[2, 1], t as f32)).collect();
         SpatioTemporal::new(g, signal).unwrap()
     }
 
@@ -123,8 +117,7 @@ mod tests {
 
     #[test]
     fn signal_shape_validated() {
-        let g =
-            Graph::from_undirected_edges(2, &[(0, 1)], Tensor::ones(&[2, 1])).unwrap();
+        let g = Graph::from_undirected_edges(2, &[(0, 1)], Tensor::ones(&[2, 1])).unwrap();
         let bad = vec![Tensor::ones(&[3, 1])];
         assert!(SpatioTemporal::new(g.clone(), bad).is_err());
         let mixed = vec![Tensor::ones(&[2, 1]), Tensor::ones(&[2, 2])];

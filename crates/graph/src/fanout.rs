@@ -222,10 +222,8 @@ impl FanoutSampler {
                 src_nodes.push(c);
             }
             let num_src = src_nodes.len();
-            let triplets: Vec<(usize, usize, f32)> = sampled
-                .iter()
-                .map(|&(r, c, v)| (r, local[&c], v))
-                .collect();
+            let triplets: Vec<(usize, usize, f32)> =
+                sampled.iter().map(|&(r, c, v)| (r, local[&c], v)).collect();
             let block_adj = CsrMatrix::from_coo(num_dst, num_src, &triplets)?;
             edges += block_adj.nnz() as u64;
             let adj_t = Rc::new(block_adj.transpose());

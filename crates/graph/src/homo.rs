@@ -74,11 +74,7 @@ impl Graph {
         if labels.numel() != self.num_nodes() {
             return Err(TensorError::InvalidArgument {
                 op: "Graph::with_labels",
-                reason: format!(
-                    "{} labels for {} nodes",
-                    labels.numel(),
-                    self.num_nodes()
-                ),
+                reason: format!("{} labels for {} nodes", labels.numel(), self.num_nodes()),
             });
         }
         self.labels = Some(labels);

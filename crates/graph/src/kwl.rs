@@ -208,11 +208,7 @@ mod tests {
         let ks = kwl_transform(&g, 2, KwlConnectivity::Global).unwrap();
         // Find the set {0,1} (edge) and {1,3} (non-edge).
         let f = ks.graph().features();
-        let idx_of = |pair: &[usize]| {
-            (0..ks.num_sets())
-                .find(|&i| ks.members(i) == pair)
-                .unwrap()
-        };
+        let idx_of = |pair: &[usize]| (0..ks.num_sets()).find(|&i| ks.members(i) == pair).unwrap();
         let edge_set = idx_of(&[0, 1]);
         let non_edge_set = idx_of(&[1, 3]);
         assert_eq!(f.get(&[edge_set, 2]), 1.0);
@@ -224,7 +220,7 @@ mod tests {
         let g = triangle_plus_tail();
         let ks = kwl_transform(&g, 3, KwlConnectivity::Global).unwrap();
         assert_eq!(ks.num_sets(), 4); // C(4,3)
-        // {0,1,2} is the triangle: density 1.
+                                      // {0,1,2} is the triangle: density 1.
         let tri = (0..4).find(|&i| ks.members(i) == [0, 1, 2]).unwrap();
         assert_eq!(ks.graph().features().get(&[tri, 2]), 1.0);
     }

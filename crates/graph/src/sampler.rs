@@ -24,11 +24,7 @@ impl MinibatchSampler {
     ///
     /// # Errors
     /// Returns an error if `batch_size` is 0 or there are no items.
-    pub fn new<R: Rng + ?Sized>(
-        num_items: usize,
-        batch_size: usize,
-        rng: &mut R,
-    ) -> Result<Self> {
+    pub fn new<R: Rng + ?Sized>(num_items: usize, batch_size: usize, rng: &mut R) -> Result<Self> {
         if batch_size == 0 || num_items == 0 {
             return Err(TensorError::InvalidArgument {
                 op: "MinibatchSampler::new",

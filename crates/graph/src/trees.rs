@@ -147,8 +147,7 @@ impl TreeBatch {
                 let gid = offset + i;
                 words.push(node.word.unwrap_or(-1));
                 labels.push(node.label);
-                let children: Vec<usize> =
-                    node.children.iter().map(|&c| offset + c).collect();
+                let children: Vec<usize> = node.children.iter().map(|&c| offset + c).collect();
                 max_height = max_height.max(heights[i]);
                 annotated.push((heights[i], gid, children));
             }

@@ -32,12 +32,7 @@ impl GraphAttention {
     ///
     /// # Errors
     /// Returns an error if `dim % heads != 0` or dims are zero.
-    pub fn new<R: Rng + ?Sized>(
-        name: &str,
-        dim: usize,
-        heads: usize,
-        rng: &mut R,
-    ) -> Result<Self> {
+    pub fn new<R: Rng + ?Sized>(name: &str, dim: usize, heads: usize, rng: &mut R) -> Result<Self> {
         if heads == 0 || !dim.is_multiple_of(heads) {
             return Err(gnnmark_tensor::TensorError::InvalidArgument {
                 op: "GraphAttention::new",

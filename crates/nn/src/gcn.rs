@@ -230,8 +230,8 @@ impl GenConv {
         let n = edges.num_nodes;
         // Messages: gather source features per edge.
         let msg = x.gather_rows(&edges.src)?; // [E, d]
-        // Segment softmax over incoming edges of each destination:
-        // exp(msg − max_dst) / sum_dst, all via scatter/gather kernels.
+                                              // Segment softmax over incoming edges of each destination:
+                                              // exp(msg − max_dst) / sum_dst, all via scatter/gather kernels.
         let seg_max = msg.value().scatter_max_rows(&edges.dst, n)?;
         let max_per_edge = seg_max.gather_rows(&edges.dst)?;
         let shifted = msg.sub(&msg.constant_like(max_per_edge))?;
@@ -332,8 +332,7 @@ mod tests {
         let (adj, _g) = ring_adj(8);
         let conv = GcnConv::new("c", 4, 2, &mut rng).unwrap();
         let labels =
-            gnnmark_tensor::IntTensor::from_vec(&[8], (0..8).map(|i| i % 2).collect())
-                .unwrap();
+            gnnmark_tensor::IntTensor::from_vec(&[8], (0..8).map(|i| i % 2).collect()).unwrap();
         let mut opt = gnnmark_autograd::Adam::new(0.05);
         use gnnmark_autograd::Optimizer;
         let mut first = 0.0;

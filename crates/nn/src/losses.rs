@@ -67,12 +67,10 @@ mod tests {
     #[test]
     fn cross_entropy_prefers_correct_class() {
         let tape = Tape::new();
-        let good = tape.constant(
-            Tensor::from_vec(&[2, 3], vec![5.0, 0.0, 0.0, 0.0, 5.0, 0.0]).unwrap(),
-        );
-        let bad = tape.constant(
-            Tensor::from_vec(&[2, 3], vec![0.0, 5.0, 0.0, 5.0, 0.0, 0.0]).unwrap(),
-        );
+        let good =
+            tape.constant(Tensor::from_vec(&[2, 3], vec![5.0, 0.0, 0.0, 0.0, 5.0, 0.0]).unwrap());
+        let bad =
+            tape.constant(Tensor::from_vec(&[2, 3], vec![0.0, 5.0, 0.0, 5.0, 0.0, 0.0]).unwrap());
         let t = IntTensor::from_vec(&[2], vec![0, 1]).unwrap();
         let lg = cross_entropy(&good, &t).unwrap().value().item().unwrap();
         let lb = cross_entropy(&bad, &t).unwrap().value().item().unwrap();
@@ -114,8 +112,7 @@ mod tests {
 
     #[test]
     fn accuracy_counts_matches() {
-        let logits =
-            Tensor::from_vec(&[2, 2], vec![0.9, 0.1, 0.2, 0.8]).unwrap();
+        let logits = Tensor::from_vec(&[2, 2], vec![0.9, 0.1, 0.2, 0.8]).unwrap();
         let t = IntTensor::from_vec(&[2], vec![0, 0]).unwrap();
         assert!((accuracy(&logits, &t).unwrap() - 0.5).abs() < 1e-12);
         assert!(accuracy(&Tensor::zeros(&[3]), &t).is_err());

@@ -139,12 +139,7 @@ impl SpatialGcn {
     ///
     /// # Errors
     /// Propagates shape errors from the tensor engine.
-    pub fn forward(
-        &self,
-        tape: &Tape,
-        adj: &Rc<CsrMatrix>,
-        x: &Var,
-    ) -> Result<Var> {
+    pub fn forward(&self, tape: &Tape, adj: &Rc<CsrMatrix>, x: &Var) -> Result<Var> {
         let dims = x.dims();
         let (b, c, t, n) = (dims[0], dims[1], dims[2], dims[3]);
         debug_assert_eq!(c, self.c_in);

@@ -117,14 +117,22 @@ mod tests {
         assert_eq!(replayed.kernels.len(), live.kernels.len());
         for (a, b) in replayed.kernels.iter().zip(&live.kernels) {
             assert_eq!(a.kernel, b.kernel);
-            assert_eq!(a.time_ns.to_bits(), b.time_ns.to_bits(), "kernel {}", a.kernel);
+            assert_eq!(
+                a.time_ns.to_bits(),
+                b.time_ns.to_bits(),
+                "kernel {}",
+                a.kernel
+            );
             assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
         }
         assert_eq!(
             replayed.total_time_ns().to_bits(),
             live.total_time_ns().to_bits()
         );
-        assert_eq!(replayed.mean_sparsity.to_bits(), live.mean_sparsity.to_bits());
+        assert_eq!(
+            replayed.mean_sparsity.to_bits(),
+            live.mean_sparsity.to_bits()
+        );
         assert_eq!(replayed.h2d_bytes, live.h2d_bytes);
         assert_eq!(replayed.sparsity_series, live.sparsity_series);
     }

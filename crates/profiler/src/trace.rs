@@ -262,7 +262,10 @@ mod tests {
                     args: vec![],
                 },
             ],
-            lanes: vec![LaneInfo { lane: 0, thread: "main".into() }],
+            lanes: vec![LaneInfo {
+                lane: 0,
+                thread: "main".into(),
+            }],
         };
         let profiles = vec![sample_profile()];
         let json = to_merged_chrome_trace(&host, &profiles);

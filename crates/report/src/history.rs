@@ -87,7 +87,14 @@ impl HistoryRow {
                 }
             }
         }
-        Some(HistoryRow { commit, source, unix_ms, suite_wall_s, cache_hit_rate, benches })
+        Some(HistoryRow {
+            commit,
+            source,
+            unix_ms,
+            suite_wall_s,
+            cache_hit_rate,
+            benches,
+        })
     }
 }
 
@@ -103,7 +110,9 @@ pub fn parse_history(text: &str) -> Vec<HistoryRow> {
 /// Loads the history file; an absent or unreadable file is an empty
 /// history, not an error (a fresh checkout has no trend yet).
 pub fn load_history(path: &Path) -> Vec<HistoryRow> {
-    fs::read_to_string(path).map(|s| parse_history(&s)).unwrap_or_default()
+    fs::read_to_string(path)
+        .map(|s| parse_history(&s))
+        .unwrap_or_default()
 }
 
 /// Appends one row, creating the file and parent directory on first use.
@@ -116,7 +125,10 @@ pub fn append_row(path: &Path, row: &HistoryRow) -> std::io::Result<()> {
             fs::create_dir_all(parent)?;
         }
     }
-    let mut f = fs::OpenOptions::new().create(true).append(true).open(path)?;
+    let mut f = fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
     writeln!(f, "{}", row.to_json_line())
 }
 
@@ -142,7 +154,11 @@ pub fn regression_verdict(rows: &[HistoryRow], max_ratio: f64) -> TrendVerdict {
         rows.iter()
             .rev()
             .filter(|r| !std::ptr::eq(*r, l))
-            .find(|r| r.benches.iter().any(|(n, _)| l.benches.iter().any(|(m, _)| m == n)))
+            .find(|r| {
+                r.benches
+                    .iter()
+                    .any(|(n, _)| l.benches.iter().any(|(m, _)| m == n))
+            })
     });
     let (Some(latest), Some(baseline)) = (latest, baseline) else {
         return TrendVerdict {
@@ -176,7 +192,11 @@ pub fn regression_verdict(rows: &[HistoryRow], max_ratio: f64) -> TrendVerdict {
             baseline.source
         )
     };
-    TrendVerdict { ok, regressions, summary }
+    TrendVerdict {
+        ok,
+        regressions,
+        summary,
+    }
 }
 
 #[cfg(test)]
@@ -196,7 +216,10 @@ mod tests {
 
     #[test]
     fn rows_roundtrip_through_jsonl() {
-        let r = row("abc1234", &[("tensor_ops/gemm_256", 912913.0), ("spmm", 5.5)]);
+        let r = row(
+            "abc1234",
+            &[("tensor_ops/gemm_256", 912913.0), ("spmm", 5.5)],
+        );
         let line = r.to_json_line();
         gnnmark_telemetry::export::validate_json(&line).expect("row is valid JSON");
         let parsed = parse_history(&line);
@@ -229,7 +252,10 @@ mod tests {
 
     #[test]
     fn verdict_flags_regressions_and_tolerates_missing_baseline() {
-        let rows = vec![row("old", &[("k", 100.0), ("j", 50.0)]), row("new", &[("k", 300.0), ("j", 51.0)])];
+        let rows = vec![
+            row("old", &[("k", 100.0), ("j", 50.0)]),
+            row("new", &[("k", 300.0), ("j", 51.0)]),
+        ];
         let v = regression_verdict(&rows, 1.5);
         assert!(!v.ok);
         assert_eq!(v.regressions, vec![("k".to_string(), 100.0, 300.0)]);

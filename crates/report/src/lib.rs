@@ -174,12 +174,36 @@ impl Report {
         let builtin: [(&str, &str, String); 12] = [
             ("overview", "Overview", panels::overview(&self.runs)),
             ("roofline", "Roofline", panels::roofline_panel(&self.runs)),
-            ("stalls", "Stall breakdown", panels::stalls_panel(&self.runs)),
-            ("timeline", "Per-step timeline", panels::timeline_panel(&self.runs)),
-            ("caches", "Cache hierarchy", panels::caches_panel(&self.runs)),
-            ("transfers", "Transfers & sparsity", panels::transfers_panel(&self.runs)),
-            ("convergence", "Convergence", panels::convergence_panel(&self.runs)),
-            ("amp", "AMP & memory footprint", panels::amp_panel(&self.metrics)),
+            (
+                "stalls",
+                "Stall breakdown",
+                panels::stalls_panel(&self.runs),
+            ),
+            (
+                "timeline",
+                "Per-step timeline",
+                panels::timeline_panel(&self.runs),
+            ),
+            (
+                "caches",
+                "Cache hierarchy",
+                panels::caches_panel(&self.runs),
+            ),
+            (
+                "transfers",
+                "Transfers & sparsity",
+                panels::transfers_panel(&self.runs),
+            ),
+            (
+                "convergence",
+                "Convergence",
+                panels::convergence_panel(&self.runs),
+            ),
+            (
+                "amp",
+                "AMP & memory footprint",
+                panels::amp_panel(&self.metrics),
+            ),
             (
                 "minibatch",
                 "Mini-batch & streaming caches",
@@ -190,8 +214,16 @@ impl Report {
                 "Inference latency & throughput",
                 panels::inference_panel(&self.runs),
             ),
-            ("comparison", "Side-by-side comparison", panels::comparison_panel(&self.runs)),
-            ("slo", "Request latency (SLO)", panels::slo_panel(&self.metrics)),
+            (
+                "comparison",
+                "Side-by-side comparison",
+                panels::comparison_panel(&self.runs),
+            ),
+            (
+                "slo",
+                "Request latency (SLO)",
+                panels::slo_panel(&self.metrics),
+            ),
         ];
         for (id, title, body) in builtin {
             if !body.is_empty() {
@@ -304,14 +336,24 @@ mod tests {
         let mut r = Report::new("t");
         r.add_run(sample_run("GCN", DeviceSpec::v100()));
         let html = r.render();
-        for id in ["overview", "roofline", "stalls", "timeline", "caches", "transfers"] {
+        for id in [
+            "overview",
+            "roofline",
+            "stalls",
+            "timeline",
+            "caches",
+            "transfers",
+        ] {
             assert!(html.contains(&format!("id=\"sec-{id}\"")), "missing {id}");
         }
         // Single run → no comparison; no metrics → no AMP/SLO panels.
         assert!(!html.contains("id=\"sec-comparison\""));
         assert!(!html.contains("id=\"sec-slo\""));
         // Self-contained: no external references.
-        assert!(!html.contains("http://") || html.contains("xmlns"), "only the SVG namespace");
+        assert!(
+            !html.contains("http://") || html.contains("xmlns"),
+            "only the SVG namespace"
+        );
         assert!(!html.contains("<script"));
         assert!(!html.contains("href=\"http"));
         assert!(!html.contains("src="));
@@ -340,11 +382,22 @@ mod tests {
         counts[0] = 5;
         counts[1] = 1;
         r.set_metrics(vec![
-            ("gnnmark_amp_loss_scale".to_string(), MetricValue::Gauge(32768.0)),
-            ("gnnmark_pool_hits_total".to_string(), MetricValue::Counter(12)),
+            (
+                "gnnmark_amp_loss_scale".to_string(),
+                MetricValue::Gauge(32768.0),
+            ),
+            (
+                "gnnmark_pool_hits_total".to_string(),
+                MetricValue::Counter(12),
+            ),
             (
                 "gnnmark_serve_route_seconds{route=\"/jobs\"}".to_string(),
-                MetricValue::Buckets { bounds: BOUNDS, counts, count: 6, sum: 0.05 },
+                MetricValue::Buckets {
+                    bounds: BOUNDS,
+                    counts,
+                    count: 6,
+                    sum: 0.05,
+                },
             ),
         ]);
         let html = r.render();
@@ -371,7 +424,9 @@ mod tests {
         let mut r = Report::new("t");
         assert!(!r.render().contains("http-equiv"));
         r.auto_refresh(5);
-        assert!(r.render().contains("<meta http-equiv=\"refresh\" content=\"5\">"));
+        assert!(r
+            .render()
+            .contains("<meta http-equiv=\"refresh\" content=\"5\">"));
     }
 
     #[test]
@@ -383,7 +438,10 @@ mod tests {
         let da: Vec<_> = a.digest_lines();
         let db: Vec<_> = b.digest_lines();
         let get = |d: &[String], id: &str| {
-            d.iter().find(|l| l.ends_with(&format!("\t{id}"))).unwrap().clone()
+            d.iter()
+                .find(|l| l.ends_with(&format!("\t{id}")))
+                .unwrap()
+                .clone()
         };
         assert_ne!(get(&da, "roofline"), get(&db, "roofline"));
     }

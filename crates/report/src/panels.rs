@@ -79,8 +79,19 @@ pub(crate) fn overview(runs: &[ReportRun]) -> String {
         return String::new();
     }
     let headers = [
-        "run", "device", "steps", "kernels", "modeled", "transfer", "GFLOPS", "IPC", "L1",
-        "L2", "diverg.", "final loss", "quality",
+        "run",
+        "device",
+        "steps",
+        "kernels",
+        "modeled",
+        "transfer",
+        "GFLOPS",
+        "IPC",
+        "L1",
+        "L2",
+        "diverg.",
+        "final loss",
+        "quality",
     ];
     let rows: Vec<Vec<String>> = runs
         .iter()
@@ -195,19 +206,9 @@ pub(crate) fn roofline_panel(runs: &[ReportRun]) -> String {
         if points.is_empty() {
             continue;
         }
-        let xmin = points
-            .iter()
-            .map(|p| p.1)
-            .fold(ridge, f64::min)
-            .max(1e-4)
-            / 2.0;
+        let xmin = points.iter().map(|p| p.1).fold(ridge, f64::min).max(1e-4) / 2.0;
         let xmax = points.iter().map(|p| p.1).fold(ridge, f64::max) * 2.0;
-        let ymin = points
-            .iter()
-            .map(|p| p.2)
-            .fold(peak, f64::min)
-            .max(1e-4)
-            / 2.0;
+        let ymin = points.iter().map(|p| p.2).fold(peak, f64::min).max(1e-4) / 2.0;
         let ymax = peak.max(points.iter().map(|p| p.2).fold(0.0, f64::max)) * 1.5;
 
         let (w, h) = (430.0, 300.0);
@@ -320,9 +321,21 @@ pub(crate) fn roofline_panel(runs: &[ReportRun]) -> String {
         let (mem, comp, over) = roofline::bound_shares(spec, &p.kernels);
         let bar = stacked_bar(
             &[
-                (mem, bound_color(Bound::Memory), format!("memory {}", fmt_pct(mem))),
-                (comp, bound_color(Bound::Compute), format!("compute {}", fmt_pct(comp))),
-                (over, bound_color(Bound::Overhead), format!("overhead {}", fmt_pct(over))),
+                (
+                    mem,
+                    bound_color(Bound::Memory),
+                    format!("memory {}", fmt_pct(mem)),
+                ),
+                (
+                    comp,
+                    bound_color(Bound::Compute),
+                    format!("compute {}", fmt_pct(comp)),
+                ),
+                (
+                    over,
+                    bound_color(Bound::Overhead),
+                    format!("overhead {}", fmt_pct(over)),
+                ),
             ],
             430.0,
             16.0,
@@ -401,7 +414,9 @@ pub(crate) fn stalls_panel(runs: &[ReportRun]) -> String {
         let y2 = y1 + row_h + gap;
         let mut x = 0.0;
         for (ci, cat) in FigureCategory::ALL.iter().enumerate() {
-            let Some(stats) = p.per_class.get(cat) else { continue };
+            let Some(stats) = p.per_class.get(cat) else {
+                continue;
+            };
             let share = stats.cycles / total_cycles;
             let seg = share * w;
             if seg <= 0.0 {
@@ -484,8 +499,12 @@ pub(crate) fn timeline_panel(runs: &[ReportRun]) -> String {
         .iter()
         .filter(|r| !r.profile.step_kernels.is_empty())
         .map(|r| {
-            let ms: Vec<f64> =
-                r.profile.step_times_ns().iter().map(|ns| ns / 1e6).collect();
+            let ms: Vec<f64> = r
+                .profile
+                .step_times_ns()
+                .iter()
+                .map(|ns| ns / 1e6)
+                .collect();
             (r.label.clone(), downsample_sum(&ms, 160))
         })
         .filter(|(_, v)| v.len() >= 2)
@@ -533,13 +552,22 @@ pub(crate) fn caches_panel(runs: &[ReportRun]) -> String {
             continue;
         }
         let l1_share = l1h as f64 / l1a as f64;
-        let l2_share = (1.0 - l1_share) * if l2a == 0 { 0.0 } else { l2h as f64 / l2a as f64 };
+        let l2_share = (1.0 - l1_share)
+            * if l2a == 0 {
+                0.0
+            } else {
+                l2h as f64 / l2a as f64
+            };
         let dram_share = (1.0 - l1_share - l2_share).max(0.0);
         let bar = stacked_bar(
             &[
                 (l1_share, "#59a14f", format!("L1 {}", fmt_pct(l1_share))),
                 (l2_share, "#edc948", format!("L2 {}", fmt_pct(l2_share))),
-                (dram_share, "#e15759", format!("DRAM {}", fmt_pct(dram_share))),
+                (
+                    dram_share,
+                    "#e15759",
+                    format!("DRAM {}", fmt_pct(dram_share)),
+                ),
             ],
             560.0,
             18.0,
@@ -588,8 +616,7 @@ pub(crate) fn caches_panel(runs: &[ReportRun]) -> String {
 // --------------------------------------------------------------- transfers
 
 pub(crate) fn transfers_panel(runs: &[ReportRun]) -> String {
-    let with_data: Vec<&ReportRun> =
-        runs.iter().filter(|r| r.profile.h2d_bytes > 0).collect();
+    let with_data: Vec<&ReportRun> = runs.iter().filter(|r| r.profile.h2d_bytes > 0).collect();
     if with_data.is_empty() {
         return String::new();
     }
@@ -608,15 +635,33 @@ pub(crate) fn transfers_panel(runs: &[ReportRun]) -> String {
         })
         .collect();
     let table = html_table(
-        &["run", "H2D bytes", "compressed", "savings", "transfer time", "mean sparsity"],
+        &[
+            "run",
+            "H2D bytes",
+            "compressed",
+            "savings",
+            "transfer time",
+            "mean sparsity",
+        ],
         &rows,
     );
     let series: Vec<(String, Vec<f64>)> = with_data
         .iter()
         .filter(|r| r.profile.sparsity_series.len() >= 2)
-        .map(|r| (r.label.clone(), downsample_mean(&r.profile.sparsity_series, 160)))
+        .map(|r| {
+            (
+                r.label.clone(),
+                downsample_mean(&r.profile.sparsity_series, 160),
+            )
+        })
         .collect();
-    let chart = line_chart(&series, 860.0, 160.0, "H2D sparsity", "transfer (training order)");
+    let chart = line_chart(
+        &series,
+        860.0,
+        160.0,
+        "H2D sparsity",
+        "transfer (training order)",
+    );
     format!("{table}{chart}")
 }
 
@@ -639,9 +684,18 @@ fn metric_cell(v: &MetricValue) -> String {
     match v {
         MetricValue::Counter(c) => c.to_string(),
         MetricValue::Gauge(g) => fmt_sig(*g),
-        MetricValue::Histogram { count, sum, min, max } => format!(
+        MetricValue::Histogram {
+            count,
+            sum,
+            min,
+            max,
+        } => format!(
             "n={count} mean={} min={} max={}",
-            fmt_sig(if *count == 0 { 0.0 } else { sum / *count as f64 }),
+            fmt_sig(if *count == 0 {
+                0.0
+            } else {
+                sum / *count as f64
+            }),
             fmt_sig(*min),
             fmt_sig(*max),
         ),
@@ -716,7 +770,11 @@ pub(crate) fn comparison_panel(runs: &[ReportRun]) -> String {
     }
     type Extract = (&'static str, fn(&ReportRun) -> f64, fn(f64) -> String);
     let metrics: Vec<Extract> = vec![
-        ("modeled kernel ms", |r| r.profile.total_kernel_time_ns() / 1e6, fmt_sig),
+        (
+            "modeled kernel ms",
+            |r| r.profile.total_kernel_time_ns() / 1e6,
+            fmt_sig,
+        ),
         ("transfer ms", |r| r.profile.transfer_time_ns / 1e6, fmt_sig),
         ("GFLOPS", |r| r.profile.gflops(), fmt_sig),
         ("GIOPS", |r| r.profile.giops(), fmt_sig),
@@ -766,8 +824,12 @@ pub(crate) fn inference_panel(runs: &[ReportRun]) -> String {
         .iter()
         .filter_map(|r| r.infer.as_ref().map(|s| (r, s)))
         .map(|(r, stats)| {
-            let step_ms: Vec<f64> =
-                r.profile.step_times_ns().iter().map(|ns| ns / 1e6).collect();
+            let step_ms: Vec<f64> = r
+                .profile
+                .step_times_ns()
+                .iter()
+                .map(|ns| ns / 1e6)
+                .collect();
             let split = stats.batch1_steps.min(step_ms.len());
             let (batch1, batched) = step_ms.split_at(split);
             let q = |p: f64| format!("{} ms", fmt_sig(percentile(batch1, p)));
@@ -778,7 +840,10 @@ pub(crate) fn inference_panel(runs: &[ReportRun]) -> String {
                 let items = stats.items_per_step * batched.len() as u64;
                 format!("{} items/s", fmt_sig(items as f64 / (batched_ms / 1e3)))
             } else {
-                format!("{} steps/s", fmt_sig(batched.len() as f64 / (batched_ms / 1e3)))
+                format!(
+                    "{} steps/s",
+                    fmt_sig(batched.len() as f64 / (batched_ms / 1e3))
+                )
             };
             vec![
                 r.label.clone(),
@@ -797,8 +862,14 @@ pub(crate) fn inference_panel(runs: &[ReportRun]) -> String {
     }
     let table = html_table(
         &[
-            "run", "batch-1 requests", "p50", "p95", "p99", "max",
-            "batched steps", "saturation",
+            "run",
+            "batch-1 requests",
+            "p50",
+            "p95",
+            "p99",
+            "max",
+            "batched steps",
+            "saturation",
         ],
         &rows,
     );
@@ -826,7 +897,11 @@ pub(crate) fn slo_panel(metrics: &[(String, MetricValue)]) -> String {
                 count.to_string(),
                 format!(
                     "{} ms",
-                    fmt_sig(if count == 0 { 0.0 } else { sum / count as f64 * 1e3 })
+                    fmt_sig(if count == 0 {
+                        0.0
+                    } else {
+                        sum / count as f64 * 1e3
+                    })
                 ),
                 q(0.5),
                 q(0.9),
@@ -837,7 +912,10 @@ pub(crate) fn slo_panel(metrics: &[(String, MetricValue)]) -> String {
     if rows.is_empty() {
         String::new()
     } else {
-        html_table(&["latency histogram", "count", "mean", "p50", "p90", "p99"], &rows)
+        html_table(
+            &["latency histogram", "count", "mean", "p50", "p90", "p99"],
+            &rows,
+        )
     }
 }
 
@@ -902,11 +980,23 @@ pub(crate) fn history_panel(rows: &[HistoryRow], max_ratio: f64) -> String {
     if wall_series.len() >= 2 {
         series.push(("suite wall s".to_string(), wall_series));
     }
-    let chart = line_chart(&series, 560.0, 180.0, "vs first recorded row", "recorded row");
+    let chart = line_chart(
+        &series,
+        560.0,
+        180.0,
+        "vs first recorded row",
+        "recorded row",
+    );
 
     let tail: Vec<&HistoryRow> = rows.iter().rev().take(10).rev().collect();
     let table = html_table(
-        &["commit", "source", "benches", "suite wall", "cache hit rate"],
+        &[
+            "commit",
+            "source",
+            "benches",
+            "suite wall",
+            "cache hit rate",
+        ],
         &tail
             .iter()
             .map(|r| {
@@ -914,7 +1004,8 @@ pub(crate) fn history_panel(rows: &[HistoryRow], max_ratio: f64) -> String {
                     r.commit.clone(),
                     r.source.clone(),
                     r.benches.len().to_string(),
-                    r.suite_wall_s.map_or("—".to_string(), |w| format!("{} s", fmt_sig(w))),
+                    r.suite_wall_s
+                        .map_or("—".to_string(), |w| format!("{} s", fmt_sig(w))),
                     r.cache_hit_rate.map_or("—".to_string(), fmt_pct),
                 ]
             })

@@ -12,8 +12,8 @@ use crate::html::esc;
 /// Categorical color palette (ColorBrewer-ish, 11 entries to cover the
 /// figure categories; panels index modulo the length).
 pub(crate) const PALETTE: [&str; 11] = [
-    "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
-    "#b07aa1", "#ff9da7", "#9c755f", "#bab0ab", "#86bcb6",
+    "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948", "#b07aa1", "#ff9da7",
+    "#9c755f", "#bab0ab", "#86bcb6",
 ];
 
 /// Compact deterministic number: 3–4 significant digits, no scientific
@@ -91,7 +91,12 @@ pub(crate) struct LogScale {
 impl LogScale {
     pub fn new(d0: f64, d1: f64, p0: f64, p1: f64) -> Self {
         LogScale {
-            lin: LinScale { d0: d0.max(1e-12).log10(), d1: d1.max(1e-12).log10(), p0, p1 },
+            lin: LinScale {
+                d0: d0.max(1e-12).log10(),
+                d1: d1.max(1e-12).log10(),
+                p0,
+                p1,
+            },
         }
     }
 
@@ -121,8 +126,18 @@ pub(crate) fn line_chart(
         .fold(0.0f64, |m, &v| m.max(v))
         .max(1e-12)
         * 1.05;
-    let xs = LinScale { d0: 0.0, d1: (n - 1) as f64, p0: ml, p1: w - mr };
-    let ys = LinScale { d0: 0.0, d1: y_max, p0: h - mb, p1: mt };
+    let xs = LinScale {
+        d0: 0.0,
+        d1: (n - 1) as f64,
+        p0: ml,
+        p1: w - mr,
+    };
+    let ys = LinScale {
+        d0: 0.0,
+        d1: y_max,
+        p0: h - mb,
+        p1: mt,
+    };
     let mut out = format!(
         "<svg width=\"{w}\" height=\"{h}\" viewBox=\"0 0 {w} {h}\" \
          xmlns=\"http://www.w3.org/2000/svg\" role=\"img\">\n"

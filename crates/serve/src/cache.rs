@@ -22,8 +22,8 @@ use std::path::{Path, PathBuf};
 use gnnmark::infer::{run_infer_captured, ExecPhase, InferConfig};
 use gnnmark::suite::{run_workload_captured, SuiteConfig};
 use gnnmark::Result;
-use gnnmark_tensor::half::Precision;
 use gnnmark_gpusim::stream::{fnv1a_64, CapturedRun, FORMAT_VERSION};
+use gnnmark_tensor::half::Precision;
 use gnnmark_workloads::{Scale, TrainMode, WorkloadKind};
 
 /// The code-version cache salt. Bumps with the stream format; bump the
@@ -166,10 +166,7 @@ impl StreamCache {
     /// that trains it, so a caller may look up first and fall back to
     /// `fetch` without counting one request twice.
     pub(crate) fn lookup(&self, key: &CacheKey) -> Option<CapturedRun> {
-        let _sp = gnnmark_telemetry::Span::enter_cat(
-            format!("load:{}", key.id()),
-            "serve-cache",
-        );
+        let _sp = gnnmark_telemetry::Span::enter_cat(format!("load:{}", key.id()), "serve-cache");
         let run = self.load(key)?;
         gnnmark_telemetry::metrics::counter_add("gnnmark_serve_cache_hits_total", 1);
         Some(run)
@@ -182,10 +179,7 @@ impl StreamCache {
             return Ok((run, false));
         }
         gnnmark_telemetry::metrics::counter_add("gnnmark_serve_cache_misses_total", 1);
-        let _sp = gnnmark_telemetry::Span::enter_cat(
-            format!("train:{}", key.id()),
-            "serve-cache",
-        );
+        let _sp = gnnmark_telemetry::Span::enter_cat(format!("train:{}", key.id()), "serve-cache");
         let run = match key.phase {
             ExecPhase::Train => run_workload_captured(key.workload, &key.suite_config())?.1,
             ExecPhase::Infer => {
@@ -208,10 +202,7 @@ mod tests {
     use super::*;
 
     fn tmp_cache(tag: &str) -> StreamCache {
-        let dir = std::env::temp_dir().join(format!(
-            "gnnmark_cache_{tag}_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("gnnmark_cache_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         StreamCache::new(dir)
     }
@@ -229,12 +220,21 @@ mod tests {
         };
         assert_eq!(a.id(), a.id());
         assert!(a.id().starts_with("TLSTM-test-s42-e1-"));
-        let b = CacheKey { seed: 43, ..a.clone() };
+        let b = CacheKey {
+            seed: 43,
+            ..a.clone()
+        };
         assert_ne!(a.id(), b.id());
-        let c = CacheKey { epochs: 2, ..a.clone() };
+        let c = CacheKey {
+            epochs: 2,
+            ..a.clone()
+        };
         assert_ne!(a.id(), c.id());
         // Precision is digest material: an fp16 training is a new entry.
-        let d = CacheKey { precision: Precision::Fp16, ..a.clone() };
+        let d = CacheKey {
+            precision: Precision::Fp16,
+            ..a.clone()
+        };
         assert_ne!(a.id(), d.id());
         // So is the training mode: a minibatch stream is a new entry.
         let e = CacheKey {
@@ -265,7 +265,11 @@ mod tests {
         let second = cache.get_or_train(&key).unwrap();
         // A retrain would have stored again: a new file renamed into place.
         let after = std::fs::metadata(&entry).unwrap();
-        assert_eq!(after.modified().unwrap(), written.modified().unwrap(), "hit does not retrain");
+        assert_eq!(
+            after.modified().unwrap(),
+            written.modified().unwrap(),
+            "hit does not retrain"
+        );
         #[cfg(unix)]
         {
             use std::os::unix::fs::MetadataExt;
@@ -287,7 +291,10 @@ mod tests {
             mode: TrainMode::FullGraph,
             phase: ExecPhase::Train,
         };
-        let infer = CacheKey { phase: ExecPhase::Infer, ..train.clone() };
+        let infer = CacheKey {
+            phase: ExecPhase::Infer,
+            ..train.clone()
+        };
         // Phase is digest material: disjoint ids, disjoint paths.
         assert_ne!(train.id(), infer.id());
         assert_ne!(cache.path_for(&train), cache.path_for(&infer));
@@ -333,7 +340,10 @@ mod tests {
             mode: TrainMode::FullGraph,
             phase: ExecPhase::Train,
         };
-        let key_b = CacheKey { seed: 2, ..key_a.clone() };
+        let key_b = CacheKey {
+            seed: 2,
+            ..key_a.clone()
+        };
         let run = cache.get_or_train(&key_a).unwrap();
         // Plant key A's bytes at key B's path: metadata check rejects it.
         std::fs::write(cache.path_for(&key_b), run.to_bytes()).unwrap();

@@ -143,7 +143,10 @@ impl CampaignOutcome {
             let profiles: Vec<_> = runs.iter().map(|r| r.profile.clone()).collect();
             let tables = [
                 ("summary.csv", figures::suite_summary(&runs)),
-                ("fig2_time_breakdown.csv", figures::fig2_time_breakdown(&profiles)),
+                (
+                    "fig2_time_breakdown.csv",
+                    figures::fig2_time_breakdown(&profiles),
+                ),
                 ("fig4_throughput.csv", figures::fig4_throughput(&profiles)),
                 ("fig9_scaling.csv", figures::fig9_scaling(&runs)),
                 ("convergence.csv", figures::fig_convergence(&runs)),
@@ -328,9 +331,7 @@ fn apply_capture_fault(
             gnnmark_telemetry::mark("fault:injected", "serve");
             Err(gnnmark_tensor::TensorError::InvalidArgument {
                 op: "fault_injection",
-                reason: format!(
-                    "injected transient error in capture {label} (attempt {attempt})"
-                ),
+                reason: format!("injected transient error in capture {label} (attempt {attempt})"),
             })
         }
         Fault::Stall { duration } => {
@@ -400,10 +401,8 @@ pub fn run_campaign(
     cache: &StreamCache,
     opts: &CampaignOptions,
 ) -> Result<CampaignOutcome, String> {
-    let _span = gnnmark_telemetry::Span::enter_cat(
-        format!("campaign:{}", spec.name),
-        "serve-campaign",
-    );
+    let _span =
+        gnnmark_telemetry::Span::enter_cat(format!("campaign:{}", spec.name), "serve-campaign");
 
     // Phase 1 — capture. The replays read every stream and this thread
     // frees them, so this thread allocates them: a hit loads and decodes
@@ -581,10 +580,8 @@ mod tests {
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "gnnmark_campaign_{tag}_{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("gnnmark_campaign_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

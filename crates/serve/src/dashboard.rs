@@ -105,7 +105,11 @@ pub(crate) fn dashboard_page(
     report
         .subtitle(format!("serve daemon · worker {worker_id}"))
         .auto_refresh(5)
-        .add_section("fleet", "Fleet", fleet_section(jobs, archived, draining, worker_id))
+        .add_section(
+            "fleet",
+            "Fleet",
+            fleet_section(jobs, archived, draining, worker_id),
+        )
         .set_metrics(metrics::snapshot());
     report.render()
 }
@@ -122,7 +126,10 @@ fn job_section(job: &StoredJob) -> String {
             ],
             vec!["attempts".to_string(), job.attempts.to_string()],
             vec!["requeues".to_string(), job.requeues.to_string()],
-            vec!["faults injected".to_string(), job.faults_injected.to_string()],
+            vec![
+                "faults injected".to_string(),
+                job.faults_injected.to_string(),
+            ],
             vec!["artifacts".to_string(), job.artifacts.len().to_string()],
         ],
     );
@@ -168,10 +175,7 @@ pub(crate) fn job_report_page(job: &StoredJob, cache: &StreamCache) -> Result<St
                 continue;
             };
             let art = artifacts_from_replay(&run, &device);
-            let mut rr = ReportRun::new(
-                format!("{}@{}", workload.label(), cfg.name),
-                art.profile,
-            );
+            let mut rr = ReportRun::new(format!("{}@{}", workload.label(), cfg.name), art.profile);
             rr.losses = art.losses;
             rr.steps_per_epoch = art.steps_per_epoch;
             rr.quality = art.quality.map(|(n, v)| (n.to_string(), v));
@@ -187,8 +191,7 @@ pub(crate) fn job_report_page(job: &StoredJob, cache: &StreamCache) -> Result<St
                 // Infer-job stream layout: the key's `epochs` is the
                 // batched-step count, leading steps are batch-1 samples.
                 rr.infer = Some(gnnmark_report::InferStats {
-                    batch1_steps: (rr.steps_per_epoch as usize)
-                        .saturating_sub(spec.epochs),
+                    batch1_steps: (rr.steps_per_epoch as usize).saturating_sub(spec.epochs),
                     items_per_step: 0,
                 });
             }
@@ -241,21 +244,26 @@ mod tests {
         }];
         let html = dashboard_page(&jobs, 7, true, "worker-test");
         assert!(html.contains("id=\"sec-fleet\""));
-        assert!(html.contains("<td>7</td><td>9</td>"), "archived and total counts");
+        assert!(
+            html.contains("<td>7</td><td>9</td>"),
+            "archived and total counts"
+        );
         assert!(html.contains("draining: submissions refused"));
         assert!(html.contains("worker-test"));
         assert!(html.contains("href=\"/jobs/3/report\""));
         assert!(html.contains("href=\"/jobs/4/report\""));
-        assert!(html.contains("http-equiv=\"refresh\""), "dashboard auto-refreshes");
+        assert!(
+            html.contains("http-equiv=\"refresh\""),
+            "dashboard auto-refreshes"
+        );
         assert!(!html.contains("<script"));
     }
 
     #[test]
     fn job_report_without_cached_streams_lists_pending() {
-        let cache = StreamCache::new(std::env::temp_dir().join(format!(
-            "gnnmark_dash_nocache_{}",
-            std::process::id()
-        )));
+        let cache = StreamCache::new(
+            std::env::temp_dir().join(format!("gnnmark_dash_nocache_{}", std::process::id())),
+        );
         let html = job_report_page(&stored_job(JobState::Queued), &cache).unwrap();
         assert!(html.contains("id=\"sec-job\""));
         assert!(html.contains("id=\"sec-pending\""));
@@ -266,10 +274,7 @@ mod tests {
 
     #[test]
     fn infer_job_report_renders_the_inference_panel() {
-        let dir = std::env::temp_dir().join(format!(
-            "gnnmark_dash_infer_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("gnnmark_dash_infer_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = StreamCache::new(&dir);
         let key = CacheKey {
@@ -288,7 +293,10 @@ mod tests {
             "configs":[{"name":"v100","device":"v100"}]}"#
             .to_string();
         let html = job_report_page(&job, &cache).unwrap();
-        assert!(html.contains("id=\"sec-inference\""), "inference panel present");
+        assert!(
+            html.contains("id=\"sec-inference\""),
+            "inference panel present"
+        );
         assert!(html.contains("TLSTM@v100"));
         assert!(!html.contains("id=\"sec-pending\""));
         let _ = std::fs::remove_dir_all(&dir);
@@ -296,10 +304,7 @@ mod tests {
 
     #[test]
     fn job_report_replays_cached_streams_per_config() {
-        let dir = std::env::temp_dir().join(format!(
-            "gnnmark_dash_cache_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("gnnmark_dash_cache_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = StreamCache::new(&dir);
         let key = CacheKey {

@@ -219,9 +219,13 @@ impl Daemon {
         let spec = match CampaignSpec::parse(&job.spec_json) {
             Ok(spec) => spec,
             Err(e) => {
-                let _ = self
-                    .store
-                    .record_failed(id, &worker, &format!("invalid stored spec: {e}"), 0, 0);
+                let _ = self.store.record_failed(
+                    id,
+                    &worker,
+                    &format!("invalid stored spec: {e}"),
+                    0,
+                    0,
+                );
                 lease.release();
                 return;
             }
@@ -449,12 +453,7 @@ fn handle(daemon: &Daemon, method: &str, path: &str, body: &str) -> Response {
         }
         ("GET", "/jobs") => {
             let _ = daemon.store.refresh();
-            let rows: Vec<String> = daemon
-                .store
-                .jobs()
-                .iter()
-                .map(job_status_json)
-                .collect();
+            let rows: Vec<String> = daemon.store.jobs().iter().map(job_status_json).collect();
             Response::json(
                 200,
                 format!(
@@ -856,7 +855,9 @@ pub fn serve(cfg: &ServeConfig) -> std::io::Result<()> {
     // (and submissions 503) until the worker's in-flight job completes.
     loop {
         while refused.len() > MAX_CONNECTIONS
-            || refused.front().is_some_and(|(at, _)| at.elapsed() >= ACCEPT_WAIT)
+            || refused
+                .front()
+                .is_some_and(|(at, _)| at.elapsed() >= ACCEPT_WAIT)
         {
             refused.pop_front();
         }
@@ -905,10 +906,8 @@ mod tests {
     use super::*;
 
     fn test_daemon(tag: &str) -> Daemon {
-        let root = std::env::temp_dir().join(format!(
-            "gnnmark_http_unit_{tag}_{}",
-            std::process::id()
-        ));
+        let root =
+            std::env::temp_dir().join(format!("gnnmark_http_unit_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let store_dir = root.join("store");
         Daemon {
@@ -949,7 +948,13 @@ mod tests {
         assert!(st.body.contains("\"state\":\"queued\""), "{}", st.body);
         let listing = handle(&daemon, "GET", "/jobs", "");
         assert_eq!(listing.status, 200);
-        assert!(listing.body.starts_with("{\"archived\":0,\"jobs\":[{\"id\":0,"), "{}", listing.body);
+        assert!(
+            listing
+                .body
+                .starts_with("{\"archived\":0,\"jobs\":[{\"id\":0,"),
+            "{}",
+            listing.body
+        );
         let _ = std::fs::remove_dir_all(daemon.store.dir().parent().unwrap());
     }
 
@@ -958,8 +963,13 @@ mod tests {
         let daemon = test_daemon("kind");
         // Unknown kinds are rejected at submission, not at run time.
         assert_eq!(
-            handle(&daemon, "POST", "/jobs", r#"{"workload":"TLSTM","kind":"predict"}"#)
-                .status,
+            handle(
+                &daemon,
+                "POST",
+                "/jobs",
+                r#"{"workload":"TLSTM","kind":"predict"}"#
+            )
+            .status,
             400
         );
         let r = handle(
@@ -970,7 +980,11 @@ mod tests {
         );
         assert_eq!(r.status, 202);
         let job = daemon.store.job(0).unwrap();
-        assert!(job.spec_json.contains("\"kind\":\"infer\""), "{}", job.spec_json);
+        assert!(
+            job.spec_json.contains("\"kind\":\"infer\""),
+            "{}",
+            job.spec_json
+        );
         let spec = CampaignSpec::parse(&job.spec_json).unwrap();
         assert_eq!(spec.phase, gnnmark::infer::ExecPhase::Infer);
         let _ = std::fs::remove_dir_all(daemon.store.dir().parent().unwrap());
@@ -1017,7 +1031,10 @@ mod tests {
         // The dashboard keeps serving too, and shows the drain state.
         let dash = handle(&daemon, "GET", "/dashboard", "");
         assert_eq!(dash.status, 200);
-        assert!(dash.body.contains("draining"), "dashboard surfaces drain state");
+        assert!(
+            dash.body.contains("draining"),
+            "dashboard surfaces drain state"
+        );
         assert_eq!(handle(&daemon, "GET", "/jobs/0/report", "").status, 200);
         let _ = std::fs::remove_dir_all(daemon.store.dir().parent().unwrap());
     }
@@ -1032,7 +1049,10 @@ mod tests {
         assert!(dash.body.contains("No jobs submitted yet"));
         // A report on a job that does not exist is a 404, not a blank page.
         assert_eq!(handle(&daemon, "GET", "/jobs/0/report", "").status, 404);
-        assert_eq!(handle(&daemon, "POST", "/jobs", r#"{"workload":"TLSTM"}"#).status, 202);
+        assert_eq!(
+            handle(&daemon, "POST", "/jobs", r#"{"workload":"TLSTM"}"#).status,
+            202
+        );
         let rep = handle(&daemon, "GET", "/jobs/0/report", "");
         assert_eq!(rep.status, 200);
         assert_eq!(rep.content_type, "text/html; charset=utf-8");
@@ -1053,7 +1073,11 @@ mod tests {
             ("/dashboard", "text/html; charset=utf-8"),
         ];
         for (path, ctype) in expect {
-            assert_eq!(handle(&daemon, "GET", path, "").content_type, ctype, "{path}");
+            assert_eq!(
+                handle(&daemon, "GET", path, "").content_type,
+                ctype,
+                "{path}"
+            );
         }
         // Errors are JSON envelopes.
         assert_eq!(
@@ -1066,8 +1090,14 @@ mod tests {
     #[test]
     fn route_labels_collapse_ids_and_names() {
         assert_eq!(route_label("GET", "/jobs/17"), "GET /jobs/:id");
-        assert_eq!(route_label("GET", "/jobs/17/report"), "GET /jobs/:id/report");
-        assert_eq!(route_label("GET", "/jobs/17/artifacts"), "GET /jobs/:id/artifacts");
+        assert_eq!(
+            route_label("GET", "/jobs/17/report"),
+            "GET /jobs/:id/report"
+        );
+        assert_eq!(
+            route_label("GET", "/jobs/17/artifacts"),
+            "GET /jobs/:id/artifacts"
+        );
         assert_eq!(
             route_label("GET", "/jobs/17/artifacts/v100/figure7.csv"),
             "GET /jobs/:id/artifacts/:name"
@@ -1078,10 +1108,9 @@ mod tests {
 
     #[test]
     fn single_job_body_expands_to_one_config_campaign() {
-        let v = parse_json(
-            r#"{"workload":"TLSTM","device":"a100","gpus":4,"half_precision":true}"#,
-        )
-        .unwrap();
+        let v =
+            parse_json(r#"{"workload":"TLSTM","device":"a100","gpus":4,"half_precision":true}"#)
+                .unwrap();
         let spec = single_job_spec(&v, 7).unwrap();
         assert_eq!(spec.name, "job-7");
         assert_eq!(spec.workloads.len(), 1);

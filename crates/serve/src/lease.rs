@@ -111,10 +111,9 @@ impl LeaseManager {
                     Some((_, expiry)) if now_unix_ms() > expiry => {
                         // Stale: rename aside (exactly one racer succeeds),
                         // then retry the claim from scratch.
-                        let aside = self.locks_dir.join(format!(
-                            ".stale-{}-{job_id}",
-                            sanitize(&self.worker_id)
-                        ));
+                        let aside = self
+                            .locks_dir
+                            .join(format!(".stale-{}-{job_id}", sanitize(&self.worker_id)));
                         if std::fs::rename(&lock, &aside).is_ok() {
                             let _ = std::fs::remove_file(&aside);
                             metrics::counter_add("gnnmark_lease_steals_total", 1);
@@ -147,7 +146,13 @@ impl LeaseManager {
 fn sanitize(worker: &str) -> String {
     worker
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect()
 }
 
@@ -199,10 +204,7 @@ mod tests {
     use super::*;
 
     fn tmp(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "gnnmark_lease_{tag}_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("gnnmark_lease_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(dir.join("locks")).unwrap();
         dir

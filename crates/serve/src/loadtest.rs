@@ -229,7 +229,8 @@ fn run_open(opts: &LoadtestOptions, tally: &Tally) -> f64 {
                 if scheduled > now {
                     std::thread::sleep(Duration::from_secs_f64(scheduled - now));
                 }
-                let ok = matches!(one_request(&opts.addr, &opts.path), Ok(s) if (200..300).contains(&s));
+                let ok =
+                    matches!(one_request(&opts.addr, &opts.path), Ok(s) if (200..300).contains(&s));
                 let latency = t0.elapsed().as_secs_f64() - scheduled;
                 tally.record(latency * 1e3, ok);
             });
@@ -467,7 +468,9 @@ mod tests {
         assert_eq!(report.job_state.as_deref(), Some("done"));
         assert!(report.requests > 0, "status polls drive the load");
         assert!(report.error_budget_ok);
-        assert!(report.to_json().contains("\"job\":{\"id\":7,\"state\":\"done\"}"));
+        assert!(report
+            .to_json()
+            .contains("\"job\":{\"id\":7,\"state\":\"done\"}"));
     }
 
     #[test]

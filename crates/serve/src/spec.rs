@@ -203,11 +203,7 @@ impl CampaignSpec {
                         }
                         TrainMode::Minibatch(cfg)
                     }
-                    other => {
-                        return Err(format!(
-                            "unknown mode \"{other}\" (fullgraph|minibatch)"
-                        ))
-                    }
+                    other => return Err(format!("unknown mode \"{other}\" (fullgraph|minibatch)")),
                 }
             }
         };
@@ -216,8 +212,7 @@ impl CampaignSpec {
             None => ExecPhase::Train,
             Some(x) => {
                 let s = x.as_str().ok_or("field \"kind\" must be a string")?;
-                ExecPhase::parse(s)
-                    .ok_or_else(|| format!("unknown kind \"{s}\" (train|infer)"))?
+                ExecPhase::parse(s).ok_or_else(|| format!("unknown kind \"{s}\" (train|infer)"))?
             }
         };
 
@@ -264,7 +259,10 @@ impl CampaignSpec {
         for (i, c) in cfg_arr.iter().enumerate() {
             let cfg = Self::parse_config(c).map_err(|e| format!("configs[{i}]: {e}"))?;
             if configs.iter().any(|p: &DeviceConfig| p.name == cfg.name) {
-                return Err(format!("configs[{i}]: duplicate config name \"{}\"", cfg.name));
+                return Err(format!(
+                    "configs[{i}]: duplicate config name \"{}\"",
+                    cfg.name
+                ));
             }
             configs.push(cfg);
         }
@@ -468,7 +466,10 @@ mod tests {
     #[test]
     fn rejects_malformed_specs() {
         for (frag, what) in [
-            (r#"{"scale":"test","seed":1,"epochs":1,"configs":[]}"#, "name"),
+            (
+                r#"{"scale":"test","seed":1,"epochs":1,"configs":[]}"#,
+                "name",
+            ),
             (
                 r#"{"name":"x","scale":"huge","seed":1,"epochs":1,
                     "configs":[{"name":"c","device":"v100"}]}"#,

@@ -298,7 +298,10 @@ impl StoredJob {
         s.push_str(&format!("\"attempts\":{},", self.attempts));
         s.push_str(&format!("\"requeues\":{},", self.requeues));
         s.push_str(&format!("\"faults\":{},", self.faults_injected));
-        s.push_str(&format!("\"progress\":\"{}\",", json_escape(&self.progress)));
+        s.push_str(&format!(
+            "\"progress\":\"{}\",",
+            json_escape(&self.progress)
+        ));
         s.push_str("\"artifacts\":[");
         for (i, a) in self.artifacts.iter().enumerate() {
             if i > 0 {
@@ -322,12 +325,20 @@ impl StoredJob {
             v.get("spec")?.as_str()?.to_string(),
         );
         job.state = JobState::parse(v.get("state")?.as_str()?)?;
-        job.detail = v.get("detail").and_then(|x| x.as_str()).unwrap_or("").to_string();
+        job.detail = v
+            .get("detail")
+            .and_then(|x| x.as_str())
+            .unwrap_or("")
+            .to_string();
         job.worker = v.get("worker").and_then(|x| x.as_str()).map(str::to_string);
         job.attempts = v.get("attempts").and_then(|x| x.as_u64()).unwrap_or(0);
         job.requeues = v.get("requeues").and_then(|x| x.as_u64()).unwrap_or(0);
         job.faults_injected = v.get("faults").and_then(|x| x.as_u64()).unwrap_or(0);
-        job.progress = v.get("progress").and_then(|x| x.as_str()).unwrap_or("").to_string();
+        job.progress = v
+            .get("progress")
+            .and_then(|x| x.as_str())
+            .unwrap_or("")
+            .to_string();
         if let Some(arr) = v.get("artifacts").and_then(|x| x.as_array()) {
             job.artifacts = arr
                 .iter()
@@ -442,7 +453,10 @@ impl JobStore {
         let View { jobs, archived, .. } = &mut fresh;
         jobs.retain(|id, _| !archived.contains_key(id));
         // Snapshots written before `next_id` existed: derive it.
-        for last in [fresh.jobs.keys().next_back(), fresh.archived.keys().next_back()] {
+        for last in [
+            fresh.jobs.keys().next_back(),
+            fresh.archived.keys().next_back(),
+        ] {
             fresh.next_id = fresh.next_id.max(last.map_or(0, |id| id.saturating_add(1)));
         }
 
@@ -545,10 +559,7 @@ impl JobStore {
     ///
     /// # Errors
     /// Propagates filesystem errors.
-    pub fn submit_with(
-        &self,
-        make: impl FnOnce(u64) -> (String, String),
-    ) -> std::io::Result<u64> {
+    pub fn submit_with(&self, make: impl FnOnce(u64) -> (String, String)) -> std::io::Result<u64> {
         let guard = DirMutex::acquire(self.dir.join(MUTEX_FILE))?;
         let mut view = self.inner.lock().unwrap();
         self.refresh_locked(&mut view)?;
@@ -1111,10 +1122,7 @@ mod tests {
     use super::*;
 
     fn tmp(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "gnnmark_store_{tag}_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("gnnmark_store_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -1227,7 +1235,14 @@ mod tests {
             .unwrap();
         // A racing (lease-stolen) worker reports a second completion.
         store
-            .record_done(0, "w2", "jobs/job-0/other", &["other.json".to_string()], 1, 0)
+            .record_done(
+                0,
+                "w2",
+                "jobs/job-0/other",
+                &["other.json".to_string()],
+                1,
+                0,
+            )
             .unwrap();
         let j = store.job(0).unwrap();
         assert_eq!(j.worker.as_deref(), Some("w1"), "first done wins");
@@ -1278,7 +1293,14 @@ mod tests {
             .unwrap();
         store.record_claim(id, "w").unwrap();
         store
-            .record_done(id, "w", &format!("jobs/job-{id}/c{id}"), &["merged.json".to_string()], 1, 0)
+            .record_done(
+                id,
+                "w",
+                &format!("jobs/job-{id}/c{id}"),
+                &["merged.json".to_string()],
+                1,
+                0,
+            )
             .unwrap();
         id
     }
@@ -1298,7 +1320,8 @@ mod tests {
         let a = JobStore::open(&dir).unwrap();
         let b = JobStore::open(&dir).unwrap();
         for _ in 0..40 {
-            a.submit_with(|id| (format!("c{id}"), "x".repeat(200))).unwrap();
+            a.submit_with(|id| (format!("c{id}"), "x".repeat(200)))
+                .unwrap();
         }
         let log_len = std::fs::metadata(dir.join(LOG_FILE)).unwrap().len();
         assert!(log_len > 8_000);
@@ -1306,11 +1329,18 @@ mod tests {
             let mut view = store.inner.lock().unwrap();
             store.refresh_locked(&mut view).unwrap()
         };
-        assert_eq!(refresh(&b), log_len - GEN_HEADER, "first look folds the whole log");
+        assert_eq!(
+            refresh(&b),
+            log_len - GEN_HEADER,
+            "first look folds the whole log"
+        );
         assert_eq!(refresh(&b), 0, "nothing new: header only");
         a.record_claim(3, "w").unwrap();
         let tail = refresh(&b);
-        assert!(tail > 0 && tail < 100, "one claim frame, not {tail} of {log_len} bytes");
+        assert!(
+            tail > 0 && tail < 100,
+            "one claim frame, not {tail} of {log_len} bytes"
+        );
         assert_eq!(b.job(3).unwrap().state, JobState::Running);
         // Across a compaction the stale handle reloads once, then is back
         // to reading tails.
@@ -1323,7 +1353,10 @@ mod tests {
         let tail = refresh(&b);
         assert!(tail > 0 && tail < 100, "{tail}");
         // A torn tail is left unconsumed, exactly as before.
-        let mut f = OpenOptions::new().append(true).open(dir.join(LOG_FILE)).unwrap();
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(dir.join(LOG_FILE))
+            .unwrap();
         f.write_all(&200u32.to_le_bytes()).unwrap();
         f.write_all(b"torn").unwrap();
         drop(f);
@@ -1353,9 +1386,17 @@ mod tests {
             }
         }
         a.compact().unwrap();
-        assert_eq!(a.jobs().len(), RESIDENT_TERMINAL + 1, "newest N terminal + 1 live");
+        assert_eq!(
+            a.jobs().len(),
+            RESIDENT_TERMINAL + 1,
+            "newest N terminal + 1 live"
+        );
         assert_eq!(a.archived_jobs(), 2000 - RESIDENT_TERMINAL);
-        assert_eq!(a.next_queued().map(|j| j.id), Some(live), "live jobs stay resident");
+        assert_eq!(
+            a.next_queued().map(|j| j.id),
+            Some(live),
+            "live jobs stay resident"
+        );
         let snapshot = std::fs::metadata(dir.join(SNAPSHOT_FILE)).unwrap().len();
         assert!(
             snapshot <= snapshot_at_half + snapshot_at_half / 20,
@@ -1442,11 +1483,21 @@ mod tests {
         archive_everything(&store);
         // A lease-stolen worker finishes long after the winner did.
         store
-            .record_done(0, "w2", "jobs/job-0/other", &["other.json".to_string()], 1, 0)
+            .record_done(
+                0,
+                "w2",
+                "jobs/job-0/other",
+                &["other.json".to_string()],
+                1,
+                0,
+            )
             .unwrap();
         store.record_failed(0, "w2", "late", 1, 0).unwrap();
         assert_eq!(store.job(0).unwrap(), done, "first done wins");
-        assert!(store.jobs().is_empty(), "the late records resurrect nothing");
+        assert!(
+            store.jobs().is_empty(),
+            "the late records resurrect nothing"
+        );
         drop(store);
         let store = JobStore::open(&dir).unwrap();
         assert_eq!(store.job(0).unwrap(), done);
@@ -1471,7 +1522,10 @@ mod tests {
         }
         let archive_len = std::fs::metadata(&archive).unwrap().len();
         let store = JobStore::open(&dir).unwrap();
-        assert!(store.jobs().is_empty(), "the archive's copy wins over the log's");
+        assert!(
+            store.jobs().is_empty(),
+            "the archive's copy wins over the log's"
+        );
         assert_eq!(store.archived_jobs(), 2);
         assert_eq!(store.job(1).unwrap(), done);
         archive_everything(&store);
@@ -1513,7 +1567,10 @@ mod tests {
             .unwrap();
         let files = vec![
             ("merged.json".to_string(), "{\"a\":1}\n".to_string()),
-            ("v100/summary.csv".to_string(), "k,v\nx,1\n\ny,2\n".to_string()),
+            (
+                "v100/summary.csv".to_string(),
+                "k,v\nx,1\n\ny,2\n".to_string(),
+            ),
             ("v100/empty.csv".to_string(), String::new()),
         ];
         let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
@@ -1596,7 +1653,11 @@ mod tests {
             racers.into_iter().flat_map(|r| r.join().unwrap()).collect()
         });
         ids.sort_unstable();
-        assert_eq!(ids, (1..=100).collect::<Vec<u64>>(), "no id handed out twice");
+        assert_eq!(
+            ids,
+            (1..=100).collect::<Vec<u64>>(),
+            "no id handed out twice"
+        );
         assert_eq!(ino(&dir).unwrap(), first, "same file, never recreated");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -50,7 +50,12 @@ pub fn metrics_json(snapshot: &[(String, MetricValue)]) -> String {
                 let _ = write!(out, "{v}");
             }
             MetricValue::Gauge(v) => out.push_str(&json_number(*v)),
-            MetricValue::Histogram { count, sum, min, max } => {
+            MetricValue::Histogram {
+                count,
+                sum,
+                min,
+                max,
+            } => {
                 let _ = write!(
                     out,
                     "{{\"count\": {count}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
@@ -61,7 +66,11 @@ pub fn metrics_json(snapshot: &[(String, MetricValue)]) -> String {
             }
             MetricValue::Buckets { .. } => {
                 let (bounds, counts, count, sum) = value.as_buckets().expect("buckets variant");
-                let _ = write!(out, "{{\"count\": {count}, \"sum\": {}, \"le\": [", json_number(sum));
+                let _ = write!(
+                    out,
+                    "{{\"count\": {count}, \"sum\": {}, \"le\": [",
+                    json_number(sum)
+                );
                 for (i, b) in bounds.iter().enumerate() {
                     let _ = write!(out, "{}{}", if i > 0 { ", " } else { "" }, json_number(*b));
                 }
@@ -110,7 +119,12 @@ pub fn metrics_prometheus(snapshot: &[(String, MetricValue)]) -> String {
                 }
                 let _ = writeln!(out, "{base}{labels} {v}");
             }
-            MetricValue::Histogram { count, sum, min, max } => {
+            MetricValue::Histogram {
+                count,
+                sum,
+                min,
+                max,
+            } => {
                 if base != last_typed {
                     let _ = writeln!(out, "# TYPE {base} summary");
                     last_typed = base.to_string();
@@ -539,8 +553,8 @@ impl Parser<'_> {
                     b'u' => {
                         let hex = std::str::from_utf8(&body[k + 1..k + 5])
                             .map_err(|_| self.err("bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| self.err("bad \\u escape"))?;
+                        let code =
+                            u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         k += 4;
                     }
@@ -669,7 +683,12 @@ mod tests {
             ("gnnmark_pool_hits_total".into(), MetricValue::Counter(42)),
             (
                 "gnnmark_epoch_wall_ms".into(),
-                MetricValue::Histogram { count: 2, sum: 30.0, min: 10.0, max: 20.0 },
+                MetricValue::Histogram {
+                    count: 2,
+                    sum: 30.0,
+                    min: 10.0,
+                    max: 20.0,
+                },
             ),
             (
                 "gnnmark_par_worker_busy_ms{worker=\"0\"}".into(),
@@ -714,7 +733,12 @@ mod tests {
         counts[0] = 3;
         counts[1] = 1;
         counts[2] = 2;
-        MetricValue::Buckets { bounds: BOUNDS, counts, count: 6, sum: 11.0 }
+        MetricValue::Buckets {
+            bounds: BOUNDS,
+            counts,
+            count: 6,
+            sum: 11.0,
+        }
     }
 
     #[test]
@@ -735,7 +759,10 @@ mod tests {
         assert!(text.contains("gnnmark_serve_route_seconds_count{route=\"/jobs\"} 6"));
         // Unlabelled series get a bare {le="…"} set.
         let text = metrics_prometheus(&[("plain_seconds".to_string(), bucket_value())]);
-        assert!(text.contains("plain_seconds_bucket{le=\"+Inf\"} 6"), "{text}");
+        assert!(
+            text.contains("plain_seconds_bucket{le=\"+Inf\"} 6"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -841,7 +868,10 @@ mod tests {
     fn validator_accepts_good_and_rejects_bad_json() {
         validate_json("{\"a\": [1, 2.5, -3e2, \"x\\n\", true, null]}").unwrap();
         assert!(validate_json("").is_err());
-        assert!(validate_json("{\"a\": 1,}").is_err(), "trailing comma in object");
+        assert!(
+            validate_json("{\"a\": 1,}").is_err(),
+            "trailing comma in object"
+        );
         assert!(validate_json("[1, 2,]").is_err(), "trailing comma in array");
         assert!(validate_json("[1, 2, ,]").is_err());
         assert!(validate_json("{\"a\" 1}").is_err());

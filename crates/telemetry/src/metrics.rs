@@ -84,9 +84,12 @@ impl MetricValue {
     /// non-histogram metrics.
     pub fn as_histogram(&self) -> Option<(u64, f64, f64, f64)> {
         match self {
-            MetricValue::Histogram { count, sum, min, max } => {
-                Some((*count, *sum, *min, *max))
-            }
+            MetricValue::Histogram {
+                count,
+                sum,
+                min,
+                max,
+            } => Some((*count, *sum, *min, *max)),
             _ => None,
         }
     }
@@ -96,9 +99,12 @@ impl MetricValue {
     /// `None` for other variants.
     pub fn as_buckets(&self) -> Option<(&'static [f64], &[u64], u64, f64)> {
         match self {
-            MetricValue::Buckets { bounds, counts, count, sum } => {
-                Some((bounds, &counts[..bounds.len() + 1], *count, *sum))
-            }
+            MetricValue::Buckets {
+                bounds,
+                counts,
+                count,
+                sum,
+            } => Some((bounds, &counts[..bounds.len() + 1], *count, *sum)),
             _ => None,
         }
     }
@@ -181,7 +187,12 @@ pub fn gauge_set(name: &str, value: f64) {
 pub fn observe(name: &str, sample: f64) {
     let mut reg = REGISTRY.lock().unwrap();
     match reg.get_mut(name) {
-        Some(MetricValue::Histogram { count, sum, min, max }) => {
+        Some(MetricValue::Histogram {
+            count,
+            sum,
+            min,
+            max,
+        }) => {
             *count += 1;
             *sum += sample;
             *min = min.min(sample);
@@ -190,7 +201,12 @@ pub fn observe(name: &str, sample: f64) {
         _ => {
             reg.insert(
                 name.to_string(),
-                MetricValue::Histogram { count: 1, sum: sample, min: sample, max: sample },
+                MetricValue::Histogram {
+                    count: 1,
+                    sum: sample,
+                    min: sample,
+                    max: sample,
+                },
             );
         }
     }
@@ -207,7 +223,12 @@ pub fn observe_bucketed(name: &str, sample: f64, bounds: &'static [f64]) {
     );
     let mut reg = REGISTRY.lock().unwrap();
     match reg.get_mut(name) {
-        Some(MetricValue::Buckets { bounds, counts, count, sum }) => {
+        Some(MetricValue::Buckets {
+            bounds,
+            counts,
+            count,
+            sum,
+        }) => {
             let idx = bounds
                 .iter()
                 .position(|&b| sample <= b)
@@ -225,7 +246,12 @@ pub fn observe_bucketed(name: &str, sample: f64, bounds: &'static [f64]) {
             counts[idx] = 1;
             reg.insert(
                 name.to_string(),
-                MetricValue::Buckets { bounds, counts, count: 1, sum: sample },
+                MetricValue::Buckets {
+                    bounds,
+                    counts,
+                    count: 1,
+                    sum: sample,
+                },
             );
         }
     }
@@ -280,7 +306,12 @@ mod tests {
         observe("t3_lat", 1.0);
         observe("t3_lat", 10.0);
         match get("t3_lat") {
-            Some(MetricValue::Histogram { count, sum, min, max }) => {
+            Some(MetricValue::Histogram {
+                count,
+                sum,
+                min,
+                max,
+            }) => {
                 assert_eq!(count, 3);
                 assert!((sum - 15.0).abs() < 1e-12);
                 assert!((min - 1.0).abs() < 1e-12);

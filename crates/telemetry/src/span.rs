@@ -116,7 +116,10 @@ pub fn lane() -> usize {
         let name = std::thread::current()
             .name()
             .map_or_else(|| format!("thread-{id}"), str::to_string);
-        LANES.lock().unwrap().push(LaneInfo { lane: id, thread: name });
+        LANES.lock().unwrap().push(LaneInfo {
+            lane: id,
+            thread: name,
+        });
         id
     })
 }

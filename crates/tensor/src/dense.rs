@@ -374,8 +374,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let t = Tensor::randn(&[10_000], 1.0, &mut rng);
         let mean: f32 = t.as_slice().iter().sum::<f32>() / 10_000.0;
-        let var: f32 =
-            t.as_slice().iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 10_000.0;
+        let var: f32 = t
+            .as_slice()
+            .iter()
+            .map(|v| (v - mean) * (v - mean))
+            .sum::<f32>()
+            / 10_000.0;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
 

@@ -101,7 +101,10 @@ impl fmt::Display for TensorError {
                 expected,
                 actual,
             } => {
-                write!(f, "rank mismatch in `{op}`: expected {expected}, got {actual}")
+                write!(
+                    f,
+                    "rank mismatch in `{op}`: expected {expected}, got {actual}"
+                )
             }
             TensorError::IndexOutOfBounds { op, index, bound } => {
                 write!(f, "index {index} out of bounds ({bound}) in `{op}`")

@@ -263,7 +263,9 @@ mod tests {
             assert!(rel <= 1.0 / 128.0, "{v} -> {q}");
         }
         // bf16 keeps f32's exponent range: no overflow at f32::MAX.
-        assert!(Precision::Bf16.quantize(f32::MAX).is_finite() || f32::MAX.to_bits() & 0xffff > 0x7fff);
+        assert!(
+            Precision::Bf16.quantize(f32::MAX).is_finite() || f32::MAX.to_bits() & 0xffff > 0x7fff
+        );
         assert!(Precision::Bf16.quantize(f32::NAN).is_nan());
         // Idempotent.
         for i in 0..1000 {

@@ -129,7 +129,13 @@ impl fmt::Debug for IntTensor {
         if self.numel() <= 8 {
             write!(f, "{:?}", self.data)
         } else {
-            write!(f, "[{}, {}, … ; {} elems]", self.data[0], self.data[1], self.numel())
+            write!(
+                f,
+                "[{}, {}, … ; {} elems]",
+                self.data[0],
+                self.data[1],
+                self.numel()
+            )
         }
     }
 }

@@ -35,8 +35,8 @@ pub mod cost;
 mod dense;
 mod error;
 pub mod half;
-mod int;
 pub mod instrument;
+mod int;
 pub mod ops;
 pub mod par;
 pub mod pool;

@@ -42,7 +42,16 @@ struct WgradGeometry {
 /// the time and nothing else.
 #[inline(always)]
 fn wgrad_taps<const C: usize>(geo: WgradGeometry, g_img: &[f32], xt: &[f32], dw: &mut [f32]) {
-    let WgradGeometry { spec, c_in, h, w, oh, ow, kh, kw } = geo;
+    let WgradGeometry {
+        spec,
+        c_in,
+        h,
+        w,
+        oh,
+        ow,
+        kh,
+        kw,
+    } = geo;
     for ky in 0..kh {
         let oys = valid_taps(spec.stride_h, spec.pad_h, ky, h, oh);
         for kx in 0..kw {
@@ -84,7 +93,11 @@ impl Tensor {
             return Err(TensorError::RankMismatch {
                 op: "bmm_nt",
                 expected: 3,
-                actual: if self.rank() != 3 { self.rank() } else { other.rank() },
+                actual: if self.rank() != 3 {
+                    self.rank()
+                } else {
+                    other.rank()
+                },
             });
         }
         if self.dim(0) != other.dim(0) || self.dim(2) != other.dim(2) {
@@ -129,7 +142,11 @@ impl Tensor {
             return Err(TensorError::RankMismatch {
                 op: "bmm_tn",
                 expected: 3,
-                actual: if self.rank() != 3 { self.rank() } else { other.rank() },
+                actual: if self.rank() != 3 {
+                    self.rank()
+                } else {
+                    other.rank()
+                },
             });
         }
         if self.dim(0) != other.dim(0) || self.dim(1) != other.dim(1) {
@@ -144,7 +161,16 @@ impl Tensor {
         // The shared blocked kernel reads each `[k, m]` batch of `self`
         // through transposed strides; nothing is packed.
         let mut out = pool::zeroed(b * m * n);
-        bmm_into(self.as_slice(), true, other.as_slice(), &mut out, b, m, k, n);
+        bmm_into(
+            self.as_slice(),
+            true,
+            other.as_slice(),
+            &mut out,
+            b,
+            m,
+            k,
+            n,
+        );
         let result = Tensor::from_vec(&[b, m, n], out)?;
         let macs = (b * m * k * n) as u64;
         emit_sequential(
@@ -377,7 +403,16 @@ impl Tensor {
         // over a channels-last copy of the input, where their operands are
         // adjacent (a transpose of `x.len()` elements against `c_out * kh *
         // kw` MACs on each).
-        let geo = WgradGeometry { spec, c_in, h, w, oh, ow, kh, kw };
+        let geo = WgradGeometry {
+            spec,
+            c_in,
+            h,
+            w,
+            oh,
+            ow,
+            kh,
+            kw,
+        };
         let lvl = simd::level();
         let mut xt = pool::filled(x.len());
         for ni in 0..n {
@@ -454,7 +489,8 @@ impl Tensor {
                 actual: self.rank(),
             });
         }
-        self.shape().require_same(dout.shape(), "batch_norm_backward")?;
+        self.shape()
+            .require_same(dout.shape(), "batch_norm_backward")?;
         let (n, d) = (self.dim(0), self.dim(1));
         if gamma.dims() != [d] || mean.dims() != [d] || var.dims() != [d] {
             return Err(TensorError::ShapeMismatch {
@@ -489,8 +525,8 @@ impl Tensor {
         for i in 0..n {
             for j in 0..d {
                 let xh = (x[i * d + j] - mu[j]) * inv_std[j];
-                dx[i * d + j] = gm[j] * inv_std[j] / nf
-                    * (nf * g[i * d + j] - sum_g[j] - xh * sum_gx[j]);
+                dx[i * d + j] =
+                    gm[j] * inv_std[j] / nf * (nf * g[i * d + j] - sum_g[j] - xh * sum_gx[j]);
             }
         }
         let total = (n * d) as u64;
@@ -610,13 +646,20 @@ mod tests {
         // 19 input channels: one block of `WGRAD_CHAINS` and three singles.
         // The reference is the definition — per (oc, ic, ky, kx) and image,
         // one chain from 0.0 over (oy, ox), then added to the running dw.
-        let pad = Conv2dSpec { stride_h: 2, stride_w: 1, pad_h: 1, pad_w: 2 };
+        let pad = Conv2dSpec {
+            stride_h: 2,
+            stride_w: 1,
+            pad_h: 1,
+            pad_w: 2,
+        };
         for spec in [Conv2dSpec::default(), pad] {
             let (n, c_in, h, w, c_out, kh, kw) = (2, WGRAD_CHAINS + 3, 6, 11, 3, 3, 2);
             let x = Tensor::from_fn(&[n, c_in, h, w], |i| ((i * 7919) % 101) as f32 * 0.03 - 1.5);
             let k = Tensor::zeros(&[c_out, c_in, kh, kw]);
             let (oh, ow) = spec.output_size(h, w, kh, kw).unwrap();
-            let g = Tensor::from_fn(&[n, c_out, oh, ow], |i| ((i * 104729) % 37) as f32 * 0.05 - 0.9);
+            let g = Tensor::from_fn(&[n, c_out, oh, ow], |i| {
+                ((i * 104729) % 37) as f32 * 0.05 - 0.9
+            });
             let (_, dw) = x.conv2d_backward(&k, spec, &g).unwrap();
             for oc in 0..c_out {
                 for ic in 0..c_in {
@@ -630,14 +673,19 @@ mod tests {
                                         let sy = (oy * spec.stride_h + ky).wrapping_sub(spec.pad_h);
                                         let sx = (ox * spec.stride_w + kx).wrapping_sub(spec.pad_w);
                                         if sy < h && sx < w {
-                                            acc += g.get(&[ni, oc, oy, ox]) * x.get(&[ni, ic, sy, sx]);
+                                            acc +=
+                                                g.get(&[ni, oc, oy, ox]) * x.get(&[ni, ic, sy, sx]);
                                         }
                                     }
                                 }
                                 want += acc;
                             }
                             let got = dw.get(&[oc, ic, ky, kx]);
-                            assert_eq!(got.to_bits(), want.to_bits(), "dw[{oc},{ic},{ky},{kx}] {spec:?}");
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "dw[{oc},{ic},{ky},{kx}] {spec:?}"
+                            );
                         }
                     }
                 }

@@ -38,13 +38,7 @@ impl Conv2dSpec {
     ///
     /// # Errors
     /// Returns [`TensorError::InvalidArgument`] if the kernel does not fit.
-    pub fn output_size(
-        &self,
-        h: usize,
-        w: usize,
-        kh: usize,
-        kw: usize,
-    ) -> Result<(usize, usize)> {
+    pub fn output_size(&self, h: usize, w: usize, kh: usize, kw: usize) -> Result<(usize, usize)> {
         let h_eff = h + 2 * self.pad_h;
         let w_eff = w + 2 * self.pad_w;
         if kh > h_eff || kw > w_eff || self.stride_h == 0 || self.stride_w == 0 {
@@ -92,7 +86,11 @@ impl Tensor {
             return Err(TensorError::RankMismatch {
                 op: "conv2d",
                 expected: 4,
-                actual: if self.rank() != 4 { self.rank() } else { weight.rank() },
+                actual: if self.rank() != 4 {
+                    self.rank()
+                } else {
+                    weight.rank()
+                },
             });
         }
         let (n, c_in, h, w) = (self.dim(0), self.dim(1), self.dim(2), self.dim(3));
@@ -173,8 +171,8 @@ impl Tensor {
                                         }
                                     } else {
                                         for ox in oxs.clone() {
-                                            o_row[ox] += kval
-                                                * x_row[ox * spec.stride_w + kx - spec.pad_w];
+                                            o_row[ox] +=
+                                                kval * x_row[ox * spec.stride_w + kx - spec.pad_w];
                                         }
                                     }
                                 }
@@ -331,7 +329,12 @@ mod tests {
     #[test]
     fn both_paths_equal_the_definition_bit_for_bit_in_every_lane() {
         use crate::simd::{self, SimdLevel};
-        let pad = Conv2dSpec { stride_h: 1, stride_w: 2, pad_h: 1, pad_w: 1 };
+        let pad = Conv2dSpec {
+            stride_h: 1,
+            stride_w: 2,
+            pad_h: 1,
+            pad_w: 1,
+        };
         // Unit spec with a one-column kernel (the plane is one strip: 3 x 23
         // = 69 outputs, two full strips and a tail), unit spec with a wide
         // kernel (one strip per output row: 35 = a strip and a tail), and

@@ -5,9 +5,9 @@
 //! DeepGCN they consume ~31 % of execution time, and for PinSAGE on the
 //! Nowplaying dataset (10× wider features than MovieLens) they reach 78 %.
 
-use super::{emit_sequential, emit_op};
-use crate::instrument::{AccessDesc, OpClass};
+use super::{emit_op, emit_sequential};
 use crate::cost::INT_PER_ELEMWISE_ELEM;
+use crate::instrument::{AccessDesc, OpClass};
 use crate::simd::{self, BinOp, UnOp};
 use crate::{par, pool, Result, Tensor, TensorError};
 
@@ -216,17 +216,31 @@ impl Tensor {
 
     /// Leaky ReLU with negative slope `alpha`.
     pub fn leaky_relu(&self, alpha: f32) -> Tensor {
-        self.unary("leaky_relu", 2, par::Cost::ELEMENT, move |a| if a > 0.0 { a } else { alpha * a })
+        self.unary("leaky_relu", 2, par::Cost::ELEMENT, move |a| {
+            if a > 0.0 {
+                a
+            } else {
+                alpha * a
+            }
+        })
     }
 
     /// Parametric ReLU with a single learned slope `alpha` (used by ARGA).
     pub fn prelu(&self, alpha: f32) -> Tensor {
-        self.unary("prelu", 2, par::Cost::ELEMENT, move |a| if a > 0.0 { a } else { alpha * a })
+        self.unary("prelu", 2, par::Cost::ELEMENT, move |a| {
+            if a > 0.0 {
+                a
+            } else {
+                alpha * a
+            }
+        })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Tensor {
-        self.unary("sigmoid", SFU_FLOPS + 2, par::Cost::EXP_ELEM, |a| 1.0 / (1.0 + (-a).exp()))
+        self.unary("sigmoid", SFU_FLOPS + 2, par::Cost::EXP_ELEM, |a| {
+            1.0 / (1.0 + (-a).exp())
+        })
     }
 
     /// Hyperbolic tangent.
@@ -241,12 +255,20 @@ impl Tensor {
 
     /// Element-wise power.
     pub fn powf(&self, p: f32) -> Tensor {
-        self.unary("pow", SFU_FLOPS * 2, par::Cost::EXP_ELEM, move |a| a.powf(p))
+        self.unary("pow", SFU_FLOPS * 2, par::Cost::EXP_ELEM, move |a| {
+            a.powf(p)
+        })
     }
 
     /// Mask of elements strictly greater than zero (1.0 / 0.0).
     pub fn gt_zero_mask(&self) -> Tensor {
-        self.unary("gt_zero_mask", 1, par::Cost::ELEMENT, |a| if a > 0.0 { 1.0 } else { 0.0 })
+        self.unary("gt_zero_mask", 1, par::Cost::ELEMENT, |a| {
+            if a > 0.0 {
+                1.0
+            } else {
+                0.0
+            }
+        })
     }
 
     /// `self + alpha * other`, a fused AXPY-style update.

@@ -25,7 +25,8 @@ impl Tensor {
     /// # Errors
     /// Returns a shape error if `self` and `target` differ.
     pub fn bce_with_logits_mean(&self, target: &Tensor) -> Result<Tensor> {
-        self.shape().require_same(target.shape(), "bce_with_logits_mean")?;
+        self.shape()
+            .require_same(target.shape(), "bce_with_logits_mean")?;
         let n = self.numel();
         let (zs, ys) = (self.as_slice(), target.as_slice());
         // The f32 terms are computed a block at a time on the pool; the

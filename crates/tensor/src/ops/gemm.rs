@@ -393,7 +393,10 @@ impl Tensor {
         let mut out = pool::filled(m);
         let ranges = par::split(m, m * k, par::Cost::ELEMENT);
         par::for_row_ranges_mut(&mut out, 1, &ranges, |_, r, chunk| {
-            for (o, row) in chunk.iter_mut().zip(a[r.start * k..r.end * k].chunks_exact(k)) {
+            for (o, row) in chunk
+                .iter_mut()
+                .zip(a[r.start * k..r.end * k].chunks_exact(k))
+            {
                 *o = simd::vdot(lvl, row, vv);
             }
         });
@@ -492,7 +495,16 @@ impl Tensor {
         let (b, m, k) = (self.dim(0), self.dim(1), self.dim(2));
         let n = other.dim(2);
         let mut out = pool::zeroed(b * m * n);
-        bmm_into(self.as_slice(), false, other.as_slice(), &mut out, b, m, k, n);
+        bmm_into(
+            self.as_slice(),
+            false,
+            other.as_slice(),
+            &mut out,
+            b,
+            m,
+            k,
+            n,
+        );
         let result = Tensor::from_vec(&[b, m, n], out)?;
         let macs = (b * m * k * n) as u64;
         emit_sequential(

@@ -72,6 +72,10 @@ pub(crate) fn emit_sequential(
         bytes_written,
         threads,
         || vec![AccessDesc::Sequential { bytes: bytes_read }],
-        || vec![AccessDesc::Sequential { bytes: bytes_written }],
+        || {
+            vec![AccessDesc::Sequential {
+                bytes: bytes_written,
+            }]
+        },
     );
 }

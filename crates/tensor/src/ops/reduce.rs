@@ -59,7 +59,11 @@ impl Tensor {
     /// # Errors
     /// Returns [`TensorError::RankMismatch`] unless `self` is rank 2.
     pub fn mean_rows(&self) -> Result<Tensor> {
-        let d = if self.rank() == 2 { self.dim(1) as f32 } else { 1.0 };
+        let d = if self.rank() == 2 {
+            self.dim(1) as f32
+        } else {
+            1.0
+        };
         let lvl = simd::level();
         self.reduce_rows("reduce_mean_rows", move |row| simd::vsum(lvl, row) / d)
     }
@@ -73,7 +77,11 @@ impl Tensor {
         self.reduce_rows("reduce_max_rows", move |row| simd::vmax(lvl, row))
     }
 
-    fn reduce_rows(&self, kernel: &'static str, f: impl Fn(&[f32]) -> f32 + Sync) -> Result<Tensor> {
+    fn reduce_rows(
+        &self,
+        kernel: &'static str,
+        f: impl Fn(&[f32]) -> f32 + Sync,
+    ) -> Result<Tensor> {
         if self.rank() != 2 {
             return Err(TensorError::RankMismatch {
                 op: kernel,

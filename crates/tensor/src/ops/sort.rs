@@ -47,11 +47,7 @@ fn emit_sort(n: usize, bytes_per_key: u64, kernel: &'static str, perm: &[i64]) {
                 ]
             }
         },
-        move || {
-            vec![AccessDesc::Sequential {
-                bytes: region,
-            }]
-        },
+        move || vec![AccessDesc::Sequential { bytes: region }],
     );
 }
 

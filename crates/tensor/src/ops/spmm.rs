@@ -162,12 +162,8 @@ mod tests {
 
     #[test]
     fn spmm_matches_dense_matmul() {
-        let m = CsrMatrix::from_coo(
-            3,
-            3,
-            &[(0, 1, 2.0), (1, 0, 1.0), (1, 2, -1.0), (2, 2, 0.5)],
-        )
-        .unwrap();
+        let m = CsrMatrix::from_coo(3, 3, &[(0, 1, 2.0), (1, 0, 1.0), (1, 2, -1.0), (2, 2, 0.5)])
+            .unwrap();
         let x = Tensor::from_fn(&[3, 2], |i| i as f32 + 1.0);
         let sparse = m.spmm(&x).unwrap();
         let dense = m.to_dense().matmul(&x).unwrap();

@@ -38,9 +38,7 @@ impl Tensor {
             total * 4,
             total * 4,
             total,
-            move || {
-                vec![AccessDesc::Sequential { bytes: total * 4 }]
-            },
+            move || vec![AccessDesc::Sequential { bytes: total * 4 }],
             move || {
                 // Column-major writes: strided at row length.
                 vec![AccessDesc::Strided {
@@ -66,11 +64,15 @@ impl Tensor {
                 reason: "empty input list".to_string(),
             });
         }
-        let d = parts[0].dims().get(1).copied().ok_or(TensorError::RankMismatch {
-            op: "concat_rows",
-            expected: 2,
-            actual: parts[0].rank(),
-        })?;
+        let d = parts[0]
+            .dims()
+            .get(1)
+            .copied()
+            .ok_or(TensorError::RankMismatch {
+                op: "concat_rows",
+                expected: 2,
+                actual: parts[0].rank(),
+            })?;
         let mut data = Vec::new();
         let mut n = 0usize;
         for p in parts {

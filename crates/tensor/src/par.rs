@@ -321,11 +321,7 @@ fn drain(job: &Arc<Job>, shared: &Shared) {
         }
         if job.done.fetch_add(1, Ordering::SeqCst) + 1 == job.total {
             let mut st = shared.state.lock().unwrap();
-            if st
-                .job
-                .as_ref()
-                .is_some_and(|j| Arc::ptr_eq(j, job))
-            {
+            if st.job.as_ref().is_some_and(|j| Arc::ptr_eq(j, job)) {
                 st.job = None;
             }
             shared.done_cv.notify_all();
@@ -387,7 +383,11 @@ pub fn run(total: usize, f: &(dyn Fn(usize) + Sync)) {
     let nested = IN_POOL.with(|g| g.get());
     // One fork/join at a time; a busy pool means another workload thread is
     // mid-kernel — run inline rather than wait (results are identical).
-    let submit = if t <= 1 || nested { None } else { SUBMIT.try_lock().ok() };
+    let submit = if t <= 1 || nested {
+        None
+    } else {
+        SUBMIT.try_lock().ok()
+    };
     let Some(submit) = submit else {
         REGIONS_INLINE.fetch_add(1, Ordering::Relaxed);
         // Nested calls skip busy accounting: the enclosing `drain` is

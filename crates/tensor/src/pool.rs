@@ -301,12 +301,24 @@ mod tests {
 
     #[test]
     fn stats_reset_and_hit_rate_and_since() {
-        let mut s = PoolStats { hits: 3, misses: 1, recycled: 2 };
+        let mut s = PoolStats {
+            hits: 3,
+            misses: 1,
+            recycled: 2,
+        };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        let earlier = PoolStats { hits: 1, misses: 1, recycled: 0 };
+        let earlier = PoolStats {
+            hits: 1,
+            misses: 1,
+            recycled: 0,
+        };
         assert_eq!(
             s.since(&earlier),
-            PoolStats { hits: 2, misses: 0, recycled: 2 }
+            PoolStats {
+                hits: 2,
+                misses: 0,
+                recycled: 2
+            }
         );
         s.reset();
         assert_eq!(s, PoolStats::default());

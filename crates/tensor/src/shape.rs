@@ -14,7 +14,9 @@ pub struct Shape {
 impl Shape {
     /// Creates a shape from a slice of dimension extents.
     pub fn new(dims: &[usize]) -> Self {
-        Shape { dims: dims.to_vec() }
+        Shape {
+            dims: dims.to_vec(),
+        }
     }
 
     /// The dimension extents.

@@ -242,7 +242,12 @@ mod scalar {
 
     pub fn axpy8(dst: &mut [f32], a: &[f32; 8], b: &[f32], stride: usize) {
         let (b0, b1, b2, b3) = (b, &b[stride..], &b[2 * stride..], &b[3 * stride..]);
-        let (b4, b5, b6, b7) = (&b[4 * stride..], &b[5 * stride..], &b[6 * stride..], &b[7 * stride..]);
+        let (b4, b5, b6, b7) = (
+            &b[4 * stride..],
+            &b[5 * stride..],
+            &b[6 * stride..],
+            &b[7 * stride..],
+        );
         let (a0, a1, a2, a3) = (a[0], a[1], a[2], a[3]);
         let (a4, a5, a6, a7) = (a[4], a[5], a[6], a[7]);
         for (j, o) in dst.iter_mut().enumerate() {
@@ -376,10 +381,8 @@ mod x86 {
             BinOp::Max => lanes!(|x, y| _mm256_max_ps(x, y), f32::max),
             BinOp::Axpy(alpha) => {
                 let va = _mm256_set1_ps(alpha);
-                lanes!(
-                    |x, y| _mm256_fmadd_ps(va, y, x),
-                    |x: f32, y: f32| alpha.mul_add(y, x)
-                )
+                lanes!(|x, y| _mm256_fmadd_ps(va, y, x), |x: f32, y: f32| alpha
+                    .mul_add(y, x))
             }
             BinOp::MulScale(s) => {
                 let vs = _mm256_set1_ps(s);
@@ -718,7 +721,10 @@ mod x86 {
         let mut j = 0;
         while j + 8 <= n {
             let x = _mm256_loadu_ps(src.as_ptr().add(j));
-            _mm256_storeu_ps(out.as_mut_ptr().add(j), _mm256_sub_ps(_mm256_sub_ps(x, v1), v2));
+            _mm256_storeu_ps(
+                out.as_mut_ptr().add(j),
+                _mm256_sub_ps(_mm256_sub_ps(x, v1), v2),
+            );
             j += 8;
         }
         while j < n {
@@ -755,7 +761,8 @@ mod x86 {
             for r0 in (0..rows8).step_by(8) {
                 for c in (c0..c1).step_by(8) {
                     let s = sp.add(r0 * stride + c);
-                    let r: [__m256; 8] = std::array::from_fn(|i| _mm256_loadu_ps(s.add(i * stride)));
+                    let r: [__m256; 8] =
+                        std::array::from_fn(|i| _mm256_loadu_ps(s.add(i * stride)));
                     let t0 = _mm256_unpacklo_ps(r[0], r[1]);
                     let t1 = _mm256_unpackhi_ps(r[0], r[1]);
                     let t2 = _mm256_unpacklo_ps(r[2], r[3]);
@@ -930,7 +937,10 @@ pub fn transpose(
     cols: Range<usize>,
     dst: &mut [f32],
 ) {
-    assert!(cols.start <= cols.end && cols.end <= stride, "columns outside the row");
+    assert!(
+        cols.start <= cols.end && cols.end <= stride,
+        "columns outside the row"
+    );
     assert!(
         rows == 0 || src.len() >= (rows - 1) * stride + cols.end,
         "source shorter than rows × stride"
@@ -1007,7 +1017,9 @@ mod tests {
     use super::*;
 
     fn data(n: usize, salt: f32) -> Vec<f32> {
-        (0..n).map(|i| ((i as f32) * 0.37 + salt).sin() * 3.0).collect()
+        (0..n)
+            .map(|i| ((i as f32) * 0.37 + salt).sin() * 3.0)
+            .collect()
     }
 
     #[test]
@@ -1049,7 +1061,9 @@ mod tests {
                 let tol = 1e-4 * (n as f32).max(1.0).sqrt();
                 assert!((vsum(lvl, &xs) - vsum(SimdLevel::Scalar, &xs)).abs() <= tol);
                 assert!((vsumsq(lvl, &xs) - vsumsq(SimdLevel::Scalar, &xs)).abs() <= tol * 10.0);
-                assert!((vdot(lvl, &xs, &ys) - vdot(SimdLevel::Scalar, &xs, &ys)).abs() <= tol * 10.0);
+                assert!(
+                    (vdot(lvl, &xs, &ys) - vdot(SimdLevel::Scalar, &xs, &ys)).abs() <= tol * 10.0
+                );
                 assert_eq!(vmax(lvl, &xs), vmax(SimdLevel::Scalar, &xs));
             }
         }
@@ -1067,7 +1081,10 @@ mod tests {
                 let mut got = data(n, 9.0);
                 axpy8(lvl, &mut got, &a, &b, stride);
                 for (g, w) in got.iter().zip(&want) {
-                    assert!((g - w).abs() <= 1e-4 * w.abs().max(1.0), "{lvl:?} n={n}: {g} vs {w}");
+                    assert!(
+                        (g - w).abs() <= 1e-4 * w.abs().max(1.0),
+                        "{lvl:?} n={n}: {g} vs {w}"
+                    );
                 }
             }
         }

@@ -213,7 +213,13 @@ impl CsrMatrix {
 
 impl fmt::Display for CsrMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CsrMatrix {}×{} nnz={}", self.rows, self.cols, self.nnz())
+        write!(
+            f,
+            "CsrMatrix {}×{} nnz={}",
+            self.rows,
+            self.cols,
+            self.nnz()
+        )
     }
 }
 

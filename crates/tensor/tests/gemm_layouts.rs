@@ -97,7 +97,10 @@ fn matmul_tn_and_nt_equal_matmul_of_the_explicit_transpose() {
 fn batched_tn_and_nt_equal_bmm_of_the_explicit_transposes() {
     let stack = |ts: &[Tensor]| {
         let dims = [ts.len(), ts[0].dim(0), ts[0].dim(1)];
-        let data: Vec<f32> = ts.iter().flat_map(|t| t.as_slice().iter().copied()).collect();
+        let data: Vec<f32> = ts
+            .iter()
+            .flat_map(|t| t.as_slice().iter().copied())
+            .collect();
         Tensor::from_vec(&dims, data).unwrap()
     };
     in_every_lane_and_plan(|how| {
@@ -107,9 +110,17 @@ fn batched_tn_and_nt_equal_bmm_of_the_explicit_transposes() {
             let want = stack(&a).bmm(&stack(&b)).unwrap();
             let what = format!("2x{m}x{k}x{n} {how}");
             let at = stack(&[transposed(&a[0]), transposed(&a[1])]);
-            assert_same_bits(&at.bmm_tn(&stack(&b)).unwrap(), &want, &format!("bmm_tn {what}"));
+            assert_same_bits(
+                &at.bmm_tn(&stack(&b)).unwrap(),
+                &want,
+                &format!("bmm_tn {what}"),
+            );
             let bt = stack(&[transposed(&b[0]), transposed(&b[1])]);
-            assert_same_bits(&stack(&a).bmm_nt(&bt).unwrap(), &want, &format!("bmm_nt {what}"));
+            assert_same_bits(
+                &stack(&a).bmm_nt(&bt).unwrap(),
+                &want,
+                &format!("bmm_nt {what}"),
+            );
         }
     });
 }
@@ -134,8 +145,15 @@ fn every_lane_transposes_to_the_same_bits() {
                 for lvl in [SimdLevel::Scalar, simd::detect()] {
                     let mut got = vec![f32::NAN; cols.len() * rows];
                     simd::transpose(lvl, &src, rows, stride, cols.clone(), &mut got);
-                    let same = got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits());
-                    assert!(same, "{rows} x {stride} cols {cols:?} in the {} lane", lvl.as_str());
+                    let same = got
+                        .iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits());
+                    assert!(
+                        same,
+                        "{rows} x {stride} cols {cols:?} in the {} lane",
+                        lvl.as_str()
+                    );
                 }
             }
         }
@@ -147,7 +165,11 @@ fn transpose2d_uses_it_at_every_plan() {
     in_every_lane_and_plan(|how| {
         for (rows, cols) in [(1, 1), (3, 40), (37, 23), (64, 9)] {
             let t = operand(rows, cols, 7);
-            assert_same_bits(&t.transpose2d().unwrap(), &transposed(&t), &format!("{rows}x{cols} {how}"));
+            assert_same_bits(
+                &t.transpose2d().unwrap(),
+                &transposed(&t),
+                &format!("{rows}x{cols} {how}"),
+            );
         }
     });
 }
@@ -168,19 +190,33 @@ fn a_pack_scope_keys_by_buffer_and_dims() {
     let w_batched = w.reshape(&[1, 6, 20]).unwrap();
     let want = x.matmul(&transposed(&w)).unwrap();
     let want_view = x_view.matmul(&transposed(&w_view)).unwrap();
-    let want_batched = xb.bmm(&transposed(&w).reshape(&[1, 20, 6]).unwrap()).unwrap();
+    let want_batched = xb
+        .bmm(&transposed(&w).reshape(&[1, 20, 6]).unwrap())
+        .unwrap();
 
     let before = recycled();
     let scope = PackScope::enter();
     for t in 0..4 {
         assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, &format!("step {t}"));
     }
-    assert_same_bits(&x_view.matmul_nt(&w_view).unwrap(), &want_view, "same buffer, other dims");
-    assert_same_bits(&xb.bmm_nt(&w_batched).unwrap(), &want_batched, "rank-3 view");
+    assert_same_bits(
+        &x_view.matmul_nt(&w_view).unwrap(),
+        &want_view,
+        "same buffer, other dims",
+    );
+    assert_same_bits(
+        &xb.bmm_nt(&w_batched).unwrap(),
+        &want_batched,
+        "rank-3 view",
+    );
     assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, "after the other views");
     assert_eq!(recycled(), before, "the scope keeps its packs while open");
     drop(scope);
-    assert_eq!(recycled() - before, 3, "one pack per (buffer, dims), recycled on drop");
+    assert_eq!(
+        recycled() - before,
+        3,
+        "one pack per (buffer, dims), recycled on drop"
+    );
 }
 
 #[test]
@@ -193,9 +229,21 @@ fn a_write_after_its_pack_reaches_the_next_product() {
     w.as_mut_slice()[5] = 42.0;
     w.set(&[3, 8], -7.0);
     let second = x.matmul_nt(&w).unwrap();
-    assert_same_bits(&first, &x.matmul(&transposed(&original)).unwrap(), "before the write");
-    assert_same_bits(&second, &x.matmul(&transposed(&w)).unwrap(), "after the write");
-    assert_eq!(original.as_slice()[5], operand(4, 9, 13).as_slice()[5], "the kept handle is untouched");
+    assert_same_bits(
+        &first,
+        &x.matmul(&transposed(&original)).unwrap(),
+        "before the write",
+    );
+    assert_same_bits(
+        &second,
+        &x.matmul(&transposed(&w)).unwrap(),
+        "after the write",
+    );
+    assert_eq!(
+        original.as_slice()[5],
+        operand(4, 9, 13).as_slice()[5],
+        "the kept handle is untouched"
+    );
 }
 
 #[test]
@@ -211,7 +259,11 @@ fn a_nested_scope_shares_the_outer_scopes_packs() {
         assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, "inner hit");
         let _ = x.matmul_nt(&v).unwrap();
     }
-    assert_eq!(recycled(), before, "closing the inner scope returns nothing");
+    assert_eq!(
+        recycled(),
+        before,
+        "closing the inner scope returns nothing"
+    );
     assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, "outer hit");
     drop(outer);
     assert_eq!(recycled() - before, 2, "w's pack and v's, once each");
@@ -229,7 +281,11 @@ fn another_thread_packs_as_if_no_scope_were_open() {
             for t in 0..3 {
                 let before = recycled();
                 assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, &format!("call {t}"));
-                assert_eq!(recycled() - before, 1, "no scope here: each pack is recycled at once");
+                assert_eq!(
+                    recycled() - before,
+                    1,
+                    "no scope here: each pack is recycled at once"
+                );
             }
         });
     });

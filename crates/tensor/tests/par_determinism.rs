@@ -395,7 +395,11 @@ fn add_assign_emits_adds_event_and_copies_a_shared_buffer() {
     assert_eq!(shared.as_slice(), sum.as_slice());
     assert!(!shared.shares_storage(&x));
     let x_again = Tensor::from_fn(&[37, 5], |i| i as f32 * 0.5 - 20.0);
-    assert_eq!(x.as_slice(), x_again.as_slice(), "the other handle keeps its values");
+    assert_eq!(
+        x.as_slice(),
+        x_again.as_slice(),
+        "the other handle keeps its values"
+    );
 
     let mut own = x_again;
     let buf = own.as_slice().as_ptr();

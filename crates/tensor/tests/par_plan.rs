@@ -28,8 +28,8 @@ fn gnn_sized_kernels_plan_one_chunk_and_large_ones_fork() {
     let b = Tensor::from_fn(&[128, 128], |i| (i % 13) as f32 * 0.1 - 0.4);
     let x = Tensor::from_fn(&[8192], |i| (i % 29) as f32 * 0.05);
     let src = Tensor::from_fn(&[32_768, 32], |i| (i % 23) as f32 * 0.1);
-    let idx = IntTensor::from_vec(&[32_768], (0..32_768).map(|i| (i * 97) % 2048).collect())
-        .unwrap();
+    let idx =
+        IntTensor::from_vec(&[32_768], (0..32_768).map(|i| (i * 97) % 2048).collect()).unwrap();
     // A thin transposed operand: `matmul_tn` reads the `[4, 256]` matrix
     // in place, so there is one region to plan and it is tiny.
     let thin = Tensor::from_fn(&[4, 256], |i| i as f32 * 0.01);
@@ -40,7 +40,10 @@ fn gnn_sized_kernels_plan_one_chunk_and_large_ones_fork() {
     for t in [1usize, 2, 4, 8] {
         par::set_threads(t);
         for (what, pooled) in [
-            ("64x128x128 gemm", pooled_regions(|| drop(a.matmul(&b).unwrap()))),
+            (
+                "64x128x128 gemm",
+                pooled_regions(|| drop(a.matmul(&b).unwrap())),
+            ),
             ("8 Ki add", pooled_regions(|| drop(x.add(&x).unwrap()))),
             (
                 "32 Ki x 32 scatter_add",
@@ -117,7 +120,10 @@ fn a_task_panic_does_not_switch_the_pool_off() {
     let prev = par::threads();
     par::set_threads(2);
 
-    assert!(tasks_on_helpers(200) > 0, "helpers take tasks before the panic");
+    assert!(
+        tasks_on_helpers(200) > 0,
+        "helpers take tasks before the panic"
+    );
     let caught = std::panic::catch_unwind(|| {
         par::run(8, &|i| {
             if i == 3 {
@@ -125,10 +131,20 @@ fn a_task_panic_does_not_switch_the_pool_off() {
             }
         });
     });
-    assert!(caught.is_err(), "the task panic is re-raised on the submitter");
+    assert!(
+        caught.is_err(),
+        "the task panic is re-raised on the submitter"
+    );
     let (pooled_before, _) = par::regions();
-    assert!(tasks_on_helpers(200) > 0, "helpers still take tasks after it");
-    assert_eq!(par::regions().0 - pooled_before, 200, "every later region is pooled");
+    assert!(
+        tasks_on_helpers(200) > 0,
+        "helpers still take tasks after it"
+    );
+    assert_eq!(
+        par::regions().0 - pooled_before,
+        200,
+        "every later region is pooled"
+    );
 
     par::set_threads(prev);
 }

@@ -37,7 +37,13 @@ fn assert_close(a: &[f32], b: &[f32], what: &str) {
 /// Lengths that exercise full vector bodies, remainder lanes, and the
 /// empty input.
 fn lens() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(0usize), 1usize..9, 15usize..18, 31usize..34, 63usize..67]
+    prop_oneof![
+        Just(0usize),
+        1usize..9,
+        15usize..18,
+        31usize..34,
+        63usize..67
+    ]
 }
 
 fn vecs(n: usize) -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
@@ -214,7 +220,9 @@ impl LeBytes for f32 {
 #[test]
 fn forced_scalar_lane_is_bit_stable() {
     simd::with_level(SimdLevel::Scalar, || {
-        let a = Tensor::from_fn(&[32, 48], |i| ((i * 2654435761) % 1000) as f32 * 0.003 - 1.5);
+        let a = Tensor::from_fn(&[32, 48], |i| {
+            ((i * 2654435761) % 1000) as f32 * 0.003 - 1.5
+        });
         let b = Tensor::from_fn(&[48, 24], |i| ((i * 40503) % 997) as f32 * 0.002 - 1.0);
 
         let gemm = a.matmul(&b).unwrap();
@@ -265,7 +273,12 @@ fn add_assign_equals_add_in_the_scalar_and_auto_lanes() {
             let mut got = Tensor::from_vec(a.dims(), a.as_slice().to_vec()).unwrap();
             got.add_assign(&b).unwrap();
             for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-                assert_eq!(g.to_bits(), w.to_bits(), "{} lane, [{i}]: {g} vs {w}", lvl.as_str());
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{} lane, [{i}]: {g} vs {w}",
+                    lvl.as_str()
+                );
             }
         });
     }

@@ -70,7 +70,12 @@ impl Arga {
     ///
     /// # Errors
     /// Propagates dataset/model construction errors.
-    pub fn new_with_mode(kind: CitationKind, scale: Scale, seed: u64, mode: &TrainMode) -> Result<Self> {
+    pub fn new_with_mode(
+        kind: CitationKind,
+        scale: Scale,
+        seed: u64,
+        mode: &TrainMode,
+    ) -> Result<Self> {
         let (graph_scale, hidden, embed) = match scale {
             Scale::Test => (0.05, 16, 8),
             Scale::Small => (0.25, 32, 16),
@@ -211,7 +216,8 @@ impl Arga {
             let b = seeds.len();
             let batch = {
                 let _sample = gnnmark_telemetry::span!("sample");
-                let batch = fanout.sample(self.adj.matrix().as_ref(), &seeds, self.batch_counter)?;
+                let batch =
+                    fanout.sample(self.adj.matrix().as_ref(), &seeds, self.batch_counter)?;
                 self.batch_counter += 1;
                 batch
             };
@@ -326,7 +332,10 @@ impl Arga {
             // `Single` scores the same graph-sized batch as `Full`.
             let x = tape.constant(self.graph.features().clone());
             let z = self.encode(tape, &x)?;
-            let target = self.adj_dense.as_ref().expect("full-graph mode has dense target");
+            let target = self
+                .adj_dense
+                .as_ref()
+                .expect("full-graph mode has dense target");
             return self.generator_loss(tape, &z, target);
         };
         // Deterministic probe batch: the first nodes in id order with a
@@ -383,7 +392,10 @@ impl Workload for Arga {
         let z = self.encode(&tape, &x)?.value();
         let d = z.dim(1);
         let dot = |a: usize, b: usize| -> f64 {
-            let (ra, rb) = (&z.as_slice()[a * d..(a + 1) * d], &z.as_slice()[b * d..(b + 1) * d]);
+            let (ra, rb) = (
+                &z.as_slice()[a * d..(a + 1) * d],
+                &z.as_slice()[b * d..(b + 1) * d],
+            );
             ra.iter().zip(rb).map(|(x, y)| (x * y) as f64).sum()
         };
         let mut pos = 0.0;
@@ -546,7 +558,10 @@ mod tests {
         let mut mb = Arga::new_with_mode(CitationKind::Cora, Scale::Test, 3, &cover).unwrap();
         let lf = full.probe().unwrap();
         let lm = mb.probe().unwrap();
-        assert_eq!(lf, lm, "full-coverage unlimited-fanout probe is bit-identical");
+        assert_eq!(
+            lf, lm,
+            "full-coverage unlimited-fanout probe is bit-identical"
+        );
     }
 
     #[test]

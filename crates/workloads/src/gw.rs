@@ -298,8 +298,7 @@ impl Workload for GraphWriter {
         let mut total = 0.0f64;
         let mut batches = 0usize;
         for chunk in order.chunks(self.batch_size).take(self.batches_per_epoch) {
-            let docs: Vec<KnowledgeDoc> =
-                chunk.iter().map(|&i| self.docs[i].clone()).collect();
+            let docs: Vec<KnowledgeDoc> = chunk.iter().map(|&i| self.docs[i].clone()).collect();
             total += self.train_batch(session, &docs)?;
             batches += 1;
         }

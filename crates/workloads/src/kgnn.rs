@@ -96,9 +96,11 @@ impl Kgnn {
                 let two = kwl_transform(&g, 2, KwlConnectivity::Local)?;
                 let three = match order {
                     KgnnOrder::Low => None,
-                    KgnnOrder::High => {
-                        Some(kwl_transform(&g, 3, KwlConnectivity::Local)?.graph().clone())
-                    }
+                    KgnnOrder::High => Some(
+                        kwl_transform(&g, 3, KwlConnectivity::Local)?
+                            .graph()
+                            .clone(),
+                    ),
                 };
                 Ok(Sample {
                     label: g.graph_label().unwrap_or(0),
@@ -257,7 +259,9 @@ impl Workload for Kgnn {
     fn scaling_behavior(&self) -> Option<ScalingBehavior> {
         // Small graphs, cheap steps: DDP helps only modestly (host-side
         // k-set batching is serial).
-        Some(ScalingBehavior::HostBound { host_fraction: 0.35 })
+        Some(ScalingBehavior::HostBound {
+            host_fraction: 0.35,
+        })
     }
 
     fn quality(&mut self) -> Result<Option<(&'static str, f64)>> {
@@ -296,8 +300,7 @@ impl Workload for Kgnn {
         let mut batches = 0usize;
         for chunk in order.chunks(self.batch_size) {
             let _step = gnnmark_telemetry::span!("step");
-            let picked: Vec<Sample> =
-                chunk.iter().map(|&i| self.samples[i].clone()).collect();
+            let picked: Vec<Sample> = chunk.iter().map(|&i| self.samples[i].clone()).collect();
 
             self.params().zero_grad();
             session.begin_step();

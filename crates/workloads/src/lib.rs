@@ -137,7 +137,10 @@ impl TrainMode {
         if batch_size == 0 || fanouts.is_empty() {
             return None;
         }
-        Some(TrainMode::Minibatch(MinibatchConfig { batch_size, fanouts }))
+        Some(TrainMode::Minibatch(MinibatchConfig {
+            batch_size,
+            fanouts,
+        }))
     }
 
     /// The minibatch parameters, if this is minibatch mode.
@@ -338,7 +341,12 @@ impl WorkloadKind {
     ///
     /// # Errors
     /// Propagates dataset/model construction errors.
-    pub fn build_mode(self, scale: Scale, seed: u64, mode: &TrainMode) -> Result<Box<dyn Workload>> {
+    pub fn build_mode(
+        self,
+        scale: Scale,
+        seed: u64,
+        mode: &TrainMode,
+    ) -> Result<Box<dyn Workload>> {
         Ok(match self {
             WorkloadKind::PsageMvl => Box::new(psage::Psage::new_with_mode(
                 psage::PsageDataset::MovieLens,
@@ -355,12 +363,18 @@ impl WorkloadKind {
             WorkloadKind::Stgcn => Box::new(stgcn::Stgcn::new_with_mode(scale, seed, mode)?),
             WorkloadKind::Dgcn => Box::new(dgcn::Dgcn::new_with_mode(scale, seed, mode)?),
             WorkloadKind::Gw => Box::new(gw::GraphWriter::new_with_mode(scale, seed, mode)?),
-            WorkloadKind::KgnnL => {
-                Box::new(kgnn::Kgnn::new_with_mode(kgnn::KgnnOrder::Low, scale, seed, mode)?)
-            }
-            WorkloadKind::KgnnH => {
-                Box::new(kgnn::Kgnn::new_with_mode(kgnn::KgnnOrder::High, scale, seed, mode)?)
-            }
+            WorkloadKind::KgnnL => Box::new(kgnn::Kgnn::new_with_mode(
+                kgnn::KgnnOrder::Low,
+                scale,
+                seed,
+                mode,
+            )?),
+            WorkloadKind::KgnnH => Box::new(kgnn::Kgnn::new_with_mode(
+                kgnn::KgnnOrder::High,
+                scale,
+                seed,
+                mode,
+            )?),
             WorkloadKind::ArgaCora => Box::new(arga::Arga::new_with_mode(
                 gnnmark_graph::datasets::CitationKind::Cora,
                 scale,
@@ -462,7 +476,10 @@ mod tests {
     fn train_mode_key_roundtrips() {
         let full = TrainMode::FullGraph;
         assert_eq!(full.key(), "fullgraph");
-        assert_eq!(TrainMode::parse_key("fullgraph"), Some(TrainMode::FullGraph));
+        assert_eq!(
+            TrainMode::parse_key("fullgraph"),
+            Some(TrainMode::FullGraph)
+        );
         let mb = TrainMode::Minibatch(MinibatchConfig {
             batch_size: 48,
             fanouts: vec![10, 5, 0],

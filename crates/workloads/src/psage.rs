@@ -158,7 +158,11 @@ impl Psage {
                 .map(|(&c, &v)| (block.src_nodes[c], v))
                 .filter(|&(g, _)| g != seed)
                 .collect();
-            pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
+            pairs.sort_by(|a, b| {
+                b.1.partial_cmp(&a.1)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.0.cmp(&b.0))
+            });
             let total: f32 = pairs.iter().map(|p| p.1).sum();
             let (neighbors, weights) = if pairs.is_empty() || total <= 0.0 {
                 (vec![seed], vec![1.0])

@@ -130,7 +130,7 @@ impl Stgcn {
         let h = self.block1.forward(tape, &self.adj, &x)?;
         let h = self.block2.forward(tape, &self.adj, &h)?;
         let h = self.out_conv.forward(tape, &h)?; // [b, c2, 1, n]
-        // Head: per (batch, node) channel vector → predicted speed.
+                                                  // Head: per (batch, node) channel vector → predicted speed.
         let h2 = reorder_bc1n_to_bn_c(&h, b, self.out_conv.c_out(), n)?;
         self.head.forward(tape, &h2)?.reshape(&[b, n]) // from [b·n, 1]
     }
@@ -250,7 +250,9 @@ fn reorder_bc1n_to_bn_c(h: &Var, b: usize, c: usize, n: usize) -> Result<Var> {
     }
     let len = idx.len();
     let idx = gnnmark_tensor::IntTensor::from_vec(&[len], idx)?;
-    h.reshape(&[b * c * n, 1])?.gather_rows(&idx)?.reshape(&[b * n, c])
+    h.reshape(&[b * c * n, 1])?
+        .gather_rows(&idx)?
+        .reshape(&[b * n, c])
 }
 
 #[cfg(test)]
@@ -275,7 +277,11 @@ mod tests {
         // suite (tiny test tensors are launch-bound by design).
         assert!(p.time_share(FigureCategory::Conv2d) > 0.0);
         let conv_stats = &p.per_class[&FigureCategory::Conv2d];
-        assert!(conv_stats.launches >= 30, "launches {}", conv_stats.launches);
+        assert!(
+            conv_stats.launches >= 30,
+            "launches {}",
+            conv_stats.launches
+        );
     }
 
     #[test]

@@ -159,11 +159,7 @@ impl TreeLstm {
         self.first_trees(self.infer_items(batch) as usize)
     }
 
-    fn train_batch(
-        &mut self,
-        session: &mut ProfileSession,
-        batch: &TreeBatch,
-    ) -> Result<f64> {
+    fn train_batch(&mut self, session: &mut ProfileSession, batch: &TreeBatch) -> Result<f64> {
         let _step = gnnmark_telemetry::span!("step");
         session.upload_int(batch.words());
         session.upload_int(batch.labels());
@@ -214,7 +210,9 @@ impl Workload for TreeLstm {
 
     fn scaling_behavior(&self) -> Option<ScalingBehavior> {
         // CPU-side tree batching dominates; GPUs add little (paper: flat).
-        Some(ScalingBehavior::HostBound { host_fraction: 0.70 })
+        Some(ScalingBehavior::HostBound {
+            host_fraction: 0.70,
+        })
     }
 
     fn quality(&mut self) -> Result<Option<(&'static str, f64)>> {
@@ -279,8 +277,8 @@ mod tests {
         }
         assert!(last < first, "loss {first} → {last}");
         let p = session.finish();
-        let irregular = p.time_share(FigureCategory::Gather)
-            + p.time_share(FigureCategory::Scatter);
+        let irregular =
+            p.time_share(FigureCategory::Gather) + p.time_share(FigureCategory::Scatter);
         assert!(irregular > 0.05, "gather+scatter share {irregular}");
     }
 

@@ -13,7 +13,9 @@ use gnnmark::suite::{run_workload_full, SuiteConfig};
 use gnnmark::WorkloadKind;
 
 fn main() -> gnnmark::Result<()> {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "TLSTM".to_string());
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "TLSTM".to_string());
     let kind = WorkloadKind::ALL
         .into_iter()
         .find(|k| k.label().eq_ignore_ascii_case(&name))
@@ -40,7 +42,10 @@ fn main() -> gnnmark::Result<()> {
 
     println!("top kernels by time:");
     for (name, launches, share) in art.profile.top_kernels(8) {
-        println!("  {name:<24} {launches:>6} launches  {:>5.1}%", share * 100.0);
+        println!(
+            "  {name:<24} {launches:>6} launches  {:>5.1}%",
+            share * 100.0
+        );
     }
 
     // Kernel timeline for chrome://tracing or ui.perfetto.dev.

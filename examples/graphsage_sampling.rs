@@ -81,6 +81,9 @@ fn main() -> gnnmark::Result<()> {
     let x = tape.constant(graph.features().clone());
     let logits = model.forward(&tape, &batch.blocks, &x)?;
     let acc = losses::accuracy(&logits.value(), &labels)?;
-    println!("full-graph train accuracy after sampled training: {:.1}%", acc * 100.0);
+    println!(
+        "full-graph train accuracy after sampled training: {:.1}%",
+        acc * 100.0
+    );
     Ok(())
 }

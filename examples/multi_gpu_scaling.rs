@@ -15,7 +15,10 @@ use gnnmark_gpusim::{DdpModel, DeviceSpec};
 fn main() -> gnnmark::Result<()> {
     let cfg = SuiteConfig::test(); // keep the demo fast; use small()/paper() for figures
     let ddp = DdpModel::new(DeviceSpec::v100());
-    println!("{:<11} {:>12} {:>8} {:>8}  behavior", "workload", "1-GPU (ms)", "2 GPUs", "4 GPUs");
+    println!(
+        "{:<11} {:>12} {:>8} {:>8}  behavior",
+        "workload", "1-GPU (ms)", "2 GPUs", "4 GPUs"
+    );
     for kind in [
         WorkloadKind::Dgcn,
         WorkloadKind::Stgcn,

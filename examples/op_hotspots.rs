@@ -17,7 +17,11 @@ use gnnmark::{Scale, WorkloadKind};
 fn main() {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "STGCN".to_string());
-    let scale = args.next().as_deref().and_then(Scale::parse).unwrap_or(Scale::Small);
+    let scale = args
+        .next()
+        .as_deref()
+        .and_then(Scale::parse)
+        .unwrap_or(Scale::Small);
     let kind = WorkloadKind::ALL
         .into_iter()
         .find(|k| format!("{k:?}").eq_ignore_ascii_case(&name))
@@ -44,8 +48,14 @@ fn main() {
     }
     let mut rows: Vec<_> = agg.into_iter().collect();
     rows.sort_by_key(|(_, (_, flops, _))| std::cmp::Reverse(*flops));
-    println!("{kind:?} @ {scale:?}: wall {wall:.2?}, {} kernels", run.profile.kernels.len());
-    println!("{:<28} {:>8} {:>14} {:>14}", "kernel", "count", "flops", "dram bytes");
+    println!(
+        "{kind:?} @ {scale:?}: wall {wall:.2?}, {} kernels",
+        run.profile.kernels.len()
+    );
+    println!(
+        "{:<28} {:>8} {:>14} {:>14}",
+        "kernel", "count", "flops", "dram bytes"
+    );
     for (name, (count, flops, bytes)) in rows {
         println!("{name:<28} {count:>8} {flops:>14} {bytes:>14}");
     }

@@ -18,7 +18,10 @@ fn main() -> gnnmark::Result<()> {
 
     // 1. A citation graph shaped like Cora (scaled to 25 % of its nodes).
     let graph = citation(CitationKind::Cora, 0.25, 42)?;
-    let labels = graph.labels().expect("citation graphs carry labels").clone();
+    let labels = graph
+        .labels()
+        .expect("citation graphs carry labels")
+        .clone();
     println!(
         "dataset: {} nodes, {} edges, {}-d features, sparsity {:.1}%",
         graph.num_nodes(),

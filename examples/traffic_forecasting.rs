@@ -21,8 +21,7 @@ fn main() -> gnnmark::Result<()> {
         st.num_steps()
     );
     let morning = st.signal(36); // mid-morning reading
-    let mean_speed: f32 =
-        morning.as_slice().iter().sum::<f32>() / morning.numel() as f32;
+    let mean_speed: f32 = morning.as_slice().iter().sum::<f32>() / morning.numel() as f32;
     println!("mean speed at t=36: {mean_speed:.1} mph (rush-hour dips are synthetic)");
     println!();
 
@@ -33,7 +32,10 @@ fn main() -> gnnmark::Result<()> {
         seed: 7,
         ..SuiteConfig::small()
     };
-    println!("training STGCN for {} epochs on the modeled V100…", cfg.epochs);
+    println!(
+        "training STGCN for {} epochs on the modeled V100…",
+        cfg.epochs
+    );
     let art = run_workload_full(WorkloadKind::Stgcn, &cfg)?;
     for (i, loss) in art.losses.iter().enumerate() {
         println!("  epoch {i}: MSE {loss:.4}");

@@ -26,14 +26,22 @@ fn every_workload_trains_minibatch_with_finite_losses() {
         .expect("suite trains in minibatch mode");
     assert_eq!(runs.len(), WorkloadKind::ALL.len());
     for run in &runs {
-        assert!(!run.losses.is_empty(), "{} recorded no losses", run.profile.name);
+        assert!(
+            !run.losses.is_empty(),
+            "{} recorded no losses",
+            run.profile.name
+        );
         assert!(
             run.losses.iter().all(|l| l.is_finite()),
             "{} produced non-finite losses: {:?}",
             run.profile.name,
             run.losses
         );
-        assert!(run.profile.kernels.len() > 10, "{} launched kernels", run.profile.name);
+        assert!(
+            run.profile.kernels.len() > 10,
+            "{} launched kernels",
+            run.profile.name
+        );
     }
 }
 
@@ -46,7 +54,11 @@ fn minibatch_training_is_thread_count_invariant() {
         .expect("ARGA minibatch trains at 4 threads");
     assert_eq!(one.losses.len(), four.losses.len());
     for (a, b) in one.losses.iter().zip(&four.losses) {
-        assert_eq!(a.to_bits(), b.to_bits(), "minibatch loss diverged: {a} vs {b}");
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "minibatch loss diverged: {a} vs {b}"
+        );
     }
     assert_eq!(one.profile.kernels.len(), four.profile.kernels.len());
 }
@@ -68,7 +80,11 @@ fn replay_cache_keys_fullgraph_and_minibatch_separately() {
         mode: minibatch_mode(),
         ..full.clone()
     };
-    assert_ne!(full.id(), mini.id(), "mode must be part of the cache identity");
+    assert_ne!(
+        full.id(),
+        mini.id(),
+        "mode must be part of the cache identity"
+    );
     let mini2 = CacheKey {
         mode: minibatch_mode(),
         ..full.clone()

@@ -42,8 +42,7 @@ fn dgcn_is_elementwise_dominated_with_irregular_aggregation() {
         p.time_share(FigureCategory::Gemm)
     );
     // PyG's softmax aggregation shows up as scatter+gather kernels.
-    let irregular =
-        p.time_share(FigureCategory::Scatter) + p.time_share(FigureCategory::Gather);
+    let irregular = p.time_share(FigureCategory::Scatter) + p.time_share(FigureCategory::Gather);
     assert!(irregular > 0.05, "scatter+gather share {irregular:.3}");
 }
 
@@ -58,10 +57,18 @@ fn arga_reduces_heavily_and_ships_sparse_data() {
         p.time_share(FigureCategory::Reduction)
     );
     // PReLU + near-empty bag-of-words features → very sparse transfers.
-    assert!(p.mean_sparsity > 0.8, "ARGA sparsity {:.3}", p.mean_sparsity);
+    assert!(
+        p.mean_sparsity > 0.8,
+        "ARGA sparsity {:.3}",
+        p.mean_sparsity
+    );
     // Misaligned 1433-float rows make its loads divergent (paper: 32.5 %
     // suite average; ARGA is our closest analogue of that mechanism).
-    assert!(p.divergence() > 0.15, "ARGA divergence {:.3}", p.divergence());
+    assert!(
+        p.divergence() > 0.15,
+        "ARGA divergence {:.3}",
+        p.divergence()
+    );
 }
 
 #[test]
@@ -83,7 +90,10 @@ fn stall_ordering_matches_paper_mean() {
         assert!(exec > stalls.share(minor));
         assert!(ifetch > stalls.share(minor));
     }
-    assert!(mem > 0.2 && exec > 0.15 && ifetch > 0.12, "{mem} {exec} {ifetch}");
+    assert!(
+        mem > 0.2 && exec > 0.15 && ifetch > 0.12,
+        "{mem} {exec} {ifetch}"
+    );
 }
 
 #[test]

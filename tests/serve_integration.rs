@@ -241,10 +241,7 @@ fn daemon_serves_jobs_and_drains_on_shutdown() {
         if body.contains("\"state\":\"done\"") {
             break;
         }
-        assert!(
-            !body.contains("\"state\":\"failed\""),
-            "job failed: {body}"
-        );
+        assert!(!body.contains("\"state\":\"failed\""), "job failed: {body}");
         assert!(Instant::now() < deadline, "job never finished: {body}");
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -274,10 +271,7 @@ fn daemon_serves_jobs_and_drains_on_shutdown() {
     let job = store.job(0).unwrap();
     assert_eq!(job.state, gnnmark_serve::JobState::Done, "{job:?}");
     assert_eq!(job.worker.as_deref(), Some("it-worker"));
-    assert!(
-        job.artifacts.iter().any(|a| a == "merged.json"),
-        "{job:?}"
-    );
+    assert!(job.artifacts.iter().any(|a| a == "merged.json"), "{job:?}");
     drop(store);
 
     // SLO smoke against the live daemon: a short closed-loop run on

@@ -34,12 +34,25 @@ fn every_workload_runs_and_produces_consistent_profiles() {
         );
         // Time shares form a distribution.
         let share_sum: f64 = FigureCategory::ALL.iter().map(|&c| p.time_share(c)).sum();
-        assert!((share_sum - 1.0).abs() < 1e-9, "{}: shares {share_sum}", p.name);
+        assert!(
+            (share_sum - 1.0).abs() < 1e-9,
+            "{}: shares {share_sum}",
+            p.name
+        );
         // Stall shares form a distribution.
         let stall_sum: f64 = StallReason::ALL.iter().map(|&r| p.stall_share(r)).sum();
-        assert!((stall_sum - 1.0).abs() < 1e-9, "{}: stalls {stall_sum}", p.name);
+        assert!(
+            (stall_sum - 1.0).abs() < 1e-9,
+            "{}: stalls {stall_sum}",
+            p.name
+        );
         // Cache rates and divergence are probabilities.
-        for v in [p.l1_hit_rate(), p.l2_hit_rate(), p.divergence(), p.mean_sparsity] {
+        for v in [
+            p.l1_hit_rate(),
+            p.l2_hit_rate(),
+            p.divergence(),
+            p.mean_sparsity,
+        ] {
             assert!((0.0..=1.0).contains(&v), "{}: metric {v}", p.name);
         }
         // Throughput below hardware peak.
@@ -55,7 +68,11 @@ fn every_workload_runs_and_produces_consistent_profiles() {
 fn workloads_train_losses_decrease_at_test_scale() {
     // Multi-epoch training sanity for a representative subset (the full
     // per-workload convergence checks live in each workload's unit tests).
-    for kind in [WorkloadKind::Dgcn, WorkloadKind::Tlstm, WorkloadKind::ArgaCora] {
+    for kind in [
+        WorkloadKind::Dgcn,
+        WorkloadKind::Tlstm,
+        WorkloadKind::ArgaCora,
+    ] {
         let cfg = SuiteConfig {
             epochs: 6,
             ..SuiteConfig::test()
@@ -63,11 +80,7 @@ fn workloads_train_losses_decrease_at_test_scale() {
         let art = run_workload_full(kind, &cfg).expect("runs");
         let first = art.losses.first().unwrap();
         let last = art.losses.last().unwrap();
-        assert!(
-            last < first,
-            "{}: loss {first} → {last}",
-            kind.label()
-        );
+        assert!(last < first, "{}: loss {first} → {last}", kind.label());
     }
 }
 
@@ -278,14 +291,15 @@ mod resilience {
     #[test]
     fn injected_stall_times_out_and_leaves_others_completed() {
         let cfg = SuiteConfig::test();
-        let rcfg = fast()
-            .with_timeout(Duration::from_secs(30))
-            .with_faults(FaultPlan::none().inject(
-                "TLSTM",
-                Fault::Stall {
-                    duration: Duration::from_secs(60),
-                },
-            ));
+        let rcfg =
+            fast()
+                .with_timeout(Duration::from_secs(30))
+                .with_faults(FaultPlan::none().inject(
+                    "TLSTM",
+                    Fault::Stall {
+                        duration: Duration::from_secs(60),
+                    },
+                ));
         let report = run_suite_resilient(&cfg, &rcfg);
         assert_contained(&report, WorkloadKind::Tlstm, |s| {
             matches!(s, WorkloadStatus::TimedOut { .. })
@@ -295,10 +309,9 @@ mod resilience {
     #[test]
     fn transient_fault_is_retried_and_suite_fully_succeeds() {
         let cfg = SuiteConfig::test();
-        let rcfg = fast().with_retries(1).with_faults(FaultPlan::none().inject(
-            "ARGA",
-            Fault::TransientError { failures: 1 },
-        ));
+        let rcfg = fast()
+            .with_retries(1)
+            .with_faults(FaultPlan::none().inject("ARGA", Fault::TransientError { failures: 1 }));
         let report = run_suite_resilient(&cfg, &rcfg);
         assert!(report.all_succeeded());
         let arga = report
@@ -312,10 +325,7 @@ mod resilience {
 
     #[test]
     fn checkpointed_run_resumes_without_retraining() {
-        let dir = std::env::temp_dir().join(format!(
-            "gnnmark_resume_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("gnnmark_resume_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = SuiteConfig::test();
 
@@ -367,10 +377,7 @@ mod resilience {
 
     #[test]
     fn checkpoint_is_not_restored_across_training_modes() {
-        let dir = std::env::temp_dir().join(format!(
-            "gnnmark_resume_mode_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("gnnmark_resume_mode_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let rcfg = fast().with_checkpoint_dir(&dir);
         let full = run_suite_resilient(&SuiteConfig::test(), &rcfg);
@@ -396,10 +403,7 @@ mod resilience {
     fn restored_summary_matches_original_run() {
         // The checkpoint round-trip preserves the training record exactly:
         // losses from the restored summary equal the live run's.
-        let dir = std::env::temp_dir().join(format!(
-            "gnnmark_roundtrip_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("gnnmark_roundtrip_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = SuiteConfig::test();
         let rcfg = fast().with_checkpoint_dir(&dir);

@@ -54,7 +54,10 @@ fn telemetry_does_not_perturb_training() {
         "modeled time must be bit-identical"
     );
     assert_eq!(off.profile.h2d_bytes, on.profile.h2d_bytes);
-    assert_eq!(off.profile.mean_sparsity.to_bits(), on.profile.mean_sparsity.to_bits());
+    assert_eq!(
+        off.profile.mean_sparsity.to_bits(),
+        on.profile.mean_sparsity.to_bits()
+    );
 
     // And the enabled run actually recorded the full span taxonomy.
     let has = |name: &str| trace.events.iter().any(|e| e.name == name);
@@ -80,6 +83,9 @@ fn telemetry_does_not_perturb_training() {
     let epoch_lanes: Vec<usize> = trace.named("epoch").iter().map(|e| e.lane).collect();
     for sim in trace.named("simulate") {
         assert_eq!(lane_name(sim.lane), "gnnmark-sim");
-        assert!(!epoch_lanes.contains(&sim.lane), "simulate shares the trainer's lane");
+        assert!(
+            !epoch_lanes.contains(&sim.lane),
+            "simulate shares the trainer's lane"
+        );
     }
 }
