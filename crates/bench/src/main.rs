@@ -57,8 +57,10 @@
 //! (`--timeout`) and retried (`--retries`). With `--keep-going`, one
 //! failing workload no longer aborts the run — its figures render as `—`
 //! rows and a per-workload status table (plus a JSON summary on stderr) is
-//! appended. `--checkpoint DIR` saves each completed workload so an
-//! interrupted run resumes without re-training. The `GNNMARK_FAULT`
+//! appended. `--checkpoint DIR` is a replay-cache directory (the one
+//! `sweep --cache` writes): each workload that trains stores its captured
+//! op stream there, and a rerun rebuilds every stored workload's profile
+//! and figures from its stream instead of re-training. The `GNNMARK_FAULT`
 //! environment variable (e.g. `panic:TLSTM`, `nan:GW@0`, `stall:DGCN@500ms`)
 //! injects deterministic faults for drills and tests.
 //!
@@ -75,11 +77,14 @@
 //! to stderr. The single-workload targets (`gnnmark stgcn`, …) pair
 //! naturally with these flags for focused profiling runs.
 //!
-//! `gnnmark check` runs the three-layer verification subsystem
+//! `gnnmark check` runs the six-layer verification subsystem
 //! (`gnnmark-check`): finite-difference gradient checks of every op and
 //! workload, golden op-stream/figure snapshots under `results/golden/`
 //! (regenerate intentionally with `--bless`, redirect with `--golden DIR`),
-//! and gpusim accounting invariants. The CI gate runs
+//! gpusim accounting invariants, the mini-batch sampling path, report
+//! rendering and inference. It reads only `--scale`, `--seed`,
+//! `--threads` and `--progress` of the suite and observability flags,
+//! and refuses the others. The CI gate runs
 //! `gnnmark check --scale tiny`. See `docs/VERIFICATION.md`.
 
 use std::path::{Path, PathBuf};
@@ -114,7 +119,8 @@ SUITE FLAGS, the same for <target>, infer and report: [--scale tiny|test|small|p
 [--epochs N] [--seed S] [--threads N] [--precision fp32|fp16|bf16] \
 [--mode fullgraph|minibatch] [--batch-size N] [--fanout F1,F2,...]
 --bless and --golden are for `check` only; `check`, `modecmp` and `ablations` take none of \
---parallel --keep-going --timeout --retries --checkpoint, and `check` takes no --csv
+--parallel --keep-going --timeout --retries --checkpoint, and `check` takes none of --csv \
+--epochs --precision --mode --batch-size --fanout --trace --metrics
 targets: `gnnmark list` prints them";
 
 /// A parsed `gnnmark <target>` invocation.
@@ -131,9 +137,10 @@ struct Args {
     progress: bool,
 }
 
-/// The target flags `target` would read and then ignore; it refuses them.
+/// The flags `target` would read and then ignore; it refuses them.
 /// `modecmp` and `ablations` run outside the resilience layer, `check`
-/// writes no tables, and only `check` reads goldens.
+/// writes no tables, trains its own fixed configurations and records no
+/// telemetry, and only `check` reads goldens.
 fn ignored_flags(target: &str) -> &'static [&'static str] {
     match target {
         "modecmp" | "ablations" => &[
@@ -150,6 +157,13 @@ fn ignored_flags(target: &str) -> &'static [&'static str] {
             "--timeout",
             "--retries",
             "--checkpoint",
+            "--epochs",
+            "--precision",
+            "--mode",
+            "--batch-size",
+            "--fanout",
+            "--trace",
+            "--metrics",
         ],
         _ => &["--bless", "--golden"],
     }
@@ -163,7 +177,14 @@ fn parse_args(target: String, argv: impl IntoIterator<Item = String>) -> Result<
             TARGETS.join(" ")
         ));
     }
-    let ignored = ignored_flags(&target);
+    // Before the suite flags, which `parse_suite_args` consumes itself.
+    let argv: Vec<String> = argv.into_iter().collect();
+    if let Some(flag) = argv
+        .iter()
+        .find(|a| ignored_flags(&target).contains(&a.as_str()))
+    {
+        return Err(format!("`{flag}` does not apply to `{target}`"));
+    }
     let mut args = Args {
         target,
         cfg: SuiteConfig::small(),
@@ -183,9 +204,6 @@ fn parse_args(target: String, argv: impl IntoIterator<Item = String>) -> Result<
         progress: false,
     };
     args.cfg = parse_suite_args(argv, args.cfg.clone(), |flag, f| {
-        if ignored.contains(&flag) {
-            return Err(format!("`{flag}` does not apply to `{}`", args.target));
-        }
         match flag {
             "--csv" => args.csv_dir = Some(f.value(flag)?),
             "--parallel" => args.rcfg.parallel = true,
@@ -205,7 +223,7 @@ fn parse_args(target: String, argv: impl IntoIterator<Item = String>) -> Result<
     Ok(args)
 }
 
-/// Runs the three-layer verification gate; returns the process exit code.
+/// Runs the six-layer verification gate; returns the process exit code.
 fn run_check_gate(args: &Args) -> i32 {
     let ccfg = gnnmark_check::CheckConfig {
         scale: args.cfg.scale,

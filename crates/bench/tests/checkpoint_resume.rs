@@ -1,14 +1,14 @@
 //! Checkpoint/resume drill: a suite interrupted by an injected fault must,
-//! after a resume, end up with exactly the same per-workload results as an
-//! uninterrupted run.
+//! after a resume, print exactly what an uninterrupted run prints and end
+//! up with the same checkpoint entries.
 //!
 //! Run 1 trains the suite with `GNNMARK_FAULT=panic:GW` and `--keep-going`,
-//! so every workload except GW completes and is checkpointed. Run 2 resumes
-//! from the same `--checkpoint` directory without the fault: the completed
-//! workloads are restored (not re-trained) and only GW runs. A control run
-//! in a fresh directory never sees a fault. Training is deterministic, so
-//! the checkpoint summaries of the resumed suite must be byte-identical to
-//! the control's.
+//! so every workload except GW completes and its captured stream is
+//! stored. Run 2 resumes from the same `--checkpoint` directory without the
+//! fault: the completed workloads are restored from their streams (not
+//! re-trained) and only GW runs. A control run in a fresh directory never
+//! sees a fault. Training is deterministic, so the resumed run's tables
+//! and stream entries must be byte-identical to the control's.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -69,7 +69,9 @@ fn resumed_suite_matches_uninterrupted_run() {
     );
     let after_fault = snapshots(&interrupted);
     assert!(
-        !after_fault.contains_key("GW.json") && !after_fault.is_empty(),
+        !after_fault.keys().any(|name| name.starts_with("GW-"))
+            && after_fault.keys().all(|name| name.ends_with(".stream"))
+            && after_fault.len() == 8,
         "faulted workload must not be checkpointed: {:?}",
         after_fault.keys().collect::<Vec<_>>()
     );
@@ -95,6 +97,15 @@ fn resumed_suite_matches_uninterrupted_run() {
         "stderr: {}",
         String::from_utf8_lossy(&out3.stderr)
     );
+
+    // The resumed run prints what the uninterrupted one prints: every
+    // restored workload renders its figures, none a `—` row.
+    assert_eq!(
+        String::from_utf8_lossy(&out2.stdout),
+        String::from_utf8_lossy(&out3.stdout),
+        "resumed tables diverged from the control run"
+    );
+    assert!(!String::from_utf8_lossy(&out2.stdout).contains('—'));
 
     // The merged (resumed) suite state equals the uninterrupted one,
     // byte for byte, for every workload.

@@ -96,6 +96,8 @@ fn flags_a_target_would_ignore_are_usage_errors() {
             "--checkpoint",
         ),
         (&["check", "--scale", "tiny", "--csv", "out"], "--csv"),
+        (&["check", "--scale", "tiny", "--epochs", "3"], "--epochs"),
+        (&["check", "--scale", "tiny", "--metrics", "F"], "--metrics"),
         (&["fig2", "--scale", "tiny", "--bless"], "--bless"),
     ] {
         // The fault would make a run that ignored the flag exit 0 or 1.
@@ -112,6 +114,36 @@ fn flags_a_target_would_ignore_are_usage_errors() {
         );
         assert!(stderr.contains("usage:"), "{stderr}");
     }
+}
+
+#[test]
+fn single_workload_target_restores_from_its_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("gnnmark_cli_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = || {
+        let out = gnnmark()
+            .args(["stgcn", "--scale", "test", "--epochs", "1", "--checkpoint"])
+            .arg(&dir)
+            .env_remove("GNNMARK_FAULT")
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    let first = run();
+    let second = run();
+    let stderr = String::from_utf8_lossy(&second.stderr);
+    assert!(String::from_utf8_lossy(&first.stderr).contains("\"restored\":0"));
+    assert!(stderr.contains("\"restored\":1"), "{stderr}");
+    assert_eq!(
+        first.stdout, second.stdout,
+        "a restored run renders the same table"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

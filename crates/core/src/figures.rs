@@ -480,8 +480,8 @@ pub fn fig_mode_comparison(fullgraph: &[RunArtifacts], minibatch: &[RunArtifacts
     t
 }
 
-/// Marker used for workloads absent from a figure (failed, timed out, or
-/// restored from checkpoint without a profile).
+/// Marker used for workloads absent from a figure (failed, timed out,
+/// panicked or interrupted).
 pub const MISSING_MARKER: &str = "—";
 
 /// Appends one explicit `—` row per missing workload to a workload-keyed

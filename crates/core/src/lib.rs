@@ -8,6 +8,8 @@
 //! * [`suite`] — run workloads under a profiling session.
 //! * [`resilience`] — fault-isolated suite execution: deadlines, retries,
 //!   numeric-anomaly guards, fault injection, and checkpoint/resume.
+//! * [`cache`] — the on-disk store of captured op streams that a
+//!   `--checkpoint` resume and the `gnnmark-serve` replay campaigns share.
 //! * [`observability`] — post-run metrics collection and artifact export
 //!   (merged Chrome trace, metrics snapshot, Prometheus dump, manifest).
 //! * [`figures`] — Table I and Figures 2–9 as text tables / CSV.
@@ -34,6 +36,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod ablations;
+pub mod cache;
 pub mod figures;
 pub mod infer;
 pub mod observability;

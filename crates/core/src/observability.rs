@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use gnnmark_telemetry::export::{metrics_json, metrics_prometheus, ManifestWorkload, RunManifest};
 use gnnmark_telemetry::metrics;
 
-use crate::resilience::{SuiteReport, WorkloadStatus};
+use crate::resilience::SuiteReport;
 use crate::suite::SuiteConfig;
 
 /// Where to write which artifacts. Every field is optional; the manifest
@@ -161,11 +161,9 @@ pub fn run_manifest(target: &str, cfg: &SuiteConfig, report: &SuiteReport) -> Ru
             name: o.kind.label().to_string(),
             status: o.status.label().to_string(),
             wall_ms: o.wall.as_secs_f64() * 1e3,
-            modeled_ms: match &o.status {
-                WorkloadStatus::Completed(a) => a.profile.total_time_ns() / 1e6,
-                WorkloadStatus::Restored(s) => s.total_time_ns / 1e6,
-                _ => 0.0,
-            },
+            modeled_ms: o
+                .artifacts()
+                .map_or(0.0, |a| a.profile.total_time_ns() / 1e6),
             attempts: o.attempts as u32,
         })
         .collect();

@@ -14,13 +14,15 @@
 //! * [`run_workload_resilient`] is a workload-shaped task on that runner:
 //!   per-attempt seed perturbation, the injected fault, and
 //!   [`crate::suite`]'s one training loop under a [`NumericGuard`], with
-//!   the result classified as a [`WorkloadStatus`].
+//!   the result classified as a [`WorkloadStatus`]. With a checkpoint
+//!   directory it is also the checkpoint: the directory is a replay cache
+//!   ([`crate::cache::StreamCache`]), a finished run is rebuilt from its
+//!   captured stream instead of training again, and a new run is captured
+//!   and stored.
 //! * [`run_suite_resilient`] drives every workload (serially or one thread
-//!   per workload), checkpoints completed runs as JSON summaries, skips
-//!   workloads a previous interrupted run already finished, and returns a
-//!   [`SuiteReport`] carrying per-workload status plus whatever artifacts
-//!   succeeded — figure rendering then degrades gracefully instead of
-//!   silently dropping rows.
+//!   per workload) and returns a [`SuiteReport`] carrying per-workload
+//!   status plus whatever artifacts succeeded — figure rendering then
+//!   degrades gracefully instead of silently dropping rows.
 //! * [`FaultPlan`] injects deterministic faults (panic, transient error,
 //!   NaN loss, stall) into named workloads so every recovery path is
 //!   provable in tests, mirroring how the paper characterizes behavior
@@ -38,23 +40,23 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use gnnmark_profiler::Table;
-use gnnmark_telemetry::export::{json_escape, parse_json, JsonValue};
+use gnnmark_telemetry::export::json_escape;
 use gnnmark_tensor::TensorError;
 use gnnmark_workloads::WorkloadKind;
 
-use crate::suite::{panic_message, RunArtifacts, SuiteConfig};
+use crate::cache::{CacheKey, StreamCache};
+use crate::suite::{artifacts_from_replay, captured_run, panic_message, RunArtifacts, SuiteConfig};
 use crate::Result;
 
-/// Bounded retry policy for one workload.
+/// Bounded retry policy for one workload. A workload's retries retrain
+/// with `seed + attempt - 1`, so a seed-sensitive failure (bad
+/// initialization draw) does not repeat verbatim.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Extra attempts after the first (0 = no retries).
     pub max_retries: usize,
     /// Backoff before retry `n` is `base · 2ⁿ⁻¹` (capped at 2 s).
     pub backoff_base: Duration,
-    /// Retrain retries with `seed + attempt - 1`, so a seed-sensitive
-    /// failure (bad initialization draw) does not repeat verbatim.
-    pub perturb_seed: bool,
 }
 
 impl Default for RetryPolicy {
@@ -62,7 +64,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_retries: 0,
             backoff_base: Duration::from_millis(50),
-            perturb_seed: true,
         }
     }
 }
@@ -84,8 +85,10 @@ pub struct ResilienceConfig {
     /// When set, a workload failing with a numeric anomaly is retried one
     /// extra time with gradients clipped to this global L2 norm.
     pub grad_clip_fallback: Option<f64>,
-    /// Directory for completed-run summaries; reruns skip workloads whose
-    /// checkpoint matches the current configuration.
+    /// Replay-cache directory of finished runs (the CLI's `--checkpoint`):
+    /// a workload whose stream is stored there for the current
+    /// configuration is rebuilt from it instead of training again, and a
+    /// workload that trains is captured and stored.
     pub checkpoint_dir: Option<PathBuf>,
     /// Run one worker thread per workload instead of serially.
     pub parallel: bool,
@@ -105,13 +108,6 @@ impl ResilienceConfig {
     #[must_use]
     pub fn with_retries(mut self, retries: usize) -> Self {
         self.retry.max_retries = retries;
-        self
-    }
-
-    /// Enables the gradient-clipping fallback for diverged workloads.
-    #[must_use]
-    pub fn with_grad_clip_fallback(mut self, max_norm: f64) -> Self {
-        self.grad_clip_fallback = Some(max_norm);
         self
     }
 
@@ -324,10 +320,10 @@ impl NumericGuard {
 pub enum WorkloadStatus {
     /// Training finished; artifacts are attached.
     Completed(Box<RunArtifacts>),
-    /// Skipped: a checkpoint from a previous run matched this
-    /// configuration. Carries the checkpointed summary (no profile, so
-    /// figures needing one render this workload as a `—` row).
-    Restored(RunSummary),
+    /// Not trained: the checkpoint directory held this configuration's
+    /// captured run. Carries the artifacts rebuilt from it, which equal
+    /// the ones the training would have produced.
+    Restored(Box<RunArtifacts>),
     /// Every attempt failed with an error (workload-annotated).
     Failed {
         /// The final attempt's error.
@@ -367,7 +363,9 @@ impl WorkloadStatus {
     pub fn detail(&self) -> String {
         match self {
             WorkloadStatus::Completed(_) => String::new(),
-            WorkloadStatus::Restored(s) => format!("from checkpoint ({} epochs)", s.epochs),
+            WorkloadStatus::Restored(a) => {
+                format!("from checkpoint ({} epochs)", a.losses.len())
+            }
             WorkloadStatus::Failed { error } => error.to_string(),
             WorkloadStatus::TimedOut { after } => {
                 format!("exceeded {:.3}s deadline", after.as_secs_f64())
@@ -420,20 +418,17 @@ pub struct WorkloadOutcome {
 }
 
 impl WorkloadOutcome {
-    /// The artifacts, when training completed in this run.
+    /// The artifacts, when training completed or was restored.
     pub fn artifacts(&self) -> Option<&RunArtifacts> {
         match &self.status {
-            WorkloadStatus::Completed(a) => Some(a),
+            WorkloadStatus::Completed(a) | WorkloadStatus::Restored(a) => Some(a),
             _ => None,
         }
     }
 
     /// `true` for `Completed` or `Restored`.
     pub fn succeeded(&self) -> bool {
-        matches!(
-            self.status,
-            WorkloadStatus::Completed(_) | WorkloadStatus::Restored(_)
-        )
+        self.artifacts().is_some()
     }
 }
 
@@ -445,7 +440,8 @@ pub struct SuiteReport {
 }
 
 impl SuiteReport {
-    /// Artifacts of every workload that completed in this run, with kinds.
+    /// Artifacts of every workload that completed or was restored, with
+    /// kinds.
     pub fn artifacts(&self) -> Vec<(&WorkloadKind, &RunArtifacts)> {
         self.outcomes
             .iter()
@@ -453,8 +449,8 @@ impl SuiteReport {
             .collect()
     }
 
-    /// Workloads with no artifacts this run (failed, timed out, panicked,
-    /// or restored from checkpoint) — figures render these as `—` rows.
+    /// Workloads with no artifacts this run (failed, timed out, panicked
+    /// or interrupted) — figures render these as `—` rows.
     pub fn missing(&self) -> Vec<WorkloadKind> {
         self.outcomes
             .iter()
@@ -468,10 +464,10 @@ impl SuiteReport {
         self.outcomes.iter().all(WorkloadOutcome::succeeded)
     }
 
-    /// The artifacts of every workload that completed in this run, in
+    /// The artifacts of every workload that completed or was restored, in
     /// [`WorkloadKind::ALL`] order. Unless `keep_going`, this is fail-fast:
     /// the first failed, timed-out or panicked workload is the `Err`.
-    /// Restored and interrupted workloads are neither runs nor failures.
+    /// Interrupted workloads are neither runs nor failures.
     ///
     /// # Errors
     /// The first failure, annotated with its workload label, when
@@ -581,6 +577,14 @@ impl SuiteReport {
 /// to a workload lives in the task: the per-attempt seed perturbation, the
 /// injected fault, and training under a [`NumericGuard`].
 ///
+/// With [`ResilienceConfig::checkpoint_dir`] set, that directory is a
+/// replay cache. A stored run of this configuration comes back
+/// [`WorkloadStatus::Restored`] with 0 attempts, its artifacts replayed on
+/// the device the training would have modeled. Otherwise every attempt
+/// trains with capture on and stores its run under its own key, so a
+/// seed-perturbed retry is never restored as the base seed's run. A store
+/// that fails costs only a retrain next time.
+///
 /// Never panics and never blocks past `timeout × attempts`; a timed-out
 /// worker thread is detached (it finishes in the background and its result
 /// is discarded).
@@ -589,23 +593,46 @@ pub fn run_workload_resilient(
     cfg: &SuiteConfig,
     rcfg: &ResilienceConfig,
 ) -> WorkloadOutcome {
+    let started = Instant::now();
+    let cache = rcfg.checkpoint_dir.as_ref().map(StreamCache::new);
+    if let Some(run) = cache
+        .as_ref()
+        .and_then(|c| c.lookup(&CacheKey::for_training(kind, cfg)))
+    {
+        gnnmark_telemetry::mark("checkpoint:restored", "resilience");
+        let art = artifacts_from_replay(&run, &cfg.modeled_device());
+        return WorkloadOutcome {
+            kind,
+            status: WorkloadStatus::Restored(Box::new(art)),
+            attempts: 0,
+            wall: started.elapsed(),
+            attempt_log: Vec::new(),
+        };
+    }
     let cfg = cfg.clone();
-    let perturb_seed = rcfg.retry.perturb_seed;
     let fault = rcfg.faults.fault_for(kind.label()).cloned();
     let outcome = run_task_resilient(
         kind.label(),
         rcfg,
         std::sync::Arc::new(move |attempt| {
             let mut cfg = cfg.clone();
-            if perturb_seed && attempt > 1 {
-                cfg.seed = cfg.seed.wrapping_add(attempt as u64 - 1);
-            }
+            cfg.seed = cfg.seed.wrapping_add(attempt as u64 - 1);
             let nan_epoch = match &fault {
                 Some(fault) => fault.apply(kind, attempt)?,
                 None => None,
             };
             let guard = Some(NumericGuard::default());
-            crate::suite::train(kind, &cfg, false, guard, nan_epoch).map(|(art, _)| art)
+            let (art, stream) = crate::suite::train(kind, &cfg, cache.is_some(), guard, nan_epoch)?;
+            if let (Some(cache), Some(stream)) = (&cache, stream) {
+                let run = captured_run(kind, &cfg, &art, stream);
+                if cache
+                    .store(&CacheKey::for_training(kind, &cfg), &run)
+                    .is_ok()
+                {
+                    gnnmark_telemetry::mark("checkpoint:written", "resilience");
+                }
+            }
+            Ok(art)
         }),
     );
     WorkloadOutcome {
@@ -784,18 +811,11 @@ fn attempt_result<T>(
 
 /// Runs the full suite under the resilience layer; always returns a
 /// complete [`SuiteReport`] (one outcome per workload, in
-/// [`WorkloadKind::ALL`] order).
-///
-/// With a checkpoint directory configured, workloads whose stored summary
-/// matches the current configuration are skipped as
-/// [`WorkloadStatus::Restored`], and each newly completed workload is
-/// checkpointed immediately — an interrupted `gnnmark all --scale paper`
-/// resumes without re-training finished workloads.
+/// [`WorkloadKind::ALL`] order). Once a graceful shutdown is requested,
+/// workloads not yet started are [`WorkloadStatus::Interrupted`]; with a
+/// checkpoint directory, a rerun restores the finished ones (see
+/// [`run_workload_resilient`]).
 pub fn run_suite_resilient(cfg: &SuiteConfig, rcfg: &ResilienceConfig) -> SuiteReport {
-    let checkpoint = rcfg
-        .checkpoint_dir
-        .as_ref()
-        .map(|dir| Checkpoint::new(dir.clone()));
     let run_one = |kind: WorkloadKind| -> WorkloadOutcome {
         if crate::shutdown::requested() {
             gnnmark_telemetry::mark("shutdown:workload-skipped", "resilience");
@@ -807,27 +827,7 @@ pub fn run_suite_resilient(cfg: &SuiteConfig, rcfg: &ResilienceConfig) -> SuiteR
                 attempt_log: Vec::new(),
             };
         }
-        if let Some(cp) = &checkpoint {
-            if let Some(summary) = cp.load_matching(kind, cfg) {
-                gnnmark_telemetry::mark("checkpoint:restored", "resilience");
-                return WorkloadOutcome {
-                    kind,
-                    status: WorkloadStatus::Restored(summary),
-                    attempts: 0,
-                    wall: Duration::ZERO,
-                    attempt_log: Vec::new(),
-                };
-            }
-        }
-        let outcome = run_workload_resilient(kind, cfg, rcfg);
-        if let (Some(cp), Some(art)) = (&checkpoint, outcome.artifacts()) {
-            // Checkpoint write failures must not fail the run; the next
-            // resume simply re-trains this workload.
-            if cp.save(&RunSummary::of(kind, cfg, art)).is_ok() {
-                gnnmark_telemetry::mark("checkpoint:written", "resilience");
-            }
-        }
-        outcome
+        run_workload_resilient(kind, cfg, rcfg)
     };
     let outcomes: Vec<WorkloadOutcome> = if rcfg.parallel {
         let run_one = &run_one;
@@ -856,154 +856,6 @@ pub fn run_suite_resilient(cfg: &SuiteConfig, rcfg: &ResilienceConfig) -> SuiteR
         WorkloadKind::ALL.iter().map(|&k| run_one(k)).collect()
     };
     SuiteReport { outcomes }
-}
-
-/// The checkpointed summary of one completed workload run: everything a
-/// resume needs to prove the workload is done for this configuration, plus
-/// headline metrics. Deliberately *not* the full profile — checkpoints stay
-/// a few hundred bytes per workload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunSummary {
-    /// Workload label (e.g. `"PSAGE-MVL"`).
-    pub workload: String,
-    /// Scale name the run used (`test`/`small`/`paper`).
-    pub scale: String,
-    /// Epochs trained.
-    pub epochs: usize,
-    /// Base dataset/init seed.
-    pub seed: u64,
-    /// Storage precision the run trained under (`fp32`/`fp16`/`bf16`).
-    pub precision: String,
-    /// Training mode and its parameters ([`gnnmark_workloads::TrainMode::key`]).
-    pub mode: String,
-    /// Per-epoch mean losses.
-    pub losses: Vec<f64>,
-    /// Optimizer steps per epoch.
-    pub steps_per_epoch: u64,
-    /// DDP gradient payload bytes.
-    pub grad_bytes: u64,
-    /// Modeled kernel + transfer time, ns.
-    pub total_time_ns: f64,
-    /// Kernel launches profiled.
-    pub kernel_launches: u64,
-}
-
-impl RunSummary {
-    /// Summarizes one completed run.
-    pub fn of(kind: WorkloadKind, cfg: &SuiteConfig, art: &RunArtifacts) -> Self {
-        RunSummary {
-            workload: kind.label().to_string(),
-            scale: cfg.scale.label().to_string(),
-            epochs: cfg.epochs,
-            seed: cfg.seed,
-            precision: cfg.precision.as_str().to_string(),
-            mode: cfg.mode.key(),
-            losses: art.losses.clone(),
-            steps_per_epoch: art.steps_per_epoch,
-            grad_bytes: art.grad_bytes,
-            total_time_ns: art.profile.total_time_ns(),
-            kernel_launches: art.profile.kernels.len() as u64,
-        }
-    }
-
-    /// `true` when this summary was produced by the given configuration.
-    pub fn matches(&self, kind: WorkloadKind, cfg: &SuiteConfig) -> bool {
-        self.workload == kind.label()
-            && self.scale == cfg.scale.label()
-            && self.epochs == cfg.epochs
-            && self.seed == cfg.seed
-            && self.precision == cfg.precision.as_str()
-            && self.mode == cfg.mode.key()
-    }
-
-    /// Serializes to one JSON object.
-    pub fn to_json(&self) -> String {
-        let losses = self
-            .losses
-            .iter()
-            .map(|l| format!("{l:?}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let out = format!(
-            "{{\"workload\":\"{}\",\"scale\":\"{}\",\"epochs\":{},\"seed\":{},\
-             \"precision\":\"{}\",\"mode\":\"{}\",\"losses\":[{}],\
-             \"steps_per_epoch\":{},\"grad_bytes\":{},\"total_time_ns\":{:?},\
-             \"kernel_launches\":{}}}",
-            json_escape(&self.workload),
-            json_escape(&self.scale),
-            self.epochs,
-            self.seed,
-            json_escape(&self.precision),
-            json_escape(&self.mode),
-            losses,
-            self.steps_per_epoch,
-            self.grad_bytes,
-            self.total_time_ns,
-            self.kernel_launches,
-        );
-        gnnmark_telemetry::export::debug_validated("RunSummary::to_json", out)
-    }
-
-    /// Parses a summary written by [`RunSummary::to_json`]; `None` on any
-    /// structural mismatch (corrupted checkpoints are treated as absent).
-    pub fn from_json(json: &str) -> Option<Self> {
-        let doc = parse_json(json).ok()?;
-        let string = |key: &str| Some(doc.get(key)?.as_str()?.to_string());
-        let count = |key: &str| doc.get(key)?.as_u64();
-        Some(RunSummary {
-            workload: string("workload")?,
-            scale: string("scale")?,
-            epochs: count("epochs")? as usize,
-            seed: count("seed")?,
-            // Checkpoints written before mixed precision / mini-batch mode
-            // lack these fields; they were fp32 full-graph runs by
-            // construction.
-            precision: string("precision").unwrap_or_else(|| "fp32".to_string()),
-            mode: string("mode").unwrap_or_else(|| "fullgraph".to_string()),
-            losses: doc
-                .get("losses")?
-                .as_array()?
-                .iter()
-                .map(JsonValue::as_f64)
-                .collect::<Option<_>>()?,
-            steps_per_epoch: count("steps_per_epoch")?,
-            grad_bytes: count("grad_bytes")?,
-            total_time_ns: doc.get("total_time_ns")?.as_f64()?,
-            kernel_launches: count("kernel_launches")?,
-        })
-    }
-}
-
-/// Directory of per-workload completion summaries.
-struct Checkpoint {
-    dir: PathBuf,
-}
-
-impl Checkpoint {
-    fn new(dir: PathBuf) -> Self {
-        Checkpoint { dir }
-    }
-
-    fn path_for(&self, kind: WorkloadKind) -> PathBuf {
-        self.dir.join(format!("{}.json", kind.label()))
-    }
-
-    /// Loads a summary for `kind` if present, parseable, and produced by
-    /// the same configuration.
-    fn load_matching(&self, kind: WorkloadKind, cfg: &SuiteConfig) -> Option<RunSummary> {
-        let text = std::fs::read_to_string(self.path_for(kind)).ok()?;
-        let summary = RunSummary::from_json(&text)?;
-        summary.matches(kind, cfg).then_some(summary)
-    }
-
-    fn save(&self, summary: &RunSummary) -> std::io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        let path = self.dir.join(format!("{}.json", summary.workload));
-        // Write-then-rename keeps a torn write from corrupting a resume.
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, summary.to_json())?;
-        std::fs::rename(&tmp, &path)
-    }
 }
 
 #[cfg(test)]
@@ -1097,15 +949,17 @@ mod tests {
     #[test]
     fn clip_fallback_rescues_a_diverged_workload() {
         let cfg = SuiteConfig::test();
-        let rcfg = fast_rcfg()
-            .with_grad_clip_fallback(1.0)
-            .with_faults(FaultPlan::none().inject(
-                "TLSTM",
-                Fault::NanLoss {
-                    epoch: 0,
-                    failures: 1,
-                },
-            ));
+        let rcfg = ResilienceConfig {
+            grad_clip_fallback: Some(1.0),
+            ..fast_rcfg()
+        }
+        .with_faults(FaultPlan::none().inject(
+            "TLSTM",
+            Fault::NanLoss {
+                epoch: 0,
+                failures: 1,
+            },
+        ));
         let o = run_workload_resilient(WorkloadKind::Tlstm, &cfg, &rcfg);
         assert!(
             matches!(o.status, WorkloadStatus::Completed(_)),
@@ -1183,46 +1037,6 @@ mod tests {
         assert!(FaultPlan::parse("bogus:TLSTM").is_none());
         assert!(FaultPlan::parse("no-colon").is_none());
         assert!(FaultPlan::parse("stall:X@raisins").is_none());
-    }
-
-    #[test]
-    fn run_summary_json_round_trips() {
-        let s = RunSummary {
-            workload: "PSAGE-MVL".to_string(),
-            scale: "test".to_string(),
-            epochs: 2,
-            seed: 42,
-            precision: "bf16".to_string(),
-            mode: "minibatch-b16-f6x4".to_string(),
-            losses: vec![1.25, 0.75],
-            steps_per_epoch: 10,
-            grad_bytes: 4096,
-            total_time_ns: 1.5e9,
-            kernel_launches: 321,
-        };
-        let json = s.to_json();
-        let back = RunSummary::from_json(&json).expect("parses");
-        assert_eq!(back, s);
-        assert!(RunSummary::from_json("{\"workload\":3}").is_none());
-        assert!(RunSummary::from_json("not json at all").is_none());
-        // A label that a substring scan for `"seed":` or a reader without
-        // `\u` escapes gets wrong.
-        let hostile = RunSummary {
-            workload: "a\"b\\c\u{1}d \"seed\":7 e".to_string(),
-            ..s
-        };
-        assert_eq!(RunSummary::from_json(&hostile.to_json()), Some(hostile));
-        // Summaries older than the `precision` / `mode` fields were fp32
-        // full-graph runs.
-        let old = RunSummary::from_json(
-            "{\"workload\":\"GW\",\"scale\":\"test\",\"epochs\":1,\"seed\":42,\"losses\":[],\
-             \"steps_per_epoch\":1,\"grad_bytes\":8,\"total_time_ns\":1.0,\"kernel_launches\":3}",
-        )
-        .expect("parses");
-        assert_eq!(
-            (old.precision.as_str(), old.mode.as_str()),
-            ("fp32", "fullgraph")
-        );
     }
 
     #[test]
@@ -1327,20 +1141,55 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gnnmark_ckpt_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = SuiteConfig::test();
-        let cp = Checkpoint::new(dir.clone());
-        let art = crate::suite::run_workload_full(WorkloadKind::Tlstm, &cfg).unwrap();
-        cp.save(&RunSummary::of(WorkloadKind::Tlstm, &cfg, &art))
-            .unwrap();
-        assert!(cp.load_matching(WorkloadKind::Tlstm, &cfg).is_some());
+        let rcfg = fast_rcfg().with_checkpoint_dir(&dir);
+        let live = run_workload_resilient(WorkloadKind::Tlstm, &cfg, &rcfg);
+        assert!(matches!(live.status, WorkloadStatus::Completed(_)));
+        let entry =
+            StreamCache::new(&dir).path_for(&CacheKey::for_training(WorkloadKind::Tlstm, &cfg));
+        assert!(entry.exists(), "a trained run is stored under its key");
+        let again = run_workload_resilient(WorkloadKind::Tlstm, &cfg, &rcfg);
+        assert!(matches!(again.status, WorkloadStatus::Restored(_)));
+        assert_eq!(again.attempts, 0);
+        assert_eq!(
+            again.artifacts().unwrap().losses,
+            live.artifacts().unwrap().losses
+        );
         // A different seed invalidates the checkpoint.
         let other = SuiteConfig {
             seed: cfg.seed + 1,
             ..cfg.clone()
         };
-        assert!(cp.load_matching(WorkloadKind::Tlstm, &other).is_none());
-        // A corrupted file is treated as absent.
-        std::fs::write(cp.path_for(WorkloadKind::Tlstm), "garbage").unwrap();
-        assert!(cp.load_matching(WorkloadKind::Tlstm, &cfg).is_none());
+        let o = run_workload_resilient(WorkloadKind::Tlstm, &other, &rcfg);
+        assert!(matches!(o.status, WorkloadStatus::Completed(_)));
+        // A corrupted entry is treated as absent.
+        std::fs::write(&entry, "garbage").unwrap();
+        let o = run_workload_resilient(WorkloadKind::Tlstm, &cfg, &rcfg);
+        assert!(matches!(o.status, WorkloadStatus::Completed(_)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_retried_run_is_stored_under_its_own_seed() {
+        let dir = std::env::temp_dir().join(format!("gnnmark_ckpt_retry_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = SuiteConfig::test();
+        let rcfg = fast_rcfg()
+            .with_retries(1)
+            .with_checkpoint_dir(&dir)
+            .with_faults(FaultPlan::none().inject("TLSTM", Fault::TransientError { failures: 1 }));
+        let o = run_workload_resilient(WorkloadKind::Tlstm, &cfg, &rcfg);
+        assert_eq!(o.attempts, 2, "{:?}", o.status);
+        let cache = StreamCache::new(&dir);
+        let retried = SuiteConfig {
+            seed: cfg.seed + 1,
+            ..cfg.clone()
+        };
+        assert!(!cache
+            .path_for(&CacheKey::for_training(WorkloadKind::Tlstm, &cfg))
+            .exists());
+        assert!(cache
+            .path_for(&CacheKey::for_training(WorkloadKind::Tlstm, &retried))
+            .exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -98,6 +98,18 @@ impl SuiteConfig {
         self.mode = mode;
         self
     }
+
+    /// The device a run under this configuration models. A reduced
+    /// precision models the device at 2-byte elements (halved memory
+    /// traffic, doubled effective cache capacity) unless the caller
+    /// already chose a half-precision device.
+    pub(crate) fn modeled_device(&self) -> DeviceSpec {
+        if self.precision != Precision::Fp32 && self.device.elem_bytes == 4 {
+            self.device.clone().with_half_precision()
+        } else {
+            self.device.clone()
+        }
+    }
 }
 
 /// Extra results captured alongside a profile.
@@ -148,8 +160,25 @@ pub fn run_workload_captured(
     cfg: &SuiteConfig,
 ) -> Result<(RunArtifacts, CapturedRun)> {
     let (artifacts, stream) = train(kind, cfg, true, None, None)?;
-    let stream = stream.expect("capture was requested");
-    let run = CapturedRun {
+    let run = captured_run(
+        kind,
+        cfg,
+        &artifacts,
+        stream.expect("capture was requested"),
+    );
+    Ok((artifacts, run))
+}
+
+/// Packs a captured training stream with the device-independent training
+/// record of its run, keyed by the [`ReplayMeta`] a
+/// [`crate::cache::CacheKey`] matches.
+pub(crate) fn captured_run(
+    kind: WorkloadKind,
+    cfg: &SuiteConfig,
+    artifacts: &RunArtifacts,
+    stream: CapturedStream,
+) -> CapturedRun {
+    CapturedRun {
         meta: ReplayMeta {
             workload: kind.label().to_string(),
             scale: cfg.scale.label().to_string(),
@@ -164,8 +193,7 @@ pub fn run_workload_captured(
             quality: artifacts.quality,
         },
         stream,
-    };
-    Ok((artifacts, run))
+    }
 }
 
 /// Rebuilds [`RunArtifacts`] from a captured run replayed on `device` —
@@ -222,14 +250,7 @@ pub(crate) fn run_session<T>(
         let _precision = PrecisionGuard::new(cfg.precision);
         gnnmark_autograd::amp::enable(cfg.precision);
         let _amp = AmpOff;
-        // A reduced precision models the device at 2-byte elements (halved
-        // memory traffic, doubled effective cache capacity) unless the
-        // caller already chose a half-precision device.
-        let device = if cfg.precision != Precision::Fp32 && cfg.device.elem_bytes == 4 {
-            cfg.device.clone().with_half_precision()
-        } else {
-            cfg.device.clone()
-        };
+        let device = cfg.modeled_device();
         let _wl = gnnmark_telemetry::span!(format!("{span}:{}", kind.label()));
         // Make room for this workload's shapes.
         gnnmark_tensor::pool::clear();

@@ -214,8 +214,7 @@ pub struct WorkloadProfile {
     /// Kernel launches per training step, in step order. Indexing
     /// [`WorkloadProfile::kernels`] by these counts recovers each step's
     /// kernel slice (the basis of the report timeline panel). Empty for
-    /// profiles built before per-step tracking, and may not cover a
-    /// trailing aborted step salvaged by `finish_partial`.
+    /// profiles built before per-step tracking.
     pub step_kernels: Vec<u32>,
 }
 

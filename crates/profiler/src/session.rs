@@ -35,8 +35,7 @@ const STEPS_IN_FLIGHT: usize = 2;
 /// kernel *launch*: it hands the step's events to the session's simulator
 /// thread (`gnnmark-sim`, started by the first launch) and returns, so the
 /// next step trains while this one is simulated.
-/// [`ProfileSession::finish`], [`ProfileSession::finish_captured`],
-/// [`ProfileSession::finish_partial`] and
+/// [`ProfileSession::finish`], [`ProfileSession::finish_captured`] and
 /// [`ProfileSession::modeled_time_ns`] *synchronize*: they wait until every
 /// launched step has been simulated. The one simulator thread consumes steps
 /// in launch order from a fresh [`GpuModel`], each launch one
@@ -413,20 +412,6 @@ impl ProfileSession {
             .collect();
         (self.finish(), stream)
     }
-
-    /// Finishes the session even if a step is still open — the aborted
-    /// step's captured kernels are launched behind whatever is queued and
-    /// included, but the step does not count toward
-    /// [`ProfileSession::steps`]. For error paths (a workload failing
-    /// mid-step) where [`ProfileSession::finish`] would panic.
-    pub fn finish_partial(mut self) -> WorkloadProfile {
-        if self.in_step {
-            self.in_step = false;
-            let events = record::stop_recording();
-            self.launch(events);
-        }
-        self.finish()
-    }
 }
 
 impl Drop for ProfileSession {
@@ -503,56 +488,6 @@ mod tests {
         let mut s = ProfileSession::new("t", DeviceSpec::v100());
         s.begin_step();
         s.begin_step();
-    }
-
-    #[test]
-    fn finish_partial_salvages_an_open_step() {
-        let mut s = ProfileSession::new("t", DeviceSpec::v100());
-        s.begin_step();
-        let x = Tensor::ones(&[8, 8]);
-        let _ = x.relu();
-        s.end_step();
-        s.begin_step();
-        let _ = x.sigmoid();
-        // Simulated mid-step failure: no end_step. finish() would panic.
-        let p = s.finish_partial();
-        assert_eq!(p.kernels.len(), 2, "aborted step's kernels salvaged");
-        assert_eq!(p.steps, 1, "aborted step not counted");
-    }
-
-    #[test]
-    fn finish_partial_keeps_executing_queued_and_open_steps_in_order() {
-        let (permit, gate) = mpsc::channel();
-        let executed = Arc::new(AtomicUsize::new(0));
-        let mut s = ProfileSession::with_model(
-            "t",
-            DeviceSpec::v100(),
-            gated_model(gate, Arc::clone(&executed)),
-        );
-        // The gate is shut: the first step sits in the model, the second in
-        // the channel, and a third is open when the run is abandoned.
-        step(&mut s, &[Tensor::relu, Tensor::relu]);
-        step(&mut s, &[Tensor::sigmoid]);
-        s.begin_step();
-        let x = Tensor::ones(&[8, 8]);
-        let _ = x.tanh();
-        assert_eq!(executed.load(Ordering::SeqCst), 0, "nothing simulated yet");
-        drop(permit);
-        let p = s.finish_partial();
-        let live: Vec<&str> = p.kernels.iter().map(|k| k.kernel).collect();
-
-        let mut serial = ProfileSession::new("t", DeviceSpec::v100());
-        step(&mut serial, &[Tensor::relu, Tensor::relu]);
-        step(&mut serial, &[Tensor::sigmoid]);
-        step(&mut serial, &[Tensor::tanh]);
-        let q = serial.finish();
-        assert_eq!(live, q.kernels.iter().map(|k| k.kernel).collect::<Vec<_>>());
-        assert_eq!(
-            p.total_kernel_time_ns().to_bits(),
-            q.total_kernel_time_ns().to_bits()
-        );
-        assert_eq!(p.steps, 2, "the open step is not counted");
-        assert_eq!(p.step_kernels, [2, 1]);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! One line per recorded point — a commit, a source tag (`bench-check`,
 //! `suite`, or `seed`), optional suite wall time and cache hit rate, and
-//! a list of `(bench name, median ns)` pairs. `bench-check --record` and
-//! the suite runner append here; the report's trend panel and the
-//! dashboard's regression verdict read it back. Malformed lines are
-//! skipped on load so a torn append never bricks the trend panel.
+//! a list of `(bench name, median ns)` pairs. `bench-check --record` is
+//! the one writer; `gnnmark report` reads the rows back into its trend
+//! panel, which also prints the regression verdict of the two newest
+//! comparable rows. Malformed lines are skipped on load so a torn append
+//! never bricks the trend panel.
 
 use std::fs;
 use std::io::Write as _;

@@ -12,7 +12,8 @@
 //!   footprint, pool/sampler LRU stats, and SLO quantile tables from
 //!   fixed-bucket latency histograms;
 //! * the `results/perf_history.jsonl` trend store ([`history`]) — trend
-//!   lines and a regression verdict.
+//!   lines and a regression verdict (`gnnmark report` attaches it; the
+//!   serve dashboard renders no history).
 //!
 //! The output is one self-contained HTML file with inline CSS and SVG —
 //! no scripts, external assets, wall-clock reads, or randomness — so

@@ -33,8 +33,8 @@ use gnnmark_gpusim::{CapturedRun, DdpModel, KernelMetrics};
 use gnnmark_profiler::replay_profile_into;
 use gnnmark_telemetry::export::{debug_validated, json_escape};
 
-use crate::cache::{CacheKey, StreamCache};
 use crate::spec::{CampaignSpec, DeviceConfig};
+use crate::{CacheKey, StreamCache};
 
 /// Progress sink called with short human-readable messages as phases
 /// advance. The daemon persists these into the durable job store.

@@ -21,9 +21,9 @@ use gnnmark::suite::artifacts_from_replay;
 use gnnmark_report::{esc, html_table, Report, ReportRun};
 use gnnmark_telemetry::metrics;
 
-use crate::cache::StreamCache;
 use crate::spec::CampaignSpec;
 use crate::store::{JobState, StoredJob};
+use crate::StreamCache;
 
 /// The fleet-view section body: queue depth by state, drain status, and
 /// a per-job table with report links. `jobs` are the store's resident
@@ -216,7 +216,7 @@ pub(crate) fn job_report_page(job: &StoredJob, cache: &StreamCache) -> Result<St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheKey;
+    use crate::CacheKey;
     use gnnmark::infer::ExecPhase;
     use gnnmark_tensor::half::Precision;
     use gnnmark_workloads::{Scale, TrainMode, WorkloadKind};

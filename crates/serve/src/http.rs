@@ -54,11 +54,11 @@ use gnnmark::shutdown;
 use gnnmark_telemetry::export::{json_escape, metrics_prometheus, parse_json, JsonValue};
 use gnnmark_telemetry::metrics;
 
-use crate::cache::StreamCache;
 use crate::campaign::{run_campaign, CampaignOptions};
 use crate::lease::{Lease, LeaseManager};
 use crate::spec::CampaignSpec;
 use crate::store::{JobStore, StoredJob};
+use crate::StreamCache;
 
 /// Times a worker-killed job may be re-queued before failing terminally.
 const MAX_REQUEUES: u64 = 3;

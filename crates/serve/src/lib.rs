@@ -2,12 +2,13 @@
 //!
 //! Benchmark-as-a-service on top of the GNNMark stack:
 //!
-//! * [`cache`] — a content-addressed on-disk store of captured op streams
-//!   (key: workload + scale + seed + epochs + code-version salt). Training
-//!   happens once per key; every device/DDP/interconnect configuration
-//!   afterwards replays the stream through the gpusim timing model. An
-//!   N-config ablation sweep costs 1×train + N×simulate instead of
-//!   N×(train + simulate).
+//! * [`StreamCache`] — the content-addressed on-disk store of captured op
+//!   streams (key: workload + scale + seed + epochs + code-version salt),
+//!   re-exported from [`gnnmark::cache`], which the suite's `--checkpoint`
+//!   shares. Training happens once per key; every device/DDP/interconnect
+//!   configuration afterwards replays the stream through the gpusim
+//!   timing model. An N-config ablation sweep costs 1×train + N×simulate
+//!   instead of N×(train + simulate).
 //! * [`campaign`] — a declarative sweep engine: a JSON spec ([`spec`])
 //!   expands to a two-phase job DAG (capture phase, then replay phase)
 //!   executed on a bounded worker queue with per-job retries/timeouts and
@@ -21,7 +22,7 @@
 //!   jobs it has served). Every submission, claim, state transition and
 //!   result path is durable: a `kill -9`'d daemon restarts against the
 //!   same `--store` directory, replays the log, re-queues jobs that died
-//!   mid-flight, and — thanks to [`cache`] — finishes them without
+//!   mid-flight, and — thanks to [`StreamCache`] — finishes them without
 //!   retraining, byte-identical to an uninterrupted run.
 //! * [`lease`] — lock-file-arbitrated job claims with TTL expiry and
 //!   heartbeats, so N `gnnmark serve --store <dir>` processes share one
@@ -47,7 +48,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cache;
 pub mod campaign;
 pub mod client;
 mod dashboard;
@@ -57,8 +57,8 @@ pub mod loadtest;
 pub mod spec;
 pub mod store;
 
-pub use cache::{CacheKey, StreamCache};
 pub use campaign::{run_campaign, CampaignOutcome};
+pub use gnnmark::cache::{CacheKey, StreamCache};
 pub use http::{serve, ServeConfig};
 pub use lease::{Lease, LeaseManager};
 pub use loadtest::{run_loadtest, LoadtestOptions, LoadtestReport};

@@ -34,7 +34,7 @@ use gnnmark_telemetry::export::{parse_json, JsonValue};
 use gnnmark_tensor::half::Precision;
 use gnnmark_workloads::{Scale, TrainMode, WorkloadKind};
 
-use crate::cache::CacheKey;
+use crate::CacheKey;
 
 /// One device configuration of a campaign: a base device plus optional
 /// architectural overrides, and a DDP GPU count.
@@ -335,11 +335,6 @@ impl CampaignSpec {
         Ok(cfg)
     }
 
-    /// Total replay jobs this campaign expands to (configs × workloads).
-    pub fn job_count(&self) -> usize {
-        self.configs.len() * self.workloads.len()
-    }
-
     /// The replay-cache key of one of this campaign's workloads.
     pub(crate) fn cache_key(&self, workload: WorkloadKind) -> CacheKey {
         CacheKey {
@@ -383,7 +378,6 @@ mod tests {
             vec![WorkloadKind::Tlstm, WorkloadKind::ArgaCora]
         );
         assert_eq!(s.configs.len(), 3);
-        assert_eq!(s.job_count(), 6);
         let spec = s.configs[2].to_device_spec().unwrap();
         assert_eq!(spec.l1_bytes, 64 * 1024);
         assert_eq!(s.configs[2].gpus, 4);

@@ -72,14 +72,6 @@ impl MetricValue {
         }
     }
 
-    /// The gauge value, or 0.0 for non-gauge metrics.
-    pub fn as_gauge(&self) -> f64 {
-        match self {
-            MetricValue::Gauge(v) => *v,
-            _ => 0.0,
-        }
-    }
-
     /// Histogram summary as `(count, sum, min, max)`, or `None` for
     /// non-histogram metrics.
     pub fn as_histogram(&self) -> Option<(u64, f64, f64, f64)> {
@@ -328,7 +320,6 @@ mod tests {
         observe("t5_h", 4.0);
         observe("t5_h", 6.0);
         assert_eq!(get("t5_c").unwrap().as_counter(), 3);
-        assert!((get("t5_g").unwrap().as_gauge() - 2.5).abs() < 1e-12);
         let (count, sum, min, max) = get("t5_h").unwrap().as_histogram().unwrap();
         assert_eq!(count, 2);
         assert!((sum - 10.0).abs() < 1e-12);

@@ -54,14 +54,6 @@ impl IntTensor {
         Ok(IntTensor { data, shape })
     }
 
-    /// Creates a 1-D tensor holding `0..n`.
-    pub fn arange(n: usize) -> Self {
-        IntTensor {
-            data: (0..n as i64).collect(),
-            shape: Shape::new(&[n]),
-        }
-    }
-
     /// The tensor's shape.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -149,13 +141,6 @@ impl Default for IntTensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arange_contents() {
-        let t = IntTensor::arange(4);
-        assert_eq!(t.as_slice(), &[0, 1, 2, 3]);
-        assert_eq!(t.dims(), &[4]);
-    }
 
     #[test]
     fn bounds_checking() {

@@ -38,13 +38,6 @@ impl Tensor {
         Tensor::scalar(s / self.numel() as f32)
     }
 
-    /// Maximum element, as a scalar tensor.
-    pub fn max_all(&self) -> Tensor {
-        let m = simd::vmax(simd::level(), self.as_slice());
-        self.emit_reduce("reduce_max", 1);
-        Tensor::scalar(m)
-    }
-
     /// Row-wise sum of a `[n, d]` matrix, yielding `[n]`.
     ///
     /// # Errors
@@ -66,15 +59,6 @@ impl Tensor {
         };
         let lvl = simd::level();
         self.reduce_rows("reduce_mean_rows", move |row| simd::vsum(lvl, row) / d)
-    }
-
-    /// Row-wise maximum of a `[n, d]` matrix, yielding `[n]`.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::RankMismatch`] unless `self` is rank 2.
-    pub fn max_rows(&self) -> Result<Tensor> {
-        let lvl = simd::level();
-        self.reduce_rows("reduce_max_rows", move |row| simd::vmax(lvl, row))
     }
 
     fn reduce_rows(
@@ -192,7 +176,6 @@ mod tests {
         let t = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(t.sum_all().item().unwrap(), 10.0);
         assert_eq!(t.mean_all().item().unwrap(), 2.5);
-        assert_eq!(t.max_all().item().unwrap(), 4.0);
         assert!((t.norm_l2().item().unwrap() - 30.0f32.sqrt()).abs() < 1e-6);
     }
 
@@ -201,7 +184,6 @@ mod tests {
         let t = Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         assert_eq!(t.sum_rows().unwrap().as_slice(), &[6.0, 15.0]);
         assert_eq!(t.mean_rows().unwrap().as_slice(), &[2.0, 5.0]);
-        assert_eq!(t.max_rows().unwrap().as_slice(), &[3.0, 6.0]);
         assert_eq!(t.sum_cols().unwrap().as_slice(), &[5.0, 7.0, 9.0]);
     }
 

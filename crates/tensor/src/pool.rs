@@ -192,17 +192,6 @@ pub fn reset_global_stats() {
     GLOBAL_RECYCLED.store(0, Ordering::Relaxed);
 }
 
-/// Zeroes this thread's counters while keeping its retained buffers warm
-/// (per-run accounting without giving up reuse).
-pub fn reset_stats() {
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        p.hits = 0;
-        p.misses = 0;
-        p.recycled = 0;
-    });
-}
-
 /// Drops every retained buffer and zeroes this thread's counters.
 ///
 /// The suite calls this where a workload starts. The pool buckets by exact
@@ -284,18 +273,6 @@ mod tests {
         assert_eq!(stats().recycled, 1, "the last handle gives the buffer back");
         let reused = filled(16);
         assert_eq!(reused.as_ptr(), buf);
-        clear();
-    }
-
-    #[test]
-    fn reset_stats_keeps_warm_buffers() {
-        clear();
-        recycle_vec(vec![0.0; 32]);
-        reset_stats();
-        assert_eq!(stats(), PoolStats::default());
-        // The retained buffer survives the counter reset: next take hits.
-        let _ = filled(32);
-        assert_eq!(stats().hits, 1);
         clear();
     }
 

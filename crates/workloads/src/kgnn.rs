@@ -142,12 +142,6 @@ impl Kgnn {
         self.order
     }
 
-    /// Average number of 2-set vertices per sample (cost indicator).
-    pub fn mean_two_set_size(&self) -> f64 {
-        let total: usize = self.samples.iter().map(|s| s.two_set.num_nodes()).sum();
-        total as f64 / self.samples.len().max(1) as f64
-    }
-
     /// Runs one GCN stage over a batch of graphs and mean-pools per graph.
     /// A training step ships the stage's merged features and adjacency to
     /// the device through `session` as it builds them.
@@ -354,6 +348,5 @@ mod tests {
         // The high-order variant has an extra stage → more parameters.
         assert!(high.params().total_scalars() > low.params().total_scalars());
         assert_eq!(high.order(), KgnnOrder::High);
-        assert!(low.mean_two_set_size() > 0.0);
     }
 }

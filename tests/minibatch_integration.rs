@@ -65,7 +65,7 @@ fn minibatch_training_is_thread_count_invariant() {
 
 #[test]
 fn replay_cache_keys_fullgraph_and_minibatch_separately() {
-    use gnnmark_serve::cache::CacheKey;
+    use gnnmark_serve::CacheKey;
     use gnnmark_workloads::Scale;
     let full = CacheKey {
         workload: WorkloadKind::ArgaCora,

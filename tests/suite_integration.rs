@@ -352,9 +352,9 @@ mod resilience {
                 assert_eq!(o.attempts, 1);
             } else {
                 match &o.status {
-                    WorkloadStatus::Restored(summary) => {
-                        assert_eq!(summary.workload, o.kind.label());
-                        assert_eq!(summary.epochs, cfg.epochs);
+                    WorkloadStatus::Restored(art) => {
+                        assert_eq!(art.profile.name, o.kind.label());
+                        assert_eq!(art.losses.len(), cfg.epochs);
                         assert_eq!(o.attempts, 0, "restored workloads never re-train");
                     }
                     other => panic!("{:?} not restored: {other:?}", o.kind),
@@ -383,7 +383,7 @@ mod resilience {
         let full = run_suite_resilient(&SuiteConfig::test(), &rcfg);
         assert!(full.all_succeeded());
 
-        // Same directory, other mode: the full-graph summaries describe
+        // Same directory, other mode: the full-graph streams describe
         // different runs, so every workload trains.
         let minibatch =
             SuiteConfig::test().with_mode(gnnmark::TrainMode::Minibatch(Default::default()));
@@ -401,8 +401,8 @@ mod resilience {
 
     #[test]
     fn restored_summary_matches_original_run() {
-        // The checkpoint round-trip preserves the training record exactly:
-        // losses from the restored summary equal the live run's.
+        // The checkpoint round-trip preserves the run exactly: the restored
+        // artifacts' losses and modeled time equal the live run's.
         let dir = std::env::temp_dir().join(format!("gnnmark_roundtrip_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = SuiteConfig::test();
@@ -410,14 +410,20 @@ mod resilience {
         let live = run_suite_resilient(&cfg, &rcfg);
         let resumed = run_suite_resilient(&cfg, &rcfg);
         for (a, b) in live.outcomes.iter().zip(&resumed.outcomes) {
-            let (WorkloadStatus::Completed(art), WorkloadStatus::Restored(summary)) =
+            let (WorkloadStatus::Completed(art), WorkloadStatus::Restored(restored)) =
                 (&a.status, &b.status)
             else {
                 panic!("{:?}: {:?} / {:?}", a.kind, a.status, b.status);
             };
-            assert_eq!(art.losses, summary.losses, "{:?}", a.kind);
-            assert_eq!(art.steps_per_epoch, summary.steps_per_epoch);
-            assert_eq!(art.grad_bytes, summary.grad_bytes);
+            assert_eq!(art.losses, restored.losses, "{:?}", a.kind);
+            assert_eq!(
+                art.profile.total_time_ns().to_bits(),
+                restored.profile.total_time_ns().to_bits(),
+                "{:?}",
+                a.kind
+            );
+            assert_eq!(art.steps_per_epoch, restored.steps_per_epoch);
+            assert_eq!(art.grad_bytes, restored.grad_bytes);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
