@@ -12,7 +12,7 @@ use gnnmark::infer::{
     infer_vs_train_cache_behavior, infer_vs_train_instruction_mix, infer_vs_train_op_mix,
     run_infer_workload, InferArtifacts, InferConfig,
 };
-use gnnmark::suite::{run_workload, SuiteConfig};
+use gnnmark::suite::{run_workload_full, SuiteConfig};
 use gnnmark::WorkloadKind;
 
 use crate::flags::parse_suite_args;
@@ -156,8 +156,8 @@ pub fn run_infer(args: &InferArgs) -> i32 {
         // profile populations side by side.
         let mut train_profiles = Vec::with_capacity(artifacts.len());
         for &(kind, _) in &artifacts {
-            match run_workload(kind, suite) {
-                Ok(p) => train_profiles.push(p),
+            match run_workload_full(kind, suite) {
+                Ok(art) => train_profiles.push(art.profile),
                 Err(e) => {
                     eprintln!("error: {e}");
                     return 1;

@@ -20,7 +20,7 @@ pub mod infer_cli;
 pub mod report_cli;
 
 use gnnmark::resilience::{run_suite_resilient, ResilienceConfig, SuiteReport};
-use gnnmark::suite::{RunArtifacts, SuiteConfig};
+use gnnmark::suite::{run_workload_captured, RunArtifacts, SuiteConfig};
 use gnnmark::{figures, Result, Table, WorkloadKind, WorkloadProfile};
 
 /// Every figure target the CLI and benches expose, plus one
@@ -179,7 +179,7 @@ pub fn emit(tables: &[Table], csv_dir: Option<&str>) -> std::io::Result<()> {
 ///   but retries, deadlines and checkpointing still apply.
 ///
 /// `report_cache` lets callers reuse one resilient suite run (and its
-/// per-workload status) across several targets.
+/// per-workload status) across several targets, the ablations included.
 ///
 /// # Errors
 /// Unknown targets; workload failures when `keep_going` is off.
@@ -193,13 +193,17 @@ pub fn render_target_resilient(
     // Single-workload targets train just that workload (still resilient)
     // and report the per-workload summary table.
     let single = workload_for_target(target);
-    let render = figure(single.map_or(target, |_| "summary")).ok_or_else(|| {
-        gnnmark_tensor::TensorError::InvalidArgument {
-            op: "render_target_resilient",
-            reason: format!("unknown target `{target}`"),
-        }
-    })?;
-    if target == "table1" {
+    let render = match target {
+        // Not a figure: the ablations read the runs and train captures.
+        "ablations" => None,
+        _ => Some(figure(single.map_or(target, |_| "summary")).ok_or_else(|| {
+            gnnmark_tensor::TensorError::InvalidArgument {
+                op: "render_target_resilient",
+                reason: format!("unknown target `{target}`"),
+            }
+        })?),
+    };
+    if let (Some(render), "table1") = (render, target) {
         return Ok(render(&[]));
     }
     let report = report_cache.get_or_insert_with(|| match single {
@@ -208,7 +212,11 @@ pub fn render_target_resilient(
         },
         None => run_suite_resilient(cfg, rcfg),
     });
-    let mut tables = render(&report.runs(keep_going)?);
+    let runs = report.runs(keep_going)?;
+    let Some(render) = render else {
+        return render_ablations(cfg, &runs);
+    };
+    let mut tables = render(&runs);
     let missing = report.missing();
     for t in &mut tables {
         figures::append_missing_rows(t, &missing);
@@ -241,21 +249,30 @@ pub fn render_mode_comparison(cfg: &SuiteConfig) -> Result<Vec<Table>> {
     Ok(vec![figures::fig_mode_comparison(&full, &mini)])
 }
 
-/// Renders the four ablation studies.
+/// Renders the nine ablation studies. The device what-ifs replay one
+/// captured run each of ARGA and DGCN, the workload tables read the
+/// suite's `runs` (a listed workload they lack is a `—` row), and only the
+/// fp16/bf16 rows and the models outside the suite train.
 ///
 /// # Errors
 /// Propagates workload failures.
-pub fn render_ablations(cfg: &SuiteConfig) -> Result<Vec<Table>> {
+fn render_ablations(cfg: &SuiteConfig, runs: &[RunArtifacts]) -> Result<Vec<Table>> {
+    use gnnmark::ablations::*;
+    let (_, arga) = run_workload_captured(WorkloadKind::ArgaCora, cfg)?;
+    let (_, dgcn) = run_workload_captured(WorkloadKind::Dgcn, cfg)?;
     Ok(vec![
-        gnnmark::ablations::ablation_l1_size(WorkloadKind::ArgaCora, cfg)?,
-        gnnmark::ablations::ablation_feature_width(cfg.seed)?,
-        gnnmark::ablations::ablation_nvlink_bandwidth(cfg)?,
-        gnnmark::ablations::ablation_half_precision(WorkloadKind::ArgaCora, cfg)?,
-        gnnmark::ablations::ablation_inference_vs_training(cfg.seed)?,
-        gnnmark::ablations::ablation_weak_scaling(cfg)?,
-        gnnmark::ablations::ablation_arga_datasets(&SuiteConfig::test())?,
-        gnnmark::ablations::ablation_sparsity_compression(cfg)?,
-        gnnmark::ablations::ablation_device_comparison(WorkloadKind::Dgcn, cfg)?,
+        ablation_l1_size(&arga, cfg),
+        ablation_feature_width(cfg)?,
+        ablation_nvlink_bandwidth(&dgcn, cfg),
+        ablation_half_precision(WorkloadKind::ArgaCora, &arga, cfg)?,
+        ablation_inference_vs_training(cfg)?,
+        ablation_weak_scaling(runs, cfg),
+        ablation_arga_datasets(&SuiteConfig {
+            seed: cfg.seed,
+            ..SuiteConfig::test()
+        })?,
+        ablation_sparsity_compression(runs),
+        ablation_device_comparison(&dgcn, cfg),
     ])
 }
 

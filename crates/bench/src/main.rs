@@ -93,9 +93,7 @@ use gnnmark::resilience::{FaultPlan, ResilienceConfig, SuiteReport};
 use gnnmark::suite::SuiteConfig;
 use gnnmark::{shutdown, Table};
 use gnnmark_bench::flags::{parse_suite_args, Flags};
-use gnnmark_bench::{
-    emit, infer_cli, render_ablations, render_target_resilient, report_cli, TARGETS,
-};
+use gnnmark_bench::{emit, infer_cli, render_target_resilient, report_cli, TARGETS};
 use gnnmark_serve::campaign::CampaignOptions;
 use gnnmark_serve::{
     run_campaign, run_loadtest, serve, CampaignSpec, LoadtestOptions, ServeConfig, StreamCache,
@@ -118,7 +116,7 @@ const USAGE: &str = "usage: gnnmark <target> [SUITE FLAGS] [--csv DIR] [--parall
 SUITE FLAGS, the same for <target>, infer and report: [--scale tiny|test|small|paper] \
 [--epochs N] [--seed S] [--threads N] [--precision fp32|fp16|bf16] \
 [--mode fullgraph|minibatch] [--batch-size N] [--fanout F1,F2,...]
---bless and --golden are for `check` only; `check`, `modecmp` and `ablations` take none of \
+--bless and --golden are for `check` only; `check` and `modecmp` take none of \
 --parallel --keep-going --timeout --retries --checkpoint, and `check` takes none of --csv \
 --epochs --precision --mode --batch-size --fanout --trace --metrics
 targets: `gnnmark list` prints them";
@@ -138,12 +136,12 @@ struct Args {
 }
 
 /// The flags `target` would read and then ignore; it refuses them.
-/// `modecmp` and `ablations` run outside the resilience layer, `check`
-/// writes no tables, trains its own fixed configurations and records no
-/// telemetry, and only `check` reads goldens.
+/// `modecmp` runs outside the resilience layer, `check` writes no tables,
+/// trains its own fixed configurations and records no telemetry, and only
+/// `check` reads goldens.
 fn ignored_flags(target: &str) -> &'static [&'static str] {
     match target {
-        "modecmp" | "ablations" => &[
+        "modecmp" => &[
             "--parallel",
             "--keep-going",
             "--timeout",
@@ -300,13 +298,12 @@ fn run_target(args: &Args) -> i32 {
                     "roofline",
                     "convergence",
                     "summary",
+                    "ablations",
                 ] {
                     tables.extend(render(target)?);
                 }
-                tables.extend(render_ablations(&args.cfg)?);
                 Ok(tables)
             }
-            "ablations" => render_ablations(&args.cfg),
             "modecmp" => gnnmark_bench::render_mode_comparison(&args.cfg),
             target => render(target),
         }

@@ -91,10 +91,6 @@ fn flags_a_target_would_ignore_are_usage_errors() {
             &["modecmp", "--scale", "test", "--keep-going"][..],
             "--keep-going",
         ),
-        (
-            &["ablations", "--scale", "test", "--checkpoint", "ckpt"],
-            "--checkpoint",
-        ),
         (&["check", "--scale", "tiny", "--csv", "out"], "--csv"),
         (&["check", "--scale", "tiny", "--epochs", "3"], "--epochs"),
         (&["check", "--scale", "tiny", "--metrics", "F"], "--metrics"),
@@ -114,6 +110,55 @@ fn flags_a_target_would_ignore_are_usage_errors() {
         );
         assert!(stderr.contains("usage:"), "{stderr}");
     }
+
+    // `ablations` reads the resilient suite, so it takes those flags: a
+    // faulted workload is a `—` row of the compression table it lists, and
+    // without --keep-going the run fails naming it.
+    let dir = std::env::temp_dir().join(format!("gnnmark_cli_abl_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ablations = |keep_going: bool| {
+        let mut cmd = gnnmark();
+        cmd.args(["ablations", "--scale", "test", "--checkpoint"])
+            .arg(&dir)
+            .env("GNNMARK_FAULT", "panic:GW");
+        if keep_going {
+            cmd.arg("--keep-going");
+        }
+        cmd.output().expect("binary runs")
+    };
+    let out = ablations(true);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let compression = stdout
+        .split("Ablation — Zero-value compression")
+        .nth(1)
+        .expect("compression table");
+    assert!(
+        compression
+            .lines()
+            .any(|l| l.starts_with("GW ") && l.contains("—")),
+        "{stdout}"
+    );
+    let out = ablations(false);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: GW: "), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn all_trains_each_configuration_once() {
+    // The suite's 9 workloads, then the ablations' ARGA capture, its fp16
+    // and bf16 runs, and the DGCN capture; every device variant replays.
+    let out = gnnmark()
+        .args(["all", "--scale", "test", "--epochs", "1", "--progress"])
+        .env_remove("GNNMARK_FAULT")
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert_eq!(stderr.matches("epoch 1/1").count(), 13, "{stderr}");
 }
 
 #[test]

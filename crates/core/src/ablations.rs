@@ -3,8 +3,13 @@
 //! feature width (the MVL→NWP 10× observation, swept continuously),
 //! interconnect bandwidth (scaling), and half-precision training (the
 //! paper's future-work proposal).
+//!
+//! A device what-if trains nothing: it replays one captured run (see
+//! [`crate::suite::run_workload_captured`]) on each device variant. The
+//! default-configuration tables read the suite's own runs.
 
 use gnnmark_autograd::{Adam, Optimizer, Tape};
+use gnnmark_gpusim::stream::CapturedRun;
 use gnnmark_gpusim::{DdpModel, DeviceSpec, ScalingBehavior};
 use gnnmark_graph::datasets::recommendation_with_width;
 use gnnmark_nn::{Module, PinSageConv};
@@ -12,19 +17,32 @@ use gnnmark_profiler::{FigureCategory, ProfileSession, Table};
 use gnnmark_tensor::IntTensor;
 use gnnmark_workloads::WorkloadKind;
 
-use crate::figures::pct;
-use crate::suite::{run_workload, run_workload_full, SuiteConfig};
+use crate::figures::{append_missing_rows, pct};
+use crate::suite::{artifacts_from_replay, run_workload_full, RunArtifacts, SuiteConfig};
 use crate::Result;
 
-/// Sweeps L1 capacity for one workload, reporting hit rate and epoch time.
+/// The artifacts a live run of `cfg` on `device` would produce, replayed
+/// from `run`, a capture of `cfg`'s training. The replay device is the one
+/// that live run would model, so a reduced precision halves its elements.
+fn replay_on(run: &CapturedRun, cfg: &SuiteConfig, device: DeviceSpec) -> RunArtifacts {
+    artifacts_from_replay(run, &cfg.clone().with_device(device).modeled_device())
+}
+
+/// The suite run of `kind` among `runs`, if it has one.
+fn suite_run(runs: &[RunArtifacts], kind: WorkloadKind) -> Option<&RunArtifacts> {
+    runs.iter().find(|r| r.profile.name == kind.label())
+}
+
+/// Sweeps L1 capacity for the workload `run` captured under `cfg`,
+/// reporting hit rate and epoch time.
 ///
 /// The paper's takeaway: GNN training's L1 hit rates are so low that
 /// larger L1s (or bypassing) are worth exploring.
-///
-/// # Errors
-/// Propagates workload failures.
-pub fn ablation_l1_size(kind: WorkloadKind, cfg: &SuiteConfig) -> Result<Table> {
-    let mut t = Table::new(format!("Ablation — L1 capacity sweep ({})", kind.label()));
+pub fn ablation_l1_size(run: &CapturedRun, cfg: &SuiteConfig) -> Table {
+    let mut t = Table::new(format!(
+        "Ablation — L1 capacity sweep ({})",
+        run.meta.workload
+    ));
     t.header([
         "L1 size (KB)",
         "L1 hit (%)",
@@ -32,10 +50,7 @@ pub fn ablation_l1_size(kind: WorkloadKind, cfg: &SuiteConfig) -> Result<Table> 
         "Epoch time (ms)",
     ]);
     for kb in [32u64, 64, 128, 256, 512] {
-        let cfg = cfg
-            .clone()
-            .with_device(DeviceSpec::v100().with_l1_bytes(kb * 1024));
-        let p = run_workload(kind, &cfg)?;
+        let p = replay_on(run, cfg, cfg.device.clone().with_l1_bytes(kb * 1024)).profile;
         t.row([
             kb.to_string(),
             pct(p.l1_hit_rate()),
@@ -43,7 +58,7 @@ pub fn ablation_l1_size(kind: WorkloadKind, cfg: &SuiteConfig) -> Result<Table> 
             format!("{:.2}", p.total_time_ns() / 1e6),
         ]);
     }
-    Ok(t)
+    t
 }
 
 /// Sweeps PSAGE-style item feature width, reporting the element-wise time
@@ -52,7 +67,8 @@ pub fn ablation_l1_size(kind: WorkloadKind, cfg: &SuiteConfig) -> Result<Table> 
 ///
 /// # Errors
 /// Propagates training failures.
-pub fn ablation_feature_width(seed: u64) -> Result<Table> {
+pub fn ablation_feature_width(cfg: &SuiteConfig) -> Result<Table> {
+    let seed = cfg.seed;
     let mut t = Table::new("Ablation — Element-wise share vs item feature width (PSAGE-style)");
     t.header(["Feature width", "ElemWise (%)", "GEMM (%)", "Sort (%)"]);
     for width in [32usize, 64, 128, 256, 640] {
@@ -61,7 +77,7 @@ pub fn ablation_feature_width(seed: u64) -> Result<Table> {
         let conv = PinSageConv::new("ablate", width, 32, &mut rng)?;
         let sampler = gnnmark_graph::sampler::RandomWalkSampler::new(16, 3, 6);
         let mut opt = Adam::new(1e-3);
-        let mut session = ProfileSession::new("psage-width", DeviceSpec::v100());
+        let mut session = ProfileSession::new("psage-width", cfg.device.clone());
         let n_items = data.num_nodes();
         for _ in 0..4 {
             let seeds: Vec<i64> = (0..64).map(|i| (i * 5 % n_items) as i64).collect();
@@ -97,36 +113,43 @@ pub fn ablation_feature_width(seed: u64) -> Result<Table> {
     Ok(t)
 }
 
-/// Sweeps NVLink bandwidth, reporting 4-GPU speedup of a data-parallel
-/// workload — how much the paper's scaling results owe to the fast
-/// interconnect.
-///
-/// # Errors
-/// Propagates workload failures.
-pub fn ablation_nvlink_bandwidth(cfg: &SuiteConfig) -> Result<Table> {
-    let mut t = Table::new("Ablation — 4-GPU speedup vs interconnect bandwidth (DGCN)");
+/// Sweeps NVLink bandwidth, reporting 4-GPU speedup of the data-parallel
+/// workload `run` captured under `cfg` — how much the paper's scaling
+/// results owe to the fast interconnect.
+pub fn ablation_nvlink_bandwidth(run: &CapturedRun, cfg: &SuiteConfig) -> Table {
+    let mut t = Table::new(format!(
+        "Ablation — 4-GPU speedup vs interconnect bandwidth ({})",
+        run.meta.workload
+    ));
     t.header(["Link bandwidth (GB/s)", "4-GPU speedup (×)"]);
-    let art = run_workload_full(WorkloadKind::Dgcn, cfg)?;
+    let art = replay_on(run, cfg, cfg.device.clone());
     let epochs = art.losses.len().max(1) as f64;
     let epoch_ns = art.profile.total_time_ns() / epochs;
     let behavior = art.scaling.unwrap_or(ScalingBehavior::DataParallel);
     for gbps in [12.0f64, 50.0, 100.0, 300.0, 600.0] {
-        let ddp = DdpModel::new(DeviceSpec::v100().with_nvlink_gbps(gbps));
+        let ddp = DdpModel::new(cfg.device.clone().with_nvlink_gbps(gbps));
         let s = ddp.speedup(epoch_ns, art.steps_per_epoch, art.grad_bytes, behavior, 4);
         t.row([format!("{gbps:.0}"), format!("{s:.2}")]);
     }
-    Ok(t)
+    t
 }
 
 /// Compares fp32 against *measured* f16/bf16 mixed-precision training (the
 /// paper's future-work direction): parameters and activations stored at
 /// 16 bits with dynamic loss scaling, the forward computed in f32. The
-/// legacy modeled row (fp32 numerics on a 2-byte-element device) is kept
+/// legacy modeled row (`cfg`'s numerics on a 2-byte-element device) is kept
 /// last for comparison against the measured runs.
+///
+/// `run` is a capture of `kind` under `cfg`: the row of `cfg`'s precision
+/// and the modeled row replay it, the other precisions train.
 ///
 /// # Errors
 /// Propagates workload failures.
-pub fn ablation_half_precision(kind: WorkloadKind, cfg: &SuiteConfig) -> Result<Table> {
+pub fn ablation_half_precision(
+    kind: WorkloadKind,
+    run: &CapturedRun,
+    cfg: &SuiteConfig,
+) -> Result<Table> {
     use gnnmark_tensor::half::Precision;
 
     let mut t = Table::new(format!(
@@ -154,15 +177,15 @@ pub fn ablation_half_precision(kind: WorkloadKind, cfg: &SuiteConfig) -> Result<
         ]);
     };
     for precision in [Precision::Fp32, Precision::Fp16, Precision::Bf16] {
-        let cfg = cfg.clone().with_precision(precision);
-        let art = run_workload_full(kind, &cfg)?;
+        let art = if precision == cfg.precision {
+            replay_on(run, cfg, cfg.device.clone())
+        } else {
+            run_workload_full(kind, &cfg.clone().with_precision(precision))?
+        };
         measured(precision.as_str(), &art);
     }
-    // Modeled-only comparison row: fp32 numerics on a half-precision device.
-    let modeled_cfg = cfg
-        .clone()
-        .with_device(DeviceSpec::v100().with_half_precision());
-    let art = run_workload_full(kind, &modeled_cfg)?;
+    // Modeled-only comparison row: `cfg`'s numerics on a half-precision device.
+    let art = replay_on(run, cfg, cfg.device.clone().with_half_precision());
     measured("fp16 (modeled)", &art);
     Ok(t)
 }
@@ -179,11 +202,12 @@ pub fn ablation_half_precision(kind: WorkloadKind, cfg: &SuiteConfig) -> Result<
 ///
 /// # Errors
 /// Propagates training failures.
-pub fn ablation_inference_vs_training(seed: u64) -> Result<Table> {
+pub fn ablation_inference_vs_training(cfg: &SuiteConfig) -> Result<Table> {
     use gnnmark_graph::datasets::{citation, CitationKind};
     use gnnmark_nn::gcn::NormAdj;
     use gnnmark_nn::{losses, GcnConv};
 
+    let seed = cfg.seed;
     let graph = citation(CitationKind::Cora, 0.25, seed)?;
     let labels = graph.labels().expect("labels").clone();
     let adj = NormAdj::new_symmetric(graph.normalized_adjacency()?);
@@ -196,7 +220,7 @@ pub fn ablation_inference_vs_training(seed: u64) -> Result<Table> {
 
     let infer = {
         let _guard = gnnmark_autograd::NoGradGuard::new();
-        let mut session = ProfileSession::new("gcn-infer", DeviceSpec::v100());
+        let mut session = ProfileSession::new("gcn-infer", cfg.device.clone());
         for _ in 0..4 {
             session.begin_step();
             let tape = Tape::new();
@@ -209,7 +233,7 @@ pub fn ablation_inference_vs_training(seed: u64) -> Result<Table> {
         session.finish()
     };
     let train = {
-        let mut session = ProfileSession::new("gcn-train", DeviceSpec::v100());
+        let mut session = ProfileSession::new("gcn-train", cfg.device.clone());
         for _ in 0..4 {
             params.zero_grad();
             session.begin_step();
@@ -252,11 +276,9 @@ pub fn ablation_inference_vs_training(seed: u64) -> Result<Table> {
 
 /// Weak-scaling projection (the paper's future-work direction): per-GPU
 /// work held constant while GPUs are added; reports efficiency per
-/// workload on 1/2/4 GPUs.
-///
-/// # Errors
-/// Propagates workload failures.
-pub fn ablation_weak_scaling(cfg: &SuiteConfig) -> Result<Table> {
+/// workload on 1/2/4 GPUs, from the suite's `runs` under `cfg`. A listed
+/// workload the suite lacks renders as a `—` row.
+pub fn ablation_weak_scaling(runs: &[RunArtifacts], cfg: &SuiteConfig) -> Table {
     let mut t = Table::new("Ablation — Weak-scaling efficiency (constant per-GPU work)");
     t.header(["Workload", "2 GPUs", "4 GPUs"]);
     for kind in [
@@ -265,11 +287,14 @@ pub fn ablation_weak_scaling(cfg: &SuiteConfig) -> Result<Table> {
         WorkloadKind::Tlstm,
         WorkloadKind::PsageMvl,
     ] {
-        let art = run_workload_full(kind, cfg)?;
+        let Some(art) = suite_run(runs, kind) else {
+            append_missing_rows(&mut t, &[kind]);
+            continue;
+        };
         let Some(behavior) = art.scaling else {
             continue;
         };
-        let ddp = DdpModel::new(DeviceSpec::v100());
+        let ddp = DdpModel::new(cfg.device.clone());
         let epoch_ns = art.profile.total_time_ns() / art.losses.len().max(1) as f64;
         let e2 = ddp.weak_efficiency(epoch_ns, art.steps_per_epoch, art.grad_bytes, behavior, 2);
         let e4 = ddp.weak_efficiency(epoch_ns, art.steps_per_epoch, art.grad_bytes, behavior, 4);
@@ -279,7 +304,7 @@ pub fn ablation_weak_scaling(cfg: &SuiteConfig) -> Result<Table> {
             format!("{:.0}%", e4 * 100.0),
         ]);
     }
-    Ok(t)
+    t
 }
 
 /// Profiles ARGA across its three citation datasets — the paper's
@@ -332,11 +357,9 @@ pub fn ablation_arga_datasets(cfg: &SuiteConfig) -> Result<Table> {
 
 /// Models the paper's headline proposal (§V-D and future work): compress
 /// CPU→GPU transfers using the measured zero-value sparsity, and report
-/// the payload reduction per workload.
-///
-/// # Errors
-/// Propagates training failures.
-pub fn ablation_sparsity_compression(cfg: &SuiteConfig) -> Result<Table> {
+/// the payload reduction per workload of the suite's `runs`. A listed
+/// workload the suite lacks renders as a `—` row.
+pub fn ablation_sparsity_compression(runs: &[RunArtifacts]) -> Table {
     let mut t = Table::new("Ablation — Zero-value compression of H2D transfers");
     t.header([
         "Workload",
@@ -353,7 +376,10 @@ pub fn ablation_sparsity_compression(cfg: &SuiteConfig) -> Result<Table> {
         WorkloadKind::ArgaCora,
         WorkloadKind::Tlstm,
     ] {
-        let art = run_workload_full(kind, cfg)?;
+        let Some(art) = suite_run(runs, kind) else {
+            append_missing_rows(&mut t, &[kind]);
+            continue;
+        };
         let p = &art.profile;
         t.row([
             kind.label().to_string(),
@@ -363,22 +389,18 @@ pub fn ablation_sparsity_compression(cfg: &SuiteConfig) -> Result<Table> {
             pct(p.compression_savings()),
         ]);
     }
-    Ok(t)
+    t
 }
 
-/// Cross-device study: the same workload on a modeled V100 vs A100 —
-/// does a newer GPU's extra bandwidth, L2 and SM count move GNN training,
-/// given the paper's finding that these workloads barely utilize the
-/// V100?
-///
-/// # Errors
-/// Propagates workload failures.
-pub fn ablation_device_comparison(kind: WorkloadKind, cfg: &SuiteConfig) -> Result<Table> {
-    let mut t = Table::new(format!("Ablation — V100 vs A100 ({})", kind.label()));
+/// Cross-device study: the workload `run` captured under `cfg` on its
+/// modeled device (a V100) vs an A100 — does a newer GPU's extra
+/// bandwidth, L2 and SM count move GNN training, given the paper's finding
+/// that these workloads barely utilize the V100?
+pub fn ablation_device_comparison(run: &CapturedRun, cfg: &SuiteConfig) -> Table {
+    let mut t = Table::new(format!("Ablation — V100 vs A100 ({})", run.meta.workload));
     t.header(["Device", "Epoch (ms)", "GFLOPS", "L1 hit (%)", "L2 hit (%)"]);
-    for device in [DeviceSpec::v100(), DeviceSpec::a100()] {
-        let cfg = cfg.clone().with_device(device);
-        let art = run_workload_full(kind, &cfg)?;
+    for device in [cfg.device.clone(), DeviceSpec::a100()] {
+        let art = replay_on(run, cfg, device);
         let p = &art.profile;
         t.row([
             p.spec.name.clone(),
@@ -391,22 +413,151 @@ pub fn ablation_device_comparison(kind: WorkloadKind, cfg: &SuiteConfig) -> Resu
             pct(p.l2_hit_rate()),
         ]);
     }
-    Ok(t)
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::run_workload_captured;
+    use gnnmark_tensor::half::Precision;
+
+    fn captured(kind: WorkloadKind, cfg: &SuiteConfig) -> CapturedRun {
+        run_workload_captured(kind, cfg).unwrap().1
+    }
+
+    /// The reference the replayed device ablations must equal: one live
+    /// training per device, as the ablations ran before they replayed.
+    mod trained {
+        use super::*;
+
+        fn on(kind: WorkloadKind, cfg: &SuiteConfig, device: DeviceSpec) -> RunArtifacts {
+            run_workload_full(kind, &cfg.clone().with_device(device)).unwrap()
+        }
+
+        pub fn l1_size(kind: WorkloadKind, cfg: &SuiteConfig) -> Table {
+            let mut t = Table::new(format!("Ablation — L1 capacity sweep ({})", kind.label()));
+            t.header([
+                "L1 size (KB)",
+                "L1 hit (%)",
+                "L2 hit (%)",
+                "Epoch time (ms)",
+            ]);
+            for kb in [32u64, 64, 128, 256, 512] {
+                let p = on(kind, cfg, DeviceSpec::v100().with_l1_bytes(kb * 1024)).profile;
+                t.row([
+                    kb.to_string(),
+                    pct(p.l1_hit_rate()),
+                    pct(p.l2_hit_rate()),
+                    format!("{:.2}", p.total_time_ns() / 1e6),
+                ]);
+            }
+            t
+        }
+
+        pub fn device_comparison(kind: WorkloadKind, cfg: &SuiteConfig) -> Table {
+            let mut t = Table::new(format!("Ablation — V100 vs A100 ({})", kind.label()));
+            t.header(["Device", "Epoch (ms)", "GFLOPS", "L1 hit (%)", "L2 hit (%)"]);
+            for device in [DeviceSpec::v100(), DeviceSpec::a100()] {
+                let art = on(kind, cfg, device);
+                let p = &art.profile;
+                t.row([
+                    p.spec.name.clone(),
+                    format!(
+                        "{:.2}",
+                        p.total_time_ns() / art.losses.len().max(1) as f64 / 1e6
+                    ),
+                    format!("{:.0}", p.gflops()),
+                    pct(p.l1_hit_rate()),
+                    pct(p.l2_hit_rate()),
+                ]);
+            }
+            t
+        }
+
+        pub fn half_precision(kind: WorkloadKind, cfg: &SuiteConfig) -> Table {
+            let mut t = Table::new(format!(
+                "Ablation — fp32 vs fp16/bf16 storage ({})",
+                kind.label()
+            ));
+            t.header([
+                "Precision",
+                "Epoch time (ms)",
+                "L1 hit (%)",
+                "DRAM GB moved",
+                "Param KB",
+                "Final loss",
+            ]);
+            let mut measured = |name: &str, art: RunArtifacts| {
+                let p = &art.profile;
+                let dram: u64 = p.kernels.iter().map(|k| k.memory.dram_bytes).sum();
+                t.row([
+                    name.to_string(),
+                    format!("{:.2}", p.total_time_ns() / 1e6),
+                    pct(p.l1_hit_rate()),
+                    format!("{:.3}", dram as f64 / 1e9),
+                    format!("{:.1}", art.grad_bytes as f64 / 1024.0),
+                    format!("{:.4}", art.losses.last().copied().unwrap_or(f64::NAN)),
+                ]);
+            };
+            for precision in [Precision::Fp32, Precision::Fp16, Precision::Bf16] {
+                let cfg = cfg.clone().with_precision(precision);
+                measured(precision.as_str(), on(kind, &cfg, DeviceSpec::v100()));
+            }
+            measured(
+                "fp16 (modeled)",
+                on(kind, cfg, DeviceSpec::v100().with_half_precision()),
+            );
+            t
+        }
+    }
+
+    fn replays_equal_one_training_per_device(precision: Precision) {
+        let cfg = SuiteConfig::test().with_precision(precision);
+        let arga = captured(WorkloadKind::ArgaCora, &cfg);
+        let dgcn = captured(WorkloadKind::Dgcn, &cfg);
+        for (replayed, reference) in [
+            (
+                ablation_l1_size(&arga, &cfg),
+                trained::l1_size(WorkloadKind::ArgaCora, &cfg),
+            ),
+            (
+                ablation_device_comparison(&dgcn, &cfg),
+                trained::device_comparison(WorkloadKind::Dgcn, &cfg),
+            ),
+            (
+                ablation_half_precision(WorkloadKind::ArgaCora, &arga, &cfg).unwrap(),
+                trained::half_precision(WorkloadKind::ArgaCora, &cfg),
+            ),
+        ] {
+            assert_eq!(replayed.to_string(), reference.to_string(), "{precision:?}");
+        }
+    }
+
+    #[test]
+    fn replayed_device_ablations_equal_one_training_per_device() {
+        replays_equal_one_training_per_device(Precision::Fp32);
+    }
+
+    #[test]
+    fn replayed_device_ablations_equal_one_training_per_device_at_fp16() {
+        replays_equal_one_training_per_device(Precision::Fp16);
+    }
 
     #[test]
     fn l1_sweep_produces_monotone_hit_rates() {
-        let t = ablation_l1_size(WorkloadKind::Tlstm, &SuiteConfig::test()).unwrap();
+        let cfg = SuiteConfig::test();
+        let t = ablation_l1_size(&captured(WorkloadKind::Tlstm, &cfg), &cfg);
         assert_eq!(t.num_rows(), 5);
     }
 
     #[test]
     fn feature_width_sweep_raises_elementwise_share() {
-        let t = ablation_feature_width(3).unwrap();
+        let t = ablation_feature_width(&SuiteConfig {
+            seed: 3,
+            ..SuiteConfig::test()
+        })
+        .unwrap();
         assert_eq!(t.num_rows(), 5);
         // Parse first and last ElemWise share from CSV.
         let csv = t.to_csv();
@@ -421,7 +572,8 @@ mod tests {
 
     #[test]
     fn nvlink_sweep_is_monotone() {
-        let t = ablation_nvlink_bandwidth(&SuiteConfig::test()).unwrap();
+        let cfg = SuiteConfig::test();
+        let t = ablation_nvlink_bandwidth(&captured(WorkloadKind::Dgcn, &cfg), &cfg);
         let csv = t.to_csv();
         let speedups: Vec<f64> = csv
             .lines()
@@ -433,7 +585,9 @@ mod tests {
 
     #[test]
     fn half_precision_helps() {
-        let t = ablation_half_precision(WorkloadKind::ArgaCora, &SuiteConfig::test()).unwrap();
+        let cfg = SuiteConfig::test();
+        let arga = captured(WorkloadKind::ArgaCora, &cfg);
+        let t = ablation_half_precision(WorkloadKind::ArgaCora, &arga, &cfg).unwrap();
         assert_eq!(t.num_rows(), 4, "fp32, fp16, bf16 measured + modeled row");
         let csv = t.to_csv();
         let col = |row: &str, i: usize| -> f64 { row.split(',').nth(i).unwrap().parse().unwrap() };
@@ -460,7 +614,11 @@ mod tests {
 
     #[test]
     fn inference_is_more_matmul_dominated_than_training() {
-        let t = ablation_inference_vs_training(5).unwrap();
+        let t = ablation_inference_vs_training(&SuiteConfig {
+            seed: 5,
+            ..SuiteConfig::test()
+        })
+        .unwrap();
         let csv = t.to_csv();
         let rows: Vec<&str> = csv.lines().skip(1).collect();
         let matmul = |row: &str| -> f64 { row.split(',').nth(1).unwrap().parse().unwrap() };
@@ -472,9 +630,23 @@ mod tests {
 
     #[test]
     fn weak_scaling_table_renders() {
-        let t = ablation_weak_scaling(&SuiteConfig::test()).unwrap();
-        assert!(t.num_rows() >= 3);
-        assert!(t.to_string().contains("TLSTM"));
+        let cfg = SuiteConfig::test();
+        let runs: Vec<RunArtifacts> =
+            [WorkloadKind::Dgcn, WorkloadKind::Stgcn, WorkloadKind::Tlstm]
+                .into_iter()
+                .map(|kind| run_workload_full(kind, &cfg).unwrap())
+                .collect();
+        let t = ablation_weak_scaling(&runs, &cfg);
+        assert_eq!(t.num_rows(), 4, "three runs and a `—` row for PSAGE-MVL");
+        let csv = t.to_csv();
+        assert!(csv.contains("TLSTM"), "{csv}");
+        assert!(
+            csv.ends_with(&format!(
+                "PSAGE-MVL,{0},{0}\n",
+                crate::figures::MISSING_MARKER
+            )),
+            "{csv}"
+        );
     }
 
     #[test]
@@ -488,8 +660,8 @@ mod tests {
     #[test]
     fn compression_savings_track_sparsity() {
         let cfg = SuiteConfig::test();
-        let arga = crate::suite::run_workload_full(WorkloadKind::ArgaCora, &cfg).unwrap();
-        let stgcn = crate::suite::run_workload_full(WorkloadKind::Stgcn, &cfg).unwrap();
+        let arga = run_workload_full(WorkloadKind::ArgaCora, &cfg).unwrap();
+        let stgcn = run_workload_full(WorkloadKind::Stgcn, &cfg).unwrap();
         // ARGA ships near-empty bag-of-words features; STGCN ships dense
         // traffic signals — compression must separate them sharply.
         assert!(
@@ -502,13 +674,21 @@ mod tests {
             "STGCN savings {}",
             stgcn.profile.compression_savings()
         );
-        let t = ablation_sparsity_compression(&cfg).unwrap();
+        // The four listed workloads these runs lack render as `—` rows.
+        let t = ablation_sparsity_compression(&[arga, stgcn]);
         assert_eq!(t.num_rows(), 6);
+        let missing = t
+            .to_csv()
+            .lines()
+            .filter(|r| r.ends_with(crate::figures::MISSING_MARKER))
+            .count();
+        assert_eq!(missing, 4, "{t}");
     }
 
     #[test]
     fn a100_is_not_slower_than_v100() {
-        let t = ablation_device_comparison(WorkloadKind::ArgaCora, &SuiteConfig::test()).unwrap();
+        let cfg = SuiteConfig::test();
+        let t = ablation_device_comparison(&captured(WorkloadKind::ArgaCora, &cfg), &cfg);
         let csv = t.to_csv();
         // Device names contain commas (quoted in CSV); index from the right.
         let times: Vec<f64> = csv

@@ -399,14 +399,15 @@ mod tests {
     fn figures_render_for_infer_and_train() {
         let cfg = InferConfig::test();
         let infer = run_infer_workload(WorkloadKind::Tlstm, &cfg).unwrap();
-        let train = crate::suite::run_workload(
+        let train = crate::suite::run_workload_full(
             WorkloadKind::Tlstm,
             &SuiteConfig {
                 scale: Scale::Test,
                 ..SuiteConfig::test()
             },
         )
-        .unwrap();
+        .unwrap()
+        .profile;
         let infer_profiles = [infer.profile];
         let train_profiles = [train];
         let t1 = infer_vs_train_op_mix(&infer_profiles, &train_profiles);

@@ -23,11 +23,11 @@
 //! ## Quick start
 //!
 //! ```
-//! use gnnmark::suite::{run_workload, SuiteConfig};
+//! use gnnmark::suite::{run_workload_full, SuiteConfig};
 //! use gnnmark::WorkloadKind;
 //!
 //! let cfg = SuiteConfig::test();
-//! let profile = run_workload(WorkloadKind::ArgaCora, &cfg).unwrap();
+//! let profile = run_workload_full(WorkloadKind::ArgaCora, &cfg).unwrap().profile;
 //! assert!(profile.kernels.len() > 10);
 //! println!("{}", gnnmark::figures::fig4_throughput(&[profile]));
 //! ```

@@ -129,14 +129,6 @@ pub struct RunArtifacts {
     pub quality: Option<(&'static str, f64)>,
 }
 
-/// Trains and profiles one workload, returning its profile.
-///
-/// # Errors
-/// Propagates workload construction or training errors.
-pub fn run_workload(kind: WorkloadKind, cfg: &SuiteConfig) -> Result<WorkloadProfile> {
-    Ok(run_workload_full(kind, cfg)?.profile)
-}
-
 /// Trains and profiles one workload, returning the profile plus training
 /// metadata needed by the scaling model.
 ///
@@ -355,7 +347,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_workload_produces_profile() {
+    fn full_run_produces_profile() {
         let cfg = SuiteConfig::test();
         let art = run_workload_full(WorkloadKind::Tlstm, &cfg).unwrap();
         assert_eq!(art.losses.len(), 1);

@@ -129,19 +129,6 @@ pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
-/// Formats nanoseconds human-readably.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.2} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.2} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2} µs", ns / 1e3)
-    } else {
-        format!("{ns:.0} ns")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,9 +160,5 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(pct(0.1234), "12.3%");
-        assert_eq!(fmt_ns(1_500_000_000.0), "1.50 s");
-        assert_eq!(fmt_ns(2_500_000.0), "2.50 ms");
-        assert_eq!(fmt_ns(3_500.0), "3.50 µs");
-        assert_eq!(fmt_ns(500.0), "500 ns");
     }
 }

@@ -63,29 +63,6 @@ pub enum MetricValue {
 }
 
 impl MetricValue {
-    /// The counter value, or 0 for non-counter metrics — convenient for
-    /// "did this counter move" assertions in tests.
-    pub fn as_counter(&self) -> u64 {
-        match self {
-            MetricValue::Counter(v) => *v,
-            _ => 0,
-        }
-    }
-
-    /// Histogram summary as `(count, sum, min, max)`, or `None` for
-    /// non-histogram metrics.
-    pub fn as_histogram(&self) -> Option<(u64, f64, f64, f64)> {
-        match self {
-            MetricValue::Histogram {
-                count,
-                sum,
-                min,
-                max,
-            } => Some((*count, *sum, *min, *max)),
-            _ => None,
-        }
-    }
-
     /// Bucketed histogram as `(bounds, per-bucket counts, count, sum)`
     /// where `counts.len() == bounds.len() + 1` (last slot is `+Inf`), or
     /// `None` for other variants.
@@ -311,22 +288,6 @@ mod tests {
             }
             other => panic!("expected histogram, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn typed_accessors_match_variants() {
-        counter_add("t5_c", 3);
-        gauge_set("t5_g", 2.5);
-        observe("t5_h", 4.0);
-        observe("t5_h", 6.0);
-        assert_eq!(get("t5_c").unwrap().as_counter(), 3);
-        let (count, sum, min, max) = get("t5_h").unwrap().as_histogram().unwrap();
-        assert_eq!(count, 2);
-        assert!((sum - 10.0).abs() < 1e-12);
-        assert!((min - 4.0).abs() < 1e-12 && (max - 6.0).abs() < 1e-12);
-        // Accessors on the wrong variant degrade to defaults, not panics.
-        assert_eq!(get("t5_g").unwrap().as_counter(), 0);
-        assert!(get("t5_c").unwrap().as_histogram().is_none());
     }
 
     #[test]

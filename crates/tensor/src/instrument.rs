@@ -81,21 +81,6 @@ impl OpClass {
             OpClass::DataMovement => "DataMove",
         }
     }
-
-    /// Whether the class belongs to the graph *aggregation* phase
-    /// (irregular, index-driven work) as opposed to the *update* phase.
-    pub fn is_aggregation(self) -> bool {
-        matches!(
-            self,
-            OpClass::Scatter
-                | OpClass::Gather
-                | OpClass::Reduction
-                | OpClass::IndexSelect
-                | OpClass::Sort
-                | OpClass::Spmm
-                | OpClass::Embedding
-        )
-    }
 }
 
 impl std::fmt::Display for OpClass {
@@ -219,14 +204,6 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), OpClass::ALL.len());
-    }
-
-    #[test]
-    fn aggregation_classification() {
-        assert!(OpClass::Gather.is_aggregation());
-        assert!(OpClass::Sort.is_aggregation());
-        assert!(!OpClass::Gemm.is_aggregation());
-        assert!(!OpClass::Conv2d.is_aggregation());
     }
 
     #[test]

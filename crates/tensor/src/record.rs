@@ -45,7 +45,8 @@ pub fn is_recording() -> bool {
 }
 
 /// Number of events buffered so far on this thread (0 when not recording).
-pub fn pending_events() -> usize {
+#[cfg(test)]
+fn pending_events() -> usize {
     RECORDER.with(|r| r.borrow().as_ref().map_or(0, |v| v.len()))
 }
 

@@ -122,27 +122,6 @@ impl TrainMode {
         }
     }
 
-    /// Parses a [`TrainMode::key`] string back into a mode.
-    pub fn parse_key(s: &str) -> Option<TrainMode> {
-        if s == "fullgraph" {
-            return Some(TrainMode::FullGraph);
-        }
-        let rest = s.strip_prefix("minibatch-b")?;
-        let (batch, fans) = rest.split_once("-f")?;
-        let batch_size: usize = batch.parse().ok()?;
-        let fanouts: Vec<usize> = fans
-            .split('x')
-            .map(|f| f.parse().ok())
-            .collect::<Option<Vec<usize>>>()?;
-        if batch_size == 0 || fanouts.is_empty() {
-            return None;
-        }
-        Some(TrainMode::Minibatch(MinibatchConfig {
-            batch_size,
-            fanouts,
-        }))
-    }
-
     /// The minibatch parameters, if this is minibatch mode.
     pub fn minibatch(&self) -> Option<&MinibatchConfig> {
         match self {
@@ -476,23 +455,11 @@ mod tests {
     fn train_mode_key_roundtrips() {
         let full = TrainMode::FullGraph;
         assert_eq!(full.key(), "fullgraph");
-        assert_eq!(
-            TrainMode::parse_key("fullgraph"),
-            Some(TrainMode::FullGraph)
-        );
         let mb = TrainMode::Minibatch(MinibatchConfig {
             batch_size: 48,
             fanouts: vec![10, 5, 0],
         });
         assert_eq!(mb.key(), "minibatch-b48-f10x5x0");
-        assert_eq!(TrainMode::parse_key(&mb.key()), Some(mb.clone()));
-        assert_eq!(
-            TrainMode::parse_key(&TrainMode::Minibatch(MinibatchConfig::default()).key()),
-            Some(TrainMode::Minibatch(MinibatchConfig::default()))
-        );
-        assert_eq!(TrainMode::parse_key("minibatch-b0-f5"), None);
-        assert_eq!(TrainMode::parse_key("minibatch-b8-f"), None);
-        assert_eq!(TrainMode::parse_key("warp"), None);
     }
 
     #[test]
