@@ -452,20 +452,6 @@ impl Var {
         ))
     }
 
-    /// Scales each row by a constant vector (degree normalization).
-    ///
-    /// # Errors
-    /// Propagates shape mismatches from the tensor engine.
-    pub fn scale_rows_const(&self, scales: &Tensor) -> Result<Var> {
-        let value = self.with_value(|a| a.scale_rows(scales))?;
-        let s = scales.clone();
-        Ok(Var::record(
-            &[self],
-            value,
-            Box::new(move |up, _, _| Ok(vec![Some(up.scale_rows(&s)?)])),
-        ))
-    }
-
     /// Concatenates variables along the row axis.
     ///
     /// # Errors

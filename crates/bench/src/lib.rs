@@ -214,7 +214,7 @@ pub fn render_target_resilient(
     });
     let runs = report.runs(keep_going)?;
     let Some(render) = render else {
-        return render_ablations(cfg, &runs);
+        return render_ablations(cfg, rcfg, &runs);
     };
     let mut tables = render(&runs);
     let missing = report.missing();
@@ -252,14 +252,27 @@ pub fn render_mode_comparison(cfg: &SuiteConfig) -> Result<Vec<Table>> {
 /// Renders the nine ablation studies. The device what-ifs replay one
 /// captured run each of ARGA and DGCN, the workload tables read the
 /// suite's `runs` (a listed workload they lack is a `—` row), and only the
-/// fp16/bf16 rows and the models outside the suite train.
+/// fp16/bf16 rows and the models outside the suite train. Under
+/// `--checkpoint D` the captures come from `D`, where the suite stored
+/// them, so they train only if `D` lacks them.
 ///
 /// # Errors
 /// Propagates workload failures.
-fn render_ablations(cfg: &SuiteConfig, runs: &[RunArtifacts]) -> Result<Vec<Table>> {
+fn render_ablations(
+    cfg: &SuiteConfig,
+    rcfg: &ResilienceConfig,
+    runs: &[RunArtifacts],
+) -> Result<Vec<Table>> {
     use gnnmark::ablations::*;
-    let (_, arga) = run_workload_captured(WorkloadKind::ArgaCora, cfg)?;
-    let (_, dgcn) = run_workload_captured(WorkloadKind::Dgcn, cfg)?;
+    use gnnmark::cache::{CacheKey, StreamCache};
+    let capture = |kind| match &rcfg.checkpoint_dir {
+        Some(dir) => StreamCache::new(dir)
+            .fetch(&CacheKey::for_training(kind, cfg))
+            .map(|(run, _)| run),
+        None => run_workload_captured(kind, cfg).map(|(_, run)| run),
+    };
+    let arga = capture(WorkloadKind::ArgaCora)?;
+    let dgcn = capture(WorkloadKind::Dgcn)?;
     Ok(vec![
         ablation_l1_size(&arga, cfg),
         ablation_feature_width(cfg)?,

@@ -192,6 +192,40 @@ fn single_workload_target_restores_from_its_checkpoint() {
 }
 
 #[test]
+fn ablations_read_their_captures_from_the_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("gnnmark_cli_abl_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = || {
+        let out = gnnmark()
+            .args([
+                "ablations",
+                "--scale",
+                "test",
+                "--epochs",
+                "1",
+                "--progress",
+            ])
+            .arg("--checkpoint")
+            .arg(&dir)
+            .env_remove("GNNMARK_FAULT")
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "stderr: {stderr}");
+        (out.stdout, stderr.matches("epoch 1/1").count())
+    };
+    // The suite's 9 workloads and the fp16 and bf16 runs; the ARGA and
+    // DGCN captures are the suite's own, read back from the checkpoint.
+    let (first, first_trained) = run();
+    assert_eq!(first_trained, 11);
+    // The rerun restores the suite and trains only the 16-bit rows.
+    let (second, second_trained) = run();
+    assert_eq!(second_trained, 2);
+    assert_eq!(first, second, "a restored run renders the same tables");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn zero_epochs_is_a_usage_error() {
     for argv in [
         &["tlstm", "--scale", "tiny", "--epochs", "0"][..],

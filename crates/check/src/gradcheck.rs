@@ -396,10 +396,6 @@ pub fn all_op_reports(tol: f64) -> Result<Vec<GradReport>> {
         &[mixed("sc.x", d), positive("sc.s", &[4])],
         &|_, v| v[0].scale_cols(&v[1]),
     )?;
-    let src = positive("src.s", &[3]);
-    run("scale_rows_const", &[mixed("src.x", d)], &move |_, v| {
-        v[0].scale_rows_const(&src)
-    })?;
 
     // ---- sparse ----
     let (adj, adj_t) = small_csr()?;

@@ -5,14 +5,12 @@
 //! nothing (see `gnnmark_autograd::nograd`). That inference computes what training
 //! computes is therefore structural, and the per-op half of it — every
 //! op's guarded value bit-equals its taped value — is checked in layer 1
-//! ([`crate::gradcheck::grad_check`]). Three check families remain here:
+//! ([`crate::gradcheck::grad_check`]). The end-to-end half — every
+//! workload's guarded forward returns the loss bits of its taped
+//! [`Workload::probe`], and its kernel stream is the prefix of `probe`'s,
+//! in both modes at `Test` and `Small` scale — is the integration test
+//! `tests/infer_stream_prefix.rs`. Two check families remain here:
 //!
-//! * **Guarded-vs-taped equality, end to end** — for every workload, the
-//!   loss of the guarded forward over the full probe batch must bit-equal
-//!   the forward loss of the taped [`Workload::probe`] at fp32. It is the
-//!   one end-to-end read of the guard's branch in `Tape::push` /
-//!   `Var::record`, and it fails if a workload's `infer` stops calling the
-//!   forward its `probe` calls.
 //! * **Thread parity** — the inference loss is bit-identical at 1 and 4
 //!   tensor-kernel threads, extending the suite's thread-count
 //!   determinism guarantee to the inference path.
@@ -31,31 +29,6 @@ use crate::Result;
 /// Builds one workload in full-graph mode at fp32.
 fn build(kind: WorkloadKind, scale: Scale, seed: u64) -> Result<Box<dyn Workload>> {
     kind.build_mode(scale, seed, &TrainMode::FullGraph)
-}
-
-/// Guarded-vs-taped equality, end to end: for every workload, the loss of
-/// the forward run under a `NoGradGuard` (`infer`) over the full probe
-/// batch bit-equals the loss of the same forward taped (`probe`).
-///
-/// # Errors
-/// Propagates workload construction or forward errors.
-pub fn parity_reports(scale: Scale, seed: u64) -> Result<Vec<ParityReport>> {
-    let mut out = Vec::with_capacity(WorkloadKind::ALL.len());
-    for kind in WorkloadKind::ALL {
-        let probe_loss = build(kind, scale, seed)?.probe()?;
-        let infer_loss = build(kind, scale, seed)?.infer(InferBatch::Full)?;
-        let ok = probe_loss.to_bits() == infer_loss.to_bits();
-        out.push(ParityReport {
-            name: format!("infer-forward/{}", kind.label()),
-            ok,
-            detail: if ok {
-                String::new()
-            } else {
-                format!("probe loss {probe_loss:?} != infer loss {infer_loss:?}")
-            },
-        });
-    }
-    Ok(out)
 }
 
 /// Thread-count parity: the inference loss is bit-identical at 1 and 4
@@ -119,13 +92,6 @@ pub fn golden_profiles(seed: u64) -> Result<Vec<WorkloadProfile>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_workload_passes_forward_parity() {
-        for r in parity_reports(Scale::Test, 42).unwrap() {
-            assert!(r.ok, "{}", r.line());
-        }
-    }
 
     #[test]
     fn golden_profiles_cover_every_workload() {

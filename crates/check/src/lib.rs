@@ -24,11 +24,11 @@
 //!    digests of the HTML characterization report rendered from the same
 //!    suite runs, gated against `results/golden/report.csv`, which keeps
 //!    `gnnmark report` byte-deterministic.
-//! 6. **Inference** ([`infer`]) — guarded-vs-taped equality end to end
-//!    (every workload's forward under a `NoGradGuard` returns the loss bits
-//!    its taped `probe` does), thread-count (1 vs 4) parity of the
+//! 6. **Inference** ([`infer`]) — thread-count (1 vs 4) parity of the
 //!    inference loss, and inference golden op streams under
-//!    `results/golden/opstream-infer/`.
+//!    `results/golden/opstream-infer/`. That every workload's forward
+//!    under a `NoGradGuard` returns the loss bits its taped `probe` does
+//!    is the integration test `tests/infer_stream_prefix.rs`.
 //!
 //! See `docs/VERIFICATION.md` for tolerances and workflow.
 
@@ -204,9 +204,6 @@ pub fn run_check(cfg: &CheckConfig) -> Result<CheckOutcome> {
     }
 
     out.lines.push("== layer 6: inference ==".to_string());
-    for r in infer::parity_reports(cfg.scale, cfg.seed)? {
-        out.record(r.ok, r.line());
-    }
     for r in infer::thread_parity_reports(cfg.scale, cfg.seed)? {
         out.record(r.ok, r.line());
     }

@@ -136,9 +136,11 @@ pub fn ablation_nvlink_bandwidth(run: &CapturedRun, cfg: &SuiteConfig) -> Table 
 
 /// Compares fp32 against *measured* f16/bf16 mixed-precision training (the
 /// paper's future-work direction): parameters and activations stored at
-/// 16 bits with dynamic loss scaling, the forward computed in f32. The
-/// legacy modeled row (`cfg`'s numerics on a 2-byte-element device) is kept
-/// last for comparison against the measured runs.
+/// 16 bits with dynamic loss scaling, the forward computed in f32. Under
+/// fp32 the legacy modeled row (fp32 numerics on a 2-byte-element device)
+/// is kept last for comparison against the measured runs; under a 16-bit
+/// `cfg` that row would replay the measured row's run on the same device,
+/// so it is left out.
 ///
 /// `run` is a capture of `kind` under `cfg`: the row of `cfg`'s precision
 /// and the modeled row replay it, the other precisions train.
@@ -184,9 +186,10 @@ pub fn ablation_half_precision(
         };
         measured(precision.as_str(), &art);
     }
-    // Modeled-only comparison row: `cfg`'s numerics on a half-precision device.
-    let art = replay_on(run, cfg, cfg.device.clone().with_half_precision());
-    measured("fp16 (modeled)", &art);
+    if cfg.precision == Precision::Fp32 {
+        let art = replay_on(run, cfg, cfg.device.clone().with_half_precision());
+        measured("fp16 (modeled)", &art);
+    }
     Ok(t)
 }
 
@@ -504,10 +507,12 @@ mod tests {
                 let cfg = cfg.clone().with_precision(precision);
                 measured(precision.as_str(), on(kind, &cfg, DeviceSpec::v100()));
             }
-            measured(
-                "fp16 (modeled)",
-                on(kind, cfg, DeviceSpec::v100().with_half_precision()),
-            );
+            if cfg.precision == Precision::Fp32 {
+                measured(
+                    "fp16 (modeled)",
+                    on(kind, cfg, DeviceSpec::v100().with_half_precision()),
+                );
+            }
             t
         }
     }
@@ -516,6 +521,13 @@ mod tests {
         let cfg = SuiteConfig::test().with_precision(precision);
         let arga = captured(WorkloadKind::ArgaCora, &cfg);
         let dgcn = captured(WorkloadKind::Dgcn, &cfg);
+        let half = ablation_half_precision(WorkloadKind::ArgaCora, &arga, &cfg).unwrap();
+        // Under fp16 or bf16 the modeled row would repeat a measured row.
+        assert_eq!(
+            half.to_string().contains("fp16 (modeled)"),
+            precision == Precision::Fp32,
+            "{precision:?}"
+        );
         for (replayed, reference) in [
             (
                 ablation_l1_size(&arga, &cfg),
@@ -525,10 +537,7 @@ mod tests {
                 ablation_device_comparison(&dgcn, &cfg),
                 trained::device_comparison(WorkloadKind::Dgcn, &cfg),
             ),
-            (
-                ablation_half_precision(WorkloadKind::ArgaCora, &arga, &cfg).unwrap(),
-                trained::half_precision(WorkloadKind::ArgaCora, &cfg),
-            ),
+            (half, trained::half_precision(WorkloadKind::ArgaCora, &cfg)),
         ] {
             assert_eq!(replayed.to_string(), reference.to_string(), "{precision:?}");
         }
@@ -542,6 +551,11 @@ mod tests {
     #[test]
     fn replayed_device_ablations_equal_one_training_per_device_at_fp16() {
         replays_equal_one_training_per_device(Precision::Fp16);
+    }
+
+    #[test]
+    fn replayed_device_ablations_equal_one_training_per_device_at_bf16() {
+        replays_equal_one_training_per_device(Precision::Bf16);
     }
 
     #[test]

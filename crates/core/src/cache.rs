@@ -103,7 +103,7 @@ impl CacheKey {
     /// The key a training run of `kind` under `cfg` is stored at; the
     /// inverse of [`CacheKey::suite_config`] (the device is not key
     /// material).
-    pub(crate) fn for_training(kind: WorkloadKind, cfg: &SuiteConfig) -> Self {
+    pub fn for_training(kind: WorkloadKind, cfg: &SuiteConfig) -> Self {
         CacheKey {
             workload: kind,
             scale: cfg.scale,
@@ -172,16 +172,6 @@ impl StreamCache {
         Ok(path)
     }
 
-    /// The cache's core operation: return the key's captured run, training
-    /// it (once) on a miss. Bumps the hit/miss/training counters.
-    ///
-    /// # Errors
-    /// Propagates training errors on a miss; a failed training stores
-    /// nothing, so the next call retries.
-    pub fn get_or_train(&self, key: &CacheKey) -> Result<CapturedRun> {
-        Ok(self.fetch(key)?.0)
-    }
-
     /// [`StreamCache::load`] that counts a hit when the entry is intact.
     /// A miss counts nothing here: it is counted by the [`StreamCache::fetch`]
     /// that trains it, so a caller may look up first and fall back to
@@ -193,8 +183,14 @@ impl StreamCache {
         Some(run)
     }
 
-    /// [`StreamCache::get_or_train`] that also says whether this call
-    /// trained: `(run, true)` after a miss, `(run, false)` on a hit.
+    /// The cache's core operation: return the key's captured run, training
+    /// it (once) on a miss, and say whether this call trained: `(run, true)`
+    /// after a miss, `(run, false)` on a hit. Bumps the hit/miss/training
+    /// counters.
+    ///
+    /// # Errors
+    /// Propagates training errors on a miss; a failed training stores
+    /// nothing, so the next call retries.
     pub fn fetch(&self, key: &CacheKey) -> Result<(CapturedRun, bool)> {
         if let Some(run) = self.lookup(key) {
             return Ok((run, false));
@@ -281,9 +277,9 @@ mod tests {
         // that sibling tests bump concurrently.
         let entry = cache.path_for(&key);
         assert!(!entry.exists(), "cold cache");
-        let first = cache.get_or_train(&key).unwrap();
+        let first = cache.fetch(&key).unwrap().0;
         let written = std::fs::metadata(&entry).expect("miss trains and stores");
-        let second = cache.get_or_train(&key).unwrap();
+        let second = cache.fetch(&key).unwrap().0;
         // A retrain would have stored again: a new file renamed into place.
         let after = std::fs::metadata(&entry).unwrap();
         assert_eq!(
@@ -321,7 +317,7 @@ mod tests {
         assert_ne!(cache.path_for(&train), cache.path_for(&infer));
         // An infer miss captures a forward-only stream with the phase
         // recorded in its metadata and no gradient payload.
-        let run = cache.get_or_train(&infer).unwrap();
+        let run = cache.fetch(&infer).unwrap().0;
         assert_eq!(run.meta.phase, "infer");
         assert_eq!(run.meta.grad_bytes, 0);
         // Even a hand-planted phase crossover is rejected on load.
@@ -365,7 +361,7 @@ mod tests {
             seed: 2,
             ..key_a.clone()
         };
-        let run = cache.get_or_train(&key_a).unwrap();
+        let run = cache.fetch(&key_a).unwrap().0;
         // Plant key A's bytes at key B's path: metadata check rejects it.
         std::fs::write(cache.path_for(&key_b), run.to_bytes()).unwrap();
         assert!(cache.load(&key_b).is_none());

@@ -183,23 +183,6 @@ impl Graph {
         CsrMatrix::from_coo(n, n, &triplets)
     }
 
-    /// Row-normalized adjacency `D^{-1} A` (mean aggregation).
-    ///
-    /// # Errors
-    /// Propagates sparse-construction errors.
-    pub fn mean_adjacency(&self) -> Result<CsrMatrix> {
-        let n = self.num_nodes();
-        let mut triplets: Vec<(usize, usize, f32)> = Vec::with_capacity(self.num_edges());
-        for r in 0..n {
-            let (cols, vals) = self.adjacency.row(r);
-            let deg = cols.len().max(1) as f32;
-            for (&c, &v) in cols.iter().zip(vals) {
-                triplets.push((r, c, v / deg));
-            }
-        }
-        CsrMatrix::from_coo(n, n, &triplets)
-    }
-
     /// Fraction of adjacency entries that are zero (graph sparsity).
     pub fn density(&self) -> f64 {
         let n = self.num_nodes();
@@ -252,16 +235,6 @@ mod tests {
         assert!((d.get(&[0, 1]) - d.get(&[1, 0])).abs() < 1e-6);
         // Known value: deg̃(0)=2, deg̃(1)=3 → Â₀₁ = 1/√6.
         assert!((d.get(&[0, 1]) - 1.0 / 6.0f32.sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mean_adjacency_rows_sum_to_one() {
-        let g = path_graph();
-        let a = g.mean_adjacency().unwrap().to_dense();
-        for r in 0..3 {
-            let s: f32 = (0..3).map(|c| a.get(&[r, c])).sum();
-            assert!((s - 1.0).abs() < 1e-6);
-        }
     }
 
     #[test]

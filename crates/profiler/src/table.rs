@@ -124,11 +124,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a fraction as a percentage with one decimal.
-pub fn pct(v: f64) -> String {
-    format!("{:.1}%", v * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,10 +150,5 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.starts_with("\"a,b\",c\n"));
         assert!(csv.contains("\"v\"\"q\",2"));
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(pct(0.1234), "12.3%");
     }
 }

@@ -4,7 +4,7 @@
 //! * **Phase 1 — capture.** One stream per workload (the replay-cache key
 //!   space of the campaign). A cache hit loads on the calling thread; a
 //!   miss, or a workload a fault drill names, is a job that loads or
-//!   trains it ([`StreamCache::get_or_train`]) under the suite's resilient
+//!   trains it ([`StreamCache::fetch`]) under the suite's resilient
 //!   task runner (retries, deadline, panic isolation). Only misses train.
 //! * **Phase 2 — replay.** One job per (config × workload): the captured
 //!   stream replays through a fresh gpusim model built from the config's

@@ -286,7 +286,7 @@ mod tests {
             mode: TrainMode::FullGraph,
             phase: ExecPhase::Infer,
         };
-        cache.get_or_train(&key).unwrap();
+        cache.fetch(&key).unwrap();
         let mut job = stored_job(JobState::Done);
         job.spec_json = r#"{"name":"unit","scale":"test","seed":42,"epochs":1,
             "kind":"infer","workloads":["TLSTM"],
@@ -316,7 +316,7 @@ mod tests {
             mode: TrainMode::FullGraph,
             phase: ExecPhase::Train,
         };
-        cache.get_or_train(&key).unwrap();
+        cache.fetch(&key).unwrap();
         let html = job_report_page(&stored_job(JobState::Done), &cache).unwrap();
         // Two configs replay the one stream: comparison panel appears.
         assert!(html.contains("TLSTM@v100"));

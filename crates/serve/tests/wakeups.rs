@@ -48,7 +48,7 @@ impl Daemon {
         let _ = std::fs::remove_dir_all(&dir);
         let spec = CampaignSpec::parse(SPEC).unwrap();
         StreamCache::new(dir.join("cache"))
-            .get_or_train(&CacheKey {
+            .fetch(&CacheKey {
                 workload: spec.workloads[0],
                 scale: spec.scale,
                 seed: spec.seed,

@@ -248,21 +248,13 @@ impl RunManifest {
     }
 }
 
-/// Validates that `s` is one complete, well-formed JSON value (a full
-/// recursive-descent parse, not just brace balancing). Returns a
-/// position-annotated message on the first error. Shared by the trace
-/// regression tests and the CI smoke check so "the artifact parses" means
-/// the same thing everywhere.
+/// Validates that `s` is one complete, well-formed JSON value: a full
+/// [`parse_json`], not just brace balancing. Returns a position-annotated
+/// message on the first error. Shared by the trace regression tests and
+/// the CI smoke check so "the artifact parses" means the same thing
+/// everywhere.
 pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut p = Parser { b, i: 0 };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.i != b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(())
+    parse_json(s).map(drop)
 }
 
 /// Routes a hand-built JSON document through [`validate_json`] before it
@@ -283,8 +275,8 @@ pub fn debug_validated(context: &str, json: String) -> String {
 
 /// A parsed JSON value — the read side of the dependency-free JSON
 /// toolkit (the write side being the exporters above). Used by the serve
-/// subsystem to parse campaign specs and job submissions with the same
-/// grammar [`validate_json`] enforces.
+/// subsystem to parse campaign specs and job submissions; [`validate_json`]
+/// is this parse with the tree dropped.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -352,9 +344,9 @@ impl JsonValue {
     }
 }
 
-/// Parses one complete JSON document into a [`JsonValue`] tree using the
-/// same recursive-descent grammar as [`validate_json`]. Returns a
-/// position-annotated message on the first error.
+/// Parses one complete JSON document into a [`JsonValue`] tree by
+/// recursive descent. Returns a position-annotated message on the first
+/// error.
 pub fn parse_json(s: &str) -> Result<JsonValue, String> {
     let b = s.as_bytes();
     let mut p = Parser { b, i: 0 };
@@ -385,19 +377,6 @@ impl Parser<'_> {
 
     fn err(&self, what: &str) -> String {
         format!("{what} at byte {}", self.i)
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
     }
 
     fn literal(&mut self, lit: &str) -> Result<(), String> {
@@ -476,30 +455,6 @@ impl Parser<'_> {
         Err(self.err("unterminated string"))
     }
 
-    fn array(&mut self) -> Result<(), String> {
-        self.i += 1; // '['
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.i += 1;
-                    self.skip_ws();
-                }
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
     fn parse_value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
             Some(b'{') => self.parse_object(),
@@ -558,7 +513,7 @@ impl Parser<'_> {
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         k += 4;
                     }
-                    _ => unreachable!("validator rejected unknown escapes"),
+                    _ => unreachable!("`string` rejected unknown escapes"),
                 }
                 k += 1;
             } else {
@@ -632,40 +587,6 @@ impl Parser<'_> {
                 Some(b'}') => {
                     self.i += 1;
                     return Ok(JsonValue::Object(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.i += 1; // '{'
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected object key"));
-            }
-            self.string()?;
-            self.skip_ws();
-            if self.peek() != Some(b':') {
-                return Err(self.err("expected `:`"));
-            }
-            self.i += 1;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.i += 1;
-                    self.skip_ws();
-                }
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `}`")),
             }

@@ -31,9 +31,6 @@ pub const INT_PER_ELEMWISE_ELEM: u64 = 5;
 /// `inst_integer / inst_fp32` on V100 sgemm is ≈ 0.4–0.7 for GNN shapes.
 pub const INT_PER_GEMM_MAC_X1000: u64 = 550; // 0.55 int ops per MAC
 
-/// Integer ops per MAC for GEMV (no register tiling; per-element addressing).
-pub const INT_PER_GEMV_MAC_X1000: u64 = 2000;
-
 /// Integer ops per nonzero processed by an SpMM kernel
 /// (row-pointer walk, column-index load/decode, output address math).
 pub const INT_PER_SPMM_NNZ: u64 = 10;
@@ -75,12 +72,6 @@ pub const INT_PER_BATCHNORM_ELEM: u64 = 6;
 pub fn gemm_iops(m: usize, k: usize, n: usize) -> u64 {
     let macs = (m * k * n) as u64;
     macs * INT_PER_GEMM_MAC_X1000 / 1000
-}
-
-/// Integer cost of a GEMV with an `m`×`k` matrix.
-pub fn gemv_iops(m: usize, k: usize) -> u64 {
-    let macs = (m * k) as u64;
-    macs * INT_PER_GEMV_MAC_X1000 / 1000
 }
 
 /// Integer cost of an SpMM with `nnz` nonzeros and dense width `n`.

@@ -15,7 +15,9 @@ use std::sync::Arc;
 pub enum OpClass {
     /// Dense general matrix-matrix multiply.
     Gemm,
-    /// Dense matrix-vector multiply.
+    /// Dense matrix-vector multiply. No kernel emits it; it keeps its
+    /// place because stream files write a class as its index in
+    /// [`OpClass::ALL`].
     Gemv,
     /// Sparse (CSR) × dense matrix multiply.
     Spmm,

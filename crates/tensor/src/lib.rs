@@ -2,7 +2,7 @@
 //!
 //! An instrumented CPU tensor engine implementing the operator taxonomy that
 //! the GNNMark paper (Baruah et al., ISPASS 2021) uses to characterize GNN
-//! training: GEMM, GEMV, SpMM, 2-D convolution, batch normalization,
+//! training: GEMM, SpMM, 2-D convolution, batch normalization,
 //! scatter, gather, reductions, index selection, sorting, softmax, embedding
 //! lookups and element-wise operations.
 //!

@@ -153,14 +153,6 @@ impl Tensor {
         self.binary_simd(other, "div", BinOp::Div)
     }
 
-    /// Element-wise maximum of two tensors.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn maximum(&self, other: &Tensor) -> Result<Tensor> {
-        self.binary_simd(other, "maximum", BinOp::Max)
-    }
-
     /// Adds a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Tensor {
         self.unary_simd("add_scalar", 1, UnOp::AddScalar(s))
@@ -251,13 +243,6 @@ impl Tensor {
     /// Clamps all elements into `[lo, hi]`.
     pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
         self.unary("clamp", 2, par::Cost::ELEMENT, move |a| a.clamp(lo, hi))
-    }
-
-    /// Element-wise power.
-    pub fn powf(&self, p: f32) -> Tensor {
-        self.unary("pow", SFU_FLOPS * 2, par::Cost::EXP_ELEM, move |a| {
-            a.powf(p)
-        })
     }
 
     /// Mask of elements strictly greater than zero (1.0 / 0.0).
@@ -459,7 +444,6 @@ mod tests {
         assert_eq!(b.sub(&a).unwrap().as_slice(), &[4.0, 4.0, 4.0, 4.0]);
         assert_eq!(a.mul(&b).unwrap().as_slice(), &[5.0, 12.0, 21.0, 32.0]);
         assert_eq!(b.div(&a).unwrap().as_slice(), &[5.0, 3.0, 7.0 / 3.0, 2.0]);
-        assert_eq!(a.maximum(&b).unwrap().as_slice(), b.as_slice());
     }
 
     #[test]
@@ -513,8 +497,6 @@ mod tests {
     #[test]
     fn powf_and_recip() {
         let t = Tensor::from_vec(&[3], vec![1.0, 2.0, 4.0]).unwrap();
-        let sq = t.powf(2.0);
-        assert_eq!(sq.as_slice(), &[1.0, 4.0, 16.0]);
         let r = t.recip();
         assert_eq!(r.as_slice(), &[1.0, 0.5, 0.25]);
     }

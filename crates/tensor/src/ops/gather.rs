@@ -97,50 +97,6 @@ impl Tensor {
             INT_PER_INDEX_SELECT_ELEM,
         )
     }
-
-    /// Element-granular gather on a 1-D tensor: `out[i] = self[index[i]]`.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::RankMismatch`] unless `self` is rank 1, or
-    /// [`TensorError::IndexOutOfBounds`] for invalid indices.
-    pub fn gather_elems(&self, index: &IntTensor) -> Result<Tensor> {
-        if self.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                op: "gather_elems",
-                expected: 1,
-                actual: self.rank(),
-            });
-        }
-        index.check_bounds(self.dim(0), "gather_elems")?;
-        let src = self.as_slice();
-        let data: Vec<f32> = index.as_slice().iter().map(|&i| src[i as usize]).collect();
-        let n = index.numel();
-        let out = Tensor::from_vec(&[n], data)?;
-        let idx = index.to_u32_vec();
-        let table_bytes = self.byte_len();
-        emit_op(
-            OpClass::Gather,
-            "gather_elems",
-            0,
-            n as u64 * INT_PER_GATHER_ELEM,
-            n as u64 * 12,
-            n as u64 * 4,
-            n as u64,
-            move || {
-                vec![AccessDesc::Indexed {
-                    indices: Arc::new(idx),
-                    row_bytes: 4,
-                    table_bytes,
-                }]
-            },
-            move || {
-                vec![AccessDesc::Sequential {
-                    bytes: n as u64 * 4,
-                }]
-            },
-        );
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -176,14 +132,5 @@ mod tests {
         assert_eq!(events[0].class, OpClass::Gather);
         assert_eq!(events[1].class, OpClass::IndexSelect);
         assert!(events.iter().all(|e| e.flops == 0), "gathers do no fp work");
-    }
-
-    #[test]
-    fn gather_elems_1d() {
-        let t = Tensor::from_vec(&[4], vec![10.0, 11.0, 12.0, 13.0]).unwrap();
-        let idx = IntTensor::from_vec(&[3], vec![3, 3, 0]).unwrap();
-        let g = t.gather_elems(&idx).unwrap();
-        assert_eq!(g.as_slice(), &[13.0, 13.0, 10.0]);
-        assert!(Tensor::zeros(&[2, 2]).gather_elems(&idx).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Dense matrix multiplication: GEMM, GEMV and batched GEMM.
+//! Dense matrix multiplication: GEMM and batched GEMM.
 //!
 //! GEMM feeds the *update* phase of every GNN layer. The paper finds that
 //! GEMM + SpMM together account for only ~25 % of GNN training time — far
@@ -366,53 +366,6 @@ impl Tensor {
         Ok(result)
     }
 
-    /// Matrix-vector product of `self` (`[m, k]`) with `v` (`[k]`).
-    ///
-    /// # Errors
-    /// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`]
-    /// on malformed operands.
-    pub fn gemv(&self, v: &Tensor) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                op: "gemv",
-                expected: 2,
-                actual: self.rank(),
-            });
-        }
-        if v.rank() != 1 || v.dim(0) != self.dim(1) {
-            return Err(TensorError::ShapeMismatch {
-                op: "gemv",
-                lhs: self.dims().to_vec(),
-                rhs: v.dims().to_vec(),
-            });
-        }
-        let (m, k) = (self.dim(0), self.dim(1));
-        let vv = v.as_slice();
-        let a = self.as_slice();
-        let lvl = simd::level();
-        let mut out = pool::filled(m);
-        let ranges = par::split(m, m * k, par::Cost::ELEMENT);
-        par::for_row_ranges_mut(&mut out, 1, &ranges, |_, r, chunk| {
-            for (o, row) in chunk
-                .iter_mut()
-                .zip(a[r.start * k..r.end * k].chunks_exact(k))
-            {
-                *o = simd::vdot(lvl, row, vv);
-            }
-        });
-        let result = Tensor::from_vec(&[m], out)?;
-        emit_sequential(
-            OpClass::Gemv,
-            "sgemv",
-            2 * (m * k) as u64,
-            cost::gemv_iops(m, k),
-            ((m * k) + k) as u64 * 4,
-            m as u64 * 4,
-            m as u64,
-        );
-        Ok(result)
-    }
-
     /// Matrix product with a transposed right operand:
     /// `self` (`[m, k]`) × `otherᵀ` where `other` is `[n, k]`.
     ///
@@ -643,14 +596,6 @@ mod tests {
                 assert!((x - y).abs() < 1e-3, "k={k}: {x} vs {y}");
             }
         }
-    }
-
-    #[test]
-    fn gemv_matches_matmul() {
-        let a = Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let v = Tensor::from_vec(&[3], vec![1.0, 0.0, -1.0]).unwrap();
-        let y = a.gemv(&v).unwrap();
-        assert_eq!(y.as_slice(), &[-2.0, -2.0]);
     }
 
     #[test]

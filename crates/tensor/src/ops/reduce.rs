@@ -148,22 +148,6 @@ impl Tensor {
         self.emit_reduce("argmax_rows", n as u64);
         IntTensor::from_vec(&[n], out)
     }
-
-    /// Euclidean (L2) norm of all elements, as a scalar tensor.
-    pub fn norm_l2(&self) -> Tensor {
-        let s = simd::vsumsq(simd::level(), self.as_slice());
-        let n = self.numel() as u64;
-        emit_sequential(
-            OpClass::Reduction,
-            "reduce_l2norm",
-            2 * n,
-            n * INT_PER_REDUCE_ELEM,
-            n * 4,
-            4,
-            n,
-        );
-        Tensor::scalar(s.sqrt())
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +160,6 @@ mod tests {
         let t = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(t.sum_all().item().unwrap(), 10.0);
         assert_eq!(t.mean_all().item().unwrap(), 2.5);
-        assert!((t.norm_l2().item().unwrap() - 30.0f32.sqrt()).abs() < 1e-6);
     }
 
     #[test]

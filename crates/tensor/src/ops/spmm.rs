@@ -95,64 +95,6 @@ impl CsrMatrix {
         );
         Ok(result)
     }
-
-    /// Sparse matrix-vector product `self · v`.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::ShapeMismatch`] if `v` is not a length-`k`
-    /// vector.
-    pub fn spmv(&self, v: &Tensor) -> Result<Tensor> {
-        if v.rank() != 1 || v.dim(0) != self.cols() {
-            return Err(TensorError::ShapeMismatch {
-                op: "spmv",
-                lhs: vec![self.rows(), self.cols()],
-                rhs: v.dims().to_vec(),
-            });
-        }
-        let vv = v.as_slice();
-        let mut out = pool::filled(self.rows());
-        let ranges = nnz_balanced_ranges(self, 1);
-        par::for_row_ranges_mut(&mut out, 1, &ranges, |_, rows, chunk| {
-            for (r, o) in rows.zip(chunk.iter_mut()) {
-                let (cols, vals) = self.row(r);
-                *o = cols.iter().zip(vals).map(|(&c, &x)| x * vv[c]).sum();
-            }
-        });
-        let result = Tensor::from_vec(&[self.rows()], out)?;
-        let nnz = self.nnz();
-        let col_idx: Vec<u32> = self.col_idx().iter().map(|&c| c as u32).collect();
-        let table_bytes = v.byte_len();
-        emit_op(
-            OpClass::Spmm,
-            "csr_spmv",
-            2 * nnz as u64,
-            cost::spmm_iops(nnz, 1),
-            (nnz * 12 + (self.rows() + 1) * 4) as u64,
-            self.rows() as u64 * 4,
-            self.rows() as u64,
-            move || {
-                vec![
-                    AccessDesc::Sequential {
-                        bytes: (nnz * 8) as u64,
-                    },
-                    AccessDesc::Indexed {
-                        indices: Arc::new(col_idx),
-                        row_bytes: 4,
-                        table_bytes,
-                    },
-                ]
-            },
-            {
-                let rows = self.rows();
-                move || {
-                    vec![AccessDesc::Sequential {
-                        bytes: rows as u64 * 4,
-                    }]
-                }
-            },
-        );
-        Ok(result)
-    }
 }
 
 #[cfg(test)]
@@ -177,14 +119,6 @@ mod tests {
         let m = CsrMatrix::identity(3);
         assert!(m.spmm(&Tensor::zeros(&[4, 2])).is_err());
         assert!(m.spmm(&Tensor::zeros(&[3])).is_err());
-    }
-
-    #[test]
-    fn spmv_matches_spmm() {
-        let m = CsrMatrix::from_coo(2, 3, &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0)]).unwrap();
-        let v = Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]).unwrap();
-        let y = m.spmv(&v).unwrap();
-        assert_eq!(y.as_slice(), &[7.0, 6.0]);
     }
 
     #[test]

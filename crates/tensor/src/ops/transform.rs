@@ -242,44 +242,6 @@ impl Tensor {
         );
         Ok(out)
     }
-
-    /// Stacks `k` equally-shaped rank-1 tensors into a `[k, d]` matrix.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::InvalidArgument`] for an empty list, or
-    /// [`TensorError::ShapeMismatch`] if lengths differ.
-    pub fn stack_rows(parts: &[&Tensor]) -> Result<Tensor> {
-        if parts.is_empty() {
-            return Err(TensorError::InvalidArgument {
-                op: "stack_rows",
-                reason: "empty input list".to_string(),
-            });
-        }
-        let d = parts[0].numel();
-        let mut data = Vec::with_capacity(parts.len() * d);
-        for p in parts {
-            if p.numel() != d {
-                return Err(TensorError::ShapeMismatch {
-                    op: "stack_rows",
-                    lhs: parts[0].dims().to_vec(),
-                    rhs: p.dims().to_vec(),
-                });
-            }
-            data.extend_from_slice(p.as_slice());
-        }
-        let out = Tensor::from_vec(&[parts.len(), d], data)?;
-        let total = (parts.len() * d) as u64;
-        emit_sequential(
-            OpClass::DataMovement,
-            "stack_rows",
-            0,
-            total * INT_PER_DATAMOVE_ELEM,
-            total * 4,
-            total * 4,
-            total,
-        );
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -332,15 +294,6 @@ mod tests {
         assert_eq!(s.dims(), &[2, 2]);
         assert_eq!(s.as_slice(), &[1.0, 2.0, 5.0, 6.0]);
         assert!(t.slice_cols(3, 5).is_err());
-    }
-
-    #[test]
-    fn stack_rows_builds_matrix() {
-        let a = Tensor::from_vec(&[2], vec![1.0, 2.0]).unwrap();
-        let b = Tensor::from_vec(&[2], vec![3.0, 4.0]).unwrap();
-        let s = Tensor::stack_rows(&[&a, &b]).unwrap();
-        assert_eq!(s.dims(), &[2, 2]);
-        assert_eq!(s.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

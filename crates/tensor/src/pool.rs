@@ -174,22 +174,13 @@ pub fn stats() -> PoolStats {
 }
 
 /// Pool counters aggregated across **every** thread that has touched a
-/// pool since process start (or since [`reset_global_stats`]).
+/// pool since process start.
 pub fn global_stats() -> PoolStats {
     PoolStats {
         hits: GLOBAL_HITS.load(Ordering::Relaxed),
         misses: GLOBAL_MISSES.load(Ordering::Relaxed),
         recycled: GLOBAL_RECYCLED.load(Ordering::Relaxed),
     }
-}
-
-/// Zeroes the cross-thread aggregate counters so the next read reflects
-/// one run instead of the process lifetime. Thread-local counters and
-/// retained buffers are untouched.
-pub fn reset_global_stats() {
-    GLOBAL_HITS.store(0, Ordering::Relaxed);
-    GLOBAL_MISSES.store(0, Ordering::Relaxed);
-    GLOBAL_RECYCLED.store(0, Ordering::Relaxed);
 }
 
 /// Drops every retained buffer and zeroes this thread's counters.

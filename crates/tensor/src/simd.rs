@@ -159,8 +159,6 @@ pub enum BinOp {
     Mul,
     /// `a / b`
     Div,
-    /// `max(a, b)`
-    Max,
     /// `a + alpha * b`
     Axpy(f32),
     /// `a * b * s` (dropout mask-and-rescale)
@@ -198,7 +196,6 @@ mod scalar {
             BinOp::Sub => each(a, b, out, |x, y| x - y),
             BinOp::Mul => each(a, b, out, |x, y| x * y),
             BinOp::Div => each(a, b, out, |x, y| x / y),
-            BinOp::Max => each(a, b, out, f32::max),
             BinOp::Axpy(alpha) => each(a, b, out, move |x, y| x + alpha * y),
             BinOp::MulScale(s) => each(a, b, out, move |x, y| x * y * s),
         }
@@ -318,14 +315,6 @@ mod scalar {
         xs.iter().sum()
     }
 
-    pub fn vsumsq(xs: &[f32]) -> f32 {
-        xs.iter().map(|&v| v * v).sum()
-    }
-
-    pub fn vdot(a: &[f32], b: &[f32]) -> f32 {
-        a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-    }
-
     pub fn vmax(xs: &[f32]) -> f32 {
         xs.iter().copied().fold(f32::NEG_INFINITY, f32::max)
     }
@@ -378,7 +367,6 @@ mod x86 {
             BinOp::Sub => lanes!(|x, y| _mm256_sub_ps(x, y), |x: f32, y: f32| x - y),
             BinOp::Mul => lanes!(|x, y| _mm256_mul_ps(x, y), |x: f32, y: f32| x * y),
             BinOp::Div => lanes!(|x, y| _mm256_div_ps(x, y), |x: f32, y: f32| x / y),
-            BinOp::Max => lanes!(|x, y| _mm256_max_ps(x, y), f32::max),
             BinOp::Axpy(alpha) => {
                 let va = _mm256_set1_ps(alpha);
                 lanes!(|x, y| _mm256_fmadd_ps(va, y, x), |x: f32, y: f32| alpha
@@ -607,67 +595,6 @@ mod x86 {
         let mut acc = hsum256(_mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3)));
         while j < n {
             acc += xs[j];
-            j += 1;
-        }
-        acc
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn vsumsq_avx2(xs: &[f32]) -> f32 {
-        let n = xs.len();
-        let mut j = 0;
-        let mut a0 = _mm256_setzero_ps();
-        let mut a1 = _mm256_setzero_ps();
-        while j + 16 <= n {
-            let x0 = _mm256_loadu_ps(xs.as_ptr().add(j));
-            let x1 = _mm256_loadu_ps(xs.as_ptr().add(j + 8));
-            a0 = _mm256_fmadd_ps(x0, x0, a0);
-            a1 = _mm256_fmadd_ps(x1, x1, a1);
-            j += 16;
-        }
-        while j + 8 <= n {
-            let x = _mm256_loadu_ps(xs.as_ptr().add(j));
-            a0 = _mm256_fmadd_ps(x, x, a0);
-            j += 8;
-        }
-        let mut acc = hsum256(_mm256_add_ps(a0, a1));
-        while j < n {
-            acc = xs[j].mul_add(xs[j], acc);
-            j += 1;
-        }
-        acc
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn vdot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len().min(b.len());
-        let mut j = 0;
-        let mut a0 = _mm256_setzero_ps();
-        let mut a1 = _mm256_setzero_ps();
-        while j + 16 <= n {
-            a0 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(a.as_ptr().add(j)),
-                _mm256_loadu_ps(b.as_ptr().add(j)),
-                a0,
-            );
-            a1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(a.as_ptr().add(j + 8)),
-                _mm256_loadu_ps(b.as_ptr().add(j + 8)),
-                a1,
-            );
-            j += 16;
-        }
-        while j + 8 <= n {
-            a0 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(a.as_ptr().add(j)),
-                _mm256_loadu_ps(b.as_ptr().add(j)),
-                a0,
-            );
-            j += 8;
-        }
-        let mut acc = hsum256(_mm256_add_ps(a0, a1));
-        while j < n {
-            acc = a[j].mul_add(b[j], acc);
             j += 1;
         }
         acc
@@ -965,24 +892,6 @@ pub fn vsum(lvl: SimdLevel, xs: &[f32]) -> f32 {
     }
 }
 
-/// Sum of squares (the L2-norm reduction).
-pub fn vsumsq(lvl: SimdLevel, xs: &[f32]) -> f32 {
-    match lvl {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::vsumsq_avx2(xs) },
-        _ => scalar::vsumsq(xs),
-    }
-}
-
-/// Dot product over `min(a.len(), b.len())` elements (GEMV rows).
-pub fn vdot(lvl: SimdLevel, a: &[f32], b: &[f32]) -> f32 {
-    match lvl {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::vdot_avx2(a, b) },
-        _ => scalar::vdot(a, b),
-    }
-}
-
 /// Maximum element (`-inf` when empty). Max is associative, so both lanes
 /// agree on NaN-free inputs.
 pub fn vmax(lvl: SimdLevel, xs: &[f32]) -> f32 {
@@ -1032,7 +941,6 @@ mod tests {
                 BinOp::Sub,
                 BinOp::Mul,
                 BinOp::Div,
-                BinOp::Max,
                 BinOp::Axpy(0.3),
                 BinOp::MulScale(1.7),
             ] {
@@ -1056,14 +964,9 @@ mod tests {
     fn reductions_agree_with_scalar() {
         for n in [0usize, 1, 5, 8, 33, 257] {
             let xs = data(n, 0.7);
-            let ys = data(n, 1.3);
             for lvl in [SimdLevel::Scalar, detect()] {
                 let tol = 1e-4 * (n as f32).max(1.0).sqrt();
                 assert!((vsum(lvl, &xs) - vsum(SimdLevel::Scalar, &xs)).abs() <= tol);
-                assert!((vsumsq(lvl, &xs) - vsumsq(SimdLevel::Scalar, &xs)).abs() <= tol * 10.0);
-                assert!(
-                    (vdot(lvl, &xs, &ys) - vdot(SimdLevel::Scalar, &xs, &ys)).abs() <= tol * 10.0
-                );
                 assert_eq!(vmax(lvl, &xs), vmax(SimdLevel::Scalar, &xs));
             }
         }

