@@ -79,17 +79,8 @@ pub(crate) struct TapeInner {
 
 impl Drop for TapeInner {
     fn drop(&mut self) {
-        // Hand every node's buffers back to the tensor pool. The next
-        // training step records an identically shaped tape, so these exact
-        // lengths are reused instead of faulting in fresh pages each step.
         let freed: u64 = self.nodes.iter().map(|n| n.act_bytes).sum();
         ACTIVATION_BYTES.fetch_sub(freed, Ordering::Relaxed);
-        for node in self.nodes.drain(..) {
-            gnnmark_tensor::pool::recycle(node.value);
-            if let Some(g) = node.grad {
-                gnnmark_tensor::pool::recycle(g);
-            }
-        }
     }
 }
 
@@ -260,12 +251,7 @@ impl Tape {
                         let Some(c) = c else { continue };
                         match &mut inner.nodes[p].grad {
                             slot @ None => *slot = Some(c),
-                            Some(acc) => {
-                                // Summed in place; the dead addend's buffer
-                                // goes back to the tensor pool.
-                                acc.add_assign(&c)?;
-                                gnnmark_tensor::pool::recycle(c);
-                            }
+                            Some(acc) => acc.add_assign(&c)?,
                         }
                     }
                 }

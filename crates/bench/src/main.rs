@@ -68,14 +68,14 @@
 //! `--trace FILE` writes a merged Chrome/Perfetto trace — host-side spans
 //! (build/epoch/step/forward/backward/optimizer/simulate, one lane per
 //! thread) interleaved with the modeled V100 kernel lanes. `--metrics FILE`
-//! snapshots the metrics registry (tensor-pool hit rates, per-worker busy
-//! time, autograd tape nodes, transfer bytes, resilience retries) as JSON,
-//! plus a Prometheus text dump beside it at `FILE.prom`. Either flag also
-//! drops a `manifest.json` (seed, scale, threads, device, per-workload
-//! status) next to the CSVs, or beside the metrics/trace file. `--progress`
-//! prints a live per-epoch line (loss, wall ms, modeled ms, pool hit rate)
-//! to stderr. The single-workload targets (`gnnmark stgcn`, …) pair
-//! naturally with these flags for focused profiling runs.
+//! snapshots the metrics registry (kernel output buffers allocated,
+//! per-worker busy time, autograd tape nodes, transfer bytes, resilience
+//! retries) as JSON, plus a Prometheus text dump beside it at `FILE.prom`.
+//! Either flag also drops a `manifest.json` (seed, scale, threads, device,
+//! per-workload status) next to the CSVs, or beside the metrics/trace file.
+//! `--progress` prints a live per-epoch line (loss, wall ms, modeled ms) to
+//! stderr. The single-workload targets (`gnnmark stgcn`, …) pair naturally
+//! with these flags for focused profiling runs.
 //!
 //! `gnnmark check` runs the six-layer verification subsystem
 //! (`gnnmark-check`): finite-difference gradient checks of every op and

@@ -54,11 +54,10 @@ impl ExportPaths {
 /// `counter_set` here from the report, so the registry ends authoritative
 /// and re-collecting is idempotent.
 pub fn collect_run_metrics(report: &SuiteReport) {
-    let pool = gnnmark_tensor::pool::global_stats();
-    metrics::counter_set("gnnmark_pool_hits_total", pool.hits);
-    metrics::counter_set("gnnmark_pool_misses_total", pool.misses);
-    metrics::counter_set("gnnmark_pool_recycled_total", pool.recycled);
-    metrics::gauge_set("gnnmark_pool_hit_rate", pool.hit_rate());
+    metrics::counter_set(
+        "gnnmark_tensor_buffers_total",
+        gnnmark_tensor::pool::global_stats().misses,
+    );
 
     let busy = gnnmark_tensor::par::worker_busy_ns();
     let mut sum_ms = 0.0;
@@ -274,7 +273,7 @@ mod tests {
         let snap = metrics::snapshot();
         let has = |name: &str| snap.iter().any(|(k, _)| k == name);
         for name in [
-            "gnnmark_pool_hit_rate",
+            "gnnmark_tensor_buffers_total",
             "gnnmark_kernels_recorded_total",
             "gnnmark_transfer_bytes_total",
             "gnnmark_resilience_retries_total",
@@ -310,12 +309,12 @@ mod tests {
         let metrics_text = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
         validate_json(&metrics_text).expect("metrics snapshot is valid JSON");
         assert!(
-            metrics_text.contains("gnnmark_pool_hit_rate"),
+            metrics_text.contains("gnnmark_tensor_buffers_total"),
             "{metrics_text}"
         );
         let prom = std::fs::read_to_string(dir.join("metrics.json.prom")).unwrap();
         assert!(
-            prom.contains("# TYPE gnnmark_pool_hits_total counter"),
+            prom.contains("# TYPE gnnmark_tensor_buffers_total counter"),
             "{prom}"
         );
         let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();

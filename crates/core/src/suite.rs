@@ -244,8 +244,6 @@ pub(crate) fn run_session<T>(
         let _amp = AmpOff;
         let device = cfg.modeled_device();
         let _wl = gnnmark_telemetry::span!(format!("{span}:{}", kind.label()));
-        // Make room for this workload's shapes.
-        gnnmark_tensor::pool::clear();
         let mut w = {
             let _build = gnnmark_telemetry::span!("build");
             kind.build_mode(cfg.scale, cfg.seed, &cfg.mode)?
@@ -276,12 +274,8 @@ pub(crate) fn train(
     mut guard: Option<NumericGuard>,
     nan_epoch: Option<usize>,
 ) -> Result<(RunArtifacts, Option<CapturedStream>)> {
-    let (into_artifacts, profile, stream) = run_session(
-        kind,
-        cfg,
-        "workload",
-        capture,
-        |w, session| {
+    let (into_artifacts, profile, stream) =
+        run_session(kind, cfg, "workload", capture, |w, session| {
             let mut losses = Vec::with_capacity(cfg.epochs);
             for epoch in 0..cfg.epochs {
                 let _ep = gnnmark_telemetry::span!("epoch");
@@ -302,14 +296,13 @@ pub(crate) fn train(
                 losses.push(loss);
                 if let Some((modeled_before_ns, started)) = progress {
                     eprintln!(
-                        "[{}] epoch {}/{}: loss {:.4}  wall {:.1} ms  modeled {:.1} ms  pool hit {:.1}%",
+                        "[{}] epoch {}/{}: loss {:.4}  wall {:.1} ms  modeled {:.1} ms",
                         kind.label(),
                         epoch + 1,
                         cfg.epochs,
                         loss,
                         started.elapsed().as_secs_f64() * 1e3,
                         (session.modeled_time_ns() - modeled_before_ns) / 1e6,
-                        gnnmark_tensor::pool::global_stats().hit_rate() * 100.0,
                     );
                 }
             }
@@ -325,8 +318,7 @@ pub(crate) fn train(
                 scaling,
                 quality,
             })
-        },
-    )?;
+        })?;
     Ok((into_artifacts(profile), stream))
 }
 

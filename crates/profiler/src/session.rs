@@ -440,15 +440,17 @@ mod tests {
         s.end_step();
     }
 
-    /// A real model that waits for a permit before every kernel and counts
-    /// the kernels it executed. Dropping the permit sender opens the gate
-    /// for good.
+    /// A real model that says on `entered` when a kernel is inside it, waits
+    /// for a permit before running it, and counts the kernels it executed.
+    /// Dropping the permit sender opens the gate for good.
     fn gated_model(
         gate: mpsc::Receiver<()>,
+        entered: mpsc::Sender<()>,
         executed: Arc<AtomicUsize>,
     ) -> impl FnMut(&OpEvent) -> KernelMetrics + Send + 'static {
         let mut gpu = GpuModel::new(DeviceSpec::v100());
         move |e| {
+            let _ = entered.send(());
             let _ = gate.recv();
             executed.fetch_add(1, Ordering::SeqCst);
             gpu.execute(e)
@@ -545,16 +547,20 @@ mod tests {
     #[test]
     fn drop_abandons_the_queue_and_joins_the_simulator() {
         let (permit, gate) = mpsc::channel();
+        let (inside, entered) = mpsc::channel();
         let executed = Arc::new(AtomicUsize::new(0));
         let mut s = ProfileSession::with_model(
             "t",
             DeviceSpec::v100(),
-            gated_model(gate, Arc::clone(&executed)),
+            gated_model(gate, inside, Arc::clone(&executed)),
         );
         step(&mut s, &[Tensor::relu, Tensor::relu, Tensor::relu]);
         step(&mut s, &[Tensor::sigmoid, Tensor::sigmoid]);
-        // Two steps in flight, the first one's first kernel inside the
-        // model. Open the gate only once the drop has raised the flag.
+        // Two steps in flight; wait for the first one's first kernel to be
+        // inside the model (a simulator thread preempted between taking the
+        // launch and its first kernel would see the flag first and run
+        // nothing). Open the gate only once the drop has raised the flag.
+        entered.recv().expect("the simulator reaches the model");
         let cancelled = Arc::clone(&s.sim.as_ref().expect("launched").cancelled);
         let dropper = std::thread::spawn(move || drop(s));
         while !cancelled.load(Ordering::Relaxed) {

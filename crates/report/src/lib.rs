@@ -388,8 +388,12 @@ mod tests {
                 MetricValue::Gauge(32768.0),
             ),
             (
-                "gnnmark_pool_hits_total".to_string(),
+                "gnnmark_tensor_buffers_total".to_string(),
                 MetricValue::Counter(12),
+            ),
+            (
+                "gnnmark_sampler_batches_total".to_string(),
+                MetricValue::Counter(7),
             ),
             (
                 "gnnmark_serve_route_seconds{route=\"/jobs\"}".to_string(),
@@ -402,8 +406,15 @@ mod tests {
             ),
         ]);
         let html = r.render();
-        assert!(html.contains("id=\"sec-amp\"") && html.contains("32768"));
-        assert!(html.contains("id=\"sec-minibatch\"") && html.contains("gnnmark_pool_hits_total"));
+        let (amp_at, minibatch_at) = (
+            html.find("id=\"sec-amp\"").unwrap(),
+            html.find("id=\"sec-minibatch\"").unwrap(),
+        );
+        let amp = &html[amp_at..minibatch_at];
+        assert!(amp.contains("32768") && amp.contains("gnnmark_tensor_buffers_total"));
+        let minibatch = &html[minibatch_at..];
+        assert!(minibatch.contains("gnnmark_sampler_batches_total"));
+        assert!(!minibatch.contains("gnnmark_tensor_buffers_total"));
         assert!(html.contains("id=\"sec-slo\"") && html.contains("p99"));
     }
 

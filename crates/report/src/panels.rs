@@ -730,13 +730,13 @@ pub(crate) fn amp_panel(metrics: &[(String, MetricValue)]) -> String {
             || k.starts_with("gnnmark_activation_")
             || k.starts_with("gnnmark_autograd_")
             || k == "gnnmark_param_bytes_total"
+            || k == "gnnmark_tensor_buffers_total"
     })
 }
 
 pub(crate) fn minibatch_panel(runs: &[ReportRun], metrics: &[(String, MetricValue)]) -> String {
     let table = metric_table(metrics, &|k: &str| {
-        k.starts_with("gnnmark_pool_")
-            || k.starts_with("gnnmark_stream_")
+        k.starts_with("gnnmark_stream_")
             || k.starts_with("gnnmark_sampler_")
             || k.starts_with("gnnmark_minibatch_")
     });

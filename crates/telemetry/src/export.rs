@@ -600,8 +600,11 @@ mod tests {
 
     fn sample_snapshot() -> Vec<(String, MetricValue)> {
         vec![
-            ("gnnmark_pool_hit_rate".into(), MetricValue::Gauge(0.5)),
-            ("gnnmark_pool_hits_total".into(), MetricValue::Counter(42)),
+            ("gnnmark_par_load_imbalance".into(), MetricValue::Gauge(0.5)),
+            (
+                "gnnmark_tensor_buffers_total".into(),
+                MetricValue::Counter(42),
+            ),
             (
                 "gnnmark_epoch_wall_ms".into(),
                 MetricValue::Histogram {
@@ -626,7 +629,7 @@ mod tests {
     fn metrics_json_is_valid_and_complete() {
         let json = metrics_json(&sample_snapshot());
         validate_json(&json).expect("snapshot JSON parses");
-        assert!(json.contains("\"gnnmark_pool_hits_total\": 42"));
+        assert!(json.contains("\"gnnmark_tensor_buffers_total\": 42"));
         assert!(json.contains("\"count\": 2"));
     }
 

@@ -13,7 +13,7 @@
 //!   relaxed atomic load.
 //! * **Metrics** ([`metrics`]) — a named registry of counters, gauges and
 //!   summary histograms fed from counters that already exist in the stack
-//!   (tensor pool, `par` workers, autograd tape, gpusim, resilience).
+//!   (tensor buffers, `par` workers, autograd tape, gpusim, resilience).
 //! * **Exporters** ([`export`]) — JSON metrics snapshot, Prometheus text
 //!   dump, and the run manifest. The merged host + modeled-GPU Chrome
 //!   trace is assembled by `gnnmark-profiler::to_merged_chrome_trace`,

@@ -4,7 +4,7 @@
 //! The registry is deliberately simple — a mutex around a sorted map —
 //! because GNNMark updates metrics at *run* granularity (once per epoch,
 //! per workload, or per export), never inside kernel hot loops. Hot-path
-//! signals (pool hits, worker busy time, tape nodes) are accumulated in
+//! signals (tensor buffers, worker busy time, tape nodes) are accumulated in
 //! their owning crates with relaxed atomics and only *read into* the
 //! registry when a snapshot is taken.
 //!
@@ -136,7 +136,7 @@ pub fn counter_add(name: &str, delta: u64) {
 }
 
 /// Sets the named counter to an absolute value (for sources that already
-/// aggregate, e.g. the pool's global hit count).
+/// aggregate, e.g. the process-wide tensor buffer count).
 pub fn counter_set(name: &str, value: u64) {
     REGISTRY
         .lock()

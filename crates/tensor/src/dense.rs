@@ -174,12 +174,6 @@ impl Tensor {
         Arc::unwrap_or_clone(self.data)
     }
 
-    /// The data buffer if this is the only handle to it; a shared buffer
-    /// is left to its other holders ([`crate::pool::recycle`]).
-    pub(crate) fn into_unique_vec(self) -> Option<Vec<f32>> {
-        Arc::try_unwrap(self.data).ok()
-    }
-
     /// `true` when `self` and `other` are handles to one data buffer.
     pub fn shares_storage(&self, other: &Tensor) -> bool {
         Arc::ptr_eq(&self.data, &other.data)

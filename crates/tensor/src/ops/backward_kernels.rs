@@ -414,7 +414,7 @@ impl Tensor {
             kw,
         };
         let lvl = simd::level();
-        let mut xt = pool::filled(x.len());
+        let mut xt = pool::zeroed(x.len());
         for ni in 0..n {
             let img = ni * in_img..(ni + 1) * in_img;
             simd::transpose(lvl, &x[img.clone()], c_in, in_ch, 0..in_ch, &mut xt[img]);
@@ -439,7 +439,6 @@ impl Tensor {
                 }
             }
         });
-        pool::recycle_vec(xt);
         let macs = (n * c_out * oh * ow * c_in * kh * kw) as u64;
         // dgrad and wgrad each redo the MAC volume of the forward pass.
         emit_sequential(

@@ -116,12 +116,12 @@ impl Tensor {
         let rows = n * c_out;
         let macs_total = rows.saturating_mul(out_ch).saturating_mul(k_oc);
         let unit = spec == Conv2dSpec::default();
-        // The unit path writes every output once; the general one adds into it.
-        let (cost, mut out) = if unit {
-            (par::Cost::CONV_MAC, pool::filled(rows * out_ch))
+        let cost = if unit {
+            par::Cost::CONV_MAC
         } else {
-            (par::Cost::CONV_STRIDED_MAC, pool::zeroed(rows * out_ch))
+            par::Cost::CONV_STRIDED_MAC
         };
+        let mut out = pool::zeroed(rows * out_ch);
         let ranges = par::split(rows, macs_total, cost);
         if unit {
             // Stride 1, no padding (every STGCN convolution): each output

@@ -36,7 +36,7 @@ impl Tensor {
         let a = self.as_slice();
         let b = other.as_slice();
         let lvl = simd::level();
-        let mut data = pool::filled(a.len());
+        let mut data = pool::zeroed(a.len());
         par::fill_chunks(&mut data, par::Cost::ELEMENT, |r, chunk| {
             simd::binary(lvl, kop, &a[r.clone()], &b[r], chunk);
         });
@@ -53,7 +53,7 @@ impl Tensor {
         f: impl Fn(f32) -> f32 + Sync,
     ) -> Tensor {
         let src = self.as_slice();
-        let mut data = pool::filled(src.len());
+        let mut data = pool::zeroed(src.len());
         par::fill_chunks(&mut data, cost, |r, chunk| {
             for (o, &x) in chunk.iter_mut().zip(&src[r]) {
                 *o = f(x);
@@ -78,7 +78,7 @@ impl Tensor {
     fn unary_simd(&self, op: &'static str, flops_per_elem: u64, kop: UnOp) -> Tensor {
         let src = self.as_slice();
         let lvl = simd::level();
-        let mut data = pool::filled(src.len());
+        let mut data = pool::zeroed(src.len());
         par::fill_chunks(&mut data, par::Cost::ELEMENT, |r, chunk| {
             simd::unary(lvl, kop, &src[r], chunk);
         });
@@ -288,7 +288,7 @@ impl Tensor {
         let b = bias.as_slice();
         let src = self.as_slice();
         let lvl = simd::level();
-        let mut data = pool::filled(n * d);
+        let mut data = pool::zeroed(n * d);
         let ranges = par::split(n, n * d, par::Cost::ELEMENT);
         par::for_row_ranges_mut(&mut data, d, &ranges, |_, rows, chunk| {
             let rows_src = &src[rows.start * d..rows.end * d];
@@ -346,7 +346,7 @@ impl Tensor {
         let s = scales.as_slice();
         let src = self.as_slice();
         let lvl = simd::level();
-        let mut data = pool::filled(n * d);
+        let mut data = pool::zeroed(n * d);
         let ranges = par::split(n, n * d, par::Cost::ELEMENT);
         par::for_row_ranges_mut(&mut data, d, &ranges, |_, rows, chunk| {
             let rows_src = &src[rows.start * d..rows.end * d];
@@ -396,7 +396,7 @@ impl Tensor {
         let s = scales.as_slice();
         let src = self.as_slice();
         let lvl = simd::level();
-        let mut data = pool::filled(n * d);
+        let mut data = pool::zeroed(n * d);
         let ranges = par::split(n, n * d, par::Cost::ELEMENT);
         par::for_row_ranges_mut(&mut data, d, &ranges, |_, rows, chunk| {
             let rows_src = &src[rows.start * d..rows.end * d];

@@ -31,7 +31,7 @@ impl Tensor {
         let (rows, d) = (self.dim(0), self.dim(1));
         index.check_bounds(rows, op)?;
         let n = index.numel();
-        let mut data = pool::filled(n * d);
+        let mut data = pool::zeroed(n * d);
         let src = self.as_slice();
         let idx_s = index.as_slice();
         let out_ranges = par::split(n, n * d, par::Cost::ELEMENT);

@@ -240,12 +240,14 @@ struct KeptPack {
     packed: Vec<f32>,
 }
 
-/// This thread's pack scope: how many [`PackScope`] guards are open, and the
-/// packs kept since the outermost one opened.
+/// This thread's pack scope: how many [`PackScope`] guards are open, the
+/// packs kept since the outermost one opened, and how many packs this
+/// thread has built in all.
 #[derive(Default)]
 struct Scope {
     depth: usize,
     packs: Vec<KeptPack>,
+    built: u64,
 }
 
 thread_local! {
@@ -258,7 +260,7 @@ thread_local! {
 /// its dims, and the scope holds a handle to the operand so the key cannot
 /// go stale. Results and emitted events are exactly those of the unscoped
 /// products. A guard opened inside another shares the outer scope's packs;
-/// dropping the outermost returns every pack to [`crate::pool`].
+/// dropping the outermost frees every pack.
 ///
 /// The scope has no bound: it keeps one pack per distinct NT operand,
 /// which is meant for one autograd backward pass (`Tape::backward` opens
@@ -280,25 +282,27 @@ impl PackScope {
 
 impl Drop for PackScope {
     fn drop(&mut self) {
-        let kept = SCOPE.with(|s| {
+        SCOPE.with(|s| {
             let mut s = s.borrow_mut();
             s.depth -= 1;
             if s.depth == 0 {
-                std::mem::take(&mut s.packs)
-            } else {
-                Vec::new()
+                s.packs.clear();
             }
         });
-        for pack in kept {
-            pool::recycle_vec(pack.packed);
-        }
     }
+}
+
+/// NT packs this thread has built so far, in a scope or outside one; tests
+/// count them to see what a [`PackScope`] reused.
+#[doc(hidden)]
+pub fn packs_built() -> u64 {
+    SCOPE.with(|s| s.borrow().built)
 }
 
 /// Runs `f` on the row-major transpose of `b`, which holds `batches`
 /// blocks of `[n, k]` (packed: `batches` blocks of `[k, n]`). Inside a
 /// [`PackScope`] the pack is looked up, or made and kept; outside one it
-/// is made for this call and recycled after it.
+/// is made for this call and freed after it.
 pub(crate) fn with_nt_pack<R>(
     b: &Tensor,
     batches: usize,
@@ -308,7 +312,7 @@ pub(crate) fn with_nt_pack<R>(
 ) -> R {
     let pack = || {
         let src = b.as_slice();
-        let mut packed = pool::filled(batches * n * k);
+        let mut packed = pool::zeroed(batches * n * k);
         for bi in 0..batches {
             let block = bi * n * k..(bi + 1) * n * k;
             transpose_pack(&src[block.clone()], n, k, &mut packed[block]); // [n,k] → [k,n]
@@ -318,17 +322,16 @@ pub(crate) fn with_nt_pack<R>(
     SCOPE.with(|s| {
         let mut s = s.borrow_mut();
         if s.depth == 0 {
+            s.built += 1;
             drop(s);
-            let packed = pack();
-            let out = f(&packed);
-            pool::recycle_vec(packed);
-            return out;
+            return f(&pack());
         }
         let hit = s
             .packs
             .iter()
             .position(|p| p.src.shares_storage(b) && p.src.dims() == b.dims());
         let i = hit.unwrap_or_else(|| {
+            s.built += 1;
             s.packs.push(KeptPack {
                 src: b.clone(),
                 packed: pack(),

@@ -75,7 +75,7 @@ impl Tensor {
         }
         let (n, d) = (self.dim(0), self.dim(1));
         let src = self.as_slice();
-        let mut out = pool::filled(n);
+        let mut out = pool::zeroed(n);
         let ranges = par::split(n, n * d, par::Cost::ELEMENT);
         par::for_row_ranges_mut(&mut out, 1, &ranges, |_, rows, chunk| {
             let rows_src = &src[rows.start * d..rows.end * d];

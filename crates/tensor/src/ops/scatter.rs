@@ -120,7 +120,7 @@ impl Tensor {
             });
         }
         index.check_bounds(out_rows, "scatter_max_rows")?;
-        let mut buf = pool::filled(out_rows * d);
+        let mut buf = pool::zeroed(out_rows * d);
         {
             let src = self.as_slice();
             let idx = index.as_slice();

@@ -22,7 +22,7 @@ impl Tensor {
         let (n, d) = (self.dim(0), self.dim(1));
         let src = self.as_slice();
         let lvl = simd::level();
-        let mut out = pool::filled(n * d);
+        let mut out = pool::zeroed(n * d);
         let ranges = par::split(n, n * d, par::Cost::EXP_ELEM);
         par::for_row_ranges_mut(&mut out, d, &ranges, |_, rows, chunk| {
             let rows_src = &src[rows.start * d..rows.end * d];

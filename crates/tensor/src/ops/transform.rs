@@ -26,7 +26,7 @@ impl Tensor {
         let src = self.as_slice();
         // Cache-blocked transpose (same kernel the NT/TN GEMMs pack with);
         // a pure permutation, so the result is exact.
-        let mut data = pool::filled(m * n);
+        let mut data = pool::zeroed(m * n);
         super::gemm::transpose_pack(src, m, n, &mut data);
         let out = Tensor::from_vec(&[n, m], data)?;
         let total = (m * n) as u64;

@@ -10,13 +10,13 @@
 //! `-0.0` (which it must not mistake for a reason to skip differently).
 //!
 //! Inside a `PackScope` the NT layouts reuse a transposed operand; the last
-//! tests hold the scope's key (buffer and dims) and its pool hand-back.
+//! tests hold the scope's key (buffer and dims) and count the packs built.
 
 use std::sync::Mutex;
 
-use gnnmark_tensor::ops::gemm::PackScope;
+use gnnmark_tensor::ops::gemm::{packs_built, PackScope};
 use gnnmark_tensor::simd::{self, SimdLevel};
-use gnnmark_tensor::{par, pool, Tensor};
+use gnnmark_tensor::{par, Tensor};
 
 /// `par::set_threads` is process-wide; the tests here take turns.
 static LOCK: Mutex<()> = Mutex::new(());
@@ -174,11 +174,6 @@ fn transpose2d_uses_it_at_every_plan() {
     });
 }
 
-/// Buffers this thread has handed back to the pool so far.
-fn recycled() -> u64 {
-    pool::stats().recycled
-}
-
 #[test]
 fn a_pack_scope_keys_by_buffer_and_dims() {
     let w = operand(6, 20, 8);
@@ -194,11 +189,12 @@ fn a_pack_scope_keys_by_buffer_and_dims() {
         .bmm(&transposed(&w).reshape(&[1, 20, 6]).unwrap())
         .unwrap();
 
-    let before = recycled();
-    let scope = PackScope::enter();
+    let before = packs_built();
+    let _scope = PackScope::enter();
     for t in 0..4 {
         assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, &format!("step {t}"));
     }
+    assert_eq!(packs_built() - before, 1, "the scope reuses its pack");
     assert_same_bits(
         &x_view.matmul_nt(&w_view).unwrap(),
         &want_view,
@@ -210,13 +206,7 @@ fn a_pack_scope_keys_by_buffer_and_dims() {
         "rank-3 view",
     );
     assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, "after the other views");
-    assert_eq!(recycled(), before, "the scope keeps its packs while open");
-    drop(scope);
-    assert_eq!(
-        recycled() - before,
-        3,
-        "one pack per (buffer, dims), recycled on drop"
-    );
+    assert_eq!(packs_built() - before, 3, "one pack per (buffer, dims)");
 }
 
 #[test]
@@ -251,22 +241,21 @@ fn a_nested_scope_shares_the_outer_scopes_packs() {
     let x = operand(3, 9, 14);
     let w = operand(4, 9, 15);
     let v = operand(2, 9, 16);
-    let before = recycled();
-    let outer = PackScope::enter();
+    let before = packs_built();
+    let _outer = PackScope::enter();
     let want = x.matmul_nt(&w).unwrap();
     {
         let _inner = PackScope::enter();
         assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, "inner hit");
         let _ = x.matmul_nt(&v).unwrap();
     }
-    assert_eq!(
-        recycled(),
-        before,
-        "closing the inner scope returns nothing"
-    );
     assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, "outer hit");
-    drop(outer);
-    assert_eq!(recycled() - before, 2, "w's pack and v's, once each");
+    let _ = x.matmul_nt(&v).unwrap();
+    assert_eq!(
+        packs_built() - before,
+        2,
+        "closing the inner scope keeps w's pack and v's, built once each"
+    );
 }
 
 #[test]
@@ -279,12 +268,12 @@ fn another_thread_packs_as_if_no_scope_were_open() {
     std::thread::scope(|s| {
         s.spawn(|| {
             for t in 0..3 {
-                let before = recycled();
+                let before = packs_built();
                 assert_same_bits(&x.matmul_nt(&w).unwrap(), &want, &format!("call {t}"));
                 assert_eq!(
-                    recycled() - before,
+                    packs_built() - before,
                     1,
-                    "no scope here: each pack is recycled at once"
+                    "no scope here: each call builds its own pack"
                 );
             }
         });
